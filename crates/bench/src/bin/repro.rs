@@ -13,8 +13,9 @@
 //!                  × 10k→100k flows, full-rebuild vs incremental contention
 //!                  (writes BENCH_scalability.json; rebuild with
 //!                  --features parallel for the sharded-probe variant);
-//!                  with --shards K > 1, appends a multi-coordinator
-//!                  shard-scaling sweep asserting byte-identical records
+//!                  with --shards K > 1, appends the shard sweep over
+//!                  K × summary staleness S, asserting byte-identical
+//!                  records at S = 0
 //!   trace          instrumented Saath + Aalo runs: mechanism breakdown tables
 //!                  and deterministic JSONL round traces in results/
 //!   gen-trace      write a full-size FB-like trace in coflow-benchmark format
@@ -49,15 +50,16 @@
 //!   --multiplex    emulate only: readiness-driven multiplexed host
 //!                  sweep (O(hosts) threads, not one per node)
 //!   --shards K     scale only: max coordinator shard count for the
-//!                  shard-scaling sweep (default 4; 1 disables it)
-//!   --partitioned  scale only: also sweep the partitioned-compute mode
-//!                  (per-shard views + bounded-staleness contention
-//!                  summaries) for K ∈ {2, 4} ∩ [1, --shards] on the
-//!                  sweep's smallest and largest points, reporting
-//!                  per-shard sched_ms, CCT deviation vs the
-//!                  single-coordinator oracle, and the first divergent
-//!                  round (via the event-log differ)
-//!   --staleness S  scale only: restrict the partitioned sweep to one
+//!                  shard sweep (default 4; 1 disables it) — shards
+//!                  K ∈ {2, 4} ∩ [1, --shards] × summary staleness
+//!                  S ∈ {0, 1, 4, 16} (0: every shard schedules the full
+//!                  view; ≥ 1: owned CoFlows against bounded-staleness
+//!                  contention summaries) on the sweep's smallest and
+//!                  largest points, reporting wall overhead, per-shard
+//!                  sched_ms, CCT deviation vs the single-coordinator
+//!                  oracle, and the first divergent round (via the
+//!                  event-log differ)
+//!   --staleness S  scale only: restrict the shard sweep to one
 //!                  summary staleness budget instead of {0, 1, 4, 16}
 //!   --small        use small traces (smoke test, seconds instead of minutes)
 //!   --json         epoch/scale only: print the BENCH JSON document instead
@@ -96,7 +98,7 @@ fn arg_value(args: &[String], key: &str) -> Option<String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args.first().cloned().unwrap_or_else(|| {
-        eprintln!("usage: repro <fig2|fig3|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|fig17|table2|dynamics|epoch|scale|trace|emulate|gen-trace|verify|diff|bench-diff|all> [--seed N] [--panel P] [--trace PATH] [--out PATH] [--scale N] [--nodes N] [--shards K] [--partitioned] [--staleness S] [--multiplex] [--small] [--json] [--log PATH] [--snapshot-every N] [--resume-from PATH] [--metrics-out PATH] [--metrics-addr ADDR] [--tolerance-pct N]");
+        eprintln!("usage: repro <fig2|fig3|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|fig17|table2|dynamics|epoch|scale|trace|emulate|gen-trace|verify|diff|bench-diff|all> [--seed N] [--panel P] [--trace PATH] [--out PATH] [--scale N] [--nodes N] [--shards K] [--staleness S] [--multiplex] [--small] [--json] [--log PATH] [--snapshot-every N] [--resume-from PATH] [--metrics-out PATH] [--metrics-addr ADDR] [--tolerance-pct N]");
         std::process::exit(2);
     });
     let seed: u64 = arg_value(&args, "--seed")
@@ -113,7 +115,6 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(4)
         .max(1);
-    let partitioned = args.iter().any(|a| a == "--partitioned");
     let staleness: Option<u64> = arg_value(&args, "--staleness").and_then(|v| v.parse().ok());
     let multiplex = args.iter().any(|a| a == "--multiplex");
     let small = args.iter().any(|a| a == "--small");
@@ -244,7 +245,6 @@ fn main() {
                 json,
                 small,
                 shards,
-                partitioned,
                 staleness,
                 &log_opts,
                 metrics_out.as_deref(),

@@ -1482,31 +1482,26 @@ struct ScaleRun {
 /// sharded gang probes (probe/merge columns become non-zero), so serial
 /// vs parallel is a rebuild of the same command.
 ///
-/// `shards > 1` appends a shard-scaling sweep: the multi-coordinator
-/// [`ShardedScheduler`](saath_runtime::ShardedScheduler) replayed on
-/// the sweep's first point for K ∈ {1, 2, 4} ∩ [1, `shards`], asserting
-/// byte-identical records at every K and reporting the reconciliation
-/// overhead (K replicas of the policy + the flow-id-ordered merge).
-///
-/// `partitioned` extends that with the partitioned-compute mode
-/// ([`PartitionedScheduler`](saath_simulator::PartitionedScheduler)):
-/// K ∈ {2, 4} ∩ [1, `shards`] × staleness S ∈ {0, 1, 4, 16} (or just
-/// `staleness` when given), on the sweep's smallest *and* largest
-/// points. Every (nodes, K, S) entry reports the busiest shard's
+/// `shards > 1` appends the shard sweep: the sharded coordinator
+/// ([`PartitionedScheduler`](saath_simulator::PartitionedScheduler))
+/// for K ∈ {2, 4} ∩ [1, `shards`] × summary staleness
+/// S ∈ {0, 1, 4, 16} (or just `staleness` when given), on the sweep's
+/// smallest *and* largest points. S = 0 rows are the replicated mode
+/// (every shard schedules the full view; records asserted
+/// byte-identical to the single coordinator), S ≥ 1 rows the
+/// partitioned mode. Every (nodes, K, S) entry reports its wall time
+/// relative to the single coordinator's, the busiest shard's
 /// sched_ms, its speedup over the single coordinator's sched_ms, and
-/// the average CCT deviation from the single-coordinator records —
-/// asserted exactly zero at S=0 (the replicated oracle contract). On
+/// the average CCT deviation from the single-coordinator records. On
 /// the smallest point each combination is additionally replayed with
 /// an in-memory event log and diffed against the oracle's log to pin
 /// `first_divergence_round` — the same alignment `repro diff` performs
 /// on recorded logs.
-#[allow(clippy::too_many_arguments)]
 pub fn scale(
     lab: &Lab,
     json: bool,
     small: bool,
     shards: usize,
-    partitioned: bool,
     staleness: Option<u64>,
     log: &LogOptions,
     metrics_out: Option<&std::path::Path>,
@@ -1596,9 +1591,9 @@ pub fn scale(
     // Per-phase latency distribution of the incremental mode, pooled
     // across every sweep point (each point feeds its per-round samples).
     let mut inc_spans = saath_telemetry::SpanProfiler::new();
-    // Single-coordinator oracle (records + sched_ms) per point, kept
-    // for the partitioned sweep's deviation/speedup comparisons.
-    let mut oracles: Vec<(Vec<CoflowRecord>, f64)> = Vec::new();
+    // Single-coordinator oracle (records, sched_ms, wall_ms) per
+    // point, kept for the shard sweep's comparisons.
+    let mut oracles: Vec<(Vec<CoflowRecord>, f64, f64)> = Vec::new();
     for (pi, &(nodes, target_flows)) in points.iter().enumerate() {
         let trace = grown_trace_at(lab.seed(), nodes, target_flows);
         let flows = flow_count(&trace);
@@ -1659,63 +1654,22 @@ pub fn scale(
             mode_json("full_rebuild", &rebuild),
             mode_json("incremental", &incremental),
         ));
-        oracles.push((incremental.records.clone(), incremental.sched_ms));
+        oracles.push((
+            incremental.records.clone(),
+            incremental.sched_ms,
+            incremental.wall_ms,
+        ));
     }
 
-    // Shard-scaling sweep: the multi-coordinator mode on the sweep's
-    // first (smallest) point. Each shard replicates the full policy, so
-    // wall time grows ~K× — the sweep reports that honestly; what
-    // sharding buys is failure-domain division, not compute division.
+    // Shard sweep: K shards × staleness S, on the smallest and largest
+    // points. `shard_sweep` entries are keyed by (nodes, shards, mode,
+    // staleness) for bench-diff, with `mode` derived from S — at S = 0
+    // each shard replicates the full policy (wall time grows ~K×; what
+    // that buys is failure-domain division), at S ≥ 1 the compute is
+    // partitioned.
     let mut shard_docs = Vec::new();
-    let mut shard_rows: Vec<[String; 5]> = Vec::new();
+    let mut shard_rows: Vec<[String; 9]> = Vec::new();
     if shards > 1 {
-        let (nodes, target_flows) = points[0];
-        let trace = grown_trace_at(lab.seed(), nodes, target_flows);
-        let flows = flow_count(&trace);
-        let mut baseline: Option<(f64, Vec<saath_metrics::CoflowRecord>)> = None;
-        for k in [1usize, 2, 4] {
-            if k > shards {
-                break;
-            }
-            let mut sched = saath_runtime::ShardedScheduler::new(k, || {
-                Box::new(saath_core::Saath::with_defaults())
-            });
-            let t0 = Instant::now();
-            let out =
-                simulate(&trace, &mut sched, &cfg, &dynamics).expect("shard-sweep run failed");
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let (base_ms, base_records) = baseline.get_or_insert((wall_ms, out.records.clone()));
-            assert_eq!(
-                &out.records, base_records,
-                "K={k} shards diverged from the single-coordinator records"
-            );
-            let overhead = wall_ms / base_ms.max(1e-9);
-            shard_rows.push([
-                k.to_string(),
-                nodes.to_string(),
-                flows.to_string(),
-                format!("{wall_ms:.1}"),
-                fmt_x(overhead),
-            ]);
-            shard_docs.push(format!(
-                "    {{\n      \"shards\": {k},\n      \"nodes\": {nodes},\n      \
-                 \"mode\": \"replicated\",\n      \"staleness\": 0,\n      \
-                 \"coflows\": {},\n      \"flows\": {flows},\n      \
-                 \"wall_ms\": {wall_ms:.1},\n      \
-                 \"replication_overhead\": {overhead:.2},\n      \
-                 \"records_identical\": true\n    }}",
-                trace.coflows.len(),
-            ));
-        }
-    }
-
-    // Partitioned-compute sweep: per-shard views + bounded-staleness
-    // summaries, on the smallest and largest points. The entries share
-    // the `shard_sweep` array with the replicated mode above —
-    // bench-diff keys them by (nodes, shards, mode, staleness), so the
-    // two modes never collide.
-    let mut part_rows: Vec<[String; 8]> = Vec::new();
-    if partitioned && shards > 1 {
         use saath_eventlog::{diff_logs, ChainDigest, EventLogWriter, LogHeader};
         use saath_metrics::deviation::avg_cct_deviation;
         use saath_simulator::{simulate_resumable, PartitionedScheduler, ReplayHooks};
@@ -1729,7 +1683,7 @@ pub fn scale(
             .copied()
             .filter(|&k| k <= shards)
             .collect();
-        let part_points: Vec<usize> = if small || points.len() == 1 {
+        let sweep_points: Vec<usize> = if small || points.len() == 1 {
             vec![0]
         } else {
             vec![0, points.len() - 1]
@@ -1762,19 +1716,24 @@ pub fn scale(
                     resume_from: None,
                 },
             )
-            .expect("partitioned-sweep logged run failed");
+            .expect("shard-sweep logged run failed");
             (w.into_inner().expect("event-log flush failed"), out)
         };
-        for (i, &pi) in part_points.iter().enumerate() {
+        for (i, &pi) in sweep_points.iter().enumerate() {
             let (nodes, target_flows) = points[pi];
             let trace = grown_trace_at(lab.seed(), nodes, target_flows);
             let flows = flow_count(&trace);
-            let (oracle_records, oracle_sched_ms) = &oracles[pi];
+            let (oracle_records, oracle_sched_ms, oracle_wall_ms) = &oracles[pi];
             // The differ needs the oracle's log; only the smallest
-            // point pays for the extra replay.
+            // point pays for the extra replay. Its sharded runs are
+            // logged too, so there the overhead column's base is this
+            // logged replay's wall time, not the unlogged timed run's.
+            let mut base_wall_ms = *oracle_wall_ms;
             let oracle_log = (i == 0).then(|| {
                 let mut single = saath_core::Saath::with_defaults();
+                let t0 = Instant::now();
                 let (bytes, out) = logged(&trace, &mut single);
+                base_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
                 assert_eq!(
                     &out.records, oracle_records,
                     "oracle log replay diverged from the timed run at {nodes} nodes"
@@ -1785,17 +1744,18 @@ pub fn scale(
                 for &s in &staleness_grid {
                     let mut sched = PartitionedScheduler::new(k, s, SaathConfig::default());
                     let t0 = Instant::now();
-                    let (part_log, out) = if oracle_log.is_some() {
+                    let (shard_log, out) = if oracle_log.is_some() {
                         let (bytes, out) = logged(&trace, &mut sched);
                         (Some(bytes), out)
                     } else {
                         (
                             None,
                             simulate(&trace, &mut sched, &cfg, &dynamics)
-                                .expect("partitioned-sweep run failed"),
+                                .expect("shard-sweep run failed"),
                         )
                     };
                     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+                    let overhead = wall_ms / base_wall_ms.max(1e-9);
                     let max_shard_sched_ms = (0..k)
                         .map(|i| {
                             sched
@@ -1813,21 +1773,23 @@ pub fn scale(
                         "K={k} S=0 must be byte-identical at {nodes} nodes"
                     );
                     let dev = avg_cct_deviation(oracle_records, &out.records).unwrap_or(0.0);
-                    let first_div = match (&oracle_log, &part_log) {
+                    let first_div = match (&oracle_log, &shard_log) {
                         (Some(a), Some(b)) => {
                             diff_logs(a, b)
-                                .expect("partitioned log not diff-comparable to oracle log")
+                                .expect("sharded log not diff-comparable to oracle log")
                                 .first_divergent_round
                         }
                         _ => None,
                     };
+                    let mode = if s == 0 { "replicated" } else { "partitioned" };
                     let first_div_json = first_div
                         .map(|r| r.to_string())
                         .unwrap_or_else(|| "null".into());
-                    part_rows.push([
+                    shard_rows.push([
                         nodes.to_string(),
                         k.to_string(),
                         s.to_string(),
+                        fmt_x(overhead),
                         format!("{max_shard_sched_ms:.1}"),
                         fmt_x(sched_speedup),
                         format!("{dev:.4}"),
@@ -1842,9 +1804,10 @@ pub fn scale(
                     ]);
                     shard_docs.push(format!(
                         "    {{\n      \"shards\": {k},\n      \"nodes\": {nodes},\n      \
-                         \"mode\": \"partitioned\",\n      \"staleness\": {s},\n      \
+                         \"mode\": \"{mode}\",\n      \"staleness\": {s},\n      \
                          \"coflows\": {},\n      \"flows\": {flows},\n      \
                          \"rounds\": {},\n      \"wall_ms\": {wall_ms:.1},\n      \
+                         \"replication_overhead\": {overhead:.2},\n      \
                          \"max_shard_sched_ms\": {max_shard_sched_ms:.1},\n      \
                          \"sched_speedup\": {sched_speedup:.2},\n      \
                          \"avg_cct_deviation\": {dev:.6},\n      \
@@ -1900,24 +1863,15 @@ pub fn scale(
         .render(),
     );
     if !shard_rows.is_empty() {
-        let mut st = Table::new(
-            "Shard-scaling sweep — K coordinator replicas, byte-identical records",
-            &["shards", "nodes", "flows", "wall ms", "overhead"],
-        );
-        for row in &shard_rows {
-            st.row(row);
-        }
-        rendered.push('\n');
-        rendered.push_str(&st.render());
-    }
-    if !part_rows.is_empty() {
         let mut pt = Table::new(
-            "Partitioned-compute sweep — per-shard views + bounded-staleness summaries \
-             (speedup = single-coordinator sched_ms / busiest shard's)",
+            "Shard sweep — K shards × summary staleness S (S=0: full replicas, records \
+             byte-identical; overhead = wall / single coordinator's; speedup = \
+             single-coordinator sched_ms / busiest shard's)",
             &[
                 "nodes",
                 "shards",
                 "staleness",
+                "overhead",
                 "shard sched ms",
                 "speedup",
                 "cct dev",
@@ -1925,7 +1879,7 @@ pub fn scale(
                 "first div round",
             ],
         );
-        for row in &part_rows {
+        for row in &shard_rows {
             pt.row(row);
         }
         rendered.push('\n');

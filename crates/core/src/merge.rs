@@ -1,8 +1,8 @@
-//! The deterministic slice merge shared by every sharded coordinator
-//! path (replicated and partitioned, simulator-domain and runtime).
+//! The deterministic slice merge of the sharded coordinator, at every
+//! staleness, in both domains.
 //!
 //! Lives in `saath-core` so both the runtime's reconciler and the
-//! simulator's in-process sharded schedulers use the *same* merge —
+//! simulator's in-process `PartitionedScheduler` use the *same* merge —
 //! the safety net that restores feasibility when shards disagree.
 
 use crate::view::Schedule;

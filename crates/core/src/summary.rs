@@ -1,9 +1,9 @@
 //! Bounded-staleness contention summaries for partitioned-compute
 //! sharding.
 //!
-//! PR 5's sharded coordinator replicates the *full* policy per shard to
-//! keep records byte-identical, so sharding adds wall overhead instead
-//! of dividing the compute. The partitioned mode divides it: each shard
+//! At staleness 0 every coordinator shard replicates the *full* policy
+//! to keep records byte-identical, so sharding adds wall overhead
+//! instead of dividing the compute. Staleness ≥ 1 divides it: each shard
 //! keeps full [`crate::view::CoflowView`]s only for the CoFlows it owns
 //! (via [`crate::view::shard_of`]) plus one compact
 //! [`ContentionSummary`] per remote shard, refreshed every S rounds
@@ -35,7 +35,9 @@
 //! scales with *owned* CoFlows only.
 
 use crate::view::CoflowView;
-use saath_simcore::{FlowId, PortId, Rate};
+use crate::Saath;
+use saath_fabric::PortBank;
+use saath_simcore::{CoflowId, FlowId, PortId, Rate};
 
 /// One shard's compact export of its contention state, consumed by
 /// every other shard. See the module docs for field semantics.
@@ -130,6 +132,59 @@ pub fn remote_contention(
         add = add.saturating_add(best);
     }
     add
+}
+
+/// Prepares shard `shard`'s round against its peers' latest summaries
+/// (`summaries[t]` from shard `t`; K = `summaries.len()`): installs the
+/// [`remote_contention`] addend of every CoFlow in `coflows` on `sched`,
+/// and pre-charges each peer's claimed port rates on `bank` (which the
+/// caller has reset for the round) — but never below a **reserve** of
+/// capacity/K per port. The reserve is what makes symmetric deferral
+/// stable: without it, two shards sharing a hot port each see the
+/// other's claim, both back off completely, the port idles, both
+/// summaries go quiet, and both rush back in — a cycle that stays
+/// perfectly synchronized at S=1. With the floor, a shard can always
+/// admit at least its 1/K slice of any port, so backoff is partial, a
+/// saturated peer can never monopolize a hot port, and under full
+/// backlog the shards converge to a fair static split. The bounded
+/// overcommit this allows is what the rotated merge clamp arbitrates.
+///
+/// With no summaries received (S=0, or before the first refresh) both
+/// halves are no-ops. `remote_buf` and `port_scratch` are buffers the
+/// caller keeps across rounds (this runs per shard per round).
+#[allow(clippy::too_many_arguments)]
+pub fn apply_peer_summaries(
+    sched: &mut Saath,
+    coflows: &[CoflowView],
+    num_nodes: usize,
+    summaries: &[ContentionSummary],
+    shard: usize,
+    bank: &mut PortBank,
+    remote_buf: &mut Vec<(CoflowId, u32)>,
+    port_scratch: &mut Vec<u32>,
+) {
+    remote_buf.clear();
+    if summaries.iter().any(|s| !s.port_coflows.is_empty()) {
+        for c in coflows {
+            let add = remote_contention(c, num_nodes, summaries, shard as u32, port_scratch);
+            if add > 0 {
+                remote_buf.push((c.id, add));
+            }
+        }
+    }
+    sched.set_remote_contention(remote_buf);
+    let k = summaries.len() as u64;
+    for (_, peer) in summaries.iter().enumerate().filter(|&(t, _)| t != shard) {
+        for &(p, r) in &peer.port_rates {
+            let pid = PortId(p);
+            let reserve = bank.capacity(pid).as_u64() / k;
+            let chargeable = Rate(bank.remaining(pid).as_u64().saturating_sub(reserve));
+            let give = Rate(r).min(chargeable);
+            if !give.is_zero() {
+                bank.allocate(pid, give);
+            }
+        }
+    }
 }
 
 /// Aggregates a schedule slice's per-flow rates into per-port claimed

@@ -67,13 +67,8 @@ pub fn engine_table(policy: &str, tele: &Telemetry) -> Table {
             t.row(&hist_cells(name, h));
         }
     }
-    for (name, h) in [
-        ("round_wall_ns", &tele.round_wall_ns),
-        ("sync_round_ns", &tele.sync_round_ns),
-    ] {
-        if h.count > 0 {
-            t.row(&loghist_cells(name, h));
-        }
+    if tele.round_wall_ns.count > 0 {
+        t.row(&loghist_cells("round_wall_ns", &tele.round_wall_ns));
     }
     for (name, h) in tele.spans.rows() {
         t.row(&loghist_cells(&format!("span:{name}"), h));

@@ -15,19 +15,16 @@
 //! The per-agent state machine lives in [`AgentCore`], a plain value
 //! with no transport or thread of its own: `on_message` folds in a
 //! schedule push, `advance` moves the emulated NIC to `now`, and
-//! `take_stats` emits the δ-interval report when one is due. The
-//! classic one-thread-per-agent driver ([`run_agent`]) and the
-//! multiplexed [`crate::host::run_agent_host`] event loop both drive
-//! the same core, so the two wirings cannot drift behaviourally.
+//! `take_stats` emits the δ-interval report when one is due. Its one
+//! driver is the [`crate::host::run_agent_host`] event loop, which
+//! runs N cores on a thread over one link — N = 1 is the paper's
+//! agent-per-machine wiring.
 
-use crate::clock::EmuClock;
 use crate::metrics::MetricsHub;
 use crate::proto::{FlowStat, Message, RateAssignment};
-use crate::transport::{Transport, TransportError};
 use saath_simcore::units::bytes_in;
 use saath_simcore::{Bytes, Duration, Rate, Time};
 use saath_telemetry::Phase;
-use std::sync::Arc;
 
 /// One flow assigned to an agent (its node is the sender).
 #[derive(Clone, Debug)]
@@ -185,78 +182,6 @@ impl AgentCore {
     }
 }
 
-/// Runs one agent until shutdown. Returns the number of schedule
-/// epochs applied (diagnostics).
-pub fn run_agent(
-    node: u32,
-    flows: Vec<AgentFlow>,
-    transport: Box<dyn Transport>,
-    clock: EmuClock,
-    delta: Duration,
-    tick: Duration,
-) -> Result<u64, TransportError> {
-    run_agent_with_metrics(node, flows, transport, clock, delta, tick, None)
-}
-
-/// [`run_agent`] with an optional handle on the live metrics plane:
-/// each schedule application is timed into the `agent_apply` phase
-/// (the hub is `Arc`-shared because agents run on their own threads).
-#[allow(clippy::too_many_arguments)]
-pub fn run_agent_with_metrics(
-    node: u32,
-    flows: Vec<AgentFlow>,
-    mut transport: Box<dyn Transport>,
-    clock: EmuClock,
-    delta: Duration,
-    tick: Duration,
-    hub: Option<Arc<MetricsHub>>,
-) -> Result<u64, TransportError> {
-    let mut core = AgentCore::new(node, flows, delta, clock.now());
-    transport.send(&core.hello())?;
-    let tick_wall = clock.to_wall(tick);
-
-    loop {
-        // 1. Apply any pending schedule pushes (newest epoch wins).
-        loop {
-            match transport.recv_timeout(std::time::Duration::ZERO) {
-                Ok(Some(m)) => {
-                    if core.on_message(&m, hub.as_deref()) {
-                        return Ok(core.epochs_applied());
-                    }
-                }
-                Ok(None) => break,
-                Err(TransportError::Disconnected) => return Ok(core.epochs_applied()),
-                Err(e) => return Err(e),
-            }
-        }
-
-        // 2+3. Advance the emulated NIC by the actually-elapsed time,
-        // then report stats every δ.
-        let now = clock.now();
-        core.advance(now);
-        if let Some(report) = core.take_stats(now) {
-            match transport.send(&report) {
-                Ok(()) => {}
-                Err(TransportError::Disconnected) => return Ok(core.epochs_applied()),
-                Err(e) => return Err(e),
-            }
-        }
-
-        // 4. Nap until roughly the next tick (the recv poll above keeps
-        // schedule latency below one tick).
-        match transport.recv_timeout(tick_wall) {
-            Ok(Some(m)) => {
-                if core.on_message(&m, hub.as_deref()) {
-                    return Ok(core.epochs_applied());
-                }
-            }
-            Ok(None) => {}
-            Err(TransportError::Disconnected) => return Ok(core.epochs_applied()),
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 fn apply_schedule(live: &mut [LiveFlow], rates: &[RateAssignment]) {
     // Flows absent from a push are paused (§4.2: unlisted = rate 0).
     for f in live.iter_mut() {
@@ -272,31 +197,44 @@ fn apply_schedule(live: &mut [LiveFlow], rates: &[RateAssignment]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::inproc_pair;
+    use crate::clock::EmuClock;
+    use crate::host::run_agent_host;
+    use crate::transport::{inproc_pair, InProcTransport, Transport, TransportError};
+
+    /// Runs `node` owning `flow` as a one-agent host on its own thread
+    /// (sim δ 400 ms, tick 100 ms); joins to the agent's applied epochs.
+    fn spawn_agent(
+        node: u32,
+        flow: AgentFlow,
+        link: InProcTransport,
+        clock: EmuClock,
+    ) -> std::thread::JoinHandle<Result<Vec<u64>, TransportError>> {
+        std::thread::spawn(move || {
+            run_agent_host(
+                0,
+                vec![(node, vec![flow])],
+                Box::new(link),
+                clock,
+                Duration::from_millis(400),
+                Duration::from_millis(100),
+                None,
+            )
+        })
+    }
 
     /// Drives a one-flow agent through a full lifecycle from the
     /// coordinator's side of the transport.
     #[test]
     fn agent_sends_at_the_assigned_rate_and_reports() {
         let (coord_side, agent_side) = inproc_pair(64);
-        let clock = EmuClock::start(100); // 100× wall
+        let clock = EmuClock::start(100); // 100× wall: sim δ = 4 ms wall
         let flow = AgentFlow {
             flow: 7,
             size: Bytes::mb(50),
             activate_at: Time::ZERO,
             ready_at: Time::ZERO,
         };
-        let c2 = clock.clone();
-        let handle = std::thread::spawn(move || {
-            run_agent(
-                3,
-                vec![flow],
-                Box::new(agent_side),
-                c2,
-                Duration::from_millis(400), // sim δ = 4 ms wall
-                Duration::from_millis(100),
-            )
-        });
+        let handle = spawn_agent(3, flow, agent_side, clock.clone());
 
         let mut coord: Box<dyn Transport> = Box::new(coord_side);
         // Hello first.
@@ -339,7 +277,7 @@ mod tests {
 
         coord.send(&Message::Shutdown).unwrap();
         let epochs = handle.join().unwrap().unwrap();
-        assert!(epochs >= 1);
+        assert!(epochs[0] >= 1);
     }
 
     #[test]
@@ -354,17 +292,7 @@ mod tests {
             // far beyond this test's observation window).
             ready_at: Time::from_secs(1000),
         };
-        let c2 = clock.clone();
-        let handle = std::thread::spawn(move || {
-            run_agent(
-                0,
-                vec![flow],
-                Box::new(agent_side),
-                c2,
-                Duration::from_millis(400),
-                Duration::from_millis(100),
-            )
-        });
+        let handle = spawn_agent(0, flow, agent_side, clock.clone());
         let mut coord: Box<dyn Transport> = Box::new(coord_side);
         let _hello = coord
             .recv_timeout(std::time::Duration::from_secs(2))
@@ -422,17 +350,7 @@ mod tests {
             activate_at: Time::ZERO,
             ready_at: Time::ZERO,
         };
-        let c2 = clock.clone();
-        let handle = std::thread::spawn(move || {
-            run_agent(
-                1,
-                vec![flow],
-                Box::new(agent_side),
-                c2,
-                Duration::from_millis(400),
-                Duration::from_millis(100),
-            )
-        });
+        let handle = spawn_agent(1, flow, agent_side, clock.clone());
         let mut coord: Box<dyn Transport> = Box::new(coord_side);
         let _hello = coord
             .recv_timeout(std::time::Duration::from_secs(2))
@@ -464,7 +382,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(100));
         coord.send(&Message::Shutdown).unwrap();
         let epochs = handle.join().unwrap().unwrap();
-        assert_eq!(epochs, 2, "duplicates must not inflate epochs_applied");
+        assert_eq!(epochs, [2], "duplicates must not inflate epochs_applied");
     }
 
     /// Regression (NIC credit clamp): a flow whose `ready_at` falls

@@ -14,12 +14,12 @@
 use crate::clock::EmuClock;
 use crate::metrics::MetricsHub;
 use crate::proto::{FlowStat, Message, RateAssignment};
-use crate::transport::{Transport, TransportError, TransportStats};
+use crate::transport::{Transport, TransportStats};
 use saath_core::view::{ClusterView, CoflowScheduler, CoflowView, FlowView, Schedule};
 use saath_fabric::PortBank;
 use saath_metrics::CoflowRecord;
 use saath_simcore::{Bytes, CoflowId, Duration, FlowId, NodeId, Rate, Time};
-use saath_telemetry::{Counter, Phase, Telemetry};
+use saath_telemetry::Phase;
 use saath_workload::Trace;
 
 /// Static description of one registered CoFlow.
@@ -143,7 +143,10 @@ impl ObsState {
     }
 
     /// Folds one stats report in. `now` stamps newly-finished flows.
-    pub(crate) fn ingest(&mut self, flows: &[FlowStat], now: Time) {
+    /// Flow ids come off the wire: entries naming no registered flow
+    /// are skipped, and their number returned.
+    pub(crate) fn ingest(&mut self, flows: &[FlowStat], now: Time) -> u64 {
+        let mut rejected = 0;
         for &FlowStat {
             flow,
             sent,
@@ -151,7 +154,10 @@ impl ObsState {
             ready,
         } in flows
         {
-            let o = &mut self.obs[flow as usize];
+            let Some(o) = self.obs.get_mut(flow as usize) else {
+                rejected += 1;
+                continue;
+            };
             o.sent = o.sent.max(sent);
             o.ready = Some(ready);
             if finished && !o.finished {
@@ -159,6 +165,7 @@ impl ObsState {
                 o.finished_at = now;
             }
         }
+        rejected
     }
 
     /// Completion bookkeeping: records every CoFlow whose flows have all
@@ -250,15 +257,6 @@ impl ObsState {
             .count() as u64
     }
 
-    /// Whether any registered CoFlow has arrived and not yet finished.
-    pub(crate) fn has_active(&self, registry: &CoflowRegistry, now: Time) -> bool {
-        registry
-            .entries
-            .iter()
-            .enumerate()
-            .any(|(ci, e)| self.done[ci].is_none() && e.arrival <= now)
-    }
-
     pub(crate) fn into_sorted_records(mut self) -> Vec<CoflowRecord> {
         self.records.sort_by_key(|r| r.id);
         self.records
@@ -277,38 +275,151 @@ pub struct CoordinatorReport {
     pub restarted: bool,
 }
 
+/// The hub counter for indices read off the wire that named no
+/// registered flow or shard — the entry is skipped, the run goes on.
+pub(crate) const REJECTED_INDICES: &str = "saath_coord_rejected_indices_total";
+
+/// Epoch phase 1 (obs-recv): drains every pending agent frame, folding
+/// stats reports into `state` stamped `now` and forwarding each
+/// verbatim to `forward_to` (the reconciler's shard links — every
+/// replica must see the same waves; empty for the single coordinator).
+pub(crate) fn drain_stats(
+    agents: &mut [Box<dyn Transport>],
+    forward_to: &mut [Box<dyn Transport>],
+    state: &mut ObsState,
+    now: Time,
+    hub: Option<&MetricsHub>,
+) {
+    let (mut stats_msgs, mut rejected) = (0u64, 0u64);
+    {
+        let _span = hub.map(|h| h.span(Phase::CoordObsRecv));
+        for a in agents.iter_mut() {
+            // A multiplexed host link carries many agents' frames:
+            // stray non-stats frames (the hosted agents' hellos) must
+            // not end the drain, or a host of N agents would stall its
+            // stats by one round per queued hello. Only an empty or
+            // broken link ends it.
+            while let Ok(Some(m)) = a.recv_timeout(std::time::Duration::ZERO) {
+                if let Message::Stats { flows, .. } = &m {
+                    stats_msgs += 1;
+                    rejected += state.ingest(flows, now);
+                    for l in forward_to.iter_mut() {
+                        let _ = l.send(&m);
+                    }
+                }
+            }
+        }
+    }
+    if let Some(h) = hub {
+        if stats_msgs > 0 {
+            h.incr("saath_coord_stats_msgs_total", "", stats_msgs);
+        }
+        if rejected > 0 {
+            h.incr(REJECTED_INDICES, "", rejected);
+        }
+    }
+}
+
+/// Epoch phase 3 (broadcast): pushes `schedule` to every agent as
+/// epoch `epoch`.
+pub(crate) fn push_schedule(
+    agents: &mut [Box<dyn Transport>],
+    epoch: u64,
+    schedule: &Schedule,
+    hub: Option<&MetricsHub>,
+) {
+    let push = Message::Schedule {
+        epoch,
+        rates: to_assignments(schedule),
+    };
+    {
+        let _span = hub.map(|h| h.span(Phase::CoordBroadcast));
+        for a in agents.iter_mut() {
+            let _ = a.send(&push);
+        }
+    }
+    if let Some(h) = hub {
+        h.incr("saath_coord_epochs_total", "", 1);
+        h.incr("saath_coord_schedule_msgs_total", "", agents.len() as u64);
+    }
+}
+
+/// A schedule in its wire form.
+pub(crate) fn to_assignments(schedule: &Schedule) -> Vec<RateAssignment> {
+    let wire = |&(f, r): &(FlowId, Rate)| RateAssignment {
+        flow: f.0,
+        rate: r.as_u64(),
+    };
+    schedule.rates.iter().map(wire).collect()
+}
+
+/// End of an epoch: the CoFlow gauges and the agent links' cumulative
+/// transport counters.
+pub(crate) fn publish_epoch(
+    hub: Option<&MetricsHub>,
+    agents: &[Box<dyn Transport>],
+    active: u64,
+    completed: usize,
+) {
+    if let Some(h) = hub {
+        h.set("saath_active_coflows", "", active);
+        h.set("saath_completed_coflows", "", completed as u64);
+        publish_links(h, "link=\"agent\"", agents);
+    }
+}
+
+/// Publishes the summed transport counters of `links` under `labels`.
+pub(crate) fn publish_links(hub: &MetricsHub, labels: &str, links: &[Box<dyn Transport>]) {
+    let mut sum = TransportStats::default();
+    for l in links {
+        sum.merge(&l.stats());
+    }
+    hub.set_transport(labels, &sum);
+}
+
+/// Tells every peer behind `links` to exit.
+pub(crate) fn shutdown_links(links: &mut [Box<dyn Transport>]) {
+    for l in links {
+        let _ = l.send(&Message::Shutdown);
+    }
+}
+
+/// The run's report; a completed run also leaves the final gauge
+/// values behind (the epoch loop won't publish again).
+pub(crate) fn finish(
+    state: ObsState,
+    epochs: u64,
+    restarted: bool,
+    timed_out: bool,
+    hub: Option<&MetricsHub>,
+) -> CoordinatorReport {
+    if let (Some(h), false) = (hub, timed_out) {
+        h.set("saath_active_coflows", "", 0);
+        h.set("saath_completed_coflows", "", state.records.len() as u64);
+    }
+    CoordinatorReport {
+        records: state.into_sorted_records(),
+        epochs,
+        timed_out,
+        restarted,
+    }
+}
+
 /// Runs the coordinator until every registered CoFlow completes (or the
 /// watchdog fires). `make_sched` builds the policy — and rebuilds it on
-/// failover.
+/// failover. `hub` is the live metrics plane: per-phase latency spans
+/// (obs-recv / schedule / broadcast), the active/completed gauges, and
+/// the aggregated agent-link transport counters — opt-in at runtime
+/// via [`EmulationConfig::metrics_addr`], so `None` costs one branch
+/// per use site.
+///
+/// [`EmulationConfig::metrics_addr`]: crate::harness::EmulationConfig
 pub fn run_coordinator(
     registry: &CoflowRegistry,
     make_sched: &dyn Fn() -> Box<dyn CoflowScheduler>,
     agents: &mut [Box<dyn Transport>],
     clock: &EmuClock,
     cfg: &CoordinatorConfig,
-) -> CoordinatorReport {
-    run_coordinator_with_telemetry(registry, make_sched, agents, clock, cfg, None, None)
-}
-
-/// [`run_coordinator`] with optional instrumentation handles.
-///
-/// `tele` counts stats messages drained and schedule messages pushed,
-/// and samples the wall-clock latency of each sync round (drain →
-/// compute → push, excluding the δ sleep); no-op with `None` or with
-/// the `telemetry` feature off. `hub` is the live metrics plane:
-/// per-phase latency spans (obs-recv / schedule / broadcast), the
-/// active/completed gauges, and the aggregated agent-link transport
-/// counters — opt-in at runtime via [`EmulationConfig::metrics_addr`],
-/// so `None` costs one branch per use site.
-///
-/// [`EmulationConfig::metrics_addr`]: crate::harness::EmulationConfig
-pub fn run_coordinator_with_telemetry(
-    registry: &CoflowRegistry,
-    make_sched: &dyn Fn() -> Box<dyn CoflowScheduler>,
-    agents: &mut [Box<dyn Transport>],
-    clock: &EmuClock,
-    cfg: &CoordinatorConfig,
-    mut tele: Option<&mut Telemetry>,
     hub: Option<&MetricsHub>,
 ) -> CoordinatorReport {
     let mut sched = make_sched();
@@ -321,17 +432,9 @@ pub fn run_coordinator_with_telemetry(
     let started_wall = std::time::Instant::now();
     let delta_wall = clock.to_wall(cfg.delta);
 
-    loop {
+    let timed_out = loop {
         if started_wall.elapsed() > cfg.wall_deadline {
-            for a in agents.iter_mut() {
-                let _ = a.send(&Message::Shutdown);
-            }
-            return CoordinatorReport {
-                records: state.into_sorted_records(),
-                epochs,
-                timed_out: true,
-                restarted,
-            };
+            break true;
         }
 
         // Failover injection.
@@ -342,64 +445,14 @@ pub fn run_coordinator_with_telemetry(
             }
         }
 
-        // Drain stats from every agent.
         let now = clock.now();
-        let t_round = tele.as_ref().map(|_| std::time::Instant::now());
-        let mut stats_msgs: u64 = 0;
-        {
-            let _span = hub.map(|h| h.span(Phase::CoordObsRecv));
-            for a in agents.iter_mut() {
-                loop {
-                    match a.recv_timeout(std::time::Duration::ZERO) {
-                        Ok(Some(Message::Stats { flows, .. })) => {
-                            stats_msgs += 1;
-                            if saath_telemetry::enabled() {
-                                if let Some(t) = tele.as_deref_mut() {
-                                    t.incr(Counter::CoordStatsMsgs);
-                                }
-                            }
-                            state.ingest(&flows, now);
-                        }
-                        // A multiplexed host link carries many agents'
-                        // frames: stray non-stats frames (the hosted
-                        // agents' hellos) must not end the drain, or a
-                        // host of N agents would stall its stats by one
-                        // round per queued hello.
-                        Ok(Some(_)) => {}
-                        Ok(None) => break,
-                        Err(TransportError::Disconnected) => break,
-                        Err(_) => break,
-                    }
-                }
-            }
-        }
-        if let Some(h) = hub {
-            if stats_msgs > 0 {
-                h.incr("saath_coord_stats_msgs_total", "", stats_msgs);
-            }
-        }
-
-        // Completion bookkeeping.
+        drain_stats(agents, &mut [], &mut state, now, hub);
         if state.sweep(registry, now) {
-            for a in agents.iter_mut() {
-                let _ = a.send(&Message::Shutdown);
-            }
-            if let Some(h) = hub {
-                // Final gauge values — the epoch loop won't run again.
-                h.set("saath_active_coflows", "", 0);
-                h.set("saath_completed_coflows", "", state.records.len() as u64);
-            }
-            return CoordinatorReport {
-                records: state.into_sorted_records(),
-                epochs,
-                timed_out: false,
-                restarted,
-            };
+            break false;
         }
 
         // Build the view of active CoFlows and compute a schedule.
         state.build_views(registry, now, cfg.clairvoyant, &mut views);
-
         if !views.is_empty() {
             bank.reset_round();
             out.clear();
@@ -414,56 +467,166 @@ pub fn run_coordinator_with_telemetry(
                 sched.compute(&view, &mut bank, &mut out);
             }
             epochs += 1;
-            let rates: Vec<RateAssignment> = out
-                .rates
-                .iter()
-                .map(|(f, r)| RateAssignment {
-                    flow: f.0,
-                    rate: r.as_u64(),
-                })
-                .collect();
-            let push = Message::Schedule {
-                epoch: epochs,
-                rates,
-            };
-            {
-                let _span = hub.map(|h| h.span(Phase::CoordBroadcast));
-                for a in agents.iter_mut() {
-                    let _ = a.send(&push);
-                    if saath_telemetry::enabled() {
-                        if let Some(t) = tele.as_deref_mut() {
-                            t.incr(Counter::CoordScheduleMsgs);
-                        }
-                    }
-                }
-            }
-            if let Some(h) = hub {
-                h.incr("saath_coord_epochs_total", "", 1);
-                h.incr("saath_coord_schedule_msgs_total", "", agents.len() as u64);
-            }
-            if saath_telemetry::enabled() {
-                if let Some(t) = tele.as_deref_mut() {
-                    t.incr(Counter::CoordEpochs);
-                }
-            }
+            push_schedule(agents, epochs, &out, hub);
         }
-        if let Some(h) = hub {
-            h.set("saath_active_coflows", "", views.len() as u64);
-            h.set("saath_completed_coflows", "", state.records.len() as u64);
-            let mut link = TransportStats::default();
-            for a in agents.iter() {
-                link.merge(&a.stats());
-            }
-            h.set_transport("link=\"agent\"", &link);
-        }
-        if saath_telemetry::enabled() {
-            if let Some(t) = tele.as_deref_mut() {
-                if let Some(started) = t_round {
-                    t.sync_round_ns.observe(started.elapsed().as_nanos() as u64);
-                }
-            }
-        }
+        publish_epoch(hub, agents, views.len() as u64, state.records.len());
 
         std::thread::sleep(delta_wall);
+    };
+
+    shutdown_links(agents);
+    finish(state, epochs, restarted, timed_out, hub)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::inproc_pair;
+    use saath_workload::{CoflowSpec, FlowSpec};
+
+    /// CoFlow 0: flows 0 (ready at arrival) and 1 (ready 300 ms later),
+    /// arriving at 100 ms; CoFlow 1: flow 2, arriving at 1 s.
+    fn registry() -> CoflowRegistry {
+        let mut late = FlowSpec::new(NodeId(1), NodeId(2), Bytes::mb(2));
+        late.available_after = Duration::from_millis(300);
+        CoflowRegistry::from_trace(&Trace {
+            num_nodes: 3,
+            port_rate: Rate::gbps(1),
+            coflows: vec![
+                CoflowSpec::new(
+                    CoflowId(0),
+                    Time::from_millis(100),
+                    vec![FlowSpec::new(NodeId(0), NodeId(2), Bytes::mb(1)), late],
+                ),
+                CoflowSpec::new(
+                    CoflowId(1),
+                    Time::from_secs(1),
+                    vec![FlowSpec::new(NodeId(0), NodeId(1), Bytes::mb(1))],
+                ),
+            ],
+        })
+    }
+
+    fn stat(flow: u32, sent: u64, finished: bool) -> FlowStat {
+        FlowStat {
+            flow,
+            sent,
+            finished,
+            ready: true,
+        }
+    }
+
+    #[test]
+    fn sent_is_monotone_under_reordered_reports() {
+        let reg = registry();
+        let mut state = ObsState::new(&reg);
+        let mut views = Vec::new();
+        // The 700-byte report overtakes the 300-byte one.
+        state.ingest(&[stat(0, 700, false)], Time::from_millis(200));
+        state.ingest(&[stat(0, 300, false)], Time::from_millis(300));
+        state.build_views(&reg, Time::from_millis(300), false, &mut views);
+        assert_eq!(views[0].flows[0].sent, Bytes(700));
+    }
+
+    #[test]
+    fn sweep_stamps_the_latest_flow_finish_and_records_once() {
+        let reg = registry();
+        let mut state = ObsState::new(&reg);
+        state.ingest(&[stat(0, 1_000_000, true)], Time::from_millis(500));
+        assert!(
+            !state.sweep(&reg, Time::from_millis(500)),
+            "flow 1 still open"
+        );
+        assert!(state.records.is_empty());
+        state.ingest(&[stat(1, 2_000_000, true)], Time::from_millis(900));
+        // A repeated "finished" report must not move the stamp.
+        state.ingest(&[stat(0, 1_000_000, true)], Time::from_millis(950));
+        assert!(
+            !state.sweep(&reg, Time::from_millis(1000)),
+            "CoFlow 1 pending"
+        );
+        assert!(!state.sweep(&reg, Time::from_millis(1400)), "swept again");
+        assert_eq!(state.records.len(), 1, "CoFlow 0 recorded exactly once");
+        let r = &state.records[0];
+        assert_eq!((r.id, r.finish), (CoflowId(0), Time::from_millis(900)));
+        assert_eq!(
+            r.flow_fcts,
+            vec![Duration::from_millis(400), Duration::from_millis(800)],
+            "per-flow FCTs run from the CoFlow's arrival"
+        );
+        assert_eq!(state.active_count(&reg, Time::from_millis(1400)), 1);
+        state.ingest(&[stat(2, 1_000_000, true)], Time::from_millis(1500));
+        assert!(state.sweep(&reg, Time::from_millis(1500)));
+    }
+
+    #[test]
+    fn views_fall_back_to_the_ready_offset_before_the_first_report() {
+        let reg = registry();
+        let mut state = ObsState::new(&reg);
+        let mut views = Vec::new();
+        let ready = |views: &[CoflowView]| -> Vec<bool> {
+            views[0].flows.iter().map(|f| f.ready).collect()
+        };
+        state.build_views(&reg, Time::from_millis(50), false, &mut views);
+        assert!(views.is_empty(), "nothing has arrived yet");
+        // Arrival 100 ms + offset 300 ms: flow 1 turns ready at 400 ms.
+        state.build_views(&reg, Time::from_millis(399), false, &mut views);
+        assert_eq!(ready(&views), [true, false]);
+        state.build_views(&reg, Time::from_millis(400), false, &mut views);
+        assert_eq!(ready(&views), [true, true]);
+        assert_eq!(views[0].flows[0].oracle_size, None);
+        // Once the agent has spoken, its word wins over the estimate.
+        let unready = FlowStat {
+            ready: false,
+            ..stat(1, 0, false)
+        };
+        state.ingest(&[unready], Time::from_millis(450));
+        state.build_views(&reg, Time::from_millis(500), true, &mut views);
+        assert_eq!(ready(&views), [true, false]);
+        assert_eq!(views[0].flows[0].oracle_size, Some(Bytes::mb(1)));
+    }
+
+    /// Regression: flow ids in a `Stats` frame come off the wire. One
+    /// naming no registered flow (`flow == total_flows`) used to index
+    /// past the observation table and panic the coordinator; it must be
+    /// skipped and counted, and the run must still complete.
+    #[test]
+    fn out_of_range_flow_id_in_stats_is_skipped_and_counted() {
+        let reg = registry();
+        let (coord_side, mut agent) = inproc_pair(64);
+        let hub = MetricsHub::new();
+        let clock = EmuClock::start(100);
+        agent
+            .send(&Message::Stats {
+                node: 0,
+                now_ns: 0,
+                flows: vec![
+                    stat(reg.total_flows as u32, 1, true),
+                    stat(0, 1_000_000, true),
+                    stat(1, 2_000_000, true),
+                    stat(2, 1_000_000, true),
+                ],
+            })
+            .unwrap();
+        let report = run_coordinator(
+            &reg,
+            &|| Box::new(saath_core::Saath::with_defaults()),
+            &mut [Box::new(coord_side)],
+            &clock,
+            &CoordinatorConfig {
+                delta: Duration::from_millis(400),
+                clairvoyant: false,
+                restart_at: None,
+                wall_deadline: std::time::Duration::from_secs(10),
+            },
+            Some(&hub),
+        );
+        assert!(!report.timed_out);
+        assert_eq!(report.records.len(), 2);
+        assert!(
+            hub.render().contains(&format!("{REJECTED_INDICES} 1\n")),
+            "the skipped entry must be counted:\n{}",
+            hub.render()
+        );
     }
 }

@@ -1,10 +1,10 @@
-//! The multiplexed agent host: N emulated agents, one thread.
+//! The agent driver: N emulated agents, one thread.
 //!
-//! The classic harness wiring spends one blocking thread per agent,
-//! which caps emulation size at OS-thread scale. [`run_agent_host`]
-//! instead drives N [`AgentCore`] state machines from a single
-//! readiness-driven event loop over **one shared link** to the
-//! coordinator:
+//! [`run_agent_host`] drives N [`AgentCore`] state machines from a
+//! single readiness-driven event loop over **one shared link** to the
+//! coordinator. N = 1 is the paper's one-agent-per-machine wiring;
+//! larger N keeps an emulation at `O(hosts)` threads and sockets
+//! instead of `O(nodes)`, past OS-thread scale:
 //!
 //! 1. **Hello** — every hosted agent's handshake frame is queued at
 //!    startup.
@@ -48,6 +48,20 @@ use std::sync::Arc;
 /// parked. One δ wave from a fully-loaded host is well under this, so
 /// parking only engages when the peer actually stalls.
 pub const WRITE_HIGH_WATER: usize = 256 * 1024;
+
+/// Applies one inbound frame to every hosted agent. Returns `true` on
+/// [`Message::Shutdown`].
+fn deliver(m: &Message, cores: &mut [AgentCore], hub: Option<&MetricsHub>) -> bool {
+    if matches!(m, Message::Schedule { .. }) {
+        // One apply-span for the whole host, not one per agent — the
+        // push is applied N times.
+        let _span = hub.map(|h| h.span(Phase::AgentApply));
+        for c in cores {
+            c.on_message(m, None);
+        }
+    }
+    matches!(m, Message::Shutdown)
+}
 
 /// Runs `agents` — `(node, owned flows)` pairs — multiplexed on one
 /// thread over one shared `link`, until the coordinator sends
@@ -104,18 +118,10 @@ pub fn run_agent_host(
         loop {
             match link.recv_timeout(std::time::Duration::ZERO) {
                 Ok(Some(m)) => {
-                    if matches!(m, Message::Shutdown) {
+                    if deliver(&m, &mut cores, hub.as_deref()) {
                         // Best-effort: let a final stats wave out.
                         let _ = link.try_flush();
                         return Ok(epochs(&cores));
-                    }
-                    if matches!(m, Message::Schedule { .. }) {
-                        // One apply-span for the whole host, not one
-                        // per agent — the push is applied N times.
-                        let _span = hub.as_deref().map(|h| h.span(Phase::AgentApply));
-                        for c in &mut cores {
-                            c.on_message(&m, None);
-                        }
                     }
                 }
                 Ok(None) => break,
@@ -193,15 +199,9 @@ pub fn run_agent_host(
                     if let (Some(h), Some(l)) = (hub.as_deref(), labels.as_deref()) {
                         h.set("saath_host_ready_events_total", l, ready_events);
                     }
-                    if matches!(m, Message::Shutdown) {
+                    if deliver(&m, &mut cores, hub.as_deref()) {
                         let _ = link.try_flush();
                         return Ok(epochs(&cores));
-                    }
-                    if matches!(m, Message::Schedule { .. }) {
-                        let _span = hub.as_deref().map(|h| h.span(Phase::AgentApply));
-                        for c in &mut cores {
-                            c.on_message(&m, None);
-                        }
                     }
                 }
                 Ok(None) => {}

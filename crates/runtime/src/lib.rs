@@ -3,11 +3,11 @@
 //! The distributed half of the Saath reproduction: a real **global
 //! coordinator** and real **local agents** exchanging framed messages,
 //! the architecture of Fig 6 and §5. Where `saath-simulator` models the
-//! coordination loop analytically, this crate *runs* it: agents are
-//! threads (one per node, as the paper's agents are one per machine)
-//! that enforce rates on emulated NICs, report flow statistics every δ,
-//! and comply with the last schedule until a new one arrives; the
-//! coordinator is stateless between intervals — it rebuilds its view of
+//! coordination loop analytically, this crate *runs* it: agents (one
+//! per node, as the paper's agents are one per machine) enforce rates
+//! on emulated NICs, report flow statistics every δ, and comply with
+//! the last schedule until a new one arrives; the coordinator is
+//! stateless between intervals — it rebuilds its view of
 //! the cluster from the latest reports, exactly the property the paper
 //! uses for failover ("since the coordinator makes scheduling decisions
 //! on the latest flow stats … it is easy … to recover from failures").
@@ -21,6 +21,18 @@
 //! the same coordinator/agent code run over in-process channels (fast,
 //! used by tests) or real TCP sockets with length-prefixed frames
 //! (`bytes`-based, used by the `testbed_emulation` example).
+//!
+//! There is one code path per job. Agents are [`agent::AgentCore`] state
+//! machines with one driver, [`host::run_agent_host`], which runs
+//! [`EmulationConfig::multiplex`] of them per thread over one link
+//! (default 1). The coordinator is one epoch loop
+//! ([`coordinator::run_coordinator`]: drain stats → complete CoFlows →
+//! schedule → push → publish); with [`EmulationConfig::shards`] ≥ 2 the
+//! same loop's rates come from K [`shard::run_shard`] threads instead
+//! of a local policy ([`shard::run_sharded_coordinator`]), and one
+//! parameter, [`EmulationConfig::staleness`], says whether those shards
+//! are full replicas (0) or partition the compute (≥ 1). Counters and
+//! latencies go to one plane, the [`MetricsHub`].
 //!
 //! Time runs on a scaled clock ([`clock::EmuClock`]): one wall second
 //! is `scale` simulated seconds, so an hour-long trace replays in
@@ -48,8 +60,5 @@ pub use clock::EmuClock;
 pub use harness::{emulate, EmulationConfig, EmulationReport, TransportKind};
 pub use host::run_agent_host;
 pub use metrics::{MetricsHub, MetricsServer};
-pub use shard::{
-    merge_rates, run_partitioned_shard, run_shard, run_sharded_coordinator, ShardFailover,
-    ShardedScheduler,
-};
+pub use shard::{merge_rates, run_shard, run_sharded_coordinator, ShardFailover};
 pub use transport::TransportStats;

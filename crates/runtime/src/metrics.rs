@@ -51,6 +51,10 @@ const FAMILY_HELP: &[(&str, &str)] = &[
         "Schedule messages pushed to agents",
     ),
     (
+        crate::coordinator::REJECTED_INDICES,
+        "Flow or shard indices read off the wire that named nothing and were skipped",
+    ),
+    (
         "saath_shard_slices_total",
         "Fresh shard schedule slices received by the reconciler",
     ),

@@ -100,9 +100,9 @@ pub enum Message {
         /// sharded equivalent of the §5 single-coordinator restart).
         rebuild: bool,
     },
-    /// One shard's bounded-staleness contention summary (partitioned
-    /// mode only; shard → reconciler, which rebroadcasts it to every
-    /// other shard). Carried verbatim — the simulator's
+    /// One shard's bounded-staleness contention summary (staleness
+    /// ≥ 1 only; shard → reconciler, which relays it to every other
+    /// shard). Carried verbatim — the simulator's
     /// `summary_bytes_exchanged` accounting assumes this framing, so
     /// [`ContentionSummary::encoded_len`] and this codec must agree
     /// (roundtrip-tested below).

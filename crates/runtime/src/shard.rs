@@ -1,171 +1,65 @@
-//! Multi-coordinator sharding with deterministic reconciliation.
+//! The sharded coordinator: K shards, one reconciler, one staleness
+//! parameter.
 //!
 //! The ROADMAP's scalability rung past a single coordinator: CoFlows
 //! are hashed across K coordinator **shards** (`saath_core::view::
-//! shard_of`), each shard runs the full scheduling policy as a
-//! *replica* over the complete cluster view, and a per-δ
-//! **reconciliation round** merges the shards' owned slices into one
-//! consistent rate assignment before it is pushed to the agents.
+//! shard_of`), each shard ([`run_shard`]) runs Saath in lockstep with
+//! the reconciler's per-δ barrier and replies with the slice of
+//! CoFlows it owns, and the **reconciler**
+//! ([`run_sharded_coordinator`]) merges the slices into one feasible
+//! rate assignment before it is pushed to the agents. The summary
+//! staleness budget S selects what a shard schedules
+//! (`saath_simulator::PartitionedScheduler` is the same model in the
+//! deterministic simulator domain, where the equivalence claims below
+//! are proven):
 //!
-//! ## Why replicas, not partitions
-//!
-//! Saath's decisions are global — the contention matrix couples every
-//! CoFlow that shares a port, so a shard scheduling only *its* CoFlows
-//! against only *its* ports would produce different (worse) schedules
-//! than the single coordinator, breaking the acceptance bar of
-//! byte-identical records. Instead each shard deterministically
-//! recomputes the full schedule and emits only the slice it owns;
-//! because every replica sees the same stats waves in the same δ
-//! cadence, the slices are disjoint and their union *is* the global
-//! schedule. Sharding therefore does not divide the scheduling compute
-//! (the `parallel` feature divides compute *within* a replica); it
-//! divides the failure domain — any K−1 shards can die and the
-//! reconciler keeps pushing consistent schedules from the survivors'
-//! last slices, and a restarted shard resynchronises from a single
-//! stats wave (§5's stateless-rebuild property, now per shard).
+//! * **S = 0 — replicated.** Saath's decisions are global — the
+//!   contention matrix couples every CoFlow that shares a port — so
+//!   each shard deterministically recomputes the *full* schedule and
+//!   emits only its slice; because every replica sees the same stats
+//!   waves in the same δ cadence, the slices are disjoint and their
+//!   union *is* the single coordinator's schedule. This divides the
+//!   failure domain, not the compute: any K−1 shards can die and the
+//!   reconciler keeps pushing consistent schedules from the survivors'
+//!   last slices, and a restarted shard resynchronises from a single
+//!   stats wave (§5's stateless-rebuild property, now per shard).
+//! * **S ≥ 1 — partitioned.** Each shard schedules only its owned
+//!   CoFlows against the latest `ContentionSummary` from each peer,
+//!   exporting its own every S epochs (relayed by the reconciler):
+//!   per-shard compute scales with owned CoFlows, for a bounded CCT
+//!   deviation.
 //!
 //! ## Reconciliation order
 //!
 //! The reconciler flattens the slices, sorts by flow id (a
-//! deterministic total order, mirroring the stale-revalidating serial
-//! merge the `parallel` feature uses), and clamps each rate to the
-//! remaining capacity of the flow's two ports. When replicas agree the
-//! union is exactly one feasible schedule and no clamp fires; clamping
-//! only shapes the transient where replicas diverge (one missed a
-//! stats wave, or one just restarted), where it restores feasibility
-//! without coordination.
+//! deterministic total order, rotated by epoch) and clamps each rate
+//! to the remaining capacity of the flow's two ports. When replicas
+//! agree the union is exactly one feasible schedule and no clamp
+//! fires; clamping only shapes the rounds where shards diverge (one
+//! missed a stats wave, one just restarted, or summaries were stale),
+//! where it restores feasibility without coordination.
 
 use crate::clock::EmuClock;
-use crate::coordinator::{CoflowRegistry, CoordinatorConfig, CoordinatorReport, ObsState};
+use crate::coordinator::{
+    drain_stats, finish, publish_epoch, publish_links, push_schedule, shutdown_links,
+    to_assignments, CoflowRegistry, CoordinatorConfig, CoordinatorReport, ObsState,
+    REJECTED_INDICES,
+};
 use crate::metrics::MetricsHub;
 use crate::proto::{Message, RateAssignment};
-use crate::transport::{Transport, TransportError, TransportStats};
+use crate::transport::{Transport, TransportError};
+use saath_core::summary::{apply_peer_summaries, port_rates_of_slice, ContentionSummary};
 use saath_core::view::{shard_of, ClusterView, CoflowScheduler, CoflowView, Schedule};
+use saath_core::{Saath, SaathConfig};
 use saath_fabric::PortBank;
 use saath_simcore::{FlowId, PortId, Rate, Time};
 use saath_telemetry::prom::label_body;
-use saath_telemetry::{Counter, Phase, Telemetry};
+use saath_telemetry::Phase;
 
 // The slice merge itself lives in `saath_core::merge` so the
-// simulator's in-process sharded schedulers and this reconciler share
+// simulator's in-process sharded scheduler and this reconciler share
 // one implementation; re-exported here for API continuity.
 pub use saath_core::merge::merge_rates;
-
-/// A [`CoflowScheduler`] that runs K policy replicas and merges their
-/// owned slices — the simulator-domain model of the sharded
-/// coordinator, used to prove record-equivalence deterministically
-/// (the runtime path asserts completion, not byte-equality, because
-/// wall-clock timestamps jitter).
-pub struct ShardedScheduler {
-    replicas: Vec<Box<dyn CoflowScheduler>>,
-    make: Box<dyn Fn() -> Box<dyn CoflowScheduler>>,
-    /// Recreate every replica at this time — the simulator-domain
-    /// failover drill (a shard restart forces a global rebuild so the
-    /// replicas stay identical; see [`run_sharded_coordinator`]).
-    restart_at: Option<Time>,
-    restarted: bool,
-    scratch: PortBank,
-    slice: Schedule,
-    entries: Vec<(FlowId, Rate, PortId, PortId)>,
-}
-
-impl ShardedScheduler {
-    /// K replicas of the policy `make` builds.
-    pub fn new(
-        k: usize,
-        make: impl Fn() -> Box<dyn CoflowScheduler> + 'static,
-    ) -> ShardedScheduler {
-        assert!(k > 0, "need at least one shard");
-        ShardedScheduler {
-            replicas: (0..k).map(|_| make()).collect(),
-            make: Box::new(make),
-            restart_at: None,
-            restarted: false,
-            scratch: PortBank::uniform(1, Rate(1)),
-            slice: Schedule::default(),
-            entries: Vec::new(),
-        }
-    }
-
-    /// Like [`ShardedScheduler::new`] but recreates *all* replicas on
-    /// the first round at or after `at` (failover drill).
-    pub fn with_restart(
-        k: usize,
-        make: impl Fn() -> Box<dyn CoflowScheduler> + 'static,
-        at: Time,
-    ) -> ShardedScheduler {
-        let mut s = ShardedScheduler::new(k, make);
-        s.restart_at = Some(at);
-        s
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.replicas.len()
-    }
-}
-
-impl CoflowScheduler for ShardedScheduler {
-    fn name(&self) -> &'static str {
-        self.replicas[0].name()
-    }
-
-    fn requires_clairvoyance(&self) -> bool {
-        self.replicas[0].requires_clairvoyance()
-    }
-
-    fn compute(&mut self, view: &ClusterView<'_>, bank: &mut PortBank, out: &mut Schedule) {
-        let k = self.replicas.len();
-        // Failover drill: rebuild every replica, then compute this
-        // round with `changed: None` — a fresh policy has no incremental
-        // state, so a change *hint* would under-refresh it.
-        let mut rebuilt = false;
-        if let Some(t) = self.restart_at {
-            if !self.restarted && view.now >= t {
-                self.replicas = (0..k).map(|_| (self.make)()).collect();
-                self.restarted = true;
-                rebuilt = true;
-            }
-        }
-        let view = ClusterView {
-            now: view.now,
-            num_nodes: view.num_nodes,
-            coflows: view.coflows,
-            changed: if rebuilt { None } else { view.changed },
-        };
-
-        // Each replica computes the full schedule on a scratch bank and
-        // contributes only the flows of CoFlows it owns.
-        self.entries.clear();
-        for (i, replica) in self.replicas.iter_mut().enumerate() {
-            self.scratch.clone_reset_from(bank);
-            self.slice.clear();
-            replica.compute(&view, &mut self.scratch, &mut self.slice);
-            for cf in view.coflows {
-                if shard_of(cf.id, k) != i {
-                    continue;
-                }
-                for f in &cf.flows {
-                    let r = self.slice.rate_of(f.id);
-                    if !r.is_zero() {
-                        let e = f.endpoints(view.num_nodes);
-                        self.entries.push((f.id, r, e.src, e.dst));
-                    }
-                }
-            }
-        }
-        let clamps = merge_rates(&mut self.entries, bank, out);
-        debug_assert_eq!(clamps, 0, "agreeing replicas must merge without clamping");
-    }
-
-    fn mech_counters(&self) -> Option<&saath_telemetry::MechCounters> {
-        self.replicas[0].mech_counters()
-    }
-
-    fn queue_occupancy(&self) -> Option<&[usize]> {
-        self.replicas[0].queue_occupancy()
-    }
-}
 
 /// `(uplink, downlink)` of every registered flow, indexed by flow id.
 fn flow_endpoints(registry: &CoflowRegistry) -> Vec<(PortId, PortId)> {
@@ -193,111 +87,43 @@ fn flow_owners(registry: &CoflowRegistry, shards: usize) -> Vec<u32> {
     owners
 }
 
-/// Runs one coordinator shard: a full policy replica driven in
+/// Runs one coordinator shard: a `cfg`-configured Saath driven in
 /// lockstep by the reconciler's [`Message::Reconcile`] barriers.
 /// Between barriers it folds in the stats reports the reconciler
-/// forwards; on each barrier it computes the full schedule at the
-/// barrier's timestamp and replies with the slice of CoFlows it owns.
-/// Returns the number of reconciliation rounds it computed.
-pub fn run_shard(
-    shard: usize,
-    shards: usize,
-    registry: &CoflowRegistry,
-    make_sched: &(dyn Fn() -> Box<dyn CoflowScheduler> + Sync),
-    mut link: Box<dyn Transport>,
-    clairvoyant: bool,
-) -> Result<u64, TransportError> {
-    let mut sched = make_sched();
-    let mut state = ObsState::new(registry);
-    let mut views: Vec<CoflowView> = Vec::new();
-    let mut bank = PortBank::uniform(registry.num_nodes, registry.port_rate);
-    let mut out = Schedule::default();
-    let owners = flow_owners(registry, shards);
-    let mut rounds = 0u64;
-    loop {
-        match link.recv_timeout(std::time::Duration::from_millis(50)) {
-            Ok(Some(Message::Stats { now_ns, flows, .. })) => {
-                state.ingest(&flows, Time(now_ns));
-            }
-            Ok(Some(Message::Reconcile {
-                epoch,
-                now_ns,
-                rebuild,
-            })) => {
-                if rebuild {
-                    // Global rebuild: every replica recreates its policy
-                    // together so they stay identical (policies carry
-                    // cross-round state — deadlines, contention — that
-                    // a lone fresh replica would lack).
-                    sched = make_sched();
-                }
-                let now = Time(now_ns);
-                state.sweep(registry, now);
-                state.build_views(registry, now, clairvoyant, &mut views);
-                out.clear();
-                if !views.is_empty() {
-                    bank.reset_round();
-                    let view = ClusterView {
-                        now,
-                        num_nodes: registry.num_nodes,
-                        coflows: &views,
-                        changed: None,
-                    };
-                    sched.compute(&view, &mut bank, &mut out);
-                }
-                rounds += 1;
-                let rates: Vec<RateAssignment> = out
-                    .rates
-                    .iter()
-                    .filter(|(f, _)| owners[f.0 as usize] == shard as u32)
-                    .map(|(f, r)| RateAssignment {
-                        flow: f.0,
-                        rate: r.as_u64(),
-                    })
-                    .collect();
-                link.send(&Message::ShardSchedule {
-                    shard: shard as u32,
-                    epoch,
-                    rates,
-                })?;
-            }
-            Ok(Some(Message::Shutdown)) => return Ok(rounds),
-            Ok(Some(_)) | Ok(None) => {}
-            Err(TransportError::Disconnected) => return Ok(rounds),
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Runs one *partitioned* coordinator shard: unlike [`run_shard`] it
-/// schedules only the CoFlows it owns, against the latest
-/// [`Message::ContentionSummary`] from each peer (rebroadcast by the
-/// reconciler). Every `staleness` reconciliation epochs it exports its
-/// own summary — sent *before* the slice reply so the reconciler
-/// rebroadcasts it while collecting. `staleness == 0` degenerates to
-/// [`run_shard`]'s full-replica behavior (call that instead; this
-/// asserts S ≥ 1). Returns the number of rounds computed.
+/// forwards and the peer [`Message::ContentionSummary`]s it relays; on
+/// each barrier it computes a schedule at the barrier's timestamp and
+/// replies with the slice of CoFlows it owns.
+///
+/// `staleness` is the summary refresh period in reconciliation epochs
+/// and decides two things only. **What is scheduled:** at `0` the full
+/// view (a replica of the single coordinator), at `≥ 1` the owned
+/// CoFlows only, against the peers' latest summaries (at `0` none is
+/// ever received, so applying them is a no-op). **Whether a summary is
+/// exported:** at `≥ 1`, every `staleness` epochs, sent *before* the
+/// slice reply so the reconciler relays it while collecting. Returns
+/// the number of rounds computed.
 #[allow(clippy::too_many_arguments)]
-pub fn run_partitioned_shard(
+pub fn run_shard(
     shard: usize,
     shards: usize,
     staleness: u64,
     registry: &CoflowRegistry,
-    cfg: saath_core::SaathConfig,
+    cfg: SaathConfig,
     mut link: Box<dyn Transport>,
     clairvoyant: bool,
     hub: Option<&MetricsHub>,
 ) -> Result<u64, TransportError> {
-    use saath_core::summary::{port_rates_of_slice, remote_contention, ContentionSummary};
-    assert!(staleness >= 1, "S = 0 is run_shard's replicated mode");
+    let partitioned = staleness >= 1;
     assert!(
-        cfg.incremental_contention && cfg.lcof,
-        "partitioned mode requires incremental_contention and lcof"
+        !partitioned || (cfg.incremental_contention && cfg.lcof),
+        "staleness >= 1 requires incremental_contention and lcof"
     );
-    let mut sched = saath_core::Saath::new(cfg.clone());
+    // The shard's own series describe the summary plane; without
+    // summaries there is nothing to publish.
+    let hub = hub.filter(|_| partitioned);
+    let mut sched = Saath::new(cfg.clone());
     let mut state = ObsState::new(registry);
     let mut views: Vec<CoflowView> = Vec::new();
-    let mut owned_views: Vec<CoflowView> = Vec::new();
     let mut bank = PortBank::uniform(registry.num_nodes, registry.port_rate);
     let mut out = Schedule::default();
     let owners = flow_owners(registry, shards);
@@ -305,14 +131,14 @@ pub fn run_partitioned_shard(
     let mut summaries: Vec<ContentionSummary> = vec![ContentionSummary::default(); shards];
     let mut own_summary = ContentionSummary::default();
     let mut entries: Vec<(FlowId, Rate, PortId, PortId)> = Vec::new();
-    let mut remote_buf: Vec<(saath_simcore::CoflowId, u32)> = Vec::new();
-    let mut port_scratch: Vec<u32> = Vec::new();
+    let (mut remote_buf, mut port_scratch) = (Vec::new(), Vec::new());
     let mut last_export_round: Option<u64> = None;
     let mut rounds = 0u64;
     let labels = label_body(&[("shard", &shard.to_string())]);
     loop {
         match link.recv_timeout(std::time::Duration::from_millis(50)) {
             Ok(Some(Message::Stats { now_ns, flows, .. })) => {
+                // Bad indices were already counted by the reconciler.
                 state.ingest(&flows, Time(now_ns));
             }
             Ok(Some(Message::ContentionSummary { summary })) => {
@@ -327,9 +153,12 @@ pub fn run_partitioned_shard(
                 rebuild,
             })) => {
                 if rebuild {
-                    // A peer restarted: every shard rebuilds, and stale
+                    // Global rebuild: every shard recreates its policy
+                    // together so replicas stay identical (policies
+                    // carry cross-round state — deadlines, contention —
+                    // that a lone fresh replica would lack), and
                     // summaries from before the rebuild are dropped.
-                    sched = saath_core::Saath::new(cfg.clone());
+                    sched = Saath::new(cfg.clone());
                     for s in &mut summaries {
                         s.clear();
                     }
@@ -338,75 +167,49 @@ pub fn run_partitioned_shard(
                 let now = Time(now_ns);
                 state.sweep(registry, now);
                 state.build_views(registry, now, clairvoyant, &mut views);
-                owned_views.clear();
-                owned_views.extend(
-                    views
-                        .iter()
-                        .filter(|c| shard_of(c.id, shards) == shard)
-                        .cloned(),
-                );
+                if partitioned {
+                    views.retain(|c| shard_of(c.id, shards) == shard);
+                }
                 rounds += 1;
                 out.clear();
-                if !owned_views.is_empty() {
-                    // Remote k_c addends from the latest summaries.
-                    remote_buf.clear();
-                    for c in &owned_views {
-                        let add = remote_contention(
-                            c,
-                            registry.num_nodes,
-                            &summaries,
-                            shard as u32,
-                            &mut port_scratch,
-                        );
-                        if add > 0 {
-                            remote_buf.push((c.id, add));
-                        }
-                    }
-                    sched.set_remote_contention(&remote_buf);
-                    // Pre-charge every peer's claimed port capacity,
-                    // down to a reserve of capacity/K per port so
-                    // backoff stays partial and no peer can monopolize
-                    // a hot port (see `saath_simulator::partitioned`).
+                if !views.is_empty() {
                     bank.reset_round();
-                    for t in (0..shards).filter(|&t| t != shard) {
-                        for &(p, r) in &summaries[t].port_rates {
-                            let pid = PortId(p);
-                            let reserve = bank.capacity(pid).as_u64() / shards as u64;
-                            let chargeable =
-                                Rate(bank.remaining(pid).as_u64().saturating_sub(reserve));
-                            let give = Rate(r).min(chargeable);
-                            if !give.is_zero() {
-                                bank.allocate(pid, give);
-                            }
-                        }
-                    }
+                    apply_peer_summaries(
+                        &mut sched,
+                        &views,
+                        registry.num_nodes,
+                        &summaries,
+                        shard,
+                        &mut bank,
+                        &mut remote_buf,
+                        &mut port_scratch,
+                    );
                     let view = ClusterView {
                         now,
                         num_nodes: registry.num_nodes,
-                        coflows: &owned_views,
+                        coflows: &views,
                         changed: None,
                     };
                     sched.compute(&view, &mut bank, &mut out);
                 }
+                out.retain(|f| owners[f.index()] == shard as u32);
+                // Rounds since this shard's last export (all of them
+                // before the first).
+                let age = last_export_round.map_or(rounds, |e| rounds - e);
                 if let Some(h) = hub {
-                    let age = last_export_round.map(|e| rounds - e).unwrap_or(rounds);
                     h.set("saath_summary_age_rounds", &labels, age);
-                    if last_export_round.map(|e| rounds - e > 1).unwrap_or(true) {
+                    if last_export_round.is_none() || age > 1 {
                         h.incr(
                             "saath_stale_order_decisions_total",
                             &labels,
-                            owned_views.len() as u64,
+                            views.len() as u64,
                         );
                     }
                 }
-                let due = match last_export_round {
-                    None => true,
-                    Some(e) => rounds - e >= staleness,
-                };
-                if due {
+                if partitioned && (last_export_round.is_none() || age >= staleness) {
                     entries.clear();
                     for &(f, r) in &out.rates {
-                        let (src, dst) = endpoints[f.0 as usize];
+                        let (src, dst) = endpoints[f.index()];
                         entries.push((f, r, src, dst));
                     }
                     sched.export_summary(shard as u32, rounds, &mut own_summary);
@@ -423,19 +226,10 @@ pub fn run_partitioned_shard(
                     })?;
                     last_export_round = Some(rounds);
                 }
-                let rates: Vec<RateAssignment> = out
-                    .rates
-                    .iter()
-                    .filter(|(f, _)| owners[f.0 as usize] == shard as u32)
-                    .map(|(f, r)| RateAssignment {
-                        flow: f.0,
-                        rate: r.as_u64(),
-                    })
-                    .collect();
                 link.send(&Message::ShardSchedule {
                     shard: shard as u32,
                     epoch,
-                    rates,
+                    rates: to_assignments(&out),
                 })?;
             }
             Ok(Some(Message::Shutdown)) => return Ok(rounds),
@@ -459,19 +253,17 @@ pub struct ShardFailover {
     pub spare: Box<dyn Transport>,
 }
 
-/// The reconciler: drains agent stats, forwards them to every shard,
-/// issues a per-δ [`Message::Reconcile`] barrier, merges the shards'
-/// slices in deterministic flow-id order with port-capacity clamping,
-/// and pushes the merged schedule to the agents. A shard that misses a
-/// barrier contributes its previous slice (the agents would keep
-/// complying with it anyway); a shard restart swaps in the spare link
-/// and forces a global rebuild.
-///
-/// Owns completion bookkeeping (the records), exactly like
-/// [`crate::coordinator::run_coordinator`], and terminates the same
-/// way: shutdown broadcast once every registered CoFlow completes, or
-/// on the wall-clock watchdog.
-#[allow(clippy::too_many_arguments)]
+/// The reconciler: the coordinator's epoch loop
+/// ([`crate::coordinator::run_coordinator`] — same stats drain,
+/// completion bookkeeping, schedule push, gauges and termination) with
+/// the epoch's rates produced by the shards instead of a local policy.
+/// Drained stats are forwarded to every shard; each δ it issues a
+/// [`Message::Reconcile`] barrier, collects one slice per shard
+/// (relaying any [`Message::ContentionSummary`] to the other shards),
+/// and merges the slices in rotated flow-id order with port-capacity
+/// clamping. A shard that misses a barrier contributes its previous
+/// slice (the agents would keep complying with it anyway); a shard
+/// restart swaps in the spare link and forces a global rebuild.
 pub fn run_sharded_coordinator(
     registry: &CoflowRegistry,
     agents: &mut [Box<dyn Transport>],
@@ -479,7 +271,6 @@ pub fn run_sharded_coordinator(
     mut failover: Option<ShardFailover>,
     clock: &EmuClock,
     cfg: &CoordinatorConfig,
-    mut tele: Option<&mut Telemetry>,
     hub: Option<&MetricsHub>,
 ) -> CoordinatorReport {
     let shards = shard_links.len();
@@ -506,122 +297,37 @@ pub fn run_sharded_coordinator(
     // before its previous slice is reused.
     let reply_budget = delta_wall.max(std::time::Duration::from_millis(5)) * 2;
 
-    let shutdown_all = |agents: &mut [Box<dyn Transport>],
-                        links: &mut [Box<dyn Transport>],
-                        failover: &mut Option<ShardFailover>| {
-        for a in agents.iter_mut() {
-            let _ = a.send(&Message::Shutdown);
-        }
-        for l in links.iter_mut() {
-            let _ = l.send(&Message::Shutdown);
-        }
-        // An unused spare's standby replica must also be released.
-        if let Some(f) = failover.take() {
-            let mut spare = f.spare;
-            let _ = spare.send(&Message::Shutdown);
-        }
-    };
-
-    loop {
+    let timed_out = loop {
         if started_wall.elapsed() > cfg.wall_deadline {
-            shutdown_all(agents, &mut shard_links, &mut failover);
-            return CoordinatorReport {
-                records: state.into_sorted_records(),
-                epochs,
-                timed_out: true,
-                restarted,
-            };
+            break true;
         }
 
         // Failover drill: kill the shard's link, swap in the standby.
-        if let Some(f) = &failover {
-            if clock.now() >= f.at {
-                let f = failover.take().expect("checked above");
-                let _ = shard_links[f.shard].send(&Message::Shutdown);
-                shard_links[f.shard] = f.spare;
-                // The standby replica is fresh; force every other
-                // replica to rebuild too so they stay identical.
-                pending_rebuild = true;
-                restarted = true;
-                if let Some(h) = hub {
-                    h.incr(
-                        "saath_shard_standby_rebuilds_total",
-                        &shard_labels[f.shard],
-                        1,
-                    );
-                }
-                if saath_telemetry::enabled() {
-                    if let Some(t) = tele.as_deref_mut() {
-                        t.incr(Counter::CoordShardRebuilds);
-                    }
-                }
-            }
-        }
-
-        // Drain agent stats: ingest for completion bookkeeping and
-        // forward verbatim to every shard (each replica sees the same
-        // waves, which is what keeps their schedules identical).
-        let now = clock.now();
-        let t_round = tele.as_ref().map(|_| std::time::Instant::now());
-        let mut stats_msgs: u64 = 0;
-        {
-            let _span = hub.map(|h| h.span(Phase::CoordObsRecv));
-            for a in agents.iter_mut() {
-                loop {
-                    match a.recv_timeout(std::time::Duration::ZERO) {
-                        Ok(Some(Message::Stats {
-                            node,
-                            now_ns,
-                            flows,
-                        })) => {
-                            stats_msgs += 1;
-                            if saath_telemetry::enabled() {
-                                if let Some(t) = tele.as_deref_mut() {
-                                    t.incr(Counter::CoordStatsMsgs);
-                                }
-                            }
-                            state.ingest(&flows, now);
-                            let fwd = Message::Stats {
-                                node,
-                                now_ns,
-                                flows,
-                            };
-                            for l in shard_links.iter_mut() {
-                                let _ = l.send(&fwd);
-                            }
-                        }
-                        // Multiplexed host links interleave hellos with
-                        // stats; skip strays, keep draining.
-                        Ok(Some(_)) => {}
-                        Ok(None) => break,
-                        Err(TransportError::Disconnected) => break,
-                        Err(_) => break,
-                    }
-                }
-            }
-        }
-        if let Some(h) = hub {
-            if stats_msgs > 0 {
-                h.incr("saath_coord_stats_msgs_total", "", stats_msgs);
-            }
-        }
-
-        if state.sweep(registry, now) {
-            shutdown_all(agents, &mut shard_links, &mut failover);
+        if failover.as_ref().is_some_and(|f| clock.now() >= f.at) {
+            let f = failover.take().expect("checked above");
+            let _ = shard_links[f.shard].send(&Message::Shutdown);
+            shard_links[f.shard] = f.spare;
+            // The standby replica is fresh; force every other
+            // replica to rebuild too so they stay identical.
+            pending_rebuild = true;
+            restarted = true;
             if let Some(h) = hub {
-                // Final gauge values — the epoch loop won't run again.
-                h.set("saath_active_coflows", "", 0);
-                h.set("saath_completed_coflows", "", state.records.len() as u64);
+                h.incr(
+                    "saath_shard_standby_rebuilds_total",
+                    &shard_labels[f.shard],
+                    1,
+                );
             }
-            return CoordinatorReport {
-                records: state.into_sorted_records(),
-                epochs,
-                timed_out: false,
-                restarted,
-            };
         }
 
-        if state.has_active(registry, now) {
+        let now = clock.now();
+        drain_stats(agents, &mut shard_links, &mut state, now, hub);
+        if state.sweep(registry, now) {
+            break false;
+        }
+
+        let active = state.active_count(registry, now);
+        if active > 0 {
             let span_reconcile = hub.map(|h| h.span(Phase::CoordReconcile));
             // Barrier: every shard computes at the same timestamp.
             let barrier = Message::Reconcile {
@@ -635,10 +341,13 @@ pub fn run_sharded_coordinator(
             }
 
             // Collect one slice per shard, discarding stale replies
-            // from rounds that previously timed out.
+            // from rounds that previously timed out. Shard and flow
+            // indices come off the wire: one that names nothing is
+            // skipped and counted, never indexed with.
             let deadline = std::time::Instant::now() + reply_budget;
             let mut got: Vec<Option<Vec<RateAssignment>>> = (0..shards).map(|_| None).collect();
-            let mut rebroadcast: Vec<Message> = Vec::new();
+            let mut relay: Vec<(usize, Message)> = Vec::new();
+            let mut rejected = 0u64;
             for (li, l) in shard_links.iter_mut().enumerate() {
                 loop {
                     let left = deadline.saturating_duration_since(std::time::Instant::now());
@@ -648,16 +357,21 @@ pub fn run_sharded_coordinator(
                             epoch,
                             rates,
                         })) => {
-                            if epoch == epochs + 1 {
-                                got[shard as usize] = Some(rates);
-                                break;
+                            if epoch != epochs + 1 {
+                                continue; // Stale — keep draining within the budget.
                             }
-                            // Stale — keep draining within the budget.
+                            match got.get_mut(shard as usize) {
+                                Some(slot) => {
+                                    *slot = Some(rates);
+                                    break;
+                                }
+                                None => rejected += 1,
+                            }
                         }
                         Ok(Some(Message::ContentionSummary { summary })) => {
-                            // Partitioned shards export these before
-                            // their slice reply; relay to every *other*
-                            // shard once this collect pass is done.
+                            // Shards export these before their slice
+                            // reply; relay to every *other* shard once
+                            // this collect pass is done.
                             if let Some(h) = hub {
                                 h.incr(
                                     "saath_summary_bytes_exchanged_total",
@@ -665,20 +379,15 @@ pub fn run_sharded_coordinator(
                                     (summary.encoded_len() * shards.saturating_sub(1)) as u64,
                                 );
                             }
-                            rebroadcast.push(Message::ContentionSummary { summary });
+                            relay.push((li, Message::ContentionSummary { summary }));
                         }
-                        Ok(Some(_)) | Ok(None) => break,
-                        Err(_) => break,
+                        Ok(Some(_)) | Ok(None) | Err(_) => break,
                     }
                 }
             }
-            for m in &rebroadcast {
-                let from = match m {
-                    Message::ContentionSummary { summary } => summary.shard as usize,
-                    _ => unreachable!("only summaries are queued for relay"),
-                };
+            for (from, m) in &relay {
                 for (i, l) in shard_links.iter_mut().enumerate() {
-                    if i != from {
+                    if i != *from {
                         let _ = l.send(m);
                     }
                 }
@@ -691,33 +400,22 @@ pub fn run_sharded_coordinator(
             // push consistent with that reality).
             entries.clear();
             for (i, slice) in got.into_iter().enumerate() {
-                match slice {
+                let family = match slice {
                     Some(rates) => {
-                        if let Some(h) = hub {
-                            h.incr("saath_shard_slices_total", &shard_labels[i], 1);
-                        }
-                        if saath_telemetry::enabled() {
-                            if let Some(t) = tele.as_deref_mut() {
-                                t.incr(Counter::CoordShardSlices);
-                            }
-                        }
                         last_slices[i] = rates;
                         last_fresh_epoch[i] = epochs;
+                        "saath_shard_slices_total"
                     }
-                    None => {
-                        if let Some(h) = hub {
-                            h.incr("saath_shard_fallback_slices_total", &shard_labels[i], 1);
-                        }
-                        if saath_telemetry::enabled() {
-                            if let Some(t) = tele.as_deref_mut() {
-                                t.incr(Counter::CoordShardFallbacks);
-                            }
-                        }
-                    }
+                    None => "saath_shard_fallback_slices_total",
+                };
+                if let Some(h) = hub {
+                    h.incr(family, &shard_labels[i], 1);
                 }
                 for r in &last_slices[i] {
-                    let (src, dst) = endpoints[r.flow as usize];
-                    entries.push((FlowId(r.flow), Rate(r.rate), src, dst));
+                    match endpoints.get(r.flow as usize) {
+                        Some(&(src, dst)) => entries.push((FlowId(r.flow), Rate(r.rate), src, dst)),
+                        None => rejected += 1,
+                    }
                 }
             }
             bank.reset_round();
@@ -732,6 +430,9 @@ pub fn run_sharded_coordinator(
                 if clamps > 0 {
                     h.incr("saath_shard_merge_clamps_total", "", clamps);
                 }
+                if rejected > 0 {
+                    h.incr(REJECTED_INDICES, "", rejected);
+                }
                 for (i, labels) in shard_labels.iter().enumerate() {
                     h.set(
                         "saath_shard_replica_lag_epochs",
@@ -740,78 +441,28 @@ pub fn run_sharded_coordinator(
                     );
                 }
             }
-            if saath_telemetry::enabled() {
-                if let Some(t) = tele.as_deref_mut() {
-                    t.add(Counter::CoordMergeClamps, clamps);
-                }
-            }
-
-            let push = Message::Schedule {
-                epoch: epochs,
-                rates: out
-                    .rates
-                    .iter()
-                    .map(|(f, r)| RateAssignment {
-                        flow: f.0,
-                        rate: r.as_u64(),
-                    })
-                    .collect(),
-            };
-            {
-                let _span = hub.map(|h| h.span(Phase::CoordBroadcast));
-                for a in agents.iter_mut() {
-                    let _ = a.send(&push);
-                    if saath_telemetry::enabled() {
-                        if let Some(t) = tele.as_deref_mut() {
-                            t.incr(Counter::CoordScheduleMsgs);
-                        }
-                    }
-                }
-            }
-            if let Some(h) = hub {
-                h.incr("saath_coord_epochs_total", "", 1);
-                h.incr("saath_coord_schedule_msgs_total", "", agents.len() as u64);
-            }
-            if saath_telemetry::enabled() {
-                if let Some(t) = tele.as_deref_mut() {
-                    t.incr(Counter::CoordEpochs);
-                }
-            }
+            push_schedule(agents, epochs, &out, hub);
         }
+        publish_epoch(hub, agents, active, state.records.len());
         if let Some(h) = hub {
-            h.set(
-                "saath_active_coflows",
-                "",
-                state.active_count(registry, now),
-            );
-            h.set("saath_completed_coflows", "", state.records.len() as u64);
-            let mut agent_link = TransportStats::default();
-            for a in agents.iter() {
-                agent_link.merge(&a.stats());
-            }
-            h.set_transport("link=\"agent\"", &agent_link);
-            let mut shard_link = TransportStats::default();
-            for l in shard_links.iter() {
-                shard_link.merge(&l.stats());
-            }
-            h.set_transport("link=\"shard\"", &shard_link);
-        }
-        if saath_telemetry::enabled() {
-            if let Some(t) = tele.as_deref_mut() {
-                if let Some(started) = t_round {
-                    t.sync_round_ns.observe(started.elapsed().as_nanos() as u64);
-                }
-            }
+            publish_links(h, "link=\"shard\"", &shard_links);
         }
 
         std::thread::sleep(delta_wall);
+    };
+
+    shutdown_links(agents);
+    shutdown_links(&mut shard_links);
+    // An unused spare's standby replica must also be released.
+    if let Some(mut f) = failover {
+        shutdown_links(std::slice::from_mut(&mut f.spare));
     }
+    finish(state, epochs, restarted, timed_out, hub)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saath_core::Saath;
     use saath_simcore::NodeId;
 
     #[test]
@@ -859,11 +510,122 @@ mod tests {
         assert_eq!(out.rate_of(FlowId(5)), Rate::ZERO);
     }
 
+    /// Drives the reconciler against one scripted shard and one
+    /// scripted agent: the single registered flow (id 0) stays active
+    /// until the agent has seen two schedule pushes, then is reported
+    /// finished. `reply` builds the shard's answer to each barrier
+    /// from the barrier's epoch. Returns the report and the metrics
+    /// page.
+    fn reconcile_with_scripted_shard(
+        reply: impl Fn(u64) -> Message + Send + 'static,
+    ) -> (CoordinatorReport, String) {
+        use crate::transport::inproc_pair;
+        use saath_simcore::{Bytes, CoflowId, Duration};
+        use saath_workload::{CoflowSpec, FlowSpec, Trace};
+
+        let registry = CoflowRegistry::from_trace(&Trace {
+            num_nodes: 2,
+            port_rate: Rate::gbps(1),
+            coflows: vec![CoflowSpec::new(
+                CoflowId(0),
+                Time::ZERO,
+                vec![FlowSpec::new(NodeId(0), NodeId(1), Bytes::mb(1))],
+            )],
+        });
+        let (agent_near, mut agent) = inproc_pair(64);
+        let (shard_near, mut shard) = inproc_pair(64);
+        let shard_thread = std::thread::spawn(move || loop {
+            match shard.recv_timeout(std::time::Duration::from_secs(5)) {
+                Ok(Some(Message::Reconcile { epoch, .. })) => shard.send(&reply(epoch)).unwrap(),
+                Ok(Some(Message::Shutdown)) | Ok(None) | Err(_) => return,
+                Ok(Some(_)) => {}
+            }
+        });
+        let agent_thread = std::thread::spawn(move || {
+            let mut pushes = 0;
+            loop {
+                match agent.recv_timeout(std::time::Duration::from_secs(5)) {
+                    Ok(Some(Message::Schedule { .. })) => {
+                        pushes += 1;
+                        if pushes == 2 {
+                            let done = crate::proto::FlowStat {
+                                flow: 0,
+                                sent: 1_000_000,
+                                finished: true,
+                                ready: true,
+                            };
+                            agent
+                                .send(&Message::Stats {
+                                    node: 0,
+                                    now_ns: 0,
+                                    flows: vec![done],
+                                })
+                                .unwrap();
+                        }
+                    }
+                    Ok(Some(Message::Shutdown)) | Ok(None) | Err(_) => return,
+                    Ok(Some(_)) => {}
+                }
+            }
+        });
+        let hub = MetricsHub::new();
+        let report = run_sharded_coordinator(
+            &registry,
+            &mut [Box::new(agent_near)],
+            vec![Box::new(shard_near)],
+            None,
+            &EmuClock::start(100),
+            &CoordinatorConfig {
+                delta: Duration::from_millis(400),
+                clairvoyant: false,
+                restart_at: None,
+                wall_deadline: std::time::Duration::from_secs(10),
+            },
+            Some(&hub),
+        );
+        shard_thread.join().unwrap();
+        agent_thread.join().unwrap();
+        (report, hub.render())
+    }
+
+    /// Regression: the `shard` of a `ShardSchedule` comes off the wire.
+    /// A slice claiming `shard == K` used to index past the reply table
+    /// and panic the reconciler; it must be skipped and counted (the
+    /// shard's previous slice serves the round), and the run complete.
     #[test]
-    fn sharded_scheduler_reports_replica_zero() {
-        let s = ShardedScheduler::new(3, || Box::new(Saath::with_defaults()));
-        assert_eq!(s.shards(), 3);
-        assert_eq!(s.name(), Saath::with_defaults().name());
-        assert!(!s.requires_clairvoyance());
+    fn out_of_range_shard_id_in_a_slice_is_skipped_and_counted() {
+        let (report, page) = reconcile_with_scripted_shard(|epoch| Message::ShardSchedule {
+            shard: 1, // K = 1: names no shard
+            epoch,
+            rates: vec![],
+        });
+        assert!(!report.timed_out);
+        assert_eq!(report.records.len(), 1);
+        assert!(page.contains("saath_shard_fallback_slices_total{shard=\"0\"}"));
+        assert!(
+            page.contains(REJECTED_INDICES),
+            "skipped slices must be counted:\n{page}"
+        );
+    }
+
+    /// Regression: so do the flow ids inside the slice. A rate for
+    /// `flow == total_flows` used to index past the endpoint table in
+    /// the merge; the entry must be skipped and counted, the rest of
+    /// the slice merged, and the run complete.
+    #[test]
+    fn out_of_range_flow_id_in_a_slice_is_skipped_and_counted() {
+        let rate = |flow| RateAssignment { flow, rate: 1000 };
+        let (report, page) = reconcile_with_scripted_shard(move |epoch| Message::ShardSchedule {
+            shard: 0,
+            epoch,
+            rates: vec![rate(1), rate(0)], // one registered flow: id 0
+        });
+        assert!(!report.timed_out);
+        assert_eq!(report.records.len(), 1);
+        assert!(page.contains("saath_shard_slices_total{shard=\"0\"}"));
+        assert!(
+            page.contains(REJECTED_INDICES),
+            "skipped entries must be counted:\n{page}"
+        );
     }
 }

@@ -1,17 +1,28 @@
-//! Partitioned-compute sharding: per-shard views with bounded-staleness
-//! contention summaries.
+//! The sharded coordinator's simulator-domain model: K shards, one
+//! staleness parameter.
 //!
-//! [`crate::engine`] drives one [`CoflowScheduler`]; PR 5's
-//! `ShardedScheduler` (saath-runtime) models the *replicated* sharded
-//! coordinator — every shard recomputes the full schedule, so K shards
-//! cost K× the compute. [`PartitionedScheduler`] models the
-//! *partitioned* coordinator: each shard runs its own [`Saath`] over
-//! full views of only its **owned** CoFlows ([`shard_of`]), plus one
-//! compact [`ContentionSummary`] per remote shard refreshed every S
-//! rounds (the staleness budget). Per-shard scheduling cost then scales
-//! with owned CoFlows, not all CoFlows.
+//! [`crate::engine`] drives one [`CoflowScheduler`];
+//! [`PartitionedScheduler`] is the in-process model of
+//! `saath_runtime`'s reconciler + K `run_shard` loops. CoFlows are
+//! hashed across K [`Saath`] instances ([`shard_of`]); each round every
+//! shard computes a schedule on a scratch bank, emits the slice of
+//! CoFlows it owns, and the slices are merged in rotated flow-id order
+//! with port-capacity clamping ([`merge_rates_rotated`]). The staleness
+//! budget S selects what a shard sees:
 //!
-//! ## What crosses the shard boundary
+//! * **S = 0 — replicated.** *Exchange everything every round*: each
+//!   shard schedules the full view, so the replicas agree, the merge
+//!   never clamps (debug-asserted) and records are byte-identical to
+//!   the single coordinator for any K. Sharding then divides the
+//!   failure domain, not the compute — K shards cost K× the compute.
+//! * **S ≥ 1 — partitioned.** Each shard schedules full views of only
+//!   its **owned** CoFlows plus one compact [`ContentionSummary`] per
+//!   remote shard refreshed every S rounds. Per-shard scheduling cost
+//!   then scales with owned CoFlows, not all CoFlows, at the price of a
+//!   bounded CCT deviation (measured by the `repro scale --shards K`
+//!   sweep).
+//!
+//! ## What crosses the shard boundary (S ≥ 1)
 //!
 //! At each summary refresh, shard `s` exports (see
 //! [`saath_core::summary`]):
@@ -22,49 +33,34 @@
 //!   remote contenders), keeping LCoF ordering cluster-aware;
 //! * the per-port rates its last slice claimed — pre-charged against
 //!   every peer's bank, but only down to a **reserve** of capacity/K
-//!   per port. The reserve is load-bearing: with full deferral, two
-//!   shards sharing a hot port oscillate in lockstep (both back off,
-//!   the port idles, both rush back in — measurably *worse* with
-//!   fresher summaries), and with one-sided deferral a saturated peer
-//!   monopolizes the port. The floor keeps backoff partial — every
-//!   shard can always admit its 1/K slice anywhere — at the price of a
+//!   per port, which keeps backoff over a shared hot port partial
+//!   instead of oscillating (see
+//!   [`saath_core::summary::apply_peer_summaries`]) at the price of a
 //!   bounded overcommit;
 //! * per-queue CoFlow counts and `k_c` sums, for observability.
 //!
 //! Between refreshes shards decide on summaries up to S−1 rounds old;
-//! the port-capacity-clamping merge ([`merge_rates_rotated`], clamp
-//! order rotated by round so no flow is systematically starved) stays
-//! the safety net that restores feasibility when stale summaries let
-//! two shards claim the same port.
-//!
-//! ## The S=0 oracle contract
-//!
-//! S=0 means *exchange every round, omitting nothing* — the summary
-//! degenerates to the full view, so the implementation runs the
-//! replicated path: every shard computes over the full view and emits
-//! its owned slice, exactly like `ShardedScheduler`. Records are then
-//! byte-identical to the single coordinator for any K (the replicas
-//! agree, so the merge never clamps — debug-asserted). S≥1 is the
-//! genuinely partitioned path, which trades bounded CCT deviation
-//! (measured by the `repro scale --partitioned` sweep) for sub-linear
-//! per-shard cost.
+//! the clamping merge (clamp order rotated by round so no flow is
+//! systematically starved) stays the safety net that restores
+//! feasibility when stale summaries let two shards claim the same port.
 
-use saath_core::merge::{merge_rates, merge_rates_rotated};
-use saath_core::summary::{port_rates_of_slice, remote_contention, ContentionSummary};
+use saath_core::merge::merge_rates_rotated;
+use saath_core::summary::{apply_peer_summaries, port_rates_of_slice, ContentionSummary};
 use saath_core::timing::SchedTimings;
 use saath_core::view::{shard_of, ClusterView, CoflowScheduler, CoflowView, Schedule};
 use saath_core::{Saath, SaathConfig};
 use saath_fabric::PortBank;
 use saath_simcore::{CoflowId, FastHashMap, FlowId, PortId, Rate, Time};
 
-/// A [`CoflowScheduler`] that partitions the scheduling compute across
-/// K in-process [`Saath`] instances coupled only by bounded-staleness
-/// [`ContentionSummary`]s. See the module docs; deterministic, so the
-/// sweep's deviation-vs-staleness curve replays bit-for-bit.
+/// A [`CoflowScheduler`] that runs K in-process [`Saath`] shards and
+/// merges their owned slices: full replicas at S = 0, owned views
+/// coupled only by bounded-staleness [`ContentionSummary`]s at S ≥ 1.
+/// See the module docs; deterministic, so the sweep's
+/// deviation-vs-staleness curve replays bit-for-bit.
 pub struct PartitionedScheduler {
     shards: Vec<Saath>,
     cfg: SaathConfig,
-    /// Summary refresh period in rounds; 0 = replicated oracle mode.
+    /// Summary refresh period in rounds; 0 = replicated.
     staleness: u64,
     /// Recreate every shard policy at this time (kill drill).
     restart_at: Option<Time>,
@@ -101,7 +97,7 @@ pub struct PartitionedScheduler {
 
 impl PartitionedScheduler {
     /// K shards of `cfg`-configured Saath with summary staleness budget
-    /// `staleness` (in rounds; 0 = replicated oracle mode). S≥1
+    /// `staleness` (in rounds; 0 = replicated). S≥1
     /// requires incremental contention + LCoF — the summary export
     /// reads the contention tracker, which is idle otherwise.
     pub fn new(k: usize, staleness: u64, cfg: SaathConfig) -> PartitionedScheduler {
@@ -311,118 +307,53 @@ impl CoflowScheduler for PartitionedScheduler {
         }
         let changed = if rebuilt { None } else { view.changed };
 
-        if k == 1 {
-            // One shard owns everything: exactly the single coordinator.
-            let v = ClusterView {
-                now: view.now,
-                num_nodes: view.num_nodes,
-                coflows: view.coflows,
-                changed,
+        let partitioned = self.staleness > 0;
+        if partitioned {
+            self.sync_owned_views(view, changed);
+        }
+        let stale_round = partitioned
+            && match self.last_export_round {
+                None => true,
+                Some(e) => self.round - e > 1,
             };
-            self.shards[0].compute(&v, bank, out);
-            return;
-        }
-
-        if self.staleness == 0 {
-            // Replicated oracle mode: full view per shard, owned slices
-            // merged — byte-identical to the single coordinator.
-            self.entries.clear();
-            for (i, sched) in self.shards.iter_mut().enumerate() {
-                self.scratch.clone_reset_from(bank);
-                self.slice.clear();
-                let v = ClusterView {
-                    now: view.now,
-                    num_nodes: view.num_nodes,
-                    coflows: view.coflows,
-                    changed,
-                };
-                sched.compute(&v, &mut self.scratch, &mut self.slice);
-                for cf in view.coflows {
-                    if shard_of(cf.id, k) != i {
-                        continue;
-                    }
-                    for f in &cf.flows {
-                        let r = self.slice.rate_of(f.id);
-                        if !r.is_zero() {
-                            let e = f.endpoints(view.num_nodes);
-                            self.entries.push((f.id, r, e.src, e.dst));
-                        }
-                    }
-                }
-            }
-            let clamps = merge_rates(&mut self.entries, bank, out);
-            debug_assert_eq!(clamps, 0, "S=0 replicas must merge without clamping");
-            self.merge_clamps += clamps;
-            return;
-        }
-
-        // ---- Partitioned path (S ≥ 1) ----
-        self.sync_owned_views(view, changed);
-        let stale_round = match self.last_export_round {
-            None => true,
-            Some(e) => self.round - e > 1,
-        };
 
         self.entries.clear();
         for s in 0..k {
-            // Remote contention addends for this shard's owned CoFlows.
-            self.remote_buf.clear();
-            for c in &self.owned[s] {
-                let add = remote_contention(
-                    c,
-                    view.num_nodes,
-                    &self.summaries,
-                    s as u32,
-                    &mut self.port_scratch,
-                );
-                if add > 0 {
-                    self.remote_buf.push((c.id, add));
-                }
-            }
-            self.shards[s].set_remote_contention(&self.remote_buf);
-
-            // Pre-charge every remote shard's claimed port capacity,
-            // but never below a reserve of capacity/K per port. The
-            // reserve is what makes symmetric deferral stable: without
-            // it, two shards sharing a hot port each see the other's
-            // claim, both back off completely, the port idles, both
-            // summaries go quiet, and both rush back in — a cycle that
-            // stays perfectly synchronized at S=1. With the floor, a
-            // shard can always admit at least its 1/K slice of any
-            // port, so backoff is partial, a saturated peer can never
-            // monopolize a hot port, and under full backlog the shards
-            // converge to a fair static split. The bounded overcommit
-            // this allows is what the rotated merge clamp arbitrates.
-            self.scratch.clone_reset_from(bank);
-            for t in (0..k).filter(|&t| t != s) {
-                for &(p, r) in &self.summaries[t].port_rates {
-                    let pid = PortId(p);
-                    let reserve = self.scratch.capacity(pid).as_u64() / k as u64;
-                    let chargeable =
-                        Rate(self.scratch.remaining(pid).as_u64().saturating_sub(reserve));
-                    let give = Rate(r).min(chargeable);
-                    if !give.is_zero() {
-                        self.scratch.allocate(pid, give);
-                    }
-                }
-            }
-
-            self.slice.clear();
-            let hint = if self.full_hint {
-                None
+            // The one S-dependent scheduling decision: the owned view
+            // against peer summaries, or (S = 0, nothing omitted, no
+            // summaries to apply) the full view.
+            let (coflows, hint) = if !partitioned {
+                (view.coflows, changed)
+            } else if self.full_hint {
+                (self.owned[s].as_slice(), None)
             } else {
-                Some(self.owned_changed[s].as_slice())
+                (
+                    self.owned[s].as_slice(),
+                    Some(self.owned_changed[s].as_slice()),
+                )
             };
+            self.scratch.clone_reset_from(bank);
+            apply_peer_summaries(
+                &mut self.shards[s],
+                coflows,
+                view.num_nodes,
+                &self.summaries,
+                s,
+                &mut self.scratch,
+                &mut self.remote_buf,
+                &mut self.port_scratch,
+            );
+            self.slice.clear();
             let v = ClusterView {
                 now: view.now,
                 num_nodes: view.num_nodes,
-                coflows: &self.owned[s],
+                coflows,
                 changed: hint,
             };
             self.shards[s].compute(&v, &mut self.scratch, &mut self.slice);
 
             self.shard_entries[s].clear();
-            for c in &self.owned[s] {
+            for c in coflows.iter().filter(|c| shard_of(c.id, k) == s) {
                 for f in &c.flows {
                     let r = self.slice.rate_of(f.id);
                     if !r.is_zero() {
@@ -433,18 +364,25 @@ impl CoflowScheduler for PartitionedScheduler {
             }
             self.entries.extend_from_slice(&self.shard_entries[s]);
             if stale_round {
-                self.stale_order_decisions += self.owned[s].len() as u64;
+                self.stale_order_decisions += coflows.len() as u64;
             }
         }
-        // Round-rotated clamp order: clamping is routine here, and a
-        // fixed order would starve the same flows every round.
-        self.merge_clamps += merge_rates_rotated(&mut self.entries, bank, out, self.round);
+        // Round-rotated clamp order: under stale summaries clamping is
+        // routine, and a fixed order would starve the same flows every
+        // round. Agreeing replicas never clamp, so S = 0 is unaffected.
+        let clamps = merge_rates_rotated(&mut self.entries, bank, out, self.round);
+        debug_assert!(
+            partitioned || clamps == 0,
+            "S=0 replicas must merge without clamping"
+        );
+        self.merge_clamps += clamps;
 
         // Refresh summaries once the staleness budget is spent.
-        let due = match self.last_export_round {
-            None => true,
-            Some(e) => self.round - e >= self.staleness,
-        };
+        let due = partitioned
+            && match self.last_export_round {
+                None => true,
+                Some(e) => self.round - e >= self.staleness,
+            };
         if due {
             for s in 0..k {
                 let (sched, summary) = (&self.shards[s], &mut self.summaries[s]);

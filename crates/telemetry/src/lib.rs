@@ -45,7 +45,8 @@ pub const fn enabled() -> bool {
 /// Monotonic event counters, one slot per variant.
 ///
 /// Engine counters (`Heap*`, `SchedRounds`) are incremented by the
-/// simulator's epoch loop; `Coord*` by the runtime coordinator.
+/// simulator's epoch loop, `Log*` by the event-log hooks. The runtime
+/// counts on its own plane (`saath_runtime::MetricsHub`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
@@ -66,22 +67,6 @@ pub enum Counter {
     HeapCompactions,
     /// Scheduling rounds (boundary crossings that ran `compute`).
     SchedRounds,
-    /// Flow-stat report messages drained by the coordinator.
-    CoordStatsMsgs,
-    /// Schedule messages pushed by the coordinator.
-    CoordScheduleMsgs,
-    /// Coordinator sync rounds (δ epochs) completed.
-    CoordEpochs,
-    /// Shard schedule slices received by the reconciler.
-    CoordShardSlices,
-    /// Reconciliation rounds where a shard's slice was missing and its
-    /// previous slice was reused (agents comply with the old schedule).
-    CoordShardFallbacks,
-    /// Rate assignments clamped by the reconciler's port-capacity merge
-    /// (zero when shard replicas agree, i.e. in steady state).
-    CoordMergeClamps,
-    /// Global rebuild broadcasts after a shard restart.
-    CoordShardRebuilds,
     /// Round records appended to an event log.
     LogRoundsAppended,
     /// Bytes written to an event log (frames + header).
@@ -93,7 +78,7 @@ pub enum Counter {
 }
 
 /// All counters, in display order.
-pub const COUNTERS: [Counter; 18] = [
+pub const COUNTERS: [Counter; 11] = [
     Counter::HeapPush,
     Counter::HeapPopCurrent,
     Counter::HeapPopStale,
@@ -101,13 +86,6 @@ pub const COUNTERS: [Counter; 18] = [
     Counter::HeapPopDead,
     Counter::HeapCompactions,
     Counter::SchedRounds,
-    Counter::CoordStatsMsgs,
-    Counter::CoordScheduleMsgs,
-    Counter::CoordEpochs,
-    Counter::CoordShardSlices,
-    Counter::CoordShardFallbacks,
-    Counter::CoordMergeClamps,
-    Counter::CoordShardRebuilds,
     Counter::LogRoundsAppended,
     Counter::LogBytesWritten,
     Counter::LogSnapshots,
@@ -125,13 +103,6 @@ impl Counter {
             Counter::HeapPopDead => "heap_pops_dead",
             Counter::HeapCompactions => "heap_compactions",
             Counter::SchedRounds => "sched_rounds",
-            Counter::CoordStatsMsgs => "coord_stats_msgs",
-            Counter::CoordScheduleMsgs => "coord_schedule_msgs",
-            Counter::CoordEpochs => "coord_epochs",
-            Counter::CoordShardSlices => "coord_shard_slices",
-            Counter::CoordShardFallbacks => "coord_shard_fallbacks",
-            Counter::CoordMergeClamps => "coord_merge_clamps",
-            Counter::CoordShardRebuilds => "coord_shard_rebuilds",
             Counter::LogRoundsAppended => "log_rounds_appended",
             Counter::LogBytesWritten => "log_bytes_written",
             Counter::LogSnapshots => "log_snapshots",
@@ -591,8 +562,6 @@ pub struct Telemetry {
     pub round_wall_ns: LogHist,
     /// Active CoFlows per scheduling round.
     pub active_coflows: Hist,
-    /// Coordinator sync-round wall latency, nanoseconds.
-    pub sync_round_ns: LogHist,
     /// Per-phase wall-time spans (engine loop sections, runtime epoch
     /// lifecycle; the scheduler's phases live in `SchedTimings`, which
     /// records into the same [`Phase`]/[`LogHist`] vocabulary).

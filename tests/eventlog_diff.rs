@@ -8,8 +8,7 @@ use saath::core::view::{ClusterView, CoflowScheduler, Schedule};
 use saath::eventlog::{diff_logs, verify, ChainDigest, EventLogWriter, LogHeader};
 use saath::fabric::PortBank;
 use saath::prelude::*;
-use saath::runtime::ShardedScheduler;
-use saath::simulator::{simulate_resumable, ReplayHooks};
+use saath::simulator::{simulate_resumable, PartitionedScheduler, ReplayHooks};
 use saath::workload::gen;
 
 fn trace() -> Trace {
@@ -51,7 +50,7 @@ fn sharded_coordinators_log_no_divergence() {
     let trace = trace();
     let single = log_run(&trace, &mut Saath::with_defaults());
     for k in [2usize, 4] {
-        let mut sharded = ShardedScheduler::new(k, || Box::new(Saath::with_defaults()));
+        let mut sharded = PartitionedScheduler::new(k, 0, SaathConfig::default());
         let sharded_log = log_run(&trace, &mut sharded);
         let d = diff_logs(&single, &sharded_log).unwrap();
         assert_eq!(

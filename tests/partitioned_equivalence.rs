@@ -2,16 +2,17 @@
 //! (`saath_simulator::PartitionedScheduler`).
 //!
 //! The oracle contract: S=0 exchanges everything every round (no state
-//! omitted), so the partitioned scheduler degenerates to PR 5's
-//! replicated mode and must reproduce the single coordinator's records
+//! omitted), so every shard is a full replica and the scheduler must
+//! reproduce the single coordinator's records
 //! **byte for byte** — including through the mid-run kill drill. S≥1
 //! omits state for up to S−1 rounds between summary refreshes; records
 //! may then deviate, but the deviation must be *bounded and monotone*:
 //! more staleness can only make the schedule less informed, never more.
 
+use saath::core::view::{ClusterView, Schedule};
+use saath::fabric::PortBank;
 use saath::metrics::deviation::avg_cct_deviation;
 use saath::prelude::*;
-use saath::runtime::ShardedScheduler;
 use saath::simulator::PartitionedScheduler;
 use saath::workload::gen;
 
@@ -22,8 +23,8 @@ fn sim_cfg() -> SimConfig {
     }
 }
 
-/// S=0 must be byte-identical to the single coordinator (and therefore
-/// to the replicated `ShardedScheduler`) for K ∈ {1, 2, 4}.
+/// S=0 must be byte-identical to the single coordinator for
+/// K ∈ {1, 2, 4}.
 #[test]
 fn partitioned_s0_is_byte_identical_for_k124() {
     let mut cfg = gen::small(29, 12, 40);
@@ -42,10 +43,37 @@ fn partitioned_s0_is_byte_identical_for_k124() {
             "K={k} S=0 diverged from the single-coordinator records"
         );
         assert_eq!(part.merge_clamps(), 0, "K={k}: S=0 replicas must agree");
-        // The replicated `ShardedScheduler` is the same oracle.
-        let mut sharded = ShardedScheduler::new(k, || Box::new(Saath::with_defaults()));
-        let rep = simulate(&trace, &mut sharded, &sim_cfg(), &DynamicsSpec::none()).unwrap();
-        assert_eq!(out.records, rep.records, "K={k}: S=0 != replicated mode");
+    }
+}
+
+/// The single coordinator's failover drill, independent of the sharded
+/// code: a plain Saath recreated on the first round at or after `at`
+/// (a fresh policy has no incremental state, so that round runs with
+/// `changed: None`) — what the runtime's `restart_at` does.
+struct RestartAt {
+    inner: Saath,
+    at: Option<Time>,
+}
+
+impl CoflowScheduler for RestartAt {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn compute(&mut self, view: &ClusterView<'_>, bank: &mut PortBank, out: &mut Schedule) {
+        let mut changed = view.changed;
+        if self.at.is_some_and(|t| view.now >= t) {
+            self.inner = Saath::with_defaults();
+            self.at = None;
+            changed = None;
+        }
+        let view = ClusterView {
+            now: view.now,
+            num_nodes: view.num_nodes,
+            coflows: view.coflows,
+            changed,
+        };
+        self.inner.compute(&view, bank, out);
     }
 }
 
@@ -60,8 +88,10 @@ fn partitioned_s0_kill_drill_matches_single_restart() {
     let trace = gen::generate(&cfg);
     let drill_at = Time::from_secs(8);
 
-    let mut single =
-        ShardedScheduler::with_restart(1, || Box::new(Saath::with_defaults()), drill_at);
+    let mut single = RestartAt {
+        inner: Saath::with_defaults(),
+        at: Some(drill_at),
+    };
     let baseline = simulate(&trace, &mut single, &sim_cfg(), &DynamicsSpec::none()).unwrap();
     assert!(!baseline.records.is_empty());
 

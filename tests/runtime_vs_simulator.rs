@@ -4,7 +4,8 @@
 //! scheduling jitter, δ-granular measurement).
 
 use saath::prelude::*;
-use saath::runtime::{emulate, EmulationConfig, ShardedScheduler};
+use saath::runtime::{emulate, EmulationConfig};
+use saath::simulator::PartitionedScheduler;
 use saath::workload::gen;
 
 #[test]
@@ -70,10 +71,11 @@ fn emulation_tracks_simulation() {
 /// The sharded coordinator's acceptance bar: byte-identical records vs
 /// the single-coordinator path, proven in the deterministic simulator
 /// domain (the wall-clock emulation jitters timestamps, so there the
-/// sharded harness tests assert completion instead). Every shard runs
-/// the full policy over the full view and emits only the CoFlows it
-/// owns; the reconciler's flow-id-ordered merge reassembles exactly
-/// the global schedule, so records must match bit for bit.
+/// sharded harness tests assert completion instead). At staleness 0
+/// every shard runs the full policy over the full view and emits only
+/// the CoFlows it owns; the reconciler's flow-id-ordered merge
+/// reassembles exactly the global schedule, so records must match bit
+/// for bit.
 #[test]
 fn sharded_records_are_byte_identical_to_single_coordinator() {
     let mut cfg = gen::small(29, 12, 40);
@@ -89,7 +91,7 @@ fn sharded_records_are_byte_identical_to_single_coordinator() {
     assert!(!baseline.records.is_empty());
 
     for k in [1usize, 2, 4] {
-        let mut sharded = ShardedScheduler::new(k, || Box::new(Saath::with_defaults()));
+        let mut sharded = PartitionedScheduler::new(k, 0, SaathConfig::default());
         let out = simulate(&trace, &mut sharded, &sim_cfg, &DynamicsSpec::none()).unwrap();
         assert_eq!(
             out.records, baseline.records,
@@ -117,8 +119,7 @@ fn sharded_restart_drill_matches_single_coordinator_restart() {
     };
     let drill_at = Time::from_secs(8);
 
-    let mut single =
-        ShardedScheduler::with_restart(1, || Box::new(Saath::with_defaults()), drill_at);
+    let mut single = PartitionedScheduler::with_restart(1, 0, SaathConfig::default(), drill_at);
     let baseline = simulate(&trace, &mut single, &sim_cfg, &DynamicsSpec::none()).unwrap();
     assert!(!baseline.records.is_empty());
 
@@ -133,7 +134,7 @@ fn sharded_restart_drill_matches_single_coordinator_restart() {
 
     for k in [2usize, 4] {
         let mut sharded =
-            ShardedScheduler::with_restart(k, || Box::new(Saath::with_defaults()), drill_at);
+            PartitionedScheduler::with_restart(k, 0, SaathConfig::default(), drill_at);
         let out = simulate(&trace, &mut sharded, &sim_cfg, &DynamicsSpec::none()).unwrap();
         assert_eq!(
             out.records, baseline.records,
