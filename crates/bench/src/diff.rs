@@ -11,10 +11,11 @@
 //!
 //! Numeric fields are flattened to dotted paths. Array elements are
 //! keyed *by content*, not index: entries of `points` by their
-//! `nodes` value and entries of `shard_sweep` by the composite
-//! `(nodes, shards, mode, staleness)` — replicated and partitioned
-//! points share shard counts, so a single-field key would collide
-//! them. Re-ordered or partially-overlapping sweeps still line up,
+//! `nodes` value — with their `transport` where they carry one (the
+//! emulate sweep replays a point over TCP) — and entries of
+//! `shard_sweep` by the composite `(nodes, shards, mode, staleness)` —
+//! replicated and partitioned points share shard counts, so a
+//! single-field key would collide them. Re-ordered or partially-overlapping sweeps still line up,
 //! and a `--small` smoke document simply has zero comparable points
 //! against a full baseline (the gate passes vacuously rather than
 //! misfiring).
@@ -191,8 +192,9 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 }
 
 /// Flattens every numeric field to `(dotted path, value)`, keying
-/// `points` entries by `nodes` and `shard_sweep` entries by the
-/// composite `(nodes, shards, mode, staleness)` (see module docs).
+/// `points` entries by `(nodes, transport)` and `shard_sweep` entries
+/// by the composite `(nodes, shards, mode, staleness)` (see module
+/// docs).
 /// Bools flatten as 0/1 so flag drift is visible.
 pub fn flatten(doc: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
@@ -219,9 +221,10 @@ fn walk(v: &Json, path: &str, out: &mut Vec<(String, f64)>) {
             // differently-sized runs. `shard_sweep` needs the full
             // composite key — replicated and partitioned points share
             // a shard count, and the partitioned sweep varies nodes
-            // and staleness too.
+            // and staleness too. A discriminator an entry lacks is
+            // left out of its key (the scale sweep has no transport).
             let disc: &[&str] = match path.rsplit('.').next().unwrap_or(path) {
-                "points" => &["nodes"],
+                "points" => &["nodes", "transport"],
                 "shard_sweep" => &["nodes", "shards", "mode", "staleness"],
                 _ => &[],
             };
@@ -468,6 +471,26 @@ mod tests {
             Some(410.0)
         );
         assert_eq!(get("seed"), Some(1.0));
+
+        // The emulate sweep replays one node count over two transports:
+        // the rows must not collide on `nodes`.
+        let emu = parse_json(
+            r#"{ "points": [
+                { "nodes": 4000, "transport": "inproc", "links": 64, "epoch_period_p50_ms": 8.3 },
+                { "nodes": 4000, "transport": "tcp", "links": 64, "epoch_period_p50_ms": 8.4 }
+            ] }"#,
+        )
+        .unwrap();
+        let flat = flatten(&emu);
+        let get = |p: &str| flat.iter().find(|(k, _)| k == p).map(|(_, v)| *v);
+        assert_eq!(
+            get("points.nodes=4000,transport=inproc.epoch_period_p50_ms"),
+            Some(8.3)
+        );
+        assert_eq!(
+            get("points.nodes=4000,transport=tcp.epoch_period_p50_ms"),
+            Some(8.4)
+        );
     }
 
     #[test]

@@ -1063,6 +1063,74 @@ pub fn emulate_cmd(
     out
 }
 
+/// Saath, stamping the wall clock on entry to every round: the
+/// coordinator's epoch period as seen from its scheduler call.
+struct StampedSaath {
+    inner: saath_core::Saath,
+    entries: std::sync::Arc<std::sync::Mutex<Vec<std::time::Instant>>>,
+}
+
+impl saath_core::CoflowScheduler for StampedSaath {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn compute(
+        &mut self,
+        view: &saath_core::ClusterView<'_>,
+        bank: &mut saath_fabric::PortBank,
+        out: &mut saath_core::Schedule,
+    ) {
+        self.entries
+            .lock()
+            .expect("stamp list poisoned")
+            .push(std::time::Instant::now());
+        self.inner.compute(view, bank, out);
+    }
+}
+
+/// Microseconds one coordinator drain pass takes over `links` idle
+/// links — one `recv_timeout(ZERO)` each, nothing to deliver: the cost
+/// of merely having that many links. Median of 9 passes.
+fn idle_drain_us(transport: saath_runtime::TransportKind, links: usize) -> f64 {
+    use saath_runtime::transport::{inproc_pair, TcpTransport, Transport};
+    use saath_runtime::TransportKind;
+
+    // Both ends are kept: dropping the far one would hang the link up.
+    let mut pairs: Vec<(Box<dyn Transport>, Box<dyn Transport>)> = match transport {
+        TransportKind::InProc => (0..links)
+            .map(|_| {
+                let (near, far) = inproc_pair(1);
+                (Box::new(near) as Box<dyn Transport>, Box::new(far) as _)
+            })
+            .collect(),
+        TransportKind::Tcp => {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("local addr").to_string();
+            (0..links)
+                .map(|_| {
+                    let far = TcpTransport::connect(&addr).expect("connect");
+                    let (stream, _) = listener.accept().expect("accept");
+                    let near = TcpTransport::new(stream).expect("wrap");
+                    (Box::new(near) as Box<dyn Transport>, Box::new(far) as _)
+                })
+                .collect()
+        }
+    };
+    let mut passes: Vec<f64> = (0..9)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            for (near, _far) in &mut pairs {
+                let got = near.recv_timeout(std::time::Duration::ZERO);
+                assert!(matches!(got, Ok(None)), "idle link delivered {got:?}");
+            }
+            t0.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    passes.sort_by(f64::total_cmp);
+    passes[passes.len() / 2]
+}
+
 /// **emulate --multiplex** — the readiness-driven host sweep: emulated
 /// cluster sizes up to `--nodes`, each run multiplexing the agents
 /// onto at most 64 host threads ([`saath_runtime::run_agent_host`])
@@ -1071,6 +1139,9 @@ pub fn emulate_cmd(
 /// pushes and stats traverse many hosts while the active flow count
 /// stays bounded — the sweep measures the host fabric (thread count,
 /// shared links, readiness loop, hello wave), not the scheduler.
+/// Every point runs in-process; the smallest is replayed over
+/// loopback TCP as well — the many-link case, where a per-link cost
+/// in the coordinator's drain shows as an epoch period above δ.
 /// Writes `BENCH_emulate_scale.json` (skipped for `small` smoke runs);
 /// with `json`, returns the JSON document instead of the table.
 pub fn emulate_scale_cmd(
@@ -1080,12 +1151,12 @@ pub fn emulate_scale_cmd(
     small: bool,
     json: bool,
 ) -> String {
-    use saath_runtime::{emulate, EmulationConfig};
+    use saath_runtime::{emulate, EmulationConfig, TransportKind};
     use saath_simcore::{Bytes, CoflowId, NodeId, Rate, Time};
     use saath_workload::{CoflowSpec, FlowSpec, Trace};
 
     /// Host-thread ceiling: every sweep point runs on at most this
-    /// many agent threads, whatever its node count.
+    /// many agent threads (and links), whatever its node count.
     const MAX_HOSTS: usize = 64;
 
     let top = nodes_cap.max(8);
@@ -1126,59 +1197,97 @@ pub fn emulate_scale_cmd(
         "Multiplexed emulation sweep — N emulated ports on O(hosts) threads",
         &[
             "nodes",
-            "hosts",
+            "transport",
+            "links",
             "agents/host",
             "coflows",
             "completed",
             "epochs",
+            "period p50 ms",
+            "idle drain us",
             "wall ms",
         ],
     );
     let mut docs = Vec::new();
-    for &nodes in &points {
+    let runs = points
+        .iter()
+        .map(|&nodes| (nodes, TransportKind::InProc))
+        .chain([(points[0], TransportKind::Tcp)]);
+    for (nodes, transport) in runs {
         let per_host = nodes.div_ceil(MAX_HOSTS);
         let hosts = nodes.div_ceil(per_host);
+        let name = match transport {
+            TransportKind::InProc => "inproc",
+            TransportKind::Tcp => "tcp",
+        };
         let trace = synth(nodes);
         let cfg = EmulationConfig {
             scale,
+            transport,
             multiplex: per_host,
             wall_deadline: std::time::Duration::from_secs(600),
             ..Default::default()
         };
+        let entries = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let t0 = std::time::Instant::now();
         let report = emulate(
             &trace,
-            &|| Box::new(saath_core::Saath::with_defaults()),
+            &|| {
+                Box::new(StampedSaath {
+                    inner: saath_core::Saath::with_defaults(),
+                    entries: std::sync::Arc::clone(&entries),
+                })
+            },
             &cfg,
         );
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         assert!(
             !report.coordinator.timed_out,
-            "emulate sweep point {nodes} hit the wall deadline"
+            "emulate sweep point {nodes}/{name} hit the wall deadline"
         );
         let completed = report.coordinator.records.len();
         assert_eq!(
             completed,
             trace.coflows.len(),
-            "emulate sweep point {nodes} lost coflows"
+            "emulate sweep point {nodes}/{name} lost coflows"
         );
+        // Median interval between consecutive rounds; a run of a
+        // single epoch has none.
+        let mut periods: Vec<f64> = entries
+            .lock()
+            .expect("stamp list poisoned")
+            .windows(2)
+            .map(|w| (w[1] - w[0]).as_secs_f64() * 1e3)
+            .collect();
+        periods.sort_by(f64::total_cmp);
+        let period = periods
+            .get(periods.len() / 2)
+            .map_or("null".to_string(), |p| format!("{p:.2}"));
+        let idle_us = idle_drain_us(transport, hosts);
         eprintln!(
-            "[emulate-scale] {nodes} nodes on {hosts} hosts ({per_host}/host): \
-             {completed} coflows in {wall_ms:.0} ms"
+            "[emulate-scale] {nodes} nodes on {hosts} {name} links ({per_host}/host): \
+             {completed} coflows in {wall_ms:.0} ms, epoch period {period} ms, \
+             idle drain {idle_us:.1} us"
         );
         t.row(&[
             nodes.to_string(),
+            name.to_string(),
             hosts.to_string(),
             per_host.to_string(),
             trace.coflows.len().to_string(),
             completed.to_string(),
             report.coordinator.epochs.to_string(),
+            period.clone(),
+            format!("{idle_us:.1}"),
             format!("{wall_ms:.1}"),
         ]);
         docs.push(format!(
-            "    {{\n      \"nodes\": {nodes},\n      \"hosts\": {hosts},\n      \
+            "    {{\n      \"nodes\": {nodes},\n      \"transport\": \"{name}\",\n      \
+             \"links\": {hosts},\n      \
              \"agents_per_host\": {per_host},\n      \"coflows\": {},\n      \
              \"completed\": {completed},\n      \"epochs\": {},\n      \
+             \"epoch_period_p50_ms\": {period},\n      \
+             \"idle_drain_us\": {idle_us:.1},\n      \
              \"wall_ms\": {wall_ms:.1}\n    }}",
             trace.coflows.len(),
             report.coordinator.epochs,
@@ -1186,9 +1295,11 @@ pub fn emulate_scale_cmd(
     }
     let json_doc = format!(
         "{{\n  \"experiment\": \"emulate_scale\",\n  \"seed\": {},\n  \
-         \"scale\": {scale},\n  \"transport\": \"inproc\",\n  \
+         \"scale\": {scale},\n  \"delta_ms\": {:.1},\n  \
          \"max_hosts\": {MAX_HOSTS},\n  \"points\": [\n{}\n  ]\n}}\n",
         lab.seed(),
+        // δ in wall time: what `epoch_period_p50_ms` is to be read against.
+        EmulationConfig::default().delta.as_secs_f64() * 1e3 / scale as f64,
         docs.join(",\n"),
     );
     if !small {

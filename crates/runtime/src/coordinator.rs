@@ -269,7 +269,8 @@ pub struct CoordinatorReport {
     pub records: Vec<CoflowRecord>,
     /// Schedule epochs pushed.
     pub epochs: u64,
-    /// Whether the watchdog tripped before all CoFlows finished.
+    /// Whether the run ended before all CoFlows finished: the watchdog
+    /// tripped, or every agent link had failed.
     pub timed_out: bool,
     /// Whether a mid-run scheduler restart was performed.
     pub restarted: bool,
@@ -279,12 +280,46 @@ pub struct CoordinatorReport {
 /// registered flow or shard — the entry is skipped, the run goes on.
 pub(crate) const REJECTED_INDICES: &str = "saath_coord_rejected_indices_total";
 
+/// The hub counter for agent links given up on after a transport error.
+pub(crate) const LINK_ERRORS: &str = "saath_coord_link_errors_total";
+
+/// Which agent links have failed. A link is dead from its first
+/// transport error — the peer is gone, or a corrupt frame sits at the
+/// head of its buffer and would fail every later read too — and is
+/// then left out of the drain and the push. Counted once per link in
+/// [`LINK_ERRORS`].
+pub(crate) struct LinkHealth {
+    dead: Vec<bool>,
+}
+
+impl LinkHealth {
+    pub(crate) fn new(links: usize) -> LinkHealth {
+        LinkHealth {
+            dead: vec![false; links],
+        }
+    }
+
+    /// No agent is left to report or to be scheduled: the run cannot
+    /// make progress and ends as timed out.
+    pub(crate) fn all_dead(&self) -> bool {
+        !self.dead.is_empty() && self.dead.iter().all(|&d| d)
+    }
+
+    fn bury(&mut self, link: usize, hub: Option<&MetricsHub>) {
+        self.dead[link] = true;
+        if let Some(h) = hub {
+            h.incr(LINK_ERRORS, "", 1);
+        }
+    }
+}
+
 /// Epoch phase 1 (obs-recv): drains every pending agent frame, folding
 /// stats reports into `state` stamped `now` and forwarding each
 /// verbatim to `forward_to` (the reconciler's shard links — every
 /// replica must see the same waves; empty for the single coordinator).
 pub(crate) fn drain_stats(
     agents: &mut [Box<dyn Transport>],
+    health: &mut LinkHealth,
     forward_to: &mut [Box<dyn Transport>],
     state: &mut ObsState,
     now: Time,
@@ -293,18 +328,30 @@ pub(crate) fn drain_stats(
     let (mut stats_msgs, mut rejected) = (0u64, 0u64);
     {
         let _span = hub.map(|h| h.span(Phase::CoordObsRecv));
-        for a in agents.iter_mut() {
+        for (i, a) in agents.iter_mut().enumerate() {
+            if health.dead[i] {
+                continue;
+            }
             // A multiplexed host link carries many agents' frames:
             // stray non-stats frames (the hosted agents' hellos) must
             // not end the drain, or a host of N agents would stall its
             // stats by one round per queued hello. Only an empty or
             // broken link ends it.
-            while let Ok(Some(m)) = a.recv_timeout(std::time::Duration::ZERO) {
-                if let Message::Stats { flows, .. } = &m {
-                    stats_msgs += 1;
-                    rejected += state.ingest(flows, now);
-                    for l in forward_to.iter_mut() {
-                        let _ = l.send(&m);
+            loop {
+                match a.recv_timeout(std::time::Duration::ZERO) {
+                    Ok(Some(m)) => {
+                        if let Message::Stats { flows, .. } = &m {
+                            stats_msgs += 1;
+                            rejected += state.ingest(flows, now);
+                            for l in forward_to.iter_mut() {
+                                let _ = l.send(&m);
+                            }
+                        }
+                    }
+                    Ok(None) => break,
+                    Err(_) => {
+                        health.bury(i, hub);
+                        break;
                     }
                 }
             }
@@ -320,10 +367,11 @@ pub(crate) fn drain_stats(
     }
 }
 
-/// Epoch phase 3 (broadcast): pushes `schedule` to every agent as
-/// epoch `epoch`.
+/// Epoch phase 3 (broadcast): pushes `schedule` to every live agent
+/// link as epoch `epoch`.
 pub(crate) fn push_schedule(
     agents: &mut [Box<dyn Transport>],
+    health: &mut LinkHealth,
     epoch: u64,
     schedule: &Schedule,
     hub: Option<&MetricsHub>,
@@ -332,15 +380,22 @@ pub(crate) fn push_schedule(
         epoch,
         rates: to_assignments(schedule),
     };
+    let mut pushed = 0u64;
     {
         let _span = hub.map(|h| h.span(Phase::CoordBroadcast));
-        for a in agents.iter_mut() {
-            let _ = a.send(&push);
+        for (i, a) in agents.iter_mut().enumerate() {
+            if health.dead[i] {
+                continue;
+            }
+            match a.send(&push) {
+                Ok(()) => pushed += 1,
+                Err(_) => health.bury(i, hub),
+            }
         }
     }
     if let Some(h) = hub {
         h.incr("saath_coord_epochs_total", "", 1);
-        h.incr("saath_coord_schedule_msgs_total", "", agents.len() as u64);
+        h.incr("saath_coord_schedule_msgs_total", "", pushed);
     }
 }
 
@@ -406,8 +461,9 @@ pub(crate) fn finish(
 }
 
 /// Runs the coordinator until every registered CoFlow completes (or the
-/// watchdog fires). `make_sched` builds the policy — and rebuilds it on
-/// failover. `hub` is the live metrics plane: per-phase latency spans
+/// watchdog fires, or no agent link is left alive). `make_sched` builds
+/// the policy — and rebuilds it on failover. `hub` is the live metrics
+/// plane: per-phase latency spans
 /// (obs-recv / schedule / broadcast), the active/completed gauges, and
 /// the aggregated agent-link transport counters — opt-in at runtime
 /// via [`EmulationConfig::metrics_addr`], so `None` costs one branch
@@ -429,6 +485,7 @@ pub fn run_coordinator(
     let mut epochs: u64 = 0;
     let mut bank = PortBank::uniform(registry.num_nodes, registry.port_rate);
     let mut out = Schedule::default();
+    let mut health = LinkHealth::new(agents.len());
     let started_wall = std::time::Instant::now();
     let delta_wall = clock.to_wall(cfg.delta);
 
@@ -446,9 +503,12 @@ pub fn run_coordinator(
         }
 
         let now = clock.now();
-        drain_stats(agents, &mut [], &mut state, now, hub);
+        drain_stats(agents, &mut health, &mut [], &mut state, now, hub);
         if state.sweep(registry, now) {
             break false;
+        }
+        if health.all_dead() {
+            break true;
         }
 
         // Build the view of active CoFlows and compute a schedule.
@@ -467,7 +527,7 @@ pub fn run_coordinator(
                 sched.compute(&view, &mut bank, &mut out);
             }
             epochs += 1;
-            push_schedule(agents, epochs, &out, hub);
+            push_schedule(agents, &mut health, epochs, &out, hub);
         }
         publish_epoch(hub, agents, views.len() as u64, state.records.len());
 
@@ -626,6 +686,53 @@ mod tests {
         assert!(
             hub.render().contains(&format!("{REJECTED_INDICES} 1\n")),
             "the skipped entry must be counted:\n{}",
+            hub.render()
+        );
+    }
+
+    /// Regression: `Err(Disconnected)` from a drained link used to read
+    /// as "empty", so once every agent was gone the coordinator slept
+    /// and re-polled the dead links until the watchdog (60 s by
+    /// default). The link must be given up on at its first error,
+    /// counted once, and with no agent left the run must end at once —
+    /// as timed out, its CoFlows being unfinished.
+    #[test]
+    fn dead_agent_links_end_the_run_instead_of_being_polled() {
+        let reg = registry();
+        let (coord_side, mut agent) = inproc_pair(64);
+        let hub = MetricsHub::new();
+        // The agent hangs up mid-run: after the first schedule push.
+        let agent_thread = std::thread::spawn(move || {
+            while !matches!(
+                agent.recv_timeout(std::time::Duration::from_secs(5)),
+                Ok(Some(Message::Schedule { .. })) | Err(_)
+            ) {}
+        });
+        let t0 = std::time::Instant::now();
+        let report = run_coordinator(
+            &reg,
+            &|| Box::new(saath_core::Saath::with_defaults()),
+            &mut [Box::new(coord_side)],
+            &EmuClock::start(100),
+            &CoordinatorConfig {
+                delta: Duration::from_millis(400),
+                clairvoyant: false,
+                restart_at: None,
+                wall_deadline: std::time::Duration::from_secs(10),
+            },
+            Some(&hub),
+        );
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(1),
+            "the coordinator polled a dead link for {:?}",
+            t0.elapsed()
+        );
+        agent_thread.join().unwrap();
+        assert!(report.timed_out && report.records.is_empty());
+        assert!(report.epochs >= 1, "the agent left after a push");
+        assert!(
+            hub.render().contains(&format!("{LINK_ERRORS} 1\n")),
+            "the link must be counted exactly once:\n{}",
             hub.render()
         );
     }

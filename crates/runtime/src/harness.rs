@@ -441,7 +441,9 @@ mod tests {
     fn tcp_emulation_serves_live_metrics() {
         use std::io::{Read as _, Write as _};
 
-        let trace = small_trace(4);
+        // Arrivals spread over 8 simulated seconds (160 ms of wall):
+        // long enough for a fetch to land mid-run.
+        let trace = small_trace(40);
         // emulate() blocks this thread, so the mid-run fetch comes from
         // a helper thread — which needs to know the port up front.
         // Reserve an ephemeral one by bind-and-release.
@@ -460,7 +462,7 @@ mod tests {
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
             let mut last = String::new();
             while std::time::Instant::now() < deadline {
-                std::thread::sleep(std::time::Duration::from_millis(50));
+                std::thread::sleep(std::time::Duration::from_millis(5));
                 let Ok(mut s) = std::net::TcpStream::connect(addr) else {
                     continue;
                 };
@@ -483,7 +485,7 @@ mod tests {
         let live_page = fetcher.join().unwrap();
 
         assert!(!report.coordinator.timed_out);
-        assert_eq!(report.coordinator.records.len(), 4);
+        assert_eq!(report.coordinator.records.len(), 40);
         assert!(
             live_page.starts_with("HTTP/1.1 200 OK"),
             "mid-run /metrics fetch failed: {live_page:?}"
@@ -505,7 +507,7 @@ mod tests {
         }
         assert!(final_page.contains("saath_transport_frames_sent_total{link=\"agent\"}"));
         assert!(final_page.contains("saath_active_coflows 0"));
-        assert!(final_page.contains("saath_completed_coflows 4"));
+        assert!(final_page.contains("saath_completed_coflows 40"));
         assert!(final_page.contains("saath_epoch_phase_ns_count{phase=\"coord_schedule\"}"));
         assert!(final_page.contains("saath_epoch_phase_ns_count{phase=\"agent_apply\"}"));
     }
@@ -733,6 +735,52 @@ mod tests {
                 assert_eq!(report.agent_epochs.len(), 6, "{what}");
                 assert!(report.agent_epochs.iter().take(3).all(|&e| e > 0), "{what}");
             }
+        }
+    }
+
+    /// Over TCP the coordinator must keep the δ cadence whatever the
+    /// wiring: with the whole cluster behind one link and agents
+    /// ticking at δ/4 (epochs used to run 10-500 ms, chasing waves
+    /// written one frame at a time), and with one link per node (every
+    /// idle link used to cost a kernel timer wait per drain, 8 ms
+    /// each). One long CoFlow keeps the coordinator scheduling from
+    /// the first epoch to the last, so epochs can be held against
+    /// wall ÷ δ.
+    #[test]
+    fn tcp_epochs_keep_the_delta_cadence() {
+        let mut trace = small_trace(12);
+        trace.num_nodes = 8;
+        // 16 simulated seconds at line rate: 320 ms of wall, 40 epochs.
+        let long = FlowSpec::new(NodeId(6), NodeId(7), Bytes::mb(2000));
+        trace
+            .coflows
+            .insert(0, CoflowSpec::new(CoflowId(12), Time::ZERO, vec![long]));
+        for multiplex in [trace.num_nodes, 1] {
+            let cfg = EmulationConfig {
+                transport: TransportKind::Tcp,
+                multiplex,
+                ..Default::default()
+            };
+            assert_eq!(cfg.tick * 4, cfg.delta, "finding 1's setting");
+            let delta_wall = EmuClock::start(cfg.scale).to_wall(cfg.delta);
+            // The suite's other tests share the cores, and a wake-up
+            // they delay is an epoch lost: the cadence has to be met
+            // by one replay in three. A per-epoch cost in the code
+            // fails all three.
+            let mut replays = Vec::new();
+            let kept = (0..3).any(|_| {
+                let t0 = std::time::Instant::now();
+                let report = emulate(&trace, &|| Box::new(Saath::with_defaults()), &cfg);
+                let due = t0.elapsed().as_secs_f64() / delta_wall.as_secs_f64();
+                assert!(!report.coordinator.timed_out, "run hung");
+                assert_eq!(report.coordinator.records.len(), 13);
+                replays.push((report.coordinator.epochs, due.round()));
+                report.coordinator.epochs as f64 >= 0.75 * due
+            });
+            assert!(
+                kept,
+                "{multiplex} agents per link: (epochs, epochs the wall clock had room for) = {replays:?}"
+            );
         }
     }
 

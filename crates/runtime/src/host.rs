@@ -16,12 +16,14 @@
 //!    falls behind its tick cadence stays byte-correct — it just
 //!    ticks coarser.
 //! 4. **Report-stats** — agents whose δ report is due enqueue it,
-//!    unless the link's outbound queue is over the high-water mark,
-//!    in which case the writer is **parked**: the report is deferred
-//!    (its due-mark stays set) and retried once the peer drains. A
-//!    stalled coordinator therefore back-pressures exactly the agents
-//!    behind the stalled link and costs bounded memory, instead of
-//!    blocking a thread per agent or queueing unboundedly.
+//!    and the iteration's frames leave in **one flush** at its end
+//!    (one `write(2)` per wave, not per frame). A queue over the
+//!    high-water mark is flushed early; if it is still over, the
+//!    writer is **parked**: the report is deferred (its due-mark
+//!    stays set) and retried once the peer drains. A stalled
+//!    coordinator therefore back-pressures exactly the agents behind
+//!    the stalled link and costs bounded memory, instead of blocking
+//!    a thread per agent or queueing unboundedly.
 //!
 //! Between iterations the loop sleeps in `poll(2)` ([`crate::poll`])
 //! on the link's socket, waking early on readability (a schedule
@@ -39,7 +41,7 @@ use crate::clock::EmuClock;
 use crate::metrics::MetricsHub;
 use crate::proto::Message;
 use crate::transport::{Transport, TransportError};
-use saath_simcore::Duration;
+use saath_simcore::{Duration, Time};
 use saath_telemetry::prom::label_body;
 use saath_telemetry::Phase;
 use std::sync::Arc;
@@ -61,6 +63,39 @@ fn deliver(m: &Message, cores: &mut [AgentCore], hub: Option<&MetricsHub>) -> bo
         }
     }
     matches!(m, Message::Shutdown)
+}
+
+/// Advances every NIC to `now`, queues the reports that are due and
+/// hands the whole wave to the socket in one flush, so the coordinator
+/// finds a complete wave rather than one frame per write. A queue over
+/// [`WRITE_HIGH_WATER`] is flushed on the spot, and writers are parked
+/// (their reports stay due) only if it is still over afterwards — the
+/// peer really has stalled, and costs bounded memory. Returns the
+/// number of writers parked.
+fn report_wave(
+    cores: &mut [AgentCore],
+    link: &mut dyn Transport,
+    now: Time,
+) -> Result<u64, TransportError> {
+    let mut parked = 0;
+    for c in cores {
+        c.advance(now);
+        if !c.stats_due(now) {
+            continue;
+        }
+        if link.queued_bytes() > WRITE_HIGH_WATER {
+            link.try_flush()?;
+            if link.queued_bytes() > WRITE_HIGH_WATER {
+                parked += 1;
+                continue;
+            }
+        }
+        if let Some(report) = c.take_stats(now) {
+            link.send(&report)?;
+        }
+    }
+    link.try_flush()?;
+    Ok(parked)
 }
 
 /// Runs `agents` — `(node, owned flows)` pairs — multiplexed on one
@@ -130,33 +165,11 @@ pub fn run_agent_host(
             }
         }
 
-        // Advance every NIC, then emit the due reports — parking
-        // writers while the outbound queue is over the high-water
-        // mark so a stalled peer costs bounded memory.
-        let now = clock.now();
-        let mut parked_now: u64 = 0;
-        for c in &mut cores {
-            c.advance(now);
-            if !c.stats_due(now) {
-                continue;
-            }
-            if link.queued_bytes() > WRITE_HIGH_WATER {
-                parked_now += 1;
-                continue;
-            }
-            if let Some(report) = c.take_stats(now) {
-                match link.send(&report) {
-                    Ok(()) => {}
-                    Err(TransportError::Disconnected) => return Ok(epochs(&cores)),
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        match link.try_flush() {
-            Ok(_fully) => {}
+        let parked_now = match report_wave(&mut cores, link.as_mut(), clock.now()) {
+            Ok(parked) => parked,
             Err(TransportError::Disconnected) => return Ok(epochs(&cores)),
             Err(e) => return Err(e),
-        }
+        };
         parked_writers += parked_now;
         if let (Some(h), Some(l)) = (hub.as_deref(), labels.as_deref()) {
             if parked_now > 0 {
@@ -217,7 +230,7 @@ mod tests {
     use super::*;
     use crate::proto::{FlowStat, RateAssignment};
     use crate::transport::inproc_pair;
-    use saath_simcore::{Bytes, Time};
+    use saath_simcore::Bytes;
 
     /// One host, three agents, one shared in-process link: schedules
     /// fan out to every hosted agent, stats come back tagged per

@@ -55,6 +55,10 @@ const FAMILY_HELP: &[(&str, &str)] = &[
         "Flow or shard indices read off the wire that named nothing and were skipped",
     ),
     (
+        crate::coordinator::LINK_ERRORS,
+        "Agent links the coordinator gave up on after a transport error",
+    ),
+    (
         "saath_shard_slices_total",
         "Fresh shard schedule slices received by the reconciler",
     ),
@@ -88,7 +92,7 @@ const FAMILY_HELP: &[(&str, &str)] = &[
     ),
     (
         "saath_transport_recv_timeouts_total",
-        "recv_timeout calls that expired empty (poll retries)",
+        "recv_timeout calls that found nothing to deliver (one per link per drain: a readiness probe, not a timer wait)",
     ),
     (
         "saath_host_agents",

@@ -1,8 +1,8 @@
-//! Readiness polling for the multiplexed agent host.
+//! Readiness polling for the TCP receive path and the agent host.
 //!
 //! The workspace vendors no `libc` crate and pulls in no async
-//! runtime, so this module declares the one C function the event loop
-//! needs — `poll(2)` — itself, at the stdlib-FFI level. It is the
+//! runtime, so this module declares the one C function they need —
+//! `poll(2)` — itself, at the stdlib-FFI level. It is the
 //! *only* unsafe code in the crate (the crate root is
 //! `#![deny(unsafe_code)]`; this module carries a scoped allow), and
 //! the surface is a single safe wrapper: [`wait_fd`] blocks until one
@@ -11,7 +11,9 @@
 //! On non-Unix targets [`wait_fd`] degrades to a plain sleep that
 //! reports the descriptor as ready, which turns the event loop into a
 //! correct (if less efficient) periodic poller — the same behaviour
-//! the in-process transport gets.
+//! the in-process transport gets. "Ready" is a guess there, so
+//! `TcpTransport::recv_timeout` does not build on it off Unix: it
+//! keeps the socket read timeout as its bound.
 
 use std::time::Duration;
 
@@ -38,7 +40,7 @@ impl Readiness {
 #[allow(unsafe_code)] // the crate-wide deny is lifted only for this FFI shim
 mod sys {
     use super::Readiness;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     pub const POLLIN: i16 = 0x001;
     pub const POLLOUT: i16 = 0x004;
@@ -77,11 +79,16 @@ mod sys {
             events,
             revents: 0,
         };
-        // Round the timeout *up* to whole milliseconds so a 2 ms tick
-        // does not busy-spin as a 1 ms poll, and clamp to the i32 the
-        // C ABI takes.
-        let ms = timeout.as_micros().div_ceil(1000).min(i32::MAX as u128) as core::ffi::c_int;
+        // One deadline for the whole call: an `EINTR` retry waits only
+        // for what is left of it, so callers' own deadlines
+        // (`TcpTransport::recv_timeout`) can rest on this one.
+        let deadline = Instant::now() + timeout;
+        let mut left = timeout;
         loop {
+            // Round *up* to whole milliseconds so a 2 ms tick does not
+            // busy-spin as a 1 ms poll, and clamp to the i32 the C ABI
+            // takes.
+            let ms = left.as_micros().div_ceil(1000).min(i32::MAX as u128) as core::ffi::c_int;
             // SAFETY: `pfd` is a valid, properly-aligned `pollfd` for
             // the duration of the call, and `nfds` is exactly 1.
             let rc = unsafe { poll(&mut pfd as *mut PollFd, 1, ms) };
@@ -96,8 +103,7 @@ mod sys {
             if err.kind() != std::io::ErrorKind::Interrupted {
                 return Err(err);
             }
-            // EINTR: retry with the full timeout — the host loop's
-            // tick cadence tolerates the (rare) over-wait.
+            left = deadline.saturating_duration_since(Instant::now());
         }
     }
 }
@@ -106,6 +112,12 @@ mod sys {
 /// or `timeout` elapses. A zero timeout is a nonblocking readiness
 /// probe. Returns what was observed; all-false means the timeout
 /// expired quietly.
+///
+/// The wait has one deadline, taken on entry: a signal (`EINTR`)
+/// restarts `poll(2)` with what remains of it, not with the full
+/// `timeout`. `poll(2)` counts in milliseconds and the budget is
+/// rounded **up**, so a non-zero sub-millisecond budget waits up to
+/// 1 ms.
 #[cfg(unix)]
 pub fn wait_fd(
     fd: std::os::fd::RawFd,

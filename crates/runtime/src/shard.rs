@@ -42,7 +42,7 @@
 use crate::clock::EmuClock;
 use crate::coordinator::{
     drain_stats, finish, publish_epoch, publish_links, push_schedule, shutdown_links,
-    to_assignments, CoflowRegistry, CoordinatorConfig, CoordinatorReport, ObsState,
+    to_assignments, CoflowRegistry, CoordinatorConfig, CoordinatorReport, LinkHealth, ObsState,
     REJECTED_INDICES,
 };
 use crate::metrics::MetricsHub;
@@ -290,6 +290,7 @@ pub fn run_sharded_coordinator(
     let mut out = Schedule::default();
     let mut entries: Vec<(FlowId, Rate, PortId, PortId)> = Vec::new();
     let endpoints = flow_endpoints(registry);
+    let mut health = LinkHealth::new(agents.len());
     let started_wall = std::time::Instant::now();
     let delta_wall = clock.to_wall(cfg.delta);
     // Budget for collecting shard replies: a couple of δ intervals, so
@@ -321,9 +322,12 @@ pub fn run_sharded_coordinator(
         }
 
         let now = clock.now();
-        drain_stats(agents, &mut shard_links, &mut state, now, hub);
+        drain_stats(agents, &mut health, &mut shard_links, &mut state, now, hub);
         if state.sweep(registry, now) {
             break false;
+        }
+        if health.all_dead() {
+            break true;
         }
 
         let active = state.active_count(registry, now);
@@ -441,7 +445,7 @@ pub fn run_sharded_coordinator(
                     );
                 }
             }
-            push_schedule(agents, epochs, &out, hub);
+            push_schedule(agents, &mut health, epochs, &out, hub);
         }
         publish_epoch(hub, agents, active, state.records.len());
         if let Some(h) = hub {

@@ -8,7 +8,7 @@
 //! the paper's agents talk to the Azure coordinator VM.
 
 use crate::proto::{Message, ProtoError};
-use bytes::BytesMut;
+use bytes::{Buf as _, BytesMut};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -82,7 +82,8 @@ pub trait Transport: Send {
     fn send(&mut self, m: &Message) -> Result<(), TransportError>;
 
     /// Receives the next message, waiting at most `timeout`.
-    /// `Ok(None)` = nothing arrived in time.
+    /// `Ok(None)` = nothing arrived in time. A zero `timeout` is a
+    /// probe: it delivers what has already arrived and never waits.
     fn recv_timeout(&mut self, timeout: WallDuration) -> Result<Option<Message>, TransportError>;
 
     /// Cumulative traffic counters for this endpoint. The default is
@@ -92,12 +93,14 @@ pub trait Transport: Send {
         TransportStats::default()
     }
 
-    /// Switches the endpoint to nonblocking mode: `send` queues frames
-    /// in an outbound buffer drained by [`Transport::try_flush`], and
-    /// `recv_timeout` returns `Ok(None)` immediately instead of
-    /// waiting out its budget (callers wait via readiness polling on
-    /// [`Transport::raw_fd`]). The default is a no-op — in-process
-    /// channels never block an event loop in the first place.
+    /// Switches the endpoint to nonblocking mode: `send` only queues
+    /// the frame in an outbound buffer, and nothing reaches the wire
+    /// until the caller runs [`Transport::try_flush`] — so an event
+    /// loop hands a whole wave of frames to the socket in one write,
+    /// and a full socket parks the remainder instead of blocking the
+    /// loop. `recv_timeout` is the same in both modes. The default is
+    /// a no-op — in-process channels never block an event loop in the
+    /// first place.
     fn set_nonblocking(&mut self, _on: bool) -> Result<(), TransportError> {
         Ok(())
     }
@@ -235,22 +238,60 @@ impl TcpTransport {
             TransportError::Io(e)
         }
     }
+
+    /// Splits the next complete frame off the receive buffer.
+    fn take_frame(&mut self) -> Result<Option<Message>, TransportError> {
+        let m = Message::decode_stream(&mut self.buf)?;
+        if let Some(m) = &m {
+            self.stats.frames_recv += 1;
+            self.stats.bytes_recv += m.encoded_len() as u64;
+        }
+        Ok(m)
+    }
+
+    /// Waits until a read would not block — data, EOF, or an error the
+    /// read will surface — or `budget` runs out. `false` = it ran out.
+    /// A zero budget is one `poll(2)` probe; the socket's own timeout
+    /// is never armed, so no kernel timer rounds the wait up.
+    #[cfg(unix)]
+    fn wait_readable(&self, budget: WallDuration) -> std::io::Result<bool> {
+        use std::os::fd::AsRawFd as _;
+        Ok(crate::poll::wait_fd(self.stream.as_raw_fd(), false, budget)?.any())
+    }
+
+    /// Off Unix there is no readiness primitive (`poll::wait_fd` only
+    /// sleeps and guesses "ready"), so the read itself carries the
+    /// bound: arm the socket's read timeout (min 1 µs — zero means
+    /// "block forever") and let the read report `TimedOut`.
+    #[cfg(not(unix))]
+    fn wait_readable(&self, budget: WallDuration) -> std::io::Result<bool> {
+        self.stream
+            .set_read_timeout(Some(budget.max(WallDuration::from_micros(1))))?;
+        Ok(true)
+    }
 }
+
+/// Bytes asked of the socket per `read`. Small on purpose: the receive
+/// buffer gives up consumed frames from its front at a cost linear in
+/// what it still holds, so a window of a few frames keeps a wave's
+/// decode linear while still taking a dozen frames per syscall.
+const READ_CHUNK: usize = 4096;
 
 impl Transport for TcpTransport {
     fn send(&mut self, m: &Message) -> Result<(), TransportError> {
         let frame = m.encode()?;
         if self.nonblocking {
-            // Queue the whole frame, then opportunistically flush.
-            // The queue is unbounded here; event loops bound it by
-            // checking `queued_bytes()` before generating new frames
-            // (see `host::WRITE_HIGH_WATER`), so a stalled peer
-            // back-pressures its own producers instead of blocking
-            // the shared loop.
+            // Queue the whole frame; `try_flush` writes. A write per
+            // frame would cost the sender a syscall each and leave the
+            // peer chasing a half-written wave. The queue is unbounded
+            // here; event loops bound it by checking `queued_bytes()`
+            // before generating new frames (see
+            // `host::WRITE_HIGH_WATER`), so a stalled peer
+            // back-pressures its own producers instead of blocking the
+            // shared loop.
             self.out.extend_from_slice(&frame);
             self.stats.frames_sent += 1;
             self.stats.bytes_sent += m.encoded_len() as u64;
-            self.try_flush()?;
             return Ok(());
         }
         // Blocking mode: drain anything a nonblocking phase left
@@ -268,51 +309,41 @@ impl Transport for TcpTransport {
     }
 
     fn recv_timeout(&mut self, timeout: WallDuration) -> Result<Option<Message>, TransportError> {
-        // Drain any frame already buffered.
-        if let Some(m) = Message::decode_stream(&mut self.buf)? {
-            self.stats.frames_recv += 1;
-            self.stats.bytes_recv += m.encoded_len() as u64;
+        if let Some(m) = self.take_frame()? {
             return Ok(Some(m));
         }
-        // One deadline for the whole call. A partial frame re-enters the
-        // read loop with only the *remaining* budget armed, so a peer
-        // trickling bytes (one per timeout) cannot hold the caller past
-        // its deadline — each partial read used to re-arm the full
-        // timeout, stretching a t-deadline wait to frame_len × t.
+        // One deadline for the whole call, and it bounds the *waiting*:
+        // each wait is armed with what is left of it, so a peer
+        // trickling bytes cannot hold the caller past it (the partial
+        // frame stays buffered for the next call to finish), and once
+        // it has passed the wait is a probe — only bytes the kernel
+        // already holds are still taken, so a zero budget drains a
+        // frame of any size that has arrived and nothing else.
         let deadline = Instant::now() + timeout;
-        let mut chunk = [0u8; 4096];
+        let mut chunk = [0u8; READ_CHUNK];
         loop {
-            // Arm the *remaining* budget (min 1 µs so a zero timeout
-            // still performs exactly one non-blocking-ish poll). In
-            // nonblocking mode the socket returns immediately either
-            // way; skip the timeout syscall.
-            if !self.nonblocking {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                self.stream
-                    .set_read_timeout(Some(remaining.max(WallDuration::from_micros(1))))
-                    .map_err(TransportError::Io)?;
+            let left = deadline.saturating_duration_since(Instant::now());
+            if !self.wait_readable(left).map_err(TransportError::Io)? {
+                self.stats.recv_timeouts += 1;
+                return Ok(None);
             }
             match self.stream.read(&mut chunk) {
                 Ok(0) => return Err(TransportError::Disconnected),
                 Ok(n) => {
                     self.buf.extend_from_slice(&chunk[..n]);
-                    if let Some(m) = Message::decode_stream(&mut self.buf)? {
-                        self.stats.frames_recv += 1;
-                        self.stats.bytes_recv += m.encoded_len() as u64;
+                    if let Some(m) = self.take_frame()? {
                         return Ok(Some(m));
                     }
-                    // Partial frame: keep reading, but only within what
-                    // is left of the deadline; the incomplete frame
-                    // stays buffered for the next call to finish.
+                }
+                // Readiness that came to nothing — or, off Unix, the
+                // read timeout expiring: wait again if there is time.
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                     if Instant::now() >= deadline {
                         self.stats.recv_timeouts += 1;
                         return Ok(None);
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    self.stats.recv_timeouts += 1;
-                    return Ok(None);
-                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if is_disconnect(e.kind()) => return Err(TransportError::Disconnected),
                 Err(e) => return Err(TransportError::Io(e)),
             }
@@ -346,9 +377,7 @@ impl Transport for TcpTransport {
         while !self.out.is_empty() {
             match self.stream.write(&self.out) {
                 Ok(0) => return Err(TransportError::Disconnected),
-                Ok(n) => {
-                    let _ = self.out.split_to(n);
-                }
+                Ok(n) => self.out.advance(n),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if is_disconnect(e.kind()) => return Err(TransportError::Disconnected),
@@ -686,17 +715,115 @@ mod tests {
         assert_eq!(boxed.queued_bytes(), 0);
     }
 
+    /// A connected loopback pair, both ends on the calling thread.
+    fn tcp_pair() -> (TcpTransport, TcpTransport) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let near = TcpTransport::connect(&listener.local_addr().unwrap().to_string()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (near, TcpTransport::new(stream).unwrap())
+    }
+
+    /// A zero budget is a readiness probe, not a socket timeout: the
+    /// kernel used to round the 1 µs `SO_RCVTIMEO` up to two timer
+    /// ticks, 8 ms per idle link per coordinator drain.
+    #[test]
+    fn tcp_idle_probe_is_not_a_timer_wait() {
+        let (mut near, _far) = tcp_pair();
+        let mut costs: Vec<WallDuration> = (0..20)
+            .map(|_| {
+                let t0 = Instant::now();
+                assert!(near.recv_timeout(WallDuration::ZERO).unwrap().is_none());
+                t0.elapsed()
+            })
+            .collect();
+        costs.sort_unstable();
+        assert!(
+            costs[10] < WallDuration::from_millis(1),
+            "median idle probe took {:?}",
+            costs[10]
+        );
+
+        // The cost is per link: one drain pass over 8 idle links.
+        let mut links: Vec<_> = (0..8).map(|_| tcp_pair()).collect();
+        let t0 = Instant::now();
+        for (near, _far) in &mut links {
+            assert!(near.recv_timeout(WallDuration::ZERO).unwrap().is_none());
+        }
+        assert!(
+            t0.elapsed() < WallDuration::from_millis(5),
+            "8 idle links took {:?} to drain",
+            t0.elapsed()
+        );
+    }
+
+    /// A real budget on an idle link is waited out once, in full, and
+    /// counted once.
     #[test]
     fn tcp_timeout_returns_none() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let _keep = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            std::thread::sleep(WallDuration::from_millis(300));
-            drop(stream);
-        });
-        let mut client = TcpTransport::connect(&addr.to_string()).unwrap();
-        let got = client.recv_timeout(WallDuration::from_millis(20)).unwrap();
+        let (mut near, _far) = tcp_pair();
+        let t0 = Instant::now();
+        let got = near.recv_timeout(WallDuration::from_millis(20)).unwrap();
+        let waited = t0.elapsed();
         assert!(got.is_none());
+        assert!(
+            waited >= WallDuration::from_millis(20) && waited < WallDuration::from_millis(60),
+            "a 20 ms budget was waited for {waited:?}"
+        );
+        assert_eq!(near.stats().recv_timeouts, 1);
+    }
+
+    /// Readiness wakes the wait: a frame landing early in a long budget
+    /// is returned when it lands, the budget is not slept out.
+    #[test]
+    fn tcp_arrival_wakes_the_wait() {
+        let (mut near, mut far) = tcp_pair();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(WallDuration::from_millis(5));
+            far.send(&Message::Hello { node: 1 }).unwrap();
+            far
+        });
+        let t0 = Instant::now();
+        let got = near.recv_timeout(WallDuration::from_millis(200)).unwrap();
+        assert_eq!(got, Some(Message::Hello { node: 1 }));
+        assert!(
+            t0.elapsed() < WallDuration::from_millis(50),
+            "the frame was handed over after {:?}",
+            t0.elapsed()
+        );
+        sender.join().unwrap();
+    }
+
+    /// In nonblocking mode `send` only queues: a 100-frame stats wave
+    /// leaves in one `try_flush` (O(1) writes, not one per frame), and
+    /// the peer reads every frame intact and in order.
+    #[test]
+    fn tcp_nonblocking_wave_leaves_in_one_flush() {
+        let (mut near, mut far) = tcp_pair();
+        near.set_nonblocking(true).unwrap();
+        let frame = |node| Message::Stats {
+            node,
+            now_ns: 7,
+            flows: (0..20)
+                .map(|flow| FlowStat {
+                    flow,
+                    sent: u64::from(node),
+                    finished: false,
+                    ready: true,
+                })
+                .collect(),
+        };
+        for node in 0..100 {
+            near.send(&frame(node)).unwrap();
+        }
+        assert!(near.queued_bytes() > 0, "sends reached the wire one by one");
+        assert!(
+            near.try_flush().unwrap(),
+            "one flush must empty the queue into an idle socket"
+        );
+        assert_eq!(near.queued_bytes(), 0);
+        for node in 0..100 {
+            let got = far.recv_timeout(WallDuration::from_secs(5)).unwrap();
+            assert_eq!(got, Some(frame(node)));
+        }
     }
 }
