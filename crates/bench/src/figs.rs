@@ -9,6 +9,7 @@ use saath_metrics::{
     bins, cdf_points, deviation, percentile, speedups, CoflowRecord, SpeedupSummary,
 };
 use saath_simulator::Policy;
+use saath_telemetry::Phase;
 use saath_workload::transform::scale_arrivals;
 
 fn cdf_csv(samples: &[f64]) -> String {
@@ -541,7 +542,7 @@ pub fn fig15_16(lab: &mut Lab, scale: u64, nodes_cap: usize) -> String {
 /// **Table 2** — scheduling overhead: schedule-compute latency, broken
 /// into ordering (LCoF), all-or-none, and work-conservation phases.
 pub fn table2(lab: &mut Lab) -> String {
-    use saath_core::SchedTimings;
+    use saath_metrics::avg_p90_ms;
     use saath_simulator::{simulate, SimConfig};
     use saath_workload::DynamicsSpec;
 
@@ -574,59 +575,37 @@ pub fn table2(lab: &mut Lab) -> String {
             "Aalo P90 (ms)",
         ],
     );
-    let f = |v: (f64, f64)| (format!("{:.4}", v.0), format!("{:.4}", v.1));
-    let (sa, sp) = f(saath.timings.total_avg_p90_ms());
-    let (aa, ap) = f(aalo.timings.total_avg_p90_ms());
-    t.row(&[
-        "total (paper: 0.57 / 2.85 vs 0.1 / 0.2)".into(),
-        sa,
-        sp,
-        aa,
-        ap,
-    ]);
-    let (oa, op) = f(SchedTimings::avg_p90_ms(&saath.timings.ordering));
-    t.row(&[
-        "ordering+LCoF (paper: 0.02 / 0.03)".into(),
-        oa,
-        op,
-        "-".into(),
-        "-".into(),
-    ]);
-    let (na, np) = f(SchedTimings::avg_p90_ms(&saath.timings.all_or_none));
-    t.row(&[
-        "all-or-none (paper: 0.24 / 0.7)".into(),
-        na,
-        np,
-        "-".into(),
-        "-".into(),
-    ]);
-    let (wa, wp) = f(SchedTimings::avg_p90_ms(&saath.timings.work_conservation));
-    t.row(&[
-        "work conservation (rest)".into(),
-        wa,
-        wp,
-        "-".into(),
-        "-".into(),
-    ]);
+    // Average is exact (sum / count); P90 is the histogram's bucket
+    // bound — never under, at most 12.5 % over.
+    let cells = |t: &saath_core::SchedTimings, phase: Phase| {
+        let (avg, p90) = avg_p90_ms(t.spans.hist(phase));
+        [format!("{avg:.4}"), format!("{p90:.4}")]
+    };
+    let mut row = |column: &str, saath: [String; 2], aalo: [String; 2]| {
+        t.row(&[vec![column.to_string()], saath.into(), aalo.into()].concat());
+    };
+    row(
+        "total (paper: 0.57 / 2.85 vs 0.1 / 0.2)",
+        cells(&saath.timings, Phase::SchedTotal),
+        cells(&aalo.timings, Phase::SchedTotal),
+    );
+    for (column, phase) in [
+        ("ordering+LCoF (paper: 0.02 / 0.03)", Phase::SchedOrder),
+        ("all-or-none (paper: 0.24 / 0.7)", Phase::SchedMadd),
+        ("work conservation (rest)", Phase::SchedWc),
+    ] {
+        row(
+            column,
+            cells(&saath.timings, phase),
+            ["-".into(), "-".into()],
+        );
+    }
     t.row(&[
         "rounds / max active CoFlows".into(),
         saath.timings.rounds().to_string(),
-        saath
-            .timings
-            .active_coflows
-            .iter()
-            .max()
-            .copied()
-            .unwrap_or(0)
-            .to_string(),
+        saath.timings.active_coflows.max.to_string(),
         aalo.timings.rounds().to_string(),
-        aalo.timings
-            .active_coflows
-            .iter()
-            .max()
-            .copied()
-            .unwrap_or(0)
-            .to_string(),
+        aalo.timings.active_coflows.max.to_string(),
     ]);
     t.row(&[
         "starvation rounds (paper: <1%)".into(),
@@ -876,8 +855,8 @@ fn logged_replay(
         &mut sched,
         cfg,
         dynamics,
-        Some(&mut tele),
         ReplayHooks {
+            tele: Some(&mut tele),
             sink: Some(&mut w),
             snapshot_every: opts.snapshot_every,
             resume_from: snap.as_ref().map(|s| s.blob.as_slice()),
@@ -968,14 +947,11 @@ fn sim_metrics_page(spans: &saath_telemetry::SpanProfiler, rounds: u64) -> Strin
         &[("", rounds)],
     );
     p.section("wall-clock (nondeterministic values, stable layout)");
-    let rows = spans.rows();
-    if !rows.is_empty() {
-        p.phase_summary(
-            "saath_epoch_phase_ns",
-            "Epoch lifecycle phase latency in nanoseconds",
-            &rows,
-        );
-    }
+    p.phase_summary(
+        "saath_epoch_phase_ns",
+        "Epoch lifecycle phase latency in nanoseconds",
+        spans,
+    );
     p.finish()
 }
 
@@ -1334,7 +1310,9 @@ pub fn epoch(
     log: &LogOptions,
     metrics_out: Option<&std::path::Path>,
 ) -> String {
-    use saath_simulator::{simulate, simulate_reference, simulate_with_telemetry, SimConfig};
+    use saath_simulator::{
+        simulate, simulate_reference, simulate_resumable, ReplayHooks, SimConfig,
+    };
     use saath_workload::DynamicsSpec;
     use std::time::Instant;
 
@@ -1378,12 +1356,7 @@ pub fn epoch(
             }
             .expect("epoch-loop simulation failed");
             let total = t.elapsed().as_secs_f64() * 1e3;
-            let compute = sched
-                .timings
-                .total
-                .iter()
-                .map(|x| x.as_secs_f64() * 1e3)
-                .sum::<f64>();
+            let compute = sched.timings.spans.hist(Phase::SchedTotal).sum as f64 / 1e6;
             best_total = best_total.min(total);
             best_loop = best_loop.min(total - compute);
             last = Some(out);
@@ -1408,9 +1381,18 @@ pub fn epoch(
     let mut tele = saath_telemetry::Telemetry::new();
     let mut spans = {
         let mut sched = saath_core::Saath::with_defaults();
-        simulate_with_telemetry(&trace, &mut sched, &cfg, &dynamics, Some(&mut tele))
-            .expect("instrumented epoch-loop run failed");
-        sched.timings.spans.clone()
+        simulate_resumable(
+            &trace,
+            &mut sched,
+            &cfg,
+            &dynamics,
+            ReplayHooks {
+                tele: Some(&mut tele),
+                ..ReplayHooks::none()
+            },
+        )
+        .expect("instrumented epoch-loop run failed");
+        sched.timings.spans
     };
     // One profile across both layers: scheduler phases (sched_*) from
     // `SchedTimings`, engine sections (engine_*) from the telemetry run.
@@ -1566,15 +1548,15 @@ struct ScaleRun {
     wall_ms: f64,
     rounds: u64,
     rounds_per_sec: f64,
-    sched_ms: f64,
-    contention_ms: f64,
-    ordering_ms: f64,
-    all_or_none_ms: f64,
-    work_conservation_ms: f64,
-    probe_ms: f64,
-    merge_ms: f64,
     records: Vec<saath_metrics::CoflowRecord>,
     spans: saath_telemetry::SpanProfiler,
+}
+
+impl ScaleRun {
+    /// Total time the scheduler spent in `phase`, in milliseconds.
+    fn phase_ms(&self, phase: Phase) -> f64 {
+        self.spans.hist(phase).sum as f64 / 1e6
+    }
 }
 
 /// **Scalability sweep** (Fig 9's scale axis, §5.4) — not a CCT figure:
@@ -1643,46 +1625,32 @@ pub fn scale(
         let t = Instant::now();
         let out = simulate(trace, &mut sched, &cfg, &dynamics).expect("scale-sweep run failed");
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        // `.max(0.0)` normalizes the empty sum (−0.0 since Rust 1.74)
-        // so absent probe/merge phases serialize as plain 0.0.
-        let sum_ms = |v: &[std::time::Duration]| {
-            v.iter()
-                .map(|d| d.as_secs_f64() * 1e3)
-                .sum::<f64>()
-                .max(0.0)
-        };
         ScaleRun {
             wall_ms,
             rounds: out.rounds,
             rounds_per_sec: out.rounds as f64 / (wall_ms / 1e3).max(1e-9),
-            sched_ms: sum_ms(&sched.timings.total),
-            contention_ms: sum_ms(&sched.timings.contention),
-            ordering_ms: sum_ms(&sched.timings.ordering),
-            all_or_none_ms: sum_ms(&sched.timings.all_or_none),
-            work_conservation_ms: sum_ms(&sched.timings.work_conservation),
-            probe_ms: sum_ms(&sched.timings.probe),
-            merge_ms: sum_ms(&sched.timings.merge),
             records: out.records,
-            spans: sched.timings.spans.clone(),
+            spans: sched.timings.spans,
         }
     };
     let mode_json = |label: &str, r: &ScaleRun| {
-        format!(
+        let mut doc = format!(
             "      \"{label}\": {{\n        \"wall_ms\": {:.1},\n        \
-             \"rounds_per_sec\": {:.1},\n        \"sched_ms\": {:.1},\n        \
-             \"contention_ms\": {:.1},\n        \"ordering_ms\": {:.1},\n        \
-             \"all_or_none_ms\": {:.1},\n        \"work_conservation_ms\": {:.1},\n        \
-             \"probe_ms\": {:.1},\n        \"merge_ms\": {:.1}\n      }}",
-            r.wall_ms,
-            r.rounds_per_sec,
-            r.sched_ms,
-            r.contention_ms,
-            r.ordering_ms,
-            r.all_or_none_ms,
-            r.work_conservation_ms,
-            r.probe_ms,
-            r.merge_ms,
-        )
+             \"rounds_per_sec\": {:.1}",
+            r.wall_ms, r.rounds_per_sec,
+        );
+        for (key, phase) in [
+            ("sched_ms", Phase::SchedTotal),
+            ("contention_ms", Phase::SchedContention),
+            ("ordering_ms", Phase::SchedOrder),
+            ("all_or_none_ms", Phase::SchedMadd),
+            ("work_conservation_ms", Phase::SchedWc),
+            ("probe_ms", Phase::SchedProbe),
+            ("merge_ms", Phase::SchedMerge),
+        ] {
+            doc.push_str(&format!(",\n        \"{key}\": {:.1}", r.phase_ms(phase)));
+        }
+        doc + "\n      }"
     };
 
     let mut t = Table::new(
@@ -1747,11 +1715,13 @@ pub fn scale(
             fmt_x(speedup),
             format!(
                 "{:.1} → {:.1}",
-                rebuild.contention_ms, incremental.contention_ms
+                rebuild.phase_ms(Phase::SchedContention),
+                incremental.phase_ms(Phase::SchedContention)
             ),
             format!(
                 "{:.1} → {:.1}",
-                rebuild.ordering_ms, incremental.ordering_ms
+                rebuild.phase_ms(Phase::SchedOrder),
+                incremental.phase_ms(Phase::SchedOrder)
             ),
         ]);
         point_docs.push(format!(
@@ -1767,7 +1737,7 @@ pub fn scale(
         ));
         oracles.push((
             incremental.records.clone(),
-            incremental.sched_ms,
+            incremental.phase_ms(Phase::SchedTotal),
             incremental.wall_ms,
         ));
     }
@@ -1820,8 +1790,8 @@ pub fn scale(
                 sched,
                 &cfg,
                 &dynamics,
-                None,
                 ReplayHooks {
+                    tele: None,
                     sink: Some(&mut w),
                     snapshot_every: 0,
                     resume_from: None,
@@ -1868,15 +1838,10 @@ pub fn scale(
                     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
                     let overhead = wall_ms / base_wall_ms.max(1e-9);
                     let max_shard_sched_ms = (0..k)
-                        .map(|i| {
-                            sched
-                                .shard_timings(i)
-                                .total
-                                .iter()
-                                .map(|d| d.as_secs_f64() * 1e3)
-                                .sum::<f64>()
-                        })
-                        .fold(0.0f64, f64::max);
+                        .map(|i| sched.shard_timings(i).spans.hist(Phase::SchedTotal).sum)
+                        .max()
+                        .unwrap_or(0) as f64
+                        / 1e6;
                     let sched_speedup = oracle_sched_ms / max_shard_sched_ms.max(1e-9);
                     let identical = &out.records == oracle_records;
                     assert!(
@@ -1959,7 +1924,7 @@ pub fn scale(
         }
     }
     if let Some(path) = metrics_out {
-        let rounds = inc_spans.hist(saath_telemetry::Phase::SchedTotal).count;
+        let rounds = inc_spans.hist(Phase::SchedTotal).count;
         write_metrics_out(path, &sim_metrics_page(&inc_spans, rounds));
     }
     if json {
@@ -2008,7 +1973,8 @@ pub fn scale(
 /// deadlines). `small` uses the lab's FB trace instead of the grown
 /// ≥ 10k-flow workload (CI smoke test).
 pub fn trace_diag(lab: &Lab, small: bool) -> String {
-    use saath_simulator::{simulate_with_telemetry, SimConfig};
+    use saath_metrics::avg_p90_ms;
+    use saath_simulator::{simulate_resumable, ReplayHooks, SimConfig};
     use saath_workload::DynamicsSpec;
 
     let trace = if small {
@@ -2025,26 +1991,33 @@ pub fn trace_diag(lab: &Lab, small: bool) -> String {
     // `MechCounters` stay reachable after the run.
     for policy in ["saath", "aalo"] {
         let mut tele = saath_telemetry::Telemetry::with_jsonl();
+        let mut replay = |s: &mut dyn saath_core::CoflowScheduler| {
+            let hooks = ReplayHooks {
+                tele: Some(&mut tele),
+                ..ReplayHooks::none()
+            };
+            simulate_resumable(&trace, s, &cfg, &dynamics, hooks)
+                .unwrap_or_else(|e| panic!("trace diagnosis: {policy} failed: {e}"));
+        };
         let mech = match policy {
             "saath" => {
                 let mut s = saath_core::Saath::with_defaults();
-                simulate_with_telemetry(&trace, &mut s, &cfg, &dynamics, Some(&mut tele))
-                    .unwrap_or_else(|e| panic!("trace diagnosis: saath failed: {e}"));
+                replay(&mut s);
                 // Wall-clock phase spans stay out of the deterministic
                 // JSONL; report them here alongside the counters.
-                let f = |v: &[std::time::Duration]| saath_core::SchedTimings::avg_p90_ms(v);
-                let (ca, cp) = f(&s.timings.contention);
+                let f = |phase: Phase| avg_p90_ms(s.timings.spans.hist(phase));
+                let (ca, cp) = f(Phase::SchedContention);
                 out.push_str(&format!(
                     "saath contention phase: {ca:.4} ms avg / {cp:.4} ms P90\n"
                 ));
-                if s.timings.probe.is_empty() {
+                if s.timings.spans.hist(Phase::SchedProbe).count == 0 {
                     out.push_str(
                         "saath probe/merge phases: (serial admission — \
                          rebuild with --features parallel)\n",
                     );
                 } else {
-                    let (pa, pp) = f(&s.timings.probe);
-                    let (ma, mp) = f(&s.timings.merge);
+                    let (pa, pp) = f(Phase::SchedProbe);
+                    let (ma, mp) = f(Phase::SchedMerge);
                     out.push_str(&format!(
                         "saath probe phase: {pa:.4} ms avg / {pp:.4} ms P90 \
                          (sharded); merge: {ma:.4} ms avg / {mp:.4} ms P90\n"
@@ -2058,8 +2031,7 @@ pub fn trace_diag(lab: &Lab, small: bool) -> String {
             }
             _ => {
                 let mut s = saath_core::Aalo::with_defaults();
-                simulate_with_telemetry(&trace, &mut s, &cfg, &dynamics, Some(&mut tele))
-                    .unwrap_or_else(|e| panic!("trace diagnosis: aalo failed: {e}"));
+                replay(&mut s);
                 s.mech
             }
         };
@@ -2082,9 +2054,9 @@ pub fn trace_diag(lab: &Lab, small: bool) -> String {
             &["shard", "sched ms", "avg ms", "p90 ms"],
         );
         for s in 0..part.shards() {
-            let t = part.shard_timings(s);
-            let (avg, p90) = saath_core::SchedTimings::avg_p90_ms(&t.total);
-            let total: f64 = t.total.iter().map(|d| d.as_secs_f64() * 1e3).sum();
+            let h = part.shard_timings(s).spans.hist(Phase::SchedTotal);
+            let (avg, p90) = avg_p90_ms(h);
+            let total = h.sum as f64 / 1e6;
             pt.row(&[
                 s.to_string(),
                 format!("{total:.1}"),

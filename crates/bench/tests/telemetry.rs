@@ -13,8 +13,8 @@
 //!    live flow population — while records stay byte-identical to the
 //!    recompute-everything reference loop.
 
-use saath_core::{Aalo, Saath};
-use saath_simulator::{simulate_reference, simulate_with_telemetry, SimConfig, SimOutput};
+use saath_core::{Aalo, CoflowScheduler, Saath};
+use saath_simulator::{simulate_reference, simulate_resumable, ReplayHooks, SimConfig, SimOutput};
 use saath_telemetry::{Counter, Telemetry};
 use saath_workload::{gen, DynamicsSpec, Trace};
 
@@ -31,14 +31,21 @@ fn mini_fb(seed: u64) -> Trace {
     gen::generate(&cfg)
 }
 
-fn instrumented_saath(trace: &Trace, dynamics: &DynamicsSpec) -> (SimOutput, Telemetry) {
+fn instrumented(
+    trace: &Trace,
+    sched: &mut dyn CoflowScheduler,
+    dynamics: &DynamicsSpec,
+) -> (SimOutput, Telemetry) {
     let mut tele = Telemetry::with_jsonl();
-    let out = simulate_with_telemetry(
+    let out = simulate_resumable(
         trace,
-        &mut Saath::with_defaults(),
+        sched,
         &SimConfig::default(),
         dynamics,
-        Some(&mut tele),
+        ReplayHooks {
+            tele: Some(&mut tele),
+            ..ReplayHooks::none()
+        },
     )
     .unwrap();
     (out, tele)
@@ -47,8 +54,8 @@ fn instrumented_saath(trace: &Trace, dynamics: &DynamicsSpec) -> (SimOutput, Tel
 #[test]
 fn jsonl_trace_is_byte_stable_and_matches_golden_head() {
     let trace = mini_fb(5);
-    let (_, a) = instrumented_saath(&trace, &DynamicsSpec::none());
-    let (_, b) = instrumented_saath(&trace, &DynamicsSpec::none());
+    let (_, a) = instrumented(&trace, &mut Saath::with_defaults(), &DynamicsSpec::none());
+    let (_, b) = instrumented(&trace, &mut Saath::with_defaults(), &DynamicsSpec::none());
     assert_eq!(a.jsonl(), b.jsonl(), "JSONL trace not byte-stable");
     if !saath_telemetry::enabled() {
         assert!(a.jsonl().is_empty());
@@ -85,17 +92,9 @@ fn both_policies_report_nonzero_mechanism_counts() {
     }
     let trace = mini_fb(5);
 
-    let (out, tele) = instrumented_saath(&trace, &DynamicsSpec::none());
-    assert_eq!(out.unfinished, 0);
     let mut saath = Saath::with_defaults();
-    let _ = simulate_with_telemetry(
-        &trace,
-        &mut saath,
-        &SimConfig::default(),
-        &DynamicsSpec::none(),
-        Some(&mut Telemetry::new()),
-    )
-    .unwrap();
+    let (out, tele) = instrumented(&trace, &mut saath, &DynamicsSpec::none());
+    assert_eq!(out.unfinished, 0);
     assert!(tele.counter(Counter::SchedRounds) > 0);
     assert!(tele.counter(Counter::HeapPopStale) > 0);
     assert!(tele.dirty_set.count > 0 && tele.dirty_set.max > 0);
@@ -121,15 +120,7 @@ fn both_policies_report_nonzero_mechanism_counts() {
     }
 
     let mut aalo = Aalo::with_defaults();
-    let mut tele = Telemetry::new();
-    let out = simulate_with_telemetry(
-        &trace,
-        &mut aalo,
-        &SimConfig::default(),
-        &DynamicsSpec::none(),
-        Some(&mut tele),
-    )
-    .unwrap();
+    let (out, tele) = instrumented(&trace, &mut aalo, &DynamicsSpec::none());
     assert_eq!(out.unfinished, 0);
     assert!(tele.counter(Counter::HeapPopStale) > 0);
     assert!(tele.dirty_set.count > 0);
@@ -157,7 +148,7 @@ fn heap_compaction_bounds_stale_entries_under_churn() {
         0.20,
         saath_simcore::Duration::from_secs(1),
     );
-    let (out, tele) = instrumented_saath(&trace, &spec);
+    let (out, tele) = instrumented(&trace, &mut Saath::with_defaults(), &spec);
 
     // Compaction must never change what the simulation computes.
     let reference = simulate_reference(

@@ -20,7 +20,7 @@ use crate::timing::SchedTimings;
 use crate::view::{ClusterView, CoflowScheduler, Schedule};
 use saath_fabric::{greedy_fill_into, FlowEndpoints, PortBank};
 use saath_simcore::{CoflowId, FastHashMap, FastHashSet, Time};
-use saath_telemetry::MechCounters;
+use saath_telemetry::{MechCounters, Phase};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -364,8 +364,10 @@ impl CoflowScheduler for Aalo {
             }
         }
 
-        self.timings.record_total(t_total.elapsed());
-        self.timings.active_coflows.push(view.coflows.len());
+        self.timings.record(Phase::SchedTotal, t_total.elapsed());
+        self.timings
+            .active_coflows
+            .observe(view.coflows.len() as u64);
     }
 
     fn mech_counters(&self) -> Option<&MechCounters> {

@@ -44,7 +44,7 @@ pub mod view;
 
 pub use aalo::Aalo;
 pub use config::QueueConfig;
-pub use merge::{merge_rates, merge_rates_rotated};
+pub use merge::merge_rates_rotated;
 pub use offline::{OfflinePolicy, OfflineScheduler};
 pub use saath::{Saath, SaathConfig};
 pub use summary::ContentionSummary;

@@ -17,23 +17,15 @@ use saath_simcore::{FlowId, PortId, Rate};
 /// stats wave, a fresh restart, or stale contention summaries in
 /// partitioned mode), where clamping restores feasibility without
 /// coordination.
-pub fn merge_rates(
-    entries: &mut [(FlowId, Rate, PortId, PortId)],
-    bank: &mut PortBank,
-    out: &mut Schedule,
-) -> u64 {
-    merge_rates_rotated(entries, bank, out, 0)
-}
-
-/// [`merge_rates`] with the clamp order rotated by `seed` (typically
-/// the scheduling round): entries are still sorted by flow id, but
-/// allocation starts `seed % len` entries in and wraps. When clamping
-/// is routine — the partitioned path, where stale summaries let shards
-/// overcommit — a fixed order starves the same high-id flows on
-/// contested ports every round; rotating the order spreads the clamp
-/// damage across flows over time, bounding per-CoFlow delay. With zero
-/// clamps (agreeing replicas) the order is irrelevant, so the
-/// replicated path's byte-identity is unaffected by which variant runs.
+///
+/// The clamp order is rotated by `seed` (typically the scheduling
+/// round): allocation starts `seed % len` entries into the sorted
+/// order and wraps. When clamping is routine — the partitioned path,
+/// where stale summaries let shards overcommit — a fixed order starves
+/// the same high-id flows on contested ports every round; rotating the
+/// order spreads the clamp damage across flows over time, bounding
+/// per-CoFlow delay. With zero clamps (agreeing replicas) the order is
+/// irrelevant, so the replicated path's byte-identity is unaffected.
 pub fn merge_rates_rotated(
     entries: &mut [(FlowId, Rate, PortId, PortId)],
     bank: &mut PortBank,

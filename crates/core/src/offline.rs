@@ -28,6 +28,7 @@ use saath_fabric::{
     bottleneck_time_with, greedy_fill_into, madd_rates_with, FlowEndpoints, MaddScratch, PortBank,
 };
 use saath_simcore::{Bytes, Duration, Rate};
+use saath_telemetry::Phase;
 use std::time::Instant;
 
 /// The ordering key a clairvoyant scheduler uses.
@@ -294,8 +295,8 @@ impl CoflowScheduler for OfflineScheduler {
             }
         }
 
-        self.timings.record_total(t_total.elapsed());
-        self.timings.active_coflows.push(n);
+        self.timings.record(Phase::SchedTotal, t_total.elapsed());
+        self.timings.active_coflows.observe(n as u64);
     }
 }
 

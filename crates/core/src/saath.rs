@@ -33,7 +33,7 @@ use crate::timing::SchedTimings;
 use crate::view::{ClusterView, CoflowScheduler, CoflowView, Schedule};
 use saath_fabric::{gang_allocate, gang_rate_with, greedy_fill_into, FlowEndpoints, PortBank};
 use saath_simcore::{Bytes, CoflowId, FastHashMap, FastHashSet, Rate, Time};
-use saath_telemetry::MechCounters;
+use saath_telemetry::{MechCounters, Phase};
 use std::time::Instant;
 
 /// Saath configuration. [`SaathConfig::default`] is the full paper
@@ -345,7 +345,7 @@ impl Saath {
                 start += len;
             }
         });
-        self.timings.record_probe(t_probe.elapsed());
+        self.timings.record(Phase::SchedProbe, t_probe.elapsed());
         true
     }
 
@@ -451,7 +451,7 @@ impl Saath {
                 }
             }
         }
-        self.timings.record_merge(t_merge.elapsed());
+        self.timings.record(Phase::SchedMerge, t_merge.elapsed());
     }
 }
 
@@ -645,7 +645,8 @@ impl CoflowScheduler for Saath {
                 }
             }
         }
-        self.timings.record_contention(t_contention.elapsed());
+        self.timings
+            .record(Phase::SchedContention, t_contention.elapsed());
 
         // Global scan order: queue asc (strict priority), expired
         // deadlines first within the queue, then LCoF (or FIFO), then
@@ -739,7 +740,7 @@ impl CoflowScheduler for Saath {
                 self.mech.starvation_rescues += 1;
             }
         }
-        let order_elapsed = t_order.elapsed();
+        self.timings.record(Phase::SchedOrder, t_order.elapsed());
 
         // ---- All-or-none admission (D1 step 4, D2) ----
         let t_an = Instant::now();
@@ -757,7 +758,7 @@ impl CoflowScheduler for Saath {
         } else {
             self.admit_serial(view, bank, out);
         }
-        let an_elapsed = t_an.elapsed();
+        self.timings.record(Phase::SchedMadd, t_an.elapsed());
 
         // ---- Work conservation (D4) ----
         let t_wc = Instant::now();
@@ -780,13 +781,9 @@ impl CoflowScheduler for Saath {
                 }
             }
         }
-        let wc_elapsed = t_wc.elapsed();
-
-        self.timings.record_ordering(order_elapsed);
-        self.timings.record_all_or_none(an_elapsed);
-        self.timings.record_work_conservation(wc_elapsed);
-        self.timings.record_total(t_total.elapsed());
-        self.timings.active_coflows.push(n);
+        self.timings.record(Phase::SchedWc, t_wc.elapsed());
+        self.timings.record(Phase::SchedTotal, t_total.elapsed());
+        self.timings.active_coflows.observe(n as u64);
     }
 
     fn mech_counters(&self) -> Option<&MechCounters> {
@@ -1419,9 +1416,10 @@ mod tests {
             let _ = run(&mut s, &coflows, 2, Time::from_millis(i * 8));
         }
         assert_eq!(s.timings.rounds(), 3);
-        assert_eq!(s.timings.active_coflows, vec![1, 1, 1]);
-        assert_eq!(s.timings.ordering.len(), 3);
-        assert_eq!(s.timings.all_or_none.len(), 3);
-        assert_eq!(s.timings.work_conservation.len(), 3);
+        let active = &s.timings.active_coflows;
+        assert_eq!((active.count, active.min, active.max), (3, 1, 1));
+        for phase in [Phase::SchedOrder, Phase::SchedMadd, Phase::SchedWc] {
+            assert_eq!(s.timings.spans.hist(phase).count, 3);
+        }
     }
 }

@@ -3,9 +3,11 @@
 //! The paper breaks the coordinator's schedule-compute time into the
 //! time spent ordering CoFlows (per-flow thresholds + LCoF), admitting
 //! them all-or-none, and assigning work-conservation rates. [`Saath`]
-//! (and the other schedulers, for the total) accumulate wall-clock
-//! samples here; `repro table2` and the Criterion benches report the
-//! same columns as the paper: average and P90, total and per phase.
+//! (and the other schedulers, for the total) record one wall-clock
+//! sample per phase per round here, into fixed-size histograms; `repro
+//! table2` and the Criterion benches report the same columns as the
+//! paper: average (exact, `sum / count`) and P90 (a ≤ 12.5 % upper
+//! bound), total and per phase.
 //!
 //! These are *wall-clock* measurements of this Rust implementation, the
 //! one place in the workspace allowed to touch `std::time::Instant` —
@@ -13,134 +15,34 @@
 //!
 //! [`Saath`]: crate::saath::Saath
 
-use saath_telemetry::{Phase, SpanProfiler};
+use saath_telemetry::{LogHist, Phase, SpanProfiler};
 use std::time::Duration as StdDuration;
 
-/// Accumulated per-round timings.
-///
-/// Each phase is recorded twice from one `Instant` measurement: as a
-/// raw per-round sample in the phase's `Vec` (Table 2's avg/P90 and
-/// the sweep JSON read these) and as a log2 bucket in [`spans`]
-/// (`SchedTimings::spans`), the workspace-wide [`SpanProfiler`] that
-/// powers the per-phase p50/p90/p99/max table and the Prometheus
-/// exposition. Use the `record_*` methods so the two views can never
-/// diverge.
+/// Accumulated per-round timings: one histogram per scheduler phase
+/// plus the active-set size, all fixed-size — past each one's first
+/// sample a round allocates nothing, however long the scheduler runs.
 #[derive(Clone, Debug, Default)]
 pub struct SchedTimings {
-    /// Total time of each `compute()` round.
-    pub total: Vec<StdDuration>,
-    /// Time ordering CoFlows (queue assignment + sort — "LCoF" column).
-    pub ordering: Vec<StdDuration>,
-    /// Time computing per-CoFlow contention `k_c` (a sub-span of
-    /// `ordering`): the incremental tracker's delta update, or the full
-    /// `contention_into` rebuild when that is disabled. Empty for
-    /// schedulers/configs that never compute contention.
-    pub contention: Vec<StdDuration>,
-    /// Time in all-or-none admission + rate assignment.
-    pub all_or_none: Vec<StdDuration>,
-    /// Time assigning work-conservation rates.
-    pub work_conservation: Vec<StdDuration>,
-    /// Time in the sharded speculative gang-probe fan-out (wall-clock
-    /// across all shards). Empty unless the `parallel` feature ran.
-    pub probe: Vec<StdDuration>,
-    /// Time in the deterministic serial merge of speculative probes.
-    /// Empty unless the `parallel` feature ran.
-    pub merge: Vec<StdDuration>,
-    /// Active CoFlows per round (context for the latency numbers).
-    pub active_coflows: Vec<usize>,
-    /// Log2-bucketed per-phase latency histograms, fed by the same
-    /// samples as the `Vec`s above (see the struct docs).
+    /// Per-phase latency histograms (nanoseconds). The `Sched*`
+    /// phases: total `compute()` round, ordering ("LCoF" column) with
+    /// its contention sub-span, all-or-none admission + rate
+    /// assignment, work conservation, and — only when the `parallel`
+    /// feature ran — the speculative probe fan-out and its merge.
     pub spans: SpanProfiler,
+    /// Active CoFlows per round (context for the latency numbers).
+    pub active_coflows: LogHist,
 }
 
 impl SchedTimings {
     /// Number of recorded rounds.
-    pub fn rounds(&self) -> usize {
-        self.total.len()
+    pub fn rounds(&self) -> u64 {
+        self.spans.hist(Phase::SchedTotal).count
     }
 
-    /// Drops all samples.
-    pub fn clear(&mut self) {
-        self.total.clear();
-        self.ordering.clear();
-        self.contention.clear();
-        self.all_or_none.clear();
-        self.work_conservation.clear();
-        self.probe.clear();
-        self.merge.clear();
-        self.active_coflows.clear();
-        self.spans = SpanProfiler::new();
-    }
-
-    /// Records one whole-`compute()` round sample.
+    /// Records one sample of `phase`.
     #[inline]
-    pub fn record_total(&mut self, d: StdDuration) {
-        self.total.push(d);
-        self.spans.observe(Phase::SchedTotal, d.as_nanos() as u64);
-    }
-
-    /// Records one ordering-phase sample.
-    #[inline]
-    pub fn record_ordering(&mut self, d: StdDuration) {
-        self.ordering.push(d);
-        self.spans.observe(Phase::SchedOrder, d.as_nanos() as u64);
-    }
-
-    /// Records one contention-phase sample.
-    #[inline]
-    pub fn record_contention(&mut self, d: StdDuration) {
-        self.contention.push(d);
-        self.spans
-            .observe(Phase::SchedContention, d.as_nanos() as u64);
-    }
-
-    /// Records one all-or-none (gang admission + MADD) sample.
-    #[inline]
-    pub fn record_all_or_none(&mut self, d: StdDuration) {
-        self.all_or_none.push(d);
-        self.spans.observe(Phase::SchedMadd, d.as_nanos() as u64);
-    }
-
-    /// Records one work-conservation sample.
-    #[inline]
-    pub fn record_work_conservation(&mut self, d: StdDuration) {
-        self.work_conservation.push(d);
-        self.spans.observe(Phase::SchedWc, d.as_nanos() as u64);
-    }
-
-    /// Records one parallel gang-probe fan-out sample.
-    #[inline]
-    pub fn record_probe(&mut self, d: StdDuration) {
-        self.probe.push(d);
-        self.spans.observe(Phase::SchedProbe, d.as_nanos() as u64);
-    }
-
-    /// Records one speculative-probe merge sample.
-    #[inline]
-    pub fn record_merge(&mut self, d: StdDuration) {
-        self.merge.push(d);
-        self.spans.observe(Phase::SchedMerge, d.as_nanos() as u64);
-    }
-
-    /// `(average, p90)` of a sample column, in milliseconds.
-    ///
-    /// The P90 is `saath_metrics::stats::percentile` — one nearest-rank
-    /// definition for the whole workspace, so Table 2 here and the
-    /// sweep reports can never silently diverge (and its NaN handling
-    /// applies in both places).
-    pub fn avg_p90_ms(samples: &[StdDuration]) -> (f64, f64) {
-        if samples.is_empty() {
-            return (0.0, 0.0);
-        }
-        let ms: Vec<f64> = samples.iter().map(|d| d.as_secs_f64() * 1e3).collect();
-        let avg = ms.iter().sum::<f64>() / ms.len() as f64;
-        let p90 = saath_metrics::stats::percentile(&ms, 90.0).unwrap_or(0.0);
-        (avg, p90)
-    }
-
-    /// Convenience summary: `(avg_ms, p90_ms)` for the total column.
-    pub fn total_avg_p90_ms(&self) -> (f64, f64) {
-        Self::avg_p90_ms(&self.total)
+    pub fn record(&mut self, phase: Phase, d: StdDuration) {
+        self.spans.observe(phase, d.as_nanos() as u64);
     }
 }
 
@@ -149,39 +51,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn avg_and_p90() {
-        let samples: Vec<StdDuration> = (1..=10).map(StdDuration::from_millis).collect();
-        let (avg, p90) = SchedTimings::avg_p90_ms(&samples);
-        assert!((avg - 5.5).abs() < 1e-9);
-        assert!((p90 - 9.0).abs() < 1e-9);
-        assert_eq!(SchedTimings::avg_p90_ms(&[]), (0.0, 0.0));
-    }
-
-    #[test]
-    fn clear_resets() {
+    fn record_feeds_the_phase_histogram() {
         let mut t = SchedTimings::default();
-        t.record_total(StdDuration::from_millis(1));
-        t.active_coflows.push(3);
-        assert_eq!(t.rounds(), 1);
-        t.clear();
-        assert_eq!(t.rounds(), 0);
-        assert!(t.active_coflows.is_empty());
-        assert_eq!(t.spans.hist(Phase::SchedTotal).count, 0);
-    }
-
-    #[test]
-    fn record_feeds_vec_and_span_hist_from_one_sample() {
-        let mut t = SchedTimings::default();
-        t.record_ordering(StdDuration::from_micros(10));
-        t.record_ordering(StdDuration::from_micros(20));
-        t.record_contention(StdDuration::from_micros(5));
-        assert_eq!(t.ordering.len(), 2);
-        assert_eq!(t.contention.len(), 1);
+        t.record(Phase::SchedOrder, StdDuration::from_micros(10));
+        t.record(Phase::SchedOrder, StdDuration::from_micros(20));
+        t.record(Phase::SchedContention, StdDuration::from_micros(5));
         let h = t.spans.hist(Phase::SchedOrder);
-        assert_eq!(h.count, 2);
-        assert_eq!(h.max, 20_000);
+        assert_eq!((h.count, h.sum, h.max), (2, 30_000, 20_000));
         assert_eq!(t.spans.hist(Phase::SchedContention).count, 1);
-        // Phases never recorded stay empty (no probe/merge here).
+        // Phases never recorded stay empty (no probe/merge here), and
+        // rounds are counted by the total phase alone.
         assert_eq!(t.spans.hist(Phase::SchedProbe).count, 0);
+        assert_eq!(t.rounds(), 0);
+        t.record(Phase::SchedTotal, StdDuration::from_millis(1));
+        assert_eq!(t.rounds(), 1);
     }
 }

@@ -11,6 +11,7 @@ use crate::timing::SchedTimings;
 use crate::view::{ClusterView, CoflowScheduler, Schedule};
 use saath_fabric::{max_min_fair_into, FlowEndpoints, MaxMinScratch, PortBank};
 use saath_simcore::Rate;
+use saath_telemetry::Phase;
 use std::time::Instant;
 
 /// The UC-TCP scheduler.
@@ -54,8 +55,10 @@ impl CoflowScheduler for UcTcp {
                 out.set(e.flow, r);
             }
         }
-        self.timings.record_total(t_total.elapsed());
-        self.timings.active_coflows.push(view.coflows.len());
+        self.timings.record(Phase::SchedTotal, t_total.elapsed());
+        self.timings
+            .active_coflows
+            .observe(view.coflows.len() as u64);
     }
 }
 

@@ -26,5 +26,5 @@ pub use record::CoflowRecord;
 pub use speedup::{speedups, SpeedupSummary};
 pub use stats::{cdf_points, mean, median, percentile};
 pub use telemetry_report::{
-    engine_table, eventlog_line, mech_breakdown_line, mech_table, phase_table,
+    avg_p90_ms, engine_table, eventlog_line, mech_breakdown_line, mech_table, phase_table,
 };

@@ -5,23 +5,13 @@
 //! 3.1% stale heap pops") and the event-log summary line.
 
 use crate::table::Table;
-use saath_telemetry::{Counter, Hist, LogHist, MechCounters, Telemetry};
+use saath_telemetry::{Counter, LogHist, MechCounters, SpanProfiler, Telemetry};
 
-fn hist_cells(name: &str, h: &Hist) -> [String; 6] {
+fn loghist_cells(name: &str, h: &LogHist) -> [String; 7] {
     [
         name.to_string(),
         h.count.to_string(),
         h.min.to_string(),
-        format!("{:.1}", h.mean()),
-        h.max.to_string(),
-        "-".into(),
-    ]
-}
-
-fn loghist_cells(name: &str, h: &LogHist) -> [String; 6] {
-    [
-        name.to_string(),
-        h.count.to_string(),
         h.p50().to_string(),
         format!("{:.1}", h.mean()),
         h.max.to_string(),
@@ -29,46 +19,31 @@ fn loghist_cells(name: &str, h: &LogHist) -> [String; 6] {
     ]
 }
 
-/// Renders the engine-side counters and histograms as one table.
-///
-/// Set-size histograms ([`Hist`]) report count/min/mean/max;
-/// wall-time histograms ([`LogHist`]) report count/p50/mean/max/p99
-/// (the `min` column doubles as p50 — the header names both).
+/// Renders the engine-side counters and histograms as one table:
+/// set sizes in their own unit, `span:` rows in nanoseconds.
 pub fn engine_table(policy: &str, tele: &Telemetry) -> Table {
     let mut t = Table::new(
         format!("engine telemetry — {policy}"),
-        &["counter", "count", "min|p50", "mean", "max", "p99"],
+        &["counter", "count", "min", "p50", "mean", "max", "p99"],
     );
+    // Counters have no distribution; fill the stat columns with "-".
+    let mut scalar = |name: &str, value: String| {
+        let mut cells = vec![name.to_string(), value];
+        cells.resize(7, "-".into());
+        t.row(&cells);
+    };
     for (name, v) in tele.counter_rows() {
-        // Counters have no distribution; fill the stat columns with "-".
-        t.row(&[
-            name.to_string(),
-            v.to_string(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
+        scalar(name, v.to_string());
     }
-    t.row(&[
-        "stale_pop_ratio".to_string(),
-        format!("{:.3}", tele.stale_pop_ratio()),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-    ]);
+    scalar("stale_pop_ratio", format!("{:.3}", tele.stale_pop_ratio()));
     for (name, h) in [
         ("dirty_set_size", &tele.dirty_set),
         ("heap_len", &tele.heap_len),
         ("active_coflows", &tele.active_coflows),
     ] {
         if h.count > 0 {
-            t.row(&hist_cells(name, h));
+            t.row(&loghist_cells(name, h));
         }
-    }
-    if tele.round_wall_ns.count > 0 {
-        t.row(&loghist_cells("round_wall_ns", &tele.round_wall_ns));
     }
     for (name, h) in tele.spans.rows() {
         t.row(&loghist_cells(&format!("span:{name}"), h));
@@ -76,10 +51,18 @@ pub fn engine_table(policy: &str, tele: &Telemetry) -> Table {
     t
 }
 
+/// `(average, p90)` of a nanosecond histogram, in milliseconds — the
+/// two numbers the paper's Table 2 reports per phase. The average is
+/// exact (`sum / count`); the P90 is the histogram's conservative
+/// bucket bound (≤ 12.5 % over, never under).
+pub fn avg_p90_ms(h: &LogHist) -> (f64, f64) {
+    (h.mean() / 1e6, h.p90() as f64 / 1e6)
+}
+
 /// Renders a per-phase latency table (p50/p90/p99/max in
 /// milliseconds, plus sample count) from any span profiler — the
 /// scheduler's `SchedTimings::spans` or a `Telemetry`'s engine spans.
-pub fn phase_table(title: &str, spans: &saath_telemetry::SpanProfiler) -> Table {
+pub fn phase_table(title: &str, spans: &SpanProfiler) -> Table {
     let mut t = Table::new(
         format!("phase latency — {title}"),
         &["phase", "count", "p50 ms", "p90 ms", "p99 ms", "max ms"],
@@ -147,44 +130,70 @@ mod tests {
 
     #[test]
     fn tables_render_without_samples() {
-        let tele = Telemetry::new();
-        let t = engine_table("saath", &tele);
-        let txt = t.render();
-        assert!(txt.contains("heap_pushes"));
+        let txt = engine_table("saath", &Telemetry::new()).render();
         assert!(txt.contains("stale_pop_ratio"));
-        // The event-log counters are first-class rows.
-        assert!(txt.contains("log_rounds_appended"));
-        assert!(txt.contains("log_bytes_written"));
-        assert!(txt.contains("log_snapshots"));
-        assert!(txt.contains("log_chain_verifies"));
         // Histograms with no samples are omitted.
-        assert!(!txt.contains("round_wall_ns"));
+        assert!(!txt.contains("heap_len"));
+        assert!(!txt.contains("span:"));
 
         let m = mech_table("saath", &MechCounters::default());
         assert!(m.render().contains("queue_transitions"));
     }
 
+    /// Golden string: set sizes and spans share one row shape with
+    /// real `min` and `p50` columns (one histogram type, one renderer).
     #[test]
-    fn engine_table_shows_wall_time_percentiles() {
+    fn engine_table_golden() {
         let mut tele = Telemetry::new();
-        for v in [1_000u64, 2_000, 4_000] {
-            tele.round_wall_ns.observe(v);
+        for v in [3u64, 5, 40] {
+            tele.dirty_set.observe(v);
         }
-        tele.spans.observe(Phase::EngineViewSync, 10_000);
-        let txt = engine_table("saath", &tele).render();
-        assert!(txt.contains("round_wall_ns"));
-        assert!(txt.contains("span:engine_view_sync"));
+        tele.heap_len.observe(7);
+        for v in [1_000u64, 2_000, 4_000] {
+            tele.spans.observe(Phase::EngineRound, v);
+        }
+        assert_eq!(
+            engine_table("saath", &tele).render(),
+            "== engine telemetry — saath ==\n\
+             counter               count  min   p50   mean    max   p99\n\
+             -----------------------------------------------------------\n\
+             heap_pushes           0      -     -     -       -     -\n\
+             heap_pops_current     0      -     -     -       -     -\n\
+             heap_pops_stale       0      -     -     -       -     -\n\
+             heap_pops_superseded  0      -     -     -       -     -\n\
+             heap_pops_dead        0      -     -     -       -     -\n\
+             heap_compactions      0      -     -     -       -     -\n\
+             sched_rounds          0      -     -     -       -     -\n\
+             log_rounds_appended   0      -     -     -       -     -\n\
+             log_bytes_written     0      -     -     -       -     -\n\
+             log_snapshots         0      -     -     -       -     -\n\
+             log_chain_verifies    0      -     -     -       -     -\n\
+             stale_pop_ratio       0.000  -     -     -       -     -\n\
+             dirty_set_size        3      3     5     16.0    40    40\n\
+             heap_len              1      7     7     7.0     7     7\n\
+             span:engine_round     3      1000  2047  2333.3  4000  4000\n"
+        );
     }
 
     #[test]
-    fn phase_table_renders_ms_columns() {
-        let mut spans = saath_telemetry::SpanProfiler::new();
-        spans.observe(Phase::SchedTotal, 2_000_000); // 2 ms
+    fn phase_table_golden() {
+        let mut spans = SpanProfiler::new();
+        for ns in [1_500_000u64, 2_000_000, 40_000_000] {
+            spans.observe(Phase::SchedTotal, ns);
+        }
         spans.observe(Phase::SchedOrder, 500_000);
-        let txt = phase_table("saath", &spans).render();
-        assert!(txt.contains("sched_total"));
-        assert!(txt.contains("sched_order"));
-        assert!(txt.contains("p99 ms"));
+        assert_eq!(
+            phase_table("saath", &spans).render(),
+            "== phase latency — saath ==\n\
+             phase        count  p50 ms  p90 ms  p99 ms  max ms\n\
+             --------------------------------------------------\n\
+             sched_total  3      2.097   40.000  40.000  40.000\n\
+             sched_order  1      0.500   0.500   0.500   0.500\n"
+        );
+        let (avg, p90) = avg_p90_ms(spans.hist(Phase::SchedTotal));
+        assert!((avg - 14.5).abs() < 1e-9, "exact mean, got {avg}");
+        assert_eq!(p90, 40.0);
+        assert_eq!(avg_p90_ms(&LogHist::new()), (0.0, 0.0));
     }
 
     #[test]

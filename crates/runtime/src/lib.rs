@@ -60,5 +60,5 @@ pub use clock::EmuClock;
 pub use harness::{emulate, EmulationConfig, EmulationReport, TransportKind};
 pub use host::run_agent_host;
 pub use metrics::{MetricsHub, MetricsServer};
-pub use shard::{merge_rates, run_shard, run_sharded_coordinator, ShardFailover};
+pub use shard::{run_shard, run_sharded_coordinator, ShardFailover};
 pub use transport::TransportStats;

@@ -25,7 +25,7 @@
 
 use crate::transport::TransportStats;
 use saath_telemetry::prom::PromText;
-use saath_telemetry::{LogHist, Phase, PHASES};
+use saath_telemetry::{Phase, SpanProfiler};
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -148,7 +148,7 @@ struct HubInner {
     /// `(family, rendered labels)` → value. One map for counters and
     /// gauges alike; the family decides the rendered TYPE.
     series: BTreeMap<(&'static str, String), u64>,
-    phases: [LogHist; PHASES.len()],
+    phases: SpanProfiler,
 }
 
 /// The process-wide metrics registry. Cheap to share (`Arc`), safe
@@ -182,7 +182,7 @@ impl MetricsHub {
     /// Folds one duration sample (nanoseconds) into `phase`.
     pub fn observe_phase(&self, phase: Phase, ns: u64) {
         let mut g = self.inner.lock().expect("metrics hub poisoned");
-        g.phases[phase as usize].observe(ns);
+        g.phases.observe(phase, ns);
     }
 
     /// Starts an RAII span: the guard records its elapsed wall time
@@ -234,18 +234,11 @@ impl MetricsHub {
             }
         }
         p.section("wall-clock (nondeterministic values, stable layout)");
-        let rows: Vec<(&str, &LogHist)> = PHASES
-            .iter()
-            .filter(|ph| g.phases[**ph as usize].count > 0)
-            .map(|ph| (ph.name(), &g.phases[*ph as usize]))
-            .collect();
-        if !rows.is_empty() {
-            p.phase_summary(
-                "saath_epoch_phase_ns",
-                "Epoch lifecycle phase latency in nanoseconds",
-                &rows,
-            );
-        }
+        p.phase_summary(
+            "saath_epoch_phase_ns",
+            "Epoch lifecycle phase latency in nanoseconds",
+            &g.phases,
+        );
         p.finish()
     }
 }

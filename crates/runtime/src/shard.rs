@@ -48,6 +48,7 @@ use crate::coordinator::{
 use crate::metrics::MetricsHub;
 use crate::proto::{Message, RateAssignment};
 use crate::transport::{Transport, TransportError};
+use saath_core::merge::merge_rates_rotated;
 use saath_core::summary::{apply_peer_summaries, port_rates_of_slice, ContentionSummary};
 use saath_core::view::{shard_of, ClusterView, CoflowScheduler, CoflowView, Schedule};
 use saath_core::{Saath, SaathConfig};
@@ -55,11 +56,6 @@ use saath_fabric::PortBank;
 use saath_simcore::{FlowId, PortId, Rate, Time};
 use saath_telemetry::prom::label_body;
 use saath_telemetry::Phase;
-
-// The slice merge itself lives in `saath_core::merge` so the
-// simulator's in-process sharded scheduler and this reconciler share
-// one implementation; re-exported here for API continuity.
-pub use saath_core::merge::merge_rates;
 
 /// `(uplink, downlink)` of every registered flow, indexed by flow id.
 fn flow_endpoints(registry: &CoflowRegistry) -> Vec<(PortId, PortId)> {
@@ -214,13 +210,6 @@ pub fn run_shard(
                     }
                     sched.export_summary(shard as u32, rounds, &mut own_summary);
                     port_rates_of_slice(&entries, &mut own_summary.port_rates);
-                    if let Some(h) = hub {
-                        h.incr(
-                            "saath_summary_bytes_exchanged_total",
-                            &labels,
-                            (own_summary.encoded_len() * shards.saturating_sub(1)) as u64,
-                        );
-                    }
                     link.send(&Message::ContentionSummary {
                         summary: own_summary.clone(),
                     })?;
@@ -375,7 +364,8 @@ pub fn run_sharded_coordinator(
                         Ok(Some(Message::ContentionSummary { summary })) => {
                             // Shards export these before their slice
                             // reply; relay to every *other* shard once
-                            // this collect pass is done.
+                            // this collect pass is done. The K−1 copies
+                            // are sent — and so counted — here only.
                             if let Some(h) = hub {
                                 h.incr(
                                     "saath_summary_bytes_exchanged_total",
@@ -427,8 +417,7 @@ pub fn run_sharded_coordinator(
             // Rotated by epoch: a no-op for agreeing replicas (zero
             // clamps), but spreads clamp damage across flows when
             // partitioned shards overcommit on stale summaries.
-            let clamps =
-                saath_core::merge::merge_rates_rotated(&mut entries, &mut bank, &mut out, epochs);
+            let clamps = merge_rates_rotated(&mut entries, &mut bank, &mut out, epochs);
             drop(span_reconcile);
             if let Some(h) = hub {
                 if clamps > 0 {
@@ -483,7 +472,7 @@ mod tests {
             (FlowId(9), Rate(40), up1, dn3),
         ];
         let mut out = Schedule::default();
-        let clamps = merge_rates(&mut entries, &mut bank, &mut out);
+        let clamps = merge_rates_rotated(&mut entries, &mut bank, &mut out, 0);
         assert_eq!(clamps, 0);
         assert_eq!(
             out.rates,
@@ -507,22 +496,38 @@ mod tests {
             (FlowId(1), Rate(100), up0, dn1),
         ];
         let mut out = Schedule::default();
-        let clamps = merge_rates(&mut entries, &mut bank, &mut out);
+        let clamps = merge_rates_rotated(&mut entries, &mut bank, &mut out, 0);
         // Lowest flow id wins the capacity; the later claim clamps to 0.
         assert_eq!(clamps, 1);
         assert_eq!(out.rates, vec![(FlowId(1), Rate(100))]);
         assert_eq!(out.rate_of(FlowId(5)), Rate::ZERO);
     }
 
-    /// Drives the reconciler against one scripted shard and one
-    /// scripted agent: the single registered flow (id 0) stays active
-    /// until the agent has seen two schedule pushes, then is reported
-    /// finished. `reply` builds the shard's answer to each barrier
-    /// from the barrier's epoch. Returns the report and the metrics
-    /// page.
-    fn reconcile_with_scripted_shard(
-        reply: impl Fn(u64) -> Message + Send + 'static,
-    ) -> (CoordinatorReport, String) {
+    /// One shard's thread body: handed the registry, the shared hub and
+    /// the shard's end of its link; runs until shut down.
+    type ShardBody<'a> =
+        Box<dyn FnOnce(&CoflowRegistry, &MetricsHub, Box<dyn Transport>) + Send + 'a>;
+
+    /// A shard that answers each barrier with `reply(epoch)` and hands
+    /// every other message to `other`.
+    fn scripted_shard<'a>(
+        reply: impl Fn(u64) -> Message + Send + 'a,
+        other: impl Fn(Message) + Send + 'a,
+    ) -> ShardBody<'a> {
+        Box::new(move |_, _, mut link| loop {
+            match link.recv_timeout(std::time::Duration::from_secs(5)) {
+                Ok(Some(Message::Reconcile { epoch, .. })) => link.send(&reply(epoch)).unwrap(),
+                Ok(Some(Message::Shutdown)) | Ok(None) | Err(_) => return,
+                Ok(Some(m)) => other(m),
+            }
+        })
+    }
+
+    /// Drives the reconciler against the given shards and one scripted
+    /// agent: the single registered flow (id 0) stays active until the
+    /// agent has seen two schedule pushes, then is reported finished.
+    /// Returns the report and the metrics page.
+    fn reconcile_with_shards(shards: Vec<ShardBody<'_>>) -> (CoordinatorReport, String) {
         use crate::transport::inproc_pair;
         use saath_simcore::{Bytes, CoflowId, Duration};
         use saath_workload::{CoflowSpec, FlowSpec, Trace};
@@ -537,59 +542,99 @@ mod tests {
             )],
         });
         let (agent_near, mut agent) = inproc_pair(64);
-        let (shard_near, mut shard) = inproc_pair(64);
-        let shard_thread = std::thread::spawn(move || loop {
-            match shard.recv_timeout(std::time::Duration::from_secs(5)) {
-                Ok(Some(Message::Reconcile { epoch, .. })) => shard.send(&reply(epoch)).unwrap(),
-                Ok(Some(Message::Shutdown)) | Ok(None) | Err(_) => return,
-                Ok(Some(_)) => {}
-            }
-        });
-        let agent_thread = std::thread::spawn(move || {
-            let mut pushes = 0;
-            loop {
-                match agent.recv_timeout(std::time::Duration::from_secs(5)) {
-                    Ok(Some(Message::Schedule { .. })) => {
-                        pushes += 1;
-                        if pushes == 2 {
-                            let done = crate::proto::FlowStat {
-                                flow: 0,
-                                sent: 1_000_000,
-                                finished: true,
-                                ready: true,
-                            };
-                            agent
-                                .send(&Message::Stats {
-                                    node: 0,
-                                    now_ns: 0,
-                                    flows: vec![done],
-                                })
-                                .unwrap();
-                        }
-                    }
-                    Ok(Some(Message::Shutdown)) | Ok(None) | Err(_) => return,
-                    Ok(Some(_)) => {}
-                }
-            }
-        });
         let hub = MetricsHub::new();
-        let report = run_sharded_coordinator(
-            &registry,
-            &mut [Box::new(agent_near)],
-            vec![Box::new(shard_near)],
-            None,
-            &EmuClock::start(100),
-            &CoordinatorConfig {
-                delta: Duration::from_millis(400),
-                clairvoyant: false,
-                restart_at: None,
-                wall_deadline: std::time::Duration::from_secs(10),
-            },
-            Some(&hub),
-        );
-        shard_thread.join().unwrap();
-        agent_thread.join().unwrap();
+        let report = std::thread::scope(|s| {
+            let mut shard_links: Vec<Box<dyn Transport>> = Vec::new();
+            for body in shards {
+                let (near, far) = inproc_pair(64);
+                shard_links.push(Box::new(near));
+                let (registry, hub) = (&registry, &hub);
+                s.spawn(move || body(registry, hub, Box::new(far)));
+            }
+            s.spawn(move || {
+                let mut pushes = 0;
+                loop {
+                    match agent.recv_timeout(std::time::Duration::from_secs(5)) {
+                        Ok(Some(Message::Schedule { .. })) => {
+                            pushes += 1;
+                            if pushes == 2 {
+                                let done = crate::proto::FlowStat {
+                                    flow: 0,
+                                    sent: 1_000_000,
+                                    finished: true,
+                                    ready: true,
+                                };
+                                agent
+                                    .send(&Message::Stats {
+                                        node: 0,
+                                        now_ns: 0,
+                                        flows: vec![done],
+                                    })
+                                    .unwrap();
+                            }
+                        }
+                        Ok(Some(Message::Shutdown)) | Ok(None) | Err(_) => return,
+                        Ok(Some(_)) => {}
+                    }
+                }
+            });
+            run_sharded_coordinator(
+                &registry,
+                &mut [Box::new(agent_near)],
+                shard_links,
+                None,
+                &EmuClock::start(100),
+                &CoordinatorConfig {
+                    delta: Duration::from_millis(400),
+                    clairvoyant: false,
+                    restart_at: None,
+                    wall_deadline: std::time::Duration::from_secs(10),
+                },
+                Some(&hub),
+            )
+        });
         (report, hub.render())
+    }
+
+    fn reconcile_with_scripted_shard(
+        reply: impl Fn(u64) -> Message + Send,
+    ) -> (CoordinatorReport, String) {
+        reconcile_with_shards(vec![scripted_shard(reply, |_| {})])
+    }
+
+    /// Regression: a summary's K−1 relayed copies are counted once, by
+    /// the reconciler that sends them — the exporting shard used to add
+    /// the same bytes under the same label on the shared hub. Shard 0
+    /// is the real [`run_shard`] (one export: its staleness budget
+    /// never elapses again); shard 1 records what it is relayed.
+    #[test]
+    fn summary_bytes_are_counted_once_per_relayed_copy() {
+        let relayed = std::sync::Mutex::new(Vec::new());
+        let exporter: ShardBody<'_> = Box::new(|registry, hub, link| {
+            let cfg = SaathConfig::default();
+            run_shard(0, 2, u64::MAX, registry, cfg, link, false, Some(hub)).unwrap();
+        });
+        let peer = scripted_shard(
+            |epoch| Message::ShardSchedule {
+                shard: 1,
+                epoch,
+                rates: vec![],
+            },
+            |m| {
+                if let Message::ContentionSummary { summary } = m {
+                    relayed.lock().unwrap().push(summary.encoded_len());
+                }
+            },
+        );
+        let (report, page) = reconcile_with_shards(vec![exporter, peer]);
+        assert!(!report.timed_out);
+        let relayed = relayed.into_inner().unwrap();
+        assert_eq!(relayed.len(), 1, "exactly one summary exported and relayed");
+        let want = format!(
+            "saath_summary_bytes_exchanged_total{{shard=\"0\"}} {}\n",
+            relayed[0] // × (K − 1) = 1 peer
+        );
+        assert!(page.contains(&want), "want {want:?} in:\n{page}");
     }
 
     /// Regression: the `shard` of a `ShardSchedule` comes off the wire.

@@ -319,8 +319,17 @@ fn mark_dirty(dirty: &mut [bool], dirty_list: &mut Vec<usize>, ci: usize) {
     }
 }
 
-/// Replay persistence hooks: an optional event-log sink, a snapshot
-/// cadence, and an optional snapshot blob to resume from.
+/// What a replay carries besides the trace and the scheduler: an
+/// optional instrumentation handle, an optional event-log sink, a
+/// snapshot cadence, and an optional snapshot blob to resume from.
+///
+/// With `tele` the engine counts heap pushes and pop outcomes,
+/// dirty-set sizes, scheduling rounds and per-section wall time, and —
+/// if the handle was built with [`Telemetry::with_jsonl`] — appends one
+/// deterministic JSONL round snapshot per scheduling round. Without it
+/// (or with the `telemetry` feature off) the instrumentation vanishes;
+/// records are byte-identical either way, which
+/// `tests/engine_equivalence.rs` asserts.
 ///
 /// With a `sink`, every scheduling round appends one canonical
 /// [`RoundRecord`] and (at the cadence) one engine snapshot. With
@@ -329,6 +338,8 @@ fn mark_dirty(dirty: &mut [bool], dirty_list: &mut Vec<usize>, ci: usize) {
 /// uninterrupted run's suffix.
 #[derive(Default)]
 pub struct ReplayHooks<'a> {
+    /// Instrumentation handle; `None` skips even the cheap increments.
+    pub tele: Option<&'a mut Telemetry>,
     /// Where round records and snapshots go; `None` disables logging.
     pub sink: Option<&'a mut dyn RoundSink>,
     /// Snapshot every this many scheduling rounds; `0` disables
@@ -341,7 +352,8 @@ pub struct ReplayHooks<'a> {
 }
 
 impl ReplayHooks<'_> {
-    /// No logging, no snapshots, no resume — plain simulation.
+    /// No telemetry, no logging, no snapshots, no resume — plain
+    /// simulation.
     pub fn none() -> Self {
         ReplayHooks::default()
     }
@@ -359,30 +371,12 @@ pub fn simulate(
     cfg: &SimConfig,
     dynamics: &DynamicsSpec,
 ) -> Result<SimOutput, SimError> {
-    simulate_with_telemetry(trace, sched, cfg, dynamics, None)
+    simulate_resumable(trace, sched, cfg, dynamics, ReplayHooks::none())
 }
 
-/// [`simulate`] with an optional instrumentation handle.
-///
-/// With `Some(tele)` the engine counts heap pushes and pop outcomes,
-/// dirty-set sizes, scheduling rounds and per-round wall-time, and —
-/// if the handle was built with [`Telemetry::with_jsonl`] — appends one
-/// deterministic JSONL round snapshot per scheduling round. With `None`
-/// (or with the `telemetry` feature off) the instrumentation vanishes;
-/// records are byte-identical either way, which
-/// `tests/engine_equivalence.rs` asserts.
-pub fn simulate_with_telemetry(
-    trace: &Trace,
-    sched: &mut dyn CoflowScheduler,
-    cfg: &SimConfig,
-    dynamics: &DynamicsSpec,
-    tele: Option<&mut Telemetry>,
-) -> Result<SimOutput, SimError> {
-    simulate_resumable(trace, sched, cfg, dynamics, tele, ReplayHooks::none())
-}
-
-/// [`simulate_with_telemetry`] plus persistence: event logging, periodic
-/// snapshots, and resume-from-snapshot (see [`ReplayHooks`]).
+/// [`simulate`] with instrumentation and persistence: telemetry, event
+/// logging, periodic snapshots, and resume-from-snapshot (see
+/// [`ReplayHooks`]).
 ///
 /// Resume semantics: the blob restores the engine to the top of the
 /// epoch loop exactly as it stood when the snapshot was taken. The first
@@ -398,9 +392,9 @@ pub fn simulate_resumable(
     sched: &mut dyn CoflowScheduler,
     cfg: &SimConfig,
     dynamics: &DynamicsSpec,
-    mut tele: Option<&mut Telemetry>,
     mut hooks: ReplayHooks<'_>,
 ) -> Result<SimOutput, SimError> {
+    let mut tele = hooks.tele.take();
     trace
         .validate()
         .map_err(|e| SimError::InvalidTrace(e.to_string()))?;
@@ -823,9 +817,8 @@ pub fn simulate_resumable(
                     t.heap_len.observe(completions.len() as u64);
                     t.active_coflows.observe(views.len() as u64);
                     if let Some(started) = t_round {
-                        let ns = started.elapsed().as_nanos() as u64;
-                        t.round_wall_ns.observe(ns);
-                        t.spans.observe(Phase::EngineRound, ns);
+                        t.spans
+                            .observe(Phase::EngineRound, started.elapsed().as_nanos() as u64);
                     }
                     if t.wants_jsonl() {
                         t.snapshot_round(&RoundSnapshot {

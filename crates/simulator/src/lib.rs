@@ -36,8 +36,7 @@ pub mod policy;
 pub(crate) mod snapshot;
 
 pub use engine::{
-    simulate, simulate_reference, simulate_resumable, simulate_with_telemetry, ReplayHooks,
-    SimConfig, SimError, SimOutput,
+    simulate, simulate_reference, simulate_resumable, ReplayHooks, SimConfig, SimError, SimOutput,
 };
 pub use partitioned::PartitionedScheduler;
 pub use policy::{run_policy, Policy};

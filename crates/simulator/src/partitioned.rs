@@ -502,7 +502,7 @@ mod tests {
                 9,
                 if r == 0 { None } else { Some(&[]) },
             );
-            // Feasibility: per-port totals within capacity is merge_rates'
+            // Feasibility: per-port totals within capacity is the merge's
             // invariant; just sanity-check something was scheduled.
             assert!(!out.rates.is_empty(), "round {r} scheduled nothing");
         }

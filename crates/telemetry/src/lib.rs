@@ -1,9 +1,10 @@
 //! # saath-telemetry
 //!
 //! The workspace's zero-overhead instrumentation layer: cheap monotonic
-//! counters, min/max/mean accumulators, per-policy mechanism counters,
-//! and a deterministic JSONL round-trace buffer, all behind one
-//! [`Telemetry`] handle.
+//! counters, one fixed-size histogram type ([`LogHist`]) for every
+//! wall-time and set-size sample, per-policy mechanism counters, and a
+//! deterministic JSONL round-trace buffer, all behind one [`Telemetry`]
+//! handle.
 //!
 //! Two switches make it zero-overhead:
 //!
@@ -31,7 +32,6 @@
 pub mod prom;
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Whether the `telemetry` cargo feature is compiled in.
 ///
@@ -111,30 +111,70 @@ impl Counter {
     }
 }
 
-/// A min/sum/max accumulator over `u64` samples — the cheapest thing
-/// that still answers "how big does the dirty set get, typically and at
-/// worst?".
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Hist {
+/// The workspace's one sample accumulator: a log-linear histogram
+/// over `u64` samples. Every wall-time span and every set size (dirty
+/// sets, heap lengths, active CoFlows) records into one of these and
+/// can answer min/mean/p50/p90/p99/max after (or during) a run from a
+/// fixed 4 KB, however long the run (allocated on the first sample, so
+/// a histogram nobody records into costs 56 bytes).
+///
+/// 496 buckets: every power of two `[2^e, 2^(e+1))` is split into 8
+/// equal sub-buckets (so values below 16 get a bucket each and are
+/// exact), and any `u64` sample lands in O(1) via `ilog2`. Quantiles are
+/// nearest-rank over the bucket counts and report the containing
+/// bucket's **upper bound** (clamped to the exact observed `max`),
+/// which makes them conservative — never under-reported, at most
+/// 12.5 % over — and monotone: `min ≤ p50 ≤ p90 ≤ p99 ≤ max` always
+/// holds. `sum` **saturates** at `u64::MAX` instead of wrapping (a run
+/// long enough to overflow it — ≈ 584 years of nanosecond samples —
+/// pins the mean at a too-small ceiling rather than a tiny wrapped
+/// one); `count`, `min` and `max` stay exact.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LogHist {
     /// Number of samples observed.
     pub count: u64,
-    /// Sum of all samples (mean = sum / count).
+    /// Saturating sum of all samples (mean = sum / count).
     pub sum: u64,
     /// Smallest sample, 0 if none.
     pub min: u64,
     /// Largest sample, 0 if none.
     pub max: u64,
+    /// Empty while `count == 0`, `BUCKETS` long from then on.
+    buckets: Vec<u64>,
 }
 
-impl Hist {
+impl LogHist {
+    /// 16 exact buckets, then 8 per power of two from 2⁴ to 2⁶³.
+    const BUCKETS: usize = 16 + 8 * 60;
+
+    /// An empty histogram.
+    pub fn new() -> LogHist {
+        LogHist::default()
+    }
+
+    #[inline]
+    fn bucket_of(v: u64) -> usize {
+        // `shift` drops the bits below the top four, so `v >> shift`
+        // is v itself below 16 and 8..=15 (the sub-bucket) above.
+        let shift = ((v >> 3) | 1).ilog2() as usize;
+        shift * 8 + (v >> shift) as usize
+    }
+
+    fn buckets_mut(&mut self) -> &mut [u64] {
+        if self.buckets.is_empty() {
+            self.buckets = vec![0; Self::BUCKETS];
+        }
+        &mut self.buckets
+    }
+
+    /// Upper bound of bucket `i` (inclusive).
+    fn bucket_upper(i: usize) -> u64 {
+        let shift = (i / 8).saturating_sub(1);
+        let top = (i - shift * 8) as u64;
+        (top << shift) | ((1u64 << shift) - 1)
+    }
+
     /// Folds one sample in.
-    ///
-    /// The running `sum` **saturates** at `u64::MAX` instead of
-    /// wrapping: a run long enough to overflow it (≈ 584 years of
-    /// nanosecond samples, or 2⁶⁴ set-size units) pins the sum — and
-    /// hence [`Hist::mean`] — at a too-small ceiling rather than
-    /// silently producing a tiny wrapped mean. `count`, `min`, and
-    /// `max` stay exact.
     #[inline]
     pub fn observe(&mut self, v: u64) {
         if self.count == 0 || v < self.min {
@@ -145,97 +185,22 @@ impl Hist {
         }
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
-    }
-
-    /// Arithmetic mean, or 0.0 with no samples.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
-/// A log2-bucketed latency histogram: every wall-time path in the
-/// workspace records into one of these and can answer p50/p90/p99/max
-/// after (or during) a run, where [`Hist`] only answers min/mean/max.
-///
-/// 65 buckets: bucket 0 holds exactly the value 0 and bucket *i* ≥ 1
-/// holds `[2^(i-1), 2^i)`, so any `u64` sample lands in O(1) via
-/// `leading_zeros`. Quantiles are nearest-rank over the bucket counts
-/// and report the containing bucket's **upper bound** (clamped to the
-/// exact observed `max`), which makes them conservative (never
-/// under-report a latency) and monotone: p50 ≤ p90 ≤ p99 ≤ max always
-/// holds. `sum` saturates at `u64::MAX` like [`Hist::observe`];
-/// `count` and `max` stay exact.
-///
-/// [`Hist`] remains the right tool for set sizes (dirty sets, heap
-/// lengths), where min/mean/max is the question being asked;
-/// `LogHist` replaces it for durations, where tails matter.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LogHist {
-    /// Number of samples observed.
-    pub count: u64,
-    /// Saturating sum of all samples (mean = sum / count).
-    pub sum: u64,
-    /// Largest sample, 0 if none.
-    pub max: u64,
-    buckets: [u64; 65],
-}
-
-impl Default for LogHist {
-    fn default() -> Self {
-        LogHist {
-            count: 0,
-            sum: 0,
-            max: 0,
-            buckets: [0; 65],
-        }
-    }
-}
-
-impl LogHist {
-    /// An empty histogram.
-    pub fn new() -> LogHist {
-        LogHist::default()
-    }
-
-    #[inline]
-    fn bucket_of(v: u64) -> usize {
-        // v = 0 → 0; otherwise 64 − clz = the bit width of v, so
-        // bucket i ≥ 1 spans [2^(i-1), 2^i) and bucket 64 ends at
-        // u64::MAX.
-        (64 - v.leading_zeros()) as usize
-    }
-
-    /// Upper bound of bucket `i` (inclusive).
-    fn bucket_upper(i: usize) -> u64 {
-        match i {
-            0 => 0,
-            64 => u64::MAX,
-            _ => (1u64 << i) - 1,
-        }
-    }
-
-    /// Folds one sample in.
-    #[inline]
-    pub fn observe(&mut self, v: u64) {
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        if v > self.max {
-            self.max = v;
-        }
-        self.buckets[Self::bucket_of(v)] += 1;
+        self.buckets_mut()[Self::bucket_of(v)] += 1;
     }
 
     /// Folds another histogram in (per-bucket addition; `sum`
-    /// saturates).
+    /// saturates) — the result equals observing both sample streams.
     pub fn merge(&mut self, other: &LogHist) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 || other.min < self.min {
+            self.min = other.min;
+        }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        for (b, o) in self.buckets_mut().iter_mut().zip(&other.buckets) {
             *b += o;
         }
     }
@@ -284,7 +249,7 @@ impl LogHist {
 }
 
 /// One named span kind — every wall-time section the workspace
-/// profiles, across the scheduler (per-phase, unified with
+/// profiles, across the scheduler (per-phase, recorded by
 /// `SchedTimings`), the simulator's epoch loop, and the runtime
 /// coordinator/agent path's epoch lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -368,10 +333,11 @@ impl Phase {
     }
 }
 
-/// One [`LogHist`] per [`Phase`] — the span profiler's storage.
+/// One [`LogHist`] per [`Phase`] — the workspace's only wall-time
+/// recorder (4 KB per phase that records, fixed).
 ///
 /// `observe` is **not** feature-gated: gating is the caller's job,
-/// exactly as with [`Hist::observe`]. The scheduler's `SchedTimings`
+/// exactly as with [`LogHist::observe`]. The scheduler's `SchedTimings`
 /// records unconditionally (it already pays for `Instant::now`
 /// regardless); the engine and runtime record only inside
 /// `if telemetry::enabled()` blocks / when a metrics hub exists.
@@ -412,33 +378,6 @@ impl SpanProfiler {
             .filter(|p| self.hist(**p).count > 0)
             .map(|p| (p.name(), self.hist(*p)))
             .collect()
-    }
-
-    /// Starts an RAII span: the guard records the elapsed wall time
-    /// into `phase` when dropped. The guard borrows the profiler
-    /// mutably for its scope, so it suits sections that don't touch
-    /// the profiler themselves.
-    pub fn span(&mut self, phase: Phase) -> SpanGuard<'_> {
-        SpanGuard {
-            prof: self,
-            phase,
-            start: Instant::now(),
-        }
-    }
-}
-
-/// RAII guard from [`SpanProfiler::span`]: records `start.elapsed()`
-/// into its phase on drop.
-pub struct SpanGuard<'a> {
-    prof: &'a mut SpanProfiler,
-    phase: Phase,
-    start: Instant,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.prof
-            .observe(self.phase, self.start.elapsed().as_nanos() as u64);
     }
 }
 
@@ -553,18 +492,16 @@ pub struct RoundSnapshot<'a> {
 pub struct Telemetry {
     counters: [u64; COUNTERS.len()],
     /// Dirty-set size per scheduling round.
-    pub dirty_set: Hist,
+    pub dirty_set: LogHist,
     /// Completion-heap length per scheduling round.
-    pub heap_len: Hist,
-    /// Wall-clock nanoseconds per scheduling round (summary only,
-    /// never in the JSONL trace). Log2-bucketed so tails (p99) are
-    /// visible, not just the mean.
-    pub round_wall_ns: LogHist,
+    pub heap_len: LogHist,
     /// Active CoFlows per scheduling round.
-    pub active_coflows: Hist,
-    /// Per-phase wall-time spans (engine loop sections, runtime epoch
-    /// lifecycle; the scheduler's phases live in `SchedTimings`, which
-    /// records into the same [`Phase`]/[`LogHist`] vocabulary).
+    pub active_coflows: LogHist,
+    /// Per-phase wall-time spans (summary only, never in the JSONL
+    /// trace): the engine loop's sections, with
+    /// [`Phase::EngineRound`] the wall time of each whole scheduling
+    /// round. The scheduler's phases live in `SchedTimings`, which
+    /// records into the same [`Phase`]/[`LogHist`] vocabulary.
     pub spans: SpanProfiler,
     record_jsonl: bool,
     jsonl: String,
@@ -679,61 +616,57 @@ mod tests {
     }
 
     #[test]
-    fn hist_tracks_min_mean_max() {
-        let mut h = Hist::default();
-        assert_eq!(h.mean(), 0.0);
-        for v in [4, 2, 9] {
-            h.observe(v);
-        }
-        assert_eq!((h.min, h.max, h.count, h.sum), (2, 9, 3, 15));
-        assert_eq!(h.mean(), 5.0);
-    }
-
-    #[test]
-    fn hist_sum_saturates_instead_of_wrapping() {
-        let mut h = Hist::default();
-        h.observe(u64::MAX);
-        h.observe(100);
-        assert_eq!(h.sum, u64::MAX, "sum must pin at the ceiling");
-        assert_eq!(h.count, 2);
-        assert_eq!((h.min, h.max), (100, u64::MAX));
-    }
-
-    #[test]
     fn loghist_empty_is_all_zero() {
         let h = LogHist::new();
-        assert_eq!((h.count, h.sum, h.max), (0, 0, 0));
+        assert_eq!((h.count, h.sum, h.min, h.max), (0, 0, 0, 0));
         assert_eq!(h.mean(), 0.0);
         assert_eq!((h.p50(), h.p90(), h.p99()), (0, 0, 0));
         assert_eq!(h.quantile(1.0), 0);
     }
 
     #[test]
-    fn loghist_single_sample_quantiles_clamp_to_max() {
+    fn loghist_tracks_min_mean_max_exactly() {
         let mut h = LogHist::new();
-        h.observe(1000);
-        // 1000 lands in bucket [512, 1024) whose upper bound is 1023,
-        // but every quantile clamps to the exact observed max.
-        assert_eq!((h.p50(), h.p90(), h.p99()), (1000, 1000, 1000));
-        assert_eq!(h.quantile(0.0), 1000);
-        assert_eq!(h.max, 1000);
+        for v in [4, 2, 9] {
+            h.observe(v);
+        }
+        assert_eq!((h.min, h.max, h.count, h.sum), (2, 9, 3, 15));
+        assert_eq!(h.mean(), 5.0);
+        // Values below 16 have a bucket each, so quantiles are exact.
+        assert_eq!((h.quantile(0.0), h.p50(), h.p99()), (2, 4, 9));
     }
 
     #[test]
-    fn loghist_bucket_boundaries() {
-        // Powers of two sit at the *lower* edge of their bucket: the
-        // bucket for v is [2^(i-1), 2^i) with upper bound 2^i − 1.
+    fn loghist_single_sample_quantiles_clamp_to_max() {
         let mut h = LogHist::new();
-        for v in [0u64, 1, 2, 3, 4, 7, 8] {
+        h.observe(1000);
+        // 1000 lands in bucket [960, 1024) whose upper bound is 1023,
+        // but every quantile clamps to the exact observed max.
+        assert_eq!((h.p50(), h.p90(), h.p99()), (1000, 1000, 1000));
+        assert_eq!(h.quantile(0.0), 1000);
+        assert_eq!((h.min, h.max), (1000, 1000));
+    }
+
+    #[test]
+    fn loghist_buckets_tile_u64_within_an_eighth() {
+        assert!(std::mem::size_of::<LogHist>() + 8 * LogHist::BUCKETS <= 4096);
+        // Every bucket's upper bound maps back to it and the next
+        // value opens the next bucket, up to u64::MAX.
+        for i in 0..LogHist::BUCKETS {
+            let hi = LogHist::bucket_upper(i);
+            assert_eq!(LogHist::bucket_of(hi), i, "upper bound of bucket {i}");
+            match hi.checked_add(1) {
+                Some(next) => assert_eq!(LogHist::bucket_of(next), i + 1),
+                None => assert_eq!(i, LogHist::BUCKETS - 1),
+            }
+        }
+        // [64, 128) splits into 8 sub-buckets of width 8: a sample is
+        // reported as its bucket's upper bound, ≤ 12.5 % over.
+        let mut h = LogHist::new();
+        for v in [64u64, 100, 127] {
             h.observe(v);
         }
-        assert_eq!(h.count, 7);
-        // Rank-1 (q→0) is the zero bucket.
-        assert_eq!(h.quantile(0.0), 0);
-        // Median (rank 4) is the value 3, in bucket [2,4) → upper 3.
-        assert_eq!(h.p50(), 3);
-        // Max is exact.
-        assert_eq!(h.quantile(1.0), 8);
+        assert_eq!((h.quantile(0.0), h.p50(), h.p99()), (71, 103, 127));
     }
 
     #[test]
@@ -741,27 +674,13 @@ mod tests {
         let mut h = LogHist::new();
         h.observe(u64::MAX);
         h.observe(u64::MAX);
-        assert_eq!(h.sum, u64::MAX, "sum saturates");
+        assert_eq!(h.sum, u64::MAX, "sum pins at the ceiling");
         assert_eq!(h.count, 2, "count stays exact");
-        assert_eq!(h.max, u64::MAX);
+        assert_eq!((h.min, h.max), (u64::MAX, u64::MAX));
         assert_eq!(h.p50(), u64::MAX);
         assert_eq!(h.p99(), u64::MAX);
-    }
-
-    #[test]
-    fn loghist_quantiles_are_monotone() {
-        // A skewed distribution across many buckets.
-        let mut h = LogHist::new();
-        for i in 0..1000u64 {
-            h.observe(i * i);
-        }
-        let (p50, p90, p99) = (h.p50(), h.p90(), h.p99());
-        assert!(p50 <= p90, "p50 {p50} > p90 {p90}");
-        assert!(p90 <= p99, "p90 {p90} > p99 {p99}");
-        assert!(p99 <= h.max, "p99 {p99} > max {}", h.max);
-        // Quantiles never under-report: p90 covers ≥ 90% of samples.
-        let below = (0..1000u64).filter(|i| i * i <= p90).count();
-        assert!(below >= 900, "p90 bound covers only {below}/1000");
+        h.observe(100);
+        assert_eq!((h.min, h.max, h.sum), (100, u64::MAX, u64::MAX));
     }
 
     #[test]
@@ -776,8 +695,13 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count, 5);
         assert_eq!(a.sum, 11_111);
-        assert_eq!(a.max, 10_000);
+        assert_eq!((a.min, a.max), (1, 10_000));
         assert_eq!(a.quantile(1.0), 10_000);
+        // Merging into or from an empty histogram keeps the exact min.
+        let mut c = LogHist::new();
+        c.merge(&a);
+        c.merge(&LogHist::new());
+        assert_eq!(c, a);
     }
 
     #[test]
@@ -791,11 +715,6 @@ mod tests {
         assert_eq!(rows[0].0, "sched_total");
         assert_eq!(rows[0].1.count, 2);
         assert_eq!(rows[1].0, "coord_schedule");
-        // RAII guard: drop records a nonzero elapsed sample.
-        {
-            let _g = p.span(Phase::EngineRound);
-        }
-        assert_eq!(p.hist(Phase::EngineRound).count, 1);
     }
 
     #[test]

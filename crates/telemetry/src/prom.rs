@@ -22,7 +22,7 @@
 //! The vendored serde is an API stub, so — like every other artifact
 //! in the workspace — the exposition is hand-formatted.
 
-use crate::LogHist;
+use crate::SpanProfiler;
 use std::fmt::Write as _;
 
 /// An in-progress Prometheus text page.
@@ -74,12 +74,17 @@ impl PromText {
         }
     }
 
-    /// Emits one summary family with a `phase` label per row: quantile
-    /// series 0.5/0.9/0.99/1 (1 = exact max) plus `_count`/`_sum`.
-    /// Rows render in the order given.
-    pub fn phase_summary(&mut self, name: &str, help: &str, rows: &[(&str, &LogHist)]) {
+    /// Emits one summary family with a `phase` label per phase that
+    /// has samples, in display order: quantile series 0.5/0.9/0.99/1
+    /// (1 = exact max) plus `_count`/`_sum`. Nothing at all when no
+    /// phase has samples.
+    pub fn phase_summary(&mut self, name: &str, help: &str, spans: &SpanProfiler) {
+        let rows = spans.rows();
+        if rows.is_empty() {
+            return;
+        }
         self.family(name, help, "summary");
-        for (phase, h) in rows {
+        for (phase, h) in &rows {
             for (q, v) in [
                 ("0.5", h.p50()),
                 ("0.9", h.p90()),
@@ -89,7 +94,7 @@ impl PromText {
                 let _ = writeln!(self.out, "{name}{{phase=\"{phase}\",quantile=\"{q}\"}} {v}");
             }
         }
-        for (phase, h) in rows {
+        for (phase, h) in &rows {
             let _ = writeln!(self.out, "{name}_count{{phase=\"{phase}\"}} {}", h.count);
             let _ = writeln!(self.out, "{name}_sum{{phase=\"{phase}\"}} {}", h.sum);
         }
@@ -124,9 +129,9 @@ mod tests {
     /// caller order, integer values only, quantile ladder fixed.
     #[test]
     fn exposition_layout_is_byte_stable() {
-        let mut h = LogHist::new();
+        let mut spans = SpanProfiler::new();
         for v in [100u64, 200, 400] {
-            h.observe(v);
+            spans.observe(crate::Phase::CoordSchedule, v);
         }
         let mut p = PromText::new();
         p.section("deterministic");
@@ -149,7 +154,7 @@ mod tests {
         p.phase_summary(
             "saath_epoch_phase_ns",
             "Epoch lifecycle phase latency in nanoseconds",
-            &[("coord_schedule", &h)],
+            &spans,
         );
         let got = p.finish();
         let want = "\
@@ -168,7 +173,7 @@ saath_shard_replica_lag_epochs{shard=\"1\"} 2
 # --- wall-clock (nondeterministic values, stable layout) ---
 # HELP saath_epoch_phase_ns Epoch lifecycle phase latency in nanoseconds
 # TYPE saath_epoch_phase_ns summary
-saath_epoch_phase_ns{phase=\"coord_schedule\",quantile=\"0.5\"} 255
+saath_epoch_phase_ns{phase=\"coord_schedule\",quantile=\"0.5\"} 207
 saath_epoch_phase_ns{phase=\"coord_schedule\",quantile=\"0.9\"} 400
 saath_epoch_phase_ns{phase=\"coord_schedule\",quantile=\"0.99\"} 400
 saath_epoch_phase_ns{phase=\"coord_schedule\",quantile=\"1\"} 400

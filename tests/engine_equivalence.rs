@@ -13,7 +13,7 @@
 //! engine change that breaks replay fidelity fails here too.
 
 use saath::prelude::*;
-use saath::simulator::simulate_reference;
+use saath::simulator::{simulate_reference, simulate_resumable, ReplayHooks};
 use saath::workload::{gen, DynamicsEvent};
 
 /// A scaled-down FB-like workload: same mix/bin/placement structure as
@@ -115,12 +115,15 @@ fn telemetry_threading_is_inert() {
     let dynamics = stress_dynamics();
     let plain = simulate(&trace, &mut Saath::with_defaults(), &cfg, &dynamics).unwrap();
     let mut tele = saath::telemetry::Telemetry::with_jsonl();
-    let instrumented = saath::simulator::simulate_with_telemetry(
+    let instrumented = simulate_resumable(
         &trace,
         &mut Saath::with_defaults(),
         &cfg,
         &dynamics,
-        Some(&mut tele),
+        ReplayHooks {
+            tele: Some(&mut tele),
+            ..ReplayHooks::none()
+        },
     )
     .unwrap();
     assert_eq!(plain.records, instrumented.records);

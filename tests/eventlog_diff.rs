@@ -34,8 +34,8 @@ fn log_run(trace: &Trace, sched: &mut dyn CoflowScheduler) -> Vec<u8> {
         sched,
         &SimConfig::default(),
         &DynamicsSpec::none(),
-        None,
         ReplayHooks {
+            tele: None,
             sink: Some(&mut w),
             snapshot_every: 0,
             resume_from: None,
@@ -165,8 +165,8 @@ fn incremental_and_reference_runs_could_be_compared_via_records() {
             &mut Saath::with_defaults(),
             &SimConfig::default(),
             &DynamicsSpec::none(),
-            None,
             ReplayHooks {
+                tele: None,
                 sink: Some(&mut w),
                 snapshot_every: 25,
                 resume_from: None,

@@ -91,18 +91,21 @@ fn all_schedulers() -> Vec<Box<dyn CoflowScheduler>> {
 /// `SchedTimings` and are inherently nondeterministic).
 #[test]
 fn mech_counters_and_round_trace_are_pinned() {
-    use saath::simulator::simulate_with_telemetry;
+    use saath::simulator::{simulate_resumable, ReplayHooks};
 
     let trace = workload::gen::generate(&workload::gen::small(9, 10, 16));
     let run = || {
         let mut tele = saath::telemetry::Telemetry::with_jsonl();
         let mut sched = Saath::with_defaults();
-        let out = simulate_with_telemetry(
+        let out = simulate_resumable(
             &trace,
             &mut sched,
             &SimConfig::default(),
             &DynamicsSpec::none(),
-            Some(&mut tele),
+            ReplayHooks {
+                tele: Some(&mut tele),
+                ..ReplayHooks::none()
+            },
         )
         .unwrap();
         (out, sched.mech.rows(), tele)
@@ -225,6 +228,43 @@ proptest! {
             trace.port_rate,
         );
         prop_assert!(out.end.as_nanos() + 1 >= min_end_ns.as_nanos());
+    }
+
+    /// The one sample accumulator against exact statistics of the same
+    /// samples, at every magnitude: quantiles never under-report and
+    /// are at most an eighth over, the scalar fields are exact, and
+    /// merging two histograms equals observing both streams.
+    #[test]
+    fn loghist_quantiles_bound_the_exact_ones(
+        raw in proptest::collection::vec((any::<u64>(), 0u32..64), 1..200),
+        split in 0usize..200,
+    ) {
+        use saath::telemetry::LogHist;
+        let observe_all = |vs: &[u64]| {
+            let mut h = LogHist::new();
+            vs.iter().for_each(|&v| h.observe(v));
+            h
+        };
+        let samples: Vec<u64> = raw.iter().map(|&(v, shift)| v >> shift).collect();
+        let h = observe_all(&samples);
+        let mut sorted = samples.clone();
+        sorted.sort_unstable();
+        let n = sorted.len();
+        prop_assert_eq!((h.count, h.min, h.max), (n as u64, sorted[0], sorted[n - 1]));
+        prop_assert_eq!(h.sum, samples.iter().fold(0u64, |a, &v| a.saturating_add(v)));
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            let exact = sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+            let got = h.quantile(q);
+            prop_assert!(
+                got >= exact && u128::from(got) * 8 <= u128::from(exact) * 9,
+                "q={q}: exact {exact}, reported {got}"
+            );
+        }
+        prop_assert!(h.p50() <= h.p90() && h.p90() <= h.p99() && h.p99() <= h.max);
+        let (a, b) = samples.split_at(split.min(n));
+        let mut merged = observe_all(a);
+        merged.merge(&observe_all(b));
+        prop_assert_eq!(merged, h);
     }
 
     /// The wire protocol never panics on arbitrary bytes, and always

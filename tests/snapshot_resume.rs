@@ -86,8 +86,8 @@ fn logged_run(
         sched,
         &SimConfig::default(),
         dynamics,
-        None,
         ReplayHooks {
+            tele: None,
             sink: Some(&mut w),
             snapshot_every: k,
             resume_from: None,
@@ -116,8 +116,8 @@ fn resumed_run(
         sched,
         &SimConfig::default(),
         dynamics,
-        None,
         ReplayHooks {
+            tele: None,
             sink: Some(&mut w),
             snapshot_every: 0,
             resume_from: Some(&snap.blob),
@@ -251,8 +251,8 @@ fn resume_rejects_mismatched_runs() {
         &mut Aalo::with_defaults(),
         &SimConfig::default(),
         &dynamics,
-        None,
         ReplayHooks {
+            tele: None,
             sink: None,
             snapshot_every: 0,
             resume_from: Some(&snap.blob),
@@ -268,8 +268,8 @@ fn resume_rejects_mismatched_runs() {
         &mut Saath::with_defaults(),
         &SimConfig::default(),
         &dynamics,
-        None,
         ReplayHooks {
+            tele: None,
             sink: None,
             snapshot_every: 0,
             resume_from: Some(&snap.blob),
@@ -284,8 +284,8 @@ fn resume_rejects_mismatched_runs() {
         &mut Saath::with_defaults(),
         &SimConfig::default(),
         &dynamics,
-        None,
         ReplayHooks {
+            tele: None,
             sink: None,
             snapshot_every: 0,
             resume_from: Some(&snap.blob[..snap.blob.len() / 2]),
