@@ -1180,6 +1180,7 @@ pub fn emulate_scale_cmd(
             "completed",
             "epochs",
             "period p50 ms",
+            "stats entries/epoch",
             "idle drain us",
             "wall ms",
         ],
@@ -1239,11 +1240,16 @@ pub fn emulate_scale_cmd(
         let period = periods
             .get(periods.len() / 2)
             .map_or("null".to_string(), |p| format!("{p:.2}"));
+        // Per-flow entries the coordinator ingested per epoch: what its
+        // drain costs, and what should track the live flows, not the
+        // trace's history.
+        let stats_entries =
+            report.coordinator.stats_entries as f64 / report.coordinator.epochs.max(1) as f64;
         let idle_us = idle_drain_us(transport, hosts);
         eprintln!(
             "[emulate-scale] {nodes} nodes on {hosts} {name} links ({per_host}/host): \
              {completed} coflows in {wall_ms:.0} ms, epoch period {period} ms, \
-             idle drain {idle_us:.1} us"
+             {stats_entries:.1} stats entries/epoch, idle drain {idle_us:.1} us"
         );
         t.row(&[
             nodes.to_string(),
@@ -1254,6 +1260,7 @@ pub fn emulate_scale_cmd(
             completed.to_string(),
             report.coordinator.epochs.to_string(),
             period.clone(),
+            format!("{stats_entries:.1}"),
             format!("{idle_us:.1}"),
             format!("{wall_ms:.1}"),
         ]);
@@ -1263,6 +1270,7 @@ pub fn emulate_scale_cmd(
              \"agents_per_host\": {per_host},\n      \"coflows\": {},\n      \
              \"completed\": {completed},\n      \"epochs\": {},\n      \
              \"epoch_period_p50_ms\": {period},\n      \
+             \"stats_entries_per_epoch\": {stats_entries:.1},\n      \
              \"idle_drain_us\": {idle_us:.1},\n      \
              \"wall_ms\": {wall_ms:.1}\n    }}",
             trace.coflows.len(),

@@ -1,19 +1,38 @@
 //! The global coordinator (Fig 6, §5).
 //!
-//! Every δ the coordinator (1) drains the agents' stats reports,
-//! (2) rebuilds its view of the cluster *from those reports alone* —
-//! it is stateless across intervals, the property the paper uses for
-//! cheap failover — (3) runs whatever [`CoflowScheduler`] policy it was
-//! given, and (4) pushes the schedule to every agent with a monotone
-//! epoch. CoFlow registration is the [`CoflowRegistry`]: in the paper
-//! the framework calls `register()`/`deregister()` over REST; here the
-//! harness preloads the registry from the trace, which is equivalent
-//! because registration happens at arrival times the coordinator only
-//! acts on once they pass.
+//! Every δ the coordinator (1) drains the agents' stats reports into
+//! its observation table, (2) builds its view of the cluster from that
+//! table, (3) runs whatever [`CoflowScheduler`] policy it was given —
+//! the policy keeps nothing the next wave does not give it again, the
+//! property the paper uses for cheap failover — and (4) pushes the
+//! schedule to every agent with a monotone epoch. CoFlow registration
+//! is the [`CoflowRegistry`]: in the paper the framework calls
+//! `register()`/`deregister()` over REST; here the harness preloads the
+//! registry from the trace, which is equivalent because registration
+//! happens at arrival times the coordinator only acts on once they
+//! pass.
+//!
+//! ## What is soft state
+//!
+//! Agents report a flow while it is unfinished and its finish once, so
+//! the drain costs the live flows (on the `emu-*` benchmark workloads
+//! ≈ 7 100 → ≈ 370 and ≈ 4 030 → ≈ 440 entries per epoch, against
+//! ≈ 310 and ≈ 440 unfinished flows in the views) — and the
+//! observation table (`ObsState`) is no longer re-derivable from any
+//! one wave: it is **soft state with a rebuild path**. A restarted
+//! coordinator ([`CoordinatorConfig::restart_at`]) starts with an empty
+//! table and a fresh policy, says [`Message::Hello`] on every link, and
+//! every agent answers with one full report, retired flows included
+//! (`AgentCore::resync`); a standby shard is handed the reconciler's
+//! table as `ObsState::snapshot` frames ([`crate::shard`]). The
+//! policy still rebuilds from a single wave, as before. The completion
+//! ledger (which CoFlows are done, their records) is not coordinator
+//! state in this sense — in a deployment it has left for the frameworks
+//! that registered the CoFlows — and survives the drill.
 
 use crate::clock::EmuClock;
 use crate::metrics::MetricsHub;
-use crate::proto::{FlowStat, Message, RateAssignment};
+use crate::proto::{FlowStat, Message, RateAssignment, COORDINATOR, MAX_FRAME};
 use crate::transport::{Transport, TransportStats};
 use saath_core::view::{ClusterView, CoflowScheduler, CoflowView, FlowView, Schedule};
 use saath_fabric::PortBank;
@@ -96,24 +115,27 @@ pub struct CoordinatorConfig {
     pub delta: Duration,
     /// Expose ground-truth sizes to the scheduler (clairvoyant runs).
     pub clairvoyant: bool,
-    /// Recreate the scheduler at this simulated time — emulates a
-    /// coordinator crash + failover; agents keep complying with the
-    /// last schedule and the fresh scheduler rebuilds its state from
-    /// the next stats wave (deadlines are re-derived, §5).
+    /// Recreate the scheduler and drop the observation table at this
+    /// simulated time — emulates a coordinator crash + failover; agents
+    /// keep complying with the last schedule, the successor asks them
+    /// for one full wave (`Message::Hello`) and rebuilds its state
+    /// from it (deadlines are re-derived, §5).
     pub restart_at: Option<Time>,
     /// Wall-clock watchdog: give up after this much real time.
     pub wall_deadline: std::time::Duration,
 }
 
-/// The stateless-rebuild core of the coordinator: latest per-flow
+/// The observation core of the coordinator: latest per-flow
 /// observations, CoFlow completion bookkeeping, and view construction —
-/// everything a δ round derives from the agents' reports alone. Shared
-/// by the single coordinator, each shard replica, and the reconciler,
-/// so all three rebuild *the same* view from the same stats wave.
+/// everything a δ round derives from the agents' reports. Shared by the
+/// single coordinator, each shard replica, and the reconciler, so all
+/// three build *the same* view from the same stats waves.
 pub(crate) struct ObsState {
     obs: Vec<FlowObs>,
     done: Vec<Option<Time>>,
     pub(crate) records: Vec<CoflowRecord>,
+    /// Per-flow entries ingested so far.
+    ingested: u64,
 }
 
 /// Latest per-flow stats (dense).
@@ -125,20 +147,27 @@ struct FlowObs {
     ready: Option<bool>,
 }
 
+impl FlowObs {
+    /// No report yet.
+    const UNSEEN: FlowObs = FlowObs {
+        sent: 0,
+        finished: false,
+        finished_at: Time::ZERO,
+        ready: None,
+    };
+}
+
+/// Flows per [`ObsState::snapshot`] frame: the most a `Stats` body
+/// holds under [`MAX_FRAME`] (16-byte header, 13 bytes per flow).
+pub(crate) const SNAPSHOT_CHUNK: usize = (MAX_FRAME - 18) / 13;
+
 impl ObsState {
     pub(crate) fn new(registry: &CoflowRegistry) -> ObsState {
         ObsState {
-            obs: vec![
-                FlowObs {
-                    sent: 0,
-                    finished: false,
-                    finished_at: Time::ZERO,
-                    ready: None,
-                };
-                registry.total_flows
-            ],
+            obs: vec![FlowObs::UNSEEN; registry.total_flows],
             done: vec![None; registry.entries.len()],
             records: Vec::with_capacity(registry.entries.len()),
+            ingested: 0,
         }
     }
 
@@ -146,6 +175,7 @@ impl ObsState {
     /// Flow ids come off the wire: entries naming no registered flow
     /// are skipped, and their number returned.
     pub(crate) fn ingest(&mut self, flows: &[FlowStat], now: Time) -> u64 {
+        self.ingested += flows.len() as u64;
         let mut rejected = 0;
         for &FlowStat {
             flow,
@@ -166,6 +196,47 @@ impl ObsState {
             }
         }
         rejected
+    }
+
+    /// Drops the observation table — what a coordinator crash loses.
+    /// The completion ledger (`records`, and which CoFlows are done)
+    /// stays: in a deployment it has already left the coordinator, to
+    /// the frameworks that registered the CoFlows.
+    pub(crate) fn forget_observations(&mut self) {
+        self.obs.fill(FlowObs::UNSEEN);
+    }
+
+    /// The observation table as [`Message::Stats`] frames of at most
+    /// `max_entries` flows each, stamped `now`: every flow ever
+    /// reported, finished ones included. Ingesting them brings a fresh
+    /// [`ObsState`] level with this one (up to the finish *times*, which
+    /// only the recording coordinator needs).
+    pub(crate) fn snapshot(&self, now: Time, max_entries: usize) -> Vec<Message> {
+        let seen: Vec<FlowStat> = self
+            .obs
+            .iter()
+            .enumerate()
+            .filter_map(|(flow, o)| {
+                Some(FlowStat {
+                    flow: flow as u32,
+                    sent: o.sent,
+                    finished: o.finished,
+                    ready: o.ready?,
+                })
+            })
+            .collect();
+        seen.chunks(max_entries.max(1))
+            .map(|flows| Message::Stats {
+                node: COORDINATOR,
+                now_ns: now.as_nanos(),
+                flows: flows.to_vec(),
+            })
+            .collect()
+    }
+
+    /// Whether flow `flow` has been reported finished.
+    pub(crate) fn is_finished(&self, flow: u32) -> bool {
+        self.obs.get(flow as usize).is_some_and(|o| o.finished)
     }
 
     /// Completion bookkeeping: records every CoFlow whose flows have all
@@ -269,6 +340,10 @@ pub struct CoordinatorReport {
     pub records: Vec<CoflowRecord>,
     /// Schedule epochs pushed.
     pub epochs: u64,
+    /// Per-flow entries ingested from the agents' stats reports — the
+    /// drain's work, which tracks the live flows (the hub's
+    /// `saath_coord_stats_flows_total`, for runs without a hub).
+    pub stats_entries: u64,
     /// Whether the run ended before all CoFlows finished: the watchdog
     /// tripped, or every agent link had failed.
     pub timed_out: bool,
@@ -279,6 +354,10 @@ pub struct CoordinatorReport {
 /// The hub counter for indices read off the wire that named no
 /// registered flow or shard — the entry is skipped, the run goes on.
 pub(crate) const REJECTED_INDICES: &str = "saath_coord_rejected_indices_total";
+
+/// The hub counter for per-flow entries ingested from stats reports —
+/// what the drain costs, and what should track the live flows.
+pub(crate) const STATS_FLOWS: &str = "saath_coord_stats_flows_total";
 
 /// The hub counter for agent links given up on after a transport error.
 pub(crate) const LINK_ERRORS: &str = "saath_coord_link_errors_total";
@@ -326,6 +405,7 @@ pub(crate) fn drain_stats(
     hub: Option<&MetricsHub>,
 ) {
     let (mut stats_msgs, mut rejected) = (0u64, 0u64);
+    let ingested_before = state.ingested;
     {
         let _span = hub.map(|h| h.span(Phase::CoordObsRecv));
         for (i, a) in agents.iter_mut().enumerate() {
@@ -343,8 +423,9 @@ pub(crate) fn drain_stats(
                         if let Message::Stats { flows, .. } = &m {
                             stats_msgs += 1;
                             rejected += state.ingest(flows, now);
+                            let mut frame = None;
                             for l in forward_to.iter_mut() {
-                                let _ = l.send(&m);
+                                let _ = l.send_shared(&m, &mut frame);
                             }
                         }
                     }
@@ -360,11 +441,34 @@ pub(crate) fn drain_stats(
     if let Some(h) = hub {
         if stats_msgs > 0 {
             h.incr("saath_coord_stats_msgs_total", "", stats_msgs);
+            h.incr(STATS_FLOWS, "", state.ingested - ingested_before);
         }
         if rejected > 0 {
             h.incr(REJECTED_INDICES, "", rejected);
         }
     }
+}
+
+/// Sends `m` on every live agent link — encoded once for all the
+/// framed ones — giving a link up at its first error. Returns how many
+/// links took it.
+fn send_to_live(
+    agents: &mut [Box<dyn Transport>],
+    health: &mut LinkHealth,
+    m: &Message,
+    hub: Option<&MetricsHub>,
+) -> u64 {
+    let (mut sent, mut frame) = (0, None);
+    for (i, a) in agents.iter_mut().enumerate() {
+        if health.dead[i] {
+            continue;
+        }
+        match a.send_shared(m, &mut frame) {
+            Ok(()) => sent += 1,
+            Err(_) => health.bury(i, hub),
+        }
+    }
+    sent
 }
 
 /// Epoch phase 3 (broadcast): pushes `schedule` to every live agent
@@ -380,19 +484,10 @@ pub(crate) fn push_schedule(
         epoch,
         rates: to_assignments(schedule),
     };
-    let mut pushed = 0u64;
-    {
+    let pushed = {
         let _span = hub.map(|h| h.span(Phase::CoordBroadcast));
-        for (i, a) in agents.iter_mut().enumerate() {
-            if health.dead[i] {
-                continue;
-            }
-            match a.send(&push) {
-                Ok(()) => pushed += 1,
-                Err(_) => health.bury(i, hub),
-            }
-        }
-    }
+        send_to_live(agents, health, &push, hub)
+    };
     if let Some(h) = hub {
         h.incr("saath_coord_epochs_total", "", 1);
         h.incr("saath_coord_schedule_msgs_total", "", pushed);
@@ -453,6 +548,7 @@ pub(crate) fn finish(
         h.set("saath_completed_coflows", "", state.records.len() as u64);
     }
     CoordinatorReport {
+        stats_entries: state.ingested,
         records: state.into_sorted_records(),
         epochs,
         timed_out,
@@ -494,25 +590,38 @@ pub fn run_coordinator(
             break true;
         }
 
-        // Failover injection.
+        // Failover injection: the successor has neither the policy's
+        // state nor the observations, and asks the agents for theirs.
         if let Some(t) = cfg.restart_at {
             if !restarted && clock.now() >= t {
                 sched = make_sched();
+                state.forget_observations();
+                // The resynchronisation handshake: every agent answers
+                // with one full report.
+                let hello = Message::Hello { node: COORDINATOR };
+                send_to_live(agents, &mut health, &hello, hub);
                 restarted = true;
             }
         }
 
         let now = clock.now();
         drain_stats(agents, &mut health, &mut [], &mut state, now, hub);
-        if state.sweep(registry, now) {
+        // Completion bookkeeping, then the view of what is still active.
+        let all_done = {
+            let _span = hub.map(|h| h.span(Phase::CoordViews));
+            let all_done = state.sweep(registry, now);
+            if !all_done {
+                state.build_views(registry, now, cfg.clairvoyant, &mut views);
+            }
+            all_done
+        };
+        if all_done {
             break false;
         }
         if health.all_dead() {
             break true;
         }
 
-        // Build the view of active CoFlows and compute a schedule.
-        state.build_views(registry, now, cfg.clairvoyant, &mut views);
         if !views.is_empty() {
             bank.reset_round();
             out.clear();
@@ -735,5 +844,151 @@ mod tests {
             "the link must be counted exactly once:\n{}",
             hub.render()
         );
+    }
+
+    /// A snapshot carries every flow ever reported, in frames no larger
+    /// than asked, and a fresh table that ingests it builds the same
+    /// views and completes the same CoFlows.
+    #[test]
+    fn snapshot_rebuilds_the_table_in_chunks() {
+        let reg = registry();
+        let mut state = ObsState::new(&reg);
+        let now = Time::from_millis(1200);
+        state.ingest(
+            &[stat(0, 1_000_000, true), stat(1, 2_000_000, true)],
+            Time::from_millis(900),
+        );
+        state.ingest(&[stat(2, 300, false)], now);
+        state.sweep(&reg, now);
+
+        let frames = state.snapshot(now, 2);
+        let sizes: Vec<usize> = frames
+            .iter()
+            .map(|m| match m {
+                Message::Stats { node, flows, .. } => {
+                    assert_eq!(*node, COORDINATOR);
+                    flows.len()
+                }
+                other => panic!("snapshot frame is {other:?}"),
+            })
+            .collect();
+        assert_eq!(sizes, [2, 1], "three flows seen, two per frame");
+
+        let mut fresh = ObsState::new(&reg);
+        for m in &frames {
+            if let Message::Stats { flows, now_ns, .. } = m {
+                assert_eq!(fresh.ingest(flows, Time(*now_ns)), 0);
+            }
+        }
+        assert!(!fresh.sweep(&reg, now));
+        assert_eq!(fresh.records.len(), 1, "CoFlow 0 is known complete");
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        state.build_views(&reg, now, false, &mut want);
+        fresh.build_views(&reg, now, false, &mut got);
+        assert_eq!(want.len(), 1);
+        assert_eq!(got[0].id, want[0].id);
+        assert_eq!(got[0].flows[0].sent, Bytes(300));
+
+        // A table that has seen nothing has nothing to hand over, and a
+        // full-size frame encodes.
+        assert!(ObsState::new(&reg).snapshot(now, 2).is_empty());
+        let full = Message::Stats {
+            node: COORDINATOR,
+            now_ns: 0,
+            flows: vec![stat(0, 0, false); SNAPSHOT_CHUNK],
+        };
+        assert!(full.encoded_len() <= MAX_FRAME && full.encoded_len() + 13 > MAX_FRAME);
+    }
+
+    /// A restarted coordinator has lost its observations and asks for
+    /// them: every live link gets one `Hello`, and a CoFlow whose first
+    /// flow was reported finished *before* the restart still completes,
+    /// from the agent's answer.
+    #[test]
+    fn resync_is_requested_after_a_restart_and_rebuilds_the_table() {
+        let reg = registry();
+        let (coord_side, mut agent) = inproc_pair(64);
+        let delta = Duration::from_millis(400);
+        let restart_at = Time::from_millis(1000);
+        // The scripted agent: flow 0 finished long ago (reported once),
+        // flows 1 and 2 finish only in the answer to the resync.
+        let agent_thread = std::thread::spawn(move || {
+            let report = |flows| Message::Stats {
+                node: 0,
+                now_ns: 0,
+                flows,
+            };
+            agent.send(&report(vec![stat(0, 1_000_000, true)])).unwrap();
+            let mut hellos = 0;
+            loop {
+                match agent.recv_timeout(std::time::Duration::from_secs(5)) {
+                    Ok(Some(Message::Hello { node })) => {
+                        assert_eq!(node, COORDINATOR);
+                        hellos += 1;
+                        let full = vec![
+                            stat(0, 1_000_000, true),
+                            stat(1, 2_000_000, true),
+                            stat(2, 1_000_000, true),
+                        ];
+                        agent.send(&report(full)).unwrap();
+                    }
+                    Ok(Some(Message::Shutdown)) | Ok(None) | Err(_) => return hellos,
+                    Ok(Some(_)) => {}
+                }
+            }
+        });
+        let report = run_coordinator(
+            &reg,
+            &|| Box::new(saath_core::Saath::with_defaults()),
+            &mut [Box::new(coord_side)],
+            &EmuClock::start(100),
+            &CoordinatorConfig {
+                delta,
+                clairvoyant: false,
+                restart_at: Some(restart_at),
+                wall_deadline: std::time::Duration::from_secs(10),
+            },
+            None,
+        );
+        assert_eq!(agent_thread.join().unwrap(), 1, "one Hello per restart");
+        assert!(report.restarted && !report.timed_out);
+        assert_eq!(report.records.len(), 2);
+        // Flow 0's first report is gone with the old table: the finish
+        // the successor knows of is the one in the resync answer.
+        assert!(
+            report.records[0].flow_fcts[0] >= restart_at.saturating_since(Time::from_millis(100)),
+            "flow 0 finished at {:?} after arrival: its pre-restart observation survived",
+            report.records[0].flow_fcts[0]
+        );
+    }
+
+    /// L framed links, one encode: the push is encoded by the first TCP
+    /// link and the same bytes go to the others.
+    #[test]
+    fn a_push_is_encoded_once_for_all_tcp_links() {
+        use crate::proto::ENCODES;
+        let (mut near, mut far): (Vec<Box<dyn Transport>>, Vec<_>) = (0..3)
+            .map(|_| crate::transport::tcp_pair())
+            .map(|(near, far)| (Box::new(near) as Box<dyn Transport>, far))
+            .unzip();
+        let mut schedule = Schedule::default();
+        schedule.rates.push((FlowId(3), Rate(1_000)));
+        schedule.rates.push((FlowId(1), Rate(2_000)));
+        let mut health = LinkHealth::new(near.len());
+
+        let before = ENCODES.with(|n| n.get());
+        push_schedule(&mut near, &mut health, 7, &schedule, None);
+        assert_eq!(ENCODES.with(|n| n.get()) - before, 1);
+
+        let want = Message::Schedule {
+            epoch: 7,
+            rates: to_assignments(&schedule),
+        };
+        for link in &mut far {
+            let got = link
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .unwrap();
+            assert_eq!(got.as_ref(), Some(&want));
+        }
     }
 }

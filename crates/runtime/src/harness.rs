@@ -34,7 +34,9 @@ pub struct EmulationConfig {
     /// dedicated machines; at the default `scale` 50 / `delta` 400 ms,
     /// the coordinator still wakes every 8 wall-milliseconds.
     pub delta: Duration,
-    /// Agent NIC tick (simulated), ≤ δ.
+    /// Agent NIC tick (simulated), ≤ δ. At `tick == δ` the schedule
+    /// push is the tick: a host advances its NICs when a push wakes it,
+    /// and by timer only after two silent ticks.
     pub tick: Duration,
     /// Transport between coordinator and agents.
     pub transport: TransportKind,
@@ -190,6 +192,25 @@ fn accept_identified(listener: &std::net::TcpListener, n: usize) -> Links {
         .collect()
 }
 
+/// The flows each node's agent owns — a flow belongs to its sender —
+/// under the registry's dense ids (flows numbered in trace order).
+fn agent_flows(trace: &Trace) -> Vec<Vec<AgentFlow>> {
+    let mut per_node: Vec<Vec<AgentFlow>> = vec![Vec::new(); trace.num_nodes];
+    let mut next = 0u32;
+    for c in &trace.coflows {
+        for f in &c.flows {
+            per_node[f.src.index()].push(AgentFlow {
+                flow: next,
+                size: f.size,
+                activate_at: c.arrival,
+                ready_at: c.arrival + f.available_after,
+            });
+            next += 1;
+        }
+    }
+    per_node
+}
+
 /// Replays `trace` on an emulated cluster: one agent per node on
 /// `ceil(nodes / cfg.multiplex)` host threads, the coordinator (or,
 /// with `cfg.shards ≥ 2`, the reconciler plus one thread per shard) on
@@ -214,21 +235,7 @@ pub fn emulate(
         "multiplex (agents per host) must be at least 1"
     );
 
-    // Dense flow ids in trace order; each flow is owned by its sender.
-    let mut per_node: Vec<Vec<AgentFlow>> = vec![Vec::new(); trace.num_nodes];
-    let mut next = 0u32;
-    for c in &trace.coflows {
-        for f in &c.flows {
-            per_node[f.src.index()].push(AgentFlow {
-                flow: next,
-                size: f.size,
-                activate_at: c.arrival,
-                ready_at: c.arrival + f.available_after,
-            });
-            next += 1;
-        }
-    }
-
+    let per_node = agent_flows(trace);
     let registry = CoflowRegistry::from_trace(trace);
     let clock = EmuClock::start(cfg.scale);
 
@@ -508,25 +515,51 @@ mod tests {
         assert!(final_page.contains("saath_transport_frames_sent_total{link=\"agent\"}"));
         assert!(final_page.contains("saath_active_coflows 0"));
         assert!(final_page.contains("saath_completed_coflows 40"));
+        assert!(final_page.contains("saath_coord_stats_flows_total "));
+        assert!(final_page.contains("saath_epoch_phase_ns_count{phase=\"coord_views\"}"));
         assert!(final_page.contains("saath_epoch_phase_ns_count{phase=\"coord_schedule\"}"));
         assert!(final_page.contains("saath_epoch_phase_ns_count{phase=\"agent_apply\"}"));
     }
 
+    /// A CoFlow with one flow that is through — reported finished, and
+    /// never reported again — well before `late_ms`, when the data of
+    /// its other flow turns up: whoever takes over in between learns of
+    /// the first flow only by asking.
+    fn straddler(id: u32, late_ms: u64) -> CoflowSpec {
+        let mut late = FlowSpec::new(NodeId(4), NodeId(1), Bytes::mb(5));
+        late.available_after = Duration::from_millis(late_ms);
+        CoflowSpec::new(
+            CoflowId(id),
+            Time::ZERO,
+            vec![FlowSpec::new(NodeId(3), NodeId(0), Bytes::mb(5)), late],
+        )
+    }
+
     #[test]
     fn coordinator_failover_recovers() {
-        let trace = small_trace(6);
+        let mut trace = small_trace(6);
+        trace.coflows.insert(0, straddler(6, 1500));
         let cfg = EmulationConfig {
             // Restart mid-replay (coflows span ~1.2 sim-seconds).
-            restart_coordinator_at: Some(Time::from_millis(600)),
+            restart_coordinator_at: Some(Time::from_millis(1000)),
             ..Default::default()
         };
         let report = emulate(&trace, &|| Box::new(Saath::with_defaults()), &cfg);
         assert!(report.coordinator.restarted, "failover never injected");
+        // The successor starts without observations. CoFlow 6's first
+        // flow finished, and was reported, before the restart: the run
+        // only ends because a full wave followed it.
         assert!(!report.coordinator.timed_out);
         assert_eq!(
             report.coordinator.records.len(),
-            6,
+            7,
             "all CoFlows must survive a coordinator restart"
+        );
+        let straddled = &report.coordinator.records[6];
+        assert!(
+            straddled.flow_fcts[0] >= Duration::from_millis(1000),
+            "its first flow is known finished {:?} after arrival: not from the wave after the restart",
+            straddled.flow_fcts[0]
         );
     }
 
@@ -597,12 +630,15 @@ mod tests {
 
     #[test]
     fn shard_failover_drill_recovers() {
-        let trace = small_trace(6);
+        // Ten CoFlows, the first few complete by the swap: the standby
+        // takes over shard 0's share of both kinds.
+        let trace = small_trace(10);
         let cfg = EmulationConfig {
             shards: 2,
-            // Kill shard 0 mid-replay (coflows span ~1.2 sim-seconds);
+            // Kill shard 0 mid-replay (coflows span ~2 sim-seconds);
             // the pre-spawned standby replica takes over.
-            restart_shard_at: Some(Time::from_millis(600)),
+            restart_shard_at: Some(Time::from_millis(1200)),
+            metrics_addr: Some("127.0.0.1:0".into()),
             ..Default::default()
         };
         let report = emulate(&trace, &|| Box::new(Saath::with_defaults()), &cfg);
@@ -610,8 +646,16 @@ mod tests {
         assert!(!report.coordinator.timed_out);
         assert_eq!(
             report.coordinator.records.len(),
-            6,
+            10,
             "all CoFlows must survive a shard restart"
+        );
+        // The standby started from the reconciler's table: from its
+        // first slice on, no replica scheduled a flow known finished.
+        let page = report.metrics.expect("metrics_addr set");
+        assert!(page.contains("saath_shard_standby_rebuilds_total{shard=\"0\"} 1"));
+        assert!(
+            !page.contains(crate::shard::FINISHED_FLOW_RATES),
+            "a replica was behind the reconciler's table:\n{page}"
         );
         // 2 shards + the standby replica.
         assert_eq!(report.shard_epochs.len(), 3);
@@ -822,5 +866,199 @@ mod tests {
             &|| Box::new(Saath::with_defaults()),
             &EmulationConfig::default(),
         );
+    }
+
+    /// What crossed a coordinator-side link: `(inbound, message)`.
+    type Tape = Arc<std::sync::Mutex<Vec<(bool, Message)>>>;
+
+    /// A link that records every message crossing it.
+    struct Tap {
+        inner: Box<dyn Transport>,
+        tape: Tape,
+    }
+
+    impl Transport for Tap {
+        fn send(&mut self, m: &Message) -> Result<(), crate::transport::TransportError> {
+            self.tape.lock().unwrap().push((false, m.clone()));
+            self.inner.send(m)
+        }
+        fn send_shared(
+            &mut self,
+            m: &Message,
+            frame: &mut Option<bytes::Bytes>,
+        ) -> Result<(), crate::transport::TransportError> {
+            self.tape.lock().unwrap().push((false, m.clone()));
+            self.inner.send_shared(m, frame)
+        }
+        fn recv_timeout(
+            &mut self,
+            timeout: std::time::Duration,
+        ) -> Result<Option<Message>, crate::transport::TransportError> {
+            let got = self.inner.recv_timeout(timeout)?;
+            if let Some(m) = &got {
+                self.tape.lock().unwrap().push((true, m.clone()));
+            }
+            Ok(got)
+        }
+        fn stats(&self) -> crate::transport::TransportStats {
+            self.inner.stats()
+        }
+    }
+
+    /// `emulate`'s single-coordinator wiring — two host threads of
+    /// three agents each — with every coordinator-side link tapped.
+    /// Returns the report, the tape and the final metrics page.
+    fn tapped_run(
+        trace: &Trace,
+        transport: TransportKind,
+        restart_at: Option<Time>,
+    ) -> (CoordinatorReport, Vec<(bool, Message)>, String) {
+        let cfg = EmulationConfig::default();
+        let clock = EmuClock::start(cfg.scale);
+        let registry = CoflowRegistry::from_trace(trace);
+        let hub = Arc::new(MetricsHub::new());
+        let tape: Tape = Arc::default();
+        let (coord_sides, host_sides) = link_pairs(transport, 2, 1024);
+        let mut nodes = agent_flows(trace).into_iter().enumerate();
+        let hosts: Vec<_> = host_sides
+            .into_iter()
+            .enumerate()
+            .map(|(host, link)| {
+                let agents = nodes
+                    .by_ref()
+                    .take(3)
+                    .map(|(node, flows)| (node as u32, flows))
+                    .collect();
+                let (clock, hub) = (clock.clone(), Arc::clone(&hub));
+                std::thread::spawn(move || {
+                    run_agent_host(host, agents, link, clock, cfg.delta, cfg.tick, Some(hub))
+                })
+            })
+            .collect();
+        let mut tapped: Links = coord_sides
+            .into_iter()
+            .map(|inner| {
+                let tape = Arc::clone(&tape);
+                Box::new(Tap { inner, tape }) as Box<dyn Transport>
+            })
+            .collect();
+        let report = run_coordinator(
+            &registry,
+            &|| Box::new(Saath::with_defaults()),
+            &mut tapped,
+            &clock,
+            &CoordinatorConfig {
+                delta: cfg.delta,
+                clairvoyant: false,
+                restart_at,
+                wall_deadline: std::time::Duration::from_secs(30),
+            },
+            Some(&hub),
+        );
+        drop(tapped);
+        for h in hosts {
+            h.join().unwrap().unwrap();
+        }
+        let tape = std::mem::take(&mut *tape.lock().unwrap());
+        (report, tape, hub.render())
+    }
+
+    /// Three waves of three CoFlows, 5 simulated seconds apart: each
+    /// wave is long done when the next arrives. Flows 6w..6w+6 are
+    /// wave w's; nodes 0-2 send two flows per wave each.
+    fn three_waves() -> Trace {
+        let mut trace = small_trace(9);
+        for (i, c) in trace.coflows.iter_mut().enumerate() {
+            c.arrival = Time::from_secs(5 * (i as u64 / 3));
+        }
+        trace
+    }
+
+    /// How often each flow was reported finished, by flow id.
+    fn finishes_reported(tape: &[(bool, Message)], flows: usize) -> Vec<usize> {
+        let mut finishes = vec![0; flows];
+        for (inbound, m) in tape {
+            if let (true, Message::Stats { flows, .. }) = (inbound, m) {
+                for f in flows.iter().filter(|f| f.finished) {
+                    finishes[f.flow as usize] += 1;
+                }
+            }
+        }
+        finishes
+    }
+
+    /// The stats plane is bounded by what is live, not by history:
+    /// every flow's finish crosses the wire once, no report outgrows
+    /// one wave's share of its node, the entries per δ fall back to
+    /// nothing between waves, and the coordinator's counter counts
+    /// exactly what crossed.
+    fn stats_track_live_flows(transport: TransportKind) {
+        let trace = three_waves();
+        let (report, tape, page) = tapped_run(&trace, transport, None);
+        assert!(!report.timed_out);
+        assert_eq!(report.records.len(), 9);
+        assert_eq!(finishes_reported(&tape, 18), [1; 18]);
+
+        let delta = EmulationConfig::default().delta;
+        // Entries per δ-wide bin of the agents' clocks.
+        let mut per_bin = vec![0usize; 128];
+        let mut entries = 0;
+        for (inbound, m) in &tape {
+            if let (true, Message::Stats { now_ns, flows, .. }) = (inbound, m) {
+                assert!(
+                    (1..=2).contains(&flows.len()),
+                    "a node has two flows per wave, and empty reports stay home: {m:?}"
+                );
+                let bin = ((now_ns / delta.as_nanos()) as usize).min(127);
+                per_bin[bin] += flows.len();
+                entries += flows.len();
+            }
+        }
+        for wave in 1..3u64 {
+            let arrival = (Time::from_secs(5 * wave).as_nanos() / delta.as_nanos()) as usize;
+            assert!(per_bin[arrival..arrival + 3].iter().any(|&n| n > 0));
+            assert_eq!(
+                per_bin[arrival - 2..arrival],
+                [0, 0],
+                "wave {wave} found the plane still busy with the last one: {per_bin:?}"
+            );
+        }
+        assert!(
+            page.contains(&format!("saath_coord_stats_flows_total {entries}\n")),
+            "{entries} entries crossed:\n{page}"
+        );
+    }
+
+    #[test]
+    fn stats_track_live_flows_inproc() {
+        stats_track_live_flows(TransportKind::InProc);
+    }
+
+    #[test]
+    fn stats_track_live_flows_tcp() {
+        stats_track_live_flows(TransportKind::Tcp);
+    }
+
+    /// A restarted coordinator says `Hello` on every link, and a full
+    /// wave follows: the flows of the first wave, finished and retired
+    /// long before, are reported finished a second time — and only
+    /// they; the agents are back to deltas for everything after.
+    #[test]
+    fn resync_full_wave_follows_a_coordinator_restart() {
+        let trace = three_waves();
+        let restart_at = Time::from_millis(7500);
+        let (report, tape, _) = tapped_run(&trace, TransportKind::InProc, Some(restart_at));
+        assert!(report.restarted && !report.timed_out);
+        assert_eq!(report.records.len(), 9);
+
+        let hello = Message::Hello {
+            node: crate::proto::COORDINATOR,
+        };
+        let hellos = tape.iter().filter(|(inbound, m)| !inbound && *m == hello);
+        assert_eq!(hellos.count(), 2, "one per agent link");
+        let finishes = finishes_reported(&tape, 18);
+        assert_eq!(finishes[..6], [2; 6], "wave 0 was retired at the restart");
+        assert_eq!(finishes[12..], [1; 6], "wave 2 arrived after it");
+        assert!(finishes[6..12].iter().all(|n| (1..=2).contains(n)));
     }
 }

@@ -9,18 +9,24 @@
 //! 1. **Hello** — every hosted agent's handshake frame is queued at
 //!    startup.
 //! 2. **Apply-schedule** — inbound frames are drained nonblockingly;
-//!    a schedule push is applied to every hosted agent (each core
-//!    keeps its own strictly-newer-wins epoch guard).
+//!    a schedule push is ordered by flow id once and handed to every
+//!    hosted agent, which looks up its live flows in it (each core
+//!    keeps its own strictly-newer-wins epoch guard): the apply costs
+//!    the push plus the host's live flows, not agents × rates. A
+//!    `Hello` from the coordinator side — a restarted coordinator —
+//!    makes every agent re-arm one full report.
 //! 3. **Advance-NIC** — each agent's token-bucket counters move to
 //!    `now`. Crediting uses actually-elapsed time, so a host that
 //!    falls behind its tick cadence stays byte-correct — it just
 //!    ticks coarser.
-//! 4. **Report-stats** — agents whose δ report is due enqueue it,
-//!    and the iteration's frames leave in **one flush** at its end
+//! 4. **Report-stats** — agents whose δ report is due enqueue it
+//!    (an agent with no live flow has none: no frame), and the
+//!    iteration's frames leave in **one flush** at its end
 //!    (one `write(2)` per wave, not per frame). A queue over the
 //!    high-water mark is flushed early; if it is still over, the
-//!    writer is **parked**: the report is deferred (its due-mark
-//!    stays set) and retried once the peer drains. A stalled
+//!    writer is **parked**: the report is deferred — not built, so
+//!    a finish it would carry is not lost — and retried once the peer
+//!    drains. A stalled
 //!    coordinator therefore back-pressures exactly the agents behind
 //!    the stalled link and costs bounded memory, instead of blocking
 //!    a thread per agent or queueing unboundedly.
@@ -28,7 +34,8 @@
 //! Between iterations the loop sleeps in `poll(2)` ([`crate::poll`])
 //! on the link's socket, waking early on readability (a schedule
 //! push), on writability when a flush is pending, or at the NIC tick
-//! deadline otherwise. Partial frames in either direction are already
+//! deadline otherwise (with `tick = δ` the push *is* the tick, and the
+//! timer only the watchdog of a silent link: two ticks). Partial frames in either direction are already
 //! resumable at the transport layer — a short read parks the frame in
 //! the receive buffer, a short write parks the remainder in the send
 //! queue — so no agent ever blocks the loop mid-frame. Over the
@@ -53,14 +60,34 @@ pub const WRITE_HIGH_WATER: usize = 256 * 1024;
 
 /// Applies one inbound frame to every hosted agent. Returns `true` on
 /// [`Message::Shutdown`].
-fn deliver(m: &Message, cores: &mut [AgentCore], hub: Option<&MetricsHub>) -> bool {
-    if matches!(m, Message::Schedule { .. }) {
-        // One apply-span for the whole host, not one per agent — the
-        // push is applied N times.
-        let _span = hub.map(|h| h.span(Phase::AgentApply));
-        for c in cores {
-            c.on_message(m, None);
+///
+/// A schedule push is ordered by flow id here, once for the host, so
+/// that each agent only looks its own live flows up in it: the apply
+/// costs the push plus the host's live flows, not agents × rates. A
+/// [`Message::Hello`] is a fresh observer asking for history — every
+/// agent re-arms one full report.
+pub(crate) fn deliver(
+    m: &mut Message,
+    cores: &mut [AgentCore],
+    now: Time,
+    hub: Option<&MetricsHub>,
+) -> bool {
+    match m {
+        Message::Schedule { rates, .. } => {
+            // One apply-span for the whole host, not one per agent.
+            let _span = hub.map(|h| h.span(Phase::AgentApply));
+            // Stable, so of several rates for one flow the last wins,
+            // as it would applied in push order.
+            rates.sort_by_key(|r| r.flow);
+            for c in cores {
+                // The push may name a CoFlow that arrived since the
+                // last tick.
+                c.activate(now);
+                c.on_message(m, None);
+            }
         }
+        Message::Hello { .. } => cores.iter_mut().for_each(AgentCore::resync),
+        _ => {}
     }
     matches!(m, Message::Shutdown)
 }
@@ -72,7 +99,7 @@ fn deliver(m: &Message, cores: &mut [AgentCore], hub: Option<&MetricsHub>) -> bo
 /// (their reports stay due) only if it is still over afterwards — the
 /// peer really has stalled, and costs bounded memory. Returns the
 /// number of writers parked.
-fn report_wave(
+pub(crate) fn report_wave(
     cores: &mut [AgentCore],
     link: &mut dyn Transport,
     now: Time,
@@ -140,7 +167,15 @@ pub fn run_agent_host(
         }
     }
 
-    let tick_wall = clock.to_wall(tick);
+    // How long the loop sleeps when nothing arrives. With `tick < δ` the
+    // NIC ticks between pushes. With `tick = δ` there is no tick to take
+    // between two pushes — each push wakes the loop, which advances the
+    // NIC and reports — and a timer of one tick would only race the
+    // push it expects, a few hundred µs apart, deciding by who is
+    // faster that period whether the new rates or the old ones are
+    // credited for it. There the timer is the watchdog of a silent
+    // link and gets a second tick.
+    let idle_wall = clock.to_wall(if tick < delta { tick } else { tick * 2 });
     #[cfg(unix)]
     let fd = link.raw_fd();
     let mut ready_events: u64 = 0;
@@ -152,8 +187,8 @@ pub fn run_agent_host(
         // deliver many frames.
         loop {
             match link.recv_timeout(std::time::Duration::ZERO) {
-                Ok(Some(m)) => {
-                    if deliver(&m, &mut cores, hub.as_deref()) {
+                Ok(Some(mut m)) => {
+                    if deliver(&mut m, &mut cores, clock.now(), hub.as_deref()) {
                         // Best-effort: let a final stats wave out.
                         let _ = link.try_flush();
                         return Ok(epochs(&cores));
@@ -181,7 +216,7 @@ pub fn run_agent_host(
         #[cfg(unix)]
         let waited_via_poll = if let Some(fd) = fd {
             let want_write = link.queued_bytes() > 0;
-            match crate::poll::wait_fd(fd, want_write, tick_wall) {
+            match crate::poll::wait_fd(fd, want_write, idle_wall) {
                 Ok(r) => {
                     if r.any() {
                         ready_events += 1;
@@ -206,13 +241,13 @@ pub fn run_agent_host(
             // In-process link: the channel itself is the wake-up
             // source. The received frame is handled exactly like the
             // drain loop would.
-            match link.recv_timeout(tick_wall) {
-                Ok(Some(m)) => {
+            match link.recv_timeout(idle_wall) {
+                Ok(Some(mut m)) => {
                     ready_events += 1;
                     if let (Some(h), Some(l)) = (hub.as_deref(), labels.as_deref()) {
                         h.set("saath_host_ready_events_total", l, ready_events);
                     }
-                    if deliver(&m, &mut cores, hub.as_deref()) {
+                    if deliver(&mut m, &mut cores, clock.now(), hub.as_deref()) {
                         let _ = link.try_flush();
                         return Ok(epochs(&cores));
                     }

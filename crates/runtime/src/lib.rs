@@ -5,12 +5,17 @@
 //! the architecture of Fig 6 and §5. Where `saath-simulator` models the
 //! coordination loop analytically, this crate *runs* it: agents (one
 //! per node, as the paper's agents are one per machine) enforce rates
-//! on emulated NICs, report flow statistics every δ, and comply with
-//! the last schedule until a new one arrives; the coordinator is
-//! stateless between intervals — it rebuilds its view of
-//! the cluster from the latest reports, exactly the property the paper
-//! uses for failover ("since the coordinator makes scheduling decisions
-//! on the latest flow stats … it is easy … to recover from failures").
+//! on emulated NICs, report flow statistics every δ — the flows still
+//! in flight, and each finish once, so every per-δ step costs what is
+//! live rather than the trace's history — and comply with the last
+//! schedule until a new one arrives; the coordinator's policy keeps
+//! nothing the latest reports do not give it again, the property the
+//! paper uses for failover ("since the coordinator makes scheduling
+//! decisions on the latest flow stats … it is easy … to recover from
+//! failures"). Its observation table is soft state with a rebuild
+//! path: a restarted coordinator asks the agents for one full wave, a
+//! standby shard is handed the reconciler's table (see
+//! [`coordinator`]).
 //!
 //! This is the substitute for the paper's 150-node Azure testbed
 //! (§7): the observable behaviour that determines CCTs — pipelined
@@ -26,8 +31,8 @@
 //! machines with one driver, [`host::run_agent_host`], which runs
 //! [`EmulationConfig::multiplex`] of them per thread over one link
 //! (default 1). The coordinator is one epoch loop
-//! ([`coordinator::run_coordinator`]: drain stats → complete CoFlows →
-//! schedule → push → publish); with [`EmulationConfig::shards`] ≥ 2 the
+//! ([`coordinator::run_coordinator`]: drain stats → complete CoFlows,
+//! build views → schedule → push → publish); with [`EmulationConfig::shards`] ≥ 2 the
 //! same loop's rates come from K [`shard::run_shard`] threads instead
 //! of a local policy ([`shard::run_sharded_coordinator`]), and one
 //! parameter, [`EmulationConfig::staleness`], says whether those shards

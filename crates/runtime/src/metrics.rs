@@ -47,6 +47,10 @@ const FAMILY_HELP: &[(&str, &str)] = &[
         "Agent stats reports drained by the coordinator",
     ),
     (
+        crate::coordinator::STATS_FLOWS,
+        "Per-flow entries ingested from agent stats reports",
+    ),
+    (
         "saath_coord_schedule_msgs_total",
         "Schedule messages pushed to agents",
     ),
@@ -69,6 +73,10 @@ const FAMILY_HELP: &[(&str, &str)] = &[
     (
         "saath_shard_merge_clamps_total",
         "Rate assignments clamped by the reconciler's port-capacity merge",
+    ),
+    (
+        crate::shard::FINISHED_FLOW_RATES,
+        "Rates in a fresh shard slice naming a flow the reconciler has seen finished (the replica is behind)",
     ),
     (
         "saath_shard_standby_rebuilds_total",

@@ -23,9 +23,14 @@ pub const VERSION: u8 = 1;
 /// length prefixes).
 pub const MAX_FRAME: usize = 16 << 20;
 
+/// The `node` a coordinator or reconciler signs its own frames with (a
+/// resynchronising [`Message::Hello`], a snapshot [`Message::Stats`]).
+pub const COORDINATOR: u32 = u32::MAX;
+
 /// Statistics for one flow, as reported by the sending agent (§5:
 /// "per-flow bytes sent so far and which flows finished in this
-/// interval", plus the §4.3 data-readiness bit).
+/// interval", plus the §4.3 data-readiness bit). A flow is reported
+/// every δ while it is unfinished and once more with `finished` set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlowStat {
     /// Dense flow id.
@@ -50,13 +55,19 @@ pub struct RateAssignment {
 /// Every message that crosses the coordinator ↔ agent boundary.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Message {
-    /// Agent announces itself (sent once per connection; repeated after
-    /// a reconnect, which is how coordinator failover resynchronizes).
+    /// The opening handshake, in either direction. An agent announces
+    /// itself once per connection. Sent *to* an agent host (as
+    /// [`COORDINATOR`]) it is how a fresh observer — a restarted
+    /// coordinator — resynchronises: every hosted agent answers with one
+    /// full report, finished flows included, and goes back to deltas.
     Hello {
-        /// The agent's node index.
+        /// The sender's node index ([`COORDINATOR`] for the coordinator).
         node: u32,
     },
-    /// Periodic per-δ stats report from an agent.
+    /// Per-δ stats report from an agent: the flows that are activated
+    /// and unfinished, plus — once — each flow that finished since the
+    /// last report. The reconciler also uses it to hand a standby shard
+    /// its observation table (node = [`COORDINATOR`]).
     Stats {
         /// Reporting node.
         node: u32,
@@ -141,6 +152,13 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+#[cfg(test)]
+thread_local! {
+    /// Frames encoded on this thread — lets tests hold a fan-out to
+    /// "encoded once, whatever the number of links".
+    pub(crate) static ENCODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 const T_HELLO: u8 = 1;
 const T_STATS: u8 = 2;
 const T_SCHEDULE: u8 = 3;
@@ -172,39 +190,53 @@ impl Message {
     /// a frame mid-stream anyway, so the failure belongs on the sender,
     /// where the message (and its flow count) is still in context.
     pub fn encode(&self) -> Result<Bytes, ProtoError> {
+        let mut frame = BytesMut::new();
+        self.encode_into(&mut frame)?;
+        Ok(frame.freeze())
+    }
+
+    /// Appends the length-prefixed frame to `out` — the one encoder:
+    /// [`Message::encoded_len`] is exact, so the prefix is written
+    /// first and the body straight behind it, with no intermediate
+    /// buffer. On `Err` nothing has been appended.
+    pub fn encode_into(&self, out: &mut BytesMut) -> Result<(), ProtoError> {
         let body_len = self.encoded_len();
         if body_len > MAX_FRAME {
             return Err(ProtoError::Oversized(body_len));
         }
-        let mut body = BytesMut::with_capacity(body_len);
-        body.put_u8(VERSION);
+        #[cfg(test)]
+        ENCODES.with(|n| n.set(n.get() + 1));
+        out.reserve(4 + body_len);
+        out.put_u32(body_len as u32);
+        let start = out.len();
+        out.put_u8(VERSION);
         match self {
             Message::Hello { node } => {
-                body.put_u8(T_HELLO);
-                body.put_u32(*node);
+                out.put_u8(T_HELLO);
+                out.put_u32(*node);
             }
             Message::Stats {
                 node,
                 now_ns,
                 flows,
             } => {
-                body.put_u8(T_STATS);
-                body.put_u32(*node);
-                body.put_u64(*now_ns);
-                body.put_u32(flows.len() as u32);
+                out.put_u8(T_STATS);
+                out.put_u32(*node);
+                out.put_u64(*now_ns);
+                out.put_u32(flows.len() as u32);
                 for f in flows {
-                    body.put_u32(f.flow);
-                    body.put_u64(f.sent);
-                    body.put_u8(u8::from(f.finished) | (u8::from(f.ready) << 1));
+                    out.put_u32(f.flow);
+                    out.put_u64(f.sent);
+                    out.put_u8(u8::from(f.finished) | (u8::from(f.ready) << 1));
                 }
             }
             Message::Schedule { epoch, rates } => {
-                body.put_u8(T_SCHEDULE);
-                body.put_u64(*epoch);
-                body.put_u32(rates.len() as u32);
+                out.put_u8(T_SCHEDULE);
+                out.put_u64(*epoch);
+                out.put_u32(rates.len() as u32);
                 for r in rates {
-                    body.put_u32(r.flow);
-                    body.put_u64(r.rate);
+                    out.put_u32(r.flow);
+                    out.put_u64(r.rate);
                 }
             }
             Message::ShardSchedule {
@@ -212,13 +244,13 @@ impl Message {
                 epoch,
                 rates,
             } => {
-                body.put_u8(T_SHARD_SCHEDULE);
-                body.put_u32(*shard);
-                body.put_u64(*epoch);
-                body.put_u32(rates.len() as u32);
+                out.put_u8(T_SHARD_SCHEDULE);
+                out.put_u32(*shard);
+                out.put_u64(*epoch);
+                out.put_u32(rates.len() as u32);
                 for r in rates {
-                    body.put_u32(r.flow);
-                    body.put_u64(r.rate);
+                    out.put_u32(r.flow);
+                    out.put_u64(r.rate);
                 }
             }
             Message::Reconcile {
@@ -226,43 +258,40 @@ impl Message {
                 now_ns,
                 rebuild,
             } => {
-                body.put_u8(T_RECONCILE);
-                body.put_u64(*epoch);
-                body.put_u64(*now_ns);
-                body.put_u8(u8::from(*rebuild));
+                out.put_u8(T_RECONCILE);
+                out.put_u64(*epoch);
+                out.put_u64(*now_ns);
+                out.put_u8(u8::from(*rebuild));
             }
             Message::ContentionSummary { summary } => {
-                body.put_u8(T_CONTENTION_SUMMARY);
-                body.put_u32(summary.shard);
-                body.put_u64(summary.round);
-                body.put_u32(summary.port_coflows.len() as u32);
+                out.put_u8(T_CONTENTION_SUMMARY);
+                out.put_u32(summary.shard);
+                out.put_u64(summary.round);
+                out.put_u32(summary.port_coflows.len() as u32);
                 for &(p, c) in &summary.port_coflows {
-                    body.put_u32(p);
-                    body.put_u32(c);
+                    out.put_u32(p);
+                    out.put_u32(c);
                 }
-                body.put_u32(summary.port_rates.len() as u32);
+                out.put_u32(summary.port_rates.len() as u32);
                 for &(p, r) in &summary.port_rates {
-                    body.put_u32(p);
-                    body.put_u64(r);
+                    out.put_u32(p);
+                    out.put_u64(r);
                 }
-                body.put_u32(summary.queue_coflows.len() as u32);
+                out.put_u32(summary.queue_coflows.len() as u32);
                 for &c in &summary.queue_coflows {
-                    body.put_u32(c);
+                    out.put_u32(c);
                 }
-                body.put_u32(summary.queue_kc_sum.len() as u32);
+                out.put_u32(summary.queue_kc_sum.len() as u32);
                 for &s in &summary.queue_kc_sum {
-                    body.put_u64(s);
+                    out.put_u64(s);
                 }
             }
             Message::Shutdown => {
-                body.put_u8(T_SHUTDOWN);
+                out.put_u8(T_SHUTDOWN);
             }
         }
-        debug_assert_eq!(body.len(), body_len, "encoded_len out of sync");
-        let mut frame = BytesMut::with_capacity(4 + body.len());
-        frame.put_u32(body.len() as u32);
-        frame.extend_from_slice(&body);
-        Ok(frame.freeze())
+        debug_assert_eq!(out.len() - start, body_len, "encoded_len out of sync");
+        Ok(())
     }
 
     /// Decodes one frame *body* (everything after the length prefix).

@@ -21,8 +21,11 @@
 //!   union *is* the single coordinator's schedule. This divides the
 //!   failure domain, not the compute: any K−1 shards can die and the
 //!   reconciler keeps pushing consistent schedules from the survivors'
-//!   last slices, and a restarted shard resynchronises from a single
-//!   stats wave (§5's stateless-rebuild property, now per shard).
+//!   last slices, and a standby that takes a dead shard's place starts
+//!   from the reconciler's own observation table, sent ahead of the
+//!   rebuild barrier as snapshot `Stats` frames — agents report a
+//!   finish once, so no later wave would tell it — and is level with
+//!   its peers at its first round.
 //! * **S ≥ 1 — partitioned.** Each shard schedules only its owned
 //!   CoFlows against the latest `ContentionSummary` from each peer,
 //!   exporting its own every S epochs (relayed by the reconciler):
@@ -43,7 +46,7 @@ use crate::clock::EmuClock;
 use crate::coordinator::{
     drain_stats, finish, publish_epoch, publish_links, push_schedule, shutdown_links,
     to_assignments, CoflowRegistry, CoordinatorConfig, CoordinatorReport, LinkHealth, ObsState,
-    REJECTED_INDICES,
+    REJECTED_INDICES, SNAPSHOT_CHUNK,
 };
 use crate::metrics::MetricsHub;
 use crate::proto::{Message, RateAssignment};
@@ -56,6 +59,11 @@ use saath_fabric::PortBank;
 use saath_simcore::{FlowId, PortId, Rate, Time};
 use saath_telemetry::prom::label_body;
 use saath_telemetry::Phase;
+
+/// The hub counter for rates in a *fresh* slice that name a flow the
+/// reconciler has seen finished: the replica that sent it is behind the
+/// reconciler's observation table. Rendered only when nonzero.
+pub(crate) const FINISHED_FLOW_RATES: &str = "saath_shard_finished_flow_rates_total";
 
 /// `(uplink, downlink)` of every registered flow, indexed by flow id.
 fn flow_endpoints(registry: &CoflowRegistry) -> Vec<(PortId, PortId)> {
@@ -231,8 +239,9 @@ pub fn run_shard(
 
 /// Kill-and-respawn drill for one shard: at simulated time `at` the
 /// reconciler shuts the shard's link down and swaps in `spare` — a
-/// pre-connected link to a standby replica of the same shard — then
-/// broadcasts a global rebuild on the next barrier.
+/// pre-connected link to a standby replica of the same shard — hands
+/// it its observation table, then broadcasts a global rebuild on the
+/// next barrier.
 pub struct ShardFailover {
     /// Which shard to restart.
     pub shard: usize,
@@ -297,8 +306,15 @@ pub fn run_sharded_coordinator(
             let f = failover.take().expect("checked above");
             let _ = shard_links[f.shard].send(&Message::Shutdown);
             shard_links[f.shard] = f.spare;
-            // The standby replica is fresh; force every other
-            // replica to rebuild too so they stay identical.
+            // The standby has seen no report, and agents do not repeat
+            // the finishes they have reported: it starts from this
+            // table, level with its peers once this epoch's wave has
+            // been forwarded, so no completed CoFlow looks active to it.
+            for frame in state.snapshot(clock.now(), SNAPSHOT_CHUNK) {
+                let _ = shard_links[f.shard].send(&frame);
+            }
+            // Its policy is fresh; force every other replica to
+            // rebuild too so they stay identical.
             pending_rebuild = true;
             restarted = true;
             if let Some(h) = hub {
@@ -312,14 +328,18 @@ pub fn run_sharded_coordinator(
 
         let now = clock.now();
         drain_stats(agents, &mut health, &mut shard_links, &mut state, now, hub);
-        if state.sweep(registry, now) {
+        let (all_done, active) = {
+            let _span = hub.map(|h| h.span(Phase::CoordViews));
+            let all_done = state.sweep(registry, now);
+            (all_done, state.active_count(registry, now))
+        };
+        if all_done {
             break false;
         }
         if health.all_dead() {
             break true;
         }
 
-        let active = state.active_count(registry, now);
         if active > 0 {
             let span_reconcile = hub.map(|h| h.span(Phase::CoordReconcile));
             // Barrier: every shard computes at the same timestamp.
@@ -396,6 +416,12 @@ pub fn run_sharded_coordinator(
             for (i, slice) in got.into_iter().enumerate() {
                 let family = match slice {
                     Some(rates) => {
+                        // A replica level with this table schedules no
+                        // finished flow.
+                        let behind = rates.iter().filter(|r| state.is_finished(r.flow)).count();
+                        if let (Some(h), true) = (hub, behind > 0) {
+                            h.incr(FINISHED_FLOW_RATES, &shard_labels[i], behind as u64);
+                        }
                         last_slices[i] = rates;
                         last_fresh_epoch[i] = epochs;
                         "saath_shard_slices_total"
@@ -675,6 +701,81 @@ mod tests {
         assert!(
             page.contains(REJECTED_INDICES),
             "skipped entries must be counted:\n{page}"
+        );
+    }
+
+    /// A standby replica starts from the reconciler's table, not from
+    /// the agents' next reports — which no longer repeat the finishes
+    /// already reported. Bootstrapped from snapshot frames, its first
+    /// slice schedules the one unfinished flow and nothing else; without
+    /// them it takes every flow for unstarted, and the older, completed
+    /// CoFlow wins the ports.
+    #[test]
+    fn a_snapshot_bootstrapped_standby_schedules_no_finished_flow() {
+        use crate::proto::FlowStat;
+        use crate::transport::inproc_pair;
+        use saath_simcore::{Bytes, CoflowId};
+        use saath_workload::{CoflowSpec, FlowSpec, Trace};
+
+        let mb = |src, dst| FlowSpec::new(NodeId(src), NodeId(dst), Bytes::mb(1));
+        // CoFlow 0 = flows 0, 1 (complete); CoFlow 1 = flows 2 (done), 3.
+        let registry = CoflowRegistry::from_trace(&Trace {
+            num_nodes: 4,
+            port_rate: Rate::gbps(1),
+            coflows: vec![
+                CoflowSpec::new(CoflowId(0), Time::ZERO, vec![mb(0, 2), mb(1, 3)]),
+                CoflowSpec::new(CoflowId(1), Time::ZERO, vec![mb(0, 3), mb(1, 2)]),
+            ],
+        });
+        let now = Time::from_secs(1);
+        let mut table = ObsState::new(&registry);
+        let seen = |flow, sent, finished| FlowStat {
+            flow,
+            sent,
+            finished,
+            ready: true,
+        };
+        let done = [0, 1, 2].map(|f| seen(f, 1_000_000, true));
+        table.ingest(&done, Time::from_millis(600));
+        table.ingest(&[seen(3, 400_000, false)], now);
+        let snapshot = table.snapshot(now, 3);
+        assert_eq!(snapshot.len(), 2, "four flows seen, three per frame");
+
+        let first_slice = |bootstrap: &[Message]| {
+            let (mut near, far) = inproc_pair(64);
+            std::thread::scope(|s| {
+                let registry = &registry;
+                let shard = s.spawn(move || {
+                    let cfg = SaathConfig::default();
+                    run_shard(0, 1, 0, registry, cfg, Box::new(far), false, None)
+                });
+                for frame in bootstrap {
+                    near.send(frame).unwrap();
+                }
+                near.send(&Message::Reconcile {
+                    epoch: 1,
+                    now_ns: now.as_nanos(),
+                    rebuild: true,
+                })
+                .unwrap();
+                let reply = near.recv_timeout(std::time::Duration::from_secs(5));
+                near.send(&Message::Shutdown).unwrap();
+                assert_eq!(shard.join().unwrap().unwrap(), 1);
+                match reply {
+                    Ok(Some(Message::ShardSchedule { rates, .. })) => {
+                        let mut flows: Vec<u32> = rates.iter().map(|r| r.flow).collect();
+                        flows.sort_unstable();
+                        flows
+                    }
+                    other => panic!("no slice: {other:?}"),
+                }
+            })
+        };
+        assert_eq!(first_slice(&snapshot), [3]);
+        assert_eq!(
+            first_slice(&[]),
+            [0, 1],
+            "unbootstrapped, it hands the ports to the CoFlow that completed long ago"
         );
     }
 }

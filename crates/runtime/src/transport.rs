@@ -8,7 +8,7 @@
 //! the paper's agents talk to the Azure coordinator VM.
 
 use crate::proto::{Message, ProtoError};
-use bytes::{Buf as _, BytesMut};
+use bytes::{Buf as _, Bytes, BytesMut};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -80,6 +80,19 @@ impl TransportStats {
 pub trait Transport: Send {
     /// Sends one message (non-blocking or cheaply buffered).
     fn send(&mut self, m: &Message) -> Result<(), TransportError>;
+
+    /// Sends `m` as one link of a fan-out: `frame` is the caller's cache
+    /// of `m`'s encoding, shared by every link the same message goes to
+    /// (`None` before the first). A framed transport fills it on first
+    /// use and writes those bytes, so L links cost one encode, not L;
+    /// the default — links that move the value itself — ignores it.
+    fn send_shared(
+        &mut self,
+        m: &Message,
+        _frame: &mut Option<Bytes>,
+    ) -> Result<(), TransportError> {
+        self.send(m)
+    }
 
     /// Receives the next message, waiting at most `timeout`.
     /// `Ok(None)` = nothing arrived in time. A zero `timeout` is a
@@ -239,6 +252,36 @@ impl TcpTransport {
         }
     }
 
+    fn count_sent(&mut self, m: &Message) {
+        self.stats.frames_sent += 1;
+        self.stats.bytes_sent += m.encoded_len() as u64;
+    }
+
+    /// Hands `frame` — `m`, encoded — to the socket. Nonblocking, the
+    /// whole frame is queued and `try_flush` writes: a write per frame
+    /// would cost the sender a syscall each and leave the peer chasing
+    /// a half-written wave. The queue is unbounded here; event loops
+    /// bound it by checking `queued_bytes()` before generating new
+    /// frames (see `host::WRITE_HIGH_WATER`), so a stalled peer
+    /// back-pressures its own producers instead of blocking the shared
+    /// loop. Blocking, anything a nonblocking phase left queued is
+    /// drained first, then the frame written in full.
+    fn write_frame(&mut self, m: &Message, frame: &[u8]) -> Result<(), TransportError> {
+        if self.nonblocking {
+            self.out.extend_from_slice(frame);
+        } else {
+            if !self.out.is_empty() {
+                let queued = self.out.split_to(self.out.len());
+                self.stream
+                    .write_all(&queued)
+                    .map_err(Self::map_write_err)?;
+            }
+            self.stream.write_all(frame).map_err(Self::map_write_err)?;
+        }
+        self.count_sent(m);
+        Ok(())
+    }
+
     /// Splits the next complete frame off the receive buffer.
     fn take_frame(&mut self) -> Result<Option<Message>, TransportError> {
         let m = Message::decode_stream(&mut self.buf)?;
@@ -279,33 +322,26 @@ const READ_CHUNK: usize = 4096;
 
 impl Transport for TcpTransport {
     fn send(&mut self, m: &Message) -> Result<(), TransportError> {
-        let frame = m.encode()?;
         if self.nonblocking {
-            // Queue the whole frame; `try_flush` writes. A write per
-            // frame would cost the sender a syscall each and leave the
-            // peer chasing a half-written wave. The queue is unbounded
-            // here; event loops bound it by checking `queued_bytes()`
-            // before generating new frames (see
-            // `host::WRITE_HIGH_WATER`), so a stalled peer
-            // back-pressures its own producers instead of blocking the
-            // shared loop.
-            self.out.extend_from_slice(&frame);
-            self.stats.frames_sent += 1;
-            self.stats.bytes_sent += m.encoded_len() as u64;
+            // Encoded straight onto the tail of the queue.
+            m.encode_into(&mut self.out)?;
+            self.count_sent(m);
             return Ok(());
         }
-        // Blocking mode: drain anything a nonblocking phase left
-        // queued, then write the frame in full.
-        if !self.out.is_empty() {
-            let queued = self.out.split_to(self.out.len());
-            self.stream
-                .write_all(&queued)
-                .map_err(Self::map_write_err)?;
-        }
-        self.stream.write_all(&frame).map_err(Self::map_write_err)?;
-        self.stats.frames_sent += 1;
-        self.stats.bytes_sent += m.encoded_len() as u64;
-        Ok(())
+        let frame = m.encode()?;
+        self.write_frame(m, &frame)
+    }
+
+    fn send_shared(
+        &mut self,
+        m: &Message,
+        frame: &mut Option<Bytes>,
+    ) -> Result<(), TransportError> {
+        let frame = match frame {
+            Some(f) => f,
+            None => frame.insert(m.encode()?),
+        };
+        self.write_frame(m, frame)
     }
 
     fn recv_timeout(&mut self, timeout: WallDuration) -> Result<Option<Message>, TransportError> {
@@ -396,6 +432,15 @@ impl Transport for TcpTransport {
         use std::os::fd::AsRawFd as _;
         Some(self.stream.as_raw_fd())
     }
+}
+
+/// A connected loopback pair, both ends on the calling thread.
+#[cfg(test)]
+pub(crate) fn tcp_pair() -> (TcpTransport, TcpTransport) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let near = TcpTransport::connect(&listener.local_addr().unwrap().to_string()).unwrap();
+    let (stream, _) = listener.accept().unwrap();
+    (near, TcpTransport::new(stream).unwrap())
 }
 
 #[cfg(test)]
@@ -715,14 +760,6 @@ mod tests {
         assert_eq!(boxed.queued_bytes(), 0);
     }
 
-    /// A connected loopback pair, both ends on the calling thread.
-    fn tcp_pair() -> (TcpTransport, TcpTransport) {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let near = TcpTransport::connect(&listener.local_addr().unwrap().to_string()).unwrap();
-        let (stream, _) = listener.accept().unwrap();
-        (near, TcpTransport::new(stream).unwrap())
-    }
-
     /// A zero budget is a readiness probe, not a socket timeout: the
     /// kernel used to round the 1 µs `SO_RCVTIMEO` up to two timer
     /// ticks, 8 ms per idle link per coordinator drain.
@@ -825,5 +862,46 @@ mod tests {
             let got = far.recv_timeout(WallDuration::from_secs(5)).unwrap();
             assert_eq!(got, Some(frame(node)));
         }
+    }
+
+    /// A fan-out costs one encode however many framed links it has —
+    /// blocking or queueing — while an in-process link takes the value
+    /// and never encodes; every peer reads the same message.
+    #[test]
+    fn fanout_encodes_once_for_tcp_and_never_for_inproc() {
+        use crate::proto::ENCODES;
+        let encodes = || ENCODES.with(|n| n.get());
+        let m = sample_messages().remove(2);
+
+        let mut links: Vec<_> = (0..4).map(|_| tcp_pair()).collect();
+        links[3].0.set_nonblocking(true).unwrap();
+        let (before, mut frame) = (encodes(), None);
+        for (near, _) in &mut links {
+            near.send_shared(&m, &mut frame).unwrap();
+        }
+        assert_eq!(encodes() - before, 1, "L links, one encode");
+        assert!(links[3].0.queued_bytes() > 0 && links[3].0.try_flush().unwrap());
+        for (near, far) in &mut links {
+            assert_eq!(
+                far.recv_timeout(WallDuration::from_secs(5)).unwrap(),
+                Some(m.clone())
+            );
+            assert_eq!(near.stats().frames_sent, 1);
+            assert_eq!(near.stats().bytes_sent, m.encoded_len() as u64);
+        }
+        // The plain path: one encode per send, straight into the queue
+        // when nonblocking.
+        let before = encodes();
+        links[3].0.send(&m).unwrap();
+        links[0].0.send(&m).unwrap();
+        assert_eq!(encodes() - before, 2);
+        assert_eq!(links[3].0.queued_bytes(), 4 + m.encoded_len());
+
+        let (mut a, mut b) = inproc_pair(4);
+        let (before, mut frame) = (encodes(), None);
+        a.send_shared(&m, &mut frame).unwrap();
+        assert_eq!(encodes() - before, 0);
+        assert!(frame.is_none(), "no frame was needed");
+        assert_eq!(b.recv_timeout(WallDuration::from_secs(1)).unwrap(), Some(m));
     }
 }

@@ -279,7 +279,11 @@ pub enum Phase {
     EngineAdvance,
     /// Coordinator: draining agent stats reports (obs-recv).
     CoordObsRecv,
-    /// Coordinator: view build + policy compute (schedule).
+    /// Coordinator: completion sweep + building the active CoFlows'
+    /// views from the observation table (views).
+    CoordViews,
+    /// Coordinator: the policy's `compute` call, nothing else
+    /// (schedule).
     CoordSchedule,
     /// Reconciler: shard slice collection + deterministic merge.
     CoordReconcile,
@@ -290,7 +294,7 @@ pub enum Phase {
 }
 
 /// All span kinds, in display order.
-pub const PHASES: [Phase; 16] = [
+pub const PHASES: [Phase; 17] = [
     Phase::SchedTotal,
     Phase::SchedOrder,
     Phase::SchedContention,
@@ -303,6 +307,7 @@ pub const PHASES: [Phase; 16] = [
     Phase::EngineRound,
     Phase::EngineAdvance,
     Phase::CoordObsRecv,
+    Phase::CoordViews,
     Phase::CoordSchedule,
     Phase::CoordReconcile,
     Phase::CoordBroadcast,
@@ -325,6 +330,7 @@ impl Phase {
             Phase::EngineRound => "engine_round",
             Phase::EngineAdvance => "engine_advance",
             Phase::CoordObsRecv => "coord_obs_recv",
+            Phase::CoordViews => "coord_views",
             Phase::CoordSchedule => "coord_schedule",
             Phase::CoordReconcile => "coord_reconcile_merge",
             Phase::CoordBroadcast => "coord_broadcast",
