@@ -1551,11 +1551,10 @@ pub fn gen_trace(seed: u64, out: &std::path::Path) -> String {
     )
 }
 
-/// Per-mode measurements of one scalability-sweep point.
+/// One timed replay of one scalability-sweep point in one mode.
 struct ScaleRun {
     wall_ms: f64,
     rounds: u64,
-    rounds_per_sec: f64,
     records: Vec<saath_metrics::CoflowRecord>,
     spans: saath_telemetry::SpanProfiler,
 }
@@ -1567,6 +1566,85 @@ impl ScaleRun {
     }
 }
 
+/// Median, minimum and maximum of a reading over a point's repeats.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+/// The repeats of one sweep point in one mode. Every reading the sweep
+/// reports is the median over them, so one disturbed replay moves a
+/// row's min or max and not the row.
+struct ScaleRuns(Vec<ScaleRun>);
+
+impl ScaleRuns {
+    fn spread(&self, reading: impl Fn(&ScaleRun) -> f64) -> Spread {
+        use saath_metrics::stats::percentile;
+        let v: Vec<f64> = self.0.iter().map(reading).collect();
+        let at = |p: f64| percentile(&v, p).expect("a sweep point ran at least once");
+        Spread {
+            median: at(50.0),
+            min: at(0.0),
+            max: at(100.0),
+        }
+    }
+
+    fn wall_ms(&self) -> f64 {
+        self.spread(|r| r.wall_ms).median
+    }
+
+    fn phase_ms(&self, phase: Phase) -> f64 {
+        self.spread(|r| r.phase_ms(phase)).median
+    }
+
+    fn rounds_per_sec(&self) -> f64 {
+        self.0[0].rounds as f64 / (self.wall_ms() / 1e3).max(1e-9)
+    }
+}
+
+/// Machine, toolchain and tree the numbers were taken on, as one JSON
+/// object — the fields of `benchmark/BASELINE.md`'s stamp; `unknown`
+/// where one cannot be read. The commit is `git describe --always
+/// --dirty`, so a sweep run on an uncommitted tree says so.
+fn env_stamp_json() -> String {
+    let file = |path: &str| std::fs::read_to_string(path).ok();
+    let tool = |program: &str, args: &[&str]| {
+        let out = std::process::Command::new(program)
+            .args(args)
+            .stderr(std::process::Stdio::null())
+            .output();
+        let out = out.ok().filter(|o| o.status.success());
+        out.map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let cpu = file("/proc/cpuinfo").and_then(|s| {
+        let model = s.lines().find(|l| l.starts_with("model name"));
+        model
+            .and_then(|l| l.split_once(':'))
+            .map(|(_, v)| v.trim().to_string())
+    });
+    let nproc = std::thread::available_parallelism().map(|n| n.get().to_string());
+    let fields = [
+        ("nproc", nproc.ok()),
+        ("cpu", cpu),
+        (
+            "kernel",
+            file("/proc/sys/kernel/osrelease").map(|s| s.trim().to_string()),
+        ),
+        ("rustc", tool("rustc", &["-V"])),
+        ("commit", tool("git", &["describe", "--always", "--dirty"])),
+    ];
+    let fields: Vec<String> = fields
+        .into_iter()
+        .map(|(key, value)| {
+            let value = value.unwrap_or_else(|| "unknown".into());
+            format!("\"{key}\": \"{}\"", value.replace(['"', '\\'], ""))
+        })
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
 /// **Scalability sweep** (Fig 9's scale axis, §5.4) — not a CCT figure:
 /// rounds/sec of the full replay loop as cluster size and flow count
 /// grow from 150 nodes × 10k flows to 1k nodes × 100k flows, comparing
@@ -1575,9 +1653,13 @@ impl ScaleRun {
 /// update + `OrderBook` repositioning), with per-phase scheduler
 /// timings for both. Asserts the two modes produce byte-identical
 /// records at every point; `small` smoke runs additionally pin the
-/// records to the O(state)-per-step reference simulation loop. Writes
-/// `BENCH_scalability.json` (skipped for `small` smoke runs); with
-/// `json`, returns the JSON document instead of the rendered table.
+/// records to the O(state)-per-step reference simulation loop. A full
+/// sweep replays every point three times in each mode, alternating
+/// the modes, and reports the median of every timing (with its min and
+/// max in the JSON); records and round counts must repeat exactly.
+/// Writes `BENCH_scalability.json` (skipped for `small` smoke runs,
+/// which replay once); with `json`, returns the JSON document instead
+/// of the rendered table.
 ///
 /// Built with `--features parallel` the same sweep also exercises the
 /// sharded gang probes (probe/merge columns become non-zero), so serial
@@ -1621,6 +1703,7 @@ pub fn scale(
             (1_000, 100_000),
         ]
     };
+    let repeats = if small { 1 } else { 3 };
     let cfg = SimConfig::default();
     let dynamics = DynamicsSpec::none();
 
@@ -1636,18 +1719,19 @@ pub fn scale(
         ScaleRun {
             wall_ms,
             rounds: out.rounds,
-            rounds_per_sec: out.rounds as f64 / (wall_ms / 1e3).max(1e-9),
             records: out.records,
             spans: sched.timings.spans,
         }
     };
-    let mode_json = |label: &str, r: &ScaleRun| {
+    // `<key>` stays the reading bench-diff lines up against older
+    // documents (now a median); `<key>_min` / `<key>_max` are new.
+    let mode_json = |label: &str, r: &ScaleRuns| {
         let mut doc = format!(
-            "      \"{label}\": {{\n        \"wall_ms\": {:.1},\n        \
-             \"rounds_per_sec\": {:.1}",
-            r.wall_ms, r.rounds_per_sec,
+            "      \"{label}\": {{\n        \"rounds_per_sec\": {:.1}",
+            r.rounds_per_sec(),
         );
-        for (key, phase) in [
+        let wall = std::iter::once(("wall_ms", r.spread(|run| run.wall_ms)));
+        let phases = [
             ("sched_ms", Phase::SchedTotal),
             ("contention_ms", Phase::SchedContention),
             ("ordering_ms", Phase::SchedOrder),
@@ -1655,8 +1739,13 @@ pub fn scale(
             ("work_conservation_ms", Phase::SchedWc),
             ("probe_ms", Phase::SchedProbe),
             ("merge_ms", Phase::SchedMerge),
-        ] {
-            doc.push_str(&format!(",\n        \"{key}\": {:.1}", r.phase_ms(phase)));
+        ]
+        .map(|(key, phase)| (key, r.spread(|run| run.phase_ms(phase))));
+        for (key, s) in wall.chain(phases) {
+            doc.push_str(&format!(
+                ",\n        \"{key}\": {:.1}, \"{key}_min\": {:.1}, \"{key}_max\": {:.1}",
+                s.median, s.min, s.max
+            ));
         }
         doc + "\n      }"
     };
@@ -1684,23 +1773,29 @@ pub fn scale(
     for (pi, &(nodes, target_flows)) in points.iter().enumerate() {
         let trace = grown_trace_at(lab.seed(), nodes, target_flows);
         let flows = flow_count(&trace);
-        let rebuild = run_mode(&trace, false);
-        let incremental = run_mode(&trace, true);
-        inc_spans.merge(&incremental.spans);
+        let (mut rebuild, mut incremental) = (ScaleRuns(Vec::new()), ScaleRuns(Vec::new()));
+        for _ in 0..repeats {
+            rebuild.0.push(run_mode(&trace, false));
+            incremental.0.push(run_mode(&trace, true));
+        }
+        for run in rebuild.0.iter().chain(&incremental.0).skip(1) {
+            assert_eq!(
+                (run.rounds, &run.records),
+                (rebuild.0[0].rounds, &rebuild.0[0].records),
+                "a repeat or the incremental contention/order changed the schedule at {nodes} nodes"
+            );
+        }
+        // One repeat's samples stand for the point in the pooled
+        // latency table; pooling all of them would only triple counts.
+        inc_spans.merge(&incremental.0[0].spans);
+        let records = &incremental.0[0].records;
+        let rounds = incremental.0[0].rounds;
         if pi == 0 && log.active() {
             // `--log` / `--resume-from` record the sweep's first point
             // (the one a prior invocation with the same seed also ran),
             // untimed, pinned to the timed incremental records.
-            eprintln!(
-                "{}",
-                logged_replay(&trace, &cfg, &dynamics, log, &incremental.records)
-            );
+            eprintln!("{}", logged_replay(&trace, &cfg, &dynamics, log, records));
         }
-        assert_eq!(
-            rebuild.records, incremental.records,
-            "incremental contention/order changed the schedule at {nodes} nodes"
-        );
-        assert_eq!(rebuild.rounds, incremental.rounds);
         if small {
             // Smoke runs additionally pin both modes to the original
             // O(state)-per-step reference loop: a third, independent
@@ -1709,17 +1804,17 @@ pub fn scale(
             let refr = saath_simulator::simulate_reference(&trace, &mut sched, &cfg, &dynamics)
                 .expect("scale-sweep reference run failed");
             assert_eq!(
-                refr.records, incremental.records,
+                &refr.records, records,
                 "scheduling records diverged from the reference loop at {nodes} nodes"
             );
         }
-        let speedup = incremental.rounds_per_sec / rebuild.rounds_per_sec.max(1e-9);
+        let speedup = incremental.rounds_per_sec() / rebuild.rounds_per_sec().max(1e-9);
         t.row(&[
             nodes.to_string(),
             flows.to_string(),
-            incremental.rounds.to_string(),
-            format!("{:.1}", rebuild.rounds_per_sec),
-            format!("{:.1}", incremental.rounds_per_sec),
+            rounds.to_string(),
+            format!("{:.1}", rebuild.rounds_per_sec()),
+            format!("{:.1}", incremental.rounds_per_sec()),
             fmt_x(speedup),
             format!(
                 "{:.1} → {:.1}",
@@ -1739,14 +1834,14 @@ pub fn scale(
              \"rounds_per_sec_speedup\": {speedup:.2},\n\
              {},\n{}\n    }}",
             trace.coflows.len(),
-            incremental.rounds,
+            rounds,
             mode_json("full_rebuild", &rebuild),
             mode_json("incremental", &incremental),
         ));
         oracles.push((
-            incremental.records.clone(),
+            records.clone(),
             incremental.phase_ms(Phase::SchedTotal),
-            incremental.wall_ms,
+            incremental.wall_ms(),
         ));
     }
 
@@ -1919,10 +2014,12 @@ pub fn scale(
     let json_doc = format!(
         "{{\n  \"experiment\": \"scalability_sweep\",\n  \"seed\": {},\n  \
          \"delta_ms\": 8,\n  \"parallel_feature\": {},\n  \
-         \"telemetry_feature\": {},\n  \"points\": [\n{}\n  ]{}\n}}\n",
+         \"telemetry_feature\": {},\n  \"repeats\": {repeats},\n  \
+         \"env\": {},\n  \"points\": [\n{}\n  ]{}\n}}\n",
         lab.seed(),
         cfg!(feature = "parallel"),
         saath_telemetry::enabled(),
+        env_stamp_json(),
         point_docs.join(",\n"),
         shard_json,
     );

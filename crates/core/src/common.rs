@@ -141,7 +141,11 @@ pub struct ContentionWork {
 
 /// Incrementally-maintained per-CoFlow contention, replacing the
 /// per-round full rebuild of [`contention_into`] with a delta update
-/// driven by the [`ClusterView::changed`] hint.
+/// driven by the [`ClusterView::changed`] hint. A footprint moves only
+/// when a flow finishes, so a caller that can tell (`Saath` checks its
+/// cached endpoint lists) passes a view whose hint names just those
+/// CoFlows: a CoFlow named here is re-collected, sorted and diffed
+/// even when its footprint turns out not to have moved.
 ///
 /// # Invariant
 ///

@@ -17,6 +17,7 @@
 
 use saath_simcore::{Bytes, Duration, Rate};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Priority-queue parameters (defaults = the paper's).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -110,10 +111,22 @@ impl QueueConfig {
     /// the paper's rule; for skewed CoFlows the long flow gets a
     /// proportionally larger allowance, delaying demotion until the
     /// CoFlow as a whole has actually sent comparable volume.
-    pub fn queue_for_skew_aware(&self, sents: &[Bytes]) -> usize {
-        let n = sents.len();
+    ///
+    /// `sents` is walked twice (totals first, then the binding flow),
+    /// so it is any cheaply re-iterable source of the flows' bytes
+    /// sent — a slice, or a `map` over the flows — and nothing is
+    /// collected.
+    pub fn queue_for_skew_aware<I>(&self, sents: I) -> usize
+    where
+        I: IntoIterator + Clone,
+        I::Item: Borrow<Bytes>,
+    {
+        let (mut n, mut total) = (0u128, 0u128);
+        for s in sents.clone() {
+            n += 1;
+            total += s.borrow().as_u64() as u128;
+        }
         assert!(n > 0, "CoFlow with zero flows");
-        let total: u128 = sents.iter().map(|s| s.as_u64() as u128).sum();
         if total == 0 {
             return 0;
         }
@@ -121,9 +134,9 @@ impl QueueConfig {
         // Computed in integers: hi ≥ (2 · sent_i · N · total) / (total + sent_i · N).
         let mut need: u128 = 0;
         for s in sents {
-            let si = s.as_u64() as u128;
-            let num = 2 * si * n as u128 * total;
-            let den = total + si * n as u128;
+            let si = s.borrow().as_u64() as u128;
+            let num = 2 * si * n * total;
+            let den = total + si * n;
             need = need.max(num.div_ceil(den));
         }
         for q in 0..self.num_queues {

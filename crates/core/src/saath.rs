@@ -25,14 +25,32 @@
 //! Ablation flags reproduce the Fig 10 breakdown: `all_or_none` only
 //! (FIFO order + Aalo-style total-bytes thresholds), `+ per-flow
 //! thresholds`, `+ LCoF` (= full Saath).
+//!
+//! ## What a round reads
+//!
+//! All four steps want the same few things of a CoFlow — `m_c`,
+//! whether every unfinished flow is ready, and the endpoints of the
+//! unfinished flows — and those change far less often than the
+//! driver's [`ClusterView::changed`] hint fires: the hint names every
+//! CoFlow that sent a byte, while an endpoint list moves only when a
+//! flow finishes. So each live CoFlow has one entry (a slab slot found
+//! by one hash lookup per round) holding them next to its
+//! queue/deadline state. A CoFlow that is new, named by the hint, or
+//! seen in an unhinted round has its flows walked once, by
+//! `CoflowEntry::refresh`, which checks the cached list against the
+//! view element by element and rebuilds it only on a mismatch; every
+//! later step reads the entry. The ids whose list did move are the
+//! hint the [`ContentionTracker`] gets. `endpoints_into`,
+//! `CoflowView::all_ready` and `CoflowView::max_flow_sent` stay as the
+//! oracles: debug builds assert every entry against them every round.
 
-use crate::common::{contention_into, endpoints_into, ContentionTracker, RoundArena};
+use crate::common::{contention_into, ContentionTracker, RoundArena};
 use crate::config::QueueConfig;
 use crate::order::OrderBook;
 use crate::timing::SchedTimings;
 use crate::view::{ClusterView, CoflowScheduler, CoflowView, Schedule};
 use saath_fabric::{gang_allocate, gang_rate_with, greedy_fill_into, FlowEndpoints, PortBank};
-use saath_simcore::{Bytes, CoflowId, FastHashMap, FastHashSet, Rate, Time};
+use saath_simcore::{Bytes, CoflowId, FastHashMap, Rate, Time};
 use saath_telemetry::{MechCounters, Phase};
 use std::time::Instant;
 
@@ -64,12 +82,16 @@ pub struct SaathConfig {
     /// fraction instead of the plain equal split. Off by default (the
     /// paper's evaluated design splits equally).
     pub skew_aware_thresholds: bool,
-    /// Maintain `k_c` incrementally across rounds via the
-    /// [`ClusterView::changed`] hint instead of rebuilding the full
-    /// port-incidence map every round (§5.4 scalability). Identical
-    /// results either way — [`contention_into`] stays the oracle and
-    /// debug builds assert equality every round. Off reproduces the
-    /// original full-rebuild cost for benchmarking.
+    /// Maintain `k_c` incrementally across rounds instead of rebuilding
+    /// the full port-incidence map every round (§5.4 scalability). The
+    /// [`ContentionTracker`] is handed the [`ClusterView::changed`]
+    /// hint narrowed to the CoFlows whose unfinished-flow endpoints
+    /// actually moved (see the module docs); without a hint it
+    /// re-derives every footprint, as before. Identical results either
+    /// way — [`contention_into`] stays the oracle and debug builds
+    /// assert equality every round. Off reproduces the original
+    /// full-rebuild cost for benchmarking; that path reads the view,
+    /// not the cache, and is untouched.
     pub incremental_contention: bool,
     /// Maintain the LCoF order incrementally across rounds in an
     /// [`OrderBook`] instead of re-sorting every CoFlow every round
@@ -137,16 +159,109 @@ struct CoflowState {
     expiry_counted: bool,
 }
 
+/// Everything the scheduler keeps about one live CoFlow: its
+/// historical queue/deadline state and the *footprint cache* — what a
+/// round needs from the CoFlow's flows, derived in one pass
+/// ([`CoflowEntry::refresh`]) and kept until the driver's hint names
+/// the CoFlow again. Entries live in a slab (`Saath::slab`) whose
+/// slots are recycled through a free list.
+struct CoflowEntry {
+    id: CoflowId,
+    /// Free slots keep their place in the slab with this off.
+    live: bool,
+    /// `Saath::round` of the last view that held the CoFlow; a live
+    /// entry behind the current round has departed.
+    seen: u64,
+    /// `Saath::round` of the last hint that named the CoFlow (or of
+    /// its arrival): the cache is refreshed in that round.
+    dirty: u64,
+    /// `None` until the CoFlow's first queue assignment.
+    state: Option<CoflowState>,
+    /// Endpoints of the unfinished flows, in flow order — exactly
+    /// `endpoints_into(c, num_nodes, false)`. Sized to the unfinished
+    /// count on its first build; finishes only shrink it. The
+    /// allocation stays with the slot when the CoFlow departs and
+    /// serves the slot's next CoFlow (grown, exactly, if that one is
+    /// wider).
+    eps: Vec<FlowEndpoints>,
+    /// `CoflowView::all_ready`.
+    all_ready: bool,
+    /// `CoflowView::max_flow_sent`, the paper's `m_c`.
+    m_c: Bytes,
+}
+
+impl CoflowEntry {
+    /// An entry for a CoFlow first seen in round `dirty`, its list
+    /// empty in the allocation `eps` brings.
+    fn new(id: CoflowId, dirty: u64, mut eps: Vec<FlowEndpoints>) -> CoflowEntry {
+        eps.clear();
+        CoflowEntry {
+            id,
+            live: true,
+            seen: dirty,
+            dirty,
+            state: None,
+            eps,
+            all_ready: true,
+            m_c: Bytes::ZERO,
+        }
+    }
+
+    /// Re-derives the cache from `c` in one pass over its flows, and
+    /// returns whether the endpoint list moved. The list is checked
+    /// against the view *exactly*: the walk keeps a cursor into it,
+    /// unfinished flow `k` must be entry `k`, and the cursor must end
+    /// at the list's end. Equal counts prove nothing — a finish paired
+    /// with an un-finish (a restarted coordinator's forgotten
+    /// observations) keeps the count and moves the list — so nothing
+    /// is inferred from them. Only a mismatch pays for a rebuild.
+    fn refresh(&mut self, c: &CoflowView, num_nodes: usize) -> bool {
+        let mut m_c = Bytes::ZERO;
+        let mut all_ready = true;
+        let mut unfinished = 0usize;
+        let mut same = true;
+        for f in &c.flows {
+            m_c = m_c.max(f.sent);
+            if f.finished {
+                continue;
+            }
+            all_ready &= f.ready;
+            same = same && self.eps.get(unfinished) == Some(&f.endpoints(num_nodes));
+            unfinished += 1;
+        }
+        self.m_c = m_c;
+        self.all_ready = all_ready;
+        if same && unfinished == self.eps.len() {
+            return false;
+        }
+        self.eps.clear();
+        self.eps.reserve_exact(unfinished);
+        self.eps
+            .extend(c.unfinished().map(|f| f.endpoints(num_nodes)));
+        true
+    }
+}
+
 /// The Saath global scheduler. See the module docs.
 pub struct Saath {
     cfg: SaathConfig,
-    state: FastHashMap<CoflowId, CoflowState>,
+    /// One entry per live CoFlow (plus recycled free slots).
+    slab: Vec<CoflowEntry>,
+    /// Free slots of `slab`, reused before it grows.
+    free: Vec<u32>,
+    /// CoFlow → slot of `slab`; the one hash lookup per CoFlow a round
+    /// makes here.
+    slot_of: FastHashMap<CoflowId, u32>,
+    /// Rounds computed so far; stamps `CoflowEntry::{seen, dirty}`.
+    round: u64,
+    /// Port-space size the cached endpoint lists were built for.
+    num_nodes: usize,
     /// Per-round overhead samples (Table 2).
     pub timings: SchedTimings,
     /// Shared scratch (contention incidence map, gang-rate counters),
     /// kept across rounds so the hot path never allocates.
     arena: RoundArena,
-    /// Incremental `k_c` state, fed by the `ClusterView::changed` hint.
+    /// Incremental `k_c` state, fed by the hint narrowed to `moved`.
     tracker: ContentionTracker,
     /// Incrementally maintained LCoF order (see [`OrderBook`]); only
     /// populated when `cfg.incremental_order`.
@@ -157,28 +272,26 @@ pub struct Saath {
     /// the cluster's (summarised, possibly stale) footprint. Empty in
     /// non-partitioned runs.
     remote_k: FastHashMap<CoflowId, u32>,
-    /// Scratch: the round's `changed` hint as a set, for queue caching.
-    changed_set: FastHashSet<CoflowId>,
-    /// Scratch: ids garbage-collected from `state` this round, relayed
-    /// to the order book.
-    gone: Vec<CoflowId>,
     /// Per-round buffers, recycled across rounds (see `compute`).
+    /// `slots[i]` is the slab slot of `view.coflows[i]`.
+    slots: Vec<u32>,
+    /// CoFlows whose endpoint list moved this round (or that arrived):
+    /// the hint the contention tracker gets.
+    moved: Vec<CoflowId>,
     queues: Vec<usize>,
     occupancy: Vec<usize>,
     k: Vec<u32>,
     order: Vec<usize>,
     expired: Vec<bool>,
     missed: Vec<usize>,
+    /// Ready-only endpoints of a partly-ready CoFlow (work
+    /// conservation), and the debug oracle's scratch.
     eps: Vec<FlowEndpoints>,
     wc_rates: Vec<Rate>,
-    live: FastHashSet<CoflowId>,
-    /// Speculative probe results, indexed by order position (parallel
-    /// builds only): endpoints, readiness, and the gang rate computed
-    /// against the pre-admission bank snapshot.
-    #[cfg(feature = "parallel")]
-    spec_eps: Vec<Vec<FlowEndpoints>>,
-    #[cfg(feature = "parallel")]
-    spec_ready: Vec<bool>,
+    /// Finished-flow lengths for the §4.3 remaining-length estimate.
+    est: Vec<u64>,
+    /// Speculative gang rates against the pre-admission bank snapshot,
+    /// indexed by order position (parallel builds only).
     #[cfg(feature = "parallel")]
     spec_rate: Vec<Rate>,
     /// Ports drawn down by an admission since the probe snapshot.
@@ -192,19 +305,26 @@ pub struct Saath {
     pub mech: MechCounters,
 }
 
+/// `Saath::slots` placeholder for a CoFlow with no entry yet.
+const NO_SLOT: u32 = u32::MAX;
+
 impl Saath {
     /// A scheduler with the given configuration.
     pub fn new(cfg: SaathConfig) -> Saath {
         Saath {
             cfg,
-            state: FastHashMap::default(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            slot_of: FastHashMap::default(),
+            round: 0,
+            num_nodes: 0,
             timings: SchedTimings::default(),
             arena: RoundArena::new(),
             tracker: ContentionTracker::new(),
             book: OrderBook::new(),
             remote_k: FastHashMap::default(),
-            changed_set: FastHashSet::default(),
-            gone: Vec::new(),
+            slots: Vec::new(),
+            moved: Vec::new(),
             queues: Vec::new(),
             occupancy: Vec::new(),
             k: Vec::new(),
@@ -213,11 +333,7 @@ impl Saath {
             missed: Vec::new(),
             eps: Vec::new(),
             wc_rates: Vec::new(),
-            live: FastHashSet::default(),
-            #[cfg(feature = "parallel")]
-            spec_eps: Vec::new(),
-            #[cfg(feature = "parallel")]
-            spec_ready: Vec::new(),
+            est: Vec::new(),
             #[cfg(feature = "parallel")]
             spec_rate: Vec::new(),
             #[cfg(feature = "parallel")]
@@ -225,6 +341,23 @@ impl Saath {
             starvation_kicks: 0,
             mech: MechCounters::default(),
         }
+    }
+
+    /// Puts a fresh entry for `id` in a free slot (or a new one).
+    fn insert_entry(&mut self, id: CoflowId) -> u32 {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let e = &mut self.slab[slot as usize];
+                *e = CoflowEntry::new(id, self.round, std::mem::take(&mut e.eps));
+                slot
+            }
+            None => {
+                self.slab.push(CoflowEntry::new(id, self.round, Vec::new()));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.slot_of.insert(id, slot);
+        slot
     }
 
     /// The paper's full design with default parameters.
@@ -239,7 +372,7 @@ impl Saath {
 
     /// The queue a CoFlow would be assigned this round (D3 + §4.3).
     pub fn queue_of(&self, c: &CoflowView) -> usize {
-        queue_for(&self.cfg, c)
+        queue_for(&self.cfg, c, c.max_flow_sent(), &mut Vec::new())
     }
 
     /// Installs remote-shard contention addends (partitioned sharding).
@@ -260,7 +393,7 @@ impl Saath {
     /// Exports this scheduler's contention state as a
     /// [`crate::summary::ContentionSummary`] for partitioned sharding:
     /// per-port occupancy and per-queue aggregates from the incremental
-    /// tracker, queue assignments from the per-CoFlow state map.
+    /// tracker, queue assignments from the per-CoFlow entries.
     /// `port_rates` is left for the caller (it depends on the emitted
     /// slice, which the scheduler does not retain). Meaningful only
     /// when `incremental_contention` and `lcof` are on — otherwise the
@@ -274,9 +407,11 @@ impl Saath {
         out.clear();
         out.shard = shard;
         out.round = round;
-        let state = &self.state;
         self.tracker.export_summary(
-            |id| state.get(&id).map(|s| s.queue).unwrap_or(0),
+            |id| {
+                let entry = self.slot_of.get(&id).map(|&s| &self.slab[s as usize]);
+                entry.and_then(|e| e.state).map_or(0, |s| s.queue)
+            },
             self.cfg.queues.num_queues,
             out,
         );
@@ -288,10 +423,11 @@ impl Saath {
     /// or the round is too small to be worth the fan-out.
     ///
     /// Each shard gets a contiguous slice of the admission order and
-    /// its own gang scratch, and writes results by order position —
-    /// so the output is independent of thread interleaving.
+    /// its own gang scratch, reads the CoFlows' cached endpoint lists,
+    /// and writes results by order position — so the output is
+    /// independent of thread interleaving.
     #[cfg(feature = "parallel")]
-    fn parallel_probe(&mut self, view: &ClusterView<'_>, bank: &PortBank) -> bool {
+    fn parallel_probe(&mut self, bank: &PortBank) -> bool {
         let n = self.order.len();
         if !self.cfg.all_or_none || n < 2 {
             return false;
@@ -305,44 +441,23 @@ impl Saath {
         }
         .clamp(1, n);
         let t_probe = Instant::now();
-        if self.spec_eps.len() < n {
-            self.spec_eps.resize_with(n, Vec::new);
-        }
-        self.spec_ready.clear();
-        self.spec_ready.resize(n, false);
         self.spec_rate.clear();
         self.spec_rate.resize(n, Rate::ZERO);
         let chunk = n.div_ceil(shards);
-        let order = &self.order;
+        let (order, slots, slab) = (&self.order, &self.slots, &self.slab);
         std::thread::scope(|s| {
-            let mut eps_rest: &mut [Vec<FlowEndpoints>] = &mut self.spec_eps[..n];
-            let mut ready_rest: &mut [bool] = &mut self.spec_ready;
-            let mut rate_rest: &mut [Rate] = &mut self.spec_rate;
-            let mut start = 0;
-            while start < n {
-                let len = chunk.min(n - start);
-                let (eps_chunk, rest) = eps_rest.split_at_mut(len);
-                eps_rest = rest;
-                let (ready_chunk, rest) = ready_rest.split_at_mut(len);
-                ready_rest = rest;
-                let (rate_chunk, rest) = rate_rest.split_at_mut(len);
-                rate_rest = rest;
-                let order_chunk = &order[start..start + len];
+            let chunks = self.spec_rate.chunks_mut(chunk).zip(order.chunks(chunk));
+            for (rate_chunk, order_chunk) in chunks {
                 s.spawn(move || {
                     let mut scratch: Vec<u32> = Vec::new();
                     let mut touched: Vec<saath_simcore::PortId> = Vec::new();
-                    for (j, &ci) in order_chunk.iter().enumerate() {
-                        let c = &view.coflows[ci];
-                        endpoints_into(c, view.num_nodes, false, &mut eps_chunk[j]);
-                        ready_chunk[j] = c.all_ready();
-                        rate_chunk[j] = if eps_chunk[j].is_empty() || !ready_chunk[j] {
-                            Rate::ZERO
-                        } else {
-                            gang_rate_with(bank, &eps_chunk[j], &mut scratch, &mut touched)
-                        };
+                    for (rate, &ci) in rate_chunk.iter_mut().zip(order_chunk) {
+                        let e = &slab[slots[ci] as usize];
+                        if !e.eps.is_empty() && e.all_ready {
+                            *rate = gang_rate_with(bank, &e.eps, &mut scratch, &mut touched);
+                        }
                     }
                 });
-                start += len;
             }
         });
         self.timings.record(Phase::SchedProbe, t_probe.elapsed());
@@ -351,15 +466,14 @@ impl Saath {
 
     /// The sequential admission scan — the executable specification the
     /// parallel probe + merge must match byte for byte.
-    fn admit_serial(&mut self, view: &ClusterView<'_>, bank: &mut PortBank, out: &mut Schedule) {
+    fn admit_serial(&mut self, bank: &mut PortBank, out: &mut Schedule) {
         for oi in 0..self.order.len() {
             let ci = self.order[oi];
-            let c = &view.coflows[ci];
-            endpoints_into(c, view.num_nodes, false, &mut self.eps);
-            if self.eps.is_empty() {
+            let e = &self.slab[self.slots[ci] as usize];
+            if e.eps.is_empty() {
                 continue; // fully finished; driver will drop it
             }
-            if !self.cfg.all_or_none || !c.all_ready() {
+            if !self.cfg.all_or_none || !e.all_ready {
                 if saath_telemetry::enabled() && self.cfg.all_or_none {
                     self.mech.unready_skips += 1;
                 }
@@ -368,7 +482,7 @@ impl Saath {
             }
             let r = gang_rate_with(
                 bank,
-                &self.eps,
+                &e.eps,
                 &mut self.arena.gang_scratch,
                 &mut self.arena.gang_touched,
             );
@@ -384,9 +498,9 @@ impl Saath {
                 if saath_telemetry::enabled() {
                     self.mech.gang_admissions += 1;
                 }
-                gang_allocate(bank, &self.eps, r);
-                for e in &self.eps {
-                    out.set(e.flow, r);
+                gang_allocate(bank, &e.eps, r);
+                for f in &e.eps {
+                    out.set(f.flow, r);
                 }
             }
         }
@@ -398,17 +512,18 @@ impl Saath {
     /// the live bank — yielding exactly what the serial path computes,
     /// byte for byte.
     #[cfg(feature = "parallel")]
-    fn merge_probes(&mut self, view: &ClusterView<'_>, bank: &mut PortBank, out: &mut Schedule) {
+    fn merge_probes(&mut self, num_nodes: usize, bank: &mut PortBank, out: &mut Schedule) {
         let t_merge = Instant::now();
         self.drawn.clear();
-        self.drawn.resize(2 * view.num_nodes, false);
+        self.drawn.resize(2 * num_nodes, false);
         for oi in 0..self.order.len() {
             let ci = self.order[oi];
-            let eps = &self.spec_eps[oi];
+            let e = &self.slab[self.slots[ci] as usize];
+            let eps = &e.eps;
             if eps.is_empty() {
                 continue; // fully finished; driver will drop it
             }
-            if !self.spec_ready[oi] {
+            if !e.all_ready {
                 if saath_telemetry::enabled() {
                     self.mech.unready_skips += 1;
                 }
@@ -457,18 +572,20 @@ impl Saath {
 
 /// D3 + §4.3 queue assignment as a free function, so `compute` can call
 /// it while holding mutable borrows of the scheduler's round buffers.
-fn queue_for(cfg: &SaathConfig, c: &CoflowView) -> usize {
+/// `m_c` is `c.max_flow_sent()` (cached by the caller); `est` is
+/// scratch for the §4.3 estimate.
+fn queue_for(cfg: &SaathConfig, c: &CoflowView, m_c: Bytes, est: &mut Vec<u64>) -> usize {
     if cfg.dynamics_srtf && c.restarted {
-        if let Some(m) = dynamics_remaining_estimate(c) {
+        if let Some(m) = dynamics_remaining_estimate(c, est) {
             return cfg.queues.queue_for_per_flow(m, c.width());
         }
     }
     if cfg.per_flow_threshold {
         if cfg.skew_aware_thresholds {
-            let sents: Vec<saath_simcore::Bytes> = c.flows.iter().map(|f| f.sent).collect();
-            cfg.queues.queue_for_skew_aware(&sents)
+            cfg.queues
+                .queue_for_skew_aware(c.flows.iter().map(|f| f.sent))
         } else {
-            cfg.queues.queue_for_per_flow(c.max_flow_sent(), c.width())
+            cfg.queues.queue_for_per_flow(m_c, c.width())
         }
     } else {
         cfg.queues.queue_for_total(c.total_sent())
@@ -479,19 +596,20 @@ fn queue_for(cfg: &SaathConfig, c: &CoflowView) -> usize {
 /// estimate each unfinished flow's remaining length as `f_e − f_i`
 /// (`f_e` = median finished flow length, `f_i` = bytes sent so far) and
 /// return `m_c = max_i f_i^rem`. `None` when no flow has finished yet
-/// (no basis for an estimate).
-fn dynamics_remaining_estimate(c: &CoflowView) -> Option<Bytes> {
-    let mut finished: Vec<u64> = c
-        .flows
-        .iter()
-        .filter(|f| f.finished)
-        .map(|f| f.sent.as_u64())
-        .collect();
+/// (no basis for an estimate). `finished` is scratch.
+fn dynamics_remaining_estimate(c: &CoflowView, finished: &mut Vec<u64>) -> Option<Bytes> {
+    finished.clear();
+    finished.extend(
+        c.flows
+            .iter()
+            .filter(|f| f.finished)
+            .map(|f| f.sent.as_u64()),
+    );
     if finished.is_empty() {
         return None;
     }
-    finished.sort_unstable();
-    let f_e = finished[finished.len() / 2];
+    let mid = finished.len() / 2;
+    let f_e = *finished.select_nth_unstable(mid).1;
     let m = c
         .unfinished()
         .map(|f| f_e.saturating_sub(f.sent.as_u64()))
@@ -506,63 +624,112 @@ impl CoflowScheduler for Saath {
     }
 
     fn compute(&mut self, view: &ClusterView<'_>, bank: &mut PortBank, out: &mut Schedule) {
-        let t_total = Instant::now();
+        // Each phase boundary is one clock read: the end of one span
+        // and the start of the next.
+        let t_start = Instant::now();
         let n = view.coflows.len();
 
         // ---- Ordering phase (queue assignment, deadlines, LCoF sort) ----
-        let t_order = Instant::now();
+        self.round += 1;
+        let round = self.round;
+        // A port-space change re-maps every cached endpoint: take the
+        // round as unhinted, as the contention tracker does.
+        let hint = view.changed.filter(|_| self.num_nodes == view.num_nodes);
+        self.num_nodes = view.num_nodes;
 
-        // Drop state for departed CoFlows — unconditionally, against the
-        // live-id set. (Guarding on `state.len() > n` leaks stale
-        // entries whenever departures are matched by same-round
-        // arrivals, since the map never shrinks below the view size.)
-        // Departures are relayed to the order book, which mirrors the
-        // state map's membership exactly.
-        self.live.clear();
-        self.live.extend(view.coflows.iter().map(|c| c.id));
-        let live = &self.live;
-        let gone = &mut self.gone;
-        gone.clear();
-        self.state.retain(|id, _| {
-            let keep = live.contains(id);
-            if !keep {
-                gone.push(*id);
+        // Find every CoFlow's entry — the round's one hash lookup per
+        // CoFlow — and stamp it seen.
+        self.slots.clear();
+        let mut arrivals = 0;
+        for c in view.coflows.iter() {
+            let slot = match self.slot_of.get(&c.id) {
+                Some(&slot) => {
+                    self.slab[slot as usize].seen = round;
+                    slot
+                }
+                None => {
+                    arrivals += 1;
+                    NO_SLOT
+                }
+            };
+            self.slots.push(slot);
+        }
+        // Fewer entries stamped than held: some CoFlow departed. (Held
+        // against the view's size the test would miss departures
+        // matched by same-round arrivals.) Retire the unstamped
+        // entries, relay them to the order book, which mirrors the
+        // entries' membership exactly, and hand their slots — list
+        // allocation included: giving each back to the allocator as
+        // its CoFlow left moved `sim-fb-dense`'s peak RSS by a tenth —
+        // to this round's arrivals first.
+        if n - arrivals < self.slot_of.len() {
+            for (slot, e) in self.slab.iter_mut().enumerate() {
+                if e.live && e.seen != round {
+                    e.live = false;
+                    self.slot_of.remove(&e.id);
+                    self.book.remove(e.id);
+                    self.free.push(slot as u32);
+                }
             }
-            keep
-        });
-        for gi in 0..self.gone.len() {
-            self.book.remove(self.gone[gi]);
+        }
+        if arrivals > 0 {
+            for (i, c) in view.coflows.iter().enumerate() {
+                if self.slots[i] == NO_SLOT {
+                    self.slots[i] = self.insert_entry(c.id);
+                }
+            }
+        }
+        if let Some(changed) = hint {
+            // Ids that departed are named too; they have no entry.
+            for id in changed {
+                if let Some(&slot) = self.slot_of.get(id) {
+                    self.slab[slot as usize].dirty = round;
+                }
+            }
         }
 
-        // New queue assignment for everyone. With the incremental order
-        // on and a usable `changed` hint, CoFlows the hint excludes have
+        // Cache refresh and new queue assignment, one CoFlow at a time.
+        // A CoFlow that is new, named by the hint, or seen without a
+        // hint has its flows walked — once: `refresh` re-derives the
+        // endpoint list, readiness and `m_c` together, and the rest of
+        // the round reads those. CoFlows the hint excludes have
         // byte-identical view contents ([`ClusterView::changed`]'s
-        // contract), so their cached queue is reused instead of
-        // re-deriving it from every flow — debug-asserted against the
-        // full computation.
+        // contract), so their cache stands — and, with the incremental
+        // order on, so does their queue. Debug builds assert both
+        // against the full computation, for every CoFlow, every round.
+        self.moved.clear();
         self.queues.clear();
-        let cache_queues = self.cfg.incremental_order && view.changed.is_some();
-        if cache_queues {
-            self.changed_set.clear();
-            self.changed_set
-                .extend(view.changed.unwrap_or(&[]).iter().copied());
-            for c in view.coflows.iter() {
-                let q = match self.state.get(&c.id) {
-                    Some(s) if !self.changed_set.contains(&c.id) => {
-                        debug_assert_eq!(
-                            s.queue,
-                            queue_for(&self.cfg, c),
-                            "cached queue diverged for a CoFlow outside the changed hint"
-                        );
-                        s.queue
-                    }
-                    _ => queue_for(&self.cfg, c),
-                };
-                self.queues.push(q);
+        let cache_queues = self.cfg.incremental_order && hint.is_some();
+        for (c, &slot) in view.coflows.iter().zip(&self.slots) {
+            let e = &mut self.slab[slot as usize];
+            let refreshed = hint.is_none() || e.dirty == round;
+            // An arrival counts as moved even with nothing unfinished:
+            // the tracker learns of every CoFlow at its first round.
+            if refreshed && (e.refresh(c, view.num_nodes) || e.state.is_none()) {
+                self.moved.push(c.id);
             }
-        } else {
-            self.queues
-                .extend(view.coflows.iter().map(|c| queue_for(&self.cfg, c)));
+            #[cfg(debug_assertions)]
+            {
+                crate::common::endpoints_into(c, view.num_nodes, false, &mut self.eps);
+                assert_eq!(
+                    e.eps, self.eps,
+                    "cached endpoint list diverged from the view"
+                );
+                assert_eq!(e.all_ready, c.all_ready(), "cached readiness diverged");
+                assert_eq!(e.m_c, c.max_flow_sent(), "cached m_c diverged");
+            }
+            let q = match e.state {
+                Some(s) if cache_queues && !refreshed => {
+                    debug_assert_eq!(
+                        s.queue,
+                        queue_for(&self.cfg, c, e.m_c, &mut self.est),
+                        "cached queue diverged for a CoFlow outside the changed hint"
+                    );
+                    s.queue
+                }
+                _ => queue_for(&self.cfg, c, e.m_c, &mut self.est),
+            };
+            self.queues.push(q);
         }
 
         // Queue occupancy under the *new* assignment, for fresh deadlines.
@@ -578,37 +745,39 @@ impl CoflowScheduler for Saath {
         // port rate: a degraded port (straggler) must not stretch every
         // CoFlow's starvation deadline.
         let nominal_rate = bank.nominal_rate();
-        for (c, &q) in view.coflows.iter().zip(&self.queues) {
-            let needs_fresh = match self.state.get(&c.id) {
-                Some(s) => s.queue != q,
-                None => true,
-            };
-            if needs_fresh {
-                if saath_telemetry::enabled() && self.state.contains_key(&c.id) {
-                    // An existing CoFlow crossed a threshold (D3) — new
-                    // arrivals are assignments, not transitions.
-                    self.mech.queue_transitions += 1;
-                }
-                let t_q = self.cfg.queues.min_residence(q, nominal_rate);
-                let horizon = t_q
-                    .saturating_mul(self.cfg.deadline_factor)
-                    .saturating_mul(self.occupancy[q].max(1) as u64);
-                self.state.insert(
-                    c.id,
-                    CoflowState {
-                        queue: q,
-                        deadline: view.now.saturating_add(horizon),
-                        expiry_counted: false,
-                    },
-                );
+        for (&slot, &q) in self.slots.iter().zip(&self.queues) {
+            let e = &mut self.slab[slot as usize];
+            if e.state.is_some_and(|s| s.queue == q) {
+                continue;
             }
+            if saath_telemetry::enabled() && e.state.is_some() {
+                // An existing CoFlow crossed a threshold (D3) — new
+                // arrivals are assignments, not transitions.
+                self.mech.queue_transitions += 1;
+            }
+            let t_q = self.cfg.queues.min_residence(q, nominal_rate);
+            let horizon = t_q
+                .saturating_mul(self.cfg.deadline_factor)
+                .saturating_mul(self.occupancy[q].max(1) as u64);
+            e.state = Some(CoflowState {
+                queue: q,
+                deadline: view.now.saturating_add(horizon),
+                expiry_counted: false,
+            });
         }
 
-        // Contention (only when LCoF orders by it).
+        // Contention (only when LCoF orders by it). The tracker's hint is
+        // narrowed to the CoFlows whose endpoint list moved: byte
+        // progress puts every sending CoFlow in the driver's hint, and
+        // a footprint moves only when a flow finishes.
         let t_contention = Instant::now();
         if self.cfg.lcof {
             if self.cfg.incremental_contention {
-                let work = self.tracker.compute_into(view, &mut self.k);
+                let narrowed = ClusterView {
+                    changed: hint.map(|_| self.moved.as_slice()),
+                    ..*view
+                };
+                let work = self.tracker.compute_into(&narrowed, &mut self.k);
                 if saath_telemetry::enabled() {
                     self.mech.contention_deltas += work.delta_updates;
                     if work.full_rebuild {
@@ -645,27 +814,24 @@ impl CoflowScheduler for Saath {
                 }
             }
         }
-        self.timings
-            .record(Phase::SchedContention, t_contention.elapsed());
+        let t_contention_end = Instant::now();
 
         // Global scan order: queue asc (strict priority), expired
         // deadlines first within the queue, then LCoF (or FIFO), then
         // arrival, then id for full determinism.
         self.expired.clear();
-        self.expired.extend(view.coflows.iter().map(|c| {
+        self.expired.extend(self.slots.iter().map(|&slot| {
             self.cfg.starvation_avoidance
-                && self
+                && self.slab[slot as usize]
                     .state
-                    .get(&c.id)
-                    .map(|s| s.deadline <= view.now)
-                    .unwrap_or(false)
+                    .is_some_and(|s| s.deadline <= view.now)
         }));
         if saath_telemetry::enabled() {
             // Each expired deadline is one D5 event, counted once per
             // deadline (a CoFlow stays expired until its queue changes).
-            for (c, &e) in view.coflows.iter().zip(&self.expired) {
-                if e {
-                    if let Some(s) = self.state.get_mut(&c.id) {
+            for (&slot, &expired) in self.slots.iter().zip(&self.expired) {
+                if expired {
+                    if let Some(s) = &mut self.slab[slot as usize].state {
                         if !s.expiry_counted {
                             s.expiry_counted = true;
                             self.mech.deadline_expiries += 1;
@@ -740,38 +906,46 @@ impl CoflowScheduler for Saath {
                 self.mech.starvation_rescues += 1;
             }
         }
-        self.timings.record(Phase::SchedOrder, t_order.elapsed());
+        let t_order_end = Instant::now();
 
         // ---- All-or-none admission (D1 step 4, D2) ----
-        let t_an = Instant::now();
         self.missed.clear();
         // Parallel builds probe every CoFlow's gang rate concurrently
         // against the untouched bank, then merge serially in order;
         // serial builds (and tiny rounds) take the loop below.
         #[cfg(feature = "parallel")]
-        let speculated = self.parallel_probe(view, bank);
+        let speculated = self.parallel_probe(bank);
         #[cfg(not(feature = "parallel"))]
         let speculated = false;
         if speculated {
             #[cfg(feature = "parallel")]
-            self.merge_probes(view, bank, out);
+            self.merge_probes(view.num_nodes, bank, out);
         } else {
-            self.admit_serial(view, bank, out);
+            self.admit_serial(bank, out);
         }
-        self.timings.record(Phase::SchedMadd, t_an.elapsed());
+        let t_madd_end = Instant::now();
 
         // ---- Work conservation (D4) ----
-        let t_wc = Instant::now();
         if self.cfg.work_conservation || !self.cfg.all_or_none {
             for mi in 0..self.missed.len() {
                 let ci = self.missed[mi];
-                let c = &view.coflows[ci];
-                endpoints_into(c, view.num_nodes, true, &mut self.eps);
-                if self.eps.is_empty() {
+                let e = &self.slab[self.slots[ci] as usize];
+                let eps = if e.all_ready {
+                    &e.eps
+                } else {
+                    // The cached list is the unfinished flows in flow
+                    // order, so the two walk in lockstep.
+                    self.eps.clear();
+                    let unfinished = view.coflows[ci].unfinished().zip(&e.eps);
+                    self.eps
+                        .extend(unfinished.filter(|(f, _)| f.ready).map(|(_, ep)| *ep));
+                    &self.eps
+                };
+                if eps.is_empty() {
                     continue;
                 }
-                greedy_fill_into(bank, &self.eps, &mut self.wc_rates);
-                for (e, &r) in self.eps.iter().zip(&self.wc_rates) {
+                greedy_fill_into(bank, eps, &mut self.wc_rates);
+                for (e, &r) in eps.iter().zip(&self.wc_rates) {
                     if !r.is_zero() {
                         if saath_telemetry::enabled() {
                             self.mech.wc_backfills += 1;
@@ -781,8 +955,16 @@ impl CoflowScheduler for Saath {
                 }
             }
         }
-        self.timings.record(Phase::SchedWc, t_wc.elapsed());
-        self.timings.record(Phase::SchedTotal, t_total.elapsed());
+        let t_end = Instant::now();
+        for (phase, from, to) in [
+            (Phase::SchedContention, t_contention, t_contention_end),
+            (Phase::SchedOrder, t_start, t_order_end),
+            (Phase::SchedMadd, t_order_end, t_madd_end),
+            (Phase::SchedWc, t_madd_end, t_end),
+            (Phase::SchedTotal, t_start, t_end),
+        ] {
+            self.timings.record(phase, to.duration_since(from));
+        }
         self.timings.active_coflows.observe(n as u64);
     }
 
@@ -794,11 +976,12 @@ impl CoflowScheduler for Saath {
         Some(&self.occupancy)
     }
 
-    /// Saath's only *historical* state is the per-CoFlow queue/deadline
-    /// map: a deadline depends on when the CoFlow entered its current
+    /// Saath's only *historical* state is each entry's queue/deadline
+    /// pair: a deadline depends on when the CoFlow entered its current
     /// queue and the occupancy at that instant, which a resumed run
-    /// never observed. Everything else (contention tracker, order book,
-    /// arenas) is a pure function of the view and rebuilds on the
+    /// never observed. Everything else (footprint cache, contention
+    /// tracker, order book, arenas) is a pure function of the view and
+    /// rebuilds on the
     /// `changed: None` round that follows a resume. `starvation_kicks`
     /// and the mech counters are appended so telemetry totals stay
     /// continuous across a resume; they never feed scheduling decisions.
@@ -810,10 +993,11 @@ impl CoflowScheduler for Saath {
         for (_, v) in rows {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        // FastHashMap iteration order is arbitrary: sort by id so the
-        // blob (and thus the snapshot digest) is deterministic.
+        // Slot order is an accident of arrivals and departures: sort by
+        // id so the blob (and thus the snapshot digest) is deterministic.
+        let live = self.slab.iter().filter(|e| e.live);
         let mut entries: Vec<(CoflowId, CoflowState)> =
-            self.state.iter().map(|(id, st)| (*id, *st)).collect();
+            live.filter_map(|e| e.state.map(|st| (e.id, st))).collect();
         entries.sort_by_key(|(id, _)| *id);
         out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
         for (id, st) in entries {
@@ -873,21 +1057,24 @@ impl CoflowScheduler for Saath {
         .zip(mech_vals)
         .for_each(|(slot, v)| *slot = v);
         let n_state = u64_of(get(8)?) as usize;
-        self.state.clear();
-        self.state.reserve(n_state);
+        self.slab.clear();
+        self.free.clear();
+        self.slot_of.clear();
         for _ in 0..n_state {
             let id = CoflowId(u32::from_le_bytes(get(4)?.as_slice().try_into().unwrap()));
             let queue = u64_of(get(8)?) as usize;
             let deadline = Time(u64_of(get(8)?));
             let expiry_counted = get(1)?[0] != 0;
-            self.state.insert(
-                id,
-                CoflowState {
-                    queue,
-                    deadline,
-                    expiry_counted,
-                },
-            );
+            // Of two rows for one id the later wins.
+            let slot = match self.slot_of.get(&id) {
+                Some(&slot) => slot,
+                None => self.insert_entry(id),
+            };
+            self.slab[slot as usize].state = Some(CoflowState {
+                queue,
+                deadline,
+                expiry_counted,
+            });
         }
         if !rd.is_empty() {
             return Err(format!("{} trailing bytes in saath state blob", rd.len()));
@@ -923,6 +1110,13 @@ mod tests {
             flows,
             restarted: false,
         }
+    }
+
+    /// The queue/deadline state of a CoFlow the scheduler holds.
+    fn state_of(s: &Saath, id: u32) -> CoflowState {
+        let entry = &s.slab[s.slot_of[&CoflowId(id)] as usize];
+        assert!(entry.live && entry.id == CoflowId(id));
+        entry.state.expect("no queue assigned yet")
     }
 
     fn run(sched: &mut Saath, coflows: &[CoflowView], num_nodes: usize, now: Time) -> Schedule {
@@ -1128,7 +1322,7 @@ mod tests {
         // Restarted but nothing finished yet: no estimate, normal rule.
         let mut c2 = cv(1, 0, vec![fv(2, 0, 2, 50_000_000)]);
         c2.restarted = true;
-        assert_eq!(dynamics_remaining_estimate(&c2), None);
+        assert_eq!(dynamics_remaining_estimate(&c2, &mut Vec::new()), None);
     }
 
     /// CoFlows with unavailable data are skipped by all-or-none and
@@ -1154,9 +1348,9 @@ mod tests {
             .collect();
         let mut s = Saath::with_defaults();
         let _ = run(&mut s, &coflows, 4, Time::ZERO);
-        assert_eq!(s.state.len(), 5);
+        assert_eq!(s.slot_of.len(), 5);
         let _ = run(&mut s, &coflows[..1], 4, Time::from_millis(8));
-        assert_eq!(s.state.len(), 1);
+        assert_eq!(s.slot_of.len(), 1);
     }
 
     /// GC must fire even when departures are exactly matched by
@@ -1170,22 +1364,22 @@ mod tests {
             .map(|i| cv(i, 0, vec![fv(i * 10, 0, 2, 0)]))
             .collect();
         let _ = run(&mut s, &first, 4, Time::ZERO);
-        assert_eq!(s.state.len(), 3);
+        assert_eq!(s.slot_of.len(), 3);
         // Round 2: all three departed, three new arrived — same count.
         let second: Vec<CoflowView> = (3..6)
             .map(|i| cv(i, 8, vec![fv(i * 10, 0, 2, 0)]))
             .collect();
         let _ = run(&mut s, &second, 4, Time::from_millis(8));
-        assert_eq!(s.state.len(), 3, "stale entries leaked past GC");
+        assert_eq!(s.slot_of.len(), 3, "stale entries leaked past GC");
         for i in 3..6 {
             assert!(
-                s.state.contains_key(&CoflowId(i)),
+                s.slot_of.contains_key(&CoflowId(i)),
                 "live CoFlow {i} missing"
             );
         }
         for i in 0..3 {
             assert!(
-                !s.state.contains_key(&CoflowId(i)),
+                !s.slot_of.contains_key(&CoflowId(i)),
                 "departed CoFlow {i} retained"
             );
         }
@@ -1216,8 +1410,8 @@ mod tests {
         degraded.compute(&view, &mut bank, &mut out);
 
         assert_eq!(
-            clean.state[&CoflowId(0)].deadline,
-            degraded.state[&CoflowId(0)].deadline,
+            state_of(&clean, 0).deadline,
+            state_of(&degraded, 0).deadline,
             "a degraded port 0 must not change deadline horizons"
         );
     }
@@ -1231,13 +1425,13 @@ mod tests {
         // Round 1: fresh CoFlow in Q0.
         let c = cv(0, 0, vec![fv(0, 0, 2, 0)]);
         let _ = run(&mut s, std::slice::from_ref(&c), 3, Time::from_millis(1));
-        let d0 = s.state[&CoflowId(0)].deadline;
-        assert_eq!(s.state[&CoflowId(0)].queue, 0);
+        let d0 = state_of(&s, 0).deadline;
+        assert_eq!(state_of(&s, 0).queue, 0);
 
         // Round 2 much later, same queue: deadline must NOT refresh
         // (that is what lets starvation detection fire eventually).
         let _ = run(&mut s, std::slice::from_ref(&c), 3, Time::from_secs(100));
-        assert_eq!(s.state[&CoflowId(0)].deadline, d0);
+        assert_eq!(state_of(&s, 0).deadline, d0);
 
         // Round 3: the CoFlow has sent past Q0's threshold → demoted to
         // a new queue with a *fresh* (later) deadline.
@@ -1248,12 +1442,12 @@ mod tests {
             3,
             Time::from_secs(200),
         );
-        assert_eq!(s.state[&CoflowId(0)].queue, 1);
+        assert_eq!(state_of(&s, 0).queue, 1);
         assert!(
-            s.state[&CoflowId(0)].deadline > d0,
+            state_of(&s, 0).deadline > d0,
             "deadline must refresh on move"
         );
-        assert!(s.state[&CoflowId(0)].deadline > Time::from_secs(200));
+        assert!(state_of(&s, 0).deadline > Time::from_secs(200));
     }
 
     /// The skew-aware extension keeps naturally-uneven CoFlows in high
@@ -1281,20 +1475,180 @@ mod tests {
         assert_eq!(default.queue_of(&even), skew.queue_of(&even));
     }
 
-    /// Satellite for the incremental order book: 200 rounds of random
-    /// churn (arrivals, byte growth across queue thresholds, finishes,
-    /// readiness flips, restarts, departures, and hour-scale time jumps
-    /// that expire deadlines) driven through two schedulers — the
-    /// incremental one fed exact `changed` hints, and the legacy
-    /// full-re-sort one fed `changed: None` — must produce identical
-    /// schedules every round. Debug builds additionally exercise the
-    /// in-scheduler oracles (order, contention, cached queues) on every
+    /// Random churn for the equivalence tests below: arrivals, byte
+    /// growth across queue thresholds, finishes, readiness flips,
+    /// restarts, departures, hour-scale time jumps that expire
+    /// deadlines — and what a restarted coordinator's forgotten
+    /// observations look like: a flow *un*-finishing, alone or paired
+    /// with a finish in the same CoFlow (same unfinished count).
+    struct Churn {
+        rng: rand::rngs::SmallRng,
+        num_nodes: usize,
+        coflows: Vec<CoflowView>,
+        next_cf: u32,
+        next_flow: u32,
+        now: Time,
+    }
+
+    /// A random flow of `c` that is (`finished`) or is not finished.
+    fn pick(rng: &mut rand::rngs::SmallRng, c: &CoflowView, finished: bool) -> Option<usize> {
+        use rand::Rng;
+        let of_kind = || {
+            c.flows
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| f.finished == finished)
+        };
+        let n = of_kind().count();
+        (n > 0).then(|| of_kind().nth(rng.gen_range(0..n)).expect("counted above").0)
+    }
+
+    impl Churn {
+        fn new(seed: u64) -> Churn {
+            use rand::SeedableRng;
+            Churn {
+                rng: rand::rngs::SmallRng::seed_from_u64(seed),
+                num_nodes: 12,
+                coflows: Vec::new(),
+                next_cf: 0,
+                next_flow: 0,
+                now: Time::ZERO,
+            }
+        }
+
+        fn arrive(&mut self, changed: &mut Vec<CoflowId>) {
+            use rand::Rng;
+            let width = self.rng.gen_range(1..6usize);
+            let flows: Vec<FlowView> = (0..width)
+                .map(|_| {
+                    let f = fv(
+                        self.next_flow,
+                        self.rng.gen_range(0..self.num_nodes as u32),
+                        self.rng.gen_range(0..self.num_nodes as u32),
+                        0,
+                    );
+                    self.next_flow += 1;
+                    f
+                })
+                .collect();
+            self.coflows.push(CoflowView {
+                id: CoflowId(self.next_cf),
+                arrival: self.now,
+                flows,
+                restarted: false,
+            });
+            changed.push(CoflowId(self.next_cf));
+            self.next_cf += 1;
+        }
+
+        /// One round of mutations; returns the hint (a superset of
+        /// what changed, departed ids included, duplicates and all).
+        fn step(&mut self) -> Vec<CoflowId> {
+            use rand::Rng;
+            let mut changed: Vec<CoflowId> = Vec::new();
+            while self.coflows.len() < 3 || self.rng.gen_bool(0.3) {
+                self.arrive(&mut changed);
+            }
+            // Every mutation lands in the hint. The draws are
+            // independent, so a readiness flip often comes with no
+            // finish, and byte growth with neither.
+            let rng = &mut self.rng;
+            for c in self.coflows.iter_mut() {
+                let mut touched = false;
+                if rng.gen_bool(0.5) {
+                    let fi = rng.gen_range(0..c.flows.len());
+                    c.flows[fi].sent =
+                        Bytes(c.flows[fi].sent.as_u64() + rng.gen_range(0..4_000_000u64));
+                    touched = true;
+                }
+                if rng.gen_bool(0.25) {
+                    let fi = rng.gen_range(0..c.flows.len());
+                    c.flows[fi].finished = true;
+                    touched = true;
+                }
+                if rng.gen_bool(0.1) {
+                    if let Some(fi) = pick(rng, c, true) {
+                        c.flows[fi].finished = false;
+                        touched = true;
+                    }
+                }
+                if rng.gen_bool(0.1) {
+                    if let (Some(done), Some(open)) = (pick(rng, c, true), pick(rng, c, false)) {
+                        c.flows[done].finished = false;
+                        c.flows[open].finished = true;
+                        touched = true;
+                    }
+                }
+                if rng.gen_bool(0.15) {
+                    let fi = rng.gen_range(0..c.flows.len());
+                    c.flows[fi].ready = !c.flows[fi].ready;
+                    touched = true;
+                }
+                if rng.gen_bool(0.05) {
+                    c.restarted = !c.restarted;
+                    touched = true;
+                }
+                if touched {
+                    changed.push(c.id);
+                }
+            }
+            // Departures: drained CoFlows usually leave; occasionally
+            // one is yanked mid-transfer (failure/abort path). Half of
+            // them are replaced in the same round, so a freed entry is
+            // taken again at once.
+            let before = self.coflows.len();
+            let rng = &mut self.rng;
+            self.coflows.retain(|c| {
+                let drained = c.flows.iter().all(|f| f.finished);
+                let leaves = drained && rng.gen_bool(0.8) || rng.gen_bool(0.05);
+                if leaves {
+                    changed.push(c.id);
+                }
+                !leaves
+            });
+            for _ in self.coflows.len()..before {
+                if self.rng.gen_bool(0.5) {
+                    self.arrive(&mut changed);
+                }
+            }
+            // Mostly small steps; occasional hour jumps expire D5
+            // deadlines for CoFlows *outside* the hint (allowed: the
+            // expiry class is re-derived fresh every round).
+            self.now = if self.rng.gen_bool(0.1) {
+                self.now
+                    .saturating_add(saath_simcore::Duration::from_secs(3600))
+            } else {
+                self.now
+                    .saturating_add(saath_simcore::Duration::from_millis(8))
+            };
+            changed
+        }
+
+        fn schedule(&self, sched: &mut Saath, changed: Option<&[CoflowId]>) -> Schedule {
+            let view = ClusterView {
+                now: self.now,
+                num_nodes: self.num_nodes,
+                coflows: &self.coflows,
+                changed,
+            };
+            let mut bank = PortBank::uniform(self.num_nodes, GBPS);
+            let mut out = Schedule::default();
+            sched.compute(&view, &mut bank, &mut out);
+            out
+        }
+    }
+
+    /// Satellite for the incremental order book: 200 rounds of
+    /// [`Churn`] driven through two schedulers — the incremental one
+    /// fed exact `changed` hints, and the legacy full-re-sort one fed
+    /// `changed: None` — must produce identical schedules every round.
+    /// Debug builds additionally exercise the in-scheduler oracles
+    /// (order, contention, cached queues, footprint cache) on every
     /// one of those rounds.
     #[test]
     fn incremental_order_matches_full_resort_under_churn() {
-        use rand::{Rng, SeedableRng};
         for lcof in [true, false] {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(0x0b00c + lcof as u64);
+            let mut churn = Churn::new(0x0b00c + lcof as u64);
             let mut inc = Saath::new(SaathConfig {
                 lcof,
                 ..Default::default()
@@ -1305,106 +1659,152 @@ mod tests {
                 incremental_contention: false,
                 ..Default::default()
             });
-            let num_nodes = 12usize;
-            let mut coflows: Vec<CoflowView> = Vec::new();
-            let mut next_cf = 0u32;
-            let mut next_flow = 0u32;
-            let mut now = Time::ZERO;
             for round in 0..200 {
-                let mut changed: Vec<CoflowId> = Vec::new();
-                // Arrivals.
-                while coflows.len() < 3 || rng.gen_bool(0.3) {
-                    let width = rng.gen_range(1..6usize);
-                    let flows: Vec<FlowView> = (0..width)
-                        .map(|_| {
-                            let f = fv(
-                                next_flow,
-                                rng.gen_range(0..num_nodes as u32),
-                                rng.gen_range(0..num_nodes as u32),
-                                0,
-                            );
-                            next_flow += 1;
-                            f
-                        })
-                        .collect();
-                    coflows.push(CoflowView {
-                        id: CoflowId(next_cf),
-                        arrival: now,
-                        flows,
-                        restarted: false,
-                    });
-                    changed.push(CoflowId(next_cf));
-                    next_cf += 1;
-                }
-                // Byte growth (drives D3 queue transitions), finishes
-                // (shrinks footprints → k deltas), readiness flips, and
-                // §4.3 restart markers. Every mutation lands in the hint.
-                for c in coflows.iter_mut() {
-                    if rng.gen_bool(0.5) {
-                        let fi = rng.gen_range(0..c.flows.len());
-                        c.flows[fi].sent =
-                            Bytes(c.flows[fi].sent.as_u64() + rng.gen_range(0..4_000_000u64));
-                        changed.push(c.id);
-                    }
-                    if rng.gen_bool(0.25) {
-                        let fi = rng.gen_range(0..c.flows.len());
-                        c.flows[fi].finished = true;
-                        changed.push(c.id);
-                    }
-                    if rng.gen_bool(0.15) {
-                        let fi = rng.gen_range(0..c.flows.len());
-                        c.flows[fi].ready = !c.flows[fi].ready;
-                        changed.push(c.id);
-                    }
-                    if rng.gen_bool(0.05) {
-                        c.restarted = !c.restarted;
-                        changed.push(c.id);
-                    }
-                }
-                // Departures: drained CoFlows usually leave; occasionally
-                // one is yanked mid-transfer (failure/abort path).
-                coflows.retain(|c| {
-                    let drained = c.flows.iter().all(|f| f.finished);
-                    !(drained && rng.gen_bool(0.8) || rng.gen_bool(0.05))
-                });
-                // Mostly small steps; occasional hour jumps expire D5
-                // deadlines for CoFlows *outside* the hint (allowed: the
-                // expiry class is re-derived fresh every round).
-                now = if rng.gen_bool(0.1) {
-                    now.saturating_add(saath_simcore::Duration::from_secs(3600))
-                } else {
-                    now.saturating_add(saath_simcore::Duration::from_millis(8))
-                };
-                let out_inc = {
-                    let view = ClusterView {
-                        now,
-                        num_nodes,
-                        coflows: &coflows,
-                        changed: Some(&changed),
-                    };
-                    let mut bank = PortBank::uniform(num_nodes, GBPS);
-                    let mut out = Schedule::default();
-                    inc.compute(&view, &mut bank, &mut out);
-                    out
-                };
-                let out_full = {
-                    let view = ClusterView {
-                        now,
-                        num_nodes,
-                        coflows: &coflows,
-                        changed: None,
-                    };
-                    let mut bank = PortBank::uniform(num_nodes, GBPS);
-                    let mut out = Schedule::default();
-                    full.compute(&view, &mut bank, &mut out);
-                    out
-                };
+                let changed = churn.step();
                 assert_eq!(
-                    out_inc, out_full,
+                    churn.schedule(&mut inc, Some(&changed)),
+                    churn.schedule(&mut full, None),
                     "schedules diverged at round {round} (lcof={lcof})"
                 );
             }
         }
+    }
+
+    /// The footprint cache under the same churn: a scheduler fed hints
+    /// (and, every seventh round, none — after mutations it was never
+    /// told about one by one) against a cold one that is fed
+    /// `changed: None` and so re-derives every entry every round.
+    /// Schedules must match, and every cached entry must equal what
+    /// the view says — asserted here too, so the test also bites where
+    /// debug assertions are off. Covers the skew-aware and straggler
+    /// queue rules, which read the cache differently.
+    #[test]
+    fn footprint_cache_matches_cold_scheduler_under_churn() {
+        for skew_aware_thresholds in [false, true] {
+            let cfg = SaathConfig {
+                skew_aware_thresholds,
+                ..Default::default()
+            };
+            let mut churn = Churn::new(0xf007 + skew_aware_thresholds as u64);
+            let mut warm = Saath::new(cfg.clone());
+            let mut cold = Saath::new(cfg);
+            for round in 0..200 {
+                let changed = churn.step();
+                let hint = (round % 7 != 6).then_some(changed.as_slice());
+                assert_eq!(
+                    churn.schedule(&mut warm, hint),
+                    churn.schedule(&mut cold, None),
+                    "schedules diverged at round {round}"
+                );
+                for c in &churn.coflows {
+                    let e = &warm.slab[warm.slot_of[&c.id] as usize];
+                    assert!(e.live && e.id == c.id);
+                    assert_eq!(
+                        e.eps,
+                        crate::common::endpoints_of(c, churn.num_nodes, false),
+                        "round {round}: stale endpoint list for {:?}",
+                        c.id
+                    );
+                    assert_eq!(e.all_ready, c.all_ready());
+                    assert_eq!(e.m_c, c.max_flow_sent());
+                }
+                // Entries and free slots account for the whole slab.
+                assert_eq!(warm.slot_of.len(), churn.coflows.len());
+                assert_eq!(warm.slot_of.len() + warm.free.len(), warm.slab.len());
+                assert!(warm.free.iter().all(|&slot| !warm.slab[slot as usize].live));
+            }
+            assert!(
+                warm.slab.len() * 4 < churn.next_cf as usize,
+                "arrivals did not take freed slots: {} slots for {} CoFlows",
+                warm.slab.len(),
+                churn.next_cf
+            );
+        }
+    }
+
+    /// Byte progress and readiness put a CoFlow in the driver's hint
+    /// every round it sends; neither moves its endpoint list, and the
+    /// contention tracker is not asked to look.
+    #[test]
+    fn unmoved_endpoint_list_costs_the_tracker_nothing() {
+        use crate::common::ContentionWork;
+        let mut coflows = vec![
+            cv(0, 0, vec![fv(0, 0, 2, 0), fv(1, 1, 3, 0)]),
+            cv(1, 1, vec![fv(10, 0, 3, 0)]),
+        ];
+        let mut s = Saath::with_defaults();
+        let _ = run(&mut s, &coflows, 4, Time::ZERO);
+        let mut hinted = |coflows: &[CoflowView]| {
+            let view = ClusterView {
+                now: Time::from_millis(8),
+                num_nodes: 4,
+                coflows,
+                changed: Some(&[CoflowId(0)]),
+            };
+            let mut bank = PortBank::uniform(4, GBPS);
+            s.compute(&view, &mut bank, &mut Schedule::default());
+            // What `compute` handed the tracker, handed to it again.
+            let narrowed = ClusterView {
+                changed: Some(&s.moved),
+                ..view
+            };
+            let work = s.tracker.compute_into(&narrowed, &mut Vec::new());
+            (s.moved.clone(), work)
+        };
+
+        coflows[0].flows[0].sent = Bytes(5_000_000);
+        coflows[0].flows[1].ready = false;
+        let idle = ContentionWork {
+            delta_updates: 0,
+            full_rebuild: false,
+        };
+        assert_eq!(hinted(&coflows), (vec![], idle));
+
+        // A finish does move it: CoFlow 0 leaves ports 0 and 2·n-side 2.
+        coflows[0].flows[0].finished = true;
+        let (moved, work) = hinted(&coflows);
+        assert_eq!(moved, vec![CoflowId(0)]);
+        // The re-run above finds the deltas already applied.
+        assert_eq!(work, idle);
+    }
+
+    /// An endpoint list is allocated at the size of the CoFlow's
+    /// unfinished flows when it arrives (12 B each); finishes shrink
+    /// its length, never move its allocation, and the allocation stays
+    /// with the slot for the next CoFlow, growing only for a wider one
+    /// and then to exactly its size.
+    #[test]
+    fn endpoint_lists_are_sized_exactly_and_stay_with_their_slot() {
+        assert_eq!(std::mem::size_of::<FlowEndpoints>(), 12);
+        let coflow = |id: u32, width: u32| {
+            let flows = (0..width).map(|i| fv(10 * id + i, i, 9 - i, 0));
+            cv(id, u64::from(id), flows.collect())
+        };
+        let list = |s: &Saath, id: u32| {
+            let e = &s.slab[s.slot_of[&CoflowId(id)] as usize];
+            (e.eps.len(), e.eps.capacity(), e.eps.as_ptr())
+        };
+        let mut s = Saath::with_defaults();
+        let mut coflows = vec![coflow(0, 5)];
+        coflows[0].flows[4].finished = true;
+        let _ = run(&mut s, &coflows, 10, Time::ZERO);
+        let (len, cap, ptr) = list(&s, 0);
+        assert_eq!((len, cap), (4, 4));
+        coflows[0].flows[1].finished = true;
+        let _ = run(&mut s, &coflows, 10, Time::from_millis(8));
+        assert_eq!(list(&s, 0), (3, 4, ptr));
+
+        // CoFlow 0 leaves as a narrower one arrives: its slot, its
+        // allocation, not its list.
+        let coflows = vec![coflow(1, 2)];
+        let _ = run(&mut s, &coflows, 10, Time::from_millis(16));
+        assert_eq!((s.slab.len(), list(&s, 1)), (1, (2, 4, ptr)));
+        let e = &s.slab[s.slot_of[&CoflowId(1)] as usize];
+        assert_eq!(e.eps, crate::common::endpoints_of(&coflows[0], 10, false));
+        let coflows = vec![coflow(2, 7)];
+        let _ = run(&mut s, &coflows, 10, Time::from_millis(24));
+        let (len, cap, _) = list(&s, 2);
+        assert_eq!((s.slab.len(), len, cap), (1, 7, 7));
     }
 
     /// Timings accumulate one sample set per round.

@@ -123,8 +123,11 @@ pub struct ClusterView<'a> {
     /// previous round this scheduler saw, plus ids that departed. Must
     /// be a superset of actual changes — extra ids cost time, missing
     /// ids cost correctness: schedulers cache per-CoFlow derivations
-    /// (contention footprints, queue assignments, ordering keys) for
-    /// ids outside the hint. `None` means "assume everything changed"
+    /// (contention footprints, queue assignments, ordering keys, and
+    /// in Saath the unfinished flows' endpoint lists, readiness and
+    /// `m_c` that admission and work conservation read) for ids
+    /// outside the hint. A CoFlow a scheduler has not seen before is
+    /// always derived afresh. `None` means "assume everything changed"
     /// and is always safe; drivers without dirty tracking (tests, the
     /// reference loop) pass `None`.
     ///
