@@ -11,8 +11,7 @@
 //!                  runs the lab's small FB trace and writes no BENCH file)
 //!   scale          Fig 9-style scalability sweep: rounds/sec at 150→1k nodes
 //!                  × 10k→100k flows, full-rebuild vs incremental contention
-//!                  (writes BENCH_scalability.json; rebuild with
-//!                  --features parallel for the sharded-probe variant);
+//!                  (writes BENCH_scalability.json);
 //!                  with --shards K > 1, appends the shard sweep over
 //!                  K × summary staleness S, asserting byte-identical
 //!                  records at S = 0
@@ -95,35 +94,36 @@ fn arg_value(args: &[String], key: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// The value of `key` as a `T`, `None` when the flag is absent; a
+/// value that does not parse ends the run (exit 2) instead of quietly
+/// becoming the default.
+fn arg_parsed<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T> {
+    arg_value(args, key).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("repro: {key} takes a number, got `{v}`");
+            std::process::exit(2)
+        })
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args.first().cloned().unwrap_or_else(|| {
         eprintln!("usage: repro <fig2|fig3|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|fig17|table2|dynamics|epoch|scale|trace|emulate|gen-trace|verify|diff|bench-diff|all> [--seed N] [--panel P] [--trace PATH] [--out PATH] [--scale N] [--nodes N] [--shards K] [--staleness S] [--multiplex] [--small] [--json] [--log PATH] [--snapshot-every N] [--resume-from PATH] [--metrics-out PATH] [--metrics-addr ADDR] [--tolerance-pct N]");
         std::process::exit(2);
     });
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let seed: u64 = arg_parsed(&args, "--seed").unwrap_or(1);
     let panel = arg_value(&args, "--panel").unwrap_or_else(|| "all".into());
-    let scale: u64 = arg_value(&args, "--scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50);
-    let nodes: usize = arg_value(&args, "--nodes")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40);
-    let shards: usize = arg_value(&args, "--shards")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-        .max(1);
-    let staleness: Option<u64> = arg_value(&args, "--staleness").and_then(|v| v.parse().ok());
+    let scale: u64 = arg_parsed(&args, "--scale").unwrap_or(50);
+    let nodes: usize = arg_parsed(&args, "--nodes").unwrap_or(40);
+    let shards: usize = arg_parsed(&args, "--shards").unwrap_or(4).max(1);
+    let staleness: Option<u64> = arg_parsed(&args, "--staleness");
     let multiplex = args.iter().any(|a| a == "--multiplex");
     let small = args.iter().any(|a| a == "--small");
     let json = args.iter().any(|a| a == "--json");
     let log_opts = figs::LogOptions {
         log: arg_value(&args, "--log").map(std::path::PathBuf::from),
-        snapshot_every: arg_value(&args, "--snapshot-every")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0),
+        snapshot_every: arg_parsed(&args, "--snapshot-every").unwrap_or(0),
         resume_from: arg_value(&args, "--resume-from").map(std::path::PathBuf::from),
     };
     let metrics_out = arg_value(&args, "--metrics-out").map(std::path::PathBuf::from);
@@ -174,9 +174,7 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let tolerance: f64 = arg_value(&args, "--tolerance-pct")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10.0);
+        let tolerance: f64 = arg_parsed(&args, "--tolerance-pct").unwrap_or(10.0);
         match saath_bench::diff::bench_diff_cmd(
             std::path::Path::new(&a),
             std::path::Path::new(&b),

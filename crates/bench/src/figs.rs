@@ -1661,10 +1661,6 @@ fn env_stamp_json() -> String {
 /// which replay once); with `json`, returns the JSON document instead
 /// of the rendered table.
 ///
-/// Built with `--features parallel` the same sweep also exercises the
-/// sharded gang probes (probe/merge columns become non-zero), so serial
-/// vs parallel is a rebuild of the same command.
-///
 /// `shards > 1` appends the shard sweep: the sharded coordinator
 /// ([`PartitionedScheduler`](saath_simulator::PartitionedScheduler))
 /// for K ∈ {2, 4} ∩ [1, `shards`] × summary staleness
@@ -1737,8 +1733,6 @@ pub fn scale(
             ("ordering_ms", Phase::SchedOrder),
             ("all_or_none_ms", Phase::SchedMadd),
             ("work_conservation_ms", Phase::SchedWc),
-            ("probe_ms", Phase::SchedProbe),
-            ("merge_ms", Phase::SchedMerge),
         ]
         .map(|(key, phase)| (key, r.spread(|run| run.phase_ms(phase))));
         for (key, s) in wall.chain(phases) {
@@ -2013,11 +2007,9 @@ pub fn scale(
 
     let json_doc = format!(
         "{{\n  \"experiment\": \"scalability_sweep\",\n  \"seed\": {},\n  \
-         \"delta_ms\": 8,\n  \"parallel_feature\": {},\n  \
-         \"telemetry_feature\": {},\n  \"repeats\": {repeats},\n  \
+         \"delta_ms\": 8,\n  \"telemetry_feature\": {},\n  \"repeats\": {repeats},\n  \
          \"env\": {},\n  \"points\": [\n{}\n  ]{}\n}}\n",
         lab.seed(),
-        cfg!(feature = "parallel"),
         saath_telemetry::enabled(),
         env_stamp_json(),
         point_docs.join(",\n"),
@@ -2110,24 +2102,10 @@ pub fn trace_diag(lab: &Lab, small: bool) -> String {
                 replay(&mut s);
                 // Wall-clock phase spans stay out of the deterministic
                 // JSONL; report them here alongside the counters.
-                let f = |phase: Phase| avg_p90_ms(s.timings.spans.hist(phase));
-                let (ca, cp) = f(Phase::SchedContention);
+                let (ca, cp) = avg_p90_ms(s.timings.spans.hist(Phase::SchedContention));
                 out.push_str(&format!(
                     "saath contention phase: {ca:.4} ms avg / {cp:.4} ms P90\n"
                 ));
-                if s.timings.spans.hist(Phase::SchedProbe).count == 0 {
-                    out.push_str(
-                        "saath probe/merge phases: (serial admission — \
-                         rebuild with --features parallel)\n",
-                    );
-                } else {
-                    let (pa, pp) = f(Phase::SchedProbe);
-                    let (ma, mp) = f(Phase::SchedMerge);
-                    out.push_str(&format!(
-                        "saath probe phase: {pa:.4} ms avg / {pp:.4} ms P90 \
-                         (sharded); merge: {ma:.4} ms avg / {mp:.4} ms P90\n"
-                    ));
-                }
                 out.push_str(
                     &saath_metrics::phase_table("saath scheduler phases", &s.timings.spans)
                         .render(),

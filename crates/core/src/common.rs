@@ -475,11 +475,6 @@ pub fn endpoints_into(
     );
 }
 
-/// Finds a CoFlow's index in the view by id (linear; views are small).
-pub fn index_of(view: &ClusterView<'_>, id: CoflowId) -> Option<usize> {
-    view.coflows.iter().position(|c| c.id == id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

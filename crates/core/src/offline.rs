@@ -106,53 +106,6 @@ impl OfflineScheduler {
     pub fn policy(&self) -> OfflinePolicy {
         self.policy
     }
-
-    /// Computes the Γ-based ordering keys (SEBF / LWTF) sharded across
-    /// a scoped thread pool, each shard with its own scratch bank and
-    /// endpoint buffers. Keys are written by CoFlow index, so the
-    /// result is independent of thread interleaving and byte-identical
-    /// to the serial loop. Returns `false` when the round is too small
-    /// to be worth the fan-out.
-    #[cfg(feature = "parallel")]
-    fn gamma_keys_parallel(&mut self, view: &ClusterView<'_>, bank: &PortBank) -> bool {
-        let n = view.coflows.len();
-        if n < 2 {
-            return false;
-        }
-        let shards = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .clamp(1, n);
-        self.keys.resize(n, 0);
-        let lwtf = self.policy == OfflinePolicy::Lwtf;
-        let k = &self.k;
-        let chunk = n.div_ceil(shards);
-        std::thread::scope(|s| {
-            let mut keys_rest: &mut [u128] = &mut self.keys;
-            let mut start = 0;
-            while start < n {
-                let len = chunk.min(n - start);
-                let (keys_chunk, rest) = keys_rest.split_at_mut(len);
-                keys_rest = rest;
-                s.spawn(move || {
-                    let mut scratch_bank: Option<PortBank> = None;
-                    let mut madd = MaddScratch::default();
-                    let mut eps: Vec<FlowEndpoints> = Vec::new();
-                    let mut rem: Vec<Bytes> = Vec::new();
-                    for (j, key) in keys_chunk.iter_mut().enumerate() {
-                        let ci = start + j;
-                        let c = &view.coflows[ci];
-                        remaining_into(c, view.num_nodes, &mut eps, &mut rem);
-                        let t = gamma_on_fresh_bank(&mut scratch_bank, &mut madd, bank, &eps, &rem)
-                            .as_nanos() as u128;
-                        *key = if lwtf { t * k[ci] as u128 } else { t };
-                    }
-                });
-                start += len;
-            }
-        });
-        true
-    }
 }
 
 /// Remaining ground-truth volumes of a CoFlow's unfinished, ready flows,
@@ -223,31 +176,22 @@ impl CoflowScheduler for OfflineScheduler {
                         );
                     }
                 }
-                // The Γ probes are independent per CoFlow; parallel
-                // builds shard them across threads with per-shard
-                // scratch banks, writing keys by index — deterministic
-                // either way. The waiting time a CoFlow inflicts under
-                // LWTF is t·k; a CoFlow contending with nobody (k = 0)
-                // delays nobody and can go first.
-                #[cfg(feature = "parallel")]
-                let keyed = self.gamma_keys_parallel(view, bank);
-                #[cfg(not(feature = "parallel"))]
-                let keyed = false;
-                if !keyed {
-                    let lwtf = self.policy == OfflinePolicy::Lwtf;
-                    for (ci, c) in view.coflows.iter().enumerate() {
-                        remaining_into(c, view.num_nodes, &mut self.eps, &mut self.rem);
-                        let t = gamma_on_fresh_bank(
-                            &mut self.scratch_bank,
-                            &mut self.madd,
-                            bank,
-                            &self.eps,
-                            &self.rem,
-                        )
-                        .as_nanos() as u128;
-                        self.keys
-                            .push(if lwtf { t * self.k[ci] as u128 } else { t });
-                    }
+                // The waiting time a CoFlow inflicts under LWTF is t·k;
+                // a CoFlow contending with nobody (k = 0) delays nobody
+                // and can go first.
+                let lwtf = self.policy == OfflinePolicy::Lwtf;
+                for (ci, c) in view.coflows.iter().enumerate() {
+                    remaining_into(c, view.num_nodes, &mut self.eps, &mut self.rem);
+                    let t = gamma_on_fresh_bank(
+                        &mut self.scratch_bank,
+                        &mut self.madd,
+                        bank,
+                        &self.eps,
+                        &self.rem,
+                    )
+                    .as_nanos() as u128;
+                    self.keys
+                        .push(if lwtf { t * self.k[ci] as u128 } else { t });
                 }
             }
         };

@@ -103,11 +103,6 @@ pub struct SaathConfig {
     /// builds assert equality every round. Off reproduces the original
     /// full re-sort cost for benchmarking.
     pub incremental_order: bool,
-    /// Number of shards for the parallel gang-probe phase; `0` = one
-    /// per available core. Only read in `parallel`-feature builds; the
-    /// schedule is byte-identical for every shard count (speculative
-    /// probes are re-validated in a deterministic serial merge).
-    pub probe_shards: usize,
 }
 
 impl Default for SaathConfig {
@@ -124,7 +119,6 @@ impl Default for SaathConfig {
             skew_aware_thresholds: false,
             incremental_contention: true,
             incremental_order: true,
-            probe_shards: 0,
         }
     }
 }
@@ -290,13 +284,6 @@ pub struct Saath {
     wc_rates: Vec<Rate>,
     /// Finished-flow lengths for the §4.3 remaining-length estimate.
     est: Vec<u64>,
-    /// Speculative gang rates against the pre-admission bank snapshot,
-    /// indexed by order position (parallel builds only).
-    #[cfg(feature = "parallel")]
-    spec_rate: Vec<Rate>,
-    /// Ports drawn down by an admission since the probe snapshot.
-    #[cfg(feature = "parallel")]
-    drawn: Vec<bool>,
     /// Rounds in which a deadline-expired CoFlow was force-prioritized
     /// (§7.1 reports starvation avoidance kicking in <1 % of the time).
     pub starvation_kicks: u64,
@@ -334,10 +321,6 @@ impl Saath {
             eps: Vec::new(),
             wc_rates: Vec::new(),
             est: Vec::new(),
-            #[cfg(feature = "parallel")]
-            spec_rate: Vec::new(),
-            #[cfg(feature = "parallel")]
-            drawn: Vec::new(),
             starvation_kicks: 0,
             mech: MechCounters::default(),
         }
@@ -417,56 +400,9 @@ impl Saath {
         );
     }
 
-    /// Speculatively probes every CoFlow's gang rate against the
-    /// pre-admission bank snapshot, sharded across a scoped thread
-    /// pool. Returns `false` (probe skipped) when gang admission is off
-    /// or the round is too small to be worth the fan-out.
-    ///
-    /// Each shard gets a contiguous slice of the admission order and
-    /// its own gang scratch, reads the CoFlows' cached endpoint lists,
-    /// and writes results by order position — so the output is
-    /// independent of thread interleaving.
-    #[cfg(feature = "parallel")]
-    fn parallel_probe(&mut self, bank: &PortBank) -> bool {
-        let n = self.order.len();
-        if !self.cfg.all_or_none || n < 2 {
-            return false;
-        }
-        let shards = if self.cfg.probe_shards == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.cfg.probe_shards
-        }
-        .clamp(1, n);
-        let t_probe = Instant::now();
-        self.spec_rate.clear();
-        self.spec_rate.resize(n, Rate::ZERO);
-        let chunk = n.div_ceil(shards);
-        let (order, slots, slab) = (&self.order, &self.slots, &self.slab);
-        std::thread::scope(|s| {
-            let chunks = self.spec_rate.chunks_mut(chunk).zip(order.chunks(chunk));
-            for (rate_chunk, order_chunk) in chunks {
-                s.spawn(move || {
-                    let mut scratch: Vec<u32> = Vec::new();
-                    let mut touched: Vec<saath_simcore::PortId> = Vec::new();
-                    for (rate, &ci) in rate_chunk.iter_mut().zip(order_chunk) {
-                        let e = &slab[slots[ci] as usize];
-                        if !e.eps.is_empty() && e.all_ready {
-                            *rate = gang_rate_with(bank, &e.eps, &mut scratch, &mut touched);
-                        }
-                    }
-                });
-            }
-        });
-        self.timings.record(Phase::SchedProbe, t_probe.elapsed());
-        true
-    }
-
-    /// The sequential admission scan — the executable specification the
-    /// parallel probe + merge must match byte for byte.
-    fn admit_serial(&mut self, bank: &mut PortBank, out: &mut Schedule) {
+    /// The all-or-none admission scan (D1 step 4, D2), in `self.order`:
+    /// a CoFlow that is not admitted lands in `self.missed`.
+    fn admit(&mut self, bank: &mut PortBank, out: &mut Schedule) {
         for oi in 0..self.order.len() {
             let ci = self.order[oi];
             let e = &self.slab[self.slots[ci] as usize];
@@ -504,69 +440,6 @@ impl Saath {
                 }
             }
         }
-    }
-
-    /// Serial, in-order merge of the speculative probes. A speculative
-    /// rate is exact unless an earlier admission drew down one of the
-    /// CoFlow's ports since the snapshot; those are recomputed against
-    /// the live bank — yielding exactly what the serial path computes,
-    /// byte for byte.
-    #[cfg(feature = "parallel")]
-    fn merge_probes(&mut self, num_nodes: usize, bank: &mut PortBank, out: &mut Schedule) {
-        let t_merge = Instant::now();
-        self.drawn.clear();
-        self.drawn.resize(2 * num_nodes, false);
-        for oi in 0..self.order.len() {
-            let ci = self.order[oi];
-            let e = &self.slab[self.slots[ci] as usize];
-            let eps = &e.eps;
-            if eps.is_empty() {
-                continue; // fully finished; driver will drop it
-            }
-            if !e.all_ready {
-                if saath_telemetry::enabled() {
-                    self.mech.unready_skips += 1;
-                }
-                self.missed.push(ci);
-                continue;
-            }
-            let stale = eps
-                .iter()
-                .any(|e| self.drawn[e.src.index()] || self.drawn[e.dst.index()]);
-            let r = if stale {
-                if saath_telemetry::enabled() {
-                    self.mech.probe_revalidations += 1;
-                }
-                gang_rate_with(
-                    bank,
-                    eps,
-                    &mut self.arena.gang_scratch,
-                    &mut self.arena.gang_touched,
-                )
-            } else {
-                self.spec_rate[oi]
-            };
-            if saath_telemetry::enabled() {
-                self.mech.madd_evals += 1;
-            }
-            if r.is_zero() {
-                if saath_telemetry::enabled() {
-                    self.mech.gang_rejections += 1;
-                }
-                self.missed.push(ci);
-            } else {
-                if saath_telemetry::enabled() {
-                    self.mech.gang_admissions += 1;
-                }
-                gang_allocate(bank, eps, r);
-                for e in eps {
-                    out.set(e.flow, r);
-                    self.drawn[e.src.index()] = true;
-                    self.drawn[e.dst.index()] = true;
-                }
-            }
-        }
-        self.timings.record(Phase::SchedMerge, t_merge.elapsed());
     }
 }
 
@@ -910,19 +783,7 @@ impl CoflowScheduler for Saath {
 
         // ---- All-or-none admission (D1 step 4, D2) ----
         self.missed.clear();
-        // Parallel builds probe every CoFlow's gang rate concurrently
-        // against the untouched bank, then merge serially in order;
-        // serial builds (and tiny rounds) take the loop below.
-        #[cfg(feature = "parallel")]
-        let speculated = self.parallel_probe(bank);
-        #[cfg(not(feature = "parallel"))]
-        let speculated = false;
-        if speculated {
-            #[cfg(feature = "parallel")]
-            self.merge_probes(view.num_nodes, bank, out);
-        } else {
-            self.admit_serial(bank, out);
-        }
+        self.admit(bank, out);
         let t_madd_end = Instant::now();
 
         // ---- Work conservation (D4) ----
@@ -988,9 +849,8 @@ impl CoflowScheduler for Saath {
     fn save_state(&self, out: &mut Vec<u8>) {
         out.push(1u8); // format version
         out.extend_from_slice(&self.starvation_kicks.to_le_bytes());
-        let rows = self.mech.rows();
-        out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-        for (_, v) in rows {
+        out.extend_from_slice(&(MechCounters::LEN as u64).to_le_bytes());
+        for (_, v) in self.mech.rows() {
             out.extend_from_slice(&v.to_le_bytes());
         }
         // Slot order is an accident of arrivals and departures: sort by
@@ -1025,37 +885,15 @@ impl CoflowScheduler for Saath {
         let u64_of = |b: Vec<u8>| u64::from_le_bytes(b.as_slice().try_into().unwrap());
         self.starvation_kicks = u64_of(get(8)?);
         let n_mech = u64_of(get(8)?);
-        if n_mech != self.mech.rows().len() as u64 {
+        if n_mech != MechCounters::LEN as u64 {
             return Err(format!(
                 "saath state has {n_mech} mech counters, this build has {}",
-                self.mech.rows().len()
+                MechCounters::LEN
             ));
         }
-        let mut mech_vals = [0u64; 15];
-        for v in mech_vals.iter_mut() {
-            *v = u64_of(get(8)?);
+        for slot in self.mech.values_mut() {
+            *slot = u64_of(get(8)?);
         }
-        let m = &mut self.mech;
-        [
-            &mut m.queue_transitions,
-            &mut m.deadline_expiries,
-            &mut m.starvation_rescues,
-            &mut m.gang_admissions,
-            &mut m.gang_rejections,
-            &mut m.unready_skips,
-            &mut m.wc_backfills,
-            &mut m.lcof_comparisons,
-            &mut m.madd_evals,
-            &mut m.contention_deltas,
-            &mut m.contention_rebuilds,
-            &mut m.contention_rebuilds_avoided,
-            &mut m.probe_revalidations,
-            &mut m.order_rekeys,
-            &mut m.order_resorts_avoided,
-        ]
-        .into_iter()
-        .zip(mech_vals)
-        .for_each(|(slot, v)| *slot = v);
         let n_state = u64_of(get(8)?) as usize;
         self.slab.clear();
         self.free.clear();
@@ -1805,6 +1643,39 @@ mod tests {
         let _ = run(&mut s, &coflows, 10, Time::from_millis(24));
         let (len, cap, _) = list(&s, 2);
         assert_eq!((s.slab.len(), len, cap), (1, 7, 7));
+    }
+
+    /// A state blob that is cut short, has bytes left over, or lists
+    /// another build's counters (the parent commit wrote 15, this
+    /// build has 14) is refused with an error, never misread, and the
+    /// scheduler schedules on.
+    #[test]
+    fn malformed_state_blobs_are_refused() {
+        let coflows = vec![cv(0, 0, vec![fv(0, 0, 1, 0)])];
+        let mut s = Saath::with_defaults();
+        let _ = run(&mut s, &coflows, 2, Time::ZERO);
+        let mut blob = Vec::new();
+        s.save_state(&mut blob);
+        let mut restored = Saath::with_defaults();
+        assert_eq!(restored.restore_state(&blob), Ok(()));
+        assert_eq!(restored.mech, s.mech);
+
+        let trailing = [&blob[..], &[0]].concat();
+        // Version byte and `starvation_kicks`, then the counter count
+        // and the counters: one more of each.
+        let count = (MechCounters::LEN as u64 + 1).to_le_bytes();
+        let wider = [&blob[..9], &count, &[0; 8], &blob[17..]].concat();
+        for (bad, why) in [
+            (&blob[..blob.len() - 1], "truncated"),
+            (&trailing[..], "1 trailing bytes"),
+            (&wider[..], "has 15 mech counters, this build has 14"),
+        ] {
+            let mut s = Saath::with_defaults();
+            let err = s.restore_state(bad).unwrap_err();
+            assert!(err.contains(why), "{err}");
+            let out = run(&mut s, &coflows, 2, Time::from_millis(8));
+            assert_eq!(out.rate_of(FlowId(0)), GBPS);
+        }
     }
 
     /// Timings accumulate one sample set per round.

@@ -26,8 +26,7 @@ pub struct SchedTimings {
     /// Per-phase latency histograms (nanoseconds). The `Sched*`
     /// phases: total `compute()` round, ordering ("LCoF" column) with
     /// its contention sub-span, all-or-none admission + rate
-    /// assignment, work conservation, and — only when the `parallel`
-    /// feature ran — the speculative probe fan-out and its merge.
+    /// assignment, and work conservation.
     pub spans: SpanProfiler,
     /// Active CoFlows per round (context for the latency numbers).
     pub active_coflows: LogHist,
@@ -59,9 +58,7 @@ mod tests {
         let h = t.spans.hist(Phase::SchedOrder);
         assert_eq!((h.count, h.sum, h.max), (2, 30_000, 20_000));
         assert_eq!(t.spans.hist(Phase::SchedContention).count, 1);
-        // Phases never recorded stay empty (no probe/merge here), and
-        // rounds are counted by the total phase alone.
-        assert_eq!(t.spans.hist(Phase::SchedProbe).count, 0);
+        // Rounds are counted by the total phase alone.
         assert_eq!(t.rounds(), 0);
         t.record(Phase::SchedTotal, StdDuration::from_millis(1));
         assert_eq!(t.rounds(), 1);

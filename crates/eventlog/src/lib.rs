@@ -5,8 +5,8 @@
 //! down to the first divergent scheduling round.
 //!
 //! Every equivalence guarantee in this workspace (incremental engine vs
-//! reference loop, sharded coordinators vs single, parallel probes vs
-//! serial admission) is stated over byte-identical per-CoFlow records —
+//! reference loop, sharded coordinators vs single, incremental vs
+//! full recompute) is stated over byte-identical per-CoFlow records —
 //! an end-of-run property. This crate makes the *per-round* trajectory
 //! durable and verifiable:
 //!

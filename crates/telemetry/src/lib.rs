@@ -265,10 +265,6 @@ pub enum Phase {
     SchedMadd,
     /// Work-conservation backfill.
     SchedWc,
-    /// Parallel speculative gang-probe fan-out.
-    SchedProbe,
-    /// Deterministic serial merge of speculative probes.
-    SchedMerge,
     /// Engine: draining due events (arrivals, readiness, dynamics).
     EngineEvents,
     /// Engine: incremental view sync over the dirty list.
@@ -294,14 +290,12 @@ pub enum Phase {
 }
 
 /// All span kinds, in display order.
-pub const PHASES: [Phase; 17] = [
+pub const PHASES: [Phase; 15] = [
     Phase::SchedTotal,
     Phase::SchedOrder,
     Phase::SchedContention,
     Phase::SchedMadd,
     Phase::SchedWc,
-    Phase::SchedProbe,
-    Phase::SchedMerge,
     Phase::EngineEvents,
     Phase::EngineViewSync,
     Phase::EngineRound,
@@ -323,8 +317,6 @@ impl Phase {
             Phase::SchedContention => "sched_contention",
             Phase::SchedMadd => "sched_madd",
             Phase::SchedWc => "sched_wc",
-            Phase::SchedProbe => "sched_probe",
-            Phase::SchedMerge => "sched_merge",
             Phase::EngineEvents => "engine_events",
             Phase::EngineViewSync => "engine_view_sync",
             Phase::EngineRound => "engine_round",
@@ -387,83 +379,81 @@ impl SpanProfiler {
     }
 }
 
-/// Per-policy mechanism counters — the paper's levers (D1–D5) as
-/// monotonic event counts, owned by each scheduler and read back after
-/// a run.
-///
-/// Schedulers increment these only inside `if telemetry::enabled()`
-/// blocks, so feature-off builds pay nothing.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MechCounters {
-    /// CoFlows that moved to a different priority queue (per-flow
-    /// threshold crossings, D3).
-    pub queue_transitions: u64,
-    /// CoFlows whose FIFO-derived starvation deadline newly expired
-    /// (D5 trigger events).
-    pub deadline_expiries: u64,
-    /// Rounds in which at least one expired CoFlow was force-prioritized
-    /// to the front (D5 rescues; mirrors `starvation_kicks`).
-    pub starvation_rescues: u64,
-    /// All-or-none gang admissions that fit and were granted (D2).
-    pub gang_admissions: u64,
-    /// All-or-none gang admissions rejected because the gang rate was
-    /// zero at some contended port (D2).
-    pub gang_rejections: u64,
-    /// CoFlows skipped because not all flows were ready yet
-    /// (out-of-sync avoidance, D2).
-    pub unready_skips: u64,
-    /// Flows granted leftover capacity by work conservation (D4).
-    pub wc_backfills: u64,
-    /// Intra-queue order comparisons performed by the LCoF sort (D1
-    /// work; for Aalo, the FIFO sort's comparisons).
-    pub lcof_comparisons: u64,
-    /// MADD gang-rate evaluations (shared-bottleneck rate probes).
-    pub madd_evals: u64,
-    /// Port join/leave deltas applied by the incremental contention
-    /// tracker (the work a full rebuild would redo from scratch).
-    pub contention_deltas: u64,
-    /// Contention rounds that had to rebuild tracker state (no usable
-    /// `changed` hint, or a port-space change).
-    pub contention_rebuilds: u64,
-    /// Contention rounds served purely by delta updates — full
-    /// `contention_into` rebuilds avoided.
-    pub contention_rebuilds_avoided: u64,
-    /// Speculative gang probes recomputed in the parallel merge because
-    /// an earlier admission drew down one of the CoFlow's ports.
-    pub probe_revalidations: u64,
-    /// CoFlows whose LCoF ordering key changed and were re-slotted in
-    /// the incremental order book (one remove + insert each).
-    pub order_rekeys: u64,
-    /// Rounds where the incremental order book emitted the LCoF order
-    /// without a full re-sort.
-    pub order_resorts_avoided: u64,
+/// Declares [`MechCounters`] from one list of fields, so the struct,
+/// [`MechCounters::rows`] and [`MechCounters::values_mut`] cannot fall
+/// out of step.
+macro_rules! mech_counters {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Per-policy mechanism counters — the paper's levers (D1–D5) as
+        /// monotonic event counts, owned by each scheduler and read back
+        /// after a run.
+        ///
+        /// Schedulers increment these only inside `if telemetry::enabled()`
+        /// blocks, so feature-off builds pay nothing.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct MechCounters {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl MechCounters {
+            /// How many counters there are.
+            pub const LEN: usize = [$(stringify!($field)),*].len();
+
+            /// `(name, value)` rows in display order, for table rendering
+            /// without the renderer knowing the fields.
+            pub fn rows(&self) -> [(&'static str, u64); Self::LEN] {
+                [$((stringify!($field), self.$field)),*]
+            }
+
+            /// The counters in [`MechCounters::rows`] order, to write
+            /// back what `rows` gave (a scheduler's state blob).
+            pub fn values_mut(&mut self) -> [&mut u64; Self::LEN] {
+                [$(&mut self.$field),*]
+            }
+        }
+    };
 }
 
-impl MechCounters {
-    /// `(name, value)` rows in display order, for table rendering
-    /// without the renderer knowing the fields.
-    pub fn rows(&self) -> [(&'static str, u64); 15] {
-        [
-            ("queue_transitions", self.queue_transitions),
-            ("deadline_expiries", self.deadline_expiries),
-            ("starvation_rescues", self.starvation_rescues),
-            ("gang_admissions", self.gang_admissions),
-            ("gang_rejections", self.gang_rejections),
-            ("unready_skips", self.unready_skips),
-            ("wc_backfills", self.wc_backfills),
-            ("lcof_comparisons", self.lcof_comparisons),
-            ("madd_evals", self.madd_evals),
-            ("contention_deltas", self.contention_deltas),
-            ("contention_rebuilds", self.contention_rebuilds),
-            (
-                "contention_rebuilds_avoided",
-                self.contention_rebuilds_avoided,
-            ),
-            ("probe_revalidations", self.probe_revalidations),
-            ("order_rekeys", self.order_rekeys),
-            ("order_resorts_avoided", self.order_resorts_avoided),
-        ]
-    }
+mech_counters! {
+    /// CoFlows that moved to a different priority queue (per-flow
+    /// threshold crossings, D3).
+    queue_transitions,
+    /// CoFlows whose FIFO-derived starvation deadline newly expired
+    /// (D5 trigger events).
+    deadline_expiries,
+    /// Rounds in which at least one expired CoFlow was force-prioritized
+    /// to the front (D5 rescues; mirrors `starvation_kicks`).
+    starvation_rescues,
+    /// All-or-none gang admissions that fit and were granted (D2).
+    gang_admissions,
+    /// All-or-none gang admissions rejected because the gang rate was
+    /// zero at some contended port (D2).
+    gang_rejections,
+    /// CoFlows skipped because not all flows were ready yet
+    /// (out-of-sync avoidance, D2).
+    unready_skips,
+    /// Flows granted leftover capacity by work conservation (D4).
+    wc_backfills,
+    /// Intra-queue order comparisons performed by the LCoF sort (D1
+    /// work; for Aalo, the FIFO sort's comparisons).
+    lcof_comparisons,
+    /// MADD gang-rate evaluations (shared-bottleneck rate probes).
+    madd_evals,
+    /// Port join/leave deltas applied by the incremental contention
+    /// tracker (the work a full rebuild would redo from scratch).
+    contention_deltas,
+    /// Contention rounds that had to rebuild tracker state (no usable
+    /// `changed` hint, or a port-space change).
+    contention_rebuilds,
+    /// Contention rounds served purely by delta updates — full
+    /// `contention_into` rebuilds avoided.
+    contention_rebuilds_avoided,
+    /// CoFlows whose LCoF ordering key changed and were re-slotted in
+    /// the incremental order book (one remove + insert each).
+    order_rekeys,
+    /// Rounds where the incremental order book emitted the LCoF order
+    /// without a full re-sort.
+    order_resorts_avoided,
 }
 
 /// One scheduling round's deterministic state, serialized as a JSONL
@@ -783,6 +773,6 @@ mod tests {
         assert_eq!(rows.len(), COUNTERS.len());
         assert!(rows.iter().all(|(n, _)| !n.is_empty()));
         let mech = MechCounters::default().rows();
-        assert_eq!(mech.len(), 15);
+        assert_eq!(mech.len(), 14);
     }
 }

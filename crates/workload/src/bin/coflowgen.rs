@@ -77,9 +77,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("gen") => {
-            let seed = arg_value(&args, "--seed")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1u64);
+            let seed: u64 = arg_value(&args, "--seed").map_or(1, |v| {
+                v.parse()
+                    .unwrap_or_else(|_| fail(&format!("--seed takes a number, got `{v}`")))
+            });
             let cfg = match arg_value(&args, "--preset").as_deref() {
                 Some("fb") | None => gen::fb_like(seed),
                 Some("osp") => gen::osp_like(seed),

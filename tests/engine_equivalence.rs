@@ -190,46 +190,6 @@ fn incremental_contention_matches_under_skewed_thresholds() {
 }
 
 #[test]
-fn sharded_probes_match_serial_schedule() {
-    // With the `parallel` feature the gang-admission probes run
-    // speculatively across shards and merge serially; the schedule must
-    // be byte-identical to the serial path for any shard count. Forcing
-    // several shards makes this meaningful even on single-core CI.
-    // Without the feature, `probe_shards` must be inert.
-    let trace = mini_fb(83);
-    let cfg = SimConfig::default();
-    let dynamics = stress_dynamics();
-    let serial = simulate(
-        &trace,
-        &mut Saath::new(SaathConfig {
-            probe_shards: 1,
-            ..SaathConfig::default()
-        }),
-        &cfg,
-        &dynamics,
-    )
-    .unwrap();
-    for shards in [0usize, 2, 4, 7] {
-        let sharded = simulate(
-            &trace,
-            &mut Saath::new(SaathConfig {
-                probe_shards: shards,
-                ..SaathConfig::default()
-            }),
-            &cfg,
-            &dynamics,
-        )
-        .unwrap();
-        assert_eq!(
-            serial.records, sharded.records,
-            "probe_shards = {shards} changed the schedule"
-        );
-        assert_eq!(serial.rounds, sharded.rounds);
-        assert_eq!(serial.end, sharded.end);
-    }
-}
-
-#[test]
 fn incremental_loop_matches_reference_across_policies_and_deltas() {
     let trace = mini_fb(47);
     let dynamics = stress_dynamics();

@@ -126,11 +126,7 @@ fn mech_counters_and_round_trace_are_pinned() {
     }
 
     // Golden values for gen::small(9, 10, 16) under default Saath.
-    // `probe_revalidations` is the one counter the parallel feature
-    // moves (sharded probes re-validate what serial admission sees
-    // first-hand); every other mechanism count is identical by design.
-    let probe_revalidations = if cfg!(feature = "parallel") { 2 } else { 0 };
-    let expect: [(&str, u64); 15] = [
+    let expect: [(&str, u64); 14] = [
         ("queue_transitions", 10),
         ("deadline_expiries", 0),
         ("starvation_rescues", 0),
@@ -143,7 +139,6 @@ fn mech_counters_and_round_trace_are_pinned() {
         ("contention_deltas", 138),
         ("contention_rebuilds", 1),
         ("contention_rebuilds_avoided", 361),
-        ("probe_revalidations", probe_revalidations),
         ("order_rekeys", 29),
         ("order_resorts_avoided", 362),
     ];

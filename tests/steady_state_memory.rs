@@ -36,32 +36,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// The live heap, once it is still. A `parallel` build's probe
-/// threads give back their own bookkeeping a moment *after* the scope
-/// that ran them has returned (the scope waits for their results, not
-/// for their exit), so there the reading is repeated until it repeats.
-fn live() -> isize {
-    let mut last = LIVE.load(Ordering::Relaxed);
-    while cfg!(feature = "parallel") {
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let now = LIVE.load(Ordering::Relaxed);
-        if now == last {
-            break;
-        }
-        last = now;
-    }
-    last
-}
-
 const NODES: usize = 4;
 
-/// Rounds the heap is watched over; fewer where every round spawns
-/// probe threads (a quarter of a millisecond each).
-const ROUNDS: u64 = if cfg!(feature = "parallel") {
-    4_000
-} else {
-    20_000
-};
+/// Rounds the heap is watched over.
+const ROUNDS: u64 = 20_000;
 
 /// Three mid-transfer CoFlows sharing ports, so ordering, contention,
 /// all-or-none and work conservation all have something to do. Ids
@@ -109,8 +87,8 @@ fn scheduling_rounds_leave_the_live_heap_where_it_was() {
     // The skew-aware and the straggler queue rules are off the default
     // path, and each once allocated (and freed) per CoFlow per round:
     // they are held to the default configuration's number of calls to
-    // the allocator — none, but for what debug oracles and probe
-    // threads make in the builds that have them.
+    // the allocator — none, but for what debug oracles make in the
+    // builds that have them.
     let mut default_allocs = None;
     let scheds: [(&str, Box<dyn CoflowScheduler>, bool); 5] = [
         ("saath", Box::new(Saath::with_defaults()), false),
@@ -146,10 +124,10 @@ fn scheduling_rounds_leave_the_live_heap_where_it_was() {
         let coflows = three_coflows(0, straggling);
         let ids = |coflows: &[CoflowView]| coflows.iter().map(|c| c.id).collect::<Vec<_>>();
         run(&coflows, &ids(&coflows), 1_000);
-        let before = live();
+        let before = LIVE.load(Ordering::Relaxed);
         let allocs_before = ALLOCS.load(Ordering::Relaxed);
         run(&coflows, &[], ROUNDS);
-        let grown = live() - before;
+        let grown = LIVE.load(Ordering::Relaxed) - before;
         assert_eq!(grown, 0, "{name}: live heap moved over {ROUNDS} rounds");
         let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
         if name.starts_with("saath") {
@@ -172,10 +150,10 @@ fn scheduling_rounds_leave_the_live_heap_where_it_was() {
             let mut changed = ids(&previous);
             changed.extend(ids(&coflows));
             run(&coflows, &changed, 200);
-            let after_arrival = live();
+            let after_arrival = LIVE.load(Ordering::Relaxed);
             run(&coflows, &[], 1_000);
             assert_eq!(
-                live(),
+                LIVE.load(Ordering::Relaxed),
                 after_arrival,
                 "{name}: live heap moved within wave {wave}"
             );
