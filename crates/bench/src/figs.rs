@@ -548,22 +548,11 @@ pub fn table2(lab: &mut Lab) -> String {
 
     let trace = lab.trace(Workload::Fb).clone();
 
+    let (cfg, none) = (SimConfig::default(), DynamicsSpec::none());
     let mut saath = saath_core::Saath::with_defaults();
-    simulate(
-        &trace,
-        &mut saath,
-        &SimConfig::default(),
-        &DynamicsSpec::none(),
-    )
-    .unwrap();
+    let saath_out = simulate(&trace, &mut saath, &cfg, &none).unwrap();
     let mut aalo = saath_core::Aalo::with_defaults();
-    simulate(
-        &trace,
-        &mut aalo,
-        &SimConfig::default(),
-        &DynamicsSpec::none(),
-    )
-    .unwrap();
+    let aalo_out = simulate(&trace, &mut aalo, &cfg, &none).unwrap();
 
     let mut t = Table::new(
         "Table 2 — coordinator schedule-compute time (this implementation)",
@@ -600,16 +589,36 @@ pub fn table2(lab: &mut Lab) -> String {
             ["-".into(), "-".into()],
         );
     }
+    // The paper prices the coordinator per δ. The rows above are per
+    // round that ran `compute` (what `SchedTimings` samples); the
+    // engine reuses a schedule that cannot have changed, so the cost
+    // per δ is the same total spread over every round of the replay.
+    let per_delta_ms = |t: &saath_core::SchedTimings, rounds: u64| {
+        let total_ms = t.spans.hist(Phase::SchedTotal).sum as f64 / 1e6;
+        [
+            format!("{:.4}", total_ms / rounds.max(1) as f64),
+            "-".into(),
+        ]
+    };
+    row(
+        "total per δ, reused rounds included",
+        per_delta_ms(&saath.timings, saath_out.rounds),
+        per_delta_ms(&aalo.timings, aalo_out.rounds),
+    );
+    // Both policies' round counts are the replay's (`SimOutput`): one
+    // basis, whatever share of them each policy had to compute.
     t.row(&[
-        "rounds / max active CoFlows".into(),
-        saath.timings.rounds().to_string(),
+        "rounds: computed / total, max active CoFlows".into(),
+        format!("{} / {}", saath.timings.rounds(), saath_out.rounds),
         saath.timings.active_coflows.max.to_string(),
-        aalo.timings.rounds().to_string(),
+        format!("{} / {}", aalo.timings.rounds(), aalo_out.rounds),
         aalo.timings.active_coflows.max.to_string(),
     ]);
+    // A round with an expired CoFlow is never reused (its horizon is
+    // zero), so `starvation_kicks` counts every such round of the run.
     t.row(&[
         "starvation rounds (paper: <1%)".into(),
-        fmt_pct(saath.starvation_kicks as f64 / saath.timings.rounds().max(1) as f64),
+        fmt_pct(saath.starvation_kicks as f64 / saath_out.rounds.max(1) as f64),
         "-".into(),
         "-".into(),
         "-".into(),
@@ -936,7 +945,8 @@ pub fn diff_cmd(a: &std::path::Path, b: &std::path::Path) -> Result<(String, boo
 /// (the same exposition format the runtime's live `/metrics` endpoint
 /// serves): the deterministic round count first, then the per-phase
 /// wall-time summary under the section banner. `spans` is the merged
-/// scheduler + engine profiler; `rounds` the replay's round count.
+/// scheduler + engine profiler — its `sched_total` samples are the
+/// rounds that ran `compute`; `rounds` the replay's round count.
 fn sim_metrics_page(spans: &saath_telemetry::SpanProfiler, rounds: u64) -> String {
     use saath_telemetry::prom::PromText;
     let mut p = PromText::new();
@@ -945,6 +955,14 @@ fn sim_metrics_page(spans: &saath_telemetry::SpanProfiler, rounds: u64) -> Strin
         "saath_sim_rounds_total",
         "Scheduling rounds the replay executed",
         &[("", rounds)],
+    );
+    p.counter(
+        "saath_sim_rounds_elided_total",
+        "Rounds among them that reused the previous schedule instead of computing one",
+        &[(
+            "",
+            rounds.saturating_sub(spans.hist(Phase::SchedTotal).count),
+        )],
     );
     p.section("wall-clock (nondeterministic values, stable layout)");
     p.phase_summary(
@@ -1405,6 +1423,8 @@ pub fn epoch(
     // One profile across both layers: scheduler phases (sched_*) from
     // `SchedTimings`, engine sections (engine_*) from the telemetry run.
     spans.merge(&tele.spans);
+    // Rounds that ran `compute`; the rest reused the schedule in hand.
+    let rounds_computed = spans.hist(Phase::SchedTotal).count;
     let stale_ratio = tele.stale_pop_ratio();
     let mean_dirty = tele.dirty_set.mean();
 
@@ -1425,7 +1445,7 @@ pub fn epoch(
          \"trace_source\": \"{source}\",\n  \
          \"num_nodes\": {nodes},\n  \"num_coflows\": {coflows},\n  \
          \"num_flows\": {flows},\n  \"delta_ms\": 8,\n  \
-         \"rounds\": {rounds},\n  \
+         \"rounds\": {rounds},\n  \"rounds_computed\": {rounds_computed},\n  \
          \"total_reference_ms\": {ref_total:.1},\n  \
          \"total_incremental_ms\": {inc_total:.1},\n  \
          \"total_speedup\": {total_speedup:.2},\n  \
@@ -1468,7 +1488,7 @@ pub fn epoch(
         "trace".into(),
         format!("{} coflows", trace.coflows.len()),
         format!("{flows} flows"),
-        format!("{} rounds", inc.rounds),
+        format!("{} rounds ({rounds_computed} computed)", inc.rounds),
     ]);
     t.row(&[
         "end-to-end (best ms)".into(),
@@ -1761,6 +1781,7 @@ pub fn scale(
     // Per-phase latency distribution of the incremental mode, pooled
     // across every sweep point (each point feeds its per-round samples).
     let mut inc_spans = saath_telemetry::SpanProfiler::new();
+    let mut inc_rounds = 0u64;
     // Single-coordinator oracle (records, sched_ms, wall_ms) per
     // point, kept for the shard sweep's comparisons.
     let mut oracles: Vec<(Vec<CoflowRecord>, f64, f64)> = Vec::new();
@@ -1784,6 +1805,7 @@ pub fn scale(
         inc_spans.merge(&incremental.0[0].spans);
         let records = &incremental.0[0].records;
         let rounds = incremental.0[0].rounds;
+        inc_rounds += rounds;
         if pi == 0 && log.active() {
             // `--log` / `--resume-from` record the sweep's first point
             // (the one a prior invocation with the same seed also ran),
@@ -1824,11 +1846,13 @@ pub fn scale(
         point_docs.push(format!(
             "    {{\n      \"nodes\": {nodes},\n      \"coflows\": {},\n      \
              \"flows\": {flows},\n      \"rounds\": {},\n      \
+             \"rounds_computed\": {},\n      \
              \"records_identical\": true,\n      \
              \"rounds_per_sec_speedup\": {speedup:.2},\n\
              {},\n{}\n    }}",
             trace.coflows.len(),
             rounds,
+            incremental.0[0].spans.hist(Phase::SchedTotal).count,
             mode_json("full_rebuild", &rebuild),
             mode_json("incremental", &incremental),
         ));
@@ -2021,8 +2045,7 @@ pub fn scale(
         }
     }
     if let Some(path) = metrics_out {
-        let rounds = inc_spans.hist(Phase::SchedTotal).count;
-        write_metrics_out(path, &sim_metrics_page(&inc_spans, rounds));
+        write_metrics_out(path, &sim_metrics_page(&inc_spans, inc_rounds));
     }
     if json {
         return json_doc;
@@ -2094,12 +2117,13 @@ pub fn trace_diag(lab: &Lab, small: bool) -> String {
                 ..ReplayHooks::none()
             };
             simulate_resumable(&trace, s, &cfg, &dynamics, hooks)
-                .unwrap_or_else(|e| panic!("trace diagnosis: {policy} failed: {e}"));
+                .unwrap_or_else(|e| panic!("trace diagnosis: {policy} failed: {e}"))
+                .rounds
         };
-        let mech = match policy {
+        let (mech, rounds, computed) = match policy {
             "saath" => {
                 let mut s = saath_core::Saath::with_defaults();
-                replay(&mut s);
+                let rounds = replay(&mut s);
                 // Wall-clock phase spans stay out of the deterministic
                 // JSONL; report them here alongside the counters.
                 let (ca, cp) = avg_p90_ms(s.timings.spans.hist(Phase::SchedContention));
@@ -2110,14 +2134,20 @@ pub fn trace_diag(lab: &Lab, small: bool) -> String {
                     &saath_metrics::phase_table("saath scheduler phases", &s.timings.spans)
                         .render(),
                 );
-                s.mech
+                (s.mech, rounds, s.timings.rounds())
             }
             _ => {
                 let mut s = saath_core::Aalo::with_defaults();
-                replay(&mut s);
-                s.mech
+                let rounds = replay(&mut s);
+                (s.mech, rounds, s.timings.rounds())
             }
         };
+        // Every round is counted, logged and traced; the engine runs
+        // `compute` only where the previous schedule may not stand.
+        out.push_str(&format!(
+            "{policy} rounds: {computed} computed + {} reused\n",
+            rounds - computed
+        ));
         lab.write_csv(&format!("trace_{policy}.jsonl"), tele.jsonl());
         out.push_str(&saath_metrics::engine_table(policy, &tele).render());
         out.push_str(&saath_metrics::mech_table(policy, &mech).render());

@@ -95,7 +95,12 @@ fn both_policies_report_nonzero_mechanism_counts() {
     let mut saath = Saath::with_defaults();
     let (out, tele) = instrumented(&trace, &mut saath, &DynamicsSpec::none());
     assert_eq!(out.unfinished, 0);
-    assert!(tele.counter(Counter::SchedRounds) > 0);
+    // Every round is counted; the ones that reused the schedule in
+    // hand are the ones `SchedTimings` (work done) did not see.
+    assert_eq!(tele.counter(Counter::SchedRounds), out.rounds);
+    let elided = tele.counter(Counter::RoundsElided);
+    assert_eq!(saath.timings.rounds() + elided, out.rounds);
+    assert!(elided * 2 > out.rounds, "only {elided} rounds reused");
     assert!(tele.counter(Counter::HeapPopStale) > 0);
     assert!(tele.dirty_set.count > 0 && tele.dirty_set.max > 0);
     assert!(saath.mech.queue_transitions > 0);
@@ -118,6 +123,9 @@ fn both_policies_report_nonzero_mechanism_counts() {
     let mut aalo = Aalo::with_defaults();
     let (out, tele) = instrumented(&trace, &mut aalo, &DynamicsSpec::none());
     assert_eq!(out.unfinished, 0);
+    // Aalo sets no horizon: every round is computed.
+    assert_eq!(tele.counter(Counter::RoundsElided), 0);
+    assert_eq!(aalo.timings.rounds(), out.rounds);
     assert!(tele.counter(Counter::HeapPopStale) > 0);
     assert!(tele.dirty_set.count > 0);
     assert!(aalo.mech.queue_transitions > 0);

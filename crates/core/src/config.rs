@@ -77,23 +77,27 @@ impl QueueConfig {
         self.num_queues - 1
     }
 
+    /// One flow's share of `Q_q^hi` in a CoFlow of `n_flows` flows:
+    /// `Q_q^hi / N_c`, the most a flow may have sent with the CoFlow
+    /// still in queue `q` under Eq. (1). Unbounded (`u64::MAX`) wherever
+    /// `Q_q^hi` is — the last queue, or a threshold that saturated.
+    pub fn per_flow_share(&self, q: usize, n_flows: usize) -> Bytes {
+        assert!(n_flows > 0, "CoFlow with zero flows");
+        let hi = self.hi(q);
+        if hi.as_u64() == u64::MAX {
+            hi
+        } else {
+            hi.div_per_flow(n_flows)
+        }
+    }
+
     /// Saath's Eq. (1): the smallest `q` with
     /// `m_c ≤ Q_q^hi / N_c`, where `m_c` is the max bytes sent by any
     /// flow and `N_c` the flow count.
     pub fn queue_for_per_flow(&self, m_c: Bytes, n_flows: usize) -> usize {
-        assert!(n_flows > 0, "CoFlow with zero flows");
-        for q in 0..self.num_queues {
-            let hi = self.hi(q);
-            let share = if hi.as_u64() == u64::MAX {
-                hi
-            } else {
-                hi.div_per_flow(n_flows)
-            };
-            if m_c <= share {
-                return q;
-            }
-        }
-        self.num_queues - 1
+        (0..self.num_queues)
+            .find(|&q| m_c <= self.per_flow_share(q, n_flows))
+            .unwrap_or(self.num_queues - 1)
     }
 
     /// Skew-aware variant of Eq. (1) — the extension the paper sketches
@@ -209,6 +213,10 @@ mod tests {
         // Single-flow CoFlows degenerate to the total rule.
         assert_eq!(c.queue_for_per_flow(Bytes::mb(10), 1), 0);
         assert_eq!(c.queue_for_per_flow(Bytes::mb(11), 1), 1);
+        // The share the rule compares against; none in the last queue.
+        assert_eq!(c.per_flow_share(1, 100), Bytes::mb(1));
+        assert_eq!(c.per_flow_share(0, 3), Bytes(3_333_333));
+        assert_eq!(c.per_flow_share(9, 100), Bytes(u64::MAX));
     }
 
     #[test]

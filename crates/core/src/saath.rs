@@ -43,6 +43,43 @@
 //! hint the [`ContentionTracker`] gets. `endpoints_into`,
 //! `CoflowView::all_ready` and `CoflowView::max_flow_sent` stay as the
 //! oracles: debug builds assert every entry against them every round.
+//!
+//! ## How long a round's output stands
+//!
+//! Between two *structural* events (an arrival or departure, a flow
+//! finishing, a readiness, `restarted` or port-capacity change — the
+//! driver sees each of those happen) the four steps read only two
+//! things that drift: `m_c`, through the queue it selects (D3), and
+//! the clock, through the expired flag (D5). Both are bounded in
+//! closed form, so `compute` stamps its output with a validity horizon
+//! ([`Schedule::valid_until`]): the earliest of
+//!
+//! * per CoFlow with a rate, `now + transfer_time(share − m_live + 1 B,
+//!   r_max)`, where `share` is the CoFlow's per-flow share of its
+//!   queue's threshold (Eq. 1), `m_live` the most any of its
+//!   *unfinished* flows has sent — the part of `m_c` that can still
+//!   grow; a finished flow that holds `m_c` just under the share holds
+//!   it there for good — and `r_max` the largest rate any of its flows
+//!   was just given. No unfinished flow has sent more than `m_live`
+//!   and none sends faster than `r_max`, so before that instant
+//!   `m_c ≤ share` still holds: `t < ceil(x / r)` means
+//!   `floor(r · t) < x`, and crediting an interval piecewise only
+//!   loses bytes (`Σ floor(r·dtᵢ) ≤ floor(r·Σdtᵢ)`), so the bound is
+//!   exact in the driver's integer arithmetic. A CoFlow in the last
+//!   queue has no threshold to cross;
+//! * the earliest starvation deadline (all are unexpired, see below).
+//!
+//! It costs one comparison per active CoFlow in loops that run anyway
+//! (admission and work conservation know each CoFlow's `r_max` as they
+//! assign it, and `m_live` falls out of the pass that derives `m_c`);
+//! no flow is walked for it. The horizon is
+//! [`Time::ZERO`] — recompute every round — whenever a rule reads more
+//! than `m_c` and the clock: a `restarted` CoFlow under
+//! `dynamics_srtf` (§4.3 reads every flow's `sent`), the skew-aware or
+//! total-bytes thresholds, installed remote contention addends (their
+//! owner replaces them between rounds), or any CoFlow already past its
+//! deadline (so `starvation_kicks` keeps counting every round it
+//! describes).
 
 use crate::common::{contention_into, ContentionTracker, RoundArena};
 use crate::config::QueueConfig;
@@ -50,6 +87,7 @@ use crate::order::OrderBook;
 use crate::timing::SchedTimings;
 use crate::view::{ClusterView, CoflowScheduler, CoflowView, Schedule};
 use saath_fabric::{gang_allocate, gang_rate_with, greedy_fill_into, FlowEndpoints, PortBank};
+use saath_simcore::units::transfer_time;
 use saath_simcore::{Bytes, CoflowId, FastHashMap, Rate, Time};
 use saath_telemetry::{MechCounters, Phase};
 use std::time::Instant;
@@ -182,6 +220,9 @@ struct CoflowEntry {
     all_ready: bool,
     /// `CoflowView::max_flow_sent`, the paper's `m_c`.
     m_c: Bytes,
+    /// The most an *unfinished* flow has sent: the part of `m_c` that
+    /// can still grow, which is what the validity horizon bounds.
+    m_live: Bytes,
 }
 
 impl CoflowEntry {
@@ -198,6 +239,7 @@ impl CoflowEntry {
             eps,
             all_ready: true,
             m_c: Bytes::ZERO,
+            m_live: Bytes::ZERO,
         }
     }
 
@@ -210,7 +252,7 @@ impl CoflowEntry {
     /// observations) keeps the count and moves the list — so nothing
     /// is inferred from them. Only a mismatch pays for a rebuild.
     fn refresh(&mut self, c: &CoflowView, num_nodes: usize) -> bool {
-        let mut m_c = Bytes::ZERO;
+        let (mut m_c, mut m_live) = (Bytes::ZERO, Bytes::ZERO);
         let mut all_ready = true;
         let mut unfinished = 0usize;
         let mut same = true;
@@ -219,11 +261,13 @@ impl CoflowEntry {
             if f.finished {
                 continue;
             }
+            m_live = m_live.max(f.sent);
             all_ready &= f.ready;
             same = same && self.eps.get(unfinished) == Some(&f.endpoints(num_nodes));
             unfinished += 1;
         }
         self.m_c = m_c;
+        self.m_live = m_live;
         self.all_ready = all_ready;
         if same && unfinished == self.eps.len() {
             return false;
@@ -401,8 +445,15 @@ impl Saath {
     }
 
     /// The all-or-none admission scan (D1 step 4, D2), in `self.order`:
-    /// a CoFlow that is not admitted lands in `self.missed`.
-    fn admit(&mut self, bank: &mut PortBank, out: &mut Schedule) {
+    /// a CoFlow that is not admitted lands in `self.missed`; one that
+    /// is goes to `crossing` with the rate it got.
+    fn admit(
+        &mut self,
+        view: &ClusterView<'_>,
+        bank: &mut PortBank,
+        out: &mut Schedule,
+        crossing: &mut Crossing,
+    ) {
         for oi in 0..self.order.len() {
             let ci = self.order[oi];
             let e = &self.slab[self.slots[ci] as usize];
@@ -438,8 +489,54 @@ impl Saath {
                 for f in &e.eps {
                     out.set(f.flow, r);
                 }
+                let width = view.coflows[ci].width();
+                crossing.offer(&self.cfg.queues, self.queues[ci], width, e.m_live, r);
             }
         }
+    }
+}
+
+/// The CoFlow that can cross its Eq. 1 threshold soonest, kept as the
+/// bytes it is short of crossing over the rate that closes them.
+/// Candidates are compared by cross-multiplication and only the winner
+/// is divided ([`Crossing::at`]), so a round pays one 128-bit division
+/// for its horizon, not one per CoFlow — the runtime computes every
+/// epoch and never reads the result.
+#[derive(Clone, Copy)]
+struct Crossing {
+    missing: u64,
+    rate: u64,
+}
+
+impl Crossing {
+    /// Nothing holds a rate: no threshold is ever crossed.
+    const NONE: Crossing = Crossing {
+        missing: u64::MAX,
+        rate: 0,
+    };
+
+    /// Takes in a CoFlow of `width` flows in queue `q`, none of whose
+    /// unfinished flows has sent more than `m_live` or sends faster
+    /// than `r_max`: one byte past its per-flow share is the least any
+    /// of them must move. The last queue has no threshold. See the
+    /// module docs for why every earlier instant is safe.
+    fn offer(&mut self, queues: &QueueConfig, q: usize, width: usize, m_live: Bytes, r_max: Rate) {
+        let share = queues.per_flow_share(q, width);
+        if share.as_u64() == u64::MAX {
+            return;
+        }
+        let missing = share.saturating_sub(m_live).as_u64() + 1;
+        let rate = r_max.as_u64();
+        // missing / rate < self.missing / self.rate
+        if u128::from(missing) * u128::from(self.rate) < u128::from(self.missing) * u128::from(rate)
+        {
+            *self = Crossing { missing, rate };
+        }
+    }
+
+    /// The first instant the soonest CoFlow can be past its share.
+    fn at(self, now: Time) -> Time {
+        now.saturating_add(transfer_time(Bytes(self.missing), Rate(self.rate)))
     }
 }
 
@@ -573,7 +670,10 @@ impl CoflowScheduler for Saath {
         self.moved.clear();
         self.queues.clear();
         let cache_queues = self.cfg.incremental_order && hint.is_some();
+        // Whether the §4.3 re-queue rule is in play for any CoFlow.
+        let mut srtf_requeue = false;
         for (c, &slot) in view.coflows.iter().zip(&self.slots) {
+            srtf_requeue |= self.cfg.dynamics_srtf && c.restarted;
             let e = &mut self.slab[slot as usize];
             let refreshed = hint.is_none() || e.dirty == round;
             // An arrival counts as moved even with nothing unfinished:
@@ -590,6 +690,8 @@ impl CoflowScheduler for Saath {
                 );
                 assert_eq!(e.all_ready, c.all_ready(), "cached readiness diverged");
                 assert_eq!(e.m_c, c.max_flow_sent(), "cached m_c diverged");
+                let m_live = c.unfinished().map(|f| f.sent).max();
+                assert_eq!(e.m_live, m_live.unwrap_or(Bytes::ZERO), "cached m_live");
             }
             let q = match e.state {
                 Some(s) if cache_queues && !refreshed => {
@@ -773,17 +875,40 @@ impl CoflowScheduler for Saath {
                 self.order.sort_by_key(|&i| sort_key(i));
             }
         }
-        if self.expired.iter().any(|&e| e) {
+        let any_expired = self.expired.iter().any(|&e| e);
+        if any_expired {
             self.starvation_kicks += 1;
             if saath_telemetry::enabled() {
                 self.mech.starvation_rescues += 1;
             }
         }
+        // The validity horizon (module docs) is the earliest deadline
+        // — every one of them is still ahead — or the first threshold
+        // crossing among the CoFlows given a rate below; it stays at
+        // zero when the queue rule or the order reads more than `m_c`
+        // and the clock.
+        let drifts_with_m_c_only = self.cfg.per_flow_threshold
+            && !self.cfg.skew_aware_thresholds
+            && self.remote_k.is_empty()
+            && !srtf_requeue
+            && !any_expired;
+        let mut crossing = Crossing::NONE;
+        let horizon_cap = if !drifts_with_m_c_only {
+            Time::ZERO
+        } else if self.cfg.starvation_avoidance {
+            let deadlines = self.slots.iter().filter_map(|&slot| {
+                let state = self.slab[slot as usize].state;
+                state.map(|s| s.deadline)
+            });
+            deadlines.min().unwrap_or(Time::NEVER)
+        } else {
+            Time::NEVER
+        };
         let t_order_end = Instant::now();
 
         // ---- All-or-none admission (D1 step 4, D2) ----
         self.missed.clear();
-        self.admit(bank, out);
+        self.admit(view, bank, out, &mut crossing);
         let t_madd_end = Instant::now();
 
         // ---- Work conservation (D4) ----
@@ -806,16 +931,23 @@ impl CoflowScheduler for Saath {
                     continue;
                 }
                 greedy_fill_into(bank, eps, &mut self.wc_rates);
-                for (e, &r) in eps.iter().zip(&self.wc_rates) {
+                let mut r_max = Rate::ZERO;
+                for (ep, &r) in eps.iter().zip(&self.wc_rates) {
                     if !r.is_zero() {
                         if saath_telemetry::enabled() {
                             self.mech.wc_backfills += 1;
                         }
-                        out.set(e.flow, r);
+                        out.set(ep.flow, r);
+                        r_max = r_max.max(r);
                     }
+                }
+                if !r_max.is_zero() {
+                    let width = view.coflows[ci].width();
+                    crossing.offer(&self.cfg.queues, self.queues[ci], width, e.m_live, r_max);
                 }
             }
         }
+        out.valid_until = horizon_cap.min(crossing.at(view.now));
         let t_end = Instant::now();
         for (phase, from, to) in [
             (Phase::SchedContention, t_contention, t_contention_end),
@@ -1545,6 +1677,8 @@ mod tests {
                     );
                     assert_eq!(e.all_ready, c.all_ready());
                     assert_eq!(e.m_c, c.max_flow_sent());
+                    let m_live = c.unfinished().map(|f| f.sent).max();
+                    assert_eq!(e.m_live, m_live.unwrap_or(Bytes::ZERO));
                 }
                 // Entries and free slots account for the whole slab.
                 assert_eq!(warm.slot_of.len(), churn.coflows.len());
@@ -1675,6 +1809,264 @@ mod tests {
             assert!(err.contains(why), "{err}");
             let out = run(&mut s, &coflows, 2, Time::from_millis(8));
             assert_eq!(out.rate_of(FlowId(0)), GBPS);
+        }
+    }
+
+    // ---- The validity horizon ----
+
+    const DELTA: saath_simcore::Duration = saath_simcore::Duration::from_millis(8);
+
+    /// What a driver does between rounds: credits every flow the bytes
+    /// its assigned rate moves in `dt`.
+    fn advance(coflows: &mut [CoflowView], schedule: &Schedule, dt: saath_simcore::Duration) {
+        for f in coflows.iter_mut().flat_map(|c| &mut c.flows) {
+            f.sent += saath_simcore::units::bytes_in(schedule.rate_of(f.id), dt);
+        }
+    }
+
+    /// `coflows[watched]` sits in queue 0; steps δ by δ from `now` and
+    /// returns the queue it is in at the last boundary before
+    /// `valid_until` and at the first one at or after it.
+    fn queues_around_the_horizon(
+        s: &Saath,
+        coflows: &mut [CoflowView],
+        watched: usize,
+        out: &Schedule,
+        mut now: Time,
+    ) -> (usize, usize) {
+        assert_eq!(s.queue_of(&coflows[watched]), 0);
+        let mut before = 0;
+        loop {
+            now = now.saturating_add(DELTA);
+            advance(coflows, out, DELTA);
+            let q = s.queue_of(&coflows[watched]);
+            if now >= out.valid_until {
+                return (before, q);
+            }
+            before = q;
+        }
+    }
+
+    /// All-or-none gives both flows of a width-2 CoFlow 1 Gbps: its
+    /// per-flow share of Q0 is 5 MB and 1 MB crosses the wire per δ.
+    /// With `m_c` exactly 1 MB short, the 8 ms boundary lands *on* the
+    /// share (still Q0) and the horizon 8 ns after it; one byte more
+    /// and the horizon is that boundary, which finds the CoFlow in Q1.
+    #[test]
+    fn horizon_is_the_gang_rates_share_crossing_to_the_nanosecond() {
+        for (m_c, horizon_ns) in [(4_000_000, 8_000_008), (4_000_001, 8_000_000)] {
+            let mut coflows = vec![cv(0, 0, vec![fv(0, 0, 2, m_c), fv(1, 1, 3, 1_000_000)])];
+            let mut s = Saath::with_defaults();
+            let now = Time::from_millis(80);
+            let out = run(&mut s, &coflows, 4, now);
+            assert_eq!(out.rate_of(FlowId(0)), GBPS);
+            assert_eq!(out.valid_until, Time(now.as_nanos() + horizon_ns));
+            let around = queues_around_the_horizon(&s, &mut coflows, 0, &out, now);
+            assert_eq!(around, (0, 1), "m_c = {m_c}");
+        }
+    }
+
+    /// A finished flow can hold `m_c` a hair under the share for as
+    /// long as the CoFlow lives; only an unfinished flow can carry it
+    /// across, and the horizon is measured from the furthest of those.
+    #[test]
+    fn horizon_is_measured_from_the_unfinished_flows() {
+        let mut done = fv(0, 0, 2, 4_999_000);
+        done.finished = true;
+        let mut coflows = vec![cv(0, 0, vec![done, fv(1, 1, 3, 0)])];
+        let mut s = Saath::with_defaults();
+        let now = Time::from_millis(80);
+        let out = run(&mut s, &coflows, 4, now);
+        assert_eq!(out.rate_of(FlowId(1)), GBPS);
+        // 5 000 001 B at 1 Gbps, not the 1 001 B `m_c` is short of.
+        assert_eq!(out.valid_until, Time(now.as_nanos() + 40_000_008));
+        let around = queues_around_the_horizon(&s, &mut coflows, 0, &out, now);
+        assert_eq!(around, (0, 1));
+    }
+
+    /// Work conservation hands a missed CoFlow unequal rates (here
+    /// half a port, a whole one, and nothing); the horizon takes the
+    /// largest. The flow holding `m_c` is the one at 1 Gbps, so the
+    /// bound is tight on both sides, as above.
+    #[test]
+    fn horizon_under_unequal_backfill_rates_uses_the_largest() {
+        for (m_c, horizon_ns) in [(2_333_333, 8_000_008), (2_333_334, 8_000_000)] {
+            let mut coflows = vec![
+                // Admitted: takes all of sender 0, half of receivers 2, 3.
+                cv(1, 0, vec![fv(10, 0, 2, 0), fv(11, 0, 3, 0)]),
+                // Width 3, Q0 share 3 333 333 B; sender 0 is taken, so
+                // it misses admission and is backfilled flow by flow.
+                cv(
+                    2,
+                    1,
+                    vec![fv(20, 1, 2, 0), fv(21, 4, 5, m_c), fv(22, 0, 6, 0)],
+                ),
+            ];
+            let mut s = Saath::with_defaults();
+            let now = Time::from_millis(8);
+            let out = run(&mut s, &coflows, 7, now);
+            let rates = [20, 21, 22].map(|f| out.rate_of(FlowId(f)));
+            assert_eq!(rates, [GBPS.div_even(2), GBPS, Rate::ZERO]);
+            assert_eq!(out.valid_until, Time(now.as_nanos() + horizon_ns));
+            let around = queues_around_the_horizon(&s, &mut coflows, 1, &out, now);
+            assert_eq!(around, (0, 1), "m_c = {m_c}");
+        }
+    }
+
+    /// With every threshold crossing further off, the horizon is the
+    /// earliest deadline — here that of a CoFlow that holds no rate at
+    /// all. In the last queue there is no threshold to cross.
+    #[test]
+    fn earliest_unexpired_deadline_bounds_the_horizon() {
+        let mut waiting = cv(0, 0, vec![fv(0, 0, 2, 0)]);
+        waiting.flows[0].ready = false;
+        // Q1 (share 100 MB): 80 MB to go at 1 Gbps is 640 ms.
+        let coflows = vec![waiting, cv(1, 0, vec![fv(10, 1, 3, 20_000_000)])];
+        let mut s = Saath::with_defaults();
+        let now = Time::from_millis(8);
+        let out = run(&mut s, &coflows, 4, now);
+        assert_eq!(out.rate_of(FlowId(10)), GBPS);
+        // d · C_q · t_q = 2 · 1 · 80 ms for the lone Q0 CoFlow.
+        let deadline = state_of(&s, 0).deadline;
+        assert_eq!(deadline, Time::from_millis(8 + 160));
+        assert!(state_of(&s, 1).deadline > deadline);
+        assert_eq!(out.valid_until, deadline);
+
+        let last_queue = vec![cv(0, 0, vec![fv(0, 0, 1, u64::MAX / 2)])];
+        for starvation_avoidance in [true, false] {
+            let mut s = Saath::new(SaathConfig {
+                starvation_avoidance,
+                ..Default::default()
+            });
+            let out = run(&mut s, &last_queue, 2, now);
+            assert_eq!(state_of(&s, 0).queue, 9);
+            let want = if starvation_avoidance {
+                state_of(&s, 0).deadline
+            } else {
+                Time::NEVER
+            };
+            assert_eq!(out.valid_until, want);
+        }
+    }
+
+    /// Whatever reads more than `m_c` and the clock promises nothing.
+    #[test]
+    fn rules_that_read_more_than_m_c_leave_the_horizon_at_zero() {
+        let coflows = vec![cv(0, 0, vec![fv(0, 0, 2, 1_000), fv(1, 1, 3, 0)])];
+        let horizon = |s: &mut Saath, coflows: &[CoflowView], now: Time| {
+            let out = run(s, coflows, 4, now);
+            assert_eq!(out.rate_of(FlowId(0)), GBPS);
+            out.valid_until
+        };
+        let now = Time::from_millis(8);
+        assert!(horizon(&mut Saath::with_defaults(), &coflows, now) > now);
+
+        // The skew-aware and total-bytes rules read every flow's bytes.
+        let skew = SaathConfig {
+            skew_aware_thresholds: true,
+            ..Default::default()
+        };
+        for cfg in [skew, SaathConfig::ablation_an()] {
+            assert_eq!(horizon(&mut Saath::new(cfg), &coflows, now), Time::ZERO);
+        }
+
+        // So does the §4.3 re-queue of a restarted CoFlow — unless it
+        // is switched off, when `restarted` is not read at all.
+        let mut restarted = coflows.clone();
+        restarted[0].restarted = true;
+        let mut s = Saath::with_defaults();
+        assert_eq!(horizon(&mut s, &restarted, now), Time::ZERO);
+        let mut s = Saath::new(SaathConfig {
+            dynamics_srtf: false,
+            ..Default::default()
+        });
+        assert!(horizon(&mut s, &restarted, now) > now);
+
+        // Remote contention addends are replaced between rounds.
+        let mut s = Saath::with_defaults();
+        s.set_remote_contention(&[(CoflowId(0), 3)]);
+        assert_eq!(horizon(&mut s, &coflows, now), Time::ZERO);
+        s.set_remote_contention(&[]);
+        assert!(horizon(&mut s, &coflows, Time::from_millis(16)) > now);
+
+        // A CoFlow past its deadline: every such round is computed, so
+        // `starvation_kicks` counts them all.
+        let mut s = Saath::with_defaults();
+        let _ = horizon(&mut s, &coflows, now);
+        let later = Time::from_secs(3600);
+        assert_eq!(horizon(&mut s, &coflows, later), Time::ZERO);
+        assert_eq!(horizon(&mut s, &coflows, later + DELTA), Time::ZERO);
+        assert_eq!(s.starvation_kicks, 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The promise itself, on random cluster states: after any
+        /// advance short of the horizon, in any subdivision, at the
+        /// rates just assigned, every CoFlow is in the queue it was
+        /// in, none has expired, and `compute` returns the same rates.
+        #[test]
+        fn nothing_moves_before_the_horizon(
+            shapes in proptest::collection::vec(
+                (
+                    proptest::collection::vec(
+                        (0u32..8, 0u32..8, 0u64..30_000_000, 0u8..8),
+                        1..5,
+                    ),
+                    0u64..100,
+                ),
+                1..8,
+            ),
+            gap_ms in 0u64..400,
+            fraction in 0.0f64..1.0,
+            cuts in proptest::collection::vec(1u64..1_000, 1..5),
+        ) {
+            use proptest::prop_assert_eq;
+            let mut next_flow = 0u32;
+            let mut coflows: Vec<CoflowView> = shapes
+                .into_iter()
+                .enumerate()
+                .map(|(ci, (flows, arrival_ms))| {
+                    let flows = flows.into_iter().map(|(src, dst, sent, state)| {
+                        let mut f = fv(next_flow, src, dst, sent);
+                        next_flow += 1;
+                        // One in eight finished, one in eight not ready.
+                        f.finished = state == 0;
+                        f.ready = state != 1;
+                        f
+                    });
+                    cv(ci as u32, arrival_ms, flows.collect())
+                })
+                .collect();
+            // Deadlines are stamped at 100 ms; the round under test
+            // comes up to 400 ms later, so some cases open with a
+            // CoFlow already expired (horizon zero, nothing to check).
+            let mut s = Saath::with_defaults();
+            let _ = run(&mut s, &coflows, 8, Time::from_millis(100));
+            let now = Time::from_millis(100 + gap_ms);
+            let out = run(&mut s, &coflows, 8, now);
+            if out.valid_until > now {
+                let queues: Vec<usize> = coflows.iter().map(|c| s.queue_of(c)).collect();
+                // Up to 2 s where the horizon is further (or never).
+                let room = out.valid_until.min(now + saath_simcore::Duration::from_secs(2));
+                let total = ((room.since(now).as_nanos() - 1) as f64 * fraction) as u64;
+                let weight: u64 = cuts.iter().sum();
+                let mut then = now;
+                for cut in &cuts {
+                    let dt = saath_simcore::Duration::from_nanos(total / weight * cut);
+                    advance(&mut coflows, &out, dt);
+                    then += dt;
+                }
+                assert!(then < out.valid_until);
+                for (c, &q) in coflows.iter().zip(&queues) {
+                    prop_assert_eq!(s.queue_of(c), q, "{:?} changed queue", c.id);
+                    let deadline = state_of(&s, c.id.0).deadline;
+                    assert!(deadline > then, "{:?} expired before the horizon", c.id);
+                }
+                let again = run(&mut s, &coflows, 8, then);
+                prop_assert_eq!(&again.rates, &out.rates);
+            }
         }
     }
 

@@ -7,6 +7,25 @@
 //! bytes sent per flow, readiness, finishedness, port locations — plus
 //! an optional *oracle* (ground-truth sizes) that only clairvoyant
 //! baselines may read.
+//!
+//! ## How long a schedule stands
+//!
+//! A [`Schedule`] carries, besides the rates, a validity horizon
+//! ([`Schedule::valid_until`]). Everything a policy reads from the view
+//! either moves at discrete *structural* events the driver sees happen
+//! (a CoFlow arriving or leaving, a flow finishing, readiness,
+//! `restarted`, a port's capacity) or drifts with the bytes the flows
+//! send at the rates just assigned — and the second kind can be bounded
+//! in closed form: a queue threshold is crossed no sooner than the
+//! missing bytes take at the fastest assigned rate, a deadline expires
+//! at a known instant. A policy that can compute such a bound stamps it
+//! on the schedule; a driver that knows its own structural events (the
+//! simulator engine) then skips the rounds that provably reproduce the
+//! previous output. Nothing obliges either side: the default horizon
+//! is [`Time::ZERO`] ("recompute every round"), and a driver may
+//! ignore the field altogether, as the runtime coordinator does — its
+//! `sent` figures are agent reports a tick coarse and a δ stale, so
+//! "no flow sends faster than its rate" cannot be read off its view.
 
 use saath_fabric::{FlowEndpoints, PortBank};
 use saath_simcore::{Bytes, CoflowId, FlowId, NodeId, PortId, Rate, Time};
@@ -143,12 +162,31 @@ pub struct ClusterView<'a> {
 pub struct Schedule {
     /// `(flow, rate)` pairs; each flow appears at most once.
     pub rates: Vec<(FlowId, Rate)>,
+    /// Validity horizon (exclusive): the scheduler's promise that, as
+    /// long as the view's *structure* does not move — no arrival or
+    /// departure, no flow finishing, no readiness, `restarted` or
+    /// capacity change, no `sent` going down — and no flow sends faster
+    /// than the rate it is given here, `compute` would return these
+    /// same rates at every `now < valid_until`. A driver that tracks
+    /// structural events itself may keep applying the schedule until
+    /// one happens or the horizon is reached, instead of calling
+    /// `compute` again (see the module docs).
+    ///
+    /// [`Time::ZERO`] — what [`Schedule::clear`] leaves — promises
+    /// nothing, so a scheduler that never sets the field is computed
+    /// every round. The horizon belongs to whoever wrote the schedule
+    /// *last*: a wrapper that changes rates after its inner scheduler
+    /// ran, hands it a filtered view, or has round-dependent state of
+    /// its own must set it back to `Time::ZERO`.
+    pub valid_until: Time,
 }
 
 impl Schedule {
-    /// Clears for reuse across rounds (keeps capacity).
+    /// Clears for reuse across rounds (keeps capacity) and voids the
+    /// validity horizon.
     pub fn clear(&mut self) {
         self.rates.clear();
+        self.valid_until = Time::ZERO;
     }
 
     /// Adds a flow's rate (skips zero rates — absent means paused).
@@ -172,9 +210,12 @@ impl Schedule {
     }
 
     /// Keeps only the entries the predicate accepts — used by shard
-    /// replicas to cut a full schedule down to their owned slice.
+    /// replicas to cut a full schedule down to their owned slice. An
+    /// edited schedule is no longer the one the horizon was promised
+    /// for, so the horizon is voided.
     pub fn retain(&mut self, mut keep: impl FnMut(FlowId) -> bool) {
         self.rates.retain(|(f, _)| keep(*f));
+        self.valid_until = Time::ZERO;
     }
 }
 
@@ -213,7 +254,16 @@ pub trait CoflowScheduler {
     /// Computes this round's schedule. `bank` arrives reset to the
     /// current capacities (straggler effects included); the scheduler
     /// draws it down as it admits flows, and fills `out` (cleared by the
-    /// caller).
+    /// caller, which also voids [`Schedule::valid_until`]).
+    ///
+    /// A scheduler that can bound how long its output stays the one it
+    /// would compute again sets `out.valid_until`; leaving it alone is
+    /// always correct. Whoever writes `out` last owns the horizon: an
+    /// implementation that forwards to an inner scheduler and then
+    /// edits the rates, narrows the view it forwards, or keeps
+    /// round-dependent state of its own (a call counter, a restart
+    /// drill) must set `out.valid_until = Time::ZERO`, or a driver
+    /// that honours horizons will call it less often than it assumes.
     fn compute(&mut self, view: &ClusterView<'_>, bank: &mut PortBank, out: &mut Schedule);
 
     /// Mechanism counters (queue transitions, deadline rescues, …)
@@ -321,6 +371,22 @@ mod tests {
         assert_eq!(s.rates.len(), 1);
         s.clear();
         assert_eq!(s.rate_of(FlowId(3)), Rate::ZERO);
+    }
+
+    /// `clear` and `retain` both void the horizon: a cleared schedule
+    /// promises nothing, an edited one is not the one it was promised
+    /// for.
+    #[test]
+    fn clearing_or_editing_a_schedule_voids_its_horizon() {
+        let mut s = Schedule::default();
+        assert_eq!(s.valid_until, Time::ZERO);
+        s.set(FlowId(1), Rate(10));
+        s.valid_until = Time::from_millis(80);
+        s.retain(|_| true);
+        assert_eq!(s.valid_until, Time::ZERO);
+        s.valid_until = Time::from_millis(80);
+        s.clear();
+        assert_eq!(s.valid_until, Time::ZERO);
     }
 
     #[test]

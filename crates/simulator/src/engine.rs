@@ -8,8 +8,11 @@
 //!   lazily-invalidated min-heap of predicted completion times instead
 //!   of a scan over every active flow; schedules are applied as a diff
 //!   against the previous round (only flows whose rate actually changed
-//!   are touched); and views are re-synced only for CoFlows whose flows
-//!   progressed since the last round (a dirty set).
+//!   are touched); views are re-synced only for CoFlows whose flows
+//!   progressed since the last round (a dirty set); and a round whose
+//!   output cannot differ from the previous one's is counted, logged
+//!   and traced but not computed (see "When a round is not computed"
+//!   below).
 //! * [`simulate_reference`] — the original O(state)-per-step loop, kept
 //!   verbatim as the executable specification. The equivalence test
 //!   below and `tests/engine_equivalence.rs` assert the two produce
@@ -25,6 +28,27 @@
 //! pushed only on rate changes, and a stale entry surfacing at the top
 //! is re-pushed at the flow's *current* prediction, so the popped
 //! minimum equals the reference's fresh scan exactly.
+//!
+//! ## When a round is not computed
+//!
+//! A scheduler may stamp its output with a validity horizon
+//! ([`Schedule::valid_until`]): given no *structural* change and no
+//! flow sending faster than its assigned rate, `compute` would return
+//! the same rates at every earlier instant. The engine knows its own
+//! structural events exactly — a release, a readiness wake, any
+//! dynamics event, a flow finishing (or being zeroed) in the advance
+//! pass, a resume — and its flows send at exactly their assigned
+//! rates, so on a δ boundary with none of those since the last
+//! computed round and `now < valid_until` it keeps the schedule it
+//! has: the round is counted, appended to the event log from the
+//! retained schedule and traced as ever, while view sync, the bank
+//! reset, `compute` and the diff-apply (which would find nothing to
+//! change) are skipped. The dirty set keeps accumulating, so the next
+//! computed round's `changed` hint is a superset of what moved since
+//! the scheduler last looked. Byte progress alone is *not* structural:
+//! bounding what it can change is what the horizon is for. There is no
+//! switch: a scheduler that never sets the horizon ([`Time::ZERO`]) is
+//! computed every round, and [`simulate_reference`] never reuses.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -458,6 +482,10 @@ pub fn simulate_resumable(
     // progress, finish, readiness, straggler start/end, and failure
     // resets, satisfying that contract.
     let mut changed_ids: Vec<CoflowId> = Vec::new();
+    // Whether anything but byte progress moved since the last computed
+    // round (module docs); together with `schedule.valid_until` it
+    // decides whether a round is computed or reuses the schedule.
+    let mut structural = false;
 
     // ---- Resume from a snapshot blob, if asked ----
     // `resumed_cold` forces `changed: None` on the first post-resume
@@ -521,6 +549,7 @@ pub fn simulate_resumable(
             }
         }
         resumed_cold = true;
+        structural = true;
         last_snapshot = rounds;
     }
 
@@ -592,13 +621,16 @@ pub fn simulate_resumable(
             views.push(make_view(trace, ci, first_flow, t, cfg.clairvoyant));
             view_owner.push(ci);
             mark_dirty(&mut dirty, &mut dirty_list, ci);
+            structural = true;
         }
         while let Some((_, ci)) = ready_events.pop_due(now) {
             if coflows[ci].view_slot != usize::MAX {
                 mark_dirty(&mut dirty, &mut dirty_list, ci);
+                structural = true;
             }
         }
         while let Some((_, action)) = dyn_events.pop_due(now) {
+            structural = true;
             match action {
                 DynAction::StraggleStart { node, num, den } => {
                     bank.set_node_capacity(node, nominal.mul_ratio(num, den));
@@ -680,99 +712,107 @@ pub fn simulate_resumable(
             // JSONL trace, so determinism is unaffected.
             let t_round = tele.as_ref().map(|_| Instant::now());
             let dirty_n = dirty_list.len();
-            // Sync views with ground truth — only where it moved.
-            let t_viewsync = t_round.map(|_| Instant::now());
-            let any_straggler = straggled.iter().any(|&b| b);
-            changed_ids.clear();
-            for ci in dirty_list.drain(..) {
-                dirty[ci] = false;
-                let slot = coflows[ci].view_slot;
-                if slot == usize::MAX {
-                    continue; // completed since it was marked
+            // Compute, unless the schedule in hand is provably what
+            // `compute` would return (module docs): nothing structural
+            // moved since it was computed and its horizon is ahead.
+            if structural || now >= schedule.valid_until {
+                structural = false;
+                // Sync views with ground truth — only where it moved.
+                let t_viewsync = t_round.map(|_| Instant::now());
+                let any_straggler = straggled.iter().any(|&b| b);
+                changed_ids.clear();
+                for ci in dirty_list.drain(..) {
+                    dirty[ci] = false;
+                    let slot = coflows[ci].view_slot;
+                    if slot == usize::MAX {
+                        continue; // completed since it was marked
+                    }
+                    changed_ids.push(views[slot].id);
+                    let view = &mut views[slot];
+                    let base = coflows[ci].first_flow;
+                    let mut touches_straggler = false;
+                    for (k, fv) in view.flows.iter_mut().enumerate() {
+                        let f = &flows[base + k];
+                        fv.sent = f.sent;
+                        fv.finished = f.finished_at.is_some();
+                        fv.ready = f.ready_at <= now;
+                        if any_straggler
+                            && f.finished_at.is_none()
+                            && (straggled[f.src.index()] || straggled[f.dst.index()])
+                        {
+                            touches_straggler = true;
+                        }
+                    }
+                    // Failure flags persist (the framework's `update()` told
+                    // the coordinator); straggler flags follow the slowdown.
+                    view.restarted = coflows[ci].restarted || touches_straggler;
                 }
-                changed_ids.push(views[slot].id);
-                let view = &mut views[slot];
-                let base = coflows[ci].first_flow;
-                let mut touches_straggler = false;
-                for (k, fv) in view.flows.iter_mut().enumerate() {
-                    let f = &flows[base + k];
-                    fv.sent = f.sent;
-                    fv.finished = f.finished_at.is_some();
-                    fv.ready = f.ready_at <= now;
-                    if any_straggler
-                        && f.finished_at.is_none()
-                        && (straggled[f.src.index()] || straggled[f.dst.index()])
-                    {
-                        touches_straggler = true;
+                if saath_telemetry::enabled() {
+                    if let (Some(t0), Some(t)) = (t_viewsync, tele.as_deref_mut()) {
+                        t.spans
+                            .observe(Phase::EngineViewSync, t0.elapsed().as_nanos() as u64);
                     }
                 }
-                // Failure flags persist (the framework's `update()` told
-                // the coordinator); straggler flags follow the slowdown.
-                view.restarted = coflows[ci].restarted || touches_straggler;
-            }
-            if saath_telemetry::enabled() {
-                if let (Some(t0), Some(t)) = (t_viewsync, tele.as_deref_mut()) {
-                    t.spans
-                        .observe(Phase::EngineViewSync, t0.elapsed().as_nanos() as u64);
+                bank.reset_round();
+                schedule.clear();
+                {
+                    // First round after a resume: the scheduler's
+                    // view-derived caches are cold, so hand it the hint
+                    // contract's "assume everything changed". Output is
+                    // identical either way (the incremental paths are
+                    // oracle-checked against full rebuilds every round);
+                    // only the rebuild cost differs, once.
+                    let changed = if resumed_cold {
+                        None
+                    } else {
+                        Some(changed_ids.as_slice())
+                    };
+                    let view = ClusterView {
+                        now,
+                        num_nodes,
+                        coflows: &views,
+                        changed,
+                    };
+                    sched.compute(&view, &mut bank, &mut schedule);
+                    resumed_cold = false;
                 }
-            }
-            bank.reset_round();
-            schedule.clear();
-            {
-                // First round after a resume: the scheduler's
-                // view-derived caches are cold, so hand it the hint
-                // contract's "assume everything changed". Output is
-                // identical either way (the incremental paths are
-                // oracle-checked against full rebuilds every round);
-                // only the rebuild cost differs, once.
-                let changed = if resumed_cold {
-                    None
-                } else {
-                    Some(changed_ids.as_slice())
-                };
-                let view = ClusterView {
-                    now,
-                    num_nodes,
-                    coflows: &views,
-                    changed,
-                };
-                sched.compute(&view, &mut bank, &mut schedule);
-                resumed_cold = false;
-            }
-            // Apply as a diff: zero only flows that lost their rate,
-            // set only flows whose rate actually changed.
-            round_stamp += 1;
-            for &(fid, _) in &schedule.rates {
-                sched_stamp[fid.index()] = round_stamp;
-            }
-            for &fi in &flowing {
-                if sched_stamp[fi] != round_stamp {
+                // Apply as a diff: zero only flows that lost their rate,
+                // set only flows whose rate actually changed.
+                round_stamp += 1;
+                for &(fid, _) in &schedule.rates {
+                    sched_stamp[fid.index()] = round_stamp;
+                }
+                for &fi in &flowing {
+                    if sched_stamp[fi] != round_stamp {
+                        let f = &mut flows[fi];
+                        f.rate = Rate::ZERO;
+                        f.pred = Time::NEVER;
+                    }
+                }
+                flowing.clear();
+                for &(fid, rate) in &schedule.rates {
+                    let fi = fid.index();
                     let f = &mut flows[fi];
-                    f.rate = Rate::ZERO;
-                    f.pred = Time::NEVER;
-                }
-            }
-            flowing.clear();
-            for &(fid, rate) in &schedule.rates {
-                let fi = fid.index();
-                let f = &mut flows[fi];
-                debug_assert!(f.finished_at.is_none(), "rate for finished flow {fid}");
-                debug_assert!(f.ready_at <= now, "rate for unready flow {fid}");
-                if f.rate != rate {
-                    f.rate = rate;
-                    let rem = f.size.saturating_sub(f.sent);
-                    f.pred = now.saturating_add(transfer_time(rem, rate));
-                    if !f.pred.is_never() {
-                        completions.push(Reverse((f.pred, fi as u32)));
-                        tele_incr!(tele, Counter::HeapPush);
+                    debug_assert!(f.finished_at.is_none(), "rate for finished flow {fid}");
+                    debug_assert!(f.ready_at <= now, "rate for unready flow {fid}");
+                    if f.rate != rate {
+                        f.rate = rate;
+                        let rem = f.size.saturating_sub(f.sent);
+                        f.pred = now.saturating_add(transfer_time(rem, rate));
+                        if !f.pred.is_never() {
+                            completions.push(Reverse((f.pred, fi as u32)));
+                            tele_incr!(tele, Counter::HeapPush);
+                        }
                     }
+                    // Unchanged rate ⇒ `pred` was refreshed at `now` by the
+                    // advancement pass that ended here; nothing to do.
+                    flowing.push(fi);
                 }
-                // Unchanged rate ⇒ `pred` was refreshed at `now` by the
-                // advancement pass that ended here; nothing to do.
-                flowing.push(fi);
+                #[cfg(debug_assertions)]
+                check_feasibility(&flows, &bank, num_nodes);
+            } else {
+                tele_incr!(tele, Counter::RoundsElided);
             }
-            #[cfg(debug_assertions)]
-            check_feasibility(&flows, &bank, num_nodes);
 
             // Append this round to the event log. Entries carry the
             // flow's endpoints so the differ can name ports without the
@@ -917,6 +957,7 @@ pub fn simulate_resumable(
         let t_advance = (saath_telemetry::enabled() && tele.is_some()).then(Instant::now);
         let dt = t_next - now;
         let mut completed = 0usize;
+        let was_flowing = flowing.len();
         flowing.retain(|&fi| {
             let f = &mut flows[fi];
             if f.finished_at.is_some() || f.rate.is_zero() {
@@ -946,6 +987,9 @@ pub fn simulate_resumable(
                 true
             }
         });
+        // A flow that finished, or that a failure zeroed, left the set:
+        // the retained schedule no longer describes what is sending.
+        structural |= flowing.len() != was_flowing;
 
         // ---- 5. Retire completed CoFlows ----
         // Replays the reference loop's slot scan (its swap-remove order

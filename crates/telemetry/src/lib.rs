@@ -65,8 +65,13 @@ pub enum Counter {
     HeapPopDead,
     /// Completion-heap rebuilds triggered by the stale-fraction bound.
     HeapCompactions,
-    /// Scheduling rounds (boundary crossings that ran `compute`).
+    /// Scheduling rounds: δ boundaries crossed with work pending,
+    /// whether the round was computed or reused the previous schedule.
     SchedRounds,
+    /// Rounds among `SchedRounds` that did not run `compute`: nothing
+    /// structural had moved and the schedule's validity horizon was
+    /// still ahead, so the engine kept the schedule it had.
+    RoundsElided,
     /// Round records appended to an event log.
     LogRoundsAppended,
     /// Bytes written to an event log (frames + header).
@@ -78,7 +83,7 @@ pub enum Counter {
 }
 
 /// All counters, in display order.
-pub const COUNTERS: [Counter; 11] = [
+pub const COUNTERS: [Counter; 12] = [
     Counter::HeapPush,
     Counter::HeapPopCurrent,
     Counter::HeapPopStale,
@@ -86,6 +91,7 @@ pub const COUNTERS: [Counter; 11] = [
     Counter::HeapPopDead,
     Counter::HeapCompactions,
     Counter::SchedRounds,
+    Counter::RoundsElided,
     Counter::LogRoundsAppended,
     Counter::LogBytesWritten,
     Counter::LogSnapshots,
@@ -103,6 +109,7 @@ impl Counter {
             Counter::HeapPopDead => "heap_pops_dead",
             Counter::HeapCompactions => "heap_compactions",
             Counter::SchedRounds => "sched_rounds",
+            Counter::RoundsElided => "rounds_elided",
             Counter::LogRoundsAppended => "log_rounds_appended",
             Counter::LogBytesWritten => "log_bytes_written",
             Counter::LogSnapshots => "log_snapshots",

@@ -92,6 +92,7 @@ impl CoflowScheduler for PerturbAt {
 
     fn compute(&mut self, view: &ClusterView<'_>, bank: &mut PortBank, out: &mut Schedule) {
         self.inner.compute(view, bank, out);
+        out.valid_until = Time::ZERO; // edits rates and counts calls: voids the horizon
         if self.round == self.at_round {
             if let Some(slot) = out.rates.iter().position(|&(_, r)| r.as_u64() >= 2) {
                 let (fid, rate) = out.rates[slot];

@@ -108,10 +108,10 @@ fn mech_counters_and_round_trace_are_pinned() {
             },
         )
         .unwrap();
-        (out, sched.mech.rows(), tele)
+        (out, sched.mech.rows(), tele, sched.timings.rounds())
     };
-    let (out_a, mech_a, tele_a) = run();
-    let (out_b, mech_b, tele_b) = run();
+    let (out_a, mech_a, tele_a, computed) = run();
+    let (out_b, mech_b, tele_b, _) = run();
     assert_eq!(out_a.records, out_b.records);
     assert_eq!(mech_a, mech_b, "mechanism counters drift run-to-run");
     assert_eq!(
@@ -125,22 +125,27 @@ fn mech_counters_and_round_trace_are_pinned() {
         return;
     }
 
-    // Golden values for gen::small(9, 10, 16) under default Saath.
+    // Golden values for gen::small(9, 10, 16) under default Saath. The
+    // counters count work done: the per-round rows (admissions, MADD
+    // evaluations, avoided rebuilds and re-sorts) are over the 31
+    // rounds the engine computed, the event rows (transitions, rekeys,
+    // deltas, backfills, rejections) are what they were when all 362
+    // were — a reused round is one in which none of those can happen.
     let expect: [(&str, u64); 14] = [
         ("queue_transitions", 10),
         ("deadline_expiries", 0),
         ("starvation_rescues", 0),
-        ("gang_admissions", 467),
+        ("gang_admissions", 38),
         ("gang_rejections", 1),
         ("unready_skips", 0),
         ("wc_backfills", 4),
         ("lcof_comparisons", 80),
-        ("madd_evals", 468),
+        ("madd_evals", 39),
         ("contention_deltas", 138),
         ("contention_rebuilds", 1),
-        ("contention_rebuilds_avoided", 361),
+        ("contention_rebuilds_avoided", 30),
         ("order_rekeys", 29),
-        ("order_resorts_avoided", 362),
+        ("order_resorts_avoided", 31),
     ];
     assert_eq!(mech_a, expect, "golden mechanism counters moved");
 
@@ -149,6 +154,13 @@ fn mech_counters_and_round_trace_are_pinned() {
     // are stable across platforms).
     assert_eq!(tele_a.jsonl().lines().count() as u64, out_a.rounds);
     assert_eq!(out_a.rounds, 362);
+    // Every round is counted and traced; the reused ones only skip
+    // `compute`, which `SchedTimings` sees.
+    use saath::telemetry::Counter;
+    let elided = tele_a.counter(Counter::RoundsElided);
+    assert_eq!(tele_a.counter(Counter::SchedRounds), out_a.rounds);
+    assert_eq!(computed + elided, out_a.rounds);
+    assert_eq!(computed, 31);
     assert_eq!(
         tele_a.jsonl().lines().next().unwrap(),
         r#"{"round":0,"now_ns":0,"active":1,"flowing":12,"dirty":1,"heap":12,"sat_ports":3,"util_pm":300,"queues":[1,0,0,0,0,0,0,0,0,0]}"#
