@@ -947,7 +947,11 @@ pub fn diff_cmd(a: &std::path::Path, b: &std::path::Path) -> Result<(String, boo
 /// wall-time summary under the section banner. `spans` is the merged
 /// scheduler + engine profiler — its `sched_total` samples are the
 /// rounds that ran `compute`; `rounds` the replay's round count.
-fn sim_metrics_page(spans: &saath_telemetry::SpanProfiler, rounds: u64) -> String {
+fn sim_metrics_page(
+    spans: &saath_telemetry::SpanProfiler,
+    rounds: u64,
+    jumped: Option<u64>,
+) -> String {
     use saath_telemetry::prom::PromText;
     let mut p = PromText::new();
     p.section("deterministic");
@@ -964,6 +968,14 @@ fn sim_metrics_page(spans: &saath_telemetry::SpanProfiler, rounds: u64) -> Strin
             rounds.saturating_sub(spans.hist(Phase::SchedTotal).count),
         )],
     );
+    // Known only where an instrumented replay counted it.
+    if let Some(jumped) = jumped {
+        p.counter(
+            "saath_sim_rounds_jumped_total",
+            "Rounds among the elided ones whose boundary the engine never stopped at",
+            &[("", jumped)],
+        );
+    }
     p.section("wall-clock (nondeterministic values, stable layout)");
     p.phase_summary(
         "saath_epoch_phase_ns",
@@ -1320,8 +1332,12 @@ pub fn emulate_scale_cmd(
 /// reference loop it replaced, on an FB-like workload grown to ≥ 10k
 /// flows. Also asserts the two loops emit byte-identical
 /// [`CoflowRecord`]s, so the speedup is never bought with drift.
-/// Writes `BENCH_epoch_loop.json` in the working directory; with
-/// `json`, returns the JSON document instead of the rendered table.
+/// Each loop is replayed three times and every timing is the median
+/// with its min and max; the counts (`rounds`, `rounds_computed`,
+/// `rounds_jumped`) repeat exactly, which is what CI holds the
+/// committed file to. Writes `BENCH_epoch_loop.json`, stamped with the
+/// machine, toolchain and tree, in the working directory; with `json`,
+/// returns the JSON document instead of the rendered table.
 ///
 /// When the lab's FB workload was loaded from a real coflow-benchmark
 /// file (`repro epoch --trace PATH`), that file is streamed through the
@@ -1369,10 +1385,14 @@ pub fn epoch(
     // what the incremental restructure actually changed.
     let cfg = SimConfig::default();
     let dynamics = DynamicsSpec::none();
-    let time_runs = |reference: bool, runs: usize| {
-        let (mut best_total, mut best_loop) = (f64::INFINITY, f64::INFINITY);
+    // Each loop is replayed `REPEATS` times; every timing is reported
+    // as the median with its min and max, so one disturbed replay moves
+    // a bound and not the reading.
+    const REPEATS: usize = 3;
+    let time_runs = |reference: bool| {
+        let (mut totals, mut loops) = (Vec::new(), Vec::new());
         let mut last = None;
-        for _ in 0..runs {
+        for _ in 0..REPEATS {
             let mut sched = saath_core::Saath::with_defaults();
             let t = Instant::now();
             let out = if reference {
@@ -1383,22 +1403,26 @@ pub fn epoch(
             .expect("epoch-loop simulation failed");
             let total = t.elapsed().as_secs_f64() * 1e3;
             let compute = sched.timings.spans.hist(Phase::SchedTotal).sum as f64 / 1e6;
-            best_total = best_total.min(total);
-            best_loop = best_loop.min(total - compute);
+            totals.push(total);
+            loops.push(total - compute);
             last = Some(out);
         }
-        (best_total, best_loop, last.unwrap())
+        (
+            Spread::of(&totals),
+            Spread::of(&loops),
+            last.expect("at least one repeat"),
+        )
     };
-    let (inc_total, inc_loop, inc) = time_runs(false, 3);
-    let (ref_total, ref_loop, re) = time_runs(true, 2);
+    let (inc_total, inc_loop, inc) = time_runs(false);
+    let (ref_total, ref_loop, re) = time_runs(true);
 
     let identical = inc.records == re.records && inc.end == re.end;
     assert!(
         identical,
         "incremental loop diverged from the reference loop"
     );
-    let total_speedup = ref_total / inc_total;
-    let loop_speedup = ref_loop / inc_loop;
+    let total_speedup = ref_total.median / inc_total.median;
+    let loop_speedup = ref_loop.median / inc_loop.median;
 
     // A separate *untimed* instrumented run collects the engine
     // counters (heap traffic, stale-pop ratio, dirty-set sizes). It is
@@ -1423,8 +1447,10 @@ pub fn epoch(
     // One profile across both layers: scheduler phases (sched_*) from
     // `SchedTimings`, engine sections (engine_*) from the telemetry run.
     spans.merge(&tele.spans);
-    // Rounds that ran `compute`; the rest reused the schedule in hand.
+    // Rounds that ran `compute`; the rest reused the schedule in hand,
+    // and most of those were never stopped at.
     let rounds_computed = spans.hist(Phase::SchedTotal).count;
+    let rounds_jumped = tele.counter(saath_telemetry::Counter::RoundsJumped);
     let stale_ratio = tele.stale_pop_ratio();
     let mean_dirty = tele.dirty_set.mean();
 
@@ -1439,18 +1465,22 @@ pub fn epoch(
     }
 
     // The vendored serde stub cannot serialize, so the baseline is
-    // formatted by hand — it is a flat object of scalars.
+    // formatted by hand — scalars plus the env stamp. `<key>` is the
+    // reading bench-diff lines up against older documents (a median
+    // now, where it was the best run); `<key>_min` / `<key>_max` bound it.
     let json_doc = format!(
         "{{\n  \"experiment\": \"epoch_loop\",\n  \"seed\": {seed},\n  \
          \"trace_source\": \"{source}\",\n  \
          \"num_nodes\": {nodes},\n  \"num_coflows\": {coflows},\n  \
          \"num_flows\": {flows},\n  \"delta_ms\": 8,\n  \
          \"rounds\": {rounds},\n  \"rounds_computed\": {rounds_computed},\n  \
-         \"total_reference_ms\": {ref_total:.1},\n  \
-         \"total_incremental_ms\": {inc_total:.1},\n  \
+         \"rounds_jumped\": {rounds_jumped},\n  \
+         \"repeats\": {REPEATS},\n  \"env\": {env},\n  \
+         {ref_total},\n  \
+         {inc_total},\n  \
          \"total_speedup\": {total_speedup:.2},\n  \
-         \"loop_reference_ms\": {ref_loop:.1},\n  \
-         \"loop_incremental_ms\": {inc_loop:.1},\n  \
+         {ref_loop},\n  \
+         {inc_loop},\n  \
          \"loop_speedup\": {loop_speedup:.2},\n  \
          \"records_identical\": true,\n  \
          \"telemetry_enabled\": {tele_on},\n  \
@@ -1463,6 +1493,11 @@ pub fn epoch(
         nodes = trace.num_nodes,
         coflows = trace.coflows.len(),
         rounds = inc.rounds,
+        env = env_stamp_json(),
+        ref_total = ref_total.json_fields("total_reference_ms"),
+        inc_total = inc_total.json_fields("total_incremental_ms"),
+        ref_loop = ref_loop.json_fields("loop_reference_ms"),
+        inc_loop = inc_loop.json_fields("loop_incremental_ms"),
         tele_on = saath_telemetry::enabled(),
         pushes = tele.counter(saath_telemetry::Counter::HeapPush),
         compactions = tele.counter(saath_telemetry::Counter::HeapCompactions),
@@ -1474,7 +1509,10 @@ pub fn epoch(
         }
     }
     if let Some(path) = metrics_out {
-        write_metrics_out(path, &sim_metrics_page(&spans, inc.rounds));
+        write_metrics_out(
+            path,
+            &sim_metrics_page(&spans, inc.rounds, Some(rounds_jumped)),
+        );
     }
     if json {
         return json_doc;
@@ -1488,18 +1526,22 @@ pub fn epoch(
         "trace".into(),
         format!("{} coflows", trace.coflows.len()),
         format!("{flows} flows"),
-        format!("{} rounds ({rounds_computed} computed)", inc.rounds),
+        format!(
+            "{} rounds ({rounds_computed} computed, {rounds_jumped} not visited)",
+            inc.rounds
+        ),
     ]);
+    let cell = |s: Spread| format!("{:.1} [{:.1}, {:.1}]", s.median, s.min, s.max);
     t.row(&[
-        "end-to-end (best ms)".into(),
-        format!("{ref_total:.1}"),
-        format!("{inc_total:.1}"),
+        format!("end-to-end (ms, median [min, max] of {REPEATS})"),
+        cell(ref_total),
+        cell(inc_total),
         fmt_x(total_speedup),
     ]);
     t.row(&[
-        "epoch loop only (best ms)".into(),
-        format!("{ref_loop:.1}"),
-        format!("{inc_loop:.1}"),
+        format!("epoch loop only (ms, median [min, max] of {REPEATS})"),
+        cell(ref_loop),
+        cell(inc_loop),
         fmt_x(loop_speedup),
     ]);
     t.row(&[
@@ -1599,16 +1641,31 @@ struct Spread {
 /// row's min or max and not the row.
 struct ScaleRuns(Vec<ScaleRun>);
 
-impl ScaleRuns {
-    fn spread(&self, reading: impl Fn(&ScaleRun) -> f64) -> Spread {
+impl Spread {
+    fn of(readings: &[f64]) -> Spread {
         use saath_metrics::stats::percentile;
-        let v: Vec<f64> = self.0.iter().map(reading).collect();
-        let at = |p: f64| percentile(&v, p).expect("a sweep point ran at least once");
+        let at = |p: f64| percentile(readings, p).expect("at least one reading");
         Spread {
             median: at(50.0),
             min: at(0.0),
             max: at(100.0),
         }
+    }
+
+    /// `"<key>": median, "<key>_min": …, "<key>_max": …` — `<key>` is
+    /// the reading bench-diff lines up against older documents.
+    fn json_fields(self, key: &str) -> String {
+        format!(
+            "\"{key}\": {:.1}, \"{key}_min\": {:.1}, \"{key}_max\": {:.1}",
+            self.median, self.min, self.max
+        )
+    }
+}
+
+impl ScaleRuns {
+    fn spread(&self, reading: impl Fn(&ScaleRun) -> f64) -> Spread {
+        let v: Vec<f64> = self.0.iter().map(reading).collect();
+        Spread::of(&v)
     }
 
     fn wall_ms(&self) -> f64 {
@@ -1756,10 +1813,7 @@ pub fn scale(
         ]
         .map(|(key, phase)| (key, r.spread(|run| run.phase_ms(phase))));
         for (key, s) in wall.chain(phases) {
-            doc.push_str(&format!(
-                ",\n        \"{key}\": {:.1}, \"{key}_min\": {:.1}, \"{key}_max\": {:.1}",
-                s.median, s.min, s.max
-            ));
+            doc.push_str(&format!(",\n        {}", s.json_fields(key)));
         }
         doc + "\n      }"
     };
@@ -2045,7 +2099,7 @@ pub fn scale(
         }
     }
     if let Some(path) = metrics_out {
-        write_metrics_out(path, &sim_metrics_page(&inc_spans, inc_rounds));
+        write_metrics_out(path, &sim_metrics_page(&inc_spans, inc_rounds, None));
     }
     if json {
         return json_doc;
@@ -2143,10 +2197,12 @@ pub fn trace_diag(lab: &Lab, small: bool) -> String {
             }
         };
         // Every round is counted, logged and traced; the engine runs
-        // `compute` only where the previous schedule may not stand.
+        // `compute` only where the previous schedule may not stand, and
+        // stops only at boundaries where something can happen.
         out.push_str(&format!(
-            "{policy} rounds: {computed} computed + {} reused\n",
-            rounds - computed
+            "{policy} rounds: {computed} computed + {} reused ({} not visited)\n",
+            rounds - computed,
+            tele.counter(saath_telemetry::Counter::RoundsJumped)
         ));
         lab.write_csv(&format!("trace_{policy}.jsonl"), tele.jsonl());
         out.push_str(&saath_metrics::engine_table(policy, &tele).render());

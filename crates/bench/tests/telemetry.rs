@@ -15,7 +15,7 @@
 
 use saath_core::{Aalo, CoflowScheduler, Saath};
 use saath_simulator::{simulate_reference, simulate_resumable, ReplayHooks, SimConfig, SimOutput};
-use saath_telemetry::{Counter, Telemetry};
+use saath_telemetry::{Counter, Phase, Telemetry};
 use saath_workload::{gen, DynamicsSpec, Trace};
 
 /// Scaled-down FB-like workload (same preset the equivalence suite
@@ -101,6 +101,11 @@ fn both_policies_report_nonzero_mechanism_counts() {
     let elided = tele.counter(Counter::RoundsElided);
     assert_eq!(saath.timings.rounds() + elided, out.rounds);
     assert!(elided * 2 > out.rounds, "only {elided} rounds reused");
+    // And the loop stopped only at the rounds it did not jump over.
+    let jumped = tele.counter(Counter::RoundsJumped);
+    let visited = tele.spans.hist(Phase::EngineRound).count;
+    assert_eq!(visited + jumped, out.rounds);
+    assert!(jumped * 2 > out.rounds, "only {jumped} rounds passed over");
     assert!(tele.counter(Counter::HeapPopStale) > 0);
     assert!(tele.dirty_set.count > 0 && tele.dirty_set.max > 0);
     assert!(saath.mech.queue_transitions > 0);
@@ -125,6 +130,8 @@ fn both_policies_report_nonzero_mechanism_counts() {
     assert_eq!(out.unfinished, 0);
     // Aalo sets no horizon: every round is computed.
     assert_eq!(tele.counter(Counter::RoundsElided), 0);
+    assert_eq!(tele.counter(Counter::RoundsJumped), 0);
+    assert_eq!(tele.spans.hist(Phase::EngineRound).count, out.rounds);
     assert_eq!(aalo.timings.rounds(), out.rounds);
     assert!(tele.counter(Counter::HeapPopStale) > 0);
     assert!(tele.dirty_set.count > 0);

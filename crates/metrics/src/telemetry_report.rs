@@ -165,6 +165,7 @@ mod tests {
              heap_compactions      0      -     -     -       -     -\n\
              sched_rounds          0      -     -     -       -     -\n\
              rounds_elided         0      -     -     -       -     -\n\
+             rounds_jumped         0      -     -     -       -     -\n\
              log_rounds_appended   0      -     -     -       -     -\n\
              log_bytes_written     0      -     -     -       -     -\n\
              log_snapshots         0      -     -     -       -     -\n\

@@ -87,6 +87,11 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.at)
     }
 
+    /// The next event — its instant and payload — without removing it.
+    pub fn peek(&self) -> Option<(Time, &E)> {
+        self.heap.peek().map(|e| (e.at, &e.payload))
+    }
+
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         self.heap.pop().map(|e| (e.at, e.payload))
@@ -181,6 +186,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(Time(10), "early");
         q.push(Time(20), "late");
+        assert_eq!(q.peek(), Some((Time(10), &"early")));
         assert_eq!(q.pop_due(Time(15)), Some((Time(10), "early")));
         assert_eq!(q.pop_due(Time(15)), None);
         assert_eq!(q.len(), 1);

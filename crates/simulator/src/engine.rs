@@ -9,10 +9,11 @@
 //!   of a scan over every active flow; schedules are applied as a diff
 //!   against the previous round (only flows whose rate actually changed
 //!   are touched); views are re-synced only for CoFlows whose flows
-//!   progressed since the last round (a dirty set); and a round whose
+//!   progressed since the last round (a dirty set); a round whose
 //!   output cannot differ from the previous one's is counted, logged
 //!   and traced but not computed (see "When a round is not computed"
-//!   below).
+//!   below); and a run of δ boundaries at which nothing can happen is
+//!   crossed in one step ("When a boundary is not visited").
 //! * [`simulate_reference`] — the original O(state)-per-step loop, kept
 //!   verbatim as the executable specification. The equivalence test
 //!   below and `tests/engine_equivalence.rs` assert the two produce
@@ -27,7 +28,12 @@
 //! removes time steps relative to the reference: heap entries are
 //! pushed only on rate changes, and a stale entry surfacing at the top
 //! is re-pushed at the flow's *current* prediction, so the popped
-//! minimum equals the reference's fresh scan exactly.
+//! minimum equals the reference's fresh scan exactly. A jump over quiet
+//! boundaries keeps all of this: it credits the per-step floors the
+//! single steps would (so `sent` and the refreshed prediction are
+//! theirs), and since predictions only drift later, every flowing flow
+//! still has a heap entry at or before its current prediction — the
+//! heap is simply peeked once per jump instead of once per δ.
 //!
 //! ## When a round is not computed
 //!
@@ -49,6 +55,41 @@
 //! bounding what it can change is what the horizon is for. There is no
 //! switch: a scheduler that never sets the horizon ([`Time::ZERO`]) is
 //! computed every round, and [`simulate_reference`] never reuses.
+//!
+//! ## When a boundary is not visited
+//!
+//! A reused round decides nothing, so stopping at it only costs. When
+//! nothing structural is pending and nothing is due before the next
+//! boundary, the loop takes `limit` = the earliest of the predicted
+//! completion, the next arrival, dynamics event and readiness wake, the
+//! schedule's horizon and the replay's own horizon. Every boundary `b`
+//! with `now < b < limit` is a round the loop would reuse and then
+//! leave with no flow finished and no event drained (`t < ceil(x/r) ⇒
+//! floor(r·t) < x`, and splitting an interval only loses bytes, so no
+//! flow reaches its size before the earliest prediction). With `s` of
+//! them the loop steps straight to `b_s`: the advance pass credits
+//! `bytes_in(r, b_1 − now) + (s − 1)·bytes_in(r, δ)` — the single
+//! steps' floors, one by one — marks dirty once and refreshes each
+//! prediction once from the final `sent`; the round at `b_s` is then an
+//! ordinary iteration. An ordinary step is the `s ≤ 1` case of the same
+//! code.
+//!
+//! **A round passed over is still a round.** It counts towards
+//! [`SimOutput::rounds`] and [`SimConfig::max_rounds`] (a jump stops
+//! where the count would pass the limit, so the same
+//! [`SimError::RoundLimit`] comes at the same count), the event log gets its
+//! [`RoundRecord`], the JSONL trace its line and the histograms its
+//! sample — through the one function that emits a visited round, after
+//! the advance pass, so the dirty set and the flowing set read what
+//! each single step's round would have read. A jump never carries the
+//! round count past a multiple of [`ReplayHooks::snapshot_every`]: it
+//! lands there and the snapshot is taken at the top of the loop as
+//! ever (a cadence of 1 therefore single-steps, by arithmetic). The
+//! one thing an observer can tell: the engine's own heap bookkeeping
+//! (`Heap*` counters fall; a passed-over round's `heap` column reads
+//! the heap as of the jump). A scheduler that sets no horizon has
+//! `limit == Time::ZERO` and never jumps; [`simulate_reference`] never
+//! does.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -464,9 +505,10 @@ pub fn simulate_resumable(
     let mut dirty = vec![false; n_coflows];
     let mut dirty_list: Vec<usize> = Vec::new();
     // Wakes the sync for CoFlows whose flows become ready mid-run
-    // (`available_after` delays, failure restarts). Readiness is not a
-    // `t_next` candidate — exactly as in the reference loop, a flow
-    // becoming ready between steps is seen at the next step.
+    // (`available_after` delays, failure restarts). At δ > 0 readiness
+    // is not a `t_next` candidate — exactly as in the reference loop, a
+    // flow becoming ready between steps is seen at the next step; in
+    // event-driven mode there may be no next step, so it is one.
     let mut ready_events: EventQueue<usize> = EventQueue::new();
     // Round stamps for the schedule diff: flows stamped this round keep
     // a rate; previously-flowing flows that lost theirs are zeroed.
@@ -807,6 +849,10 @@ pub fn simulate_resumable(
                     // Unchanged rate ⇒ `pred` was refreshed at `now` by the
                     // advancement pass that ended here; nothing to do.
                     flowing.push(fi);
+                    // A zero-rate entry leaves `flowing` at the next
+                    // advance pass, which is a structural change: say so
+                    // now, so no jump is planned across it.
+                    structural |= rate.is_zero();
                 }
                 #[cfg(debug_assertions)]
                 check_feasibility(&flows, &bank, num_nodes);
@@ -814,65 +860,28 @@ pub fn simulate_resumable(
                 tele_incr!(tele, Counter::RoundsElided);
             }
 
-            // Append this round to the event log. Entries carry the
-            // flow's endpoints so the differ can name ports without the
-            // trace; zero rates are dropped (paused flows are absent by
-            // convention) and the writer canonicalizes entry order, so
-            // sharded and single-coordinator runs log identical bytes.
-            if let Some(sink) = hooks.sink.as_deref_mut() {
-                let rec = RoundRecord {
-                    round: rounds - 1,
-                    now_ns: now.as_nanos(),
-                    active: views.len() as u32,
-                    entries: schedule
-                        .rates
-                        .iter()
-                        .filter(|&&(_, rate)| !rate.is_zero())
-                        .map(|&(fid, rate)| {
-                            let f = &flows[fid.index()];
-                            RateEntry {
-                                flow: fid.0,
-                                src: f.src.0,
-                                dst: f.dst.0,
-                                rate: rate.as_u64(),
-                            }
-                        })
-                        .collect(),
-                };
-                let n = sink
-                    .append_round(&rec)
-                    .map_err(|e| SimError::Log(e.to_string()))?;
-                if saath_telemetry::enabled() {
-                    if let Some(t) = tele.as_deref_mut() {
-                        t.incr(Counter::LogRoundsAppended);
-                        t.add(Counter::LogBytesWritten, n);
-                    }
-                }
-            }
-
+            emit_rounds(
+                &Rounds {
+                    first: rounds - 1,
+                    at: now,
+                    step: cfg.delta,
+                    k: 1,
+                    active: views.len(),
+                    flowing: flowing.len(),
+                    dirty: dirty_n,
+                    heap_len: completions.len(),
+                    schedule: &schedule,
+                    flows: &flows,
+                    bank: &bank,
+                    sched: &*sched,
+                },
+                hooks.sink.as_deref_mut(),
+                tele.as_deref_mut(),
+            )?;
             if saath_telemetry::enabled() {
-                if let Some(t) = tele.as_deref_mut() {
-                    t.incr(Counter::SchedRounds);
-                    t.dirty_set.observe(dirty_n as u64);
-                    t.heap_len.observe(completions.len() as u64);
-                    t.active_coflows.observe(views.len() as u64);
-                    if let Some(started) = t_round {
-                        t.spans
-                            .observe(Phase::EngineRound, started.elapsed().as_nanos() as u64);
-                    }
-                    if t.wants_jsonl() {
-                        t.snapshot_round(&RoundSnapshot {
-                            round: rounds - 1,
-                            now_ns: now.as_nanos(),
-                            active_coflows: views.len(),
-                            flowing: flowing.len(),
-                            dirty: dirty_n,
-                            heap_len: completions.len(),
-                            saturated_ports: bank.saturated_ports(),
-                            utilization_permille: bank.utilization_permille(),
-                            queue_occupancy: sched.queue_occupancy().unwrap_or(&[]),
-                        });
-                    }
+                if let (Some(started), Some(t)) = (t_round, tele.as_deref_mut()) {
+                    t.spans
+                        .observe(Phase::EngineRound, started.elapsed().as_nanos() as u64);
                 }
             }
         }
@@ -885,6 +894,8 @@ pub fn simulate_resumable(
         if let Some(t) = dyn_events.peek_time() {
             t_next = t_next.min(t);
         }
+        let mut t_complete = Time::NEVER;
+        let mut next_boundary = Time::NEVER;
         if !views.is_empty() {
             // Heap hygiene: under heavy rate churn (stragglers, δ≈0)
             // dead and stale entries can pile up faster than lazy
@@ -906,7 +917,7 @@ pub fn simulate_resumable(
                 tele_incr!(tele, Counter::HeapCompactions);
             }
             // Earliest completion under current rates, from the heap.
-            let t_complete = loop {
+            t_complete = loop {
                 let Some(&Reverse((t, fi))) = completions.peek() else {
                     break Time::NEVER;
                 };
@@ -932,15 +943,32 @@ pub fn simulate_resumable(
                 }
             };
             t_next = t_next.min(t_complete);
-            // Next schedule boundary.
-            let next_boundary = if cfg.delta == Duration::ZERO {
-                // Event-driven mode: recompute whenever anything above
-                // fires; no synthetic boundaries needed.
-                Time::NEVER
+            if cfg.delta == Duration::ZERO {
+                // Event-driven mode: recompute whenever anything fires;
+                // no synthetic boundaries needed. A flow becoming ready
+                // is such an event, and with no boundary to catch it at
+                // it must be stepped to. An entry whose flow a failure
+                // has since pushed further out is dropped, not woken
+                // for: the reference loop, which reads `ready_at`
+                // itself, never sees it.
+                while let Some((t, &ci)) = ready_events.peek() {
+                    let sc = &coflows[ci];
+                    let waits = sc.view_slot != usize::MAX
+                        && flows[sc.first_flow..sc.first_flow + sc.num_flows]
+                            .iter()
+                            .any(|f| f.finished_at.is_none() && f.ready_at == t);
+                    if waits {
+                        t_next = t_next.min(t);
+                        break;
+                    }
+                    ready_events.pop();
+                }
             } else {
-                Time((now.as_nanos() / cfg.delta.as_nanos() + 1) * cfg.delta.as_nanos())
-            };
-            t_next = t_next.min(next_boundary);
+                // Next schedule boundary.
+                next_boundary =
+                    Time((now.as_nanos() / cfg.delta.as_nanos() + 1) * cfg.delta.as_nanos());
+                t_next = t_next.min(next_boundary);
+            }
         }
 
         if t_next.is_never() {
@@ -953,9 +981,49 @@ pub fn simulate_resumable(
             }
         }
 
+        // Quiet boundaries ahead are not stopped at (module docs, "When
+        // a boundary is not visited"). With nothing due before the next
+        // boundary and nothing structural pending, every boundary
+        // before `limit` is a round that reuses the schedule in hand
+        // and is left with no flow finished and no event drained. Step
+        // to the last of them and hand the ones passed over to the
+        // observers below; the round at the landing boundary is the
+        // next iteration's, as ever. A scheduler that sets no horizon
+        // has `limit == Time::ZERO` and is stepped one boundary at a
+        // time, and so is every step that ends at an event.
+        let first = t_next - now;
+        let mut passed = 0u64;
+        if !structural && t_next == next_boundary {
+            let limit = [
+                arrivals.peek_time(),
+                dyn_events.peek_time(),
+                ready_events.peek_time(),
+                cfg.horizon,
+            ]
+            .into_iter()
+            .flatten()
+            .fold(t_complete.min(schedule.valid_until), Time::min);
+            if limit > t_next {
+                let quiet = (limit.as_nanos() - 1 - t_next.as_nanos()) / cfg.delta.as_nanos();
+                // A jump never carries the round count past
+                // `max_rounds` (the landing round trips the limit, at
+                // the count the single steps would) nor past the next
+                // snapshot point (it lands there, and the snapshot is
+                // taken at the top of the loop as ever).
+                let next_snapshot = match hooks.snapshot_every {
+                    0 => u64::MAX,
+                    every => (last_snapshot / every + 1).saturating_mul(every),
+                };
+                let room = cfg.max_rounds.min(next_snapshot).saturating_sub(rounds);
+                passed = quiet.min(room);
+                t_next = Time(t_next.as_nanos() + passed * cfg.delta.as_nanos());
+            }
+        }
+
         // ---- 4. Advance the flowing flows to t_next ----
+        // One step of `first`, then `passed` more of δ each: what the
+        // single steps credit, floor by floor.
         let t_advance = (saath_telemetry::enabled() && tele.is_some()).then(Instant::now);
-        let dt = t_next - now;
         let mut completed = 0usize;
         let was_flowing = flowing.len();
         flowing.retain(|&fi| {
@@ -963,7 +1031,7 @@ pub fn simulate_resumable(
             if f.finished_at.is_some() || f.rate.is_zero() {
                 return false; // zeroed mid-interval (failure)
             }
-            f.sent = (f.sent + bytes_in(f.rate, dt)).min(f.size);
+            f.sent = (f.sent + bytes_over(f.rate, first, passed, cfg.delta)).min(f.size);
             let ci = f.coflow;
             mark_dirty(&mut dirty, &mut dirty_list, ci);
             if f.sent == f.size {
@@ -1049,6 +1117,38 @@ pub fn simulate_resumable(
             t.spans
                 .observe(Phase::EngineAdvance, t0.elapsed().as_nanos() as u64);
         }
+
+        // ---- 6. The rounds passed over ----
+        // Emitted after the advance pass: the dirty set and `flowing`
+        // now read what each single step's round would have read.
+        if passed > 0 {
+            debug_assert!(!structural, "a flow left the set inside a jump");
+            if saath_telemetry::enabled() {
+                if let Some(t) = tele.as_deref_mut() {
+                    t.add(Counter::RoundsElided, passed);
+                    t.add(Counter::RoundsJumped, passed);
+                }
+            }
+            emit_rounds(
+                &Rounds {
+                    first: rounds,
+                    at: now + first,
+                    step: cfg.delta,
+                    k: passed,
+                    active: views.len(),
+                    flowing: flowing.len(),
+                    dirty: dirty_list.len(),
+                    heap_len: completions.len(),
+                    schedule: &schedule,
+                    flows: &flows,
+                    bank: &bank,
+                    sched: &*sched,
+                },
+                hooks.sink.as_deref_mut(),
+                tele.as_deref_mut(),
+            )?;
+            rounds += passed;
+        }
         now = t_next;
     }
 
@@ -1060,6 +1160,114 @@ pub fn simulate_resumable(
         rounds,
         end: now,
     })
+}
+
+/// Bytes a flow sending at `rate` is credited over one step of `first`
+/// followed by `more` steps of `delta` each — the sum of the per-step
+/// floors, which is what the single steps add up to (and less than the
+/// floor over the whole span: `Σ floor ≤ floor Σ`).
+#[inline]
+fn bytes_over(rate: Rate, first: Duration, more: u64, delta: Duration) -> Bytes {
+    let head = bytes_in(rate, first);
+    if more == 0 {
+        return head;
+    }
+    Bytes(head.0 + more * bytes_in(rate, delta).0)
+}
+
+/// `k` consecutive rounds as the observers are told of them: the round
+/// at `at`, then one every `step`, all standing on one schedule and one
+/// engine state. A round the loop stops at is `k = 1`; the rounds a
+/// jump passes over are one call with `k > 1`.
+struct Rounds<'a> {
+    /// 0-based ordinal of the first round.
+    first: u64,
+    at: Time,
+    step: Duration,
+    k: u64,
+    active: usize,
+    flowing: usize,
+    dirty: usize,
+    heap_len: usize,
+    schedule: &'a Schedule,
+    flows: &'a [SimFlow],
+    bank: &'a PortBank,
+    sched: &'a dyn CoflowScheduler,
+}
+
+/// Appends the rounds to the event log, counts them, samples the set
+/// sizes and writes their JSONL lines. Everything but a record's
+/// ordinal and instant is built once and restamped.
+fn emit_rounds(
+    r: &Rounds<'_>,
+    sink: Option<&mut (dyn RoundSink + '_)>,
+    mut tele: Option<&mut Telemetry>,
+) -> Result<(), SimError> {
+    let stamps = (0..r.k).map(|j| (r.first + j, r.at.as_nanos() + j * r.step.as_nanos()));
+    // Entries carry the flow's endpoints so the differ can name ports
+    // without the trace; zero rates are dropped (paused flows are
+    // absent by convention) and the writer canonicalizes entry order,
+    // so sharded and single-coordinator runs log identical bytes.
+    if let Some(sink) = sink {
+        let mut rec = RoundRecord {
+            round: 0,
+            now_ns: 0,
+            active: r.active as u32,
+            entries: r
+                .schedule
+                .rates
+                .iter()
+                .filter(|&&(_, rate)| !rate.is_zero())
+                .map(|&(fid, rate)| {
+                    let f = &r.flows[fid.index()];
+                    RateEntry {
+                        flow: fid.0,
+                        src: f.src.0,
+                        dst: f.dst.0,
+                        rate: rate.as_u64(),
+                    }
+                })
+                .collect(),
+        };
+        for (round, now_ns) in stamps.clone() {
+            (rec.round, rec.now_ns) = (round, now_ns);
+            let n = sink
+                .append_round(&rec)
+                .map_err(|e| SimError::Log(e.to_string()))?;
+            if saath_telemetry::enabled() {
+                if let Some(t) = tele.as_deref_mut() {
+                    t.incr(Counter::LogRoundsAppended);
+                    t.add(Counter::LogBytesWritten, n);
+                }
+            }
+        }
+    }
+    if saath_telemetry::enabled() {
+        if let Some(t) = tele {
+            t.add(Counter::SchedRounds, r.k);
+            t.dirty_set.observe_n(r.dirty as u64, r.k);
+            t.heap_len.observe_n(r.heap_len as u64, r.k);
+            t.active_coflows.observe_n(r.active as u64, r.k);
+            if t.wants_jsonl() {
+                let mut line = RoundSnapshot {
+                    round: 0,
+                    now_ns: 0,
+                    active_coflows: r.active,
+                    flowing: r.flowing,
+                    dirty: r.dirty,
+                    heap_len: r.heap_len,
+                    saturated_ports: r.bank.saturated_ports(),
+                    utilization_permille: r.bank.utilization_permille(),
+                    queue_occupancy: r.sched.queue_occupancy().unwrap_or(&[]),
+                };
+                for (round, now_ns) in stamps {
+                    (line.round, line.now_ns) = (round, now_ns);
+                    t.snapshot_round(&line);
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The pre-refactor epoch loop, kept as the executable specification
@@ -1239,13 +1447,19 @@ pub fn simulate_reference(
             t_next = t_next.min(t);
         }
         if !views.is_empty() {
-            // Earliest completion under current rates.
+            // Earliest completion under current rates — and, in
+            // event-driven mode, the earliest flow still to become
+            // ready: with no boundary to catch it at, that instant must
+            // be stepped to.
             for view in &views {
                 for fv in &view.flows {
                     let f = &flows[fv.id.index()];
                     if f.finished_at.is_none() && !f.rate.is_zero() {
                         let rem = f.size.saturating_sub(f.sent);
                         t_next = t_next.min(now.saturating_add(transfer_time(rem, f.rate)));
+                    }
+                    if cfg.delta == Duration::ZERO && f.finished_at.is_none() && f.ready_at > now {
+                        t_next = t_next.min(f.ready_at);
                     }
                 }
             }
@@ -1780,6 +1994,183 @@ mod tests {
         assert_eq!(inc.records, re.records);
         assert_eq!(inc.rounds, re.rounds);
         assert_eq!(inc.end, re.end);
+    }
+
+    /// Both loops, side by side.
+    fn both_loops(trace: &Trace, cfg: &SimConfig, dynamics: &DynamicsSpec) -> [SimOutput; 2] {
+        [
+            simulate(trace, &mut Saath::with_defaults(), cfg, dynamics).unwrap(),
+            simulate_reference(trace, &mut Saath::with_defaults(), cfg, dynamics).unwrap(),
+        ]
+    }
+
+    /// Event-driven mode (δ = 0) has no boundary at which a flow that
+    /// became ready would be noticed, so the readiness instant itself
+    /// must be stepped to — late data and a failure's restart delay
+    /// alike. Both loops used to stop with the CoFlow stranded.
+    #[test]
+    fn event_driven_mode_wakes_for_readiness() {
+        let one_flow = |available_after| {
+            let mut flow = FlowSpec::new(NodeId(0), NodeId(1), Bytes(125_000_000));
+            flow.available_after = available_after;
+            Trace {
+                num_nodes: 2,
+                port_rate: Rate::gbps(1),
+                coflows: vec![CoflowSpec::new(CoflowId(0), Time::ZERO, vec![flow])],
+            }
+        };
+        let fail = |at_ms, delay_ms| DynamicsEvent::NodeFailure {
+            node: NodeId(1),
+            at: Time::from_millis(at_ms),
+            restart_delay: Duration::from_millis(delay_ms),
+        };
+        let event_driven = SimConfig {
+            delta: Duration::ZERO,
+            ..Default::default()
+        };
+        // (late data, failures, finish in ms, rounds). The last case
+        // leaves a readiness entry (800 ms) that the second failure
+        // supersedes (900 ms): it must not be woken for.
+        let cases = [
+            (500, vec![], 1_500, 2),
+            (0, vec![fail(500, 100)], 1_600, 3),
+            (0, vec![fail(500, 300), fail(600, 300)], 1_900, 4),
+        ];
+        for (late_ms, events, finish_ms, rounds) in cases {
+            let trace = one_flow(Duration::from_millis(late_ms));
+            let dynamics = DynamicsSpec { events };
+            for out in both_loops(&trace, &event_driven, &dynamics) {
+                assert_eq!(out.unfinished, 0, "late {late_ms} ms: stranded");
+                assert_eq!(out.records[0].finish, Time::from_millis(finish_ms));
+                assert_eq!(out.end, Time::from_millis(finish_ms));
+                assert_eq!(out.rounds, rounds, "late {late_ms} ms");
+            }
+            // At δ > 0 nothing changed: the flow is seen at the first
+            // boundary at or after it became ready.
+            let [inc, re] = both_loops(&trace, &SimConfig::default(), &dynamics);
+            assert_eq!(inc.unfinished, 0);
+            assert_eq!((inc.records, inc.rounds), (re.records, re.rounds));
+        }
+    }
+
+    /// A scheduler whose horizon never ends and whose view can never
+    /// progress trips the round limit at the count the single steps
+    /// would, without walking there.
+    #[test]
+    fn round_limit_is_reached_by_a_jump() {
+        let mut flow = FlowSpec::new(NodeId(0), NodeId(1), Bytes(1));
+        flow.available_after = Duration::from_secs(1_000_000_000);
+        let trace = Trace {
+            num_nodes: 2,
+            port_rate: Rate::gbps(1),
+            coflows: vec![CoflowSpec::new(CoflowId(0), Time::ZERO, vec![flow])],
+        };
+        let patient = || {
+            Saath::new(SaathConfig {
+                starvation_avoidance: false,
+                ..Default::default()
+            })
+        };
+        let none = DynamicsSpec::none();
+        let err = simulate(&trace, &mut patient(), &SimConfig::default(), &none).unwrap_err();
+        assert_eq!(err, SimError::RoundLimit(100_000_000));
+        let cfg = SimConfig {
+            max_rounds: 5_000,
+            ..Default::default()
+        };
+        let err = simulate(&trace, &mut patient(), &cfg, &none).unwrap_err();
+        assert_eq!(err, SimError::RoundLimit(5_000));
+        let err = simulate_reference(&trace, &mut patient(), &cfg, &none).unwrap_err();
+        assert_eq!(err, SimError::RoundLimit(5_000));
+    }
+
+    /// Saath, but every paused ready flow is listed at rate zero — a
+    /// schedule the type allows and no in-tree policy writes.
+    struct ListsPaused(Saath);
+
+    impl CoflowScheduler for ListsPaused {
+        fn name(&self) -> &'static str {
+            "lists-paused"
+        }
+
+        fn compute(&mut self, view: &ClusterView<'_>, bank: &mut PortBank, out: &mut Schedule) {
+            self.0.compute(view, bank, out);
+            for f in view.coflows.iter().flat_map(|c| c.unfinished()) {
+                if f.ready && out.rate_of(f.id).is_zero() {
+                    out.rates.push((f.id, Rate::ZERO));
+                }
+            }
+        }
+    }
+
+    /// A zero-rate entry drops out of the flowing set at the next
+    /// advance pass, which is a structural change: the round after it
+    /// is computed (as it always was), so no jump is planned across it.
+    #[test]
+    fn zero_rate_entries_are_never_jumped_over() {
+        let flow = |dst, mb| FlowSpec::new(NodeId(0), NodeId(dst), Bytes::mb(mb));
+        let trace = Trace {
+            num_nodes: 3,
+            port_rate: Rate::gbps(1),
+            coflows: vec![
+                CoflowSpec::new(CoflowId(0), Time::ZERO, vec![flow(1, 600)]),
+                CoflowSpec::new(CoflowId(1), Time::from_millis(1), vec![flow(2, 600)]),
+            ],
+        };
+        let plain = default_run(&trace, &mut Saath::with_defaults());
+        let mut listing = ListsPaused(Saath::with_defaults());
+        let out = default_run(&trace, &mut listing);
+        assert_eq!(out.records, plain.records);
+        assert_eq!(out.rounds, plain.rounds);
+        // One sender, two CoFlows: one of them is paused until the
+        // other is done, and every round up to then lists it.
+        let paused_until = plain.records.iter().map(|r| r.finish).min().unwrap();
+        let paused_rounds = paused_until.as_nanos() / SimConfig::default().delta.as_nanos();
+        assert!(listing.0.timings.rounds() > paused_rounds);
+        assert!(listing.0.timings.rounds() < out.rounds, "and reused after");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The jump's arithmetic on its own: with the landing instant
+        /// short of the predicted completion, one step of `first` and
+        /// `k − 1` of δ credited in closed form leave `sent`, and the
+        /// prediction refreshed from it, where `k` single steps leave
+        /// them — and the flow unfinished all the way.
+        #[test]
+        fn closed_form_equals_single_steps(
+            rate in 1u64..12_500_000_000,
+            delta_ns in 1u64..1_000_000_000,
+            first_frac in 0.0f64..1.0,
+            k in 1u64..400,
+            sent in 0u64..1_000_000_000_000,
+            slack in 0usize..4,
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let (rate, delta) = (Rate(rate), Duration(delta_ns));
+            let first = Duration(1 + (first_frac * (delta_ns - 1) as f64) as u64);
+            let landing = Duration(first.0 + (k - 1) * delta_ns);
+            // The smallest remainder whose completion lies past the
+            // landing instant, plus some slack.
+            let rem = bytes_in(rate, landing).0 + 1 + [0, 1, 1_000, 1 << 40][slack];
+            let (sent, size) = (Bytes(sent), Bytes(sent + rem));
+            prop_assert!(landing < transfer_time(Bytes(rem), rate));
+
+            let (mut stepped, mut at) = (sent, Time::ZERO);
+            for step in std::iter::once(first).chain((1..k).map(|_| delta)) {
+                stepped += bytes_in(rate, step);
+                at += step;
+                prop_assert!(stepped < size, "finished inside the jump");
+            }
+            let more = (k - 1).checked_mul(bytes_in(rate, delta).0);
+            prop_assert!(more.is_some_and(|b| b < rem), "k·bytes_in overflows or overshoots");
+            let jumped = sent + bytes_over(rate, first, k - 1, delta);
+            prop_assert_eq!(jumped, stepped);
+            let pred = |sent: Bytes| at.saturating_add(transfer_time(size - sent, rate));
+            prop_assert_eq!(pred(jumped), pred(stepped));
+            prop_assert!(pred(jumped) > at);
+        }
     }
 
     /// Horizon truncation agrees between the two loops.

@@ -72,6 +72,11 @@ pub enum Counter {
     /// structural had moved and the schedule's validity horizon was
     /// still ahead, so the engine kept the schedule it had.
     RoundsElided,
+    /// Rounds among `RoundsElided` the engine never stopped at: their
+    /// boundaries lay in a quiet stretch it crossed in one step, and
+    /// they were counted, logged and traced from the schedule in hand
+    /// (`SchedRounds − RoundsJumped` is the number of rounds visited).
+    RoundsJumped,
     /// Round records appended to an event log.
     LogRoundsAppended,
     /// Bytes written to an event log (frames + header).
@@ -83,7 +88,7 @@ pub enum Counter {
 }
 
 /// All counters, in display order.
-pub const COUNTERS: [Counter; 12] = [
+pub const COUNTERS: [Counter; 13] = [
     Counter::HeapPush,
     Counter::HeapPopCurrent,
     Counter::HeapPopStale,
@@ -92,6 +97,7 @@ pub const COUNTERS: [Counter; 12] = [
     Counter::HeapCompactions,
     Counter::SchedRounds,
     Counter::RoundsElided,
+    Counter::RoundsJumped,
     Counter::LogRoundsAppended,
     Counter::LogBytesWritten,
     Counter::LogSnapshots,
@@ -110,6 +116,7 @@ impl Counter {
             Counter::HeapCompactions => "heap_compactions",
             Counter::SchedRounds => "sched_rounds",
             Counter::RoundsElided => "rounds_elided",
+            Counter::RoundsJumped => "rounds_jumped",
             Counter::LogRoundsAppended => "log_rounds_appended",
             Counter::LogBytesWritten => "log_bytes_written",
             Counter::LogSnapshots => "log_snapshots",
@@ -184,15 +191,25 @@ impl LogHist {
     /// Folds one sample in.
     #[inline]
     pub fn observe(&mut self, v: u64) {
+        self.observe_n(v, 1);
+    }
+
+    /// Folds `n` samples of the same value in — `n` calls of
+    /// [`LogHist::observe`] in O(1).
+    #[inline]
+    pub fn observe_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         if self.count == 0 || v < self.min {
             self.min = v;
         }
         if v > self.max {
             self.max = v;
         }
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.buckets_mut()[Self::bucket_of(v)] += 1;
+        self.count += n;
+        self.sum = self.sum.saturating_add(v.saturating_mul(n));
+        self.buckets_mut()[Self::bucket_of(v)] += n;
     }
 
     /// Folds another histogram in (per-bucket addition; `sum`
@@ -276,7 +293,9 @@ pub enum Phase {
     EngineEvents,
     /// Engine: incremental view sync over the dirty list.
     EngineViewSync,
-    /// Engine: one whole δ-boundary scheduling round.
+    /// Engine: one whole δ-boundary scheduling round the loop stopped
+    /// at. A round passed over in a jump took no time of its own and
+    /// leaves no sample, so the count is the rounds *visited*.
     EngineRound,
     /// Engine: next-event-time scan and time advancement.
     EngineAdvance,
@@ -684,6 +703,27 @@ mod tests {
         assert_eq!(h.p99(), u64::MAX);
         h.observe(100);
         assert_eq!((h.min, h.max, h.sum), (100, u64::MAX, u64::MAX));
+    }
+
+    #[test]
+    fn loghist_observe_n_equals_n_observes() {
+        let (mut a, mut b) = (LogHist::new(), LogHist::new());
+        for (v, n) in [
+            (7u64, 3u64),
+            (1_000, 1),
+            (0, 5),
+            (7, 2),
+            (u64::MAX, 2),
+            (9, 0),
+        ] {
+            a.observe_n(v, n);
+            for _ in 0..n {
+                b.observe(v);
+            }
+            assert_eq!(a, b, "after {n} × {v}");
+        }
+        assert_eq!(a.count, 13);
+        assert_eq!(a.sum, u64::MAX, "the sum saturates as n observes would");
     }
 
     #[test]

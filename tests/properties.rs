@@ -161,6 +161,15 @@ fn mech_counters_and_round_trace_are_pinned() {
     assert_eq!(tele_a.counter(Counter::SchedRounds), out_a.rounds);
     assert_eq!(computed + elided, out_a.rounds);
     assert_eq!(computed, 31);
+    // Nor is every round stopped at: the `EngineRound` span has one
+    // sample per round visited, the rest were passed over in jumps.
+    let visited = tele_a
+        .spans
+        .hist(saath::telemetry::Phase::EngineRound)
+        .count;
+    let jumped = tele_a.counter(Counter::RoundsJumped);
+    assert_eq!(visited + jumped, out_a.rounds);
+    assert!(jumped <= elided && jumped * 2 > out_a.rounds);
     assert_eq!(
         tele_a.jsonl().lines().next().unwrap(),
         r#"{"round":0,"now_ns":0,"active":1,"flowing":12,"dirty":1,"heap":12,"sat_ports":3,"util_pm":300,"queues":[1,0,0,0,0,0,0,0,0,0]}"#
