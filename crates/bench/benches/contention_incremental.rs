@@ -3,13 +3,15 @@
 //! handful of CoFlows change footprints (a flow finishes or restarts)
 //! while the rest of the active set is untouched — exactly the regime
 //! the engine's dirty set produces. The rebuild pays O(total flows)
-//! per round regardless; the tracker pays O(changed footprints).
+//! per round regardless; the tracker is told, by slot, the two ports
+//! of each finished flow and the whole list of each restarted CoFlow,
+//! as `Saath` tells it, and pays O(changed footprints).
 //!
 //! Scaled by *flow* count (1k / 10k / 100k), the axis of the Fig 9
 //! scalability sweep.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use saath_core::common::{contention_into, ContentionTracker, RoundArena};
+use saath_core::common::{contention_into, endpoints_into, ContentionTracker, RoundArena};
 use saath_core::view::{ClusterView, CoflowView, FlowView};
 use saath_simcore::{Bytes, CoflowId, DetRng, FlowId, NodeId, Time};
 
@@ -48,20 +50,21 @@ fn views_with_flows(total_flows: usize) -> Vec<CoflowView> {
 }
 
 /// Toggles one flow in each of `CHURN` round-robin CoFlows (finish on
-/// even visits, restart on odd), returning the changed ids. Both bench
-/// arms run the identical mutation so only the recompute differs.
-fn churn(views: &mut [CoflowView], round: &mut usize) -> Vec<CoflowId> {
+/// even visits, restart on odd), returning the `(CoFlow, flow)` pairs
+/// toggled. Both bench arms run the identical mutation so only the
+/// recompute differs.
+fn churn(views: &mut [CoflowView], round: &mut usize) -> [(usize, usize); CHURN] {
     let n = views.len();
-    let mut changed = Vec::with_capacity(CHURN);
-    for j in 0..CHURN {
+    let mut toggled = [(0, 0); CHURN];
+    for (j, t) in toggled.iter_mut().enumerate() {
         let ci = (*round * CHURN + j) % n;
         let fi = (*round / n.div_ceil(CHURN).max(1)) % WIDTH;
         let f = &mut views[ci].flows[fi];
         f.finished = !f.finished;
-        changed.push(views[ci].id);
+        *t = (ci, fi);
     }
     *round += 1;
-    changed
+    toggled
 }
 
 fn bench_contention_incremental(c: &mut Criterion) {
@@ -90,25 +93,28 @@ fn bench_contention_incremental(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("delta", flows), &flows, |b, _| {
             let mut views = views.clone();
             let mut tracker = ContentionTracker::new();
+            let mut eps = Vec::new();
             let mut k = Vec::new();
-            // Prime the tracker (first round is always a full build).
-            let prime = ClusterView {
-                now: Time::ZERO,
-                num_nodes: NODES,
-                coflows: &views,
-                changed: None,
-            };
-            tracker.compute_into(&prime, &mut k);
+            // Prime the tracker: slot `i` holds CoFlow `i`.
+            for (slot, c) in views.iter().enumerate() {
+                endpoints_into(c, NODES, false, &mut eps);
+                tracker.set(slot as u32, &eps);
+            }
             let mut round = 0usize;
             b.iter(|| {
-                let changed = churn(&mut views, &mut round);
-                let view = ClusterView {
-                    now: Time::ZERO,
-                    num_nodes: NODES,
-                    coflows: &views,
-                    changed: Some(&changed),
-                };
-                tracker.compute_into(&view, &mut k);
+                for (ci, fi) in churn(&mut views, &mut round) {
+                    let f = &views[ci].flows[fi];
+                    if f.finished {
+                        let e = f.endpoints(NODES);
+                        let ports = [e.src.index() as u32, e.dst.index() as u32];
+                        tracker.drop_ports(ci as u32, &ports);
+                    } else {
+                        endpoints_into(&views[ci], NODES, false, &mut eps);
+                        tracker.set(ci as u32, &eps);
+                    }
+                }
+                k.clear();
+                k.extend((0..views.len() as u32).map(|slot| tracker.k(slot)));
                 black_box(k.len());
             });
         });

@@ -4,7 +4,7 @@
 
 use crate::view::{ClusterView, CoflowView};
 use saath_fabric::FlowEndpoints;
-use saath_simcore::{CoflowId, FastHashMap};
+use saath_simcore::FastHashMap;
 
 /// Reusable buffers for one scheduling round.
 ///
@@ -128,68 +128,65 @@ pub fn contention_into(view: &ClusterView<'_>, arena: &mut RoundArena, k: &mut V
     }
 }
 
-/// Work done by one [`ContentionTracker::compute_into`] call, for
-/// telemetry: how many port join/leave deltas were applied, and whether
-/// the call fell back to a full rebuild of the tracker state.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ContentionWork {
-    /// Port-membership joins + leaves applied this call.
-    pub delta_updates: u64,
-    /// Whether this call rebuilt from scratch (no usable hint).
-    pub full_rebuild: bool,
-}
-
-/// Incrementally-maintained per-CoFlow contention, replacing the
-/// per-round full rebuild of [`contention_into`] with a delta update
-/// driven by the [`ClusterView::changed`] hint. A footprint moves only
-/// when a flow finishes, so a caller that can tell (`Saath` checks its
-/// cached endpoint lists) passes a view whose hint names just those
-/// CoFlows: a CoFlow named here is re-collected, sorted and diffed
-/// even when its footprint turns out not to have moved.
+/// Incrementally maintained per-CoFlow contention, indexed by the
+/// scheduler's slab slot and fed footprint deltas instead of views.
+///
+/// A footprint moves only when a flow finishes (it loses at most that
+/// flow's two ports), when a CoFlow arrives or departs, and in the rare
+/// rounds where the owner has to re-derive a whole endpoint list (an
+/// un-finish after a coordinator restart, a port-space change). The
+/// owner tells the tracker which of these happened, slot by slot —
+/// [`drop_ports`](Self::drop_ports), [`set`](Self::set),
+/// [`clear`](Self::clear) — and reads [`k`](Self::k) back by slot.
+/// Nothing here is keyed by `CoflowId`, and nothing walks a view.
 ///
 /// # Invariant
 ///
-/// After every [`compute_into`](ContentionTracker::compute_into) call,
-/// for each live CoFlow `c`:
+/// After every call, for each slot `s` the owner has handed a
+/// footprint:
 ///
-/// * `footprints[c]` is the sorted, deduplicated set of port indices
-///   carrying an unfinished flow of `c`;
-/// * `pairs[(a, b)]` (keys ordered `a < b`) is `|footprints[a] ∩
-///   footprints[b]|`, present only when nonzero;
-/// * `k[c]` is the number of other CoFlows `o` with `pairs[(c, o)] >
-///   0` — exactly the §3.3 contention [`contention_into`] computes.
+/// * `footprints[s]` is the sorted list of `(port, n)` where `n > 0`
+///   unfinished flows of the slot's CoFlow touch `port` — the multiset
+///   of the endpoint list last [`set`](Self::set), less every port
+///   since dropped;
+/// * `port_slots[p]` holds exactly the slots whose footprint contains
+///   `p`;
+/// * `pairs[(a, b)]` (slots ordered `a < b`) is the number of ports the
+///   two footprints share, present only when nonzero;
+/// * `k[s]` is the number of other slots `o` with `pairs[(s, o)] > 0` —
+///   exactly the §3.3 contention [`contention_into`] computes for the
+///   CoFlow the slot holds.
 ///
-/// A round touching `m` CoFlows costs `O(active + Σ footprint sizes of
-/// the m changed CoFlows)` instead of `O(Σ flows of all CoFlows)`. The
-/// `active` term is one id → index map build per call; footprints are
-/// diffed with a sorted merge walk, and each port join/leave adjusts
-/// the pair counts of that port's current members.
+/// A port *joins* a footprint when its count goes 0 → 1 and *leaves*
+/// when it goes 1 → 0; each join or leave adjusts the pair count of
+/// every other slot on that port, and `k` moves only on a pair's 0 ↔ 1
+/// transitions. Every operation returns its joins plus leaves, the
+/// `contention_deltas` telemetry counter.
 ///
 /// [`contention_into`] remains the oracle: `Saath::compute` asserts
-/// equality in debug builds, and the churn tests here and in the
-/// equivalence suite do the same under stragglers and failures.
+/// equality in debug builds, and the churn tests here and in `saath.rs`
+/// compare against it in every build.
 #[derive(Default)]
 pub struct ContentionTracker {
-    /// Port-space size the state was built for; a mismatch forces a
-    /// rebuild (ports index into `port_members`).
-    num_nodes: usize,
-    /// CoFlow → sorted port indices of its unfinished flows.
-    footprints: FastHashMap<CoflowId, Vec<u32>>,
-    /// port → CoFlows whose footprint contains it (unordered).
-    port_members: Vec<Vec<CoflowId>>,
-    /// Ordered CoFlow pair → number of shared footprint ports (> 0).
+    /// Slot → sorted `(port, unfinished flows of the CoFlow on it)`.
+    /// A slot's allocation stays with it across occupants.
+    footprints: Vec<Vec<(u32, u32)>>,
+    /// Port membership, pair counts and `k`.
+    shared: Sharing,
+    /// Fresh-footprint scratch for [`set`](Self::set).
+    scratch: Vec<(u32, u32)>,
+}
+
+/// The cross-slot half of the tracker, split off so a footprint can be
+/// walked while the ports it names join or leave.
+#[derive(Default)]
+struct Sharing {
+    /// Port → slots whose footprint contains it (unordered).
+    port_slots: Vec<Vec<u32>>,
+    /// Slot pair `(a, b)`, `a < b` → number of shared ports (> 0).
     pairs: FastHashMap<(u32, u32), u32>,
-    /// CoFlow → contention `k_c`.
-    k: FastHashMap<CoflowId, u32>,
-    /// id → index into the current view, rebuilt each call.
-    index: FastHashMap<CoflowId, u32>,
-    /// Fresh-footprint scratch for the merge walk.
-    scratch: Vec<u32>,
-    /// Departed-id scratch.
-    gone: Vec<CoflowId>,
-    /// Ports joined / left this refresh (reused buffers).
-    joins: Vec<u32>,
-    leaves: Vec<u32>,
+    /// Slot → contention `k`.
+    k: Vec<u32>,
 }
 
 impl ContentionTracker {
@@ -198,177 +195,132 @@ impl ContentionTracker {
         ContentionTracker::default()
     }
 
-    /// Computes `k_c` for every CoFlow in `view` (parallel to
-    /// `view.coflows`, written into `k_out`), applying deltas for the
-    /// CoFlows named by `view.changed` — or rebuilding everything when
-    /// the hint is absent or the port space changed.
-    pub fn compute_into(&mut self, view: &ClusterView<'_>, k_out: &mut Vec<u32>) -> ContentionWork {
-        let mut work = ContentionWork::default();
-        // A port-space change invalidates every stored footprint: clear
-        // the state and ignore the hint — all CoFlows must be re-added.
-        let mut hint = view.changed;
-        if self.num_nodes != view.num_nodes {
-            self.footprints.clear();
-            self.port_members.clear();
-            self.pairs.clear();
-            self.k.clear();
-            self.num_nodes = view.num_nodes;
-            hint = None;
-        }
-        let num_ports = 2 * view.num_nodes;
-        if self.port_members.len() < num_ports {
-            self.port_members.resize_with(num_ports, Vec::new);
-        }
-
-        self.index.clear();
-        for (i, c) in view.coflows.iter().enumerate() {
-            self.index.insert(c.id, i as u32);
-        }
-
-        // Departures: tracked CoFlows no longer in the view. Every
-        // tracked CoFlow has a `k` entry (footprints drop theirs when
-        // they empty out), so `k` is the membership authority.
-        self.gone.clear();
-        self.gone.extend(
-            self.k
-                .keys()
-                .filter(|id| !self.index.contains_key(id))
-                .copied(),
-        );
-        // Keep removal order deterministic (HashMap iteration is not);
-        // the *counts* are order-independent, but determinism everywhere
-        // keeps replay debugging sane.
-        self.gone.sort_unstable();
-        for i in 0..self.gone.len() {
-            let id = self.gone[i];
-            work.delta_updates += self.remove_coflow(id);
-        }
-
-        // Changed CoFlows: diff fresh footprints against stored ones.
-        match hint {
-            Some(changed) => {
-                for &id in changed {
-                    if let Some(&ci) = self.index.get(&id) {
-                        work.delta_updates += self.refresh_coflow(view, ci as usize);
-                    }
-                }
-            }
-            None => {
-                work.full_rebuild = true;
-                for ci in 0..view.coflows.len() {
-                    work.delta_updates += self.refresh_coflow(view, ci);
-                }
-            }
-        }
-
-        k_out.clear();
-        k_out.extend(
-            view.coflows
-                .iter()
-                .map(|c| self.k.get(&c.id).copied().unwrap_or(0)),
-        );
-        work
+    /// Contention of the CoFlow in `slot` (0 for a slot never set).
+    pub fn k(&self, slot: u32) -> u32 {
+        self.shared.k.get(slot as usize).copied().unwrap_or(0)
     }
 
-    /// Recomputes one CoFlow's footprint from the view and applies the
-    /// port joins/leaves. Returns the number of deltas applied.
-    fn refresh_coflow(&mut self, view: &ClusterView<'_>, ci: usize) -> u64 {
-        let c = &view.coflows[ci];
-        self.scratch.clear();
-        for f in c.unfinished() {
-            let e = f.endpoints(view.num_nodes);
-            self.scratch.push(e.src.index() as u32);
-            self.scratch.push(e.dst.index() as u32);
+    /// Makes `eps` the footprint of `slot`: the new footprint is diffed
+    /// against the stored one, so only ports that really join or leave
+    /// cost anything. Returns the joins plus leaves.
+    pub fn set(&mut self, slot: u32, eps: &[FlowEndpoints]) -> u64 {
+        let s = slot as usize;
+        if self.footprints.len() <= s {
+            self.footprints.resize_with(s + 1, Vec::new);
         }
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
+        if self.shared.k.len() <= s {
+            self.shared.k.resize(s + 1, 0);
+        }
+        let fresh = &mut self.scratch;
+        fresh.clear();
+        for e in eps {
+            fresh.push((e.src.index() as u32, 1));
+            fresh.push((e.dst.index() as u32, 1));
+        }
+        fresh.sort_unstable();
+        fresh.dedup_by(|later, kept| {
+            later.0 == kept.0 && {
+                kept.1 += later.1;
+                true
+            }
+        });
 
-        let id = c.id;
-        // Merge walk over two sorted sets; joins/leaves collected first
-        // so the stored footprint can be replaced wholesale.
-        self.joins.clear();
-        self.leaves.clear();
-        {
-            let old: &[u32] = self.footprints.get(&id).map_or(&[], |v| v.as_slice());
-            let (mut i, mut j) = (0, 0);
-            while i < old.len() || j < self.scratch.len() {
-                match (old.get(i), self.scratch.get(j)) {
-                    (Some(&a), Some(&b)) if a == b => {
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(&a), Some(&b)) if a < b => {
-                        self.leaves.push(a);
-                        i += 1;
-                    }
-                    (Some(_), Some(&b)) => {
-                        self.joins.push(b);
-                        j += 1;
-                    }
-                    (Some(&a), None) => {
-                        self.leaves.push(a);
-                        i += 1;
-                    }
-                    (None, Some(&b)) => {
-                        self.joins.push(b);
-                        j += 1;
-                    }
-                    (None, None) => unreachable!(),
-                }
-            }
-        }
-        if self.scratch.is_empty() {
-            self.footprints.remove(&id);
-        } else {
-            let stored = self.footprints.entry(id).or_default();
-            stored.clear();
-            stored.extend_from_slice(&self.scratch);
-        }
+        let old = &mut self.footprints[s];
         let mut deltas = 0u64;
-        for li in 0..self.leaves.len() {
-            let p = self.leaves[li] as usize;
-            let pos = self.port_members[p]
-                .iter()
-                .position(|&m| m == id)
-                .expect("leave of a port not joined");
-            self.port_members[p].swap_remove(pos);
-            for mi in 0..self.port_members[p].len() {
-                let other = self.port_members[p][mi];
-                pair_dec(&mut self.pairs, &mut self.k, id, other);
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() || j < fresh.len() {
+            match (old.get(i), fresh.get(j)) {
+                (Some(&(a, _)), Some(&(b, _))) if a == b => {
+                    i += 1;
+                    j += 1;
+                }
+                (Some(&(a, _)), Some(&(b, _))) if a < b => {
+                    self.shared.leave(slot, a);
+                    deltas += 1;
+                    i += 1;
+                }
+                (Some(&(a, _)), None) => {
+                    self.shared.leave(slot, a);
+                    deltas += 1;
+                    i += 1;
+                }
+                (_, Some(&(b, _))) => {
+                    self.shared.join(slot, b);
+                    deltas += 1;
+                    j += 1;
+                }
+                (None, None) => unreachable!(),
             }
-            deltas += 1;
         }
-        for ji in 0..self.joins.len() {
-            let p = self.joins[ji] as usize;
-            for mi in 0..self.port_members[p].len() {
-                let other = self.port_members[p][mi];
-                pair_inc(&mut self.pairs, &mut self.k, id, other);
+        old.clear();
+        old.extend_from_slice(fresh);
+        deltas
+    }
+
+    /// Removes one flow's worth of each port in `ports` from the
+    /// footprint of `slot` — the two ports of every flow that finished.
+    /// A port leaves only when no unfinished flow of the CoFlow is left
+    /// on it. Returns the leaves.
+    ///
+    /// # Panics
+    ///
+    /// If a port is not in the footprint: the owner's endpoint list and
+    /// the tracker have diverged.
+    pub fn drop_ports(&mut self, slot: u32, ports: &[u32]) -> u64 {
+        let footprint = &mut self.footprints[slot as usize];
+        let mut deltas = 0u64;
+        for &p in ports {
+            let at = footprint
+                .binary_search_by_key(&p, |&(port, _)| port)
+                .expect("dropped port not in the footprint");
+            let flows = &mut footprint[at].1;
+            *flows -= 1;
+            if *flows == 0 {
+                self.shared.leave(slot, p);
+                deltas += 1;
             }
-            self.port_members[p].push(id);
-            deltas += 1;
         }
-        self.k.entry(id).or_insert(0);
+        if deltas > 0 {
+            footprint.retain(|&(_, flows)| flows > 0);
+        }
+        deltas
+    }
+
+    /// Empties the footprint of `slot`, whose CoFlow departed. Returns
+    /// the leaves.
+    pub fn clear(&mut self, slot: u32) -> u64 {
+        let Some(footprint) = self.footprints.get_mut(slot as usize) else {
+            return 0;
+        };
+        for &(p, _) in footprint.iter() {
+            self.shared.leave(slot, p);
+        }
+        debug_assert_eq!(
+            self.shared.k[slot as usize], 0,
+            "departed slot still paired"
+        );
+        let deltas = footprint.len() as u64;
+        footprint.clear();
         deltas
     }
 
     /// Exports the tracker's state as a [`ContentionSummary`] for
     /// partitioned-compute sharding: per-port active-CoFlow counts from
     /// the port-membership lists, and per-queue CoFlow counts / `k_c`
-    /// sums via the caller's queue lookup (the tracker does not know
-    /// queue assignments). `port_rates` is *not* filled here — the
-    /// caller adds the rates its last schedule slice claimed.
+    /// sums over `queued`, the owner's `(slot, queue)` pairs (the
+    /// tracker does not know queue assignments or which slots are
+    /// live). `port_rates` is *not* filled here — the caller adds the
+    /// rates its last schedule slice claimed.
     ///
-    /// Only meaningful when the tracker is live (i.e. the owning
-    /// scheduler runs with incremental contention + LCoF); an unused
-    /// tracker exports an empty summary.
+    /// [`ContentionSummary`]: crate::summary::ContentionSummary
     pub fn export_summary(
         &self,
-        queue_of: impl Fn(CoflowId) -> usize,
+        queued: impl Iterator<Item = (u32, usize)>,
         num_queues: usize,
         out: &mut crate::summary::ContentionSummary,
     ) {
         out.port_coflows.clear();
-        for (p, members) in self.port_members.iter().enumerate() {
+        for (p, members) in self.shared.port_slots.iter().enumerate() {
             if !members.is_empty() {
                 out.port_coflows.push((p as u32, members.len() as u32));
             }
@@ -377,78 +329,66 @@ impl ContentionTracker {
         out.queue_coflows.resize(num_queues, 0);
         out.queue_kc_sum.clear();
         out.queue_kc_sum.resize(num_queues, 0);
-        // HashMap iteration order is arbitrary, but counts and sums are
-        // order-independent, so the export stays deterministic.
-        for (&id, &kc) in self.k.iter() {
-            let q = queue_of(id).min(num_queues.saturating_sub(1));
+        for (slot, q) in queued {
+            let q = q.min(num_queues.saturating_sub(1));
             out.queue_coflows[q] += 1;
-            out.queue_kc_sum[q] += kc as u64;
+            out.queue_kc_sum[q] += self.k(slot) as u64;
         }
     }
+}
 
-    /// Drops a departed CoFlow, unwinding its pair counts.
-    fn remove_coflow(&mut self, id: CoflowId) -> u64 {
-        let Some(footprint) = self.footprints.remove(&id) else {
-            self.k.remove(&id);
-            return 0;
-        };
-        let mut deltas = 0u64;
-        for &p in &footprint {
-            let p = p as usize;
-            let pos = self.port_members[p]
-                .iter()
-                .position(|&m| m == id)
-                .expect("departure from a port not joined");
-            self.port_members[p].swap_remove(pos);
-            for mi in 0..self.port_members[p].len() {
-                let other = self.port_members[p][mi];
-                pair_dec(&mut self.pairs, &mut self.k, id, other);
+impl Sharing {
+    /// `slot` now has an unfinished flow on port `p`.
+    fn join(&mut self, slot: u32, p: u32) {
+        let p = p as usize;
+        if self.port_slots.len() <= p {
+            self.port_slots.resize_with(p + 1, Vec::new);
+        }
+        let Sharing {
+            port_slots,
+            pairs,
+            k,
+        } = self;
+        for &other in &port_slots[p] {
+            debug_assert_ne!(other, slot);
+            let shared = pairs.entry(pair_key(slot, other)).or_insert(0);
+            *shared += 1;
+            if *shared == 1 {
+                k[slot as usize] += 1;
+                k[other as usize] += 1;
             }
-            deltas += 1;
         }
-        let residual = self.k.remove(&id);
-        debug_assert_eq!(residual.unwrap_or(0), 0, "departed CoFlow still paired");
-        deltas
+        port_slots[p].push(slot);
+    }
+
+    /// `slot` has no unfinished flow left on port `p`.
+    fn leave(&mut self, slot: u32, p: u32) {
+        let Sharing {
+            port_slots,
+            pairs,
+            k,
+        } = self;
+        let members = &mut port_slots[p as usize];
+        let pos = members
+            .iter()
+            .position(|&m| m == slot)
+            .expect("leave of a port not joined");
+        members.swap_remove(pos);
+        for &other in members.iter() {
+            let key = pair_key(slot, other);
+            let shared = pairs.get_mut(&key).expect("pair decrement below zero");
+            *shared -= 1;
+            if *shared == 0 {
+                pairs.remove(&key);
+                k[slot as usize] -= 1;
+                k[other as usize] -= 1;
+            }
+        }
     }
 }
 
-fn pair_key(a: CoflowId, b: CoflowId) -> (u32, u32) {
-    if a.0 < b.0 {
-        (a.0, b.0)
-    } else {
-        (b.0, a.0)
-    }
-}
-
-fn pair_inc(
-    pairs: &mut FastHashMap<(u32, u32), u32>,
-    k: &mut FastHashMap<CoflowId, u32>,
-    a: CoflowId,
-    b: CoflowId,
-) {
-    debug_assert_ne!(a, b);
-    let shared = pairs.entry(pair_key(a, b)).or_insert(0);
-    *shared += 1;
-    if *shared == 1 {
-        *k.entry(a).or_insert(0) += 1;
-        *k.entry(b).or_insert(0) += 1;
-    }
-}
-
-fn pair_dec(
-    pairs: &mut FastHashMap<(u32, u32), u32>,
-    k: &mut FastHashMap<CoflowId, u32>,
-    a: CoflowId,
-    b: CoflowId,
-) {
-    let key = pair_key(a, b);
-    let shared = pairs.get_mut(&key).expect("pair decrement below zero");
-    *shared -= 1;
-    if *shared == 0 {
-        pairs.remove(&key);
-        *k.get_mut(&a).expect("k missing on unpair") -= 1;
-        *k.get_mut(&b).expect("k missing on unpair") -= 1;
-    }
+fn pair_key(a: u32, b: u32) -> (u32, u32) {
+    (a.min(b), a.max(b))
 }
 
 /// Endpoints of a CoFlow's unfinished flows, optionally restricted to
@@ -479,7 +419,7 @@ pub fn endpoints_into(
 mod tests {
     use super::*;
     use crate::view::FlowView;
-    use saath_simcore::{Bytes, FlowId, NodeId, Time};
+    use saath_simcore::{Bytes, CoflowId, FlowId, NodeId, Time};
 
     fn cf(id: u32, flows: &[(u32, u32)]) -> CoflowView {
         CoflowView {
@@ -607,146 +547,202 @@ mod tests {
         }
     }
 
-    /// Tracker output with an explicit `changed` hint must equal the
-    /// [`contention_into`] oracle on the same view.
-    fn assert_tracker_matches(
-        tracker: &mut ContentionTracker,
+    /// What an owner does with a tracker, on a slot-indexed model: the
+    /// CoFlow each slot holds, departed slots reused first.
+    struct Slots {
         num_nodes: usize,
-        coflows: &[CoflowView],
-        changed: Option<&[CoflowId]>,
-    ) -> ContentionWork {
-        let view = ClusterView {
-            now: Time::ZERO,
-            num_nodes,
-            coflows,
-            changed,
-        };
-        let mut k = Vec::new();
-        let work = tracker.compute_into(&view, &mut k);
-        let oracle = ClusterView {
-            changed: None,
-            ..view
-        };
-        assert_eq!(k, contention(&oracle), "tracker diverged from oracle");
-        work
+        held: Vec<Option<CoflowView>>,
+        tracker: ContentionTracker,
+    }
+
+    impl Slots {
+        fn new(num_nodes: usize) -> Slots {
+            Slots {
+                num_nodes,
+                held: Vec::new(),
+                tracker: ContentionTracker::new(),
+            }
+        }
+
+        fn eps(&self, slot: usize) -> Vec<FlowEndpoints> {
+            let c = self.held[slot].as_ref().expect("slot is free");
+            endpoints_of(c, self.num_nodes, false)
+        }
+
+        /// Takes the first free slot; returns it and the joins.
+        fn arrive(&mut self, c: CoflowView) -> (usize, u64) {
+            let slot = match self.held.iter().position(Option::is_none) {
+                Some(slot) => slot,
+                None => {
+                    self.held.push(None);
+                    self.held.len() - 1
+                }
+            };
+            self.held[slot] = Some(c);
+            let eps = self.eps(slot);
+            (slot, self.tracker.set(slot as u32, &eps))
+        }
+
+        fn finish(&mut self, slot: usize, flow: usize) -> u64 {
+            let num_nodes = self.num_nodes;
+            let f = &mut self.held[slot].as_mut().unwrap().flows[flow];
+            assert!(!f.finished);
+            f.finished = true;
+            let e = f.endpoints(num_nodes);
+            let ports = [e.src.index() as u32, e.dst.index() as u32];
+            self.tracker.drop_ports(slot as u32, &ports)
+        }
+
+        fn unfinish(&mut self, slot: usize, flow: usize) -> u64 {
+            self.held[slot].as_mut().unwrap().flows[flow].finished = false;
+            let eps = self.eps(slot);
+            self.tracker.set(slot as u32, &eps)
+        }
+
+        fn depart(&mut self, slot: usize) -> u64 {
+            self.held[slot] = None;
+            self.tracker.clear(slot as u32)
+        }
+
+        /// `k` of every held slot, in slot order, equals the oracle's
+        /// on a view of the held CoFlows in the same order.
+        fn check(&self) {
+            let live: Vec<(usize, CoflowView)> = (self.held.iter().enumerate())
+                .filter_map(|(slot, c)| c.clone().map(|c| (slot, c)))
+                .collect();
+            let coflows: Vec<CoflowView> = live.iter().map(|(_, c)| c.clone()).collect();
+            let view = ClusterView {
+                now: Time::ZERO,
+                num_nodes: self.num_nodes,
+                coflows: &coflows,
+                changed: None,
+            };
+            let k: Vec<u32> = live
+                .iter()
+                .map(|&(s, _)| self.tracker.k(s as u32))
+                .collect();
+            assert_eq!(k, contention(&view), "tracker diverged from oracle");
+        }
     }
 
     #[test]
-    fn tracker_without_hint_is_a_full_rebuild() {
-        let coflows = vec![
+    fn tracker_set_diffs_against_the_stored_footprint() {
+        let mut slots = Slots::new(9);
+        for c in [
             cf(1, &[(0, 3)]),
             cf(2, &[(0, 4), (1, 5), (2, 6)]),
             cf(3, &[(1, 7)]),
             cf(4, &[(2, 8)]),
-        ];
-        let mut tracker = ContentionTracker::new();
-        let work = assert_tracker_matches(&mut tracker, 9, &coflows, None);
-        assert!(work.full_rebuild);
-        assert!(work.delta_updates > 0);
-        // Steady state: nothing changed, hint says so, no deltas.
-        let work = assert_tracker_matches(&mut tracker, 9, &coflows, Some(&[]));
-        assert!(!work.full_rebuild);
-        assert_eq!(work.delta_updates, 0);
+        ] {
+            slots.arrive(c);
+        }
+        slots.check();
+        // Setting the same list again — an unhinted round that found
+        // nothing moved — costs no delta.
+        for slot in 0..4 {
+            let eps = slots.eps(slot);
+            assert_eq!(slots.tracker.set(slot as u32, &eps), 0);
+        }
+        slots.check();
     }
 
     #[test]
     fn tracker_applies_arrival_finish_and_departure_deltas() {
-        let mut coflows = vec![cf(0, &[(0, 4), (1, 5)]), cf(1, &[(0, 6)])];
-        let mut tracker = ContentionTracker::new();
-        assert_tracker_matches(&mut tracker, 8, &coflows, None);
+        let mut slots = Slots::new(8);
+        // Slot 0: ports 0, 1 (senders) and 12, 13 (receivers 4, 5).
+        assert_eq!(slots.arrive(cf(0, &[(0, 4), (1, 5), (1, 4)])), (0, 4));
+        assert_eq!(slots.arrive(cf(1, &[(0, 6)])), (1, 2));
+        slots.check();
 
         // Arrival: a new CoFlow sharing sender 1 with CoFlow 0.
-        coflows.push(cf(2, &[(1, 7)]));
-        let work = assert_tracker_matches(&mut tracker, 8, &coflows, Some(&[CoflowId(2)]));
-        assert!(!work.full_rebuild);
-        assert!(work.delta_updates > 0);
+        assert_eq!(slots.arrive(cf(2, &[(1, 7)])), (2, 2));
+        slots.check();
 
         // Finish: CoFlow 0's flow on sender 0 completes, dissolving the
-        // (0, 1) contention pair but keeping the (0, 2) one.
-        coflows[0].flows[0].finished = true;
-        assert_tracker_matches(&mut tracker, 8, &coflows, Some(&[CoflowId(0)]));
+        // (0, 1) contention pair — but receiver 4 is still held by its
+        // third flow, so only the sender leaves.
+        assert_eq!(slots.finish(0, 0), 1);
+        slots.check();
+        // Then receiver 4 goes (sender 1 is still held), then sender 1
+        // and receiver 5 together.
+        assert_eq!(slots.finish(0, 2), 1);
+        assert_eq!(slots.finish(0, 1), 2);
+        assert_eq!(slots.tracker.k(0), 0);
+        slots.check();
 
-        // Departure: CoFlow 0 leaves the view entirely. Departures are
-        // detected internally — the hint only names survivors.
-        coflows.remove(0);
-        let work = assert_tracker_matches(&mut tracker, 8, &coflows, Some(&[]));
-        assert!(!work.full_rebuild);
-        assert!(work.delta_updates > 0);
+        // Un-finish: the list is set whole and diffed.
+        assert_eq!(slots.unfinish(0, 0), 2);
+        slots.check();
 
-        // A CoFlow whose flows all finish while it stays in the view
-        // must drop to zero contention, then depart cleanly.
-        coflows[0].flows[0].finished = true;
-        assert_tracker_matches(&mut tracker, 8, &coflows, Some(&[CoflowId(1)]));
-        coflows.remove(0);
-        assert_tracker_matches(&mut tracker, 8, &coflows, Some(&[]));
+        // Departure leaves every port; the next arrival takes the slot.
+        assert_eq!(slots.depart(0), 2);
+        slots.check();
+        assert_eq!(slots.arrive(cf(3, &[(1, 6)])), (0, 2));
+        slots.check();
+        assert_eq!(slots.tracker.k(0), 2);
     }
 
     #[test]
-    fn tracker_resets_when_the_port_space_changes() {
-        let small = vec![cf(0, &[(0, 2)]), cf(1, &[(0, 3)])];
-        let big = vec![
-            cf(1, &[(0, 3)]),
-            cf(2, &[(0, 4), (1, 5), (2, 6)]),
-            cf(3, &[(1, 7)]),
-            cf(4, &[(2, 8)]),
-        ];
-        let mut tracker = ContentionTracker::new();
-        assert_tracker_matches(&mut tracker, 4, &small, None);
-        // num_nodes changed: stale state must be discarded even though
-        // the hint claims nothing changed.
-        assert_tracker_matches(&mut tracker, 9, &big, Some(&[]));
-        assert_tracker_matches(&mut tracker, 4, &small, Some(&[]));
+    fn tracker_starts_over_from_a_fresh_tracker() {
+        // A port-space change: the owner replaces the tracker and sets
+        // every footprint again in the new space.
+        let mut slots = Slots::new(4);
+        slots.arrive(cf(0, &[(0, 2)]));
+        slots.arrive(cf(1, &[(0, 3)]));
+        slots.check();
+        slots.num_nodes = 9;
+        slots.tracker = ContentionTracker::new();
+        for slot in 0..2 {
+            let eps = slots.eps(slot);
+            assert_eq!(slots.tracker.set(slot as u32, &eps), 2);
+        }
+        slots.arrive(cf(2, &[(0, 8), (1, 3)]));
+        slots.check();
     }
 
     #[test]
     fn tracker_matches_oracle_under_random_churn() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5aa7);
-        let num_nodes = 12usize;
-        let mut coflows: Vec<CoflowView> = Vec::new();
+        let num_nodes = 12u32;
+        let mut slots = Slots::new(num_nodes as usize);
         let mut next_id = 0u32;
-        let mut tracker = ContentionTracker::new();
-        assert_tracker_matches(&mut tracker, num_nodes, &coflows, None);
-        for round in 0..200 {
-            let mut changed: Vec<CoflowId> = Vec::new();
+        for _ in 0..200 {
             // Arrivals.
-            while coflows.len() < 3 || rng.gen_bool(0.3) {
+            while slots.held.iter().flatten().count() < 3 || rng.gen_bool(0.3) {
                 let width = rng.gen_range(1..6usize);
                 let flows: Vec<(u32, u32)> = (0..width)
-                    .map(|_| {
-                        (
-                            rng.gen_range(0..num_nodes as u32),
-                            rng.gen_range(0..num_nodes as u32),
-                        )
-                    })
+                    .map(|_| (rng.gen_range(0..num_nodes), rng.gen_range(0..num_nodes)))
                     .collect();
-                coflows.push(cf(next_id, &flows));
-                changed.push(CoflowId(next_id));
+                slots.arrive(cf(next_id, &flows));
                 next_id += 1;
             }
-            // Finishes (footprints shrink) and readiness flips (which
-            // must NOT affect contention, but mark dirty anyway — the
-            // hint is a superset).
-            for c in coflows.iter_mut() {
-                if rng.gen_bool(0.4) {
-                    let fi = rng.gen_range(0..c.flows.len());
-                    c.flows[fi].finished = true;
-                    changed.push(c.id);
+            for slot in 0..slots.held.len() {
+                let Some(c) = &slots.held[slot] else {
+                    continue;
+                };
+                let fi = rng.gen_range(0..c.flows.len());
+                let finished = c.flows[fi].finished;
+                // Finishes (footprints shrink), the occasional
+                // un-finish (a restarted coordinator's forgotten
+                // observations) and the occasional unhinted re-set.
+                if !finished && rng.gen_bool(0.4) {
+                    slots.finish(slot, fi);
+                } else if finished && rng.gen_bool(0.1) {
+                    slots.unfinish(slot, fi);
+                } else if rng.gen_bool(0.1) {
+                    let eps = slots.eps(slot);
+                    assert_eq!(slots.tracker.set(slot as u32, &eps), 0);
                 }
-                if rng.gen_bool(0.2) {
-                    let fi = rng.gen_range(0..c.flows.len());
-                    c.flows[fi].ready = !c.flows[fi].ready;
-                    changed.push(c.id);
+                // Departures: drained CoFlows usually leave;
+                // occasionally one is yanked mid-transfer.
+                let c = slots.held[slot].as_ref().unwrap();
+                let drained = c.flows.iter().all(|f| f.finished);
+                if drained && rng.gen_bool(0.8) || rng.gen_bool(0.05) {
+                    slots.depart(slot);
                 }
             }
-            // Departures: drained CoFlows usually leave; occasionally
-            // one is yanked mid-transfer (failure/abort path).
-            coflows.retain(|c| {
-                let drained = c.flows.iter().all(|f| f.finished);
-                !(drained && rng.gen_bool(0.8) || rng.gen_bool(0.05))
-            });
-            let work = assert_tracker_matches(&mut tracker, num_nodes, &coflows, Some(&changed));
-            assert!(!work.full_rebuild, "hinted round {round} fell back");
+            slots.check();
         }
     }
 

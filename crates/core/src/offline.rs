@@ -21,7 +21,7 @@
 //! backfill leftovers greedily in the same order (work conservation, as
 //! Varys does).
 
-use crate::common::ContentionTracker;
+use crate::common::{contention_into, RoundArena};
 use crate::timing::SchedTimings;
 use crate::view::{ClusterView, CoflowScheduler, CoflowView, Schedule};
 use saath_fabric::{
@@ -63,7 +63,7 @@ pub struct OfflineScheduler {
     /// Per-round overhead samples.
     pub timings: SchedTimings,
     // Per-round buffers, recycled so the hot path never allocates.
-    tracker: ContentionTracker,
+    arena: RoundArena,
     k: Vec<u32>,
     keys: Vec<u128>,
     order: Vec<usize>,
@@ -84,7 +84,7 @@ impl OfflineScheduler {
         OfflineScheduler {
             policy,
             timings: SchedTimings::default(),
-            tracker: ContentionTracker::new(),
+            arena: RoundArena::new(),
             k: Vec::new(),
             keys: Vec::new(),
             order: Vec::new(),
@@ -163,18 +163,9 @@ impl CoflowScheduler for OfflineScheduler {
             }
             OfflinePolicy::Sebf | OfflinePolicy::Lwtf => {
                 if self.policy == OfflinePolicy::Lwtf {
-                    let _ = self.tracker.compute_into(view, &mut self.k);
-                    #[cfg(debug_assertions)]
-                    {
-                        use crate::common::contention_into;
-                        let mut arena = crate::common::RoundArena::new();
-                        let mut oracle = Vec::new();
-                        contention_into(view, &mut arena, &mut oracle);
-                        assert_eq!(
-                            self.k, oracle,
-                            "incremental contention diverged from the contention_into oracle"
-                        );
-                    }
+                    // The round walks every flow of every CoFlow for Γ
+                    // anyway; one more pass builds `k` outright.
+                    contention_into(view, &mut self.arena, &mut self.k);
                 }
                 // The waiting time a CoFlow inflicts under LWTF is t·k;
                 // a CoFlow contending with nobody (k = 0) delays nobody

@@ -19,12 +19,14 @@
 //! sorts expired CoFlows first within a queue, D5) and within a class
 //! by the ordered sub-key `(k_c, arrival, id)`. The `id` tiebreaker
 //! makes the key total, so emitted order is *identical* to the full
-//! sort — not merely equivalent. A side map carries each CoFlow's
-//! current key and its slot (index) in this round's view, refreshed on
-//! every upsert; repositioning costs two tree operations only when the
-//! key actually changed.
+//! sort — not merely equivalent. The book is indexed by the owner's
+//! slab slot: a `Vec` holds each booked CoFlow's current key and its
+//! position in this round's view, refreshed on every upsert, and each
+//! bucket member carries its slot, so neither an upsert nor the emit
+//! walk hashes anything. Repositioning costs two tree operations only
+//! when the key actually changed.
 
-use saath_simcore::{CoflowId, FastHashMap, Time};
+use saath_simcore::{CoflowId, Time};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Coarse ordering class: `(queue, !expired)`. `false < true`, so
@@ -35,21 +37,32 @@ pub type OrderClass = (usize, bool);
 /// The [`CoflowId`] appended by the book makes the full key total.
 pub type OrderSub = (u32, Time);
 
+/// A bucket member: the full intra-class key, then the slot it is
+/// booked under (never compared: ids are unique among live CoFlows).
+type Member = (u32, Time, CoflowId, u32);
+
 #[derive(Clone, Copy)]
 struct Entry {
+    id: CoflowId,
     class: OrderClass,
     sub: OrderSub,
     /// Index into this round's `view.coflows`, refreshed every upsert.
-    slot: u32,
+    pos: u32,
+}
+
+impl Entry {
+    fn member(&self, slot: u32) -> Member {
+        (self.sub.0, self.sub.1, self.id, slot)
+    }
 }
 
 /// The materialized LCoF order. See the module docs.
 #[derive(Default)]
 pub struct OrderBook {
-    /// class → ordered members `(k, arrival, id)`.
-    buckets: BTreeMap<OrderClass, BTreeSet<(u32, Time, CoflowId)>>,
-    /// Every booked CoFlow's current key and view slot.
-    entries: FastHashMap<CoflowId, Entry>,
+    /// class → ordered members.
+    buckets: BTreeMap<OrderClass, BTreeSet<Member>>,
+    /// Slot → the booked CoFlow's key and view position.
+    entries: Vec<Option<Entry>>,
 }
 
 impl OrderBook {
@@ -60,84 +73,101 @@ impl OrderBook {
 
     /// Number of booked CoFlows.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.buckets.values().map(BTreeSet::len).sum()
     }
 
     /// Whether the book is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.buckets.is_empty()
     }
 
-    /// Drops all state (used when the configuration's ordering inputs
-    /// change shape, e.g. in tests).
+    /// Drops all state (the owner's slots were reassigned wholesale,
+    /// e.g. by a state restore).
     pub fn clear(&mut self) {
         self.buckets.clear();
         self.entries.clear();
     }
 
-    /// Inserts `id` or repositions it under a new key, and refreshes
-    /// its view slot either way. Returns `true` when the ordering key
-    /// changed (one tree removal + insertion); `false` for the
-    /// steady-state slot-only refresh, which touches no tree node.
-    pub fn upsert(&mut self, id: CoflowId, class: OrderClass, sub: OrderSub, slot: u32) -> bool {
-        if let Some(e) = self.entries.get_mut(&id) {
-            if e.class == class && e.sub == sub {
-                e.slot = slot;
-                return false;
+    /// Books CoFlow `id` under `slot`, or repositions it under a new
+    /// key, and refreshes its view position `pos` either way. Returns
+    /// `true` when the ordering key changed (one tree removal +
+    /// insertion); `false` for the steady-state position-only refresh,
+    /// which touches no tree node. A slot holds one CoFlow at a time:
+    /// the owner removes a departed CoFlow before its slot is reused.
+    pub fn upsert(
+        &mut self,
+        slot: u32,
+        id: CoflowId,
+        class: OrderClass,
+        sub: OrderSub,
+        pos: u32,
+    ) -> bool {
+        let s = slot as usize;
+        if self.entries.len() <= s {
+            self.entries.resize(s + 1, None);
+        }
+        let fresh = Entry {
+            id,
+            class,
+            sub,
+            pos,
+        };
+        match &mut self.entries[s] {
+            Some(e) => {
+                debug_assert_eq!(e.id, id, "slot reused without a remove");
+                if e.class == class && e.sub == sub {
+                    e.pos = pos;
+                    return false;
+                }
+                let old = std::mem::replace(e, fresh);
+                unbook(&mut self.buckets, old.class, old.member(slot));
             }
-            let (old_class, old_sub) = (e.class, e.sub);
-            e.class = class;
-            e.sub = sub;
-            e.slot = slot;
-            let bucket = self
-                .buckets
-                .get_mut(&old_class)
-                .expect("booked entry without a bucket");
-            let removed = bucket.remove(&(old_sub.0, old_sub.1, id));
-            debug_assert!(removed, "booked entry missing from its bucket");
-            if bucket.is_empty() {
-                self.buckets.remove(&old_class);
-            }
-        } else {
-            self.entries.insert(id, Entry { class, sub, slot });
+            empty => *empty = Some(fresh),
         }
         let inserted = self
             .buckets
             .entry(class)
             .or_default()
-            .insert((sub.0, sub.1, id));
+            .insert(fresh.member(slot));
         debug_assert!(inserted, "duplicate CoflowId in bucket");
         true
     }
 
-    /// Removes a departed CoFlow. Returns whether it was booked.
-    pub fn remove(&mut self, id: CoflowId) -> bool {
-        let Some(e) = self.entries.remove(&id) else {
+    /// Removes the CoFlow booked under `slot`, which departed. Returns
+    /// whether one was booked.
+    pub fn remove(&mut self, slot: u32) -> bool {
+        let Some(e) = self.entries.get_mut(slot as usize).and_then(Option::take) else {
             return false;
         };
-        let bucket = self
-            .buckets
-            .get_mut(&e.class)
-            .expect("booked entry without a bucket");
-        let removed = bucket.remove(&(e.sub.0, e.sub.1, id));
-        debug_assert!(removed, "booked entry missing from its bucket");
-        if bucket.is_empty() {
-            self.buckets.remove(&e.class);
-        }
+        unbook(&mut self.buckets, e.class, e.member(slot));
         true
     }
 
-    /// Writes the view slots of every booked CoFlow into `out`
+    /// Writes the view positions of every booked CoFlow into `out`
     /// (cleared first) in full `(queue, !expired, k, arrival, id)`
-    /// order — byte-identical to sorting the slots by that key.
+    /// order — byte-identical to sorting the positions by that key.
     pub fn emit_into(&self, out: &mut Vec<usize>) {
         out.clear();
-        out.reserve(self.entries.len());
+        out.reserve(self.len());
         for bucket in self.buckets.values() {
-            for &(_, _, id) in bucket {
-                out.push(self.entries[&id].slot as usize);
+            for &(_, _, _, slot) in bucket {
+                let e = self.entries[slot as usize].as_ref();
+                out.push(e.expect("bucket member without an entry").pos as usize);
             }
         }
+    }
+}
+
+/// Takes `member` out of its class bucket, dropping the bucket when it
+/// empties.
+fn unbook(buckets: &mut BTreeMap<OrderClass, BTreeSet<Member>>, class: OrderClass, member: Member) {
+    let bucket = buckets
+        .get_mut(&class)
+        .expect("booked entry without a bucket");
+    let removed = bucket.remove(&member);
+    debug_assert!(removed, "booked entry missing from its bucket");
+    if bucket.is_empty() {
+        buckets.remove(&class);
     }
 }
 
@@ -154,8 +184,8 @@ mod tests {
     #[test]
     fn emits_in_total_key_order() {
         let mut book = OrderBook::new();
-        // slot == id for readability. Keys chosen so every component
-        // participates in the order at least once.
+        // slot == pos == id for readability. Keys chosen so every
+        // component participates in the order at least once.
         let rows: [(u32, OrderClass, OrderSub); 6] = [
             (0, (1, true), (0, Time(5))),  // queue 1
             (1, (0, true), (2, Time(0))),  // queue 0, k 2
@@ -165,7 +195,7 @@ mod tests {
             (5, (1, false), (0, Time(0))), // queue 1, expired
         ];
         for &(id, class, sub) in &rows {
-            assert!(book.upsert(CoflowId(id), class, sub, id));
+            assert!(book.upsert(id, CoflowId(id), class, sub, id));
         }
         assert_eq!(emit(&book), vec![3, 2, 1, 4, 5, 0]);
         assert_eq!(book.len(), 6);
@@ -174,22 +204,23 @@ mod tests {
     #[test]
     fn steady_state_refresh_touches_no_tree() {
         let mut book = OrderBook::new();
-        assert!(book.upsert(CoflowId(7), (0, true), (3, Time(1)), 0));
-        // Same key, new slot: no rekey, but the slot must be refreshed.
-        assert!(!book.upsert(CoflowId(7), (0, true), (3, Time(1)), 4));
+        assert!(book.upsert(2, CoflowId(7), (0, true), (3, Time(1)), 0));
+        // Same key, new view position: no rekey, but the position must
+        // be refreshed.
+        assert!(!book.upsert(2, CoflowId(7), (0, true), (3, Time(1)), 4));
         assert_eq!(emit(&book), vec![4]);
     }
 
     #[test]
     fn rekey_repositions_and_empties_old_bucket() {
         let mut book = OrderBook::new();
-        book.upsert(CoflowId(1), (0, true), (5, Time(0)), 1);
-        book.upsert(CoflowId(2), (1, true), (0, Time(0)), 2);
+        book.upsert(0, CoflowId(1), (0, true), (5, Time(0)), 1);
+        book.upsert(1, CoflowId(2), (1, true), (0, Time(0)), 2);
         // CoFlow 1 is demoted to queue 2: its old class bucket empties.
-        assert!(book.upsert(CoflowId(1), (2, true), (5, Time(0)), 1));
+        assert!(book.upsert(0, CoflowId(1), (2, true), (5, Time(0)), 1));
         assert_eq!(emit(&book), vec![2, 1]);
         // And back up, ahead of CoFlow 2 via a smaller k.
-        assert!(book.upsert(CoflowId(1), (1, true), (0, Time(0)), 1));
+        assert!(book.upsert(0, CoflowId(1), (1, true), (0, Time(0)), 1));
         // Tie on (class, k, arrival) → id 1 < 2.
         assert_eq!(emit(&book), vec![1, 2]);
     }
@@ -197,28 +228,38 @@ mod tests {
     #[test]
     fn remove_departed() {
         let mut book = OrderBook::new();
-        book.upsert(CoflowId(1), (0, true), (0, Time(0)), 0);
-        book.upsert(CoflowId(2), (0, true), (1, Time(0)), 1);
-        assert!(book.remove(CoflowId(1)));
-        assert!(!book.remove(CoflowId(1)), "double remove is a no-op");
+        book.upsert(0, CoflowId(1), (0, true), (0, Time(0)), 0);
+        book.upsert(1, CoflowId(2), (0, true), (1, Time(0)), 1);
+        assert!(book.remove(0));
+        assert!(!book.remove(0), "double remove is a no-op");
+        assert!(!book.remove(9), "a slot never booked is a no-op");
         assert_eq!(emit(&book), vec![1]);
-        assert!(book.remove(CoflowId(2)));
+        // The freed slot books the next CoFlow.
+        book.upsert(0, CoflowId(3), (0, true), (0, Time(0)), 0);
+        assert_eq!(emit(&book), vec![0, 1]);
+        assert!(book.remove(1));
+        assert!(book.remove(0));
         assert!(book.is_empty());
     }
 
     /// Random churn: the book must always emit exactly what a full
-    /// re-sort of the live set produces.
+    /// re-sort of the live set produces. Departed CoFlows' slots are
+    /// reused by later arrivals, as the scheduler's slab does.
     #[test]
     fn matches_full_sort_under_random_churn() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(0x0b00c);
         let mut book = OrderBook::new();
-        let mut live: Vec<(CoflowId, OrderClass, OrderSub)> = Vec::new();
+        // (slot, id, class, sub)
+        let mut live: Vec<(u32, CoflowId, OrderClass, OrderSub)> = Vec::new();
+        let mut free: Vec<u32> = Vec::new();
         let mut next_id = 0u32;
         for _ in 0..300 {
             // Arrivals.
             while live.is_empty() || rng.gen_bool(0.4) {
+                let slot = free.pop().unwrap_or(next_id);
                 let row = (
+                    slot,
                     CoflowId(next_id),
                     (rng.gen_range(0..4usize), rng.gen_bool(0.8)),
                     (rng.gen_range(0..5u32), Time(rng.gen_range(0..10))),
@@ -229,25 +270,28 @@ mod tests {
             // Rekeys.
             for row in live.iter_mut() {
                 if rng.gen_bool(0.3) {
-                    row.1 = (rng.gen_range(0..4usize), rng.gen_bool(0.8));
-                    row.2 = (rng.gen_range(0..5u32), row.2 .1);
+                    row.2 = (rng.gen_range(0..4usize), rng.gen_bool(0.8));
+                    row.3 = (rng.gen_range(0..5u32), row.3 .1);
                 }
             }
-            // Departures.
+            // Departures (of this round's arrivals too, never booked).
             if live.len() > 2 && rng.gen_bool(0.3) {
                 let gone = live.swap_remove(rng.gen_range(0..live.len()));
                 book.remove(gone.0);
+                free.push(gone.0);
             }
-            // Upsert everything with its current slot, emit, compare.
-            for (slot, &(id, class, sub)) in live.iter().enumerate() {
-                book.upsert(id, class, sub, slot as u32);
+            // Upsert everything with its current position, emit,
+            // compare.
+            for (pos, &(slot, id, class, sub)) in live.iter().enumerate() {
+                book.upsert(slot, id, class, sub, pos as u32);
             }
             let mut want: Vec<usize> = (0..live.len()).collect();
             want.sort_by_key(|&i| {
-                let (id, class, sub) = live[i];
+                let (_, id, class, sub) = live[i];
                 (class, sub.0, sub.1, id)
             });
             assert_eq!(emit(&book), want);
+            assert_eq!(book.len(), live.len());
         }
     }
 }

@@ -35,14 +35,31 @@
 //! CoFlow that sent a byte, while an endpoint list moves only when a
 //! flow finishes. So each live CoFlow has one entry (a slab slot found
 //! by one hash lookup per round) holding them next to its
-//! queue/deadline state. A CoFlow that is new, named by the hint, or
-//! seen in an unhinted round has its flows walked once, by
-//! `CoflowEntry::refresh`, which checks the cached list against the
-//! view element by element and rebuilds it only on a mismatch; every
-//! later step reads the entry. The ids whose list did move are the
-//! hint the [`ContentionTracker`] gets. `endpoints_into`,
-//! `CoflowView::all_ready` and `CoflowView::max_flow_sent` stay as the
-//! oracles: debug builds assert every entry against them every round.
+//! queue/deadline state, and the slot is the CoFlow's identity for the
+//! rest of the round: the [`ContentionTracker`] and the [`OrderBook`]
+//! are indexed by it.
+//!
+//! A CoFlow that is new, named by the hint, or seen in an unhinted
+//! round has its flows walked once, by `CoflowEntry::refresh`, which
+//! matches the view's unfinished flows against the cached list, both
+//! in flow order, and reports one of three outcomes:
+//!
+//! * *unchanged* — the lists are equal (byte or readiness progress);
+//! * *shrunk* — the new list is the old one with some entries taken
+//!   out (only finishes happened, which is every simulated round): the
+//!   list is compacted in place and the two ports of every dropped
+//!   flow are handed on;
+//! * *rebuilt* — anything else (an arrival, an un-finish after a
+//!   restart or resync, a port-space change): the list is re-derived
+//!   from the view.
+//!
+//! The contention phase applies those port drops and rebuilt lists to
+//! the tracker, and departures leave it from the slab sweep that
+//! retires their entries; no footprint is re-collected or sorted to
+//! find out what moved. `endpoints_into`, `CoflowView::all_ready`,
+//! `CoflowView::max_flow_sent` and [`contention_into`] stay as the
+//! oracles: debug builds assert every entry and every `k_c` against
+//! them every round.
 //!
 //! ## How long a round's output stands
 //!
@@ -122,14 +139,12 @@ pub struct SaathConfig {
     pub skew_aware_thresholds: bool,
     /// Maintain `k_c` incrementally across rounds instead of rebuilding
     /// the full port-incidence map every round (§5.4 scalability). The
-    /// [`ContentionTracker`] is handed the [`ClusterView::changed`]
-    /// hint narrowed to the CoFlows whose unfinished-flow endpoints
-    /// actually moved (see the module docs); without a hint it
-    /// re-derives every footprint, as before. Identical results either
-    /// way — [`contention_into`] stays the oracle and debug builds
-    /// assert equality every round. Off reproduces the original
-    /// full-rebuild cost for benchmarking; that path reads the view,
-    /// not the cache, and is untouched.
+    /// [`ContentionTracker`] is fed the ports each CoFlow's cached
+    /// endpoint list lost and the lists that had to be rebuilt (see the
+    /// module docs). Identical results either way — [`contention_into`]
+    /// stays the oracle and debug builds assert equality every round.
+    /// Off reproduces the original full-rebuild cost for benchmarking;
+    /// that path reads the view, not the cache, and is untouched.
     pub incremental_contention: bool,
     /// Maintain the LCoF order incrementally across rounds in an
     /// [`OrderBook`] instead of re-sorting every CoFlow every round
@@ -244,18 +259,25 @@ impl CoflowEntry {
     }
 
     /// Re-derives the cache from `c` in one pass over its flows, and
-    /// returns whether the endpoint list moved. The list is checked
-    /// against the view *exactly*: the walk keeps a cursor into it,
-    /// unfinished flow `k` must be entry `k`, and the cursor must end
-    /// at the list's end. Equal counts prove nothing — a finish paired
-    /// with an un-finish (a restarted coordinator's forgotten
-    /// observations) keeps the count and moves the list — so nothing
-    /// is inferred from them. Only a mismatch pays for a rebuild.
-    fn refresh(&mut self, c: &CoflowView, num_nodes: usize) -> bool {
+    /// reports what its endpoint list did. The list is checked against
+    /// the view *exactly*: the walk keeps a read cursor into it, and
+    /// each unfinished flow must equal the entry under the cursor after
+    /// skipping zero or more entries. If every flow is found, the new
+    /// list is the old one with the skipped and trailing entries taken
+    /// out — flows that finished — so it is compacted in place (behind
+    /// a write cursor) and their ports are pushed to `dropped`. Counts
+    /// prove nothing — a finish paired with an un-finish (a restarted
+    /// coordinator's forgotten observations) keeps the count and moves
+    /// the list — so nothing is inferred from them. Only a flow that is
+    /// not in the list pays for a rebuild, and `dropped` is then left
+    /// as it was.
+    fn refresh(&mut self, c: &CoflowView, num_nodes: usize, dropped: &mut Vec<u32>) -> Footprint {
         let (mut m_c, mut m_live) = (Bytes::ZERO, Bytes::ZERO);
         let mut all_ready = true;
         let mut unfinished = 0usize;
-        let mut same = true;
+        let mark = dropped.len();
+        let (mut read, mut write) = (0usize, 0usize);
+        let mut subsequence = true;
         for f in &c.flows {
             m_c = m_c.max(f.sent);
             if f.finished {
@@ -263,21 +285,61 @@ impl CoflowEntry {
             }
             m_live = m_live.max(f.sent);
             all_ready &= f.ready;
-            same = same && self.eps.get(unfinished) == Some(&f.endpoints(num_nodes));
             unfinished += 1;
+            if !subsequence {
+                continue;
+            }
+            let ep = f.endpoints(num_nodes);
+            while read < self.eps.len() && self.eps[read] != ep {
+                push_ports(dropped, &self.eps[read]);
+                read += 1;
+            }
+            if read == self.eps.len() {
+                subsequence = false;
+                continue;
+            }
+            self.eps[write] = ep;
+            read += 1;
+            write += 1;
         }
         self.m_c = m_c;
         self.m_live = m_live;
         self.all_ready = all_ready;
-        if same && unfinished == self.eps.len() {
-            return false;
+        if subsequence {
+            if write == self.eps.len() {
+                return Footprint::Unchanged;
+            }
+            for ep in &self.eps[read..] {
+                push_ports(dropped, ep);
+            }
+            self.eps.truncate(write);
+            return Footprint::Shrunk;
         }
+        dropped.truncate(mark);
         self.eps.clear();
         self.eps.reserve_exact(unfinished);
         self.eps
             .extend(c.unfinished().map(|f| f.endpoints(num_nodes)));
-        true
+        Footprint::Rebuilt
     }
+}
+
+/// What [`CoflowEntry::refresh`] found a cached endpoint list to have
+/// done since the last refresh.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Footprint {
+    /// Equal to the view's unfinished flows.
+    Unchanged,
+    /// Lost the flows that finished, and nothing else.
+    Shrunk,
+    /// Re-derived from the view.
+    Rebuilt,
+}
+
+/// The two ports of a flow that left a footprint.
+fn push_ports(dropped: &mut Vec<u32>, ep: &FlowEndpoints) {
+    dropped.push(ep.src.index() as u32);
+    dropped.push(ep.dst.index() as u32);
 }
 
 /// The Saath global scheduler. See the module docs.
@@ -299,10 +361,10 @@ pub struct Saath {
     /// Shared scratch (contention incidence map, gang-rate counters),
     /// kept across rounds so the hot path never allocates.
     arena: RoundArena,
-    /// Incremental `k_c` state, fed by the hint narrowed to `moved`.
+    /// Incremental `k_c` by slot, fed `drops` / `shrunk` / `rebuilt`.
     tracker: ContentionTracker,
-    /// Incrementally maintained LCoF order (see [`OrderBook`]); only
-    /// populated when `cfg.incremental_order`.
+    /// Incrementally maintained LCoF order by slot (see [`OrderBook`]);
+    /// only populated when `cfg.incremental_order`.
     book: OrderBook,
     /// Remote-shard contention addends (partitioned sharding): added to
     /// the locally-tracked `k_c` before LCoF ordering, so a shard that
@@ -313,9 +375,14 @@ pub struct Saath {
     /// Per-round buffers, recycled across rounds (see `compute`).
     /// `slots[i]` is the slab slot of `view.coflows[i]`.
     slots: Vec<u32>,
-    /// CoFlows whose endpoint list moved this round (or that arrived):
-    /// the hint the contention tracker gets.
-    moved: Vec<CoflowId>,
+    /// Ports of the flows that left a footprint this round, per
+    /// shrunk entry in `shrunk` order.
+    drops: Vec<u32>,
+    /// Slots whose endpoint list shrank this round, each with the end
+    /// of its run in `drops` (the previous one's end is its start).
+    shrunk: Vec<(u32, u32)>,
+    /// Slots whose endpoint list was rebuilt this round.
+    rebuilt: Vec<u32>,
     queues: Vec<usize>,
     occupancy: Vec<usize>,
     k: Vec<u32>,
@@ -355,7 +422,9 @@ impl Saath {
             book: OrderBook::new(),
             remote_k: FastHashMap::default(),
             slots: Vec::new(),
-            moved: Vec::new(),
+            drops: Vec::new(),
+            shrunk: Vec::new(),
+            rebuilt: Vec::new(),
             queues: Vec::new(),
             occupancy: Vec::new(),
             k: Vec::new(),
@@ -434,14 +503,12 @@ impl Saath {
         out.clear();
         out.shard = shard;
         out.round = round;
-        self.tracker.export_summary(
-            |id| {
-                let entry = self.slot_of.get(&id).map(|&s| &self.slab[s as usize]);
-                entry.and_then(|e| e.state).map_or(0, |s| s.queue)
-            },
-            self.cfg.queues.num_queues,
-            out,
-        );
+        let tracked = self.cfg.lcof && self.cfg.incremental_contention;
+        let queued = (self.slab.iter().enumerate())
+            .filter(|(_, e)| tracked && e.live)
+            .map(|(slot, e)| (slot as u32, e.state.map_or(0, |s| s.queue)));
+        self.tracker
+            .export_summary(queued, self.cfg.queues.num_queues, out);
     }
 
     /// The all-or-none admission scan (D1 step 4, D2), in `self.order`:
@@ -603,9 +670,16 @@ impl CoflowScheduler for Saath {
         self.round += 1;
         let round = self.round;
         // A port-space change re-maps every cached endpoint: take the
-        // round as unhinted, as the contention tracker does.
+        // round as unhinted, empty every list so that each is rebuilt,
+        // and start the contention tracker over from those rebuilds.
         let hint = view.changed.filter(|_| self.num_nodes == view.num_nodes);
-        self.num_nodes = view.num_nodes;
+        if self.num_nodes != view.num_nodes {
+            self.num_nodes = view.num_nodes;
+            self.tracker = ContentionTracker::new();
+            for e in &mut self.slab {
+                e.eps.clear();
+            }
+        }
 
         // Find every CoFlow's entry — the round's one hash lookup per
         // CoFlow — and stamp it seen.
@@ -627,17 +701,19 @@ impl CoflowScheduler for Saath {
         // Fewer entries stamped than held: some CoFlow departed. (Held
         // against the view's size the test would miss departures
         // matched by same-round arrivals.) Retire the unstamped
-        // entries, relay them to the order book, which mirrors the
-        // entries' membership exactly, and hand their slots — list
-        // allocation included: giving each back to the allocator as
-        // its CoFlow left moved `sim-fb-dense`'s peak RSS by a tenth —
-        // to this round's arrivals first.
+        // entries, take them out of the contention tracker and the
+        // order book, which are indexed by slot, and hand their slots —
+        // list allocation included: giving each back to the allocator
+        // as its CoFlow left moved `sim-fb-dense`'s peak RSS by a
+        // tenth — to this round's arrivals first.
+        let mut contention_deltas = 0u64;
         if n - arrivals < self.slot_of.len() {
             for (slot, e) in self.slab.iter_mut().enumerate() {
                 if e.live && e.seen != round {
                     e.live = false;
                     self.slot_of.remove(&e.id);
-                    self.book.remove(e.id);
+                    contention_deltas += self.tracker.clear(slot as u32);
+                    self.book.remove(slot as u32);
                     self.free.push(slot as u32);
                 }
             }
@@ -662,12 +738,16 @@ impl CoflowScheduler for Saath {
         // A CoFlow that is new, named by the hint, or seen without a
         // hint has its flows walked — once: `refresh` re-derives the
         // endpoint list, readiness and `m_c` together, and the rest of
-        // the round reads those. CoFlows the hint excludes have
-        // byte-identical view contents ([`ClusterView::changed`]'s
-        // contract), so their cache stands — and, with the incremental
-        // order on, so does their queue. Debug builds assert both
-        // against the full computation, for every CoFlow, every round.
-        self.moved.clear();
+        // the round reads those; what the list lost or whether it was
+        // rebuilt is kept for the contention phase. CoFlows the hint
+        // excludes have byte-identical view contents
+        // ([`ClusterView::changed`]'s contract), so their cache stands —
+        // and, with the incremental order on, so does their queue.
+        // Debug builds assert both against the full computation, for
+        // every CoFlow, every round.
+        self.drops.clear();
+        self.shrunk.clear();
+        self.rebuilt.clear();
         self.queues.clear();
         let cache_queues = self.cfg.incremental_order && hint.is_some();
         // Whether the §4.3 re-queue rule is in play for any CoFlow.
@@ -676,10 +756,12 @@ impl CoflowScheduler for Saath {
             srtf_requeue |= self.cfg.dynamics_srtf && c.restarted;
             let e = &mut self.slab[slot as usize];
             let refreshed = hint.is_none() || e.dirty == round;
-            // An arrival counts as moved even with nothing unfinished:
-            // the tracker learns of every CoFlow at its first round.
-            if refreshed && (e.refresh(c, view.num_nodes) || e.state.is_none()) {
-                self.moved.push(c.id);
+            if refreshed {
+                match e.refresh(c, view.num_nodes, &mut self.drops) {
+                    Footprint::Unchanged => {}
+                    Footprint::Shrunk => self.shrunk.push((slot, self.drops.len() as u32)),
+                    Footprint::Rebuilt => self.rebuilt.push(slot),
+                }
             }
             #[cfg(debug_assertions)]
             {
@@ -741,21 +823,29 @@ impl CoflowScheduler for Saath {
             });
         }
 
-        // Contention (only when LCoF orders by it). The tracker's hint is
-        // narrowed to the CoFlows whose endpoint list moved: byte
-        // progress puts every sending CoFlow in the driver's hint, and
-        // a footprint moves only when a flow finishes.
+        // Contention (only when LCoF orders by it). The tracker is told
+        // what the refresh loop saw move — the ports of the flows that
+        // left each shrunk list, and every rebuilt list whole — and is
+        // then read by slot; departures left it in the slab sweep.
         let t_contention = Instant::now();
         if self.cfg.lcof {
             if self.cfg.incremental_contention {
-                let narrowed = ClusterView {
-                    changed: hint.map(|_| self.moved.as_slice()),
-                    ..*view
-                };
-                let work = self.tracker.compute_into(&narrowed, &mut self.k);
+                let mut start = 0;
+                for &(slot, end) in &self.shrunk {
+                    let ports = &self.drops[start..end as usize];
+                    contention_deltas += self.tracker.drop_ports(slot, ports);
+                    start = end as usize;
+                }
+                for &slot in &self.rebuilt {
+                    let eps = &self.slab[slot as usize].eps;
+                    contention_deltas += self.tracker.set(slot, eps);
+                }
+                self.k.clear();
+                self.k
+                    .extend(self.slots.iter().map(|&slot| self.tracker.k(slot)));
                 if saath_telemetry::enabled() {
-                    self.mech.contention_deltas += work.delta_updates;
-                    if work.full_rebuild {
+                    self.mech.contention_deltas += contention_deltas;
+                    if hint.is_none() {
                         self.mech.contention_rebuilds += 1;
                     } else {
                         self.mech.contention_rebuilds_avoided += 1;
@@ -828,13 +918,14 @@ impl CoflowScheduler for Saath {
         };
         if self.cfg.incremental_order {
             // Reposition only the CoFlows whose key components moved;
-            // steady-state rounds refresh slots without touching a tree
-            // node, and the emit walk replaces the O(n log n) re-sort.
+            // steady-state rounds refresh view positions without
+            // touching a tree node, and the emit walk replaces the
+            // O(n log n) re-sort. The book is keyed by slab slot.
             let mut rekeys = 0u64;
-            for (i, c) in view.coflows.iter().enumerate() {
+            for (i, (c, &slot)) in view.coflows.iter().zip(&self.slots).enumerate() {
                 let class = (queues[i], !expired[i]);
                 let sub = (if lcof { k[i] } else { 0 }, c.arrival);
-                if self.book.upsert(c.id, class, sub, i as u32) {
+                if self.book.upsert(slot, c.id, class, sub, i as u32) {
                     rekeys += 1;
                 }
             }
@@ -974,10 +1065,10 @@ impl CoflowScheduler for Saath {
     /// queue and the occupancy at that instant, which a resumed run
     /// never observed. Everything else (footprint cache, contention
     /// tracker, order book, arenas) is a pure function of the view and
-    /// rebuilds on the
-    /// `changed: None` round that follows a resume. `starvation_kicks`
-    /// and the mech counters are appended so telemetry totals stay
-    /// continuous across a resume; they never feed scheduling decisions.
+    /// rebuilds on the unhinted round that follows a restore.
+    /// `starvation_kicks` and the mech counters are appended so
+    /// telemetry totals stay continuous across a resume; they never
+    /// feed scheduling decisions.
     fn save_state(&self, out: &mut Vec<u8>) {
         out.push(1u8); // format version
         out.extend_from_slice(&self.starvation_kicks.to_le_bytes());
@@ -1027,9 +1118,16 @@ impl CoflowScheduler for Saath {
             *slot = u64_of(get(8)?);
         }
         let n_state = u64_of(get(8)?) as usize;
+        // Every slot is handed out afresh, so whatever is indexed by
+        // slot goes with the slab, and the next round is taken as
+        // unhinted (as after a port-space change) whatever the driver
+        // passes: each restored entry's cache starts empty.
         self.slab.clear();
         self.free.clear();
         self.slot_of.clear();
+        self.tracker = ContentionTracker::new();
+        self.book.clear();
+        self.num_nodes = 0;
         for _ in 0..n_state {
             let id = CoflowId(u32::from_le_bytes(get(4)?.as_slice().try_into().unwrap()));
             let queue = u64_of(get(8)?) as usize;
@@ -1694,50 +1792,185 @@ mod tests {
         }
     }
 
+    /// What the last round's refresh loop handed the contention phase:
+    /// each shrunk slot with the ports its list lost, and the rebuilt
+    /// slots.
+    type Moved = (Vec<(u32, Vec<u32>)>, Vec<u32>);
+
+    fn moved(s: &Saath) -> Moved {
+        let mut start = 0;
+        let shrunk = s.shrunk.iter().map(|&(slot, end)| {
+            let ports = s.drops[start..end as usize].to_vec();
+            start = end as usize;
+            (slot, ports)
+        });
+        (shrunk.collect(), s.rebuilt.clone())
+    }
+
     /// Byte progress and readiness put a CoFlow in the driver's hint
     /// every round it sends; neither moves its endpoint list, and the
-    /// contention tracker is not asked to look.
+    /// contention tracker is not told anything. A finish shrinks the
+    /// list by exactly the finished flow's two ports; an un-finish or a
+    /// port-space change rebuilds it.
     #[test]
     fn unmoved_endpoint_list_costs_the_tracker_nothing() {
-        use crate::common::ContentionWork;
         let mut coflows = vec![
             cv(0, 0, vec![fv(0, 0, 2, 0), fv(1, 1, 3, 0)]),
             cv(1, 1, vec![fv(10, 0, 3, 0)]),
         ];
         let mut s = Saath::with_defaults();
         let _ = run(&mut s, &coflows, 4, Time::ZERO);
-        let mut hinted = |coflows: &[CoflowView]| {
+        // Arrivals are rebuilds, from an empty list.
+        assert_eq!(moved(&s), (vec![], vec![0, 1]));
+        // A round hinted with CoFlow 0: what moved, and the
+        // `contention_deltas` it cost (when counters are compiled in).
+        let round = |s: &mut Saath, coflows: &[CoflowView], num_nodes: usize| {
             let view = ClusterView {
                 now: Time::from_millis(8),
-                num_nodes: 4,
+                num_nodes,
                 coflows,
                 changed: Some(&[CoflowId(0)]),
             };
-            let mut bank = PortBank::uniform(4, GBPS);
+            let before = s.mech.contention_deltas;
+            let mut bank = PortBank::uniform(num_nodes, GBPS);
             s.compute(&view, &mut bank, &mut Schedule::default());
-            // What `compute` handed the tracker, handed to it again.
-            let narrowed = ClusterView {
-                changed: Some(&s.moved),
-                ..view
-            };
-            let work = s.tracker.compute_into(&narrowed, &mut Vec::new());
-            (s.moved.clone(), work)
+            assert_eq!(s.k, crate::common::contention(&view));
+            let deltas = saath_telemetry::enabled().then(|| s.mech.contention_deltas - before);
+            (moved(s), deltas)
         };
+        let counted = |n: u64| saath_telemetry::enabled().then_some(n);
 
         coflows[0].flows[0].sent = Bytes(5_000_000);
         coflows[0].flows[1].ready = false;
-        let idle = ContentionWork {
-            delta_updates: 0,
-            full_rebuild: false,
-        };
-        assert_eq!(hinted(&coflows), (vec![], idle));
+        assert_eq!(round(&mut s, &coflows, 4), ((vec![], vec![]), counted(0)));
 
-        // A finish does move it: CoFlow 0 leaves ports 0 and 2·n-side 2.
+        // One finish: uplink 0 and downlink 4 + 2 leave CoFlow 0's
+        // footprint, and nothing else is looked at.
         coflows[0].flows[0].finished = true;
-        let (moved, work) = hinted(&coflows);
-        assert_eq!(moved, vec![CoflowId(0)]);
-        // The re-run above finds the deltas already applied.
-        assert_eq!(work, idle);
+        let shrunk = (vec![(0, vec![0, 6])], vec![]);
+        assert_eq!(round(&mut s, &coflows, 4), (shrunk, counted(2)));
+
+        // An un-finish (a restarted coordinator's forgotten
+        // observation) is not a subsequence: rebuilt, both ports back.
+        coflows[0].flows[0].finished = false;
+        assert_eq!(round(&mut s, &coflows, 4), ((vec![], vec![0]), counted(2)));
+
+        // A port-space change discards the hint and rebuilds every
+        // list into a fresh tracker: six joins for the two footprints.
+        assert_eq!(
+            round(&mut s, &coflows, 5),
+            ((vec![], vec![0, 1]), counted(6))
+        );
+    }
+
+    /// Restoring into a scheduler that has already run leaves nothing
+    /// of its old slots behind: it schedules exactly as a freshly built
+    /// scheduler restored from the same blob, even when the first round
+    /// after the restore comes with a hint.
+    #[test]
+    fn restore_into_a_used_scheduler_matches_a_fresh_one() {
+        let seven = vec![cv(7, 0, vec![fv(70, 0, 2, 0), fv(71, 1, 3, 0)])];
+        let mut saver = Saath::with_defaults();
+        let _ = run(&mut saver, &seven, 4, Time::ZERO);
+        let mut blob = Vec::new();
+        saver.save_state(&mut blob);
+
+        let mut used = Saath::with_defaults();
+        let one_and_two = vec![
+            cv(1, 0, vec![fv(10, 0, 2, 0)]),
+            cv(2, 0, vec![fv(20, 0, 3, 0), fv(21, 1, 2, 0)]),
+        ];
+        let _ = run(&mut used, &one_and_two, 4, Time::ZERO);
+        let mut fresh = Saath::with_defaults();
+        assert_eq!(used.restore_state(&blob), Ok(()));
+        assert_eq!(fresh.restore_state(&blob), Ok(()));
+        for (i, changed) in [Some(&[][..]), None, Some(&[CoflowId(7)][..])]
+            .into_iter()
+            .enumerate()
+        {
+            let view = ClusterView {
+                now: Time::from_millis(8 * (i as u64 + 1)),
+                num_nodes: 4,
+                coflows: &seven,
+                changed,
+            };
+            let schedules = [&mut used, &mut fresh].map(|s| {
+                let mut bank = PortBank::uniform(4, GBPS);
+                let mut out = Schedule::default();
+                s.compute(&view, &mut bank, &mut out);
+                out
+            });
+            assert_eq!(schedules[0], schedules[1], "round {i}");
+            assert_eq!(schedules[0].rate_of(FlowId(70)), GBPS);
+            assert_eq!((&used.k, &used.order), (&fresh.k, &fresh.order));
+            assert_eq!(state_of(&used, 7).deadline, state_of(&fresh, 7).deadline);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The slot-indexed tracker against the [`contention_into`]
+        /// oracle, through the scheduler that feeds it: random
+        /// arrivals, finishes, un-finishes, byte and readiness
+        /// progress, departures (whose slots same-round arrivals
+        /// take), unhinted rounds and port-space changes; after every
+        /// round each CoFlow's `k_c` is what the oracle computes on the
+        /// view. Asserted here, not by the debug oracle inside
+        /// `compute`, so it holds in release builds too.
+        #[test]
+        fn tracker_matches_the_oracle_through_the_scheduler(
+            rounds in proptest::collection::vec(
+                (proptest::collection::vec((0u8..6, 0u32..1 << 30, 0u32..1 << 30), 0..6), 0u8..32),
+                1..30,
+            ),
+        ) {
+            let mut s = Saath::with_defaults();
+            let mut coflows: Vec<CoflowView> = Vec::new();
+            let (mut next_cf, mut next_flow) = (0u32, 0u32);
+            for (i, (ops, shape)) in rounds.into_iter().enumerate() {
+                let mut changed = Vec::new();
+                for (op, a, b) in ops {
+                    if op == 0 || coflows.is_empty() {
+                        // Width 1–5, every node below 8.
+                        let flows = (0..1 + a % 5).map(|f| {
+                            let nodes = b >> (6 * f);
+                            next_flow += 1;
+                            fv(next_flow, nodes & 7, (nodes >> 3) & 7, 0)
+                        });
+                        coflows.push(cv(next_cf, i as u64, flows.collect()));
+                        changed.push(CoflowId(next_cf));
+                        next_cf += 1;
+                        continue;
+                    }
+                    let ci = a as usize % coflows.len();
+                    changed.push(coflows[ci].id);
+                    let c = &mut coflows[ci];
+                    let fi = b as usize % c.flows.len();
+                    match op {
+                        1 => c.flows[fi].finished = true,
+                        2 => c.flows[fi].finished = false,
+                        3 => {
+                            coflows.remove(ci);
+                        }
+                        4 => c.flows[fi].sent += Bytes(u64::from(b)),
+                        _ => c.flows[fi].ready = !c.flows[fi].ready,
+                    }
+                }
+                let view = ClusterView {
+                    now: Time::from_millis(8 * i as u64),
+                    // Port-space changes both ways, one round in four
+                    // in the wider space.
+                    num_nodes: if shape & 3 == 0 { 12 } else { 8 },
+                    coflows: &coflows,
+                    // One round in eight unhinted.
+                    changed: (shape >> 2 != 0).then_some(changed.as_slice()),
+                };
+                let mut bank = PortBank::uniform(view.num_nodes, GBPS);
+                s.compute(&view, &mut bank, &mut Schedule::default());
+                proptest::prop_assert_eq!(&s.k, &crate::common::contention(&view), "round {}", i);
+            }
+        }
     }
 
     /// An endpoint list is allocated at the size of the CoFlow's

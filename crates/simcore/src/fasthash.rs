@@ -1,8 +1,8 @@
 //! A fast, deterministic hasher for integer-keyed scratch maps.
 //!
 //! The schedulers keep several `HashMap`s keyed by [`CoflowId`] /
-//! small tuples on their per-round hot paths (incremental contention,
-//! the maintained LCoF order). `std`'s default SipHash is designed to
+//! small tuples on their per-round hot paths (the id → slot map, the
+//! contention tracker's pair counts). `std`'s default SipHash is designed to
 //! resist hash-flooding from untrusted keys; our keys are internal
 //! dense integers, so that robustness buys nothing and costs a
 //! measurable fraction of the round. This is the classic
@@ -15,8 +15,7 @@
 //!   an adversary chooses.
 //! * **Iteration order is still arbitrary.** Nothing scheduler-visible
 //!   may depend on map iteration order; every consumer sorts before
-//!   acting on iterated keys (see `ContentionTracker`'s departure
-//!   scan).
+//!   acting on iterated keys, or iterates something ordered instead.
 //!
 //! [`CoflowId`]: crate::CoflowId
 

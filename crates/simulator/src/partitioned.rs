@@ -199,7 +199,7 @@ impl PartitionedScheduler {
     /// Rebuilds or incrementally patches the per-shard owned views from
     /// the engine view. `changed: None` forces a full resync; otherwise
     /// only hinted CoFlows are re-cloned and departures are detected
-    /// against the view's id set (mirroring `ContentionTracker`).
+    /// against the view's id set.
     fn sync_owned_views(&mut self, view: &ClusterView<'_>, changed: Option<&[CoflowId]>) {
         let k = self.shards.len();
         match changed {

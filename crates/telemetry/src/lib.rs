@@ -468,8 +468,9 @@ mech_counters! {
     /// Port join/leave deltas applied by the incremental contention
     /// tracker (the work a full rebuild would redo from scratch).
     contention_deltas,
-    /// Contention rounds that had to rebuild tracker state (no usable
-    /// `changed` hint, or a port-space change).
+    /// Contention rounds without a usable `changed` hint (none given,
+    /// or a port-space change): every footprint cache entry was
+    /// re-checked against the view.
     contention_rebuilds,
     /// Contention rounds served purely by delta updates — full
     /// `contention_into` rebuilds avoided.
