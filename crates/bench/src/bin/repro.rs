@@ -11,15 +11,13 @@
 //!                  runs the lab's small FB trace and writes no BENCH file)
 //!   scale          Fig 9-style scalability sweep: rounds/sec at 150→1k nodes
 //!                  × 10k→100k flows, full-rebuild vs incremental contention
-//!                  (writes BENCH_scalability.json);
-//!                  with --shards K > 1, appends the shard sweep over
-//!                  K × summary staleness S, asserting byte-identical
-//!                  records at S = 0
+//!                  (writes BENCH_scalability.json)
 //!   trace          instrumented Saath + Aalo runs: mechanism breakdown tables
 //!                  and deterministic JSONL round traces in results/
 //!   gen-trace      write a full-size FB-like trace in coflow-benchmark format
 //!                  to --out PATH (offline stand-in for the published trace)
-//!   emulate        thread-per-node runtime emulation with a live Prometheus
+//!   emulate        thread-per-node runtime emulation (one coordinator,
+//!                  one agent per node) with a live Prometheus
 //!                  /metrics endpoint (default 127.0.0.1:0; see
 //!                  --metrics-addr / --metrics-out); with --multiplex,
 //!                  runs the readiness-driven host sweep instead:
@@ -48,18 +46,6 @@
 //!                  with emulate --multiplex, the sweep's largest point
 //!   --multiplex    emulate only: readiness-driven multiplexed host
 //!                  sweep (O(hosts) threads, not one per node)
-//!   --shards K     scale only: max coordinator shard count for the
-//!                  shard sweep (default 4; 1 disables it) — shards
-//!                  K ∈ {2, 4} ∩ [1, --shards] × summary staleness
-//!                  S ∈ {0, 1, 4, 16} (0: every shard schedules the full
-//!                  view; ≥ 1: owned CoFlows against bounded-staleness
-//!                  contention summaries) on the sweep's smallest and
-//!                  largest points, reporting wall overhead, per-shard
-//!                  sched_ms, CCT deviation vs the single-coordinator
-//!                  oracle, and the first divergent round (via the
-//!                  event-log differ)
-//!   --staleness S  scale only: restrict the shard sweep to one
-//!                  summary staleness budget instead of {0, 1, 4, 16}
 //!   --small        use small traces (smoke test, seconds instead of minutes)
 //!   --json         epoch/scale only: print the BENCH JSON document instead
 //!                  of the table
@@ -84,9 +70,30 @@
 //!                  (default 10)
 //! ```
 //!
-//! CSV artifacts land in `results/`.
+//! A flag not listed above ends the run (exit 2) naming it, as does a
+//! numeric option whose value does not parse. CSV artifacts land in
+//! `results/`.
 
 use saath_bench::{figs, Lab};
+
+/// Every flag `repro` reads; [`main`] refuses any other.
+const FLAGS: &[&str] = &[
+    "--seed",
+    "--panel",
+    "--trace",
+    "--out",
+    "--scale",
+    "--nodes",
+    "--multiplex",
+    "--small",
+    "--json",
+    "--log",
+    "--snapshot-every",
+    "--resume-from",
+    "--metrics-out",
+    "--metrics-addr",
+    "--tolerance-pct",
+];
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {
     args.iter()
@@ -109,15 +116,22 @@ fn arg_parsed<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args.first().cloned().unwrap_or_else(|| {
-        eprintln!("usage: repro <fig2|fig3|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|fig17|table2|dynamics|epoch|scale|trace|emulate|gen-trace|verify|diff|bench-diff|all> [--seed N] [--panel P] [--trace PATH] [--out PATH] [--scale N] [--nodes N] [--shards K] [--staleness S] [--multiplex] [--small] [--json] [--log PATH] [--snapshot-every N] [--resume-from PATH] [--metrics-out PATH] [--metrics-addr ADDR] [--tolerance-pct N]");
+        eprintln!("usage: repro <fig2|fig3|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|fig17|table2|dynamics|epoch|scale|trace|emulate|gen-trace|verify|diff|bench-diff|all> [--seed N] [--panel P] [--trace PATH] [--out PATH] [--scale N] [--nodes N] [--multiplex] [--small] [--json] [--log PATH] [--snapshot-every N] [--resume-from PATH] [--metrics-out PATH] [--metrics-addr ADDR] [--tolerance-pct N]");
         std::process::exit(2);
     });
+    // A flag nothing reads would otherwise be ignored, and a stale
+    // command line would run a different experiment than it names.
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        eprintln!("repro: unknown flag `{flag}`");
+        std::process::exit(2);
+    }
     let seed: u64 = arg_parsed(&args, "--seed").unwrap_or(1);
     let panel = arg_value(&args, "--panel").unwrap_or_else(|| "all".into());
     let scale: u64 = arg_parsed(&args, "--scale").unwrap_or(50);
     let nodes: usize = arg_parsed(&args, "--nodes").unwrap_or(40);
-    let shards: usize = arg_parsed(&args, "--shards").unwrap_or(4).max(1);
-    let staleness: Option<u64> = arg_parsed(&args, "--staleness");
     let multiplex = args.iter().any(|a| a == "--multiplex");
     let small = args.iter().any(|a| a == "--small");
     let json = args.iter().any(|a| a == "--json");
@@ -242,8 +256,6 @@ fn main() {
                 lab,
                 json,
                 small,
-                shards,
-                staleness,
                 &log_opts,
                 metrics_out.as_deref(),
             )),
@@ -255,7 +267,6 @@ fn main() {
                     lab,
                     scale,
                     nodes,
-                    shards,
                     arg_value(&args, "--metrics-addr"),
                     metrics_out.as_deref(),
                 )

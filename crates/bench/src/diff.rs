@@ -12,10 +12,8 @@
 //! Numeric fields are flattened to dotted paths. Array elements are
 //! keyed *by content*, not index: entries of `points` by their
 //! `nodes` value — with their `transport` where they carry one (the
-//! emulate sweep replays a point over TCP) — and entries of
-//! `shard_sweep` by the composite `(nodes, shards, mode, staleness)` —
-//! replicated and partitioned points share shard counts, so a
-//! single-field key would collide them. Re-ordered or partially-overlapping sweeps still line up,
+//! emulate sweep replays a point over TCP, so `nodes` alone would
+//! collide). Re-ordered or partially-overlapping sweeps still line up,
 //! and a `--small` smoke document simply has zero comparable points
 //! against a full baseline (the gate passes vacuously rather than
 //! misfiring).
@@ -192,9 +190,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 }
 
 /// Flattens every numeric field to `(dotted path, value)`, keying
-/// `points` entries by `(nodes, transport)` and `shard_sweep` entries
-/// by the composite `(nodes, shards, mode, staleness)` (see module
-/// docs).
+/// `points` entries by `(nodes, transport)` (see module docs).
 /// Bools flatten as 0/1 so flag drift is visible.
 pub fn flatten(doc: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
@@ -218,14 +214,10 @@ fn walk(v: &Json, path: &str, out: &mut Vec<(String, f64)>) {
         }
         Json::Arr(items) => {
             // Content keying: sweeps line up across re-orderings and
-            // differently-sized runs. `shard_sweep` needs the full
-            // composite key — replicated and partitioned points share
-            // a shard count, and the partitioned sweep varies nodes
-            // and staleness too. A discriminator an entry lacks is
+            // differently-sized runs. A discriminator an entry lacks is
             // left out of its key (the scale sweep has no transport).
             let disc: &[&str] = match path.rsplit('.').next().unwrap_or(path) {
                 "points" => &["nodes", "transport"],
-                "shard_sweep" => &["nodes", "shards", "mode", "staleness"],
                 _ => &[],
             };
             for (i, item) in items.iter().enumerate() {
@@ -441,11 +433,6 @@ mod tests {
       "full_rebuild": { "wall_ms": 4100.0, "rounds_per_sec": 40.0 },
       "incremental": { "wall_ms": 1170.0, "rounds_per_sec": 140.0 }
     }
-  ],
-  "shard_sweep": [
-    { "shards": 1, "nodes": 150, "mode": "replicated", "staleness": 0, "wall_ms": 300.0, "replication_overhead": 1.0 },
-    { "shards": 2, "nodes": 150, "mode": "replicated", "staleness": 0, "wall_ms": 620.0, "replication_overhead": 2.07 },
-    { "shards": 2, "nodes": 150, "mode": "partitioned", "staleness": 4, "wall_ms": 410.0, "sched_speedup": 1.3 }
   ]
 }"#;
 
@@ -458,18 +445,9 @@ mod tests {
         );
         let flat = flatten(&doc);
         let get = |p: &str| flat.iter().find(|(k, _)| k == p).map(|(_, v)| *v);
-        // Content-keyed paths, not positional. The shard_sweep key is
-        // composite: a replicated and a partitioned point sharing
-        // (nodes, shards) must not collide.
+        // Content-keyed paths, not positional.
         assert_eq!(get("points.nodes=150.incremental.wall_ms"), Some(290.0));
-        assert_eq!(
-            get("shard_sweep.nodes=150,shards=2,mode=replicated,staleness=0.wall_ms"),
-            Some(620.0)
-        );
-        assert_eq!(
-            get("shard_sweep.nodes=150,shards=2,mode=partitioned,staleness=4.wall_ms"),
-            Some(410.0)
-        );
+        assert_eq!(get("points.nodes=300.full_rebuild.wall_ms"), Some(4100.0));
         assert_eq!(get("seed"), Some(1.0));
 
         // The emulate sweep replays one node count over two transports:
@@ -555,7 +533,7 @@ mod tests {
 
     #[test]
     fn disjoint_sweeps_pass_vacuously() {
-        // A --small smoke doc: different nodes values, no shard sweep.
+        // A --small smoke doc: different nodes values.
         let small = r#"{
   "experiment": "scalability_sweep",
   "seed": 1,

@@ -1004,7 +1004,6 @@ pub fn emulate_cmd(
     lab: &Lab,
     scale: u64,
     nodes_cap: usize,
-    shards: usize,
     metrics_addr: Option<String>,
     metrics_out: Option<&std::path::Path>,
 ) -> String {
@@ -1026,7 +1025,6 @@ pub fn emulate_cmd(
     let addr = metrics_addr.unwrap_or_else(|| "127.0.0.1:0".into());
     let cfg = EmulationConfig {
         scale,
-        shards,
         metrics_addr: Some(addr),
         wall_deadline: std::time::Duration::from_secs(600),
         ..Default::default()
@@ -1043,7 +1041,6 @@ pub fn emulate_cmd(
     );
     t.row(&["nodes".into(), trace.num_nodes.to_string()]);
     t.row(&["coflows".into(), trace.coflows.len().to_string()]);
-    t.row(&["shards".into(), cfg.shards.to_string()]);
     t.row(&[
         "completed".into(),
         report.coordinator.records.len().to_string(),
@@ -1737,28 +1734,10 @@ fn env_stamp_json() -> String {
 /// Writes `BENCH_scalability.json` (skipped for `small` smoke runs,
 /// which replay once); with `json`, returns the JSON document instead
 /// of the rendered table.
-///
-/// `shards > 1` appends the shard sweep: the sharded coordinator
-/// ([`PartitionedScheduler`](saath_simulator::PartitionedScheduler))
-/// for K ∈ {2, 4} ∩ [1, `shards`] × summary staleness
-/// S ∈ {0, 1, 4, 16} (or just `staleness` when given), on the sweep's
-/// smallest *and* largest points. S = 0 rows are the replicated mode
-/// (every shard schedules the full view; records asserted
-/// byte-identical to the single coordinator), S ≥ 1 rows the
-/// partitioned mode. Every (nodes, K, S) entry reports its wall time
-/// relative to the single coordinator's, the busiest shard's
-/// sched_ms, its speedup over the single coordinator's sched_ms, and
-/// the average CCT deviation from the single-coordinator records. On
-/// the smallest point each combination is additionally replayed with
-/// an in-memory event log and diffed against the oracle's log to pin
-/// `first_divergence_round` — the same alignment `repro diff` performs
-/// on recorded logs.
 pub fn scale(
     lab: &Lab,
     json: bool,
     small: bool,
-    shards: usize,
-    staleness: Option<u64>,
     log: &LogOptions,
     metrics_out: Option<&std::path::Path>,
 ) -> String {
@@ -1836,9 +1815,6 @@ pub fn scale(
     // across every sweep point (each point feeds its per-round samples).
     let mut inc_spans = saath_telemetry::SpanProfiler::new();
     let mut inc_rounds = 0u64;
-    // Single-coordinator oracle (records, sched_ms, wall_ms) per
-    // point, kept for the shard sweep's comparisons.
-    let mut oracles: Vec<(Vec<CoflowRecord>, f64, f64)> = Vec::new();
     for (pi, &(nodes, target_flows)) in points.iter().enumerate() {
         let trace = grown_trace_at(lab.seed(), nodes, target_flows);
         let flows = flow_count(&trace);
@@ -1910,188 +1886,16 @@ pub fn scale(
             mode_json("full_rebuild", &rebuild),
             mode_json("incremental", &incremental),
         ));
-        oracles.push((
-            records.clone(),
-            incremental.phase_ms(Phase::SchedTotal),
-            incremental.wall_ms(),
-        ));
     }
-
-    // Shard sweep: K shards × staleness S, on the smallest and largest
-    // points. `shard_sweep` entries are keyed by (nodes, shards, mode,
-    // staleness) for bench-diff, with `mode` derived from S — at S = 0
-    // each shard replicates the full policy (wall time grows ~K×; what
-    // that buys is failure-domain division), at S ≥ 1 the compute is
-    // partitioned.
-    let mut shard_docs = Vec::new();
-    let mut shard_rows: Vec<[String; 9]> = Vec::new();
-    if shards > 1 {
-        use saath_eventlog::{diff_logs, ChainDigest, EventLogWriter, LogHeader};
-        use saath_metrics::deviation::avg_cct_deviation;
-        use saath_simulator::{simulate_resumable, PartitionedScheduler, ReplayHooks};
-
-        let staleness_grid: Vec<u64> = match staleness {
-            Some(s) => vec![s],
-            None => vec![0, 1, 4, 16],
-        };
-        let ks: Vec<usize> = [2usize, 4]
-            .iter()
-            .copied()
-            .filter(|&k| k <= shards)
-            .collect();
-        let sweep_points: Vec<usize> = if small || points.len() == 1 {
-            vec![0]
-        } else {
-            vec![0, points.len() - 1]
-        };
-        // Record one run with an in-memory event log sink; returns the
-        // log bytes alongside the engine output.
-        let logged = |trace: &saath_workload::Trace,
-                      sched: &mut dyn saath_core::view::CoflowScheduler|
-         -> (Vec<u8>, saath_simulator::SimOutput) {
-            let header = LogHeader {
-                num_nodes: trace.num_nodes as u64,
-                port_rate: trace.port_rate.as_u64(),
-                delta_ns: cfg.delta.as_nanos(),
-                scheduler: sched.name().into(),
-                trace_digest: ChainDigest::ZERO,
-                start_round: 0,
-                start_digest: ChainDigest::ZERO,
-            };
-            let mut w =
-                EventLogWriter::new(Vec::new(), &header).expect("event-log header write failed");
-            let out = simulate_resumable(
-                trace,
-                sched,
-                &cfg,
-                &dynamics,
-                ReplayHooks {
-                    tele: None,
-                    sink: Some(&mut w),
-                    snapshot_every: 0,
-                    resume_from: None,
-                },
-            )
-            .expect("shard-sweep logged run failed");
-            (w.into_inner().expect("event-log flush failed"), out)
-        };
-        for (i, &pi) in sweep_points.iter().enumerate() {
-            let (nodes, target_flows) = points[pi];
-            let trace = grown_trace_at(lab.seed(), nodes, target_flows);
-            let flows = flow_count(&trace);
-            let (oracle_records, oracle_sched_ms, oracle_wall_ms) = &oracles[pi];
-            // The differ needs the oracle's log; only the smallest
-            // point pays for the extra replay. Its sharded runs are
-            // logged too, so there the overhead column's base is this
-            // logged replay's wall time, not the unlogged timed run's.
-            let mut base_wall_ms = *oracle_wall_ms;
-            let oracle_log = (i == 0).then(|| {
-                let mut single = saath_core::Saath::with_defaults();
-                let t0 = Instant::now();
-                let (bytes, out) = logged(&trace, &mut single);
-                base_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-                assert_eq!(
-                    &out.records, oracle_records,
-                    "oracle log replay diverged from the timed run at {nodes} nodes"
-                );
-                bytes
-            });
-            for &k in &ks {
-                for &s in &staleness_grid {
-                    let mut sched = PartitionedScheduler::new(k, s, SaathConfig::default());
-                    let t0 = Instant::now();
-                    let (shard_log, out) = if oracle_log.is_some() {
-                        let (bytes, out) = logged(&trace, &mut sched);
-                        (Some(bytes), out)
-                    } else {
-                        (
-                            None,
-                            simulate(&trace, &mut sched, &cfg, &dynamics)
-                                .expect("shard-sweep run failed"),
-                        )
-                    };
-                    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-                    let overhead = wall_ms / base_wall_ms.max(1e-9);
-                    let max_shard_sched_ms = (0..k)
-                        .map(|i| sched.shard_timings(i).spans.hist(Phase::SchedTotal).sum)
-                        .max()
-                        .unwrap_or(0) as f64
-                        / 1e6;
-                    let sched_speedup = oracle_sched_ms / max_shard_sched_ms.max(1e-9);
-                    let identical = &out.records == oracle_records;
-                    assert!(
-                        s != 0 || identical,
-                        "K={k} S=0 must be byte-identical at {nodes} nodes"
-                    );
-                    let dev = avg_cct_deviation(oracle_records, &out.records).unwrap_or(0.0);
-                    let first_div = match (&oracle_log, &shard_log) {
-                        (Some(a), Some(b)) => {
-                            diff_logs(a, b)
-                                .expect("sharded log not diff-comparable to oracle log")
-                                .first_divergent_round
-                        }
-                        _ => None,
-                    };
-                    let mode = if s == 0 { "replicated" } else { "partitioned" };
-                    let first_div_json = first_div
-                        .map(|r| r.to_string())
-                        .unwrap_or_else(|| "null".into());
-                    shard_rows.push([
-                        nodes.to_string(),
-                        k.to_string(),
-                        s.to_string(),
-                        fmt_x(overhead),
-                        format!("{max_shard_sched_ms:.1}"),
-                        fmt_x(sched_speedup),
-                        format!("{dev:.4}"),
-                        sched.merge_clamps().to_string(),
-                        first_div.map(|r| r.to_string()).unwrap_or_else(|| {
-                            if identical {
-                                "-".into()
-                            } else {
-                                "?".into()
-                            }
-                        }),
-                    ]);
-                    shard_docs.push(format!(
-                        "    {{\n      \"shards\": {k},\n      \"nodes\": {nodes},\n      \
-                         \"mode\": \"{mode}\",\n      \"staleness\": {s},\n      \
-                         \"coflows\": {},\n      \"flows\": {flows},\n      \
-                         \"rounds\": {},\n      \"wall_ms\": {wall_ms:.1},\n      \
-                         \"replication_overhead\": {overhead:.2},\n      \
-                         \"max_shard_sched_ms\": {max_shard_sched_ms:.1},\n      \
-                         \"sched_speedup\": {sched_speedup:.2},\n      \
-                         \"avg_cct_deviation\": {dev:.6},\n      \
-                         \"records_identical\": {identical},\n      \
-                         \"merge_clamps\": {},\n      \
-                         \"stale_order_decisions\": {},\n      \
-                         \"summary_bytes_exchanged\": {},\n      \
-                         \"first_divergence_round\": {first_div_json}\n    }}",
-                        trace.coflows.len(),
-                        out.rounds,
-                        sched.merge_clamps(),
-                        sched.stale_order_decisions(),
-                        sched.summary_bytes_exchanged(),
-                    ));
-                }
-            }
-        }
-    }
-    let shard_json = if shard_docs.is_empty() {
-        String::new()
-    } else {
-        format!(",\n  \"shard_sweep\": [\n{}\n  ]", shard_docs.join(",\n"))
-    };
 
     let json_doc = format!(
         "{{\n  \"experiment\": \"scalability_sweep\",\n  \"seed\": {},\n  \
          \"delta_ms\": 8,\n  \"telemetry_feature\": {},\n  \"repeats\": {repeats},\n  \
-         \"env\": {},\n  \"points\": [\n{}\n  ]{}\n}}\n",
+         \"env\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
         lab.seed(),
         saath_telemetry::enabled(),
         env_stamp_json(),
         point_docs.join(",\n"),
-        shard_json,
     );
     if !small {
         if let Err(e) = std::fs::write("BENCH_scalability.json", &json_doc) {
@@ -2112,29 +1916,6 @@ pub fn scale(
         )
         .render(),
     );
-    if !shard_rows.is_empty() {
-        let mut pt = Table::new(
-            "Shard sweep — K shards × summary staleness S (S=0: full replicas, records \
-             byte-identical; overhead = wall / single coordinator's; speedup = \
-             single-coordinator sched_ms / busiest shard's)",
-            &[
-                "nodes",
-                "shards",
-                "staleness",
-                "overhead",
-                "shard sched ms",
-                "speedup",
-                "cct dev",
-                "clamps",
-                "first div round",
-            ],
-        );
-        for row in &shard_rows {
-            pt.row(row);
-        }
-        rendered.push('\n');
-        rendered.push_str(&pt.render());
-    }
     rendered
 }
 
@@ -2209,41 +1990,6 @@ pub fn trace_diag(lab: &Lab, small: bool) -> String {
         out.push_str(&saath_metrics::mech_table(policy, &mech).render());
         lines.push(saath_metrics::mech_breakdown_line(policy, &mech, &tele));
         lines.push(saath_metrics::eventlog_line(policy, &tele));
-    }
-    // Partitioned-compute diagnosis: the same trace through K=2 shards
-    // at staleness 4, surfacing the summary-plane counters the
-    // Prometheus families export (`saath_summary_*`,
-    // `saath_stale_order_decisions_total`).
-    {
-        let mut part = saath_simulator::PartitionedScheduler::new(2, 4, SaathConfig::default());
-        saath_simulator::simulate(&trace, &mut part, &cfg, &dynamics)
-            .unwrap_or_else(|e| panic!("trace diagnosis: partitioned saath failed: {e}"));
-        let mut pt = Table::new(
-            "partitioned compute (K=2, staleness 4) — per-shard scheduling",
-            &["shard", "sched ms", "avg ms", "p90 ms"],
-        );
-        for s in 0..part.shards() {
-            let h = part.shard_timings(s).spans.hist(Phase::SchedTotal);
-            let (avg, p90) = avg_p90_ms(h);
-            let total = h.sum as f64 / 1e6;
-            pt.row(&[
-                s.to_string(),
-                format!("{total:.1}"),
-                format!("{avg:.4}"),
-                format!("{p90:.4}"),
-            ]);
-        }
-        out.push_str(&pt.render());
-        out.push_str(&format!(
-            "partitioned summary plane: {} refreshes, {} bytes exchanged, \
-             {} stale-order decisions, {} merge clamps, final age {} rounds\n",
-            part.summary_refreshes(),
-            part.summary_bytes_exchanged(),
-            part.stale_order_decisions(),
-            part.merge_clamps(),
-            part.summary_age_rounds()
-                .map_or_else(|| "-".into(), |a| a.to_string()),
-        ));
     }
     out.push_str("== mechanism breakdown ==\n");
     for l in &lines {

@@ -303,38 +303,6 @@ impl ContentionTracker {
         footprint.clear();
         deltas
     }
-
-    /// Exports the tracker's state as a [`ContentionSummary`] for
-    /// partitioned-compute sharding: per-port active-CoFlow counts from
-    /// the port-membership lists, and per-queue CoFlow counts / `k_c`
-    /// sums over `queued`, the owner's `(slot, queue)` pairs (the
-    /// tracker does not know queue assignments or which slots are
-    /// live). `port_rates` is *not* filled here — the caller adds the
-    /// rates its last schedule slice claimed.
-    ///
-    /// [`ContentionSummary`]: crate::summary::ContentionSummary
-    pub fn export_summary(
-        &self,
-        queued: impl Iterator<Item = (u32, usize)>,
-        num_queues: usize,
-        out: &mut crate::summary::ContentionSummary,
-    ) {
-        out.port_coflows.clear();
-        for (p, members) in self.shared.port_slots.iter().enumerate() {
-            if !members.is_empty() {
-                out.port_coflows.push((p as u32, members.len() as u32));
-            }
-        }
-        out.queue_coflows.clear();
-        out.queue_coflows.resize(num_queues, 0);
-        out.queue_kc_sum.clear();
-        out.queue_kc_sum.resize(num_queues, 0);
-        for (slot, q) in queued {
-            let q = q.min(num_queues.saturating_sub(1));
-            out.queue_coflows[q] += 1;
-            out.queue_kc_sum[q] += self.k(slot) as u64;
-        }
-    }
 }
 
 impl Sharing {

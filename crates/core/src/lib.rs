@@ -33,21 +33,17 @@
 pub mod aalo;
 pub mod common;
 pub mod config;
-pub mod merge;
 pub mod offline;
 pub mod order;
 pub mod saath;
-pub mod summary;
 pub mod timing;
 pub mod uctcp;
 pub mod view;
 
 pub use aalo::Aalo;
 pub use config::QueueConfig;
-pub use merge::merge_rates_rotated;
 pub use offline::{OfflinePolicy, OfflineScheduler};
 pub use saath::{Saath, SaathConfig};
-pub use summary::ContentionSummary;
 pub use timing::SchedTimings;
 pub use uctcp::UcTcp;
 pub use view::{ClusterView, CoflowScheduler, CoflowView, FlowView, Schedule};

@@ -93,10 +93,8 @@
 //! [`Time::ZERO`] — recompute every round — whenever a rule reads more
 //! than `m_c` and the clock: a `restarted` CoFlow under
 //! `dynamics_srtf` (§4.3 reads every flow's `sent`), the skew-aware or
-//! total-bytes thresholds, installed remote contention addends (their
-//! owner replaces them between rounds), or any CoFlow already past its
-//! deadline (so `starvation_kicks` keeps counting every round it
-//! describes).
+//! total-bytes thresholds, or any CoFlow already past its deadline (so
+//! `starvation_kicks` keeps counting every round it describes).
 
 use crate::common::{contention_into, ContentionTracker, RoundArena};
 use crate::config::QueueConfig;
@@ -366,12 +364,6 @@ pub struct Saath {
     /// Incrementally maintained LCoF order by slot (see [`OrderBook`]);
     /// only populated when `cfg.incremental_order`.
     book: OrderBook,
-    /// Remote-shard contention addends (partitioned sharding): added to
-    /// the locally-tracked `k_c` before LCoF ordering, so a shard that
-    /// only sees its owned CoFlows still orders them against the rest of
-    /// the cluster's (summarised, possibly stale) footprint. Empty in
-    /// non-partitioned runs.
-    remote_k: FastHashMap<CoflowId, u32>,
     /// Per-round buffers, recycled across rounds (see `compute`).
     /// `slots[i]` is the slab slot of `view.coflows[i]`.
     slots: Vec<u32>,
@@ -420,7 +412,6 @@ impl Saath {
             arena: RoundArena::new(),
             tracker: ContentionTracker::new(),
             book: OrderBook::new(),
-            remote_k: FastHashMap::default(),
             slots: Vec::new(),
             drops: Vec::new(),
             shrunk: Vec::new(),
@@ -469,46 +460,6 @@ impl Saath {
     /// The queue a CoFlow would be assigned this round (D3 + §4.3).
     pub fn queue_of(&self, c: &CoflowView) -> usize {
         queue_for(&self.cfg, c, c.max_flow_sent(), &mut Vec::new())
-    }
-
-    /// Installs remote-shard contention addends (partitioned sharding).
-    /// Each entry's value is added to the CoFlow's locally-computed
-    /// `k_c` before LCoF ordering; the previous addends are replaced
-    /// wholesale. Pass an empty slice to return to purely local
-    /// contention. No effect when `lcof` is off (the ablations order by
-    /// FIFO and must stay contention-blind).
-    pub fn set_remote_contention(&mut self, entries: &[(CoflowId, u32)]) {
-        self.remote_k.clear();
-        for &(id, add) in entries {
-            if add > 0 {
-                self.remote_k.insert(id, add);
-            }
-        }
-    }
-
-    /// Exports this scheduler's contention state as a
-    /// [`crate::summary::ContentionSummary`] for partitioned sharding:
-    /// per-port occupancy and per-queue aggregates from the incremental
-    /// tracker, queue assignments from the per-CoFlow entries.
-    /// `port_rates` is left for the caller (it depends on the emitted
-    /// slice, which the scheduler does not retain). Meaningful only
-    /// when `incremental_contention` and `lcof` are on — otherwise the
-    /// tracker is idle and the export is empty.
-    pub fn export_summary(
-        &self,
-        shard: u32,
-        round: u64,
-        out: &mut crate::summary::ContentionSummary,
-    ) {
-        out.clear();
-        out.shard = shard;
-        out.round = round;
-        let tracked = self.cfg.lcof && self.cfg.incremental_contention;
-        let queued = (self.slab.iter().enumerate())
-            .filter(|(_, e)| tracked && e.live)
-            .map(|(slot, e)| (slot as u32, e.state.map_or(0, |s| s.queue)));
-        self.tracker
-            .export_summary(queued, self.cfg.queues.num_queues, out);
     }
 
     /// The all-or-none admission scan (D1 step 4, D2), in `self.order`:
@@ -869,16 +820,6 @@ impl CoflowScheduler for Saath {
             self.k.clear();
             self.k.resize(n, 0);
         }
-        // Partitioned sharding: fold in the remote-shard contention
-        // addends *after* the local oracle check — the oracle only
-        // covers CoFlows in this (possibly partial) view.
-        if self.cfg.lcof && !self.remote_k.is_empty() {
-            for (i, c) in view.coflows.iter().enumerate() {
-                if let Some(&add) = self.remote_k.get(&c.id) {
-                    self.k[i] = self.k[i].saturating_add(add);
-                }
-            }
-        }
         let t_contention_end = Instant::now();
 
         // Global scan order: queue asc (strict priority), expired
@@ -980,7 +921,6 @@ impl CoflowScheduler for Saath {
         // and the clock.
         let drifts_with_m_c_only = self.cfg.per_flow_threshold
             && !self.cfg.skew_aware_thresholds
-            && self.remote_k.is_empty()
             && !srtf_requeue
             && !any_expired;
         let mut crossing = Crossing::NONE;
@@ -2214,13 +2154,6 @@ mod tests {
             ..Default::default()
         });
         assert!(horizon(&mut s, &restarted, now) > now);
-
-        // Remote contention addends are replaced between rounds.
-        let mut s = Saath::with_defaults();
-        s.set_remote_contention(&[(CoflowId(0), 3)]);
-        assert_eq!(horizon(&mut s, &coflows, now), Time::ZERO);
-        s.set_remote_contention(&[]);
-        assert!(horizon(&mut s, &coflows, Time::from_millis(16)) > now);
 
         // A CoFlow past its deadline: every such round is computed, so
         // `starvation_kicks` counts them all.

@@ -208,34 +208,6 @@ impl Schedule {
             .map(|(_, r)| *r)
             .unwrap_or(Rate::ZERO)
     }
-
-    /// Keeps only the entries the predicate accepts — used by shard
-    /// replicas to cut a full schedule down to their owned slice. An
-    /// edited schedule is no longer the one the horizon was promised
-    /// for, so the horizon is voided.
-    pub fn retain(&mut self, mut keep: impl FnMut(FlowId) -> bool) {
-        self.rates.retain(|(f, _)| keep(*f));
-        self.valid_until = Time::ZERO;
-    }
-}
-
-/// Maps a CoFlow to its owning coordinator shard among `k`.
-///
-/// The hash is splitmix64 — a fixed, platform-independent mixer — so
-/// the shard assignment is stable across runs, architectures, and the
-/// simulator/runtime boundary (both sides must agree on ownership for
-/// the merged schedule to equal the single-coordinator one). `k = 1`
-/// degenerates to "everything is shard 0", i.e. the unsharded path.
-pub fn shard_of(coflow: CoflowId, k: usize) -> usize {
-    debug_assert!(k > 0, "shard count must be positive");
-    if k <= 1 {
-        return 0;
-    }
-    let mut z = (coflow.0 as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z % k as u64) as usize
 }
 
 /// A CoFlow scheduling policy. Implementations must be deterministic
@@ -373,50 +345,15 @@ mod tests {
         assert_eq!(s.rate_of(FlowId(3)), Rate::ZERO);
     }
 
-    /// `clear` and `retain` both void the horizon: a cleared schedule
-    /// promises nothing, an edited one is not the one it was promised
-    /// for.
+    /// A cleared schedule promises nothing.
     #[test]
-    fn clearing_or_editing_a_schedule_voids_its_horizon() {
+    fn clearing_a_schedule_voids_its_horizon() {
         let mut s = Schedule::default();
         assert_eq!(s.valid_until, Time::ZERO);
         s.set(FlowId(1), Rate(10));
-        s.valid_until = Time::from_millis(80);
-        s.retain(|_| true);
-        assert_eq!(s.valid_until, Time::ZERO);
         s.valid_until = Time::from_millis(80);
         s.clear();
         assert_eq!(s.valid_until, Time::ZERO);
-    }
-
-    #[test]
-    fn schedule_retain_keeps_only_owned_flows() {
-        let mut s = Schedule::default();
-        s.set(FlowId(1), Rate(10));
-        s.set(FlowId(2), Rate(20));
-        s.set(FlowId(3), Rate(30));
-        s.retain(|f| f.0 % 2 == 1);
-        assert_eq!(s.rates, vec![(FlowId(1), Rate(10)), (FlowId(3), Rate(30))]);
-    }
-
-    #[test]
-    fn shard_of_is_stable_and_in_range() {
-        // k = 1 always maps to shard 0.
-        for id in 0..64 {
-            assert_eq!(shard_of(CoflowId(id), 1), 0);
-        }
-        for k in [2usize, 3, 4, 7] {
-            let mut hit = vec![0usize; k];
-            for id in 0..256 {
-                let s = shard_of(CoflowId(id), k);
-                assert!(s < k);
-                // Deterministic: same input, same shard.
-                assert_eq!(s, shard_of(CoflowId(id), k));
-                hit[s] += 1;
-            }
-            // splitmix64 spreads 256 ids across every shard.
-            assert!(hit.iter().all(|&n| n > 0), "empty shard for k={k}: {hit:?}");
-        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! down to the first divergent scheduling round.
 //!
 //! Every equivalence guarantee in this workspace (incremental engine vs
-//! reference loop, sharded coordinators vs single, incremental vs
-//! full recompute) is stated over byte-identical per-CoFlow records —
+//! reference loop, schedule reuse vs computing every round, incremental
+//! vs full recompute) is stated over byte-identical per-CoFlow records —
 //! an end-of-run property. This crate makes the *per-round* trajectory
 //! durable and verifiable:
 //!
@@ -256,8 +256,8 @@ pub struct RateEntry {
 }
 
 /// One scheduling round, in canonical form: entries sorted by flow id
-/// so the single-coordinator and sharded-merge paths (which emit rates
-/// in different orders) produce identical bytes.
+/// so two policies or engines that emit the same rates in different
+/// orders produce identical bytes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RoundRecord {
     /// Scheduling-round ordinal (0-based, global across resumes).

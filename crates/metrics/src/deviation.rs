@@ -52,43 +52,6 @@ pub fn fct_deviation_split(records: &[CoflowRecord]) -> (Vec<f64>, Vec<f64>) {
     (equal, unequal)
 }
 
-/// Average per-CoFlow CCT deviation of `test` records against `oracle`
-/// records: mean over id-matched CoFlows of `|cct_t − cct_o| / cct_o`.
-/// The partitioned-sharding sweep's quality metric — 0.0 iff every
-/// matched CoFlow finishes at exactly the oracle's time (e.g. the S=0
-/// replicated mode). `None` when no CoFlow matches by id or an oracle
-/// CCT is zero-length.
-pub fn avg_cct_deviation(oracle: &[CoflowRecord], test: &[CoflowRecord]) -> Option<f64> {
-    // Records are sorted by id (both sides come out of the same
-    // engine), so a merge walk matches them without hashing.
-    let mut sum = 0.0f64;
-    let mut n = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < oracle.len() && j < test.len() {
-        let (a, b) = (&oracle[i], &test[j]);
-        match a.id.cmp(&b.id) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let co = a.cct().as_nanos() as f64;
-                let ct = b.cct().as_nanos() as f64;
-                if co <= 0.0 {
-                    return None;
-                }
-                sum += (ct - co).abs() / co;
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    if n == 0 {
-        None
-    } else {
-        Some(sum / n as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,26 +92,6 @@ mod tests {
         assert_eq!(fct_deviation(&r), None);
         assert_eq!(normalized_deviation(&[]), None);
         assert_eq!(normalized_deviation(&[0.0, 0.0]), None, "zero mean");
-    }
-
-    #[test]
-    fn avg_cct_deviation_matches_by_id() {
-        let mut o1 = rec(&[100, 100], &[1, 1]);
-        o1.id = CoflowId(1);
-        let mut o2 = rec(&[200], &[2]);
-        o2.id = CoflowId(2);
-        // Identical records → zero deviation.
-        assert_eq!(
-            avg_cct_deviation(&[o1.clone(), o2.clone()], &[o1.clone(), o2.clone()]),
-            Some(0.0)
-        );
-        // CoFlow 2 finishes 50% late; CoFlow 1 on time → mean 0.25.
-        let mut t2 = o2.clone();
-        t2.finish = Time::from_millis(300);
-        let d = avg_cct_deviation(&[o1.clone(), o2], &[o1, t2]).unwrap();
-        assert!((d - 0.25).abs() < 1e-12);
-        // Disjoint ids → no matches.
-        assert_eq!(avg_cct_deviation(&[], &[]), None);
     }
 
     #[test]

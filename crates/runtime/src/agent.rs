@@ -158,8 +158,8 @@ impl AgentCore {
         match m {
             Message::Schedule { epoch, rates } => {
                 // Strictly newer wins: a duplicated push of the same
-                // epoch (retransmit, shard fan-out) must be a no-op,
-                // not double-counted in `epochs_applied`.
+                // epoch (a retransmit) must be a no-op, not
+                // double-counted in `epochs_applied`.
                 if *epoch > self.last_epoch {
                     self.last_epoch = *epoch;
                     self.epochs_applied += 1;
@@ -438,8 +438,8 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(2))
             .unwrap();
 
-        // Push epoch 1 three times (e.g. a shard fan-out duplicating
-        // the reconciler's push), then a genuinely new epoch 2.
+        // Push epoch 1 three times (a retransmitted push), then a
+        // genuinely new epoch 2.
         let push = Message::Schedule {
             epoch: 1,
             rates: vec![RateAssignment {

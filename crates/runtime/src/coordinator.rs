@@ -23,16 +23,15 @@
 //! coordinator ([`CoordinatorConfig::restart_at`]) starts with an empty
 //! table and a fresh policy, says [`Message::Hello`] on every link, and
 //! every agent answers with one full report, retired flows included
-//! (`AgentCore::resync`); a standby shard is handed the reconciler's
-//! table as `ObsState::snapshot` frames ([`crate::shard`]). The
-//! policy still rebuilds from a single wave, as before. The completion
+//! (`AgentCore::resync`). The policy still rebuilds from a single
+//! wave, as before. The completion
 //! ledger (which CoFlows are done, their records) is not coordinator
 //! state in this sense — in a deployment it has left for the frameworks
 //! that registered the CoFlows — and survives the drill.
 
 use crate::clock::EmuClock;
 use crate::metrics::MetricsHub;
-use crate::proto::{FlowStat, Message, RateAssignment, COORDINATOR, MAX_FRAME};
+use crate::proto::{FlowStat, Message, RateAssignment, COORDINATOR};
 use crate::transport::{Transport, TransportStats};
 use saath_core::view::{ClusterView, CoflowScheduler, CoflowView, FlowView, Schedule};
 use saath_fabric::PortBank;
@@ -42,20 +41,20 @@ use saath_telemetry::Phase;
 use saath_workload::Trace;
 
 /// Static description of one registered CoFlow.
-pub(crate) struct RegEntry {
-    pub(crate) id: CoflowId,
-    pub(crate) arrival: Time,
-    pub(crate) job: Option<saath_simcore::JobId>,
+struct RegEntry {
+    id: CoflowId,
+    arrival: Time,
+    job: Option<saath_simcore::JobId>,
     /// `(flow id, src, dst, size, ready offset)`.
-    pub(crate) flows: Vec<(u32, NodeId, NodeId, Bytes, Duration)>,
+    flows: Vec<(u32, NodeId, NodeId, Bytes, Duration)>,
 }
 
 /// The coordinator's CoFlow registry, preloaded from a trace.
 pub struct CoflowRegistry {
-    pub(crate) entries: Vec<RegEntry>,
-    pub(crate) num_nodes: usize,
-    pub(crate) port_rate: Rate,
-    pub(crate) total_flows: usize,
+    entries: Vec<RegEntry>,
+    num_nodes: usize,
+    port_rate: Rate,
+    total_flows: usize,
 }
 
 impl CoflowRegistry {
@@ -127,13 +126,11 @@ pub struct CoordinatorConfig {
 
 /// The observation core of the coordinator: latest per-flow
 /// observations, CoFlow completion bookkeeping, and view construction —
-/// everything a δ round derives from the agents' reports. Shared by the
-/// single coordinator, each shard replica, and the reconciler, so all
-/// three build *the same* view from the same stats waves.
-pub(crate) struct ObsState {
+/// everything a δ round derives from the agents' reports.
+struct ObsState {
     obs: Vec<FlowObs>,
     done: Vec<Option<Time>>,
-    pub(crate) records: Vec<CoflowRecord>,
+    records: Vec<CoflowRecord>,
     /// Per-flow entries ingested so far.
     ingested: u64,
 }
@@ -157,12 +154,8 @@ impl FlowObs {
     };
 }
 
-/// Flows per [`ObsState::snapshot`] frame: the most a `Stats` body
-/// holds under [`MAX_FRAME`] (16-byte header, 13 bytes per flow).
-pub(crate) const SNAPSHOT_CHUNK: usize = (MAX_FRAME - 18) / 13;
-
 impl ObsState {
-    pub(crate) fn new(registry: &CoflowRegistry) -> ObsState {
+    fn new(registry: &CoflowRegistry) -> ObsState {
         ObsState {
             obs: vec![FlowObs::UNSEEN; registry.total_flows],
             done: vec![None; registry.entries.len()],
@@ -174,7 +167,7 @@ impl ObsState {
     /// Folds one stats report in. `now` stamps newly-finished flows.
     /// Flow ids come off the wire: entries naming no registered flow
     /// are skipped, and their number returned.
-    pub(crate) fn ingest(&mut self, flows: &[FlowStat], now: Time) -> u64 {
+    fn ingest(&mut self, flows: &[FlowStat], now: Time) -> u64 {
         self.ingested += flows.len() as u64;
         let mut rejected = 0;
         for &FlowStat {
@@ -202,46 +195,13 @@ impl ObsState {
     /// The completion ledger (`records`, and which CoFlows are done)
     /// stays: in a deployment it has already left the coordinator, to
     /// the frameworks that registered the CoFlows.
-    pub(crate) fn forget_observations(&mut self) {
+    fn forget_observations(&mut self) {
         self.obs.fill(FlowObs::UNSEEN);
-    }
-
-    /// The observation table as [`Message::Stats`] frames of at most
-    /// `max_entries` flows each, stamped `now`: every flow ever
-    /// reported, finished ones included. Ingesting them brings a fresh
-    /// [`ObsState`] level with this one (up to the finish *times*, which
-    /// only the recording coordinator needs).
-    pub(crate) fn snapshot(&self, now: Time, max_entries: usize) -> Vec<Message> {
-        let seen: Vec<FlowStat> = self
-            .obs
-            .iter()
-            .enumerate()
-            .filter_map(|(flow, o)| {
-                Some(FlowStat {
-                    flow: flow as u32,
-                    sent: o.sent,
-                    finished: o.finished,
-                    ready: o.ready?,
-                })
-            })
-            .collect();
-        seen.chunks(max_entries.max(1))
-            .map(|flows| Message::Stats {
-                node: COORDINATOR,
-                now_ns: now.as_nanos(),
-                flows: flows.to_vec(),
-            })
-            .collect()
-    }
-
-    /// Whether flow `flow` has been reported finished.
-    pub(crate) fn is_finished(&self, flow: u32) -> bool {
-        self.obs.get(flow as usize).is_some_and(|o| o.finished)
     }
 
     /// Completion bookkeeping: records every CoFlow whose flows have all
     /// finished. Returns true once every registered CoFlow is done.
-    pub(crate) fn sweep(&mut self, registry: &CoflowRegistry, now: Time) -> bool {
+    fn sweep(&mut self, registry: &CoflowRegistry, now: Time) -> bool {
         for (ci, e) in registry.entries.iter().enumerate() {
             if self.done[ci].is_some() || e.arrival > now {
                 continue;
@@ -282,7 +242,7 @@ impl ObsState {
     }
 
     /// Builds the view of active CoFlows at `now` into `views`.
-    pub(crate) fn build_views(
+    fn build_views(
         &self,
         registry: &CoflowRegistry,
         now: Time,
@@ -318,17 +278,7 @@ impl ObsState {
         }
     }
 
-    /// Number of CoFlows arrived and not yet finished at `now`.
-    pub(crate) fn active_count(&self, registry: &CoflowRegistry, now: Time) -> u64 {
-        registry
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(ci, e)| self.done[*ci].is_none() && e.arrival <= now)
-            .count() as u64
-    }
-
-    pub(crate) fn into_sorted_records(mut self) -> Vec<CoflowRecord> {
+    fn into_sorted_records(mut self) -> Vec<CoflowRecord> {
         self.records.sort_by_key(|r| r.id);
         self.records
     }
@@ -351,8 +301,8 @@ pub struct CoordinatorReport {
     pub restarted: bool,
 }
 
-/// The hub counter for indices read off the wire that named no
-/// registered flow or shard — the entry is skipped, the run goes on.
+/// The hub counter for flow indices read off the wire that named no
+/// registered flow — the entry is skipped, the run goes on.
 pub(crate) const REJECTED_INDICES: &str = "saath_coord_rejected_indices_total";
 
 /// The hub counter for per-flow entries ingested from stats reports —
@@ -367,12 +317,12 @@ pub(crate) const LINK_ERRORS: &str = "saath_coord_link_errors_total";
 /// head of its buffer and would fail every later read too — and is
 /// then left out of the drain and the push. Counted once per link in
 /// [`LINK_ERRORS`].
-pub(crate) struct LinkHealth {
+struct LinkHealth {
     dead: Vec<bool>,
 }
 
 impl LinkHealth {
-    pub(crate) fn new(links: usize) -> LinkHealth {
+    fn new(links: usize) -> LinkHealth {
         LinkHealth {
             dead: vec![false; links],
         }
@@ -380,7 +330,7 @@ impl LinkHealth {
 
     /// No agent is left to report or to be scheduled: the run cannot
     /// make progress and ends as timed out.
-    pub(crate) fn all_dead(&self) -> bool {
+    fn all_dead(&self) -> bool {
         !self.dead.is_empty() && self.dead.iter().all(|&d| d)
     }
 
@@ -393,13 +343,10 @@ impl LinkHealth {
 }
 
 /// Epoch phase 1 (obs-recv): drains every pending agent frame, folding
-/// stats reports into `state` stamped `now` and forwarding each
-/// verbatim to `forward_to` (the reconciler's shard links — every
-/// replica must see the same waves; empty for the single coordinator).
-pub(crate) fn drain_stats(
+/// stats reports into `state` stamped `now`.
+fn drain_stats(
     agents: &mut [Box<dyn Transport>],
     health: &mut LinkHealth,
-    forward_to: &mut [Box<dyn Transport>],
     state: &mut ObsState,
     now: Time,
     hub: Option<&MetricsHub>,
@@ -419,16 +366,11 @@ pub(crate) fn drain_stats(
             // broken link ends it.
             loop {
                 match a.recv_timeout(std::time::Duration::ZERO) {
-                    Ok(Some(m)) => {
-                        if let Message::Stats { flows, .. } = &m {
-                            stats_msgs += 1;
-                            rejected += state.ingest(flows, now);
-                            let mut frame = None;
-                            for l in forward_to.iter_mut() {
-                                let _ = l.send_shared(&m, &mut frame);
-                            }
-                        }
+                    Ok(Some(Message::Stats { flows, .. })) => {
+                        stats_msgs += 1;
+                        rejected += state.ingest(&flows, now);
                     }
+                    Ok(Some(_)) => {}
                     Ok(None) => break,
                     Err(_) => {
                         health.bury(i, hub);
@@ -473,7 +415,7 @@ fn send_to_live(
 
 /// Epoch phase 3 (broadcast): pushes `schedule` to every live agent
 /// link as epoch `epoch`.
-pub(crate) fn push_schedule(
+fn push_schedule(
     agents: &mut [Box<dyn Transport>],
     health: &mut LinkHealth,
     epoch: u64,
@@ -495,7 +437,7 @@ pub(crate) fn push_schedule(
 }
 
 /// A schedule in its wire form.
-pub(crate) fn to_assignments(schedule: &Schedule) -> Vec<RateAssignment> {
+fn to_assignments(schedule: &Schedule) -> Vec<RateAssignment> {
     let wire = |&(f, r): &(FlowId, Rate)| RateAssignment {
         flow: f.0,
         rate: r.as_u64(),
@@ -505,7 +447,7 @@ pub(crate) fn to_assignments(schedule: &Schedule) -> Vec<RateAssignment> {
 
 /// End of an epoch: the CoFlow gauges and the agent links' cumulative
 /// transport counters.
-pub(crate) fn publish_epoch(
+fn publish_epoch(
     hub: Option<&MetricsHub>,
     agents: &[Box<dyn Transport>],
     active: u64,
@@ -514,21 +456,16 @@ pub(crate) fn publish_epoch(
     if let Some(h) = hub {
         h.set("saath_active_coflows", "", active);
         h.set("saath_completed_coflows", "", completed as u64);
-        publish_links(h, "link=\"agent\"", agents);
+        let mut sum = TransportStats::default();
+        for l in agents {
+            sum.merge(&l.stats());
+        }
+        h.set_transport("link=\"agent\"", &sum);
     }
-}
-
-/// Publishes the summed transport counters of `links` under `labels`.
-pub(crate) fn publish_links(hub: &MetricsHub, labels: &str, links: &[Box<dyn Transport>]) {
-    let mut sum = TransportStats::default();
-    for l in links {
-        sum.merge(&l.stats());
-    }
-    hub.set_transport(labels, &sum);
 }
 
 /// Tells every peer behind `links` to exit.
-pub(crate) fn shutdown_links(links: &mut [Box<dyn Transport>]) {
+fn shutdown_links(links: &mut [Box<dyn Transport>]) {
     for l in links {
         let _ = l.send(&Message::Shutdown);
     }
@@ -536,7 +473,7 @@ pub(crate) fn shutdown_links(links: &mut [Box<dyn Transport>]) {
 
 /// The run's report; a completed run also leaves the final gauge
 /// values behind (the epoch loop won't publish again).
-pub(crate) fn finish(
+fn finish(
     state: ObsState,
     epochs: u64,
     restarted: bool,
@@ -605,7 +542,7 @@ pub fn run_coordinator(
         }
 
         let now = clock.now();
-        drain_stats(agents, &mut health, &mut [], &mut state, now, hub);
+        drain_stats(agents, &mut health, &mut state, now, hub);
         // Completion bookkeeping, then the view of what is still active.
         let all_done = {
             let _span = hub.map(|h| h.span(Phase::CoordViews));
@@ -723,7 +660,9 @@ mod tests {
             vec![Duration::from_millis(400), Duration::from_millis(800)],
             "per-flow FCTs run from the CoFlow's arrival"
         );
-        assert_eq!(state.active_count(&reg, Time::from_millis(1400)), 1);
+        let mut views = Vec::new();
+        state.build_views(&reg, Time::from_millis(1400), false, &mut views);
+        assert_eq!(views.len(), 1, "CoFlow 1 is active");
         state.ingest(&[stat(2, 1_000_000, true)], Time::from_millis(1500));
         assert!(state.sweep(&reg, Time::from_millis(1500)));
     }
@@ -844,60 +783,6 @@ mod tests {
             "the link must be counted exactly once:\n{}",
             hub.render()
         );
-    }
-
-    /// A snapshot carries every flow ever reported, in frames no larger
-    /// than asked, and a fresh table that ingests it builds the same
-    /// views and completes the same CoFlows.
-    #[test]
-    fn snapshot_rebuilds_the_table_in_chunks() {
-        let reg = registry();
-        let mut state = ObsState::new(&reg);
-        let now = Time::from_millis(1200);
-        state.ingest(
-            &[stat(0, 1_000_000, true), stat(1, 2_000_000, true)],
-            Time::from_millis(900),
-        );
-        state.ingest(&[stat(2, 300, false)], now);
-        state.sweep(&reg, now);
-
-        let frames = state.snapshot(now, 2);
-        let sizes: Vec<usize> = frames
-            .iter()
-            .map(|m| match m {
-                Message::Stats { node, flows, .. } => {
-                    assert_eq!(*node, COORDINATOR);
-                    flows.len()
-                }
-                other => panic!("snapshot frame is {other:?}"),
-            })
-            .collect();
-        assert_eq!(sizes, [2, 1], "three flows seen, two per frame");
-
-        let mut fresh = ObsState::new(&reg);
-        for m in &frames {
-            if let Message::Stats { flows, now_ns, .. } = m {
-                assert_eq!(fresh.ingest(flows, Time(*now_ns)), 0);
-            }
-        }
-        assert!(!fresh.sweep(&reg, now));
-        assert_eq!(fresh.records.len(), 1, "CoFlow 0 is known complete");
-        let (mut want, mut got) = (Vec::new(), Vec::new());
-        state.build_views(&reg, now, false, &mut want);
-        fresh.build_views(&reg, now, false, &mut got);
-        assert_eq!(want.len(), 1);
-        assert_eq!(got[0].id, want[0].id);
-        assert_eq!(got[0].flows[0].sent, Bytes(300));
-
-        // A table that has seen nothing has nothing to hand over, and a
-        // full-size frame encodes.
-        assert!(ObsState::new(&reg).snapshot(now, 2).is_empty());
-        let full = Message::Stats {
-            node: COORDINATOR,
-            now_ns: 0,
-            flows: vec![stat(0, 0, false); SNAPSHOT_CHUNK],
-        };
-        assert!(full.encoded_len() <= MAX_FRAME && full.encoded_len() + 13 > MAX_FRAME);
     }
 
     /// A restarted coordinator has lost its observations and asks for

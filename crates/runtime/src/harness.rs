@@ -7,7 +7,6 @@ use crate::coordinator::{run_coordinator, CoflowRegistry, CoordinatorConfig, Coo
 use crate::host::run_agent_host;
 use crate::metrics::{MetricsHub, MetricsServer};
 use crate::proto::Message;
-use crate::shard::{run_shard, run_sharded_coordinator, ShardFailover};
 use crate::transport::{inproc_pair, TcpTransport, Transport};
 use saath_core::view::CoflowScheduler;
 use saath_simcore::{Duration, Time};
@@ -45,22 +44,6 @@ pub struct EmulationConfig {
     /// Kill and restart the coordinator's scheduler at this simulated
     /// time (failover drill).
     pub restart_coordinator_at: Option<Time>,
-    /// Number of coordinator shards. `1` (the default) is the classic
-    /// single coordinator running `make_sched`'s policy; `≥ 2` hashes
-    /// CoFlows across that many default-configured Saath shards
-    /// reconciled every δ (see [`crate::shard`]; `make_sched` is not
-    /// used).
-    pub shards: usize,
-    /// Kill shard 0 at this simulated time and swap in a pre-spawned
-    /// standby replica (sharded failover drill; requires `shards ≥ 2`
-    /// and `staleness == 0`).
-    pub restart_shard_at: Option<Time>,
-    /// What each shard schedules (see [`crate::shard::run_shard`]; no
-    /// effect with `shards == 1`). `0` (the default): the full view —
-    /// replicas of the single coordinator. `≥ 1`: only its owned
-    /// CoFlows, against contention summaries its peers refresh every
-    /// `staleness` reconciliation epochs — the compute is partitioned.
-    pub staleness: u64,
     /// Wall-clock watchdog for the whole emulation.
     pub wall_deadline: std::time::Duration,
     /// Serve live Prometheus metrics at this address for the duration
@@ -88,9 +71,6 @@ impl Default for EmulationConfig {
             transport: TransportKind::InProc,
             clairvoyant: false,
             restart_coordinator_at: None,
-            shards: 1,
-            restart_shard_at: None,
-            staleness: 0,
             wall_deadline: std::time::Duration::from_secs(60),
             metrics_addr: None,
             multiplex: 1,
@@ -105,9 +85,6 @@ pub struct EmulationReport {
     pub coordinator: CoordinatorReport,
     /// Schedule epochs each agent applied.
     pub agent_epochs: Vec<u64>,
-    /// Reconciliation rounds each shard computed (empty when
-    /// `shards == 1`; the standby replica, if any, is the last entry).
-    pub shard_epochs: Vec<u64>,
     /// The final Prometheus exposition page, when
     /// [`EmulationConfig::metrics_addr`] was set — the same text the
     /// live `/metrics` endpoint served, rendered once more after the
@@ -118,17 +95,15 @@ pub struct EmulationReport {
 type Links = Vec<Box<dyn Transport>>;
 
 /// Builds `n` connected transport pairs of the requested kind. The
-/// first vector holds the coordinator/reconciler sides, the second the
-/// agent/shard/host sides, index-aligned. `capacity` bounds the
+/// first vector holds the coordinator sides, the second the host
+/// sides, index-aligned. `capacity` bounds the
 /// in-process channels (ignored for TCP); host links scale it with
 /// the number of agents they multiplex.
 ///
 /// TCP links are identified by a wiring-time `Hello { node: i }` each
 /// connector sends first, consumed by [`accept_identified`] — **not**
 /// by accept order, which loopback does not guarantee to match the
-/// connector spawn order. Shard links go through the same handshake
-/// (their "node" is the shard slot), so every `link_pairs` caller
-/// gets identity-aligned pairs.
+/// connector spawn order.
 fn link_pairs(kind: TransportKind, n: usize, capacity: usize) -> (Links, Links) {
     let mut near: Links = Vec::with_capacity(n);
     let mut far: Links = Vec::with_capacity(n);
@@ -212,24 +187,14 @@ fn agent_flows(trace: &Trace) -> Vec<Vec<AgentFlow>> {
 }
 
 /// Replays `trace` on an emulated cluster: one agent per node on
-/// `ceil(nodes / cfg.multiplex)` host threads, the coordinator (or,
-/// with `cfg.shards ≥ 2`, the reconciler plus one thread per shard) on
-/// the calling thread's side.
+/// `ceil(nodes / cfg.multiplex)` host threads, the coordinator on the
+/// calling thread.
 pub fn emulate(
     trace: &Trace,
     make_sched: &(dyn Fn() -> Box<dyn CoflowScheduler> + Sync),
     cfg: &EmulationConfig,
 ) -> EmulationReport {
     trace.validate().expect("invalid trace");
-    assert!(cfg.shards >= 1, "shards must be at least 1");
-    assert!(
-        cfg.restart_shard_at.is_none() || cfg.shards >= 2,
-        "the shard failover drill needs shards >= 2"
-    );
-    assert!(
-        cfg.staleness == 0 || cfg.restart_shard_at.is_none(),
-        "the standby-swap drill needs staleness == 0 (full replicas)"
-    );
     assert!(
         cfg.multiplex >= 1,
         "multiplex (agents per host) must be at least 1"
@@ -239,8 +204,8 @@ pub fn emulate(
     let registry = CoflowRegistry::from_trace(trace);
     let clock = EmuClock::start(cfg.scale);
 
-    // Optional live metrics plane: one hub shared by the coordinator,
-    // shards, and agents, served over HTTP for the run's duration.
+    // Optional live metrics plane: one hub shared by the coordinator
+    // and the agents, served over HTTP for the run's duration.
     let hub = cfg
         .metrics_addr
         .as_ref()
@@ -284,77 +249,20 @@ pub fn emulate(
         }));
     }
 
-    // Run the coordinator (or reconciler + shard threads) here.
-    let coord_cfg = CoordinatorConfig {
-        delta: cfg.delta,
-        clairvoyant: cfg.clairvoyant,
-        restart_at: cfg.restart_coordinator_at,
-        wall_deadline: cfg.wall_deadline,
-    };
-    let (coordinator, shard_epochs) = if cfg.shards <= 1 {
-        let report = run_coordinator(
-            &registry,
-            make_sched,
-            &mut coord_sides,
-            &clock,
-            &coord_cfg,
-            hub.as_deref(),
-        );
-        (report, Vec::new())
-    } else {
-        // One link per shard, plus one for the standby replica the
-        // failover drill swaps in.
-        let spare = usize::from(cfg.restart_shard_at.is_some());
-        let (mut recon_sides, shard_sides) = link_pairs(cfg.transport, cfg.shards + spare, 1024);
-        let spare_recon_side = (spare == 1).then(|| recon_sides.pop().expect("spare link"));
-        let failover = cfg.restart_shard_at.map(|at| ShardFailover {
-            shard: 0,
-            at,
-            spare: spare_recon_side.expect("spare link"),
-        });
-        let registry_ref = &registry;
-        let clairvoyant = cfg.clairvoyant;
-        let shards = cfg.shards;
-        let staleness = cfg.staleness;
-        let hub_ref = hub.as_deref();
-        std::thread::scope(|s| {
-            let shard_handles: Vec<_> = shard_sides
-                .into_iter()
-                .enumerate()
-                .map(|(i, link)| {
-                    // The extra link (index `shards`) is the standby
-                    // replica of shard 0, idle until swapped in.
-                    let shard = if i < shards { i } else { 0 };
-                    s.spawn(move || {
-                        run_shard(
-                            shard,
-                            shards,
-                            staleness,
-                            registry_ref,
-                            saath_core::SaathConfig::default(),
-                            link,
-                            clairvoyant,
-                            hub_ref,
-                        )
-                    })
-                })
-                .collect();
-            let report = run_sharded_coordinator(
-                registry_ref,
-                &mut coord_sides,
-                recon_sides,
-                failover,
-                &clock,
-                &coord_cfg,
-                hub.as_deref(),
-            );
-            let shard_epochs = shard_handles
-                .into_iter()
-                .map(|h| h.join().expect("shard panicked").unwrap_or(0))
-                .collect();
-            (report, shard_epochs)
-        })
-    };
+    // Run the coordinator here.
+    let coordinator = run_coordinator(
+        &registry,
+        make_sched,
+        &mut coord_sides,
+        &clock,
+        &CoordinatorConfig {
+            delta: cfg.delta,
+            clairvoyant: cfg.clairvoyant,
+            restart_at: cfg.restart_coordinator_at,
+            wall_deadline: cfg.wall_deadline,
+        },
+        hub.as_deref(),
+    );
 
     // Agents exit on Shutdown (sent by the coordinator) or disconnect.
     drop(coord_sides);
@@ -373,7 +281,6 @@ pub fn emulate(
     EmulationReport {
         coordinator,
         agent_epochs,
-        shard_epochs,
         metrics,
     }
 }
@@ -563,120 +470,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sharded_emulation_completes_all_coflows() {
-        let trace = small_trace(6);
-        let cfg = EmulationConfig {
-            shards: 2,
-            ..Default::default()
-        };
-        let report = emulate(&trace, &|| Box::new(Saath::with_defaults()), &cfg);
-        assert!(!report.coordinator.timed_out, "sharded emulation timed out");
-        assert_eq!(report.coordinator.records.len(), 6);
-        assert!(report.coordinator.epochs > 0);
-        assert_eq!(report.shard_epochs.len(), 2);
-        // Lockstep barriers: every shard computes every round.
-        assert!(report.shard_epochs.iter().all(|&e| e > 0));
-        assert!(report.agent_epochs.iter().take(3).all(|&e| e > 0));
-    }
-
-    #[test]
-    fn sharded_emulation_over_tcp() {
-        let trace = small_trace(4);
-        let cfg = EmulationConfig {
-            transport: TransportKind::Tcp,
-            shards: 2,
-            ..Default::default()
-        };
-        let report = emulate(&trace, &|| Box::new(Saath::with_defaults()), &cfg);
-        assert!(!report.coordinator.timed_out);
-        assert_eq!(report.coordinator.records.len(), 4);
-        assert_eq!(report.shard_epochs.len(), 2);
-    }
-
-    /// One `run_shard`, two staleness settings, over the real transport
-    /// stack: every CoFlow completes and every shard computes rounds
-    /// either way; the summary plane (exports relayed by the
-    /// reconciler, its metrics families) exists only at S ≥ 1.
-    #[test]
-    fn staleness_selects_replicated_or_partitioned_shards() {
-        let trace = small_trace(6);
-        for staleness in [0u64, 2] {
-            let cfg = EmulationConfig {
-                shards: 2,
-                staleness,
-                metrics_addr: Some("127.0.0.1:0".into()),
-                ..Default::default()
-            };
-            let report = emulate(&trace, &|| Box::new(Saath::with_defaults()), &cfg);
-            assert!(!report.coordinator.timed_out, "S={staleness} timed out");
-            assert_eq!(report.coordinator.records.len(), 6, "S={staleness}");
-            assert_eq!(report.shard_epochs.len(), 2);
-            assert!(report.shard_epochs.iter().all(|&e| e > 0), "S={staleness}");
-            let page = report.metrics.expect("metrics_addr set");
-            assert!(page.contains("saath_shard_slices_total"), "S={staleness}");
-            assert_eq!(
-                page.contains("saath_summary_bytes_exchanged_total"),
-                staleness >= 1,
-                "S={staleness}: summaries must cross the shard boundary iff S >= 1:\n{page}"
-            );
-            assert_eq!(
-                page.contains("# TYPE saath_summary_age_rounds gauge"),
-                staleness >= 1,
-                "S={staleness}"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_failover_drill_recovers() {
-        // Ten CoFlows, the first few complete by the swap: the standby
-        // takes over shard 0's share of both kinds.
-        let trace = small_trace(10);
-        let cfg = EmulationConfig {
-            shards: 2,
-            // Kill shard 0 mid-replay (coflows span ~2 sim-seconds);
-            // the pre-spawned standby replica takes over.
-            restart_shard_at: Some(Time::from_millis(1200)),
-            metrics_addr: Some("127.0.0.1:0".into()),
-            ..Default::default()
-        };
-        let report = emulate(&trace, &|| Box::new(Saath::with_defaults()), &cfg);
-        assert!(report.coordinator.restarted, "drill never injected");
-        assert!(!report.coordinator.timed_out);
-        assert_eq!(
-            report.coordinator.records.len(),
-            10,
-            "all CoFlows must survive a shard restart"
-        );
-        // The standby started from the reconciler's table: from its
-        // first slice on, no replica scheduled a flow known finished.
-        let page = report.metrics.expect("metrics_addr set");
-        assert!(page.contains("saath_shard_standby_rebuilds_total{shard=\"0\"} 1"));
-        assert!(
-            !page.contains(crate::shard::FINISHED_FLOW_RATES),
-            "a replica was behind the reconciler's table:\n{page}"
-        );
-        // 2 shards + the standby replica.
-        assert_eq!(report.shard_epochs.len(), 3);
-        // The standby computed rounds after the swap.
-        assert!(
-            *report.shard_epochs.last().unwrap() > 0,
-            "standby replica never took over"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "needs shards >= 2")]
-    fn shard_drill_without_shards_is_rejected() {
-        let trace = small_trace(1);
-        let cfg = EmulationConfig {
-            restart_shard_at: Some(Time::from_millis(100)),
-            ..Default::default()
-        };
-        let _ = emulate(&trace, &|| Box::new(Saath::with_defaults()), &cfg);
-    }
-
     /// Regression (accept-order wiring): loopback accept order is not
     /// guaranteed to match connector spawn order, so links must be
     /// slotted by their identifying `Hello`, not positionally. The
@@ -836,24 +629,6 @@ mod tests {
             ..Default::default()
         };
         let _ = emulate(&small_trace(1), &|| Box::new(Saath::with_defaults()), &cfg);
-    }
-
-    /// Multiplexed wiring composes with sharded coordinators: host
-    /// links feed the reconciler, which forwards to the shards.
-    #[test]
-    fn multiplexed_sharded_emulation_completes() {
-        let trace = small_trace(4);
-        let cfg = EmulationConfig {
-            shards: 2,
-            multiplex: 3,
-            ..Default::default()
-        };
-        let report = emulate(&trace, &|| Box::new(Saath::with_defaults()), &cfg);
-        assert!(!report.coordinator.timed_out);
-        assert_eq!(report.coordinator.records.len(), 4);
-        assert_eq!(report.shard_epochs.len(), 2);
-        assert!(report.shard_epochs.iter().all(|&e| e > 0));
-        assert_eq!(report.agent_epochs.len(), 6);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! paper uses for failover ("since the coordinator makes scheduling
 //! decisions on the latest flow stats … it is easy … to recover from
 //! failures"). Its observation table is soft state with a rebuild
-//! path: a restarted coordinator asks the agents for one full wave, a
-//! standby shard is handed the reconciler's table (see
+//! path: a restarted coordinator asks the agents for one full wave (see
 //! [`coordinator`]).
 //!
 //! This is the substitute for the paper's 150-node Azure testbed
@@ -32,12 +31,9 @@
 //! [`EmulationConfig::multiplex`] of them per thread over one link
 //! (default 1). The coordinator is one epoch loop
 //! ([`coordinator::run_coordinator`]: drain stats → complete CoFlows,
-//! build views → schedule → push → publish); with [`EmulationConfig::shards`] ≥ 2 the
-//! same loop's rates come from K [`shard::run_shard`] threads instead
-//! of a local policy ([`shard::run_sharded_coordinator`]), and one
-//! parameter, [`EmulationConfig::staleness`], says whether those shards
-//! are full replicas (0) or partition the compute (≥ 1). Counters and
-//! latencies go to one plane, the [`MetricsHub`].
+//! build views → schedule → push → publish), and there is one
+//! coordinator, as in the paper (§4.1). Counters and latencies go to
+//! one plane, the [`MetricsHub`].
 //!
 //! Time runs on a scaled clock ([`clock::EmuClock`]): one wall second
 //! is `scale` simulated seconds, so an hour-long trace replays in
@@ -58,12 +54,10 @@ pub mod host;
 pub mod metrics;
 pub mod poll;
 pub mod proto;
-pub mod shard;
 pub mod transport;
 
 pub use clock::EmuClock;
 pub use harness::{emulate, EmulationConfig, EmulationReport, TransportKind};
 pub use host::run_agent_host;
 pub use metrics::{MetricsHub, MetricsServer};
-pub use shard::{run_shard, run_sharded_coordinator, ShardFailover};
 pub use transport::TransportStats;

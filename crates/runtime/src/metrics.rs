@@ -1,6 +1,6 @@
 //! The runtime's live metrics plane: a process-wide [`MetricsHub`]
 //! aggregating counters, gauges, and per-phase latency histograms from
-//! the coordinator, reconciler, shards, agents, and transports, plus a
+//! the coordinator, agent hosts, and transports, plus a
 //! minimal blocking HTTP server that exposes the hub as a Prometheus
 //! text page at `/metrics` (stdlib `TcpListener` only — no new
 //! dependencies, matching the workspace's vendored-stub discipline).
@@ -56,31 +56,11 @@ const FAMILY_HELP: &[(&str, &str)] = &[
     ),
     (
         crate::coordinator::REJECTED_INDICES,
-        "Flow or shard indices read off the wire that named nothing and were skipped",
+        "Flow indices read off the wire that named nothing and were skipped",
     ),
     (
         crate::coordinator::LINK_ERRORS,
         "Agent links the coordinator gave up on after a transport error",
-    ),
-    (
-        "saath_shard_slices_total",
-        "Fresh shard schedule slices received by the reconciler",
-    ),
-    (
-        "saath_shard_fallback_slices_total",
-        "Reconciliation rounds served from a shard's previous slice",
-    ),
-    (
-        "saath_shard_merge_clamps_total",
-        "Rate assignments clamped by the reconciler's port-capacity merge",
-    ),
-    (
-        crate::shard::FINISHED_FLOW_RATES,
-        "Rates in a fresh shard slice naming a flow the reconciler has seen finished (the replica is behind)",
-    ),
-    (
-        "saath_shard_standby_rebuilds_total",
-        "Global rebuild broadcasts after a shard standby swap-in",
     ),
     (
         "saath_transport_frames_sent_total",
@@ -122,22 +102,6 @@ const FAMILY_HELP: &[(&str, &str)] = &[
         "saath_completed_coflows",
         "CoFlows recorded complete by the coordinator",
     ),
-    (
-        "saath_shard_replica_lag_epochs",
-        "Reconciler epoch minus the shard's last fresh slice epoch",
-    ),
-    (
-        "saath_summary_bytes_exchanged_total",
-        "Contention-summary bytes shipped between partitioned shards",
-    ),
-    (
-        "saath_summary_age_rounds",
-        "Rounds since the shard last exported its contention summary",
-    ),
-    (
-        "saath_stale_order_decisions_total",
-        "CoFlows ordered against summaries older than one round",
-    ),
 ];
 
 /// Which families are gauges (everything else in [`FAMILY_HELP`] is a
@@ -147,8 +111,6 @@ const GAUGES: &[&str] = &[
     "saath_host_agents",
     "saath_active_coflows",
     "saath_completed_coflows",
-    "saath_shard_replica_lag_epochs",
-    "saath_summary_age_rounds",
 ];
 
 #[derive(Default)]
@@ -173,7 +135,7 @@ impl MetricsHub {
     }
 
     /// Adds `n` to the `(family, labels)` series. `labels` is a
-    /// pre-rendered body like `shard="0"` (see
+    /// pre-rendered body like `host="0"` (see
     /// [`saath_telemetry::prom::label_body`]) or `""` for none.
     pub fn incr(&self, family: &'static str, labels: &str, n: u64) {
         let mut g = self.inner.lock().expect("metrics hub poisoned");
@@ -381,23 +343,21 @@ mod tests {
     fn hub_renders_deterministic_layout() {
         let hub = MetricsHub::new();
         hub.incr("saath_coord_epochs_total", "", 3);
-        hub.incr("saath_shard_slices_total", "shard=\"1\"", 5);
-        hub.incr("saath_shard_slices_total", "shard=\"0\"", 4);
-        hub.set("saath_shard_replica_lag_epochs", "shard=\"0\"", 1);
+        hub.incr("saath_host_ready_events_total", "host=\"1\"", 5);
+        hub.incr("saath_host_ready_events_total", "host=\"0\"", 4);
+        hub.set("saath_active_coflows", "", 1);
         let page = hub.render();
         // Families in FAMILY_HELP order, series label-sorted.
         let epochs = page.find("saath_coord_epochs_total 3").unwrap();
-        let s0 = page
-            .find("saath_shard_slices_total{shard=\"0\"} 4")
+        let h0 = page
+            .find("saath_host_ready_events_total{host=\"0\"} 4")
             .unwrap();
-        let s1 = page
-            .find("saath_shard_slices_total{shard=\"1\"} 5")
+        let h1 = page
+            .find("saath_host_ready_events_total{host=\"1\"} 5")
             .unwrap();
-        let lag = page
-            .find("saath_shard_replica_lag_epochs{shard=\"0\"} 1")
-            .unwrap();
-        assert!(epochs < s0 && s0 < s1 && s1 < lag);
-        assert!(page.contains("# TYPE saath_shard_replica_lag_epochs gauge"));
+        let active = page.find("saath_active_coflows 1").unwrap();
+        assert!(epochs < h0 && h0 < h1 && h1 < active);
+        assert!(page.contains("# TYPE saath_active_coflows gauge"));
         assert!(page.contains("# TYPE saath_coord_epochs_total counter"));
         // Unpopulated families are omitted entirely.
         assert!(!page.contains("saath_transport_frames_sent_total"));

@@ -14,7 +14,6 @@
 //! that economy is why its local agents cost ~1.7 MB of memory (§7.3).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use saath_core::summary::ContentionSummary;
 
 /// Protocol version byte; bumped on any incompatible change.
 pub const VERSION: u8 = 1;
@@ -23,8 +22,8 @@ pub const VERSION: u8 = 1;
 /// length prefixes).
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// The `node` a coordinator or reconciler signs its own frames with (a
-/// resynchronising [`Message::Hello`], a snapshot [`Message::Stats`]).
+/// The `node` a coordinator signs its own frames with (a
+/// resynchronising [`Message::Hello`]).
 pub const COORDINATOR: u32 = u32::MAX;
 
 /// Statistics for one flow, as reported by the sending agent (§5:
@@ -66,8 +65,7 @@ pub enum Message {
     },
     /// Per-δ stats report from an agent: the flows that are activated
     /// and unfinished, plus — once — each flow that finished since the
-    /// last report. The reconciler also uses it to hand a standby shard
-    /// its observation table (node = [`COORDINATOR`]).
+    /// last report.
     Stats {
         /// Reporting node.
         node: u32,
@@ -83,44 +81,6 @@ pub enum Message {
         epoch: u64,
         /// New rates; flows absent from the list pause.
         rates: Vec<RateAssignment>,
-    },
-    /// One shard coordinator's slice of the global schedule: the rates
-    /// for the flows whose CoFlows the shard owns (sharded mode only;
-    /// shard → reconciler).
-    ShardSchedule {
-        /// The reporting shard's index.
-        shard: u32,
-        /// The reconciliation epoch this slice answers.
-        epoch: u64,
-        /// Rates for the shard's owned flows.
-        rates: Vec<RateAssignment>,
-    },
-    /// Reconciliation-round barrier from the reconciler to every shard
-    /// coordinator: compute a schedule for the view as of `now_ns` and
-    /// answer with a [`Message::ShardSchedule`] tagged `epoch`.
-    Reconcile {
-        /// The reconciliation epoch being opened.
-        epoch: u64,
-        /// The reconciler's emulated time, nanoseconds — shards build
-        /// their views at this instant so every replica sees the same
-        /// arrival frontier.
-        now_ns: u64,
-        /// When set, the shard must discard its scheduler state and
-        /// rebuild from the latest stats (failover reconciliation: a
-        /// restarted shard forces every peer to re-derive state, the
-        /// sharded equivalent of the §5 single-coordinator restart).
-        rebuild: bool,
-    },
-    /// One shard's bounded-staleness contention summary (staleness
-    /// ≥ 1 only; shard → reconciler, which relays it to every other
-    /// shard). Carried verbatim — the simulator's
-    /// `summary_bytes_exchanged` accounting assumes this framing, so
-    /// [`ContentionSummary::encoded_len`] and this codec must agree
-    /// (roundtrip-tested below).
-    ContentionSummary {
-        /// The exported summary; its `shard`/`round` fields identify
-        /// the sender and its scheduling round.
-        summary: ContentionSummary,
     },
     /// Orderly shutdown (harness → everyone).
     Shutdown,
@@ -163,9 +123,9 @@ const T_HELLO: u8 = 1;
 const T_STATS: u8 = 2;
 const T_SCHEDULE: u8 = 3;
 const T_SHUTDOWN: u8 = 4;
-const T_SHARD_SCHEDULE: u8 = 5;
-const T_RECONCILE: u8 = 6;
-const T_CONTENTION_SUMMARY: u8 = 7;
+// Tags 5, 6 and 7 are retired: frames of a removed coordinator mode
+// carried them. They are never reassigned, so a peer still sending one
+// gets `ProtoError::BadType`, not a misread body.
 
 impl Message {
     /// Exact frame-body length (everything after the 4-byte prefix)
@@ -176,9 +136,6 @@ impl Message {
             Message::Hello { .. } => 4,
             Message::Stats { flows, .. } => 16 + 13 * flows.len(),
             Message::Schedule { rates, .. } => 12 + 12 * rates.len(),
-            Message::ShardSchedule { rates, .. } => 16 + 12 * rates.len(),
-            Message::Reconcile { .. } => 17,
-            Message::ContentionSummary { summary } => summary.encoded_len(),
             Message::Shutdown => 0,
         }
     }
@@ -237,53 +194,6 @@ impl Message {
                 for r in rates {
                     out.put_u32(r.flow);
                     out.put_u64(r.rate);
-                }
-            }
-            Message::ShardSchedule {
-                shard,
-                epoch,
-                rates,
-            } => {
-                out.put_u8(T_SHARD_SCHEDULE);
-                out.put_u32(*shard);
-                out.put_u64(*epoch);
-                out.put_u32(rates.len() as u32);
-                for r in rates {
-                    out.put_u32(r.flow);
-                    out.put_u64(r.rate);
-                }
-            }
-            Message::Reconcile {
-                epoch,
-                now_ns,
-                rebuild,
-            } => {
-                out.put_u8(T_RECONCILE);
-                out.put_u64(*epoch);
-                out.put_u64(*now_ns);
-                out.put_u8(u8::from(*rebuild));
-            }
-            Message::ContentionSummary { summary } => {
-                out.put_u8(T_CONTENTION_SUMMARY);
-                out.put_u32(summary.shard);
-                out.put_u64(summary.round);
-                out.put_u32(summary.port_coflows.len() as u32);
-                for &(p, c) in &summary.port_coflows {
-                    out.put_u32(p);
-                    out.put_u32(c);
-                }
-                out.put_u32(summary.port_rates.len() as u32);
-                for &(p, r) in &summary.port_rates {
-                    out.put_u32(p);
-                    out.put_u64(r);
-                }
-                out.put_u32(summary.queue_coflows.len() as u32);
-                for &c in &summary.queue_coflows {
-                    out.put_u32(c);
-                }
-                out.put_u32(summary.queue_kc_sum.len() as u32);
-                for &s in &summary.queue_kc_sum {
-                    out.put_u64(s);
                 }
             }
             Message::Shutdown => {
@@ -361,87 +271,6 @@ impl Message {
                 }
                 Ok(Message::Schedule { epoch, rates })
             }
-            T_SHARD_SCHEDULE => {
-                need(&body, 16)?;
-                let shard = body.get_u32();
-                let epoch = body.get_u64();
-                let n = body.get_u32() as usize;
-                if n > MAX_FRAME / 12 {
-                    return Err(ProtoError::Oversized(n));
-                }
-                need(&body, n * 12)?;
-                let mut rates = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let flow = body.get_u32();
-                    let rate = body.get_u64();
-                    rates.push(RateAssignment { flow, rate });
-                }
-                Ok(Message::ShardSchedule {
-                    shard,
-                    epoch,
-                    rates,
-                })
-            }
-            T_RECONCILE => {
-                need(&body, 17)?;
-                let epoch = body.get_u64();
-                let now_ns = body.get_u64();
-                let rebuild = body.get_u8() != 0;
-                Ok(Message::Reconcile {
-                    epoch,
-                    now_ns,
-                    rebuild,
-                })
-            }
-            T_CONTENTION_SUMMARY => {
-                need(&body, 16)?;
-                let mut summary = ContentionSummary {
-                    shard: body.get_u32(),
-                    round: body.get_u64(),
-                    ..Default::default()
-                };
-                let n = body.get_u32() as usize;
-                if n > MAX_FRAME / 8 {
-                    return Err(ProtoError::Oversized(n));
-                }
-                need(&body, n * 8 + 4)?;
-                summary.port_coflows.reserve(n);
-                for _ in 0..n {
-                    let p = body.get_u32();
-                    let c = body.get_u32();
-                    summary.port_coflows.push((p, c));
-                }
-                let n = body.get_u32() as usize;
-                if n > MAX_FRAME / 12 {
-                    return Err(ProtoError::Oversized(n));
-                }
-                need(&body, n * 12 + 4)?;
-                summary.port_rates.reserve(n);
-                for _ in 0..n {
-                    let p = body.get_u32();
-                    let r = body.get_u64();
-                    summary.port_rates.push((p, r));
-                }
-                let n = body.get_u32() as usize;
-                if n > MAX_FRAME / 4 {
-                    return Err(ProtoError::Oversized(n));
-                }
-                need(&body, n * 4 + 4)?;
-                summary.queue_coflows.reserve(n);
-                for _ in 0..n {
-                    summary.queue_coflows.push(body.get_u32());
-                }
-                let n = body.get_u32() as usize;
-                if n > MAX_FRAME / 8 {
-                    return Err(ProtoError::Oversized(n));
-                }
-                need(&body, n * 8)?;
-                summary.queue_kc_sum.reserve(n);
-                for _ in 0..n {
-                    summary.queue_kc_sum.push(body.get_u64());
-                }
-                Ok(Message::ContentionSummary { summary })
-            }
             T_SHUTDOWN => Ok(Message::Shutdown),
             other => Err(ProtoError::BadType(other)),
         }
@@ -487,24 +316,6 @@ mod tests {
     fn all_messages_roundtrip() {
         roundtrip(Message::Hello { node: 7 });
         roundtrip(Message::Shutdown);
-        roundtrip(Message::ShardSchedule {
-            shard: 2,
-            epoch: 11,
-            rates: vec![RateAssignment {
-                flow: 4,
-                rate: 2_000,
-            }],
-        });
-        roundtrip(Message::Reconcile {
-            epoch: 9,
-            now_ns: 77_000,
-            rebuild: true,
-        });
-        roundtrip(Message::Reconcile {
-            epoch: 10,
-            now_ns: 78_000,
-            rebuild: false,
-        });
         roundtrip(Message::Stats {
             node: 3,
             now_ns: 123_456_789,
@@ -522,19 +333,6 @@ mod tests {
                     ready: false,
                 },
             ],
-        });
-        roundtrip(Message::ContentionSummary {
-            summary: ContentionSummary {
-                shard: 3,
-                round: 17,
-                port_coflows: vec![(0, 2), (9, 1)],
-                port_rates: vec![(0, 125_000_000), (9, 1)],
-                queue_coflows: vec![1, 0, 2],
-                queue_kc_sum: vec![4, 0, 9],
-            },
-        });
-        roundtrip(Message::ContentionSummary {
-            summary: ContentionSummary::default(),
         });
         roundtrip(Message::Schedule {
             epoch: 42,
@@ -633,6 +431,50 @@ mod tests {
             Message::decode_stream(&mut buf),
             Err(ProtoError::BadType(200))
         );
+    }
+
+    /// Tags 5, 6 and 7 belonged to the sharded coordinator's frames
+    /// (`ShardSchedule`, `Reconcile`, `ContentionSummary`). A frame that
+    /// was well-formed under that codec is now an unknown type, through
+    /// either decoder, and never a panic.
+    #[test]
+    fn retired_tags_decode_to_bad_type() {
+        // ShardSchedule: shard, epoch, one (flow, rate).
+        let mut slice = BytesMut::new();
+        slice.put_u32(2);
+        slice.put_u64(11);
+        slice.put_u32(1);
+        slice.put_u32(4);
+        slice.put_u64(2_000);
+        // Reconcile: epoch, now_ns, rebuild.
+        let mut barrier = BytesMut::new();
+        barrier.put_u64(9);
+        barrier.put_u64(77_000);
+        barrier.put_u8(1);
+        // ContentionSummary: shard, round, four empty counted lists.
+        let mut summary = BytesMut::new();
+        summary.put_u32(3);
+        summary.put_u64(17);
+        for _ in 0..4 {
+            summary.put_u32(0);
+        }
+        for (tag, payload) in [(5, slice), (6, barrier), (7, summary)] {
+            let mut body = BytesMut::new();
+            body.put_u8(VERSION);
+            body.put_u8(tag);
+            body.extend_from_slice(&payload);
+            assert_eq!(
+                Message::decode_body(body.clone().freeze()),
+                Err(ProtoError::BadType(tag))
+            );
+            let mut stream = BytesMut::new();
+            stream.put_u32(body.len() as u32);
+            stream.extend_from_slice(&body);
+            assert_eq!(
+                Message::decode_stream(&mut stream),
+                Err(ProtoError::BadType(tag))
+            );
+        }
     }
 
     #[test]

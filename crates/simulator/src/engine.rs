@@ -1207,7 +1207,8 @@ fn emit_rounds(
     // Entries carry the flow's endpoints so the differ can name ports
     // without the trace; zero rates are dropped (paused flows are
     // absent by convention) and the writer canonicalizes entry order,
-    // so sharded and single-coordinator runs log identical bytes.
+    // so a round logs the same bytes whatever order the policy emitted
+    // its rates in.
     if let Some(sink) = sink {
         let mut rec = RoundRecord {
             round: 0,

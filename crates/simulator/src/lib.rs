@@ -31,12 +31,10 @@
 #![forbid(unsafe_code)]
 
 pub mod engine;
-pub mod partitioned;
 pub mod policy;
 pub(crate) mod snapshot;
 
 pub use engine::{
     simulate, simulate_reference, simulate_resumable, ReplayHooks, SimConfig, SimError, SimOutput,
 };
-pub use partitioned::PartitionedScheduler;
 pub use policy::{run_policy, Policy};

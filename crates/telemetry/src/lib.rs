@@ -307,8 +307,6 @@ pub enum Phase {
     /// Coordinator: the policy's `compute` call, nothing else
     /// (schedule).
     CoordSchedule,
-    /// Reconciler: shard slice collection + deterministic merge.
-    CoordReconcile,
     /// Coordinator: pushing the schedule to every agent (broadcast).
     CoordBroadcast,
     /// Agent: applying a schedule push (apply).
@@ -316,7 +314,7 @@ pub enum Phase {
 }
 
 /// All span kinds, in display order.
-pub const PHASES: [Phase; 15] = [
+pub const PHASES: [Phase; 14] = [
     Phase::SchedTotal,
     Phase::SchedOrder,
     Phase::SchedContention,
@@ -329,7 +327,6 @@ pub const PHASES: [Phase; 15] = [
     Phase::CoordObsRecv,
     Phase::CoordViews,
     Phase::CoordSchedule,
-    Phase::CoordReconcile,
     Phase::CoordBroadcast,
     Phase::AgentApply,
 ];
@@ -350,7 +347,6 @@ impl Phase {
             Phase::CoordObsRecv => "coord_obs_recv",
             Phase::CoordViews => "coord_views",
             Phase::CoordSchedule => "coord_schedule",
-            Phase::CoordReconcile => "coord_reconcile_merge",
             Phase::CoordBroadcast => "coord_broadcast",
             Phase::AgentApply => "agent_apply",
         }

@@ -141,14 +141,14 @@ mod tests {
             &[("", 42)],
         );
         p.counter(
-            "saath_shard_slices_total",
-            "Shard schedule slices received",
-            &[("shard=\"0\"", 7), ("shard=\"1\"", 9)],
+            "saath_host_ready_events_total",
+            "Readiness wake-ups observed by the host loop",
+            &[("host=\"0\"", 7), ("host=\"1\"", 9)],
         );
         p.gauge(
-            "saath_shard_replica_lag_epochs",
-            "Reconciler epoch minus last slice epoch per shard",
-            &[("shard=\"0\"", 0), ("shard=\"1\"", 2)],
+            "saath_host_agents",
+            "Emulated agents multiplexed on this agent host",
+            &[("host=\"0\"", 0), ("host=\"1\"", 2)],
         );
         p.section("wall-clock (nondeterministic values, stable layout)");
         p.phase_summary(
@@ -162,14 +162,14 @@ mod tests {
 # HELP saath_coord_epochs_total Coordinator sync epochs completed
 # TYPE saath_coord_epochs_total counter
 saath_coord_epochs_total 42
-# HELP saath_shard_slices_total Shard schedule slices received
-# TYPE saath_shard_slices_total counter
-saath_shard_slices_total{shard=\"0\"} 7
-saath_shard_slices_total{shard=\"1\"} 9
-# HELP saath_shard_replica_lag_epochs Reconciler epoch minus last slice epoch per shard
-# TYPE saath_shard_replica_lag_epochs gauge
-saath_shard_replica_lag_epochs{shard=\"0\"} 0
-saath_shard_replica_lag_epochs{shard=\"1\"} 2
+# HELP saath_host_ready_events_total Readiness wake-ups observed by the host loop
+# TYPE saath_host_ready_events_total counter
+saath_host_ready_events_total{host=\"0\"} 7
+saath_host_ready_events_total{host=\"1\"} 9
+# HELP saath_host_agents Emulated agents multiplexed on this agent host
+# TYPE saath_host_agents gauge
+saath_host_agents{host=\"0\"} 0
+saath_host_agents{host=\"1\"} 2
 # --- wall-clock (nondeterministic values, stable layout) ---
 # HELP saath_epoch_phase_ns Epoch lifecycle phase latency in nanoseconds
 # TYPE saath_epoch_phase_ns summary
@@ -186,7 +186,7 @@ saath_epoch_phase_ns_sum{phase=\"coord_schedule\"} 700
     #[test]
     fn label_body_renders_pairs_in_order() {
         assert_eq!(label_body(&[]), "");
-        assert_eq!(label_body(&[("shard", "3")]), "shard=\"3\"");
+        assert_eq!(label_body(&[("host", "3")]), "host=\"3\"");
         assert_eq!(label_body(&[("a", "1"), ("b", "x")]), "a=\"1\",b=\"x\"");
     }
 }

@@ -1,5 +1,6 @@
-//! The differential harness end-to-end: event logs from equivalent runs
-//! (sharded K ∈ {2, 4} coordinators vs single) must report *no
+//! The differential harness end-to-end: event logs from two differently
+//! computed runs of one schedule (Saath reusing schedules and jumping
+//! quiet boundaries vs Saath computing every round) must report *no
 //! divergence*, and a run intentionally perturbed at round r must be
 //! pinned to exactly round r with a field diff naming the flow and its
 //! ports.
@@ -8,7 +9,7 @@ use saath::core::view::{ClusterView, CoflowScheduler, Schedule};
 use saath::eventlog::{diff_logs, verify, ChainDigest, EventLogWriter, LogHeader};
 use saath::fabric::PortBank;
 use saath::prelude::*;
-use saath::simulator::{simulate_resumable, PartitionedScheduler, ReplayHooks};
+use saath::simulator::{simulate_resumable, ReplayHooks};
 use saath::workload::gen;
 
 fn trace() -> Trace {
@@ -45,29 +46,47 @@ fn log_run(trace: &Trace, sched: &mut dyn CoflowScheduler) -> Vec<u8> {
     w.into_inner().unwrap()
 }
 
-#[test]
-fn sharded_coordinators_log_no_divergence() {
-    let trace = trace();
-    let single = log_run(&trace, &mut Saath::with_defaults());
-    for k in [2usize, 4] {
-        let mut sharded = PartitionedScheduler::new(k, 0, SaathConfig::default());
-        let sharded_log = log_run(&trace, &mut sharded);
-        let d = diff_logs(&single, &sharded_log).unwrap();
-        assert_eq!(
-            d.first_divergent_round,
-            None,
-            "K = {k} shards diverged from single coordinator: {}",
-            d.render()
-        );
-        assert!(d.compared > 0);
-        assert_eq!(d.only_in_a, 0);
-        assert_eq!(d.only_in_b, 0);
-        // Belt and braces: identical chains end on identical digests.
-        assert_eq!(
-            verify(&single[..]).unwrap().digest,
-            verify(&sharded_log[..]).unwrap().digest
-        );
+/// Forwards to `Saath`, then voids the horizon: the engine computes
+/// every round instead of reusing the schedule or jumping ahead.
+struct EveryRound(Saath);
+
+impl CoflowScheduler for EveryRound {
+    fn name(&self) -> &'static str {
+        self.0.name()
     }
+
+    fn compute(&mut self, view: &ClusterView<'_>, bank: &mut PortBank, out: &mut Schedule) {
+        self.0.compute(view, bank, out);
+        out.valid_until = Time::ZERO;
+    }
+}
+
+#[test]
+fn computing_every_round_logs_no_divergence() {
+    let trace = trace();
+    let mut reusing = Saath::with_defaults();
+    let reused = log_run(&trace, &mut reusing);
+    let mut every = EveryRound(Saath::with_defaults());
+    let computed = log_run(&trace, &mut every);
+    assert!(
+        reusing.timings.rounds() < every.0.timings.rounds(),
+        "no round was reused: the comparison would be vacuous"
+    );
+    let d = diff_logs(&reused, &computed).unwrap();
+    assert_eq!(
+        d.first_divergent_round,
+        None,
+        "schedule reuse diverged from computing every round: {}",
+        d.render()
+    );
+    assert!(d.compared > 0);
+    assert_eq!(d.only_in_a, 0);
+    assert_eq!(d.only_in_b, 0);
+    // Belt and braces: identical chains end on identical digests.
+    assert_eq!(
+        verify(&reused[..]).unwrap().digest,
+        verify(&computed[..]).unwrap().digest
+    );
 }
 
 /// Wraps a scheduler and halves one granted rate at one chosen round —

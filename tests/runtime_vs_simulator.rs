@@ -5,7 +5,6 @@
 
 use saath::prelude::*;
 use saath::runtime::{emulate, EmulationConfig};
-use saath::simulator::PartitionedScheduler;
 use saath::workload::gen;
 
 #[test]
@@ -66,81 +65,6 @@ fn emulation_tracks_simulation() {
         (0.5..4.0).contains(&agg),
         "systematic emulation/simulation divergence: avg {emu_avg}s vs {sim_avg}s ({agg}x), per-coflow ratios {ratios:?}"
     );
-}
-
-/// The sharded coordinator's acceptance bar: byte-identical records vs
-/// the single-coordinator path, proven in the deterministic simulator
-/// domain (the wall-clock emulation jitters timestamps, so there the
-/// sharded harness tests assert completion instead). At staleness 0
-/// every shard runs the full policy over the full view and emits only
-/// the CoFlows it owns; the reconciler's flow-id-ordered merge
-/// reassembles exactly the global schedule, so records must match bit
-/// for bit.
-#[test]
-fn sharded_records_are_byte_identical_to_single_coordinator() {
-    let mut cfg = gen::small(29, 12, 40);
-    cfg.span = Duration::from_secs(20);
-    let trace = gen::generate(&cfg);
-    let sim_cfg = SimConfig {
-        delta: Duration::from_millis(400),
-        ..Default::default()
-    };
-
-    let mut single = Saath::with_defaults();
-    let baseline = simulate(&trace, &mut single, &sim_cfg, &DynamicsSpec::none()).unwrap();
-    assert!(!baseline.records.is_empty());
-
-    for k in [1usize, 2, 4] {
-        let mut sharded = PartitionedScheduler::new(k, 0, SaathConfig::default());
-        let out = simulate(&trace, &mut sharded, &sim_cfg, &DynamicsSpec::none()).unwrap();
-        assert_eq!(
-            out.records, baseline.records,
-            "K={k} shards diverged from the single-coordinator records"
-        );
-    }
-}
-
-/// Same bar with the failover drill: all replicas rebuild mid-run.
-/// K=1-with-restart *is* the single-coordinator restart path (one
-/// replica, recreated at the drill time — exactly what the runtime's
-/// `restart_at` does), so K ∈ {2, 4} with the same drill must
-/// reproduce its records byte for byte.
-#[test]
-fn sharded_restart_drill_matches_single_coordinator_restart() {
-    // Heavy contention: restart behaviour is only observable through
-    // the starvation deadlines (the one piece of cross-round scheduler
-    // state), which need long queues to fire.
-    let mut cfg = gen::small(31, 6, 80);
-    cfg.span = Duration::from_secs(12);
-    let trace = gen::generate(&cfg);
-    let sim_cfg = SimConfig {
-        delta: Duration::from_millis(400),
-        ..Default::default()
-    };
-    let drill_at = Time::from_secs(8);
-
-    let mut single = PartitionedScheduler::with_restart(1, 0, SaathConfig::default(), drill_at);
-    let baseline = simulate(&trace, &mut single, &sim_cfg, &DynamicsSpec::none()).unwrap();
-    assert!(!baseline.records.is_empty());
-
-    // The drill must actually change behaviour relative to no-restart —
-    // otherwise this test would pass vacuously.
-    let mut plain = Saath::with_defaults();
-    let no_restart = simulate(&trace, &mut plain, &sim_cfg, &DynamicsSpec::none()).unwrap();
-    assert_ne!(
-        baseline.records, no_restart.records,
-        "restart drill was a no-op; move drill_at into the active span"
-    );
-
-    for k in [2usize, 4] {
-        let mut sharded =
-            PartitionedScheduler::with_restart(k, 0, SaathConfig::default(), drill_at);
-        let out = simulate(&trace, &mut sharded, &sim_cfg, &DynamicsSpec::none()).unwrap();
-        assert_eq!(
-            out.records, baseline.records,
-            "K={k} restart drill diverged from the single-coordinator restart"
-        );
-    }
 }
 
 #[test]
