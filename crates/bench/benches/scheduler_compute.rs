@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use saath_core::view::{ClusterView, CoflowScheduler, CoflowView, FlowView, Schedule};
-use saath_core::{Aalo, OfflineScheduler, Saath, SaathConfig, UcTcp};
+use saath_core::{Aalo, OfflineScheduler, Saath, UcTcp};
 use saath_fabric::PortBank;
 use saath_simcore::{Bytes, CoflowId, DetRng, FlowId, NodeId, Rate, Time};
 
@@ -127,31 +127,19 @@ fn bench_round(c: &mut Criterion) {
     group.finish();
 }
 
-/// The steady-state round — the common case the incremental order book
-/// and contention tracker optimize: nothing changed since the previous
-/// round (`changed: Some(&[])`), so the incremental scheduler reuses
-/// cached queues, delta-updates `k_c` (no-op), and emits the
-/// materialized order without re-sorting, while the full-recompute
-/// configuration rebuilds and re-sorts everything from scratch.
+/// The steady-state round: nothing changed since the previous round.
+/// Fed `changed: Some(&[])`, the scheduler reuses cached queues and
+/// footprints, leaves `k_c` and the order book where they are, and
+/// emits the materialized order. Fed `changed: None` — what the
+/// runtime's coordinator passes every epoch — it re-derives every
+/// CoFlow's footprint and queue, and the tracker and book see no move.
 fn bench_steady_state(c: &mut Criterion) {
     let mut group = c.benchmark_group("steady_state_round");
     for &n in &[200usize, 1000] {
         let views = synth_views(n, false);
-        let cases: [(&str, SaathConfig, bool); 2] = [
-            ("incremental", SaathConfig::default(), true),
-            (
-                "full_recompute",
-                SaathConfig {
-                    incremental_contention: false,
-                    incremental_order: false,
-                    ..SaathConfig::default()
-                },
-                false,
-            ),
-        ];
-        for (label, cfg, hinted) in cases {
+        for (label, hinted) in [("incremental", true), ("unhinted", false)] {
             group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                let mut sched = Saath::new(cfg.clone());
+                let mut sched = Saath::with_defaults();
                 let mut bank = PortBank::uniform(NODES, Rate::gbps(1));
                 let mut out = Schedule::default();
                 // Warm round (no hint): seeds the book, tracker, and

@@ -9,15 +9,15 @@
 //!                  with --trace PATH, streams the coflow-benchmark file and
 //!                  writes BENCH_epoch_fb_trace.json instead; with --small,
 //!                  runs the lab's small FB trace and writes no BENCH file)
-//!   scale          Fig 9-style scalability sweep: rounds/sec at 150→1k nodes
-//!                  × 10k→100k flows, full-rebuild vs incremental contention
-//!                  (writes BENCH_scalability.json)
+//!   scale          Fig 9-style scalability sweep: rounds/sec and scheduler
+//!                  phase times at 150→1k nodes × 10k→100k flows, three
+//!                  replays a point (writes BENCH_scalability.json)
 //!   trace          instrumented Saath + Aalo runs: mechanism breakdown tables
 //!                  and deterministic JSONL round traces in results/
 //!   gen-trace      write a full-size FB-like trace in coflow-benchmark format
 //!                  to --out PATH (offline stand-in for the published trace)
-//!   emulate        thread-per-node runtime emulation (one coordinator,
-//!                  one agent per node) with a live Prometheus
+//!   emulate        runtime emulation (one coordinator; every node an
+//!                  agent in its own host event loop) with a live Prometheus
 //!                  /metrics endpoint (default 127.0.0.1:0; see
 //!                  --metrics-addr / --metrics-out); with --multiplex,
 //!                  runs the readiness-driven host sweep instead:
@@ -71,7 +71,8 @@
 //! ```
 //!
 //! A flag not listed above ends the run (exit 2) naming it, as does a
-//! numeric option whose value does not parse. CSV artifacts land in
+//! numeric option whose value does not parse and an option given no
+//! value. CSV artifacts land in
 //! `results/`.
 
 use saath_bench::{figs, Lab};
@@ -95,10 +96,18 @@ const FLAGS: &[&str] = &[
     "--tolerance-pct",
 ];
 
+/// The value after `key`, `None` when the flag is absent. A flag that
+/// comes last, or right before another flag, ends the run (exit 2)
+/// naming it, instead of being dropped or taking that flag as its value.
 fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
+    let i = args.iter().position(|a| a == key)?;
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Some(v.clone()),
+        _ => {
+            eprintln!("repro: {key} takes a value");
+            std::process::exit(2)
+        }
+    }
 }
 
 /// The value of `key` as a `T`, `None` when the flag is absent; a

@@ -419,20 +419,8 @@ mod tests {
   "seed": 1,
   "delta_ms": 8,
   "points": [
-    {
-      "nodes": 150,
-      "flows": 10000,
-      "rounds_per_sec_speedup": 3.10,
-      "full_rebuild": { "wall_ms": 900.0, "rounds_per_sec": 111.0 },
-      "incremental": { "wall_ms": 290.0, "rounds_per_sec": 344.0 }
-    },
-    {
-      "nodes": 300,
-      "flows": 25000,
-      "rounds_per_sec_speedup": 3.50,
-      "full_rebuild": { "wall_ms": 4100.0, "rounds_per_sec": 40.0 },
-      "incremental": { "wall_ms": 1170.0, "rounds_per_sec": 140.0 }
-    }
+    { "nodes": 150, "flows": 10000, "wall_ms": 290.0, "rounds_per_sec": 344.0 },
+    { "nodes": 300, "flows": 25000, "wall_ms": 1170.0, "rounds_per_sec": 140.0 }
   ]
 }"#;
 
@@ -446,8 +434,8 @@ mod tests {
         let flat = flatten(&doc);
         let get = |p: &str| flat.iter().find(|(k, _)| k == p).map(|(_, v)| *v);
         // Content-keyed paths, not positional.
-        assert_eq!(get("points.nodes=150.incremental.wall_ms"), Some(290.0));
-        assert_eq!(get("points.nodes=300.full_rebuild.wall_ms"), Some(4100.0));
+        assert_eq!(get("points.nodes=150.wall_ms"), Some(290.0));
+        assert_eq!(get("points.nodes=300.wall_ms"), Some(1170.0));
         assert_eq!(get("seed"), Some(1.0));
 
         // The emulate sweep replays one node count over two transports:
@@ -499,7 +487,7 @@ mod tests {
             .iter()
             .find(|f| f.regressed)
             .expect("a regressed field");
-        assert_eq!(bad.path, "points.nodes=150.incremental.wall_ms");
+        assert_eq!(bad.path, "points.nodes=150.wall_ms");
         assert!((bad.delta_pct - 100.0).abs() < 1e-9);
         // Failures sort first.
         assert!(report.fields[0].regressed);
@@ -539,7 +527,7 @@ mod tests {
   "seed": 1,
   "delta_ms": 8,
   "points": [
-    { "nodes": 40, "incremental": { "wall_ms": 10.0, "rounds_per_sec": 900.0 } }
+    { "nodes": 40, "wall_ms": 10.0, "rounds_per_sec": 900.0 }
   ]
 }"#;
         let a = parse_json(SCALE_DOC).unwrap();

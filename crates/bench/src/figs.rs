@@ -1610,7 +1610,7 @@ pub fn gen_trace(seed: u64, out: &std::path::Path) -> String {
     )
 }
 
-/// One timed replay of one scalability-sweep point in one mode.
+/// One timed replay of one scalability-sweep point.
 struct ScaleRun {
     wall_ms: f64,
     rounds: u64,
@@ -1633,8 +1633,8 @@ struct Spread {
     max: f64,
 }
 
-/// The repeats of one sweep point in one mode. Every reading the sweep
-/// reports is the median over them, so one disturbed replay moves a
+/// The repeats of one sweep point. Every reading the sweep reports is
+/// the median over them, so one disturbed replay moves a
 /// row's min or max and not the row.
 struct ScaleRuns(Vec<ScaleRun>);
 
@@ -1721,19 +1721,15 @@ fn env_stamp_json() -> String {
 
 /// **Scalability sweep** (Fig 9's scale axis, §5.4) — not a CCT figure:
 /// rounds/sec of the full replay loop as cluster size and flow count
-/// grow from 150 nodes × 10k flows to 1k nodes × 100k flows, comparing
-/// the per-round full recomputation (contention rebuild + LCoF
-/// re-sort) against the incremental mode ([`ContentionTracker`] delta
-/// update + `OrderBook` repositioning), with per-phase scheduler
-/// timings for both. Asserts the two modes produce byte-identical
-/// records at every point; `small` smoke runs additionally pin the
-/// records to the O(state)-per-step reference simulation loop. A full
-/// sweep replays every point three times in each mode, alternating
-/// the modes, and reports the median of every timing (with its min and
-/// max in the JSON); records and round counts must repeat exactly.
-/// Writes `BENCH_scalability.json` (skipped for `small` smoke runs,
-/// which replay once); with `json`, returns the JSON document instead
-/// of the rendered table.
+/// grow from 150 nodes × 10k flows to 1k nodes × 100k flows, with the
+/// scheduler's per-phase times (contention, ordering, all-or-none, work
+/// conservation). A full sweep replays every point three times and
+/// reports the median of every timing (with its min and max in the
+/// JSON); records and round counts must repeat exactly. `small` smoke
+/// runs replay once and pin the records to the O(state)-per-step
+/// reference simulation loop. Writes `BENCH_scalability.json` (skipped
+/// for `small`); with `json`, returns the JSON document instead of the
+/// rendered table.
 pub fn scale(
     lab: &Lab,
     json: bool,
@@ -1758,13 +1754,16 @@ pub fn scale(
     let repeats = if small { 1 } else { 3 };
     let cfg = SimConfig::default();
     let dynamics = DynamicsSpec::none();
+    let phases = [
+        ("sched_ms", Phase::SchedTotal),
+        ("contention_ms", Phase::SchedContention),
+        ("ordering_ms", Phase::SchedOrder),
+        ("all_or_none_ms", Phase::SchedMadd),
+        ("work_conservation_ms", Phase::SchedWc),
+    ];
 
-    let run_mode = |trace: &saath_workload::Trace, incremental: bool| -> ScaleRun {
-        let mut sched = saath_core::Saath::new(SaathConfig {
-            incremental_contention: incremental,
-            incremental_order: incremental,
-            ..SaathConfig::default()
-        });
+    let replay = |trace: &saath_workload::Trace| -> ScaleRun {
+        let mut sched = saath_core::Saath::with_defaults();
         let t = Instant::now();
         let out = simulate(trace, &mut sched, &cfg, &dynamics).expect("scale-sweep run failed");
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -1775,117 +1774,91 @@ pub fn scale(
             spans: sched.timings.spans,
         }
     };
-    // `<key>` stays the reading bench-diff lines up against older
-    // documents (now a median); `<key>_min` / `<key>_max` are new.
-    let mode_json = |label: &str, r: &ScaleRuns| {
-        let mut doc = format!(
-            "      \"{label}\": {{\n        \"rounds_per_sec\": {:.1}",
-            r.rounds_per_sec(),
-        );
-        let wall = std::iter::once(("wall_ms", r.spread(|run| run.wall_ms)));
-        let phases = [
-            ("sched_ms", Phase::SchedTotal),
-            ("contention_ms", Phase::SchedContention),
-            ("ordering_ms", Phase::SchedOrder),
-            ("all_or_none_ms", Phase::SchedMadd),
-            ("work_conservation_ms", Phase::SchedWc),
-        ]
-        .map(|(key, phase)| (key, r.spread(|run| run.phase_ms(phase))));
-        for (key, s) in wall.chain(phases) {
-            doc.push_str(&format!(",\n        {}", s.json_fields(key)));
-        }
-        doc + "\n      }"
-    };
 
     let mut t = Table::new(
-        "Scalability sweep — rounds/sec, full recompute vs incremental contention + order",
+        "Scalability sweep — rounds/sec and scheduler phase times (median of the repeats; \
+         ordering includes k_c)",
         &[
-            "nodes",
-            "flows",
-            "rounds",
-            "rebuild r/s",
-            "incr r/s",
-            "speedup",
-            "k_c ms (reb → inc)",
-            "order ms (reb → inc)",
+            "nodes", "flows", "rounds", "computed", "rounds/s", "wall ms", "sched ms", "k_c ms",
+            "order ms", "A/N ms", "WC ms",
         ],
     );
     let mut point_docs = Vec::new();
-    // Per-phase latency distribution of the incremental mode, pooled
-    // across every sweep point (each point feeds its per-round samples).
-    let mut inc_spans = saath_telemetry::SpanProfiler::new();
-    let mut inc_rounds = 0u64;
+    // Per-phase latency distribution, pooled across every sweep point
+    // (each point feeds its per-round samples).
+    let mut pooled_spans = saath_telemetry::SpanProfiler::new();
+    let mut pooled_rounds = 0u64;
     for (pi, &(nodes, target_flows)) in points.iter().enumerate() {
         let trace = grown_trace_at(lab.seed(), nodes, target_flows);
         let flows = flow_count(&trace);
-        let (mut rebuild, mut incremental) = (ScaleRuns(Vec::new()), ScaleRuns(Vec::new()));
-        for _ in 0..repeats {
-            rebuild.0.push(run_mode(&trace, false));
-            incremental.0.push(run_mode(&trace, true));
-        }
-        for run in rebuild.0.iter().chain(&incremental.0).skip(1) {
+        let runs = ScaleRuns((0..repeats).map(|_| replay(&trace)).collect());
+        let first = &runs.0[0];
+        for run in &runs.0[1..] {
             assert_eq!(
                 (run.rounds, &run.records),
-                (rebuild.0[0].rounds, &rebuild.0[0].records),
-                "a repeat or the incremental contention/order changed the schedule at {nodes} nodes"
+                (first.rounds, &first.records),
+                "a repeat changed the schedule at {nodes} nodes"
             );
         }
         // One repeat's samples stand for the point in the pooled
         // latency table; pooling all of them would only triple counts.
-        inc_spans.merge(&incremental.0[0].spans);
-        let records = &incremental.0[0].records;
-        let rounds = incremental.0[0].rounds;
-        inc_rounds += rounds;
+        pooled_spans.merge(&first.spans);
+        let rounds = first.rounds;
+        let computed = first.spans.hist(Phase::SchedTotal).count;
+        pooled_rounds += rounds;
         if pi == 0 && log.active() {
             // `--log` / `--resume-from` record the sweep's first point
             // (the one a prior invocation with the same seed also ran),
-            // untimed, pinned to the timed incremental records.
-            eprintln!("{}", logged_replay(&trace, &cfg, &dynamics, log, records));
+            // untimed, pinned to the timed records.
+            eprintln!(
+                "{}",
+                logged_replay(&trace, &cfg, &dynamics, log, &first.records)
+            );
         }
         if small {
-            // Smoke runs additionally pin both modes to the original
-            // O(state)-per-step reference loop: a third, independent
+            // Smoke runs additionally pin the records to the original
+            // O(state)-per-step reference loop: an independent
             // implementation that must produce the exact same records.
             let mut sched = saath_core::Saath::with_defaults();
             let refr = saath_simulator::simulate_reference(&trace, &mut sched, &cfg, &dynamics)
                 .expect("scale-sweep reference run failed");
             assert_eq!(
-                &refr.records, records,
+                refr.records, first.records,
                 "scheduling records diverged from the reference loop at {nodes} nodes"
             );
         }
-        let speedup = incremental.rounds_per_sec() / rebuild.rounds_per_sec().max(1e-9);
-        t.row(&[
+        let mut row = vec![
             nodes.to_string(),
             flows.to_string(),
             rounds.to_string(),
-            format!("{:.1}", rebuild.rounds_per_sec()),
-            format!("{:.1}", incremental.rounds_per_sec()),
-            fmt_x(speedup),
-            format!(
-                "{:.1} → {:.1}",
-                rebuild.phase_ms(Phase::SchedContention),
-                incremental.phase_ms(Phase::SchedContention)
-            ),
-            format!(
-                "{:.1} → {:.1}",
-                rebuild.phase_ms(Phase::SchedOrder),
-                incremental.phase_ms(Phase::SchedOrder)
-            ),
-        ]);
-        point_docs.push(format!(
+            computed.to_string(),
+            format!("{:.1}", runs.rounds_per_sec()),
+            format!("{:.1}", runs.wall_ms()),
+        ];
+        row.extend(
+            phases
+                .iter()
+                .map(|&(_, phase)| format!("{:.1}", runs.phase_ms(phase))),
+        );
+        t.row(&row);
+        // `<key>` is the reading bench-diff lines up against older
+        // documents (a median); `<key>_min` / `<key>_max` its spread.
+        let mut doc = format!(
             "    {{\n      \"nodes\": {nodes},\n      \"coflows\": {},\n      \
-             \"flows\": {flows},\n      \"rounds\": {},\n      \
-             \"rounds_computed\": {},\n      \
+             \"flows\": {flows},\n      \"rounds\": {rounds},\n      \
+             \"rounds_computed\": {computed},\n      \
              \"records_identical\": true,\n      \
-             \"rounds_per_sec_speedup\": {speedup:.2},\n\
-             {},\n{}\n    }}",
+             \"rounds_per_sec\": {:.1}",
             trace.coflows.len(),
-            rounds,
-            incremental.0[0].spans.hist(Phase::SchedTotal).count,
-            mode_json("full_rebuild", &rebuild),
-            mode_json("incremental", &incremental),
-        ));
+            runs.rounds_per_sec(),
+        );
+        let wall = std::iter::once(("wall_ms", runs.spread(|run| run.wall_ms)));
+        let phase_spreads =
+            phases.map(|(key, phase)| (key, runs.spread(|run| run.phase_ms(phase))));
+        for (key, s) in wall.chain(phase_spreads) {
+            doc.push_str(&format!(",\n      {}", s.json_fields(key)));
+        }
+        point_docs.push(doc + "\n    }");
     }
 
     let json_doc = format!(
@@ -1903,18 +1876,14 @@ pub fn scale(
         }
     }
     if let Some(path) = metrics_out {
-        write_metrics_out(path, &sim_metrics_page(&inc_spans, inc_rounds, None));
+        write_metrics_out(path, &sim_metrics_page(&pooled_spans, pooled_rounds, None));
     }
     if json {
         return json_doc;
     }
     let mut rendered = t.render();
     rendered.push_str(
-        &saath_metrics::phase_table(
-            "scalability sweep (incremental mode, all points)",
-            &inc_spans,
-        )
-        .render(),
+        &saath_metrics::phase_table("scalability sweep (all points)", &pooled_spans).render(),
     );
     rendered
 }

@@ -1,7 +1,8 @@
 //! `repro` refuses a numeric option it cannot parse: `--seed 1O` used
 //! to run seed 1 and exit 0, so `repro epoch --seed 1O` would have
 //! overwritten a committed baseline under the wrong label. It refuses a
-//! flag it does not know for the same reason.
+//! flag it does not know, and an option given no value, for the same
+//! reason.
 
 use std::process::Command;
 
@@ -38,4 +39,24 @@ fn an_unknown_flag_is_refused_by_name() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag `--shards`"), "{stderr}");
     assert!(out.stdout.is_empty(), "the experiment ran anyway");
+}
+
+/// An option with no value is refused, not dropped: `fig17 --seed` ran
+/// seed 1, and `--log --json` wrote the event log to a file named
+/// `--json`.
+#[test]
+fn an_option_without_its_value_is_refused_by_name() {
+    for (args, flag) in [
+        (&["fig17", "--seed"][..], "--seed"),
+        (&["epoch", "--small", "--log", "--json"][..], "--log"),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} takes a value")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "the experiment ran anyway");
+    }
 }

@@ -49,13 +49,6 @@ pub struct Aalo {
     /// being starved by strict priority. `None` = strict priority (the
     /// simpler model the Saath paper's §2.2 text describes).
     weighted_queues: Option<u64>,
-    /// Maintain the `(queue, arrival, CoFlow, flow)` FIFO order
-    /// incrementally across rounds instead of rebuilding and re-sorting
-    /// every ready flow every round: CoFlows the [`ClusterView::changed`]
-    /// hint excludes keep their booked flow list untouched. Identical
-    /// output either way — the full re-sort stays the oracle, asserted
-    /// in debug builds every round. On by default.
-    pub incremental_order: bool,
     /// Per-round overhead samples (Table 2 comparison column).
     pub timings: SchedTimings,
     // Per-round buffers, recycled so the hot path never allocates.
@@ -66,9 +59,10 @@ pub struct Aalo {
     budget: Vec<u64>,
     /// Incremental order book: `(queue, arrival, CoFlow id)` → that
     /// CoFlow's ready unfinished flows, sorted by flow id. Walking the
-    /// map emits exactly the historical full-sort order, because the
-    /// map key is the sort key's CoFlow-level prefix and the per-CoFlow
-    /// lists carry the flow-id suffix.
+    /// map emits exactly the full-sort order, because the map key is
+    /// the sort key's CoFlow-level prefix and the per-CoFlow lists
+    /// carry the flow-id suffix. CoFlows the [`ClusterView::changed`]
+    /// hint excludes keep their booked flow list untouched.
     book: BTreeMap<(usize, Time, u32), Vec<FlowEndpoints>>,
     /// Booked CoFlows' current keys + departure stamps.
     meta: FastHashMap<CoflowId, AaloMeta>,
@@ -79,12 +73,10 @@ pub struct Aalo {
     /// Scratch: CoFlows that left the view this round.
     gone: Vec<CoflowId>,
     // Telemetry-only state (empty / all-zero in feature-off builds):
-    // last observed queue per CoFlow, per-queue occupancy, counters.
-    last_queue: FastHashMap<CoflowId, usize>,
-    live: FastHashSet<CoflowId>,
+    // per-queue occupancy, counters.
     occupancy: Vec<usize>,
-    /// Mechanism counters (queue transitions, FIFO sort comparisons,
-    /// …). Only maintained in `telemetry`-feature builds.
+    /// Mechanism counters (queue transitions, order-book rekeys, …).
+    /// Only maintained in `telemetry`-feature builds.
     pub mech: MechCounters,
 }
 
@@ -96,7 +88,6 @@ impl Aalo {
         Aalo {
             queues,
             weighted_queues: Some(growth),
-            incremental_order: true,
             timings: SchedTimings::default(),
             order: Vec::new(),
             eps: Vec::new(),
@@ -108,8 +99,6 @@ impl Aalo {
             epoch: 0,
             changed_set: FastHashSet::default(),
             gone: Vec::new(),
-            last_queue: FastHashMap::default(),
-            live: FastHashSet::default(),
             occupancy: Vec::new(),
             mech: MechCounters::default(),
         }
@@ -144,154 +133,115 @@ impl CoflowScheduler for Aalo {
         if saath_telemetry::enabled() {
             self.occupancy.clear();
             self.occupancy.resize(self.queues.num_queues, 0);
-            self.live.clear();
-            self.live.extend(view.coflows.iter().map(|c| c.id));
-            let live = &self.live;
-            self.last_queue.retain(|id, _| live.contains(id));
         }
-        if self.incremental_order {
-            // Re-book only the CoFlows the `changed` hint names (no
-            // hint ⇒ everything changed ⇒ every CoFlow re-books, still
-            // through the book so its state never goes stale).
-            self.epoch += 1;
-            let epoch = self.epoch;
-            self.changed_set.clear();
-            if let Some(changed) = view.changed {
-                self.changed_set.extend(changed.iter().copied());
-            }
-            let mut rekeys = 0u64;
-            for c in view.coflows {
-                let unchanged = view.changed.is_some() && !self.changed_set.contains(&c.id);
-                let q = match self.meta.get_mut(&c.id) {
-                    Some(m) if unchanged => {
-                        m.seen = epoch;
-                        debug_assert_eq!(
-                            m.q,
-                            self.queues.queue_for_total(c.total_sent()),
-                            "cached queue diverged for a CoFlow outside the changed hint"
-                        );
-                        m.q
-                    }
-                    prev => {
-                        let q = self.queues.queue_for_total(c.total_sent());
-                        // Re-book: reclaim the old bucket's buffer (if
-                        // any), refill it with the fresh ready-flow
-                        // list, re-insert under the new key.
-                        let old = prev.filter(|m| m.booked).map(|m| (m.q, m.arrival, c.id.0));
-                        let mut flows = old
-                            .and_then(|key| self.book.remove(&key))
-                            .unwrap_or_default();
-                        flows.clear();
-                        flows.extend(
-                            c.unfinished()
-                                .filter(|f| f.ready)
-                                .map(|f| f.endpoints(view.num_nodes)),
-                        );
-                        flows.sort_unstable_by_key(|e| e.flow.0);
-                        let booked = !flows.is_empty();
-                        if booked {
-                            self.book.insert((q, c.arrival, c.id.0), flows);
-                        }
-                        self.meta.insert(
-                            c.id,
-                            AaloMeta {
-                                q,
-                                arrival: c.arrival,
-                                booked,
-                                seen: epoch,
-                            },
-                        );
-                        rekeys += 1;
-                        q
-                    }
-                };
-                if saath_telemetry::enabled() {
-                    self.occupancy[q] += 1;
-                    if let Some(prev) = self.last_queue.insert(c.id, q) {
-                        if prev != q {
-                            self.mech.queue_transitions += 1;
-                        }
-                    }
+        // Re-book only the CoFlows the `changed` hint names (no hint ⇒
+        // everything changed ⇒ every CoFlow re-books, still through the
+        // book so its state never goes stale).
+        self.epoch += 1;
+        let epoch = self.epoch;
+        self.changed_set.clear();
+        if let Some(changed) = view.changed {
+            self.changed_set.extend(changed.iter().copied());
+        }
+        let mut rekeys = 0u64;
+        for c in view.coflows {
+            let unchanged = view.changed.is_some() && !self.changed_set.contains(&c.id);
+            let q = match self.meta.get_mut(&c.id) {
+                Some(m) if unchanged => {
+                    m.seen = epoch;
+                    debug_assert_eq!(
+                        m.q,
+                        self.queues.queue_for_total(c.total_sent()),
+                        "cached queue diverged for a CoFlow outside the changed hint"
+                    );
+                    m.q
                 }
-            }
-            // Departures: booked CoFlows that did not appear this round.
-            self.gone.clear();
-            self.gone.extend(
-                self.meta
-                    .iter()
-                    .filter(|(_, m)| m.seen != epoch)
-                    .map(|(id, _)| *id),
-            );
-            for gi in 0..self.gone.len() {
-                let id = self.gone[gi];
-                let m = self.meta.remove(&id).expect("departed CoFlow unbooked");
-                if m.booked {
-                    self.book.remove(&(m.q, m.arrival, id.0));
-                }
-            }
-            // Emit: the map walk is the sort.
-            for (&(q, arrival, cid), flows) in &self.book {
-                self.order
-                    .extend(flows.iter().map(|e| ((q, arrival, cid, e.flow.0), *e)));
-            }
-            if saath_telemetry::enabled() {
-                self.mech.order_rekeys += rekeys;
-                self.mech.order_resorts_avoided += 1;
-                // One tree removal + insertion per rekey, ~log2(n)
-                // comparisons each (deterministic estimate; see Saath).
-                let lg = (usize::BITS - view.coflows.len().leading_zeros()) as u64;
-                self.mech.lcof_comparisons += rekeys * 2 * lg;
-            }
-            // The full rebuild + re-sort stays the executable
-            // specification, proven against every debug round.
-            #[cfg(debug_assertions)]
-            {
-                let mut oracle: Vec<((usize, Time, u32, u32), FlowEndpoints)> = Vec::new();
-                for c in view.coflows {
+                prev => {
                     let q = self.queues.queue_for_total(c.total_sent());
-                    oracle.extend(
+                    if saath_telemetry::enabled() && prev.as_ref().is_some_and(|m| m.q != q) {
+                        self.mech.queue_transitions += 1;
+                    }
+                    // Re-book: reclaim the old bucket's buffer (if any),
+                    // refill it with the fresh ready-flow list, re-insert
+                    // under the new key.
+                    let old = prev.filter(|m| m.booked).map(|m| (m.q, m.arrival, c.id.0));
+                    let mut flows = old
+                        .and_then(|key| self.book.remove(&key))
+                        .unwrap_or_default();
+                    flows.clear();
+                    flows.extend(
                         c.unfinished()
                             .filter(|f| f.ready)
-                            .map(|f| ((q, c.arrival, c.id.0, f.id.0), f.endpoints(view.num_nodes))),
+                            .map(|f| f.endpoints(view.num_nodes)),
                     );
+                    flows.sort_unstable_by_key(|e| e.flow.0);
+                    let booked = !flows.is_empty();
+                    if booked {
+                        self.book.insert((q, c.arrival, c.id.0), flows);
+                    }
+                    self.meta.insert(
+                        c.id,
+                        AaloMeta {
+                            q,
+                            arrival: c.arrival,
+                            booked,
+                            seen: epoch,
+                        },
+                    );
+                    rekeys += 1;
+                    q
                 }
-                oracle.sort_by_key(|(key, _)| *key);
-                assert_eq!(
-                    self.order, oracle,
-                    "incremental FIFO order diverged from the full re-sort oracle"
-                );
+            };
+            if saath_telemetry::enabled() {
+                self.occupancy[q] += 1;
             }
-        } else {
+        }
+        // Departures: booked CoFlows that did not appear this round.
+        self.gone.clear();
+        self.gone.extend(
+            self.meta
+                .iter()
+                .filter(|(_, m)| m.seen != epoch)
+                .map(|(id, _)| *id),
+        );
+        for gi in 0..self.gone.len() {
+            let id = self.gone[gi];
+            let m = self.meta.remove(&id).expect("departed CoFlow unbooked");
+            if m.booked {
+                self.book.remove(&(m.q, m.arrival, id.0));
+            }
+        }
+        // Emit: the map walk is the sort.
+        for (&(q, arrival, cid), flows) in &self.book {
+            self.order
+                .extend(flows.iter().map(|e| ((q, arrival, cid, e.flow.0), *e)));
+        }
+        if saath_telemetry::enabled() {
+            self.mech.order_rekeys += rekeys;
+            self.mech.order_resorts_avoided += 1;
+            // One tree removal + insertion per rekey, ~log2(n)
+            // comparisons each (deterministic estimate; see Saath).
+            let lg = (usize::BITS - view.coflows.len().leading_zeros()) as u64;
+            self.mech.lcof_comparisons += rekeys * 2 * lg;
+        }
+        // The full rebuild + re-sort stays the executable specification,
+        // proven against every debug round.
+        #[cfg(debug_assertions)]
+        {
+            let mut oracle: Vec<((usize, Time, u32, u32), FlowEndpoints)> = Vec::new();
             for c in view.coflows {
                 let q = self.queues.queue_for_total(c.total_sent());
-                if saath_telemetry::enabled() {
-                    self.occupancy[q] += 1;
-                    // Aalo keeps no queue state; reconstruct transitions
-                    // from the previous round's assignment.
-                    if let Some(prev) = self.last_queue.insert(c.id, q) {
-                        if prev != q {
-                            self.mech.queue_transitions += 1;
-                        }
-                    }
-                }
-                self.order.extend(
+                oracle.extend(
                     c.unfinished()
                         .filter(|f| f.ready)
                         .map(|f| ((q, c.arrival, c.id.0, f.id.0), f.endpoints(view.num_nodes))),
                 );
             }
-            if saath_telemetry::enabled() {
-                // Same stable sort through a counting comparator, so the
-                // FIFO ordering work is comparable against Saath's LCoF.
-                let mut cmps = 0u64;
-                self.order.sort_by(|(a, _), (b, _)| {
-                    cmps += 1;
-                    a.cmp(b)
-                });
-                self.mech.lcof_comparisons += cmps;
-            } else {
-                self.order.sort_by_key(|(key, _)| *key);
-            }
+            oracle.sort_by_key(|(key, _)| *key);
+            assert_eq!(
+                self.order, oracle,
+                "incremental FIFO order diverged from the full re-sort oracle"
+            );
         }
         self.eps.clear();
         self.eps.extend(self.order.iter().map(|(_, e)| *e));
@@ -508,21 +458,21 @@ mod tests {
         assert_eq!(out.rate_of(FlowId(0)), Rate::ZERO);
     }
 
-    /// Satellite for the incremental FIFO book: 200 rounds of random
-    /// churn (arrivals, total-bytes growth across queue thresholds,
-    /// finishes, readiness flips, departures) driven through two
-    /// schedulers — the incremental one fed exact `changed` hints, the
-    /// legacy full-re-sort one fed `changed: None` — must produce
-    /// identical schedules every round, for both the weighted-sharing
-    /// and strict-priority variants. Debug builds additionally exercise
-    /// the in-scheduler full-re-sort oracle on every hinted round.
+    /// The FIFO book under 200 rounds of random churn (arrivals,
+    /// total-bytes growth across queue thresholds, finishes, readiness
+    /// flips, departures) driven through two schedulers — one fed exact
+    /// `changed` hints, a cold one fed `changed: None` that re-books
+    /// every CoFlow every round — must produce identical schedules
+    /// every round, for both the weighted-sharing and strict-priority
+    /// variants. Debug builds additionally exercise the in-scheduler
+    /// full-re-sort oracle on every round.
     #[test]
-    fn incremental_order_matches_full_resort_under_churn() {
+    fn hinted_book_matches_cold_scheduler_under_churn() {
         use rand::{Rng, SeedableRng};
         for strict in [false, true] {
             let mut rng = rand::rngs::SmallRng::seed_from_u64(0xaa10 + strict as u64);
             let queues = crate::config::QueueConfig::default;
-            let (mut inc, mut full) = if strict {
+            let (mut hinted, mut cold) = if strict {
                 (
                     Aalo::strict_priority(queues()),
                     Aalo::strict_priority(queues()),
@@ -530,7 +480,6 @@ mod tests {
             } else {
                 (Aalo::new(queues()), Aalo::new(queues()))
             };
-            full.incremental_order = false;
             let num_nodes = 12usize;
             let mut coflows: Vec<CoflowView> = Vec::new();
             let mut next_cf = 0u32;
@@ -590,7 +539,7 @@ mod tests {
                     !(drained && rng.gen_bool(0.8) || rng.gen_bool(0.05))
                 });
                 now = now.saturating_add(saath_simcore::Duration::from_millis(8));
-                let out_inc = {
+                let out_hinted = {
                     let view = ClusterView {
                         now,
                         num_nodes,
@@ -599,10 +548,10 @@ mod tests {
                     };
                     let mut bank = PortBank::uniform(num_nodes, GBPS);
                     let mut out = Schedule::default();
-                    inc.compute(&view, &mut bank, &mut out);
+                    hinted.compute(&view, &mut bank, &mut out);
                     out
                 };
-                let out_full = {
+                let out_cold = {
                     let view = ClusterView {
                         now,
                         num_nodes,
@@ -611,11 +560,11 @@ mod tests {
                     };
                     let mut bank = PortBank::uniform(num_nodes, GBPS);
                     let mut out = Schedule::default();
-                    full.compute(&view, &mut bank, &mut out);
+                    cold.compute(&view, &mut bank, &mut out);
                     out
                 };
                 assert_eq!(
-                    out_inc, out_full,
+                    out_hinted, out_cold,
                     "schedules diverged at round {round} (strict={strict})"
                 );
             }

@@ -57,7 +57,8 @@
 //! the tracker, and departures leave it from the slab sweep that
 //! retires their entries; no footprint is re-collected or sorted to
 //! find out what moved. `endpoints_into`, `CoflowView::all_ready`,
-//! `CoflowView::max_flow_sent` and [`contention_into`] stay as the
+//! `CoflowView::max_flow_sent` and
+//! [`contention_into`](crate::common::contention_into) stay as the
 //! oracles: debug builds assert every entry and every `k_c` against
 //! them every round.
 //!
@@ -96,7 +97,7 @@
 //! total-bytes thresholds, or any CoFlow already past its deadline (so
 //! `starvation_kicks` keeps counting every round it describes).
 
-use crate::common::{contention_into, ContentionTracker, RoundArena};
+use crate::common::{ContentionTracker, RoundArena};
 use crate::config::QueueConfig;
 use crate::order::OrderBook;
 use crate::timing::SchedTimings;
@@ -135,25 +136,6 @@ pub struct SaathConfig {
     /// fraction instead of the plain equal split. Off by default (the
     /// paper's evaluated design splits equally).
     pub skew_aware_thresholds: bool,
-    /// Maintain `k_c` incrementally across rounds instead of rebuilding
-    /// the full port-incidence map every round (§5.4 scalability). The
-    /// [`ContentionTracker`] is fed the ports each CoFlow's cached
-    /// endpoint list lost and the lists that had to be rebuilt (see the
-    /// module docs). Identical results either way — [`contention_into`]
-    /// stays the oracle and debug builds assert equality every round.
-    /// Off reproduces the original full-rebuild cost for benchmarking;
-    /// that path reads the view, not the cache, and is untouched.
-    pub incremental_contention: bool,
-    /// Maintain the LCoF order incrementally across rounds in an
-    /// [`OrderBook`] instead of re-sorting every CoFlow every round
-    /// (§5.4 scalability): CoFlows are bucketed by `(queue, expired)`
-    /// class and repositioned only when an ordering-key component
-    /// changes, with unchanged CoFlows (per the [`ClusterView::changed`]
-    /// hint) also reusing their cached queue assignment. Identical
-    /// results either way — the full re-sort stays the oracle and debug
-    /// builds assert equality every round. Off reproduces the original
-    /// full re-sort cost for benchmarking.
-    pub incremental_order: bool,
 }
 
 impl Default for SaathConfig {
@@ -168,8 +150,6 @@ impl Default for SaathConfig {
             starvation_avoidance: true,
             dynamics_srtf: true,
             skew_aware_thresholds: false,
-            incremental_contention: true,
-            incremental_order: true,
         }
     }
 }
@@ -356,13 +336,13 @@ pub struct Saath {
     num_nodes: usize,
     /// Per-round overhead samples (Table 2).
     pub timings: SchedTimings,
-    /// Shared scratch (contention incidence map, gang-rate counters),
-    /// kept across rounds so the hot path never allocates.
+    /// Shared scratch (gang-rate counters, and the contention oracle's
+    /// incidence map), kept across rounds so the hot path never
+    /// allocates.
     arena: RoundArena,
     /// Incremental `k_c` by slot, fed `drops` / `shrunk` / `rebuilt`.
     tracker: ContentionTracker,
-    /// Incrementally maintained LCoF order by slot (see [`OrderBook`]);
-    /// only populated when `cfg.incremental_order`.
+    /// Incrementally maintained LCoF order by slot (see [`OrderBook`]).
     book: OrderBook,
     /// Per-round buffers, recycled across rounds (see `compute`).
     /// `slots[i]` is the slab slot of `view.coflows[i]`.
@@ -692,15 +672,13 @@ impl CoflowScheduler for Saath {
         // the round reads those; what the list lost or whether it was
         // rebuilt is kept for the contention phase. CoFlows the hint
         // excludes have byte-identical view contents
-        // ([`ClusterView::changed`]'s contract), so their cache stands —
-        // and, with the incremental order on, so does their queue.
-        // Debug builds assert both against the full computation, for
-        // every CoFlow, every round.
+        // ([`ClusterView::changed`]'s contract), so their cache stands,
+        // and so does their queue. Debug builds assert both against the
+        // full computation, for every CoFlow, every round.
         self.drops.clear();
         self.shrunk.clear();
         self.rebuilt.clear();
         self.queues.clear();
-        let cache_queues = self.cfg.incremental_order && hint.is_some();
         // Whether the §4.3 re-queue rule is in play for any CoFlow.
         let mut srtf_requeue = false;
         for (c, &slot) in view.coflows.iter().zip(&self.slots) {
@@ -727,7 +705,7 @@ impl CoflowScheduler for Saath {
                 assert_eq!(e.m_live, m_live.unwrap_or(Bytes::ZERO), "cached m_live");
             }
             let q = match e.state {
-                Some(s) if cache_queues && !refreshed => {
+                Some(s) if !refreshed => {
                     debug_assert_eq!(
                         s.queue,
                         queue_for(&self.cfg, c, e.m_c, &mut self.est),
@@ -780,41 +758,37 @@ impl CoflowScheduler for Saath {
         // then read by slot; departures left it in the slab sweep.
         let t_contention = Instant::now();
         if self.cfg.lcof {
-            if self.cfg.incremental_contention {
-                let mut start = 0;
-                for &(slot, end) in &self.shrunk {
-                    let ports = &self.drops[start..end as usize];
-                    contention_deltas += self.tracker.drop_ports(slot, ports);
-                    start = end as usize;
+            let mut start = 0;
+            for &(slot, end) in &self.shrunk {
+                let ports = &self.drops[start..end as usize];
+                contention_deltas += self.tracker.drop_ports(slot, ports);
+                start = end as usize;
+            }
+            for &slot in &self.rebuilt {
+                let eps = &self.slab[slot as usize].eps;
+                contention_deltas += self.tracker.set(slot, eps);
+            }
+            self.k.clear();
+            self.k
+                .extend(self.slots.iter().map(|&slot| self.tracker.k(slot)));
+            if saath_telemetry::enabled() {
+                self.mech.contention_deltas += contention_deltas;
+                if hint.is_none() {
+                    self.mech.contention_rebuilds += 1;
+                } else {
+                    self.mech.contention_rebuilds_avoided += 1;
                 }
-                for &slot in &self.rebuilt {
-                    let eps = &self.slab[slot as usize].eps;
-                    contention_deltas += self.tracker.set(slot, eps);
-                }
-                self.k.clear();
-                self.k
-                    .extend(self.slots.iter().map(|&slot| self.tracker.k(slot)));
-                if saath_telemetry::enabled() {
-                    self.mech.contention_deltas += contention_deltas;
-                    if hint.is_none() {
-                        self.mech.contention_rebuilds += 1;
-                    } else {
-                        self.mech.contention_rebuilds_avoided += 1;
-                    }
-                }
-                // The full rebuild stays the executable specification:
-                // every debug round proves the delta-updated k equals it.
-                #[cfg(debug_assertions)]
-                {
-                    let mut oracle = Vec::new();
-                    contention_into(view, &mut self.arena, &mut oracle);
-                    assert_eq!(
-                        self.k, oracle,
-                        "incremental contention diverged from the contention_into oracle"
-                    );
-                }
-            } else {
-                contention_into(view, &mut self.arena, &mut self.k);
+            }
+            // The full rebuild stays the executable specification:
+            // every debug round proves the delta-updated k equals it.
+            #[cfg(debug_assertions)]
+            {
+                let mut oracle = Vec::new();
+                crate::common::contention_into(view, &mut self.arena, &mut oracle);
+                assert_eq!(
+                    self.k, oracle,
+                    "incremental contention diverged from the contention_into oracle"
+                );
             }
         } else {
             self.k.clear();
@@ -848,64 +822,47 @@ impl CoflowScheduler for Saath {
         }
         let (queues, expired, k) = (&self.queues, &self.expired, &self.k);
         let lcof = self.cfg.lcof;
-        let sort_key = |i: usize| {
-            (
-                queues[i],
-                !expired[i],
-                if lcof { k[i] } else { 0 },
-                view.coflows[i].arrival,
-                view.coflows[i].id,
-            )
-        };
-        if self.cfg.incremental_order {
-            // Reposition only the CoFlows whose key components moved;
-            // steady-state rounds refresh view positions without
-            // touching a tree node, and the emit walk replaces the
-            // O(n log n) re-sort. The book is keyed by slab slot.
-            let mut rekeys = 0u64;
-            for (i, (c, &slot)) in view.coflows.iter().zip(&self.slots).enumerate() {
-                let class = (queues[i], !expired[i]);
-                let sub = (if lcof { k[i] } else { 0 }, c.arrival);
-                if self.book.upsert(slot, c.id, class, sub, i as u32) {
-                    rekeys += 1;
-                }
+        // Reposition only the CoFlows whose key components moved;
+        // steady-state rounds refresh view positions without touching a
+        // tree node, and the emit walk replaces the O(n log n) re-sort.
+        // The book is keyed by slab slot.
+        let mut rekeys = 0u64;
+        for (i, (c, &slot)) in view.coflows.iter().zip(&self.slots).enumerate() {
+            let class = (queues[i], !expired[i]);
+            let sub = (if lcof { k[i] } else { 0 }, c.arrival);
+            if self.book.upsert(slot, c.id, class, sub, i as u32) {
+                rekeys += 1;
             }
-            self.book.emit_into(&mut self.order);
-            if saath_telemetry::enabled() {
-                self.mech.order_rekeys += rekeys;
-                self.mech.order_resorts_avoided += 1;
-                // A rekey is one tree removal + insertion, ~log2(n)
-                // comparisons each: a deterministic estimate so the D1
-                // comparison counter stays meaningful on this path.
-                let lg = (usize::BITS - n.leading_zeros()) as u64;
-                self.mech.lcof_comparisons += rekeys * 2 * lg;
-            }
-            // The full re-sort stays the executable specification:
-            // every debug round proves the book emits exactly it.
-            #[cfg(debug_assertions)]
-            {
-                let mut oracle: Vec<usize> = (0..n).collect();
-                oracle.sort_by_key(|&i| sort_key(i));
-                assert_eq!(
-                    self.order, oracle,
-                    "incremental order diverged from the full re-sort oracle"
-                );
-            }
-        } else {
-            self.order.clear();
-            self.order.extend(0..n);
-            if saath_telemetry::enabled() {
-                // Same stable sort, same keys — but through a comparator
-                // so the D1 comparison work is measurable.
-                let mut cmps = 0u64;
-                self.order.sort_by(|&a, &b| {
-                    cmps += 1;
-                    sort_key(a).cmp(&sort_key(b))
-                });
-                self.mech.lcof_comparisons += cmps;
-            } else {
-                self.order.sort_by_key(|&i| sort_key(i));
-            }
+        }
+        self.book.emit_into(&mut self.order);
+        if saath_telemetry::enabled() {
+            self.mech.order_rekeys += rekeys;
+            self.mech.order_resorts_avoided += 1;
+            // A rekey is one tree removal + insertion, ~log2(n)
+            // comparisons each: a deterministic estimate of the D1
+            // comparison work.
+            let lg = (usize::BITS - n.leading_zeros()) as u64;
+            self.mech.lcof_comparisons += rekeys * 2 * lg;
+        }
+        // The full re-sort stays the executable specification: every
+        // debug round proves the book emits exactly it.
+        #[cfg(debug_assertions)]
+        {
+            let sort_key = |i: usize| {
+                (
+                    queues[i],
+                    !expired[i],
+                    if lcof { k[i] } else { 0 },
+                    view.coflows[i].arrival,
+                    view.coflows[i].id,
+                )
+            };
+            let mut oracle: Vec<usize> = (0..n).collect();
+            oracle.sort_by_key(|&i| sort_key(i));
+            assert_eq!(
+                self.order, oracle,
+                "incremental order diverged from the full re-sort oracle"
+            );
         }
         let any_expired = self.expired.iter().any(|&e| e);
         if any_expired {
@@ -1646,54 +1603,26 @@ mod tests {
         }
     }
 
-    /// Satellite for the incremental order book: 200 rounds of
-    /// [`Churn`] driven through two schedulers — the incremental one
-    /// fed exact `changed` hints, and the legacy full-re-sort one fed
-    /// `changed: None` — must produce identical schedules every round.
-    /// Debug builds additionally exercise the in-scheduler oracles
-    /// (order, contention, cached queues, footprint cache) on every
-    /// one of those rounds.
-    #[test]
-    fn incremental_order_matches_full_resort_under_churn() {
-        for lcof in [true, false] {
-            let mut churn = Churn::new(0x0b00c + lcof as u64);
-            let mut inc = Saath::new(SaathConfig {
-                lcof,
-                ..Default::default()
-            });
-            let mut full = Saath::new(SaathConfig {
-                lcof,
-                incremental_order: false,
-                incremental_contention: false,
-                ..Default::default()
-            });
-            for round in 0..200 {
-                let changed = churn.step();
-                assert_eq!(
-                    churn.schedule(&mut inc, Some(&changed)),
-                    churn.schedule(&mut full, None),
-                    "schedules diverged at round {round} (lcof={lcof})"
-                );
-            }
-        }
-    }
-
-    /// The footprint cache under the same churn: a scheduler fed hints
-    /// (and, every seventh round, none — after mutations it was never
-    /// told about one by one) against a cold one that is fed
-    /// `changed: None` and so re-derives every entry every round.
-    /// Schedules must match, and every cached entry must equal what
-    /// the view says — asserted here too, so the test also bites where
-    /// debug assertions are off. Covers the skew-aware and straggler
-    /// queue rules, which read the cache differently.
+    /// The footprint cache, the order book and the contention tracker
+    /// under [`Churn`]: a scheduler fed hints (and, every seventh round,
+    /// none — after mutations it was never told about one by one)
+    /// against a cold one that is fed `changed: None` and so re-derives
+    /// every entry every round. Schedules must match, and every cached
+    /// entry must equal what the view says — asserted here too, so the
+    /// test also bites where debug assertions are off. Covers the
+    /// skew-aware and straggler queue rules, which read the cache
+    /// differently, with LCoF on and off.
     #[test]
     fn footprint_cache_matches_cold_scheduler_under_churn() {
-        for skew_aware_thresholds in [false, true] {
+        for (skew_aware_thresholds, lcof) in
+            [(false, true), (true, true), (false, false), (true, false)]
+        {
             let cfg = SaathConfig {
                 skew_aware_thresholds,
+                lcof,
                 ..Default::default()
             };
-            let mut churn = Churn::new(0xf007 + skew_aware_thresholds as u64);
+            let mut churn = Churn::new(0xf007 + skew_aware_thresholds as u64 + 2 * !lcof as u64);
             let mut warm = Saath::new(cfg.clone());
             let mut cold = Saath::new(cfg);
             for round in 0..200 {
@@ -1702,7 +1631,7 @@ mod tests {
                 assert_eq!(
                     churn.schedule(&mut warm, hint),
                     churn.schedule(&mut cold, None),
-                    "schedules diverged at round {round}"
+                    "schedules diverged at round {round} (skew={skew_aware_thresholds}, lcof={lcof})"
                 );
                 for c in &churn.coflows {
                     let e = &warm.slab[warm.slot_of[&c.id] as usize];

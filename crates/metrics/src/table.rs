@@ -45,12 +45,15 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Renders as aligned plain text.
+    /// Renders as aligned plain text. Widths are counted in chars, the
+    /// unit `format!` pads in, so `→`, `×` or `µ` in a cell take one
+    /// column like any other char.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
+        let width = |s: &String| s.chars().count();
+        let mut widths: Vec<usize> = self.header.iter().map(width).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
+                widths[i] = widths[i].max(width(c));
             }
         }
         let mut out = String::new();
@@ -120,17 +123,40 @@ pub fn fmt_pct(v: f64) -> String {
 mod tests {
     use super::*;
 
+    /// The whole rendering, byte for byte: columns two spaces apart,
+    /// the rule as wide as the padded columns, trailing blanks trimmed.
     #[test]
     fn renders_aligned_text() {
         let mut t = Table::new("Demo", &["scheme", "median", "p90"]);
         t.row(&["saath".into(), "1.53x".into(), "4.50x".into()]);
         t.row(&["aalo".into(), "1.00x".into(), "1.00x".into()]);
-        let s = t.render();
-        assert!(s.contains("== Demo =="));
-        assert!(s.contains("scheme  median  p90"));
-        assert!(s.lines().count() == 4 + 1); // title, header, rule, 2 rows
+        assert_eq!(
+            t.render(),
+            "== Demo ==\n\
+             scheme  median  p90\n\
+             ---------------------\n\
+             saath   1.53x   4.50x\n\
+             aalo    1.00x   1.00x\n"
+        );
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
+    }
+
+    /// A multi-byte char is one column: the rule is exactly as long as
+    /// the header, in chars, and the cells line up under it.
+    #[test]
+    fn multi_byte_cells_take_one_column_per_char() {
+        let mut t = Table::new("", &["k_c ms (reb → inc)", "µs"]);
+        t.row(&["1.0 → 2.0".into(), "3".into()]);
+        let s = t.render();
+        assert_eq!(
+            s,
+            "k_c ms (reb → inc)  µs\n\
+             ----------------------\n\
+             1.0 → 2.0           3\n"
+        );
+        let lines: Vec<&str> = s.lines().collect();
+        assert_eq!(lines[1].len(), lines[0].chars().count());
     }
 
     #[test]

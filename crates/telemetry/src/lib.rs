@@ -456,8 +456,10 @@ mech_counters! {
     unready_skips,
     /// Flows granted leftover capacity by work conservation (D4).
     wc_backfills,
-    /// Intra-queue order comparisons performed by the LCoF sort (D1
-    /// work; for Aalo, the FIFO sort's comparisons).
+    /// Intra-queue order comparisons (D1 work), estimated: each rekey
+    /// in an order book (Saath's LCoF book, Aalo's FIFO book) is one
+    /// tree removal and one insertion, counted as twice the bit length
+    /// of `n`, the CoFlows in the view — about 2·log₂ n.
     lcof_comparisons,
     /// MADD gang-rate evaluations (shared-bottleneck rate probes).
     madd_evals,

@@ -1,5 +1,5 @@
 //! The distributed runtime in action: a real coordinator and one agent
-//! thread per node exchanging framed messages over **TCP loopback** —
+//! host per node exchanging framed messages over **TCP loopback** —
 //! the same code path a multi-host deployment would use — including a
 //! mid-run coordinator crash + failover (§5: the coordinator is
 //! stateless and rebuilds from the agents' next stats wave).
@@ -16,7 +16,7 @@ fn main() {
     // wall-seconds.
     let trace = workload::gen::generate(&workload::gen::small(11, 16, 40));
     println!(
-        "emulating {} CoFlows / {} flows on {} agent threads over TCP…",
+        "emulating {} CoFlows / {} flows on {} agent hosts over TCP…",
         trace.coflows.len(),
         trace.num_flows(),
         trace.num_nodes

@@ -140,56 +140,6 @@ fn telemetry_threading_is_inert() {
 }
 
 #[test]
-fn incremental_contention_matches_full_rebuild_records() {
-    // The delta-maintained `k_c` must be invisible in the output: with
-    // `incremental_contention` on or off, records, round counts, and
-    // end times stay byte-identical — including under stragglers and a
-    // node failure, the churn that stresses footprint shrink/reset. (In
-    // debug builds the scheduler additionally asserts the incremental
-    // `k` against the `contention_into` oracle every single round.)
-    let trace = mini_fb(67);
-    let cfg = SimConfig::default();
-    for dynamics in [DynamicsSpec::none(), stress_dynamics()] {
-        let incr = simulate(&trace, &mut Saath::with_defaults(), &cfg, &dynamics).unwrap();
-        let rebuilt = simulate(
-            &trace,
-            &mut Saath::new(SaathConfig {
-                incremental_contention: false,
-                ..SaathConfig::default()
-            }),
-            &cfg,
-            &dynamics,
-        )
-        .unwrap();
-        assert_eq!(incr.records, rebuilt.records);
-        assert_eq!(incr.rounds, rebuilt.rounds);
-        assert_eq!(incr.end, rebuilt.end);
-    }
-}
-
-#[test]
-fn incremental_contention_matches_under_skewed_thresholds() {
-    // Skew-aware thresholds change *which* flows progress each round,
-    // exercising a different footprint-churn pattern; the incremental
-    // tracker must still be invisible.
-    let trace = mini_fb(71);
-    let cfg = SimConfig::default();
-    let dynamics = stress_dynamics();
-    let mk = |incremental: bool| {
-        Saath::new(SaathConfig {
-            skew_aware_thresholds: true,
-            incremental_contention: incremental,
-            ..SaathConfig::default()
-        })
-    };
-    let incr = simulate(&trace, &mut mk(true), &cfg, &dynamics).unwrap();
-    let rebuilt = simulate(&trace, &mut mk(false), &cfg, &dynamics).unwrap();
-    assert_eq!(incr.records, rebuilt.records);
-    assert_eq!(incr.rounds, rebuilt.rounds);
-    assert_eq!(incr.end, rebuilt.end);
-}
-
-#[test]
 fn incremental_loop_matches_reference_across_policies_and_deltas() {
     let trace = mini_fb(47);
     let dynamics = stress_dynamics();

@@ -149,6 +149,41 @@ fn mech_counters_and_round_trace_are_pinned() {
     ];
     assert_eq!(mech_a, expect, "golden mechanism counters moved");
 
+    // Default Aalo on the same trace. It sets no horizon, so each of
+    // its 377 rounds is computed (`order_resorts_avoided`); the order
+    // rows count its FIFO book's re-bookings, and the gang rows stay
+    // zero.
+    let mut aalo = Aalo::with_defaults();
+    let aalo_out = simulate(
+        &trace,
+        &mut aalo,
+        &SimConfig::default(),
+        &DynamicsSpec::none(),
+    )
+    .unwrap();
+    assert_eq!(aalo_out.rounds, 377);
+    let expect_aalo: [(&str, u64); 14] = [
+        ("queue_transitions", 10),
+        ("deadline_expiries", 0),
+        ("starvation_rescues", 0),
+        ("gang_admissions", 0),
+        ("gang_rejections", 0),
+        ("unready_skips", 0),
+        ("wc_backfills", 0),
+        ("lcof_comparisons", 1402),
+        ("madd_evals", 0),
+        ("contention_deltas", 0),
+        ("contention_rebuilds", 0),
+        ("contention_rebuilds_avoided", 0),
+        ("order_rekeys", 484),
+        ("order_resorts_avoided", 377),
+    ];
+    assert_eq!(
+        aalo.mech.rows(),
+        expect_aalo,
+        "golden Aalo mechanism counters moved"
+    );
+
     // The deterministic JSONL round trace: one line per round, and the
     // first/last lines pinned verbatim (integer-only fields, so these
     // are stable across platforms).
