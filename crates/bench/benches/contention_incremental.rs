@@ -3,15 +3,19 @@
 //! handful of CoFlows change footprints (a flow finishes or restarts)
 //! while the rest of the active set is untouched — exactly the regime
 //! the engine's dirty set produces. The rebuild pays O(total flows)
-//! per round regardless; the tracker is told, by slot, the two ports
-//! of each finished flow and the whole list of each restarted CoFlow,
-//! as `Saath` tells it, and pays O(changed footprints).
+//! per round regardless; the delta arm keeps a port footprint per
+//! slot, takes the two ports of each finished flow out of it and
+//! re-sets it from the whole list of each restarted CoFlow, as `Saath`
+//! does, and feeds the tracker the ports that joined or left: it pays
+//! O(changed footprints).
 //!
 //! Scaled by *flow* count (1k / 10k / 100k), the axis of the Fig 9
 //! scalability sweep.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use saath_core::common::{contention_into, endpoints_into, ContentionTracker, RoundArena};
+use saath_core::common::{
+    contention_into, endpoints_into, ContentionTracker, Footprint, PortMoves, RoundArena,
+};
 use saath_core::view::{ClusterView, CoflowView, FlowView};
 use saath_simcore::{Bytes, CoflowId, DetRng, FlowId, NodeId, Time};
 
@@ -93,26 +97,29 @@ fn bench_contention_incremental(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("delta", flows), &flows, |b, _| {
             let mut views = views.clone();
             let mut tracker = ContentionTracker::new();
-            let mut eps = Vec::new();
-            let mut k = Vec::new();
+            let mut footprints = vec![Footprint::default(); views.len()];
+            let mut moves = PortMoves::default();
+            let (mut eps, mut scratch, mut k) = (Vec::new(), Vec::new(), Vec::new());
             // Prime the tracker: slot `i` holds CoFlow `i`.
             for (slot, c) in views.iter().enumerate() {
                 endpoints_into(c, NODES, false, &mut eps);
-                tracker.set(slot as u32, &eps);
+                footprints[slot].set(slot as u32, &eps, &mut scratch, &mut moves);
             }
+            tracker.apply(&moves);
             let mut round = 0usize;
             b.iter(|| {
+                moves.clear();
                 for (ci, fi) in churn(&mut views, &mut round) {
                     let f = &views[ci].flows[fi];
                     if f.finished {
                         let e = f.endpoints(NODES);
-                        let ports = [e.src.index() as u32, e.dst.index() as u32];
-                        tracker.drop_ports(ci as u32, &ports);
+                        footprints[ci].drop_ports(ci as u32, &[e.src, e.dst], &mut moves);
                     } else {
                         endpoints_into(&views[ci], NODES, false, &mut eps);
-                        tracker.set(ci as u32, &eps);
+                        footprints[ci].set(ci as u32, &eps, &mut scratch, &mut moves);
                     }
                 }
+                tracker.apply(&moves);
                 k.clear();
                 k.extend((0..views.len() as u32).map(|slot| tracker.k(slot)));
                 black_box(k.len());

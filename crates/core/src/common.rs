@@ -1,10 +1,10 @@
-//! Shared machinery: contention computation, endpoint extraction, and
-//! the reusable scratch arena that keeps scheduling rounds
-//! allocation-free.
+//! Shared machinery: contention computation, port footprints, endpoint
+//! extraction, and the reusable scratch arena that keeps scheduling
+//! rounds allocation-free.
 
 use crate::view::{ClusterView, CoflowView};
-use saath_fabric::FlowEndpoints;
-use saath_simcore::FastHashMap;
+use saath_fabric::{footprint_into, FlowEndpoints, PortBank};
+use saath_simcore::{FastHashMap, PortId};
 
 /// Reusable buffers for one scheduling round.
 ///
@@ -37,7 +37,13 @@ pub struct RoundArena {
     /// Per-port flow counts for `gang_rate_with`.
     pub gang_scratch: Vec<u32>,
     /// Touched-port list for `gang_rate_with`.
-    pub gang_touched: Vec<saath_simcore::PortId>,
+    pub gang_touched: Vec<PortId>,
+    /// A footprint re-derived from an endpoint list (debug oracle).
+    pub footprint: Vec<(PortId, u32)>,
+    /// A copy of the round's bank that `gang_allocate` draws down, to
+    /// be compared with the bank the footprint drew down (debug
+    /// oracle).
+    pub bank: Option<PortBank>,
 }
 
 impl RoundArena {
@@ -128,27 +134,144 @@ pub fn contention_into(view: &ClusterView<'_>, arena: &mut RoundArena, k: &mut V
     }
 }
 
-/// Incrementally maintained per-CoFlow contention, indexed by the
-/// scheduler's slab slot and fed footprint deltas instead of views.
+/// A CoFlow's port footprint, kept between rounds by its owner: each
+/// port its unfinished flows touch, with how many of them touch it,
+/// sorted by port — [`footprint_into`] of its endpoint list. It moves
+/// only when a flow finishes (the flow's two ports lose one flow each),
+/// when the list is re-derived whole (an arrival, an un-finish after a
+/// coordinator restart, a port-space change) and when the CoFlow
+/// departs. A port *joins* when its count goes 0 → 1 and *leaves* when
+/// it goes 1 → 0; each operation reports its joins and leaves to a
+/// [`PortMoves`] under the owner's slot, which is what the
+/// [`ContentionTracker`] is fed.
 ///
-/// A footprint moves only when a flow finishes (it loses at most that
-/// flow's two ports), when a CoFlow arrives or departs, and in the rare
-/// rounds where the owner has to re-derive a whole endpoint list (an
-/// un-finish after a coordinator restart, a port-space change). The
-/// owner tells the tracker which of these happened, slot by slot —
-/// [`drop_ports`](Self::drop_ports), [`set`](Self::set),
-/// [`clear`](Self::clear) — and reads [`k`](Self::k) back by slot.
-/// Nothing here is keyed by `CoflowId`, and nothing walks a view.
+/// All-or-none admission reads it ([`footprint_gang_rate`]), so it is
+/// kept whether or not contention is.
+///
+/// [`footprint_gang_rate`]: saath_fabric::footprint_gang_rate
+#[derive(Clone, Debug, Default)]
+pub struct Footprint {
+    ports: Vec<(PortId, u32)>,
+}
+
+impl Footprint {
+    /// The sorted `(port, unfinished flows on it)` list.
+    pub fn ports(&self) -> &[(PortId, u32)] {
+        &self.ports
+    }
+
+    /// Makes the footprint that of `eps`. The new one is diffed against
+    /// the stored one, so only ports that really join or leave are
+    /// reported. `scratch` holds the new list while it is diffed.
+    pub fn set(
+        &mut self,
+        slot: u32,
+        eps: &[FlowEndpoints],
+        scratch: &mut Vec<(PortId, u32)>,
+        moves: &mut PortMoves,
+    ) {
+        footprint_into(eps, scratch);
+        let old = &self.ports;
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() || j < scratch.len() {
+            match (old.get(i), scratch.get(j)) {
+                (Some(&(a, _)), Some(&(b, _))) if a == b => {
+                    i += 1;
+                    j += 1;
+                }
+                (Some(&(a, _)), Some(&(b, _))) if a < b => {
+                    moves.leaves.push((slot, a));
+                    i += 1;
+                }
+                (Some(&(a, _)), None) => {
+                    moves.leaves.push((slot, a));
+                    i += 1;
+                }
+                (_, Some(&(b, _))) => {
+                    moves.joins.push((slot, b));
+                    j += 1;
+                }
+                (None, None) => unreachable!(),
+            }
+        }
+        // Copied, not swapped: the allocation stays with the footprint
+        // (and its slot), so the heap settles once every slot has held
+        // its widest CoFlow.
+        self.ports.clear();
+        self.ports.extend_from_slice(scratch);
+    }
+
+    /// Takes one flow's worth of each port in `ports` out — the two
+    /// ports of every flow that finished. A port leaves only when no
+    /// unfinished flow of the CoFlow is left on it.
+    ///
+    /// # Panics
+    ///
+    /// If a port is not in the footprint: the owner's endpoint list and
+    /// the footprint have diverged.
+    pub fn drop_ports(&mut self, slot: u32, ports: &[PortId], moves: &mut PortMoves) {
+        let mut left = false;
+        for &p in ports {
+            let at = self
+                .ports
+                .binary_search_by_key(&p, |&(port, _)| port)
+                .expect("dropped port not in the footprint");
+            let flows = &mut self.ports[at].1;
+            *flows -= 1;
+            if *flows == 0 {
+                moves.leaves.push((slot, p));
+                left = true;
+            }
+        }
+        if left {
+            self.ports.retain(|&(_, flows)| flows > 0);
+        }
+    }
+
+    /// Empties the footprint: every port leaves.
+    pub fn clear(&mut self, slot: u32, moves: &mut PortMoves) {
+        moves
+            .leaves
+            .extend(self.ports.iter().map(|&(p, _)| (slot, p)));
+        self.ports.clear();
+    }
+}
+
+/// The ports that joined or left footprints since the owner last
+/// cleared it, each under the slot of the footprint it moved in.
+#[derive(Debug, Default)]
+pub struct PortMoves {
+    /// `(slot, port)`: the footprint in `slot` gained `port`.
+    pub joins: Vec<(u32, PortId)>,
+    /// `(slot, port)`: the footprint in `slot` lost `port`.
+    pub leaves: Vec<(u32, PortId)>,
+}
+
+impl PortMoves {
+    /// Forgets every move.
+    pub fn clear(&mut self) {
+        self.joins.clear();
+        self.leaves.clear();
+    }
+
+    /// Joins plus leaves: the `contention_deltas` telemetry counter.
+    pub fn count(&self) -> u64 {
+        (self.joins.len() + self.leaves.len()) as u64
+    }
+}
+
+/// Incrementally maintained per-CoFlow contention, indexed by the
+/// scheduler's slab slot and fed the port joins and leaves of the
+/// footprints the owner keeps ([`Footprint`]), instead of views.
+/// Nothing here is keyed by `CoflowId`, nothing walks a view, and no
+/// footprint is stored here: what the tracker needs of one is which
+/// ports it holds, and those arrive one join or leave at a time.
 ///
 /// # Invariant
 ///
-/// After every call, for each slot `s` the owner has handed a
-/// footprint:
+/// After [`apply`](Self::apply) has been handed every move since the
+/// tracker was built, for each slot `s`:
 ///
-/// * `footprints[s]` is the sorted list of `(port, n)` where `n > 0`
-///   unfinished flows of the slot's CoFlow touch `port` — the multiset
-///   of the endpoint list last [`set`](Self::set), less every port
-///   since dropped;
 /// * `port_slots[p]` holds exactly the slots whose footprint contains
 ///   `p`;
 /// * `pairs[(a, b)]` (slots ordered `a < b`) is the number of ports the
@@ -157,30 +280,14 @@ pub fn contention_into(view: &ClusterView<'_>, arena: &mut RoundArena, k: &mut V
 ///   exactly the §3.3 contention [`contention_into`] computes for the
 ///   CoFlow the slot holds.
 ///
-/// A port *joins* a footprint when its count goes 0 → 1 and *leaves*
-/// when it goes 1 → 0; each join or leave adjusts the pair count of
-/// every other slot on that port, and `k` moves only on a pair's 0 ↔ 1
-/// transitions. Every operation returns its joins plus leaves, the
-/// `contention_deltas` telemetry counter.
+/// Each join or leave adjusts the pair count of every other slot on
+/// that port, and `k` moves only on a pair's 0 ↔ 1 transitions.
 ///
 /// [`contention_into`] remains the oracle: `Saath::compute` asserts
 /// equality in debug builds, and the churn tests here and in `saath.rs`
 /// compare against it in every build.
 #[derive(Default)]
 pub struct ContentionTracker {
-    /// Slot → sorted `(port, unfinished flows of the CoFlow on it)`.
-    /// A slot's allocation stays with it across occupants.
-    footprints: Vec<Vec<(u32, u32)>>,
-    /// Port membership, pair counts and `k`.
-    shared: Sharing,
-    /// Fresh-footprint scratch for [`set`](Self::set).
-    scratch: Vec<(u32, u32)>,
-}
-
-/// The cross-slot half of the tracker, split off so a footprint can be
-/// walked while the ports it names join or leave.
-#[derive(Default)]
-struct Sharing {
     /// Port → slots whose footprint contains it (unordered).
     port_slots: Vec<Vec<u32>>,
     /// Slot pair `(a, b)`, `a < b` → number of shared ports (> 0).
@@ -195,124 +302,38 @@ impl ContentionTracker {
         ContentionTracker::default()
     }
 
-    /// Contention of the CoFlow in `slot` (0 for a slot never set).
+    /// Contention of the CoFlow in `slot` (0 for a slot never joined).
     pub fn k(&self, slot: u32) -> u32 {
-        self.shared.k.get(slot as usize).copied().unwrap_or(0)
+        self.k.get(slot as usize).copied().unwrap_or(0)
     }
 
-    /// Makes `eps` the footprint of `slot`: the new footprint is diffed
-    /// against the stored one, so only ports that really join or leave
-    /// cost anything. Returns the joins plus leaves.
-    pub fn set(&mut self, slot: u32, eps: &[FlowEndpoints]) -> u64 {
-        let s = slot as usize;
-        if self.footprints.len() <= s {
-            self.footprints.resize_with(s + 1, Vec::new);
-        }
-        if self.shared.k.len() <= s {
-            self.shared.k.resize(s + 1, 0);
-        }
-        let fresh = &mut self.scratch;
-        fresh.clear();
-        for e in eps {
-            fresh.push((e.src.index() as u32, 1));
-            fresh.push((e.dst.index() as u32, 1));
-        }
-        fresh.sort_unstable();
-        fresh.dedup_by(|later, kept| {
-            later.0 == kept.0 && {
-                kept.1 += later.1;
-                true
-            }
-        });
-
-        let old = &mut self.footprints[s];
-        let mut deltas = 0u64;
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() || j < fresh.len() {
-            match (old.get(i), fresh.get(j)) {
-                (Some(&(a, _)), Some(&(b, _))) if a == b => {
-                    i += 1;
-                    j += 1;
-                }
-                (Some(&(a, _)), Some(&(b, _))) if a < b => {
-                    self.shared.leave(slot, a);
-                    deltas += 1;
-                    i += 1;
-                }
-                (Some(&(a, _)), None) => {
-                    self.shared.leave(slot, a);
-                    deltas += 1;
-                    i += 1;
-                }
-                (_, Some(&(b, _))) => {
-                    self.shared.join(slot, b);
-                    deltas += 1;
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-        old.clear();
-        old.extend_from_slice(fresh);
-        deltas
-    }
-
-    /// Removes one flow's worth of each port in `ports` from the
-    /// footprint of `slot` — the two ports of every flow that finished.
-    /// A port leaves only when no unfinished flow of the CoFlow is left
-    /// on it. Returns the leaves.
+    /// Applies `moves`: every leave, then every join. Leaves go first
+    /// because a slot freed and taken again in one round leaves its old
+    /// ports before its new occupant joins them; no other order of one
+    /// round's moves names a `(slot, port)` twice.
     ///
     /// # Panics
     ///
-    /// If a port is not in the footprint: the owner's endpoint list and
-    /// the tracker have diverged.
-    pub fn drop_ports(&mut self, slot: u32, ports: &[u32]) -> u64 {
-        let footprint = &mut self.footprints[slot as usize];
-        let mut deltas = 0u64;
-        for &p in ports {
-            let at = footprint
-                .binary_search_by_key(&p, |&(port, _)| port)
-                .expect("dropped port not in the footprint");
-            let flows = &mut footprint[at].1;
-            *flows -= 1;
-            if *flows == 0 {
-                self.shared.leave(slot, p);
-                deltas += 1;
-            }
+    /// On a leave of a port the slot has not joined.
+    pub fn apply(&mut self, moves: &PortMoves) {
+        for &(slot, p) in &moves.leaves {
+            self.leave(slot, p.0);
         }
-        if deltas > 0 {
-            footprint.retain(|&(_, flows)| flows > 0);
+        for &(slot, p) in &moves.joins {
+            self.join(slot, p.0);
         }
-        deltas
     }
 
-    /// Empties the footprint of `slot`, whose CoFlow departed. Returns
-    /// the leaves.
-    pub fn clear(&mut self, slot: u32) -> u64 {
-        let Some(footprint) = self.footprints.get_mut(slot as usize) else {
-            return 0;
-        };
-        for &(p, _) in footprint.iter() {
-            self.shared.leave(slot, p);
-        }
-        debug_assert_eq!(
-            self.shared.k[slot as usize], 0,
-            "departed slot still paired"
-        );
-        let deltas = footprint.len() as u64;
-        footprint.clear();
-        deltas
-    }
-}
-
-impl Sharing {
     /// `slot` now has an unfinished flow on port `p`.
     fn join(&mut self, slot: u32, p: u32) {
         let p = p as usize;
         if self.port_slots.len() <= p {
             self.port_slots.resize_with(p + 1, Vec::new);
         }
-        let Sharing {
+        if self.k.len() <= slot as usize {
+            self.k.resize(slot as usize + 1, 0);
+        }
+        let ContentionTracker {
             port_slots,
             pairs,
             k,
@@ -331,7 +352,7 @@ impl Sharing {
 
     /// `slot` has no unfinished flow left on port `p`.
     fn leave(&mut self, slot: u32, p: u32) {
-        let Sharing {
+        let ContentionTracker {
             port_slots,
             pairs,
             k,
@@ -515,12 +536,16 @@ mod tests {
         }
     }
 
-    /// What an owner does with a tracker, on a slot-indexed model: the
-    /// CoFlow each slot holds, departed slots reused first.
+    /// What an owner does with footprints and a tracker, on a
+    /// slot-indexed model: the CoFlow each slot holds, departed slots
+    /// reused first, every operation's moves applied at once.
     struct Slots {
         num_nodes: usize,
         held: Vec<Option<CoflowView>>,
+        footprints: Vec<Footprint>,
         tracker: ContentionTracker,
+        scratch: Vec<(PortId, u32)>,
+        moves: PortMoves,
     }
 
     impl Slots {
@@ -528,7 +553,10 @@ mod tests {
             Slots {
                 num_nodes,
                 held: Vec::new(),
+                footprints: Vec::new(),
                 tracker: ContentionTracker::new(),
+                scratch: Vec::new(),
+                moves: PortMoves::default(),
             }
         }
 
@@ -537,18 +565,34 @@ mod tests {
             endpoints_of(c, self.num_nodes, false)
         }
 
+        /// Feeds the tracker what moved; returns the joins plus leaves.
+        fn settle(&mut self) -> u64 {
+            let n = self.moves.count();
+            self.tracker.apply(&self.moves);
+            self.moves.clear();
+            n
+        }
+
+        /// Sets the footprint of `slot` from its CoFlow's flows.
+        fn set(&mut self, slot: usize) -> u64 {
+            let eps = self.eps(slot);
+            let (scratch, moves) = (&mut self.scratch, &mut self.moves);
+            self.footprints[slot].set(slot as u32, &eps, scratch, moves);
+            self.settle()
+        }
+
         /// Takes the first free slot; returns it and the joins.
         fn arrive(&mut self, c: CoflowView) -> (usize, u64) {
             let slot = match self.held.iter().position(Option::is_none) {
                 Some(slot) => slot,
                 None => {
                     self.held.push(None);
+                    self.footprints.push(Footprint::default());
                     self.held.len() - 1
                 }
             };
             self.held[slot] = Some(c);
-            let eps = self.eps(slot);
-            (slot, self.tracker.set(slot as u32, &eps))
+            (slot, self.set(slot))
         }
 
         fn finish(&mut self, slot: usize, flow: usize) -> u64 {
@@ -557,24 +601,33 @@ mod tests {
             assert!(!f.finished);
             f.finished = true;
             let e = f.endpoints(num_nodes);
-            let ports = [e.src.index() as u32, e.dst.index() as u32];
-            self.tracker.drop_ports(slot as u32, &ports)
+            self.footprints[slot].drop_ports(slot as u32, &[e.src, e.dst], &mut self.moves);
+            self.settle()
         }
 
         fn unfinish(&mut self, slot: usize, flow: usize) -> u64 {
             self.held[slot].as_mut().unwrap().flows[flow].finished = false;
-            let eps = self.eps(slot);
-            self.tracker.set(slot as u32, &eps)
+            self.set(slot)
         }
 
         fn depart(&mut self, slot: usize) -> u64 {
             self.held[slot] = None;
-            self.tracker.clear(slot as u32)
+            self.footprints[slot].clear(slot as u32, &mut self.moves);
+            self.settle()
         }
 
-        /// `k` of every held slot, in slot order, equals the oracle's
-        /// on a view of the held CoFlows in the same order.
+        /// Every held slot's footprint is the port counts of its
+        /// CoFlow's unfinished flows, a free slot's is empty, and `k`
+        /// of every held slot, in slot order, equals the oracle's on a
+        /// view of the held CoFlows in the same order.
         fn check(&self) {
+            for (slot, footprint) in self.footprints.iter().enumerate() {
+                let mut want = Vec::new();
+                if self.held[slot].is_some() {
+                    footprint_into(&self.eps(slot), &mut want);
+                }
+                assert_eq!(footprint.ports(), want, "footprint of slot {slot}");
+            }
             let live: Vec<(usize, CoflowView)> = (self.held.iter().enumerate())
                 .filter_map(|(slot, c)| c.clone().map(|c| (slot, c)))
                 .collect();
@@ -594,7 +647,7 @@ mod tests {
     }
 
     #[test]
-    fn tracker_set_diffs_against_the_stored_footprint() {
+    fn footprint_set_diffs_against_the_stored_one() {
         let mut slots = Slots::new(9);
         for c in [
             cf(1, &[(0, 3)]),
@@ -606,10 +659,9 @@ mod tests {
         }
         slots.check();
         // Setting the same list again — an unhinted round that found
-        // nothing moved — costs no delta.
+        // nothing moved — moves nothing.
         for slot in 0..4 {
-            let eps = slots.eps(slot);
-            assert_eq!(slots.tracker.set(slot as u32, &eps), 0);
+            assert_eq!(slots.set(slot), 0);
         }
         slots.check();
     }
@@ -619,6 +671,7 @@ mod tests {
         let mut slots = Slots::new(8);
         // Slot 0: ports 0, 1 (senders) and 12, 13 (receivers 4, 5).
         assert_eq!(slots.arrive(cf(0, &[(0, 4), (1, 5), (1, 4)])), (0, 4));
+        assert_eq!(slots.footprints[0].ports()[1], (PortId(1), 2));
         assert_eq!(slots.arrive(cf(1, &[(0, 6)])), (1, 2));
         slots.check();
 
@@ -636,6 +689,7 @@ mod tests {
         assert_eq!(slots.finish(0, 2), 1);
         assert_eq!(slots.finish(0, 1), 2);
         assert_eq!(slots.tracker.k(0), 0);
+        assert!(slots.footprints[0].ports().is_empty());
         slots.check();
 
         // Un-finish: the list is set whole and diffed.
@@ -651,9 +705,25 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_freed_and_taken_in_one_batch_leaves_before_it_joins() {
+        // One round's moves: slot 0 departs and a CoFlow on the same
+        // ports takes it, applied together.
+        let mut slots = Slots::new(4);
+        slots.arrive(cf(0, &[(0, 2)]));
+        slots.arrive(cf(1, &[(0, 3)]));
+        slots.footprints[0].clear(0, &mut slots.moves);
+        slots.held[0] = Some(cf(2, &[(0, 2)]));
+        let eps = slots.eps(0);
+        slots.footprints[0].set(0, &eps, &mut slots.scratch, &mut slots.moves);
+        assert_eq!(slots.settle(), 4);
+        slots.check();
+        assert_eq!((slots.tracker.k(0), slots.tracker.k(1)), (1, 1));
+    }
+
+    #[test]
     fn tracker_starts_over_from_a_fresh_tracker() {
-        // A port-space change: the owner replaces the tracker and sets
-        // every footprint again in the new space.
+        // A port-space change: the owner replaces the tracker, forgets
+        // every footprint and sets each again in the new space.
         let mut slots = Slots::new(4);
         slots.arrive(cf(0, &[(0, 2)]));
         slots.arrive(cf(1, &[(0, 3)]));
@@ -661,8 +731,8 @@ mod tests {
         slots.num_nodes = 9;
         slots.tracker = ContentionTracker::new();
         for slot in 0..2 {
-            let eps = slots.eps(slot);
-            assert_eq!(slots.tracker.set(slot as u32, &eps), 2);
+            slots.footprints[slot] = Footprint::default();
+            assert_eq!(slots.set(slot), 2);
         }
         slots.arrive(cf(2, &[(0, 8), (1, 3)]));
         slots.check();
@@ -699,8 +769,7 @@ mod tests {
                 } else if finished && rng.gen_bool(0.1) {
                     slots.unfinish(slot, fi);
                 } else if rng.gen_bool(0.1) {
-                    let eps = slots.eps(slot);
-                    assert_eq!(slots.tracker.set(slot as u32, &eps), 0);
+                    assert_eq!(slots.set(slot), 0);
                 }
                 // Departures: drained CoFlows usually leave;
                 // occasionally one is yanked mid-transfer.

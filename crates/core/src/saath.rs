@@ -37,30 +37,44 @@
 //! by one hash lookup per round) holding them next to its
 //! queue/deadline state, and the slot is the CoFlow's identity for the
 //! rest of the round: the [`ContentionTracker`] and the [`OrderBook`]
-//! are indexed by it.
+//! are indexed by it. Next to the endpoint list the entry keeps its
+//! *port footprint* ([`Footprint`]): each port the unfinished flows
+//! touch, with how many of them touch it.
 //!
 //! A CoFlow that is new, named by the hint, or seen in an unhinted
 //! round has its flows walked once, by `CoflowEntry::refresh`, which
 //! matches the view's unfinished flows against the cached list, both
-//! in flow order, and reports one of three outcomes:
+//! in flow order. One of three things happened:
 //!
 //! * *unchanged* — the lists are equal (byte or readiness progress);
 //! * *shrunk* — the new list is the old one with some entries taken
 //!   out (only finishes happened, which is every simulated round): the
 //!   list is compacted in place and the two ports of every dropped
-//!   flow are handed on;
+//!   flow are taken out of the footprint;
 //! * *rebuilt* — anything else (an arrival, an un-finish after a
 //!   restart or resync, a port-space change): the list is re-derived
-//!   from the view.
+//!   from the view, and the footprint from the list, diffed against
+//!   the old one.
 //!
-//! The contention phase applies those port drops and rebuilt lists to
-//! the tracker, and departures leave it from the slab sweep that
-//! retires their entries; no footprint is re-collected or sorted to
-//! find out what moved. `endpoints_into`, `CoflowView::all_ready`,
-//! `CoflowView::max_flow_sent` and
-//! [`contention_into`](crate::common::contention_into) stay as the
-//! oracles: debug builds assert every entry and every `k_c` against
-//! them every round.
+//! Each port that joins or leaves a footprint, here or when a
+//! departed CoFlow's entry is retired, is noted under its slot, and
+//! the contention phase feeds those notes to the tracker; no footprint
+//! is re-collected or sorted to find out what moved.
+//!
+//! Admission reads the footprint, not the flows (D2 gives every flow of
+//! an admitted CoFlow one rate, so only the ports matter): the gang
+//! rate is the least `remaining / flows` over it, and the allocation
+//! draws `rate · flows` from each of its ports. An M×R shuffle is M·R
+//! flows on M+R ports.
+//!
+//! `endpoints_into`, `CoflowView::all_ready`,
+//! `CoflowView::max_flow_sent`,
+//! [`footprint_into`](saath_fabric::footprint_into),
+//! [`contention_into`](crate::common::contention_into) and the flow
+//! list's [`gang_rate_with`](saath_fabric::gang_rate_with) +
+//! [`gang_allocate`](saath_fabric::gang_allocate) stay as the oracles:
+//! debug builds assert every entry, every `k_c` and every admission
+//! test against them every round.
 //!
 //! ## How long a round's output stands
 //!
@@ -97,14 +111,16 @@
 //! total-bytes thresholds, or any CoFlow already past its deadline (so
 //! `starvation_kicks` keeps counting every round it describes).
 
-use crate::common::{ContentionTracker, RoundArena};
+use crate::common::{ContentionTracker, Footprint, PortMoves};
 use crate::config::QueueConfig;
 use crate::order::OrderBook;
 use crate::timing::SchedTimings;
 use crate::view::{ClusterView, CoflowScheduler, CoflowView, Schedule};
-use saath_fabric::{gang_allocate, gang_rate_with, greedy_fill_into, FlowEndpoints, PortBank};
+use saath_fabric::{
+    footprint_gang_allocate, footprint_gang_rate, greedy_fill_into, FlowEndpoints, PortBank,
+};
 use saath_simcore::units::transfer_time;
-use saath_simcore::{Bytes, CoflowId, FastHashMap, Rate, Time};
+use saath_simcore::{Bytes, CoflowId, FastHashMap, PortId, Rate, Time};
 use saath_telemetry::{MechCounters, Phase};
 use std::time::Instant;
 
@@ -209,6 +225,10 @@ struct CoflowEntry {
     /// serves the slot's next CoFlow (grown, exactly, if that one is
     /// wider).
     eps: Vec<FlowEndpoints>,
+    /// The port footprint of `eps` — [`footprint_into`](saath_fabric::footprint_into) of it — kept in
+    /// step with it by `refresh`. Its allocation stays with the slot
+    /// too.
+    footprint: Footprint,
     /// `CoflowView::all_ready`.
     all_ready: bool,
     /// `CoflowView::max_flow_sent`, the paper's `m_c`.
@@ -220,9 +240,19 @@ struct CoflowEntry {
 
 impl CoflowEntry {
     /// An entry for a CoFlow first seen in round `dirty`, its list
-    /// empty in the allocation `eps` brings.
-    fn new(id: CoflowId, dirty: u64, mut eps: Vec<FlowEndpoints>) -> CoflowEntry {
+    /// empty in the allocation `eps` brings, and `footprint` (empty: a
+    /// departed slot's, or a fresh one) with it.
+    fn new(
+        id: CoflowId,
+        dirty: u64,
+        mut eps: Vec<FlowEndpoints>,
+        footprint: Footprint,
+    ) -> CoflowEntry {
         eps.clear();
+        debug_assert!(
+            footprint.ports().is_empty(),
+            "a slot's footprint outlived it"
+        );
         CoflowEntry {
             id,
             live: true,
@@ -230,30 +260,41 @@ impl CoflowEntry {
             dirty,
             state: None,
             eps,
+            footprint,
             all_ready: true,
             m_c: Bytes::ZERO,
             m_live: Bytes::ZERO,
         }
     }
 
-    /// Re-derives the cache from `c` in one pass over its flows, and
-    /// reports what its endpoint list did. The list is checked against
-    /// the view *exactly*: the walk keeps a read cursor into it, and
-    /// each unfinished flow must equal the entry under the cursor after
-    /// skipping zero or more entries. If every flow is found, the new
-    /// list is the old one with the skipped and trailing entries taken
-    /// out — flows that finished — so it is compacted in place (behind
-    /// a write cursor) and their ports are pushed to `dropped`. Counts
+    /// Re-derives the cache of the entry in `slot` from `c` in one pass
+    /// over its flows, and moves its footprint with its endpoint list,
+    /// noting the ports that join or leave in `moves`. The list is
+    /// checked against the view *exactly*: the walk keeps a read cursor
+    /// into it, and each unfinished flow must equal the entry under the
+    /// cursor after skipping zero or more entries. If every flow is
+    /// found, the new list is the old one with the skipped and trailing
+    /// entries taken out — flows that finished — so it is compacted in
+    /// place (behind a write cursor) and their ports, gathered in
+    /// `dropped` on the way, are taken out of the footprint. Counts
     /// prove nothing — a finish paired with an un-finish (a restarted
     /// coordinator's forgotten observations) keeps the count and moves
     /// the list — so nothing is inferred from them. Only a flow that is
-    /// not in the list pays for a rebuild, and `dropped` is then left
-    /// as it was.
-    fn refresh(&mut self, c: &CoflowView, num_nodes: usize, dropped: &mut Vec<u32>) -> Footprint {
+    /// not in the list pays for a rebuild, of the list and then of the
+    /// footprint (in `scratch`, diffed against the old one).
+    fn refresh(
+        &mut self,
+        slot: u32,
+        c: &CoflowView,
+        num_nodes: usize,
+        dropped: &mut Vec<PortId>,
+        scratch: &mut Vec<(PortId, u32)>,
+        moves: &mut PortMoves,
+    ) {
         let (mut m_c, mut m_live) = (Bytes::ZERO, Bytes::ZERO);
         let mut all_ready = true;
         let mut unfinished = 0usize;
-        let mark = dropped.len();
+        dropped.clear();
         let (mut read, mut write) = (0usize, 0usize);
         let mut subsequence = true;
         for f in &c.flows {
@@ -285,39 +326,27 @@ impl CoflowEntry {
         self.all_ready = all_ready;
         if subsequence {
             if write == self.eps.len() {
-                return Footprint::Unchanged;
+                return; // unchanged
             }
             for ep in &self.eps[read..] {
                 push_ports(dropped, ep);
             }
             self.eps.truncate(write);
-            return Footprint::Shrunk;
+            self.footprint.drop_ports(slot, dropped, moves);
+            return; // shrunk
         }
-        dropped.truncate(mark);
         self.eps.clear();
         self.eps.reserve_exact(unfinished);
         self.eps
             .extend(c.unfinished().map(|f| f.endpoints(num_nodes)));
-        Footprint::Rebuilt
+        self.footprint.set(slot, &self.eps, scratch, moves); // rebuilt
     }
 }
 
-/// What [`CoflowEntry::refresh`] found a cached endpoint list to have
-/// done since the last refresh.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Footprint {
-    /// Equal to the view's unfinished flows.
-    Unchanged,
-    /// Lost the flows that finished, and nothing else.
-    Shrunk,
-    /// Re-derived from the view.
-    Rebuilt,
-}
-
-/// The two ports of a flow that left a footprint.
-fn push_ports(dropped: &mut Vec<u32>, ep: &FlowEndpoints) {
-    dropped.push(ep.src.index() as u32);
-    dropped.push(ep.dst.index() as u32);
+/// The two ports of a flow that left an endpoint list.
+fn push_ports(dropped: &mut Vec<PortId>, ep: &FlowEndpoints) {
+    dropped.push(ep.src);
+    dropped.push(ep.dst);
 }
 
 /// The Saath global scheduler. See the module docs.
@@ -336,25 +365,25 @@ pub struct Saath {
     num_nodes: usize,
     /// Per-round overhead samples (Table 2).
     pub timings: SchedTimings,
-    /// Shared scratch (gang-rate counters, and the contention oracle's
-    /// incidence map), kept across rounds so the hot path never
-    /// allocates.
-    arena: RoundArena,
-    /// Incremental `k_c` by slot, fed `drops` / `shrunk` / `rebuilt`.
+    /// The debug oracles' scratch (the contention oracle's incidence
+    /// map, the flow-list gang rate's counters, a footprint and a bank
+    /// to re-derive), kept across rounds so they allocate nothing per
+    /// round either. Release builds run no oracle and carry none.
+    #[cfg(debug_assertions)]
+    arena: crate::common::RoundArena,
+    /// Incremental `k_c` by slot, fed `moves`.
     tracker: ContentionTracker,
     /// Incrementally maintained LCoF order by slot (see [`OrderBook`]).
     book: OrderBook,
     /// Per-round buffers, recycled across rounds (see `compute`).
     /// `slots[i]` is the slab slot of `view.coflows[i]`.
     slots: Vec<u32>,
-    /// Ports of the flows that left a footprint this round, per
-    /// shrunk entry in `shrunk` order.
-    drops: Vec<u32>,
-    /// Slots whose endpoint list shrank this round, each with the end
-    /// of its run in `drops` (the previous one's end is its start).
-    shrunk: Vec<(u32, u32)>,
-    /// Slots whose endpoint list was rebuilt this round.
-    rebuilt: Vec<u32>,
+    /// The ports that joined or left a footprint this round, by slot.
+    moves: PortMoves,
+    /// `refresh`'s scratch: the ports of the flows that left one
+    /// endpoint list, and one rebuilt footprint.
+    dropped: Vec<PortId>,
+    footprint_scratch: Vec<(PortId, u32)>,
     queues: Vec<usize>,
     occupancy: Vec<usize>,
     k: Vec<u32>,
@@ -389,13 +418,14 @@ impl Saath {
             round: 0,
             num_nodes: 0,
             timings: SchedTimings::default(),
-            arena: RoundArena::new(),
+            #[cfg(debug_assertions)]
+            arena: crate::common::RoundArena::new(),
             tracker: ContentionTracker::new(),
             book: OrderBook::new(),
             slots: Vec::new(),
-            drops: Vec::new(),
-            shrunk: Vec::new(),
-            rebuilt: Vec::new(),
+            moves: PortMoves::default(),
+            dropped: Vec::new(),
+            footprint_scratch: Vec::new(),
             queues: Vec::new(),
             occupancy: Vec::new(),
             k: Vec::new(),
@@ -415,11 +445,14 @@ impl Saath {
         let slot = match self.free.pop() {
             Some(slot) => {
                 let e = &mut self.slab[slot as usize];
-                *e = CoflowEntry::new(id, self.round, std::mem::take(&mut e.eps));
+                let (eps, footprint) =
+                    (std::mem::take(&mut e.eps), std::mem::take(&mut e.footprint));
+                *e = CoflowEntry::new(id, self.round, eps, footprint);
                 slot
             }
             None => {
-                self.slab.push(CoflowEntry::new(id, self.round, Vec::new()));
+                let e = CoflowEntry::new(id, self.round, Vec::new(), Footprint::default());
+                self.slab.push(e);
                 (self.slab.len() - 1) as u32
             }
         };
@@ -465,12 +498,23 @@ impl Saath {
                 self.missed.push(ci);
                 continue;
             }
-            let r = gang_rate_with(
-                bank,
-                &e.eps,
-                &mut self.arena.gang_scratch,
-                &mut self.arena.gang_touched,
-            );
+            let r = footprint_gang_rate(bank, e.footprint.ports());
+            // The flow list's gang rate stays the executable
+            // specification: every debug round proves the footprint's
+            // equal to it.
+            #[cfg(debug_assertions)]
+            {
+                let by_flows = saath_fabric::gang_rate_with(
+                    bank,
+                    &e.eps,
+                    &mut self.arena.gang_scratch,
+                    &mut self.arena.gang_touched,
+                );
+                assert_eq!(
+                    r, by_flows,
+                    "footprint gang rate diverged from gang_rate_with"
+                );
+            }
             if saath_telemetry::enabled() {
                 self.mech.madd_evals += 1;
             }
@@ -483,7 +527,19 @@ impl Saath {
                 if saath_telemetry::enabled() {
                     self.mech.gang_admissions += 1;
                 }
-                gang_allocate(bank, &e.eps, r);
+                #[cfg(debug_assertions)]
+                {
+                    let by_flows = self.arena.bank.get_or_insert_with(|| bank.clone());
+                    by_flows.clone_from(bank);
+                    saath_fabric::gang_allocate(by_flows, &e.eps, r);
+                }
+                footprint_gang_allocate(bank, e.footprint.ports(), r);
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    Some(bank.remaining_slab()),
+                    self.arena.bank.as_ref().map(PortBank::remaining_slab),
+                    "footprint allocation diverged from gang_allocate"
+                );
                 for f in &e.eps {
                     out.set(f.flow, r);
                 }
@@ -600,16 +656,20 @@ impl CoflowScheduler for Saath {
         // ---- Ordering phase (queue assignment, deadlines, LCoF sort) ----
         self.round += 1;
         let round = self.round;
+        self.moves.clear();
         // A port-space change re-maps every cached endpoint: take the
-        // round as unhinted, empty every list so that each is rebuilt,
-        // and start the contention tracker over from those rebuilds.
+        // round as unhinted, empty every list and footprint so that each
+        // is rebuilt, and start the contention tracker over from those
+        // rebuilds (the old space's leaves go with the old tracker).
         let hint = view.changed.filter(|_| self.num_nodes == view.num_nodes);
         if self.num_nodes != view.num_nodes {
             self.num_nodes = view.num_nodes;
-            self.tracker = ContentionTracker::new();
-            for e in &mut self.slab {
+            for (slot, e) in self.slab.iter_mut().enumerate() {
                 e.eps.clear();
+                e.footprint.clear(slot as u32, &mut self.moves);
             }
+            self.moves.clear();
+            self.tracker = ContentionTracker::new();
         }
 
         // Find every CoFlow's entry — the round's one hash lookup per
@@ -632,18 +692,18 @@ impl CoflowScheduler for Saath {
         // Fewer entries stamped than held: some CoFlow departed. (Held
         // against the view's size the test would miss departures
         // matched by same-round arrivals.) Retire the unstamped
-        // entries, take them out of the contention tracker and the
-        // order book, which are indexed by slot, and hand their slots —
-        // list allocation included: giving each back to the allocator
-        // as its CoFlow left moved `sim-fb-dense`'s peak RSS by a
-        // tenth — to this round's arrivals first.
-        let mut contention_deltas = 0u64;
+        // entries, empty their footprints (every port leaves), take
+        // them out of the order book, which is indexed by slot, and
+        // hand their slots — list allocations included: giving each
+        // back to the allocator as its CoFlow left moved
+        // `sim-fb-dense`'s peak RSS by a tenth — to this round's
+        // arrivals first.
         if n - arrivals < self.slot_of.len() {
             for (slot, e) in self.slab.iter_mut().enumerate() {
                 if e.live && e.seen != round {
                     e.live = false;
                     self.slot_of.remove(&e.id);
-                    contention_deltas += self.tracker.clear(slot as u32);
+                    e.footprint.clear(slot as u32, &mut self.moves);
                     self.book.remove(slot as u32);
                     self.free.push(slot as u32);
                 }
@@ -668,16 +728,13 @@ impl CoflowScheduler for Saath {
         // Cache refresh and new queue assignment, one CoFlow at a time.
         // A CoFlow that is new, named by the hint, or seen without a
         // hint has its flows walked — once: `refresh` re-derives the
-        // endpoint list, readiness and `m_c` together, and the rest of
-        // the round reads those; what the list lost or whether it was
-        // rebuilt is kept for the contention phase. CoFlows the hint
-        // excludes have byte-identical view contents
+        // endpoint list, footprint, readiness and `m_c` together, and
+        // the rest of the round reads those; the ports its footprint
+        // gained or lost are kept for the contention phase. CoFlows the
+        // hint excludes have byte-identical view contents
         // ([`ClusterView::changed`]'s contract), so their cache stands,
         // and so does their queue. Debug builds assert both against the
         // full computation, for every CoFlow, every round.
-        self.drops.clear();
-        self.shrunk.clear();
-        self.rebuilt.clear();
         self.queues.clear();
         // Whether the §4.3 re-queue rule is in play for any CoFlow.
         let mut srtf_requeue = false;
@@ -686,11 +743,14 @@ impl CoflowScheduler for Saath {
             let e = &mut self.slab[slot as usize];
             let refreshed = hint.is_none() || e.dirty == round;
             if refreshed {
-                match e.refresh(c, view.num_nodes, &mut self.drops) {
-                    Footprint::Unchanged => {}
-                    Footprint::Shrunk => self.shrunk.push((slot, self.drops.len() as u32)),
-                    Footprint::Rebuilt => self.rebuilt.push(slot),
-                }
+                e.refresh(
+                    slot,
+                    c,
+                    view.num_nodes,
+                    &mut self.dropped,
+                    &mut self.footprint_scratch,
+                    &mut self.moves,
+                );
             }
             #[cfg(debug_assertions)]
             {
@@ -698,6 +758,12 @@ impl CoflowScheduler for Saath {
                 assert_eq!(
                     e.eps, self.eps,
                     "cached endpoint list diverged from the view"
+                );
+                saath_fabric::footprint_into(&self.eps, &mut self.arena.footprint);
+                assert_eq!(
+                    e.footprint.ports(),
+                    self.arena.footprint,
+                    "footprint diverged from its endpoint list's port counts"
                 );
                 assert_eq!(e.all_ready, c.all_ready(), "cached readiness diverged");
                 assert_eq!(e.m_c, c.max_flow_sent(), "cached m_c diverged");
@@ -752,27 +818,18 @@ impl CoflowScheduler for Saath {
             });
         }
 
-        // Contention (only when LCoF orders by it). The tracker is told
-        // what the refresh loop saw move — the ports of the flows that
-        // left each shrunk list, and every rebuilt list whole — and is
-        // then read by slot; departures left it in the slab sweep.
+        // Contention (only when LCoF orders by it). The tracker is fed
+        // the ports that joined or left a footprint this round — in the
+        // departure sweep and the refresh loop — and is then read by
+        // slot.
         let t_contention = Instant::now();
         if self.cfg.lcof {
-            let mut start = 0;
-            for &(slot, end) in &self.shrunk {
-                let ports = &self.drops[start..end as usize];
-                contention_deltas += self.tracker.drop_ports(slot, ports);
-                start = end as usize;
-            }
-            for &slot in &self.rebuilt {
-                let eps = &self.slab[slot as usize].eps;
-                contention_deltas += self.tracker.set(slot, eps);
-            }
+            self.tracker.apply(&self.moves);
             self.k.clear();
             self.k
                 .extend(self.slots.iter().map(|&slot| self.tracker.k(slot)));
             if saath_telemetry::enabled() {
-                self.mech.contention_deltas += contention_deltas;
+                self.mech.contention_deltas += self.moves.count();
                 if hint.is_none() {
                     self.mech.contention_rebuilds += 1;
                 } else {
@@ -1603,35 +1660,68 @@ mod tests {
         }
     }
 
+    /// Every configuration `tests/engine_equivalence.rs` replays in
+    /// `reuse_is_invisible_under_every_saath_config` — Fig 10's
+    /// LCoF-off ablations among them — and the skew-aware rule with
+    /// LCoF off.
+    fn every_config() -> [(&'static str, SaathConfig); 7] {
+        let skew_aware = SaathConfig {
+            skew_aware_thresholds: true,
+            ..Default::default()
+        };
+        [
+            ("default", SaathConfig::default()),
+            ("a/n", SaathConfig::ablation_an()),
+            ("a/n + p/f", SaathConfig::ablation_an_pf()),
+            ("skew-aware", skew_aware.clone()),
+            (
+                "skew-aware, fifo",
+                SaathConfig {
+                    lcof: false,
+                    ..skew_aware
+                },
+            ),
+            (
+                "no work conservation",
+                SaathConfig {
+                    work_conservation: false,
+                    ..Default::default()
+                },
+            ),
+            (
+                "no starvation avoidance",
+                SaathConfig {
+                    starvation_avoidance: false,
+                    ..Default::default()
+                },
+            ),
+        ]
+    }
+
     /// The footprint cache, the order book and the contention tracker
     /// under [`Churn`]: a scheduler fed hints (and, every seventh round,
     /// none — after mutations it was never told about one by one)
     /// against a cold one that is fed `changed: None` and so re-derives
     /// every entry every round. Schedules must match, and every cached
-    /// entry must equal what the view says — asserted here too, so the
-    /// test also bites where debug assertions are off. Covers the
-    /// skew-aware and straggler queue rules, which read the cache
-    /// differently, with LCoF on and off.
+    /// entry — endpoint list, port footprint, readiness, `m_c` — must
+    /// equal what the view says; asserted here too, so the test also
+    /// bites where debug assertions are off. Runs under every
+    /// configuration of [`every_config`]: the footprint is kept with
+    /// LCoF off as well, where no tracker reads it but admission does.
     #[test]
     fn footprint_cache_matches_cold_scheduler_under_churn() {
-        for (skew_aware_thresholds, lcof) in
-            [(false, true), (true, true), (false, false), (true, false)]
-        {
-            let cfg = SaathConfig {
-                skew_aware_thresholds,
-                lcof,
-                ..Default::default()
-            };
-            let mut churn = Churn::new(0xf007 + skew_aware_thresholds as u64 + 2 * !lcof as u64);
+        for (i, (name, cfg)) in every_config().into_iter().enumerate() {
+            let mut churn = Churn::new(0xf007 + i as u64);
             let mut warm = Saath::new(cfg.clone());
             let mut cold = Saath::new(cfg);
+            let mut footprint = Vec::new();
             for round in 0..200 {
                 let changed = churn.step();
                 let hint = (round % 7 != 6).then_some(changed.as_slice());
                 assert_eq!(
                     churn.schedule(&mut warm, hint),
                     churn.schedule(&mut cold, None),
-                    "schedules diverged at round {round} (skew={skew_aware_thresholds}, lcof={lcof})"
+                    "schedules diverged at round {round} ({name})"
                 );
                 for c in &churn.coflows {
                     let e = &warm.slab[warm.slot_of[&c.id] as usize];
@@ -1642,6 +1732,13 @@ mod tests {
                         "round {round}: stale endpoint list for {:?}",
                         c.id
                     );
+                    saath_fabric::footprint_into(&e.eps, &mut footprint);
+                    assert_eq!(
+                        e.footprint.ports(),
+                        footprint,
+                        "round {round} ({name}): stale footprint for {:?}",
+                        c.id
+                    );
                     assert_eq!(e.all_ready, c.all_ready());
                     assert_eq!(e.m_c, c.max_flow_sent());
                     let m_live = c.unfinished().map(|f| f.sent).max();
@@ -1650,7 +1747,10 @@ mod tests {
                 // Entries and free slots account for the whole slab.
                 assert_eq!(warm.slot_of.len(), churn.coflows.len());
                 assert_eq!(warm.slot_of.len() + warm.free.len(), warm.slab.len());
-                assert!(warm.free.iter().all(|&slot| !warm.slab[slot as usize].live));
+                assert!(warm.free.iter().all(|&slot| {
+                    let e = &warm.slab[slot as usize];
+                    !e.live && e.footprint.ports().is_empty()
+                }));
             }
             assert!(
                 warm.slab.len() * 4 < churn.next_cf as usize,
@@ -1661,26 +1761,20 @@ mod tests {
         }
     }
 
-    /// What the last round's refresh loop handed the contention phase:
-    /// each shrunk slot with the ports its list lost, and the rebuilt
-    /// slots.
-    type Moved = (Vec<(u32, Vec<u32>)>, Vec<u32>);
+    /// What the last round handed the contention phase: the `(slot,
+    /// port)` leaves, then the joins.
+    type Moved = (Vec<(u32, u32)>, Vec<(u32, u32)>);
 
     fn moved(s: &Saath) -> Moved {
-        let mut start = 0;
-        let shrunk = s.shrunk.iter().map(|&(slot, end)| {
-            let ports = s.drops[start..end as usize].to_vec();
-            start = end as usize;
-            (slot, ports)
-        });
-        (shrunk.collect(), s.rebuilt.clone())
+        let raw = |moves: &[(u32, PortId)]| moves.iter().map(|&(slot, p)| (slot, p.0)).collect();
+        (raw(&s.moves.leaves), raw(&s.moves.joins))
     }
 
     /// Byte progress and readiness put a CoFlow in the driver's hint
-    /// every round it sends; neither moves its endpoint list, and the
-    /// contention tracker is not told anything. A finish shrinks the
-    /// list by exactly the finished flow's two ports; an un-finish or a
-    /// port-space change rebuilds it.
+    /// every round it sends; neither moves its endpoint list or its
+    /// footprint, and the contention tracker is not told anything. A
+    /// finish takes exactly the finished flow's two ports out of the
+    /// footprint; an un-finish or a port-space change rebuilds it.
     #[test]
     fn unmoved_endpoint_list_costs_the_tracker_nothing() {
         let mut coflows = vec![
@@ -1689,8 +1783,10 @@ mod tests {
         ];
         let mut s = Saath::with_defaults();
         let _ = run(&mut s, &coflows, 4, Time::ZERO);
-        // Arrivals are rebuilds, from an empty list.
-        assert_eq!(moved(&s), (vec![], vec![0, 1]));
+        // Arrivals are rebuilds, from an empty footprint: every port
+        // joins (downlink d of 4 nodes is port 4 + d).
+        let joins = vec![(0, 0), (0, 1), (0, 6), (0, 7), (1, 0), (1, 7)];
+        assert_eq!(moved(&s), (vec![], joins));
         // A round hinted with CoFlow 0: what moved, and the
         // `contention_deltas` it cost (when counters are compiled in).
         let round = |s: &mut Saath, coflows: &[CoflowView], num_nodes: usize| {
@@ -1716,20 +1812,19 @@ mod tests {
         // One finish: uplink 0 and downlink 4 + 2 leave CoFlow 0's
         // footprint, and nothing else is looked at.
         coflows[0].flows[0].finished = true;
-        let shrunk = (vec![(0, vec![0, 6])], vec![]);
+        let shrunk = (vec![(0, 0), (0, 6)], vec![]);
         assert_eq!(round(&mut s, &coflows, 4), (shrunk, counted(2)));
 
         // An un-finish (a restarted coordinator's forgotten
         // observation) is not a subsequence: rebuilt, both ports back.
         coflows[0].flows[0].finished = false;
-        assert_eq!(round(&mut s, &coflows, 4), ((vec![], vec![0]), counted(2)));
+        let rebuilt = (vec![], vec![(0, 0), (0, 6)]);
+        assert_eq!(round(&mut s, &coflows, 4), (rebuilt, counted(2)));
 
         // A port-space change discards the hint and rebuilds every
-        // list into a fresh tracker: six joins for the two footprints.
-        assert_eq!(
-            round(&mut s, &coflows, 5),
-            ((vec![], vec![0, 1]), counted(6))
-        );
+        // footprint into a fresh tracker: six joins for the two.
+        let joins = vec![(0, 0), (0, 1), (0, 7), (0, 8), (1, 0), (1, 8)];
+        assert_eq!(round(&mut s, &coflows, 5), ((vec![], joins), counted(6)));
     }
 
     /// Restoring into a scheduler that has already run leaves nothing

@@ -11,6 +11,17 @@
 //! * [`greedy_fill`] implements **work conservation** (D4) and doubles
 //!   as Aalo's per-port FIFO behaviour: walk flows in a given order and
 //!   hand each the minimum of its two ports' remaining capacity.
+//!
+//! Under all-or-none a CoFlow's rate is a question about its ports, not
+//! its flows: every flow gets the same rate, so all that matters of a
+//! port is how many of the CoFlow's flows cross it. That map — the
+//! *port footprint*, each touched port with its own-flow count, sorted
+//! by port ([`footprint_into`]) — is what [`footprint_gang_rate`] and
+//! [`footprint_gang_allocate`] read. An M×R shuffle has M·R flows on
+//! M+R ports, so a caller that keeps the footprint between rounds pays
+//! O(ports) per admission test instead of [`gang_rate_with`]'s
+//! O(flows) scatter, gather and reset. The two pairs compute the same
+//! rate and leave the same bank.
 
 use crate::port::PortBank;
 use saath_simcore::{FlowId, PortId, Rate};
@@ -79,6 +90,58 @@ pub fn gang_rate_with(
         scratch[p.index()] = 0;
     }
     Rate(rate)
+}
+
+/// The port footprint of `flows` into `out` (cleared first): each port
+/// they touch, once, with how many of them touch it, sorted by port.
+/// A flow whose two ports coincide counts twice on it, as it draws
+/// twice from it.
+pub fn footprint_into(flows: &[FlowEndpoints], out: &mut Vec<(PortId, u32)>) {
+    out.clear();
+    for f in flows {
+        out.push((f.src, 1));
+        out.push((f.dst, 1));
+    }
+    out.sort_unstable();
+    out.dedup_by(|later, kept| {
+        later.0 == kept.0 && {
+            kept.1 += later.1;
+            true
+        }
+    });
+}
+
+/// [`gang_rate_with`] read off a port footprint (see the module docs):
+/// the minimum over its ports of `remaining / own flows`, stopping at
+/// the first port that cannot give each of its flows a byte per second.
+/// `Rate::ZERO` for an empty footprint, as for an empty flow list.
+pub fn footprint_gang_rate(bank: &PortBank, footprint: &[(PortId, u32)]) -> Rate {
+    if footprint.is_empty() {
+        return Rate::ZERO;
+    }
+    let rem = bank.remaining_slab();
+    let mut rate = u64::MAX;
+    for &(p, flows) in footprint {
+        let claim = rem[p.index()] / u64::from(flows);
+        if claim == 0 {
+            return Rate::ZERO;
+        }
+        rate = rate.min(claim);
+    }
+    Rate(rate)
+}
+
+/// [`gang_allocate`] over a port footprint: each port gives `rate` to
+/// each of its own flows at once. With `rate` from
+/// [`footprint_gang_rate`] on the same bank, `rate · flows` never
+/// exceeds what the port has left.
+pub fn footprint_gang_allocate(bank: &mut PortBank, footprint: &[(PortId, u32)], rate: Rate) {
+    if rate.is_zero() {
+        return;
+    }
+    for &(p, flows) in footprint {
+        bank.allocate(p, Rate(rate.as_u64() * u64::from(flows)));
+    }
 }
 
 /// Allocates `rate` to every flow of a gang-admitted CoFlow, drawing
@@ -182,6 +245,33 @@ mod tests {
     }
 
     #[test]
+    fn footprint_counts_own_flows_per_port() {
+        // Two flows out of sender 0, one of them into receiver 1 with a
+        // third flow.
+        let flows = [fe(0, 0, 1, 3), fe(1, 0, 2, 3), fe(2, 2, 1, 3)];
+        let mut footprint = vec![(PortId(9), 9)];
+        footprint_into(&flows, &mut footprint);
+        let down = |node| PortId::downlink(NodeId(node), 3);
+        assert_eq!(
+            footprint,
+            [(PortId(0), 2), (PortId(2), 1), (down(1), 2), (down(2), 1)]
+        );
+        let mut bank = PortBank::uniform(3, Rate(100));
+        bank.allocate(down(2), Rate(70));
+        assert_eq!(footprint_gang_rate(&bank, &footprint), Rate(30));
+        footprint_gang_allocate(&mut bank, &footprint, Rate(30));
+        assert_eq!(bank.remaining(PortId(0)), Rate(40));
+        assert_eq!(bank.remaining(down(1)), Rate(40));
+        assert_eq!(bank.remaining(down(2)), Rate(0));
+        // An exhausted port rejects; so does one left with less than a
+        // byte per second for each of its own flows.
+        assert_eq!(footprint_gang_rate(&bank, &footprint), Rate::ZERO);
+        let bank = PortBank::uniform(3, Rate(1));
+        assert_eq!(footprint_gang_rate(&bank, &footprint), Rate::ZERO);
+        assert_eq!(footprint_gang_rate(&bank, &[]), Rate::ZERO);
+    }
+
+    #[test]
     fn greedy_fill_order_matters() {
         // Both flows want the same uplink; first in order gets it all.
         let mut bank = PortBank::uniform(3, Rate(100));
@@ -220,6 +310,57 @@ mod tests {
             // means all draws fit. Also check global conservation:
             let alloc = bank.total_allocated().as_u64();
             prop_assert_eq!(alloc, r.as_u64() * 2 * flows.len() as u64);
+        }
+
+        /// The footprint pair is the flow pair: from a bank drawn down at
+        /// random (exhausted and nearly exhausted ports among them), for
+        /// flow lists with several flows on a port and for the empty
+        /// list, the footprint gives the
+        /// rate `gang_rate_with` gives, and allocating it leaves the
+        /// bank `gang_allocate` leaves.
+        #[test]
+        fn footprint_gang_matches_the_flow_list(
+            pairs in proptest::collection::vec((0u32..5, 0u32..5), 0..24),
+            drawn in proptest::collection::vec((0u32..10, 0u64..=3), 0..12),
+            cap in 1u64..64,
+        ) {
+            let n = 5;
+            let mut bank = PortBank::uniform(n, Rate(cap));
+            // Draw a port down to 0..=3 B/s short of nothing, or by a
+            // share of what it has.
+            for &(p, how) in &drawn {
+                let p = PortId(p);
+                let left = bank.remaining(p).as_u64();
+                let take = if how == 0 { left } else { left - left.min(how) };
+                bank.allocate(p, Rate(take));
+            }
+            let flows: Vec<FlowEndpoints> = pairs
+                .iter()
+                .enumerate()
+                .map(|(i, (s, d))| fe(i as u32, *s, *d, n))
+                .collect();
+            let mut footprint = Vec::new();
+            footprint_into(&flows, &mut footprint);
+            prop_assert!(footprint.windows(2).all(|w| w[0].0 < w[1].0));
+            let own: u32 = footprint.iter().map(|&(_, k)| k).sum();
+            prop_assert_eq!(own as usize, 2 * flows.len());
+
+            let mut scratch = vec![0; bank.num_ports()];
+            let mut touched = Vec::new();
+            let r = gang_rate_with(&bank, &flows, &mut scratch, &mut touched);
+            prop_assert_eq!(footprint_gang_rate(&bank, &footprint), r);
+            // Allocate the same rate both ways — a nonzero one even
+            // when the CoFlow would be rejected, if some rate fits.
+            let r = if r.is_zero() {
+                let fits = footprint.iter().map(|&(p, k)| bank.remaining(p).as_u64() / u64::from(k));
+                Rate(fits.min().unwrap_or(0))
+            } else {
+                r
+            };
+            let mut by_flows = bank.clone();
+            gang_allocate(&mut by_flows, &flows, r);
+            footprint_gang_allocate(&mut bank, &footprint, r);
+            prop_assert_eq!(bank.remaining_slab(), by_flows.remaining_slab());
         }
 
         /// Greedy filling is work conserving: after the pass, for every

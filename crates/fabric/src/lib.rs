@@ -34,7 +34,8 @@ pub mod maxmin;
 pub mod port;
 
 pub use gang::{
-    gang_allocate, gang_rate, gang_rate_with, greedy_fill, greedy_fill_into, FlowEndpoints,
+    footprint_gang_allocate, footprint_gang_rate, footprint_into, gang_allocate, gang_rate,
+    gang_rate_with, greedy_fill, greedy_fill_into, FlowEndpoints,
 };
 pub use madd::{
     bottleneck_time, bottleneck_time_with, madd_rates, madd_rates_into, madd_rates_with,

@@ -19,12 +19,33 @@ use serde::{Deserialize, Serialize};
 /// [`Rate`] API stays the only mutation path.
 ///
 /// [`max_min_fair_into`]: crate::maxmin::max_min_fair_into
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct PortBank {
     num_nodes: usize,
     nominal: Rate,
     capacity: Vec<u64>,
     remaining: Vec<u64>,
+}
+
+/// `clone_from` reuses the target's buffers, so a copy of the bank
+/// taken again and again into one scratch bank allocates nothing once
+/// the scratch is as large as the bank.
+impl Clone for PortBank {
+    fn clone(&self) -> PortBank {
+        PortBank {
+            num_nodes: self.num_nodes,
+            nominal: self.nominal,
+            capacity: self.capacity.clone(),
+            remaining: self.remaining.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &PortBank) {
+        self.num_nodes = source.num_nodes;
+        self.nominal = source.nominal;
+        self.capacity.clone_from(&source.capacity);
+        self.remaining.clone_from(&source.remaining);
+    }
 }
 
 impl PortBank {

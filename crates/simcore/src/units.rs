@@ -13,6 +13,23 @@
 //! simulator credits `floor(r * dt / 1e9)` bytes for an interval `dt`.
 //! Rounding the completion up and the credit down means a flow is never
 //! reported finished before its bytes have actually been accounted.
+//!
+//! ## Why the 64-bit path is exact
+//!
+//! Both conversions multiply two `u64`s and divide. The product needs
+//! 128 bits in general, and a 128-bit division is a library call, while
+//! the engine runs both conversions for every flowing flow on every
+//! step. So each first tries the product in 64 bits (`checked_mul`) and
+//! divides there; only a product that overflows takes the 128-bit
+//! formula. When the product fits, the two formulas compute the same
+//! integer — the same numerator, the same divisor, the same rounding —
+//! so the result is bit-identical, not approximately equal. And every
+//! workload stays on the 64-bit side: a credit multiplies a rate of at
+//! most 1.25·10⁸ B/s (1 Gbps) by a step of at most δ = 8·10⁶ ns, about
+//! 10¹⁵, and a transfer time multiplies a volume by 10⁹, which fits for
+//! any volume up to `⌊u64::MAX / 10⁹⌋` B ≈ 18.4 GB. The property tests
+//! below hold both conversions to the 128-bit formula on each side of
+//! those edges.
 
 use crate::time::Duration;
 use core::fmt;
@@ -148,6 +165,10 @@ pub fn transfer_time(volume: Bytes, rate: Rate) -> Duration {
     if rate.0 == 0 {
         return Duration::INFINITE;
     }
+    if let Some(num) = volume.0.checked_mul(1_000_000_000) {
+        // `ns ≤ num < u64::MAX`: never the INFINITE sentinel.
+        return Duration(num.div_ceil(rate.0));
+    }
     let num = volume.0 as u128 * 1_000_000_000u128;
     let den = rate.0 as u128;
     let ns = num.div_ceil(den);
@@ -168,6 +189,9 @@ pub fn bytes_in(rate: Rate, dt: Duration) -> Bytes {
         } else {
             Bytes(u64::MAX)
         };
+    }
+    if let Some(num) = rate.0.checked_mul(dt.as_nanos()) {
+        return Bytes(num / 1_000_000_000);
     }
     let num = rate.0 as u128 * dt.as_nanos() as u128;
     Bytes((num / 1_000_000_000u128).min(u64::MAX as u128) as u64)
@@ -321,6 +345,123 @@ mod tests {
         // 200 MB threshold over 100 flows = 2 MB per flow (paper §4.2-D3).
         assert_eq!(Bytes::mb(200).div_per_flow(100), Bytes::mb(2));
         assert_eq!(Rate::gbps(1).div_even(4), Rate(31_250_000));
+    }
+
+    /// [`transfer_time`] as it was before the 64-bit path: the 128-bit
+    /// formula alone, the specification the fast path is held to.
+    fn transfer_time_u128(volume: Bytes, rate: Rate) -> Duration {
+        if volume.0 == 0 {
+            return Duration::ZERO;
+        }
+        if rate.0 == 0 {
+            return Duration::INFINITE;
+        }
+        let ns = (volume.0 as u128 * 1_000_000_000u128).div_ceil(rate.0 as u128);
+        if ns >= u64::MAX as u128 {
+            Duration::INFINITE
+        } else {
+            Duration(ns as u64)
+        }
+    }
+
+    /// [`bytes_in`] as it was before the 64-bit path.
+    fn bytes_in_u128(rate: Rate, dt: Duration) -> Bytes {
+        if dt.is_infinite() {
+            return if rate.0 == 0 {
+                Bytes::ZERO
+            } else {
+                Bytes(u64::MAX)
+            };
+        }
+        let num = rate.0 as u128 * dt.as_nanos() as u128;
+        Bytes((num / 1_000_000_000u128).min(u64::MAX as u128) as u64)
+    }
+
+    /// `⌊u64::MAX / 10⁹⌋`: the largest volume whose nanosecond numerator
+    /// fits in 64 bits.
+    const LAST_U64_VOLUME: u64 = u64::MAX / 1_000_000_000;
+
+    /// A `u64` drawn log-uniformly: every magnitude is as likely as any
+    /// other, so products land on both sides of 2⁶⁴.
+    fn magnitude() -> impl Strategy<Value = u64> {
+        (0u32..64, any::<u64>()).prop_map(|(shift, x)| x >> shift)
+    }
+
+    #[test]
+    fn the_64_bit_path_meets_the_u128_formula_at_its_edges() {
+        assert_eq!(LAST_U64_VOLUME, 18_446_744_073);
+        assert!(LAST_U64_VOLUME.checked_mul(1_000_000_000).is_some());
+        assert!((LAST_U64_VOLUME + 1).checked_mul(1_000_000_000).is_none());
+        let volumes = [
+            0,
+            1,
+            LAST_U64_VOLUME - 1,
+            LAST_U64_VOLUME,
+            LAST_U64_VOLUME + 1,
+            u64::MAX,
+        ];
+        let rates = [0, 1, 3, Rate::gbps(1).0, u64::MAX - 1, u64::MAX];
+        for v in volumes {
+            for r in rates {
+                let (v, r) = (Bytes(v), Rate(r));
+                assert_eq!(
+                    transfer_time(v, r),
+                    transfer_time_u128(v, r),
+                    "{v:?} at {r:?}"
+                );
+            }
+        }
+        // rate · dt at 2⁶⁴ − 1 = 3 · 6 148 914 691 236 517 205, at 2⁶⁴ =
+        // 2³² · 2³² and at 2⁶⁴ + 1 = 274 177 · 67 280 421 310 721, each
+        // factor pair both ways round; then the extreme rates against
+        // the extreme steps, the infinite one among them.
+        let products = [
+            (3, u64::MAX / 3),
+            (1 << 32, 1 << 32),
+            (274_177, 67_280_421_310_721),
+        ];
+        assert_eq!(274_177u128 * 67_280_421_310_721, (1u128 << 64) + 1);
+        let mut pairs: Vec<(u64, u64)> = products
+            .iter()
+            .flat_map(|&(a, b)| [(a, b), (b, a), (a, b - 1), (a, b + 1)])
+            .collect();
+        for r in [0, 1, 2, Rate::gbps(1).0, u64::MAX - 1, u64::MAX] {
+            for dt in [0, 1, 8_000_000, u64::MAX / 2, u64::MAX - 1, u64::MAX] {
+                pairs.push((r, dt));
+            }
+        }
+        for (r, dt) in pairs {
+            let (r, dt) = (Rate(r), Duration(dt));
+            assert_eq!(bytes_in(r, dt), bytes_in_u128(r, dt), "{r:?} over {dt:?}");
+        }
+        assert!(Duration(u64::MAX).is_infinite());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The transfer time equals the 128-bit formula's for volumes
+        /// and rates of every magnitude, on both sides of the volume
+        /// whose numerator stops fitting in 64 bits.
+        #[test]
+        fn transfer_time_equals_the_u128_formula(
+            volume in magnitude(),
+            rate in magnitude(),
+            near in (LAST_U64_VOLUME - 64)..=(LAST_U64_VOLUME + 64),
+        ) {
+            for v in [volume, near] {
+                let (v, r) = (Bytes(v), Rate(rate));
+                prop_assert_eq!(transfer_time(v, r), transfer_time_u128(v, r));
+            }
+        }
+
+        /// The credit equals the 128-bit formula's for rates and steps
+        /// of every magnitude, products past 2⁶⁴ among them.
+        #[test]
+        fn bytes_in_equals_the_u128_formula(rate in magnitude(), dt in magnitude()) {
+            let (r, dt) = (Rate(rate), Duration(dt));
+            prop_assert_eq!(bytes_in(r, dt), bytes_in_u128(r, dt));
+        }
     }
 
     proptest! {

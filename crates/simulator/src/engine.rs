@@ -30,10 +30,21 @@
 //! is re-pushed at the flow's *current* prediction, so the popped
 //! minimum equals the reference's fresh scan exactly. A jump over quiet
 //! boundaries keeps all of this: it credits the per-step floors the
-//! single steps would (so `sent` and the refreshed prediction are
+//! single steps would (so `sent`, and with it the prediction, is
 //! theirs), and since predictions only drift later, every flowing flow
 //! still has a heap entry at or before its current prediction — the
 //! heap is simply peeked once per jump instead of once per δ.
+//!
+//! A prediction is derived, not stored. Every unfinished flow with a
+//! rate has been credited up to `now` (the advance pass moves them all
+//! together), so its prediction is a pure function of `now`, `size −
+//! sent` and `rate` — [`prediction`], the reference loop's own scan
+//! term — and it is computed only where it is read: the heap peek, the
+//! compaction pass, the push at a rate change or straggler rescale, the
+//! rebuild after a resume, and the snapshot encoder (which writes the
+//! same value the stored field held, so blobs are unchanged). The
+//! advance pass, which touches every flowing flow on every step, only
+//! credits bytes; it predicts nothing.
 //!
 //! ## When a round is not computed
 //!
@@ -69,10 +80,10 @@
 //! flow reaches its size before the earliest prediction). With `s` of
 //! them the loop steps straight to `b_s`: the advance pass credits
 //! `bytes_in(r, b_1 − now) + (s − 1)·bytes_in(r, δ)` — the single
-//! steps' floors, one by one — marks dirty once and refreshes each
-//! prediction once from the final `sent`; the round at `b_s` is then an
-//! ordinary iteration. An ordinary step is the `s ≤ 1` case of the same
-//! code.
+//! steps' floors, one by one — and marks dirty once; each prediction
+//! follows from the final `sent` when next read. The round at `b_s` is
+//! then an ordinary iteration. An ordinary step is the `s ≤ 1` case of
+//! the same code.
 //!
 //! **A round passed over is still a round.** It counts towards
 //! [`SimOutput::rounds`] and [`SimConfig::max_rounds`] (a jump stops
@@ -221,10 +232,18 @@ pub(crate) struct SimFlow {
     pub(crate) rate: Rate,
     pub(crate) ready_at: Time,
     pub(crate) finished_at: Option<Time>,
-    /// Predicted absolute completion under the current rate;
-    /// `Time::NEVER` while paused or finished. Maintained only by the
-    /// incremental loop (the reference loop recomputes it by scanning).
-    pub(crate) pred: Time,
+}
+
+/// When `f` completes under its current rate, predicted at `now`, the
+/// instant its `sent` was last credited to: `Time::NEVER` while it is
+/// paused or finished, or when the prediction saturates. Exactly the
+/// term the reference loop's scan takes the minimum of.
+#[inline]
+pub(crate) fn prediction(f: &SimFlow, now: Time) -> Time {
+    if f.finished_at.is_some() || f.rate.is_zero() {
+        return Time::NEVER;
+    }
+    now.saturating_add(transfer_time(f.size.saturating_sub(f.sent), f.rate))
 }
 
 pub(crate) struct SimCoflow {
@@ -276,7 +295,6 @@ pub(crate) fn flatten(trace: &Trace) -> (Vec<SimFlow>, Vec<SimCoflow>) {
                 rate: Rate::ZERO,
                 ready_at: Time::NEVER, // set at release
                 finished_at: None,
-                pred: Time::NEVER,
             });
         }
         coflows.push(SimCoflow {
@@ -558,9 +576,9 @@ pub fn simulate_resumable(
         // uninterrupted run's popped minima exactly (the same argument
         // as the compaction pass below).
         for &fi in &flowing {
-            let f = &flows[fi];
-            if f.finished_at.is_none() && !f.rate.is_zero() && !f.pred.is_never() {
-                completions.push(Reverse((f.pred, fi as u32)));
+            let pred = prediction(&flows[fi], now);
+            if !pred.is_never() {
+                completions.push(Reverse((pred, fi as u32)));
             }
         }
         // Records of CoFlows that finished before the snapshot: rebuilt
@@ -687,14 +705,9 @@ pub fn simulate_resumable(
                             && (f.src == node || f.dst == node)
                         {
                             f.rate = f.rate.mul_ratio(num, den);
-                            f.pred = if f.rate.is_zero() {
-                                Time::NEVER
-                            } else {
-                                let rem = f.size.saturating_sub(f.sent);
-                                now.saturating_add(transfer_time(rem, f.rate))
-                            };
-                            if !f.pred.is_never() {
-                                completions.push(Reverse((f.pred, fi as u32)));
+                            let pred = prediction(f, now);
+                            if !pred.is_never() {
+                                completions.push(Reverse((pred, fi as u32)));
                                 tele_incr!(tele, Counter::HeapPush);
                             }
                         }
@@ -722,7 +735,6 @@ pub fn simulate_resumable(
                         {
                             f.sent = Bytes::ZERO;
                             f.rate = Rate::ZERO;
-                            f.pred = Time::NEVER;
                             f.ready_at = f.ready_at.max(now.saturating_add(restart_delay));
                             let slot = coflows[f.coflow].view_slot;
                             if slot != usize::MAX {
@@ -826,9 +838,7 @@ pub fn simulate_resumable(
                 }
                 for &fi in &flowing {
                     if sched_stamp[fi] != round_stamp {
-                        let f = &mut flows[fi];
-                        f.rate = Rate::ZERO;
-                        f.pred = Time::NEVER;
+                        flows[fi].rate = Rate::ZERO;
                     }
                 }
                 flowing.clear();
@@ -839,15 +849,14 @@ pub fn simulate_resumable(
                     debug_assert!(f.ready_at <= now, "rate for unready flow {fid}");
                     if f.rate != rate {
                         f.rate = rate;
-                        let rem = f.size.saturating_sub(f.sent);
-                        f.pred = now.saturating_add(transfer_time(rem, rate));
-                        if !f.pred.is_never() {
-                            completions.push(Reverse((f.pred, fi as u32)));
+                        let pred = prediction(f, now);
+                        if !pred.is_never() {
+                            completions.push(Reverse((pred, fi as u32)));
                             tele_incr!(tele, Counter::HeapPush);
                         }
                     }
-                    // Unchanged rate ⇒ `pred` was refreshed at `now` by the
-                    // advancement pass that ended here; nothing to do.
+                    // Unchanged rate ⇒ the heap already holds an entry at
+                    // or before the prediction; nothing to do.
                     flowing.push(fi);
                     // A zero-rate entry leaves `flowing` at the next
                     // advance pass, which is a structural change: say so
@@ -909,9 +918,9 @@ pub fn simulate_resumable(
             if completions.len() > 64 && completions.len() > 4 * flowing.len() {
                 completions.clear();
                 for &fi in &flowing {
-                    let f = &flows[fi];
-                    if f.finished_at.is_none() && !f.rate.is_zero() && !f.pred.is_never() {
-                        completions.push(Reverse((f.pred, fi as u32)));
+                    let pred = prediction(&flows[fi], now);
+                    if !pred.is_never() {
+                        completions.push(Reverse((pred, fi as u32)));
                     }
                 }
                 tele_incr!(tele, Counter::HeapCompactions);
@@ -921,18 +930,18 @@ pub fn simulate_resumable(
                 let Some(&Reverse((t, fi))) = completions.peek() else {
                     break Time::NEVER;
                 };
-                let f = &flows[fi as usize];
-                if f.finished_at.is_some() || f.rate.is_zero() || f.pred.is_never() {
+                let pred = prediction(&flows[fi as usize], now);
+                if pred.is_never() {
                     completions.pop(); // flow no longer completing
                     tele_incr!(tele, Counter::HeapPopDead);
-                } else if t == f.pred {
+                } else if t == pred {
                     tele_incr!(tele, Counter::HeapPopCurrent);
                     break t; // entry is current: true minimum
-                } else if t < f.pred {
+                } else if t < pred {
                     // Stale (prediction drifted later): re-key at the
                     // current prediction and keep looking.
                     completions.pop();
-                    completions.push(Reverse((f.pred, fi)));
+                    completions.push(Reverse((pred, fi)));
                     tele_incr!(tele, Counter::HeapPopStale);
                     tele_incr!(tele, Counter::HeapPush);
                 } else {
@@ -1022,7 +1031,16 @@ pub fn simulate_resumable(
 
         // ---- 4. Advance the flowing flows to t_next ----
         // One step of `first`, then `passed` more of δ each: what the
-        // single steps credit, floor by floor.
+        // single steps credit, floor by floor. No prediction is touched
+        // (module docs): each follows from the new `sent` where read,
+        // and every flow that keeps sending keeps a heap entry at or
+        // before it. That holds at saturation too. Before this step
+        // `t₀ + ceil(rem₀·10⁹/r)`; after it `t₁ + ceil(rem₁·10⁹/r)`,
+        // which is no smaller: `rem₀ − rem₁ ≤ r·(t₁ − t₀)/10⁹`, so the
+        // ceiling falls by at most `t₁ − t₀`. A prediction is NEVER
+        // exactly when that sum reaches `u64::MAX`, so a flow at NEVER
+        // stays at NEVER until its rate changes, and the rate change
+        // pushes. No entry is owed here.
         let t_advance = (saath_telemetry::enabled() && tele.is_some()).then(Instant::now);
         let mut completed = 0usize;
         let was_flowing = flowing.len();
@@ -1036,22 +1054,12 @@ pub fn simulate_resumable(
             mark_dirty(&mut dirty, &mut dirty_list, ci);
             if f.sent == f.size {
                 f.finished_at = Some(t_next);
-                f.pred = Time::NEVER;
                 coflows[ci].unfinished -= 1;
                 if coflows[ci].unfinished == 0 {
                     completed += 1;
                 }
                 false
             } else {
-                let was_never = f.pred.is_never();
-                let rem = f.size.saturating_sub(f.sent);
-                f.pred = t_next.saturating_add(transfer_time(rem, f.rate));
-                // Saturation is the one exception to monotone drift: a
-                // prediction clamped at NEVER can come back into range.
-                if was_never && !f.pred.is_never() {
-                    completions.push(Reverse((f.pred, fi as u32)));
-                    tele_incr!(tele, Counter::HeapPush);
-                }
                 true
             }
         });

@@ -11,8 +11,10 @@
 //! What is captured, and what is deliberately not:
 //!
 //! * **Captured** — simulated clock and round count; every flow's
-//!   dynamic fields (`sent`, `rate`, `ready_at`, `finished_at`, the
-//!   completion prediction); every CoFlow's lifecycle fields; all three
+//!   dynamic fields (`sent`, `rate`, `ready_at`, `finished_at`, and the
+//!   completion prediction the engine derives from them, written so
+//!   the format is unchanged and checked against them on apply); every
+//!   CoFlow's lifecycle fields; all three
 //!   event queues *with their tie-break sequence numbers* (FIFO order at
 //!   equal instants is part of determinism); the active views (their
 //!   synced `sent`/`ready`/`finished`/`restarted` flags lag ground truth
@@ -43,7 +45,7 @@ use saath_fabric::PortBank;
 use saath_simcore::{Duration, EventQueue, NodeId, PortId, Rate, Time};
 use saath_workload::Trace;
 
-use crate::engine::{flatten, make_view, DynAction, SimCoflow, SimConfig, SimFlow};
+use crate::engine::{flatten, make_view, prediction, DynAction, SimCoflow, SimConfig, SimFlow};
 
 /// Snapshot format version.
 const VERSION: u8 = 1;
@@ -154,7 +156,7 @@ pub(crate) fn encode(
         wire::put_u64(&mut out, f.rate.0);
         wire::put_u64(&mut out, f.ready_at.as_nanos());
         put_opt_time(&mut out, f.finished_at);
-        wire::put_u64(&mut out, f.pred.as_nanos());
+        wire::put_u64(&mut out, prediction(f, v.now).as_nanos());
     }
     for c in v.coflows {
         put_opt_time(&mut out, c.released);
@@ -290,7 +292,16 @@ pub(crate) fn apply(
         f.rate = Rate(r.u64()?);
         f.ready_at = Time(r.u64()?);
         f.finished_at = get_opt_time(&mut r)?;
-        f.pred = Time(r.u64()?);
+        // The completion prediction is derived from the fields above;
+        // a blob whose copy disagrees does not describe one state.
+        let pred = Time(r.u64()?);
+        if pred != prediction(f, now) {
+            return Err(format!(
+                "snapshot predicts a flow of coflow {} done at {pred}, its rate and bytes say {}",
+                f.coflow,
+                prediction(f, now)
+            ));
+        }
     }
     for c in coflows.iter_mut() {
         c.released = get_opt_time(&mut r)?;

@@ -293,4 +293,30 @@ fn resume_rejects_mismatched_runs() {
     )
     .unwrap_err();
     assert!(matches!(err, SimError::Snapshot(_)), "{err}");
+
+    // A blob whose written completion prediction disagrees with the
+    // flow's own fields: the engine derives the prediction, so the copy
+    // in the blob is checked. The first flow's record starts after the
+    // 50-byte header (version, three shape counts, clairvoyance, δ,
+    // `now`, round count) and holds `sent`, `rate`, `ready_at` (8 B
+    // each) and `finished_at` (9 B) before the prediction.
+    let mut blob = snap.blob.clone();
+    blob[50 + 33] ^= 1;
+    let err = simulate_resumable(
+        &trace,
+        &mut Saath::with_defaults(),
+        &SimConfig::default(),
+        &dynamics,
+        ReplayHooks {
+            tele: None,
+            sink: None,
+            snapshot_every: 0,
+            resume_from: Some(&blob),
+        },
+    )
+    .unwrap_err();
+    assert!(
+        matches!(&err, SimError::Snapshot(e) if e.contains("predicts")),
+        "{err}"
+    );
 }
