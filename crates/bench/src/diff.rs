@@ -54,11 +54,16 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The harness's
+/// documents nest at most 3 deep; the bound keeps a hostile file from
+/// recursing the parser off the end of the stack.
+const MAX_DEPTH: usize = 64;
+
 /// Parses a JSON document. Errors carry a byte offset.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let b = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(b, &mut pos)?;
+    let v = parse_value(text, &mut pos, 0)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -72,10 +77,14 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = text.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -86,7 +95,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(text, pos, depth + 1)? {
                     Json::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
@@ -95,7 +104,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                fields.push((key, parse_value(b, pos)?));
+                fields.push((key, parse_value(text, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -116,7 +125,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -132,13 +141,22 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             *pos += 1;
             let mut s = String::new();
             loop {
+                // Copy the run up to the next quote or escape whole: both
+                // are ASCII, so the run ends on a char boundary and
+                // multi-byte UTF-8 arrives intact.
+                let run = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                s.push_str(&text[run..*pos]);
                 match b.get(*pos) {
                     None => return Err("unterminated string".into()),
                     Some(b'"') => {
                         *pos += 1;
                         return Ok(Json::Str(s));
                     }
-                    Some(b'\\') => {
+                    _ => {
+                        // A backslash.
                         *pos += 1;
                         match b.get(*pos) {
                             Some(b'"') => s.push('"'),
@@ -151,11 +169,6 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                             // reject rather than mis-decode.
                             other => return Err(format!("unsupported escape {other:?}")),
                         }
-                        *pos += 1;
-                    }
-                    Some(&c) => {
-                        // Multi-byte UTF-8 passes through byte-wise.
-                        s.push(c as char);
                         *pos += 1;
                     }
                 }
@@ -464,6 +477,29 @@ mod tests {
         assert!(parse_json("{").is_err());
         assert!(parse_json("[1, 2,]").is_err());
         assert!(parse_json("{\"a\": 1} trailing").is_err());
+    }
+
+    #[test]
+    fn parser_keeps_multibyte_utf8_intact() {
+        let doc = parse_json(r#"{"δ_µs": 1, "e\"\\€": "𝄞 x"}"#).unwrap();
+        assert_eq!(
+            doc,
+            Json::Obj(vec![
+                ("δ_µs".into(), Json::Num(1.0)),
+                ("e\"\\€".into(), Json::Str("𝄞 x".into())),
+            ])
+        );
+    }
+
+    #[test]
+    fn parser_bounds_its_nesting_depth() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        // Far past any stack: an error, not an overflow.
+        assert!(parse_json(&"[".repeat(200_000)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

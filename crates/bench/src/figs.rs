@@ -899,16 +899,14 @@ fn logged_replay(
             )),
         }
     }
-    if saath_telemetry::enabled() {
-        line.push_str(&format!(
-            "\nlog counters: log_rounds_appended={} log_bytes_written={} \
-             log_snapshots={} log_chain_verifies={}",
-            tele.counter(Counter::LogRoundsAppended),
-            tele.counter(Counter::LogBytesWritten),
-            tele.counter(Counter::LogSnapshots),
-            tele.counter(Counter::LogChainVerifies),
-        ));
-    }
+    line.push_str(&format!(
+        "\nlog counters: log_rounds_appended={} log_bytes_written={} \
+         log_snapshots={} log_chain_verifies={}",
+        tele.counter(Counter::LogRoundsAppended),
+        tele.counter(Counter::LogBytesWritten),
+        tele.counter(Counter::LogSnapshots),
+        tele.counter(Counter::LogChainVerifies),
+    ));
     line
 }
 
@@ -1424,7 +1422,7 @@ pub fn epoch(
     // A separate *untimed* instrumented run collects the engine
     // counters (heap traffic, stale-pop ratio, dirty-set sizes). It is
     // deliberately excluded from the timing loop above so the baseline
-    // numbers never include instrumentation, whatever the feature state.
+    // numbers never include instrumentation.
     let mut tele = saath_telemetry::Telemetry::new();
     let mut spans = {
         let mut sched = saath_core::Saath::with_defaults();
@@ -1480,7 +1478,6 @@ pub fn epoch(
          {inc_loop},\n  \
          \"loop_speedup\": {loop_speedup:.2},\n  \
          \"records_identical\": true,\n  \
-         \"telemetry_enabled\": {tele_on},\n  \
          \"heap_pushes\": {pushes},\n  \
          \"heap_compactions\": {compactions},\n  \
          \"stale_pop_ratio\": {stale_ratio:.4},\n  \
@@ -1495,7 +1492,6 @@ pub fn epoch(
         inc_total = inc_total.json_fields("total_incremental_ms"),
         ref_loop = ref_loop.json_fields("loop_reference_ms"),
         inc_loop = inc_loop.json_fields("loop_incremental_ms"),
-        tele_on = saath_telemetry::enabled(),
         pushes = tele.counter(saath_telemetry::Counter::HeapPush),
         compactions = tele.counter(saath_telemetry::Counter::HeapCompactions),
         max_heap = tele.heap_len.max,
@@ -1551,11 +1547,7 @@ pub fn epoch(
         "stale pops / mean dirty set".into(),
         fmt_pct(stale_ratio),
         format!("{mean_dirty:.1}"),
-        if saath_telemetry::enabled() {
-            "telemetry on".into()
-        } else {
-            "telemetry off".into()
-        },
+        "—".into(),
     ]);
     let mut out = t.render();
     out.push_str(
@@ -1863,10 +1855,9 @@ pub fn scale(
 
     let json_doc = format!(
         "{{\n  \"experiment\": \"scalability_sweep\",\n  \"seed\": {},\n  \
-         \"delta_ms\": 8,\n  \"telemetry_feature\": {},\n  \"repeats\": {repeats},\n  \
+         \"delta_ms\": 8,\n  \"repeats\": {repeats},\n  \
          \"env\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
         lab.seed(),
-        saath_telemetry::enabled(),
         env_stamp_json(),
         point_docs.join(",\n"),
     );
@@ -1965,17 +1956,10 @@ pub fn trace_diag(lab: &Lab, small: bool) -> String {
         out.push_str(l);
         out.push('\n');
     }
-    if saath_telemetry::enabled() {
-        out.push_str(&format!(
-            "JSONL round traces written to {}/trace_saath.jsonl and trace_aalo.jsonl\n",
-            lab.out_dir.display()
-        ));
-    } else {
-        out.push_str(
-            "telemetry feature is OFF — counters read 0 and no JSONL was recorded; \
-             rebuild with `--features telemetry` (bench default)\n",
-        );
-    }
+    out.push_str(&format!(
+        "JSONL round traces written to {}/trace_saath.jsonl and trace_aalo.jsonl\n",
+        lab.out_dir.display()
+    ));
     out
 }
 

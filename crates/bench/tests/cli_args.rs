@@ -2,7 +2,8 @@
 //! to run seed 1 and exit 0, so `repro epoch --seed 1O` would have
 //! overwritten a committed baseline under the wrong label. It refuses a
 //! flag it does not know, and an option given no value, for the same
-//! reason.
+//! reason. A `bench-diff` document it cannot parse ends the run with a
+//! message, never a signal.
 
 use std::process::Command;
 
@@ -59,4 +60,17 @@ fn an_option_without_its_value_is_refused_by_name() {
         );
         assert!(out.stdout.is_empty(), "the experiment ran anyway");
     }
+}
+
+/// A hostile document is refused with exit 2 and a message, not a
+/// signal: 200 000 nested `[` must not recurse the parser off the stack.
+#[test]
+fn bench_diff_refuses_a_too_deep_document() {
+    let deep = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let deep = deep.to_str().unwrap();
+    let out = repro(&["bench-diff", deep, deep]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nesting deeper than 64"), "{stderr}");
 }

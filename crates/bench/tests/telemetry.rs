@@ -1,8 +1,4 @@
-//! Integration tests of the telemetry layer under the bench crate,
-//! whose `default = ["telemetry"]` turns the feature on for the whole
-//! workspace build — so these see real counts. (Run the workspace with
-//! `--no-default-features` for the zero-overhead configuration; the
-//! assertions below degrade gracefully.)
+//! Integration tests of the telemetry layer under the bench crate.
 //!
 //! 1. The JSONL round trace of a small seeded FB-like workload is
 //!    byte-stable across runs and matches a checked-in golden head.
@@ -57,10 +53,6 @@ fn jsonl_trace_is_byte_stable_and_matches_golden_head() {
     let (_, a) = instrumented(&trace, &mut Saath::with_defaults(), &DynamicsSpec::none());
     let (_, b) = instrumented(&trace, &mut Saath::with_defaults(), &DynamicsSpec::none());
     assert_eq!(a.jsonl(), b.jsonl(), "JSONL trace not byte-stable");
-    if !saath_telemetry::enabled() {
-        assert!(a.jsonl().is_empty());
-        return;
-    }
     assert!(!a.jsonl().is_empty());
     for line in a.jsonl().lines() {
         assert!(
@@ -87,9 +79,6 @@ fn jsonl_trace_is_byte_stable_and_matches_golden_head() {
 
 #[test]
 fn both_policies_report_nonzero_mechanism_counts() {
-    if !saath_telemetry::enabled() {
-        return; // counters are compiled-out no-ops
-    }
     let trace = mini_fb(5);
 
     let mut saath = Saath::with_defaults();
@@ -172,9 +161,6 @@ fn heap_compaction_bounds_stale_entries_under_churn() {
     assert_eq!(out.records, reference.records);
     assert_eq!(out.end, reference.end);
 
-    if !saath_telemetry::enabled() {
-        return;
-    }
     assert!(
         tele.counter(Counter::HeapCompactions) > 0,
         "churn never triggered a compaction"

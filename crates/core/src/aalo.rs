@@ -72,11 +72,9 @@ pub struct Aalo {
     changed_set: FastHashSet<CoflowId>,
     /// Scratch: CoFlows that left the view this round.
     gone: Vec<CoflowId>,
-    // Telemetry-only state (empty / all-zero in feature-off builds):
-    // per-queue occupancy, counters.
+    // Telemetry-only state: per-queue occupancy, counters.
     occupancy: Vec<usize>,
     /// Mechanism counters (queue transitions, order-book rekeys, …).
-    /// Only maintained in `telemetry`-feature builds.
     pub mech: MechCounters,
 }
 
@@ -130,10 +128,8 @@ impl CoflowScheduler for Aalo {
         // (queue, arrival, coflow id, flow id) → endpoints, for every
         // ready unfinished flow.
         self.order.clear();
-        if saath_telemetry::enabled() {
-            self.occupancy.clear();
-            self.occupancy.resize(self.queues.num_queues, 0);
-        }
+        self.occupancy.clear();
+        self.occupancy.resize(self.queues.num_queues, 0);
         // Re-book only the CoFlows the `changed` hint names (no hint ⇒
         // everything changed ⇒ every CoFlow re-books, still through the
         // book so its state never goes stale).
@@ -158,7 +154,7 @@ impl CoflowScheduler for Aalo {
                 }
                 prev => {
                     let q = self.queues.queue_for_total(c.total_sent());
-                    if saath_telemetry::enabled() && prev.as_ref().is_some_and(|m| m.q != q) {
+                    if prev.as_ref().is_some_and(|m| m.q != q) {
                         self.mech.queue_transitions += 1;
                     }
                     // Re-book: reclaim the old bucket's buffer (if any),
@@ -192,9 +188,7 @@ impl CoflowScheduler for Aalo {
                     q
                 }
             };
-            if saath_telemetry::enabled() {
-                self.occupancy[q] += 1;
-            }
+            self.occupancy[q] += 1;
         }
         // Departures: booked CoFlows that did not appear this round.
         self.gone.clear();
@@ -216,14 +210,12 @@ impl CoflowScheduler for Aalo {
             self.order
                 .extend(flows.iter().map(|e| ((q, arrival, cid, e.flow.0), *e)));
         }
-        if saath_telemetry::enabled() {
-            self.mech.order_rekeys += rekeys;
-            self.mech.order_resorts_avoided += 1;
-            // One tree removal + insertion per rekey, ~log2(n)
-            // comparisons each (deterministic estimate; see Saath).
-            let lg = (usize::BITS - view.coflows.len().leading_zeros()) as u64;
-            self.mech.lcof_comparisons += rekeys * 2 * lg;
-        }
+        self.mech.order_rekeys += rekeys;
+        self.mech.order_resorts_avoided += 1;
+        // One tree removal + insertion per rekey, ~log2(n)
+        // comparisons each (deterministic estimate; see Saath).
+        let lg = (usize::BITS - view.coflows.len().leading_zeros()) as u64;
+        self.mech.lcof_comparisons += rekeys * 2 * lg;
         // The full rebuild + re-sort stays the executable specification,
         // proven against every debug round.
         #[cfg(debug_assertions)]
@@ -325,11 +317,7 @@ impl CoflowScheduler for Aalo {
     }
 
     fn queue_occupancy(&self) -> Option<&[usize]> {
-        if saath_telemetry::enabled() {
-            Some(&self.occupancy)
-        } else {
-            None
-        }
+        Some(&self.occupancy)
     }
 }
 

@@ -399,8 +399,7 @@ pub struct Saath {
     /// Rounds in which a deadline-expired CoFlow was force-prioritized
     /// (§7.1 reports starvation avoidance kicking in <1 % of the time).
     pub starvation_kicks: u64,
-    /// Mechanism counters (D1–D5 events). Only maintained in
-    /// `telemetry`-feature builds; all-zero otherwise.
+    /// Mechanism counters (D1–D5 events).
     pub mech: MechCounters,
 }
 
@@ -492,7 +491,7 @@ impl Saath {
                 continue; // fully finished; driver will drop it
             }
             if !self.cfg.all_or_none || !e.all_ready {
-                if saath_telemetry::enabled() && self.cfg.all_or_none {
+                if self.cfg.all_or_none {
                     self.mech.unready_skips += 1;
                 }
                 self.missed.push(ci);
@@ -515,18 +514,12 @@ impl Saath {
                     "footprint gang rate diverged from gang_rate_with"
                 );
             }
-            if saath_telemetry::enabled() {
-                self.mech.madd_evals += 1;
-            }
+            self.mech.madd_evals += 1;
             if r.is_zero() {
-                if saath_telemetry::enabled() {
-                    self.mech.gang_rejections += 1;
-                }
+                self.mech.gang_rejections += 1;
                 self.missed.push(ci);
             } else {
-                if saath_telemetry::enabled() {
-                    self.mech.gang_admissions += 1;
-                }
+                self.mech.gang_admissions += 1;
                 #[cfg(debug_assertions)]
                 {
                     let by_flows = self.arena.bank.get_or_insert_with(|| bank.clone());
@@ -802,7 +795,7 @@ impl CoflowScheduler for Saath {
             if e.state.is_some_and(|s| s.queue == q) {
                 continue;
             }
-            if saath_telemetry::enabled() && e.state.is_some() {
+            if e.state.is_some() {
                 // An existing CoFlow crossed a threshold (D3) — new
                 // arrivals are assignments, not transitions.
                 self.mech.queue_transitions += 1;
@@ -828,13 +821,11 @@ impl CoflowScheduler for Saath {
             self.k.clear();
             self.k
                 .extend(self.slots.iter().map(|&slot| self.tracker.k(slot)));
-            if saath_telemetry::enabled() {
-                self.mech.contention_deltas += self.moves.count();
-                if hint.is_none() {
-                    self.mech.contention_rebuilds += 1;
-                } else {
-                    self.mech.contention_rebuilds_avoided += 1;
-                }
+            self.mech.contention_deltas += self.moves.count();
+            if hint.is_none() {
+                self.mech.contention_rebuilds += 1;
+            } else {
+                self.mech.contention_rebuilds_avoided += 1;
             }
             // The full rebuild stays the executable specification:
             // every debug round proves the delta-updated k equals it.
@@ -863,16 +854,14 @@ impl CoflowScheduler for Saath {
                     .state
                     .is_some_and(|s| s.deadline <= view.now)
         }));
-        if saath_telemetry::enabled() {
-            // Each expired deadline is one D5 event, counted once per
-            // deadline (a CoFlow stays expired until its queue changes).
-            for (&slot, &expired) in self.slots.iter().zip(&self.expired) {
-                if expired {
-                    if let Some(s) = &mut self.slab[slot as usize].state {
-                        if !s.expiry_counted {
-                            s.expiry_counted = true;
-                            self.mech.deadline_expiries += 1;
-                        }
+        // Each expired deadline is one D5 event, counted once per
+        // deadline (a CoFlow stays expired until its queue changes).
+        for (&slot, &expired) in self.slots.iter().zip(&self.expired) {
+            if expired {
+                if let Some(s) = &mut self.slab[slot as usize].state {
+                    if !s.expiry_counted {
+                        s.expiry_counted = true;
+                        self.mech.deadline_expiries += 1;
                     }
                 }
             }
@@ -892,15 +881,13 @@ impl CoflowScheduler for Saath {
             }
         }
         self.book.emit_into(&mut self.order);
-        if saath_telemetry::enabled() {
-            self.mech.order_rekeys += rekeys;
-            self.mech.order_resorts_avoided += 1;
-            // A rekey is one tree removal + insertion, ~log2(n)
-            // comparisons each: a deterministic estimate of the D1
-            // comparison work.
-            let lg = (usize::BITS - n.leading_zeros()) as u64;
-            self.mech.lcof_comparisons += rekeys * 2 * lg;
-        }
+        self.mech.order_rekeys += rekeys;
+        self.mech.order_resorts_avoided += 1;
+        // A rekey is one tree removal + insertion, ~log2(n)
+        // comparisons each: a deterministic estimate of the D1
+        // comparison work.
+        let lg = (usize::BITS - n.leading_zeros()) as u64;
+        self.mech.lcof_comparisons += rekeys * 2 * lg;
         // The full re-sort stays the executable specification: every
         // debug round proves the book emits exactly it.
         #[cfg(debug_assertions)]
@@ -924,9 +911,7 @@ impl CoflowScheduler for Saath {
         let any_expired = self.expired.iter().any(|&e| e);
         if any_expired {
             self.starvation_kicks += 1;
-            if saath_telemetry::enabled() {
-                self.mech.starvation_rescues += 1;
-            }
+            self.mech.starvation_rescues += 1;
         }
         // The validity horizon (module docs) is the earliest deadline
         // — every one of them is still ahead — or the first threshold
@@ -979,9 +964,7 @@ impl CoflowScheduler for Saath {
                 let mut r_max = Rate::ZERO;
                 for (ep, &r) in eps.iter().zip(&self.wc_rates) {
                     if !r.is_zero() {
-                        if saath_telemetry::enabled() {
-                            self.mech.wc_backfills += 1;
-                        }
+                        self.mech.wc_backfills += 1;
                         out.set(ep.flow, r);
                         r_max = r_max.max(r);
                     }
@@ -1788,7 +1771,7 @@ mod tests {
         let joins = vec![(0, 0), (0, 1), (0, 6), (0, 7), (1, 0), (1, 7)];
         assert_eq!(moved(&s), (vec![], joins));
         // A round hinted with CoFlow 0: what moved, and the
-        // `contention_deltas` it cost (when counters are compiled in).
+        // `contention_deltas` it cost.
         let round = |s: &mut Saath, coflows: &[CoflowView], num_nodes: usize| {
             let view = ClusterView {
                 now: Time::from_millis(8),
@@ -1800,31 +1783,29 @@ mod tests {
             let mut bank = PortBank::uniform(num_nodes, GBPS);
             s.compute(&view, &mut bank, &mut Schedule::default());
             assert_eq!(s.k, crate::common::contention(&view));
-            let deltas = saath_telemetry::enabled().then(|| s.mech.contention_deltas - before);
-            (moved(s), deltas)
+            (moved(s), s.mech.contention_deltas - before)
         };
-        let counted = |n: u64| saath_telemetry::enabled().then_some(n);
 
         coflows[0].flows[0].sent = Bytes(5_000_000);
         coflows[0].flows[1].ready = false;
-        assert_eq!(round(&mut s, &coflows, 4), ((vec![], vec![]), counted(0)));
+        assert_eq!(round(&mut s, &coflows, 4), ((vec![], vec![]), 0));
 
         // One finish: uplink 0 and downlink 4 + 2 leave CoFlow 0's
         // footprint, and nothing else is looked at.
         coflows[0].flows[0].finished = true;
         let shrunk = (vec![(0, 0), (0, 6)], vec![]);
-        assert_eq!(round(&mut s, &coflows, 4), (shrunk, counted(2)));
+        assert_eq!(round(&mut s, &coflows, 4), (shrunk, 2));
 
         // An un-finish (a restarted coordinator's forgotten
         // observation) is not a subsequence: rebuilt, both ports back.
         coflows[0].flows[0].finished = false;
         let rebuilt = (vec![], vec![(0, 0), (0, 6)]);
-        assert_eq!(round(&mut s, &coflows, 4), (rebuilt, counted(2)));
+        assert_eq!(round(&mut s, &coflows, 4), (rebuilt, 2));
 
         // A port-space change discards the hint and rebuilds every
         // footprint into a fresh tracker: six joins for the two.
         let joins = vec![(0, 0), (0, 1), (0, 7), (0, 8), (1, 0), (1, 8)];
-        assert_eq!(round(&mut s, &coflows, 5), ((vec![], joins), counted(6)));
+        assert_eq!(round(&mut s, &coflows, 5), ((vec![], joins), 6));
     }
 
     /// Restoring into a scheduler that has already run leaves nothing

@@ -239,9 +239,8 @@ pub trait CoflowScheduler {
     fn compute(&mut self, view: &ClusterView<'_>, bank: &mut PortBank, out: &mut Schedule);
 
     /// Mechanism counters (queue transitions, deadline rescues, …)
-    /// accumulated across rounds, for policies that maintain them.
-    /// Meaningful only in `telemetry`-feature builds; the default is
-    /// `None` so baselines need no instrumentation.
+    /// accumulated across rounds, for policies that maintain them. The
+    /// default is `None` so baselines need no instrumentation.
     fn mech_counters(&self) -> Option<&saath_telemetry::MechCounters> {
         None
     }

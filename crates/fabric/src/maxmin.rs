@@ -48,8 +48,7 @@ pub struct MaxMinScratch {
     /// all-flows scan exactly).
     active: Vec<u32>,
     /// Cumulative progressive-filling iterations (one per bottleneck
-    /// fixed) across every call that used this scratch. Only maintained
-    /// with the `telemetry` feature; always 0 otherwise.
+    /// fixed) across every call that used this scratch.
     pub iterations: u64,
 }
 
@@ -123,9 +122,7 @@ pub fn max_min_fair_into(
         let Some((bottleneck, level)) = best else {
             break;
         };
-        if saath_telemetry::enabled() {
-            *iterations += 1;
-        }
+        *iterations += 1;
 
         // Fix every unfixed flow crossing the bottleneck at `level`,
         // charge its ports, and compact it out of the active list.

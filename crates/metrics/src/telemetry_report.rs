@@ -210,9 +210,7 @@ mod tests {
         };
         let line = mech_breakdown_line("saath", &mech, &tele);
         assert!(line.starts_with("saath: 412 queue transitions, 9 deadline rescues"));
-        if saath_telemetry::enabled() {
-            assert!(line.contains("50.0% stale heap pops"));
-        }
+        assert!(line.contains("50.0% stale heap pops"));
     }
 
     #[test]
@@ -223,13 +221,9 @@ mod tests {
         tele.add(Counter::LogSnapshots, 2);
         tele.incr(Counter::LogChainVerifies);
         let line = eventlog_line("saath", &tele);
-        if saath_telemetry::enabled() {
-            assert!(line.contains("12 rounds appended"));
-            assert!(line.contains("3456 bytes written"));
-            assert!(line.contains("2 snapshots"));
-            assert!(line.contains("1 chain verifies"));
-        } else {
-            assert!(line.contains("0 rounds appended"));
-        }
+        assert!(line.contains("12 rounds appended"));
+        assert!(line.contains("3456 bytes written"));
+        assert!(line.contains("2 snapshots"));
+        assert!(line.contains("1 chain verifies"));
     }
 }

@@ -117,14 +117,11 @@ use saath_workload::{DynamicsEvent, DynamicsSpec, Trace};
 
 use crate::snapshot;
 
-/// Bumps a counter on an `Option<&mut Telemetry>`; compiles to nothing
-/// when the `telemetry` feature is off.
+/// Bumps a counter on an `Option<&mut Telemetry>`.
 macro_rules! tele_incr {
     ($tele:expr, $c:expr) => {
-        if saath_telemetry::enabled() {
-            if let Some(t) = $tele.as_deref_mut() {
-                t.incr($c);
-            }
+        if let Some(t) = $tele.as_deref_mut() {
+            t.incr($c);
         }
     };
 }
@@ -410,9 +407,8 @@ fn mark_dirty(dirty: &mut [bool], dirty_list: &mut Vec<usize>, ci: usize) {
 /// dirty-set sizes, scheduling rounds and per-section wall time, and —
 /// if the handle was built with [`Telemetry::with_jsonl`] — appends one
 /// deterministic JSONL round snapshot per scheduling round. Without it
-/// (or with the `telemetry` feature off) the instrumentation vanishes;
-/// records are byte-identical either way, which
-/// `tests/engine_equivalence.rs` asserts.
+/// the instrumentation vanishes; records are byte-identical either way,
+/// which `tests/engine_equivalence.rs` asserts.
 ///
 /// With a `sink`, every scheduling round appends one canonical
 /// [`RoundRecord`] and (at the cadence) one engine snapshot. With
@@ -648,11 +644,9 @@ pub fn simulate_resumable(
                 let n = sink
                     .append_snapshot(rounds, &blob)
                     .map_err(|e| SimError::Snapshot(e.to_string()))?;
-                if saath_telemetry::enabled() {
-                    if let Some(t) = tele.as_deref_mut() {
-                        t.incr(Counter::LogSnapshots);
-                        t.add(Counter::LogBytesWritten, n);
-                    }
+                if let Some(t) = tele.as_deref_mut() {
+                    t.incr(Counter::LogSnapshots);
+                    t.add(Counter::LogBytesWritten, n);
                 }
             }
         }
@@ -662,7 +656,7 @@ pub fn simulate_resumable(
         // observe after) rather than via RAII guards because the
         // sections themselves thread `tele` mutably; both paths feed
         // the same `Phase`/`LogHist` vocabulary.
-        let t_events = (saath_telemetry::enabled() && tele.is_some()).then(Instant::now);
+        let t_events = tele.is_some().then(Instant::now);
         while let Some((t, ci)) = arrivals.pop_due(now) {
             let t = t.max(now);
             let sc = &mut coflows[ci];
@@ -801,11 +795,9 @@ pub fn simulate_resumable(
                     // the coordinator); straggler flags follow the slowdown.
                     view.restarted = coflows[ci].restarted || touches_straggler;
                 }
-                if saath_telemetry::enabled() {
-                    if let (Some(t0), Some(t)) = (t_viewsync, tele.as_deref_mut()) {
-                        t.spans
-                            .observe(Phase::EngineViewSync, t0.elapsed().as_nanos() as u64);
-                    }
+                if let (Some(t0), Some(t)) = (t_viewsync, tele.as_deref_mut()) {
+                    t.spans
+                        .observe(Phase::EngineViewSync, t0.elapsed().as_nanos() as u64);
                 }
                 bank.reset_round();
                 schedule.clear();
@@ -887,11 +879,9 @@ pub fn simulate_resumable(
                 hooks.sink.as_deref_mut(),
                 tele.as_deref_mut(),
             )?;
-            if saath_telemetry::enabled() {
-                if let (Some(started), Some(t)) = (t_round, tele.as_deref_mut()) {
-                    t.spans
-                        .observe(Phase::EngineRound, started.elapsed().as_nanos() as u64);
-                }
+            if let (Some(started), Some(t)) = (t_round, tele.as_deref_mut()) {
+                t.spans
+                    .observe(Phase::EngineRound, started.elapsed().as_nanos() as u64);
             }
         }
 
@@ -1041,7 +1031,7 @@ pub fn simulate_resumable(
         // exactly when that sum reaches `u64::MAX`, so a flow at NEVER
         // stays at NEVER until its rate changes, and the rate change
         // pushes. No entry is owed here.
-        let t_advance = (saath_telemetry::enabled() && tele.is_some()).then(Instant::now);
+        let t_advance = tele.is_some().then(Instant::now);
         let mut completed = 0usize;
         let was_flowing = flowing.len();
         flowing.retain(|&fi| {
@@ -1131,11 +1121,9 @@ pub fn simulate_resumable(
         // now read what each single step's round would have read.
         if passed > 0 {
             debug_assert!(!structural, "a flow left the set inside a jump");
-            if saath_telemetry::enabled() {
-                if let Some(t) = tele.as_deref_mut() {
-                    t.add(Counter::RoundsElided, passed);
-                    t.add(Counter::RoundsJumped, passed);
-                }
+            if let Some(t) = tele.as_deref_mut() {
+                t.add(Counter::RoundsElided, passed);
+                t.add(Counter::RoundsJumped, passed);
             }
             emit_rounds(
                 &Rounds {
@@ -1243,36 +1231,32 @@ fn emit_rounds(
             let n = sink
                 .append_round(&rec)
                 .map_err(|e| SimError::Log(e.to_string()))?;
-            if saath_telemetry::enabled() {
-                if let Some(t) = tele.as_deref_mut() {
-                    t.incr(Counter::LogRoundsAppended);
-                    t.add(Counter::LogBytesWritten, n);
-                }
+            if let Some(t) = tele.as_deref_mut() {
+                t.incr(Counter::LogRoundsAppended);
+                t.add(Counter::LogBytesWritten, n);
             }
         }
     }
-    if saath_telemetry::enabled() {
-        if let Some(t) = tele {
-            t.add(Counter::SchedRounds, r.k);
-            t.dirty_set.observe_n(r.dirty as u64, r.k);
-            t.heap_len.observe_n(r.heap_len as u64, r.k);
-            t.active_coflows.observe_n(r.active as u64, r.k);
-            if t.wants_jsonl() {
-                let mut line = RoundSnapshot {
-                    round: 0,
-                    now_ns: 0,
-                    active_coflows: r.active,
-                    flowing: r.flowing,
-                    dirty: r.dirty,
-                    heap_len: r.heap_len,
-                    saturated_ports: r.bank.saturated_ports(),
-                    utilization_permille: r.bank.utilization_permille(),
-                    queue_occupancy: r.sched.queue_occupancy().unwrap_or(&[]),
-                };
-                for (round, now_ns) in stamps {
-                    (line.round, line.now_ns) = (round, now_ns);
-                    t.snapshot_round(&line);
-                }
+    if let Some(t) = tele {
+        t.add(Counter::SchedRounds, r.k);
+        t.dirty_set.observe_n(r.dirty as u64, r.k);
+        t.heap_len.observe_n(r.heap_len as u64, r.k);
+        t.active_coflows.observe_n(r.active as u64, r.k);
+        if t.wants_jsonl() {
+            let mut line = RoundSnapshot {
+                round: 0,
+                now_ns: 0,
+                active_coflows: r.active,
+                flowing: r.flowing,
+                dirty: r.dirty,
+                heap_len: r.heap_len,
+                saturated_ports: r.bank.saturated_ports(),
+                utilization_permille: r.bank.utilization_permille(),
+                queue_occupancy: r.sched.queue_occupancy().unwrap_or(&[]),
+            };
+            for (round, now_ns) in stamps {
+                (line.round, line.now_ns) = (round, now_ns);
+                t.snapshot_round(&line);
             }
         }
     }

@@ -1,23 +1,16 @@
 //! # saath-telemetry
 //!
-//! The workspace's zero-overhead instrumentation layer: cheap monotonic
-//! counters, one fixed-size histogram type ([`LogHist`]) for every
-//! wall-time and set-size sample, per-policy mechanism counters, and a
-//! deterministic JSONL round-trace buffer, all behind one [`Telemetry`]
-//! handle.
+//! The workspace's instrumentation layer: cheap monotonic counters, one
+//! fixed-size histogram type ([`LogHist`]) for every wall-time and
+//! set-size sample, per-policy mechanism counters, and a deterministic
+//! JSONL round-trace buffer, all behind one [`Telemetry`] handle.
 //!
-//! Two switches make it zero-overhead:
-//!
-//! 1. **Compile time** — the `telemetry` cargo feature. [`enabled`] is a
-//!    `const fn` returning `cfg!(feature = "telemetry")`, so every call
-//!    site written as `if telemetry::enabled() { … }` const-folds to
-//!    nothing when the feature is off. The engine equivalence suite
-//!    proves records stay byte-identical and the criterion benches prove
-//!    speed is unchanged.
-//! 2. **Run time** — instrumented entry points take
-//!    `Option<&mut Telemetry>`; passing `None` skips even the cheap
-//!    increments, and un-instrumented wrappers (plain `simulate`) keep
-//!    their signatures.
+//! The counters are always compiled in. What a run collects is chosen at
+//! run time, by one switch: instrumented entry points take
+//! `Option<&mut Telemetry>`; passing `None` skips even the cheap
+//! increments and the span clocks, and un-instrumented wrappers (plain
+//! `simulate`) keep their signatures. The engine equivalence suite
+//! proves records stay byte-identical either way.
 //!
 //! The JSONL round trace contains **only deterministic integers**
 //! (simulated time, set sizes, port utilization in permille) — never
@@ -32,15 +25,6 @@
 pub mod prom;
 
 use std::fmt::Write as _;
-
-/// Whether the `telemetry` cargo feature is compiled in.
-///
-/// `const`, so `if telemetry::enabled() { … }` is folded away entirely
-/// in feature-off builds — the instrumentation's "zero" in
-/// zero-overhead.
-pub const fn enabled() -> bool {
-    cfg!(feature = "telemetry")
-}
 
 /// Monotonic event counters, one slot per variant.
 ///
@@ -356,11 +340,11 @@ impl Phase {
 /// One [`LogHist`] per [`Phase`] — the workspace's only wall-time
 /// recorder (4 KB per phase that records, fixed).
 ///
-/// `observe` is **not** feature-gated: gating is the caller's job,
-/// exactly as with [`LogHist::observe`]. The scheduler's `SchedTimings`
-/// records unconditionally (it already pays for `Instant::now`
-/// regardless); the engine and runtime record only inside
-/// `if telemetry::enabled()` blocks / when a metrics hub exists.
+/// `observe` is not gated: gating is the caller's job, exactly as with
+/// [`LogHist::observe`]. The scheduler's `SchedTimings` records
+/// unconditionally (it already pays for `Instant::now` regardless); the
+/// engine records only when handed a [`Telemetry`], the runtime only
+/// when a metrics hub exists.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpanProfiler {
     hists: [LogHist; PHASES.len()],
@@ -409,9 +393,6 @@ macro_rules! mech_counters {
         /// Per-policy mechanism counters — the paper's levers (D1–D5) as
         /// monotonic event counts, owned by each scheduler and read back
         /// after a run.
-        ///
-        /// Schedulers increment these only inside `if telemetry::enabled()`
-        /// blocks, so feature-off builds pay nothing.
         #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
         pub struct MechCounters {
             $($(#[$doc])* pub $field: u64,)*
@@ -542,20 +523,16 @@ impl Telemetry {
         }
     }
 
-    /// Bumps `c` by one. No-op with the feature off.
+    /// Bumps `c` by one.
     #[inline]
     pub fn incr(&mut self, c: Counter) {
-        if enabled() {
-            self.counters[c as usize] += 1;
-        }
+        self.counters[c as usize] += 1;
     }
 
-    /// Bumps `c` by `n`. No-op with the feature off.
+    /// Bumps `c` by `n`.
     #[inline]
     pub fn add(&mut self, c: Counter, n: u64) {
-        if enabled() {
-            self.counters[c as usize] += n;
-        }
+        self.counters[c as usize] += n;
     }
 
     /// Current value of `c`.
@@ -565,7 +542,7 @@ impl Telemetry {
 
     /// Whether this handle wants per-round JSONL snapshots.
     pub fn wants_jsonl(&self) -> bool {
-        enabled() && self.record_jsonl
+        self.record_jsonl
     }
 
     /// Appends one round snapshot as a JSONL line (hand-formatted; the
@@ -630,11 +607,6 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn enabled_matches_feature() {
-        assert_eq!(enabled(), cfg!(feature = "telemetry"));
-    }
 
     #[test]
     fn loghist_empty_is_all_zero() {
@@ -769,18 +741,12 @@ mod tests {
     }
 
     #[test]
-    fn counters_roundtrip_when_enabled() {
+    fn counters_roundtrip() {
         let mut t = Telemetry::new();
         t.incr(Counter::HeapPush);
         t.add(Counter::HeapPopStale, 3);
-        if enabled() {
-            assert_eq!(t.counter(Counter::HeapPush), 1);
-            assert_eq!(t.counter(Counter::HeapPopStale), 3);
-        } else {
-            // Feature off: increments are compiled-out no-ops.
-            assert_eq!(t.counter(Counter::HeapPush), 0);
-            assert_eq!(t.counter(Counter::HeapPopStale), 0);
-        }
+        assert_eq!(t.counter(Counter::HeapPush), 1);
+        assert_eq!(t.counter(Counter::HeapPopStale), 3);
     }
 
     #[test]
@@ -802,15 +768,11 @@ mod tests {
             utilization_permille: 421,
             queue_occupancy: &[1, 1, 0],
         });
-        if enabled() {
-            assert_eq!(
-                t.jsonl(),
-                "{\"round\":0,\"now_ns\":8000000,\"active\":2,\"flowing\":5,\"dirty\":3,\
-                 \"heap\":7,\"sat_ports\":1,\"util_pm\":421,\"queues\":[1,1,0]}\n"
-            );
-        } else {
-            assert!(t.jsonl().is_empty());
-        }
+        assert_eq!(
+            t.jsonl(),
+            "{\"round\":0,\"now_ns\":8000000,\"active\":2,\"flowing\":5,\"dirty\":3,\
+             \"heap\":7,\"sat_ports\":1,\"util_pm\":421,\"queues\":[1,1,0]}\n"
+        );
     }
 
     #[test]

@@ -107,9 +107,8 @@ fn incremental_loop_matches_reference_under_dynamics() {
 #[test]
 fn telemetry_threading_is_inert() {
     // Threading a live `Telemetry` handle through the engine must not
-    // change the simulation, whatever the feature state: records,
-    // round count, and end time stay byte-identical to the plain
-    // `simulate` entry point.
+    // change the simulation: records, round count, and end time stay
+    // byte-identical to the plain `simulate` entry point.
     let trace = mini_fb(59);
     let cfg = SimConfig::default();
     let dynamics = stress_dynamics();
@@ -129,14 +128,8 @@ fn telemetry_threading_is_inert() {
     assert_eq!(plain.records, instrumented.records);
     assert_eq!(plain.rounds, instrumented.rounds);
     assert_eq!(plain.end, instrumented.end);
-    if saath::telemetry::enabled() {
-        assert!(tele.counter(saath::telemetry::Counter::SchedRounds) > 0);
-        assert!(!tele.jsonl().is_empty());
-    } else {
-        // Feature off: the handle must stay untouched (zero-overhead).
-        assert_eq!(tele.counter(saath::telemetry::Counter::SchedRounds), 0);
-        assert!(tele.jsonl().is_empty());
-    }
+    assert!(tele.counter(saath::telemetry::Counter::SchedRounds) > 0);
+    assert!(!tele.jsonl().is_empty());
 }
 
 #[test]
@@ -487,7 +480,7 @@ struct Replay {
     /// The event log as written: header, chained round records,
     /// snapshot frames.
     log: Vec<u8>,
-    /// Rounds the loop never stopped at (0 with telemetry compiled out).
+    /// Rounds the loop never stopped at.
     jumped: u64,
 }
 
@@ -526,10 +519,8 @@ fn replay(
     if let Ok(out) = &out {
         let summary = verify(&log[..]).unwrap();
         assert_eq!(summary.rounds, out.rounds, "one record per round");
-        if saath::telemetry::enabled() {
-            let visited = tele.spans.hist(saath::telemetry::Phase::EngineRound).count;
-            assert_eq!(visited + tele.counter(Counter::RoundsJumped), out.rounds);
-        }
+        let visited = tele.spans.hist(saath::telemetry::Phase::EngineRound).count;
+        assert_eq!(visited + tele.counter(Counter::RoundsJumped), out.rounds);
     }
     Replay {
         out,
@@ -562,7 +553,7 @@ fn assert_jumps_are_invisible(
 }
 
 /// As above, for a case built around a long quiet run: it must have
-/// been crossed in jumps (where the counter is compiled in).
+/// been crossed in jumps.
 fn assert_quiet_run_is_jumped(
     what: &str,
     trace: &Trace,
@@ -571,13 +562,11 @@ fn assert_quiet_run_is_jumped(
     saath: &SaathConfig,
 ) -> Replay {
     let a = assert_jumps_are_invisible(what, trace, cfg, dynamics, saath);
-    if saath::telemetry::enabled() {
-        assert!(
-            a.jumped >= 50,
-            "{what}: only {} rounds passed over",
-            a.jumped
-        );
-    }
+    assert!(
+        a.jumped >= 50,
+        "{what}: only {} rounds passed over",
+        a.jumped
+    );
     a
 }
 
@@ -799,7 +788,7 @@ fn the_round_limit_falls_inside_a_jump() {
         let what = format!("stuck view, deadlines {starvation_avoidance}");
         let a = assert_jumps_are_invisible(&what, &stuck, &cfg, &none, &saath);
         assert_eq!(a.out.unwrap_err(), SimError::RoundLimit(5_000));
-        if saath::telemetry::enabled() && !starvation_avoidance {
+        if !starvation_avoidance {
             assert_eq!(a.jumped, 4_999, "every round but the first");
         }
     }
@@ -855,9 +844,7 @@ fn snapshots_inside_a_quiet_run_are_the_single_steps_snapshots() {
         assert_eq!(out.records, stepped.records, "cadence {cadence}");
         assert_eq!(out.rounds, stepped.rounds, "cadence {cadence}");
         assert!(frames.rounds == every_round.rounds, "cadence {cadence}");
-        if saath::telemetry::enabled() {
-            assert!(jumped >= 50, "cadence {cadence}: {jumped} passed over");
-        }
+        assert!(jumped >= 50, "cadence {cadence}: {jumped} passed over");
         let want: Vec<&(u64, Vec<u8>)> = every_round
             .snapshots
             .iter()
@@ -882,13 +869,11 @@ fn most_boundaries_of_the_default_traces_are_not_visited() {
     for (what, trace) in [("fb", mini_fb(23)), ("osp", mini_osp(29))] {
         let a = assert_jumps_are_invisible(what, &trace, &cfg, &none, &saath);
         let rounds = a.out.unwrap().rounds;
-        if saath::telemetry::enabled() {
-            assert!(
-                a.jumped * 2 > rounds,
-                "{what}: only {} of {rounds} rounds passed over",
-                a.jumped
-            );
-        }
+        assert!(
+            a.jumped * 2 > rounds,
+            "{what}: only {} of {rounds} rounds passed over",
+            a.jumped
+        );
     }
 }
 

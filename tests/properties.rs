@@ -85,10 +85,9 @@ fn all_schedulers() -> Vec<Box<dyn CoflowScheduler>> {
 /// round trace riding alongside `SchedTimings` were never asserted
 /// anywhere — a refactor could silently zero a counter while records
 /// stayed byte-identical. Two layers close that gap: (1) two identical
-/// runs agree counter-for-counter and line-for-line, whatever the
-/// feature state; (2) with telemetry compiled in, the exact values are
-/// pinned as goldens (counter values, never wall times — those live in
-/// `SchedTimings` and are inherently nondeterministic).
+/// runs agree counter-for-counter and line-for-line; (2) the exact
+/// values are pinned as goldens (counter values, never wall times —
+/// those live in `SchedTimings` and are inherently nondeterministic).
 #[test]
 fn mech_counters_and_round_trace_are_pinned() {
     use saath::simulator::{simulate_resumable, ReplayHooks};
@@ -119,11 +118,6 @@ fn mech_counters_and_round_trace_are_pinned() {
         tele_b.jsonl(),
         "JSONL round trace drifts run-to-run"
     );
-
-    if !saath::telemetry::enabled() {
-        // Instrumentation compiled out: counters legitimately read 0.
-        return;
-    }
 
     // Golden values for gen::small(9, 10, 16) under default Saath. The
     // counters count work done: the per-round rows (admissions, MADD
