@@ -6,9 +6,8 @@
 //! experiments:
 //!   fig2 fig3 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 table2 dynamics
 //!   epoch          engine wall-clock baseline (writes BENCH_epoch_loop.json;
-//!                  with --trace PATH, streams the coflow-benchmark file and
-//!                  writes BENCH_epoch_fb_trace.json instead; with --small,
-//!                  runs the lab's small FB trace and writes no BENCH file)
+//!                  with --trace PATH or --small, runs that file or the
+//!                  lab's small FB trace instead and writes no BENCH file)
 //!   scale          Fig 9-style scalability sweep: rounds/sec and scheduler
 //!                  phase times at 150→1k nodes × 10k→100k flows, three
 //!                  replays a point (writes BENCH_scalability.json)
@@ -71,8 +70,8 @@
 //! ```
 //!
 //! A flag not listed above ends the run (exit 2) naming it, as does a
-//! numeric option whose value does not parse and an option given no
-//! value. CSV artifacts land in
+//! numeric option whose value does not parse, an option given no
+//! value and `--nodes 0`. CSV artifacts land in
 //! `results/`.
 
 use saath_bench::{figs, Lab};
@@ -141,6 +140,10 @@ fn main() {
     let panel = arg_value(&args, "--panel").unwrap_or_else(|| "all".into());
     let scale: u64 = arg_parsed(&args, "--scale").unwrap_or(50);
     let nodes: usize = arg_parsed(&args, "--nodes").unwrap_or(40);
+    if nodes == 0 {
+        eprintln!("repro: --nodes takes a positive number, got `0`");
+        std::process::exit(2);
+    }
     let multiplex = args.iter().any(|a| a == "--multiplex");
     let small = args.iter().any(|a| a == "--small");
     let json = args.iter().any(|a| a == "--json");
@@ -222,9 +225,10 @@ fn main() {
     } else {
         Lab::new(seed)
     };
-    if let Some(path) = arg_value(&args, "--trace") {
+    let trace_path = arg_value(&args, "--trace");
+    if let Some(path) = &trace_path {
         let trace = saath_workload::io::read_coflow_benchmark(
-            std::path::Path::new(&path),
+            std::path::Path::new(path),
             saath_simcore::Rate::gbps(1),
         )
         .unwrap_or_else(|e| {
@@ -257,7 +261,7 @@ fn main() {
             "epoch" => Some(figs::epoch(
                 lab,
                 json,
-                small,
+                small || trace_path.is_some(),
                 &log_opts,
                 metrics_out.as_deref(),
             )),

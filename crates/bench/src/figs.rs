@@ -415,6 +415,25 @@ pub fn fig14(lab: &mut Lab, panel: &str) -> String {
     out
 }
 
+/// The lab's FB trace folded onto at most `nodes_cap` nodes (node `i`
+/// becomes `i % nodes_cap`), which preserves contention: the
+/// emulations run on fewer agents than the trace has nodes.
+/// `nodes_cap` must be positive (`repro` refuses `--nodes 0`).
+fn folded_fb_trace(lab: &Lab, nodes_cap: usize) -> saath_workload::Trace {
+    assert!(nodes_cap > 0, "cannot fold a trace onto 0 nodes");
+    let mut trace = lab.trace(Workload::Fb).clone();
+    if trace.num_nodes > nodes_cap {
+        for c in &mut trace.coflows {
+            for f in &mut c.flows {
+                f.src = saath_simcore::NodeId(f.src.0 % nodes_cap as u32);
+                f.dst = saath_simcore::NodeId(f.dst.0 % nodes_cap as u32);
+            }
+        }
+        trace.num_nodes = nodes_cap;
+    }
+    trace
+}
+
 /// **Figs 15 & 16** — the testbed emulation: real coordinator/agent
 /// threads over the runtime crate. Returns the rendered tables.
 /// `scale` trades wall time for fidelity (50 = the default).
@@ -424,17 +443,7 @@ pub fn fig15_16(lab: &mut Lab, scale: u64, nodes_cap: usize) -> String {
 
     // A scaled-down slice of the FB-like trace keeps the emulation in
     // seconds of wall time; the full trace works too (just slower).
-    let mut trace = lab.trace(Workload::Fb).clone();
-    if trace.num_nodes > nodes_cap {
-        // Fold the cluster onto fewer nodes, preserving contention.
-        for c in &mut trace.coflows {
-            for f in &mut c.flows {
-                f.src = saath_simcore::NodeId(f.src.0 % nodes_cap as u32);
-                f.dst = saath_simcore::NodeId(f.dst.0 % nodes_cap as u32);
-            }
-        }
-        trace.num_nodes = nodes_cap;
-    }
+    let trace = folded_fb_trace(lab, nodes_cap);
     let horizon = std::time::Duration::from_secs(600);
 
     let cfg = EmulationConfig {
@@ -1007,16 +1016,7 @@ pub fn emulate_cmd(
 ) -> String {
     use saath_runtime::{emulate, EmulationConfig};
 
-    let mut trace = lab.trace(Workload::Fb).clone();
-    if trace.num_nodes > nodes_cap {
-        for c in &mut trace.coflows {
-            for f in &mut c.flows {
-                f.src = saath_simcore::NodeId(f.src.0 % nodes_cap as u32);
-                f.dst = saath_simcore::NodeId(f.dst.0 % nodes_cap as u32);
-            }
-        }
-        trace.num_nodes = nodes_cap;
-    }
+    let trace = folded_fb_trace(lab, nodes_cap);
 
     // The harness reports the resolved (possibly ephemeral) address on
     // stderr once the endpoint is bound.
@@ -1334,16 +1334,15 @@ pub fn emulate_scale_cmd(
 /// machine, toolchain and tree, in the working directory; with `json`,
 /// returns the JSON document instead of the rendered table.
 ///
-/// When the lab's FB workload was loaded from a real coflow-benchmark
-/// file (`repro epoch --trace PATH`), that file is streamed through the
-/// ingestion path instead of the generator preset and the baseline goes
-/// to `BENCH_epoch_fb_trace.json` — a second, trace-driven baseline.
-/// (The published Facebook trace is not redistributable here; `repro
+/// With `lab_fb` the lab's own FB workload runs instead of the grown
+/// one and no BENCH file is written: the small trace under `repro epoch
+/// --small`, a coflow-benchmark file under `--trace PATH`. (The
+/// published Facebook trace is not redistributable here; `repro
 /// gen-trace` writes a full-size stand-in in the same format.)
 pub fn epoch(
     lab: &Lab,
     json: bool,
-    small: bool,
+    lab_fb: bool,
     log: &LogOptions,
     metrics_out: Option<&std::path::Path>,
 ) -> String {
@@ -1353,17 +1352,10 @@ pub fn epoch(
     use saath_workload::DynamicsSpec;
     use std::time::Instant;
 
-    // `small` runs the lab's FB trace instead of the grown ≥ 10k-flow
-    // workload (CI smoke, like `scale --small`) and skips the BENCH
-    // file so smoke numbers never overwrite a recorded baseline.
-    let (trace, source, bench_file) = if lab.fb_is_real() {
-        (
-            lab.trace(Workload::Fb).clone(),
-            "coflow-benchmark-file",
-            Some("BENCH_epoch_fb_trace.json"),
-        )
-    } else if small {
-        (lab.trace(Workload::Fb).clone(), "lab-small-fb", None)
+    // The lab's FB trace skips the BENCH file, so a smoke run or a
+    // file's numbers never overwrite the recorded baseline.
+    let (trace, source, bench_file) = if lab_fb {
+        (lab.trace(Workload::Fb).clone(), "lab-fb", None)
     } else {
         (
             grown_fb_trace(lab.seed()),

@@ -32,11 +32,6 @@ pub struct Lab {
     fb: Trace,
     osp: Trace,
     seed: u64,
-    /// Whether the FB workload was replaced by a real trace file via
-    /// [`with_fb_trace`](Lab::with_fb_trace) — experiments that would
-    /// otherwise substitute a generator preset (e.g. `epoch`'s grown
-    /// workload) honor the file instead.
-    fb_is_real: bool,
     cache: HashMap<(Workload, String, u64), Vec<CoflowRecord>>,
     /// Where CSV output goes (`results/` by default).
     pub out_dir: std::path::PathBuf,
@@ -49,7 +44,6 @@ impl Lab {
             fb: gen::generate(&gen::fb_like(seed)),
             osp: gen::generate(&gen::osp_like(seed)),
             seed,
-            fb_is_real: false,
             cache: HashMap::new(),
             out_dir: std::path::PathBuf::from("results"),
         }
@@ -65,7 +59,6 @@ impl Lab {
             fb: gen::generate(&fb_cfg),
             osp: gen::generate(&osp_cfg),
             seed,
-            fb_is_real: false,
             cache: HashMap::new(),
             out_dir: std::path::PathBuf::from("results"),
         }
@@ -75,14 +68,8 @@ impl Lab {
     /// file (drop-in support for the published Facebook trace).
     pub fn with_fb_trace(mut self, trace: Trace) -> Lab {
         self.fb = trace;
-        self.fb_is_real = true;
         self.cache.retain(|(w, _, _), _| *w != Workload::Fb);
         self
-    }
-
-    /// Whether the FB workload came from a real trace file.
-    pub fn fb_is_real(&self) -> bool {
-        self.fb_is_real
     }
 
     /// The generator seed.

@@ -62,6 +62,20 @@ fn an_option_without_its_value_is_refused_by_name() {
     }
 }
 
+/// `--nodes 0` is refused with a message: the emulations fold the
+/// cluster onto `--nodes` agents, and a fold onto none divided by zero.
+#[test]
+fn zero_nodes_is_refused_by_name() {
+    let out = repro(&["emulate", "--small", "--nodes", "0"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--nodes takes a positive number, got `0`"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "the experiment ran anyway");
+}
+
 /// A hostile document is refused with exit 2 and a message, not a
 /// signal: 200 000 nested `[` must not recurse the parser off the stack.
 #[test]

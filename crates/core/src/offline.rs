@@ -22,14 +22,11 @@
 //! Varys does).
 
 use crate::common::{contention_into, RoundArena};
-use crate::timing::SchedTimings;
 use crate::view::{ClusterView, CoflowScheduler, CoflowView, Schedule};
 use saath_fabric::{
     bottleneck_time_with, greedy_fill_into, madd_rates_with, FlowEndpoints, MaddScratch, PortBank,
 };
 use saath_simcore::{Bytes, Duration, Rate};
-use saath_telemetry::Phase;
-use std::time::Instant;
 
 /// The ordering key a clairvoyant scheduler uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,8 +57,6 @@ impl OfflinePolicy {
 /// A clairvoyant scheduler with one of the [`OfflinePolicy`] orderings.
 pub struct OfflineScheduler {
     policy: OfflinePolicy,
-    /// Per-round overhead samples.
-    pub timings: SchedTimings,
     // Per-round buffers, recycled so the hot path never allocates.
     arena: RoundArena,
     k: Vec<u32>,
@@ -83,7 +78,6 @@ impl OfflineScheduler {
     pub fn new(policy: OfflinePolicy) -> OfflineScheduler {
         OfflineScheduler {
             policy,
-            timings: SchedTimings::default(),
             arena: RoundArena::new(),
             k: Vec::new(),
             keys: Vec::new(),
@@ -135,7 +129,6 @@ impl CoflowScheduler for OfflineScheduler {
     }
 
     fn compute(&mut self, view: &ClusterView<'_>, bank: &mut PortBank, out: &mut Schedule) {
-        let t_total = Instant::now();
         let n = view.coflows.len();
 
         // Policy keys. Durations/sizes are u64-comparable; ties break by
@@ -229,9 +222,6 @@ impl CoflowScheduler for OfflineScheduler {
                 }
             }
         }
-
-        self.timings.record(Phase::SchedTotal, t_total.elapsed());
-        self.timings.active_coflows.observe(n as u64);
     }
 }
 

@@ -3,17 +3,18 @@
 //! The paper breaks the coordinator's schedule-compute time into the
 //! time spent ordering CoFlows (per-flow thresholds + LCoF), admitting
 //! them all-or-none, and assigning work-conservation rates. [`Saath`]
-//! (and the other schedulers, for the total) record one wall-clock
-//! sample per phase per round here, into fixed-size histograms; `repro
-//! table2` and the Criterion benches report the same columns as the
-//! paper: average (exact, `sum / count`) and P90 (a ≤ 12.5 % upper
-//! bound), total and per phase.
+//! (and [`Aalo`], for the total) record one wall-clock sample per phase
+//! per round here, into fixed-size histograms; `repro table2` reports
+//! the same columns as the paper: average (exact, `sum / count`) and
+//! P90 (a ≤ 12.5 % upper bound), total and per phase, and `repro scale`
+//! commits them per phase to `BENCH_scalability.json`.
 //!
 //! These are *wall-clock* measurements of this Rust implementation, the
 //! one place in the workspace allowed to touch `std::time::Instant` —
 //! they measure the scheduler itself, not the simulated cluster.
 //!
 //! [`Saath`]: crate::saath::Saath
+//! [`Aalo`]: crate::aalo::Aalo
 
 use saath_telemetry::{LogHist, Phase, SpanProfiler};
 use std::time::Duration as StdDuration;

@@ -7,18 +7,13 @@
 //! priorities, no gang semantics — every ready flow always progresses at
 //! its fair share.
 
-use crate::timing::SchedTimings;
 use crate::view::{ClusterView, CoflowScheduler, Schedule};
 use saath_fabric::{max_min_fair_into, FlowEndpoints, MaxMinScratch, PortBank};
 use saath_simcore::Rate;
-use saath_telemetry::Phase;
-use std::time::Instant;
 
 /// The UC-TCP scheduler.
 #[derive(Default)]
 pub struct UcTcp {
-    /// Per-round overhead samples.
-    pub timings: SchedTimings,
     // Per-round buffers, recycled so the hot path never allocates.
     eps: Vec<FlowEndpoints>,
     rates: Vec<Rate>,
@@ -38,7 +33,6 @@ impl CoflowScheduler for UcTcp {
     }
 
     fn compute(&mut self, view: &ClusterView<'_>, bank: &mut PortBank, out: &mut Schedule) {
-        let t_total = Instant::now();
         self.eps.clear();
         for c in view.coflows {
             self.eps.extend(
@@ -55,10 +49,6 @@ impl CoflowScheduler for UcTcp {
                 out.set(e.flow, r);
             }
         }
-        self.timings.record(Phase::SchedTotal, t_total.elapsed());
-        self.timings
-            .active_coflows
-            .observe(view.coflows.len() as u64);
     }
 }
 

@@ -515,6 +515,16 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, LogErr
     Ok(got)
 }
 
+/// Replaces `buf` with the next `len` bytes of `r`; `false` when the
+/// input ends first. The buffer grows with the bytes that arrive, not
+/// with `len`, so a damaged length prefix (up to [`MAX_FRAME`]) costs no
+/// more memory than the input holds.
+fn read_len_prefixed<R: Read>(r: &mut R, len: u64, buf: &mut Vec<u8>) -> Result<bool, LogError> {
+    buf.clear();
+    r.by_ref().take(len).read_to_end(buf)?;
+    Ok(buf.len() as u64 == len)
+}
+
 /// Streams through a log once, re-deriving the digest chain and
 /// checking it against every stored digest. Holds one frame at a time —
 /// O(1) memory in the number of rounds. Any unverifiable frame after
@@ -540,17 +550,17 @@ pub fn verify<R: Read>(mut r: R) -> Result<VerifySummary, LogError> {
     if hlen > MAX_FRAME {
         return Err(LogError::Malformed(format!("header length {hlen} absurd")));
     }
-    let mut hbuf = vec![0u8; hlen as usize];
-    if read_exact_or_eof(&mut r, &mut hbuf)? != hbuf.len() {
+    let mut payload: Vec<u8> = Vec::new();
+    if !read_len_prefixed(&mut r, hlen, &mut payload)? {
         return Err(LogError::Malformed("truncated header".into()));
     }
-    let header = LogHeader::decode(&hbuf)?;
+    let header = LogHeader::decode(&payload)?;
 
     let mut digest = header.start_digest;
     let mut rounds = 0u64;
     let mut snapshots = 0u64;
-    let mut payload: Vec<u8> = Vec::new();
     loop {
+        // Cannot wrap: a round is counted only once its end fits.
         let next_round = header.start_round + rounds;
         let corrupt = |reason: String| LogError::Corrupt {
             round: next_round,
@@ -567,9 +577,7 @@ pub fn verify<R: Read>(mut r: R) -> Result<VerifySummary, LogError> {
         if plen > MAX_FRAME {
             return Err(corrupt(format!("frame length {plen} absurd")));
         }
-        payload.clear();
-        payload.resize(plen as usize, 0);
-        if read_exact_or_eof(&mut r, &mut payload)? != payload.len() {
+        if !read_len_prefixed(&mut r, plen, &mut payload)? {
             return Err(corrupt("truncated frame payload".into()));
         }
         match kind[0] {
@@ -597,6 +605,9 @@ pub fn verify<R: Read>(mut r: R) -> Result<VerifySummary, LogError> {
                         digest.to_hex(),
                         stored.to_hex()
                     )));
+                }
+                if next_round == u64::MAX {
+                    return Err(corrupt("the log's end ordinal overflows u64".into()));
                 }
                 rounds += 1;
             }
@@ -650,7 +661,9 @@ pub struct SnapshotRef {
 }
 
 /// A fully indexed in-memory log (used by the differ and the resume
-/// path; [`verify`] is the streaming alternative).
+/// path; [`verify`] is the streaming alternative). [`index_log`]
+/// refuses a log whose end ordinal `start_round + rounds.len()` would
+/// not fit a `u64`.
 #[derive(Clone, Debug)]
 pub struct LogIndex {
     /// The log's header.
@@ -688,8 +701,15 @@ pub fn index_log(bytes: &[u8]) -> Result<LogIndex, LogError> {
                     r.u64().map_err(LogError::Malformed)?,
                     r.u64().map_err(LogError::Malformed)?,
                 ]);
+                // Cannot wrap: the previous round's end was checked.
+                let round = header.start_round + rounds.len() as u64;
+                if round == u64::MAX {
+                    return Err(LogError::Malformed(
+                        "the log's end ordinal overflows u64".into(),
+                    ));
+                }
                 rounds.push(RoundIndexEntry {
-                    round: header.start_round + rounds.len() as u64,
+                    round,
                     digest: stored,
                     offset: payload_off,
                     len: payload.len(),
@@ -798,7 +818,8 @@ fn entry_label(e: &RateEntry, num_nodes: u64) -> String {
         e.src,
         e.src,
         e.dst,
-        num_nodes + e.dst as u64
+        // In 128 bits: a damaged header's `num_nodes` must not wrap.
+        num_nodes as u128 + e.dst as u128
     )
 }
 
@@ -888,8 +909,13 @@ pub fn diff_logs(a_bytes: &[u8], b_bytes: &[u8]) -> Result<DiffOutcome, LogError
         )));
     }
     let lo = a.header.start_round.max(b.header.start_round);
-    let a_end = a.header.start_round + a.rounds.len() as u64;
-    let b_end = b.header.start_round + b.rounds.len() as u64;
+    let end = |log: &LogIndex| {
+        log.header
+            .start_round
+            .checked_add(log.rounds.len() as u64)
+            .ok_or_else(|| LogError::Malformed("the log's end ordinal overflows u64".into()))
+    };
+    let (a_end, b_end) = (end(&a)?, end(&b)?);
     let hi = a_end.min(b_end);
     if hi <= lo {
         return Ok(DiffOutcome {
@@ -1098,6 +1124,100 @@ mod tests {
         assert_eq!(d.first_divergent_round, None);
         assert_eq!(d.only_in_a, 3);
         assert_eq!(d.only_in_b, 0);
+    }
+
+    /// Overwrites the `start_round` of a log written by [`write_log`]:
+    /// the header's last 24 bytes are `start_round` and `start_digest`.
+    fn patch_start_round(bytes: &mut [u8], start_round: u64) {
+        let at = 16 + header(0, ChainDigest::ZERO).encode().len() - 24;
+        bytes[at..at + 8].copy_from_slice(&start_round.to_le_bytes());
+    }
+
+    #[test]
+    fn hostile_start_round_is_refused_not_wrapped() {
+        let (mut bytes, _) = write_log(2);
+        patch_start_round(&mut bytes, u64::MAX);
+        let err = index_log(&bytes).unwrap_err();
+        assert!(matches!(err, LogError::Malformed(_)), "{err}");
+        let err = diff_logs(&bytes, &bytes).unwrap_err();
+        assert!(matches!(err, LogError::Malformed(_)), "{err}");
+        assert!(verify(&bytes[..]).is_err());
+
+        // A chain that really reaches round u64::MAX: every frame
+        // verifies, but the end ordinal does not fit.
+        let at = |round| RoundRecord {
+            round,
+            ..record(0, 1)
+        };
+        let mut w =
+            EventLogWriter::new(Vec::new(), &header(u64::MAX - 1, ChainDigest::ZERO)).unwrap();
+        w.append_round(&at(u64::MAX - 1)).unwrap();
+        let payload = at(u64::MAX).canonical_bytes();
+        let digest = w.digest().advance(&payload);
+        let mut bytes = w.into_inner().unwrap();
+        wire::put_u8(&mut bytes, KIND_ROUND);
+        wire::put_bytes(&mut bytes, &payload);
+        wire::put_u64(&mut bytes, digest.0[0]);
+        wire::put_u64(&mut bytes, digest.0[1]);
+        match verify(&bytes[..]) {
+            Err(LogError::Corrupt { round, .. }) => assert_eq!(round, u64::MAX),
+            other => panic!("unexpected {other:?}"),
+        }
+        let err = index_log(&bytes).unwrap_err();
+        assert!(matches!(err, LogError::Malformed(_)), "{err}");
+        let err = diff_logs(&bytes, &bytes).unwrap_err();
+        assert!(matches!(err, LogError::Malformed(_)), "{err}");
+    }
+
+    /// Runs every reader over `bytes`, alone and against `clean`; each
+    /// must return (any `Result`), never panic.
+    fn read_all_ways(bytes: &[u8], clean: &[u8]) {
+        let _ = verify(bytes);
+        if let Ok(idx) = index_log(bytes) {
+            for entry in &idx.rounds {
+                let _ = idx.read_round(bytes, entry);
+            }
+        }
+        let _ = diff_logs(bytes, bytes);
+        let _ = diff_logs(bytes, clean);
+        let _ = diff_logs(clean, bytes);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, bare and behind a valid magic and version,
+        /// so that the header and frame decoders see them too.
+        #[test]
+        fn readers_return_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..512),
+        ) {
+            let (clean, _) = write_log(5);
+            read_all_ways(&bytes, &clean);
+            let mut framed = MAGIC.to_vec();
+            framed.extend_from_slice(&VERSION.to_le_bytes());
+            framed.extend_from_slice(&bytes);
+            read_all_ways(&framed, &clean);
+        }
+
+        /// Bit-flipped and truncated copies of a log whose frames
+        /// include snapshots.
+        #[test]
+        fn readers_return_on_damaged_logs(
+            n_rounds in 4u64..12,
+            flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
+            cut in any::<usize>(),
+        ) {
+            let (clean, _) = write_log(n_rounds);
+            prop_assert!(index_log(&clean).unwrap().last_snapshot().is_some());
+            let mut flipped = clean.clone();
+            for &(at, bit) in &flips {
+                let at = at % flipped.len();
+                flipped[at] ^= 1 << bit;
+            }
+            read_all_ways(&flipped, &clean);
+            read_all_ways(&clean[..cut % (clean.len() + 1)], &clean);
+        }
     }
 
     proptest! {
