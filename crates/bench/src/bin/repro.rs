@@ -5,12 +5,12 @@
 //!
 //! experiments:
 //!   fig2 fig3 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 table2 dynamics
-//!   epoch          engine wall-clock baseline (writes BENCH_epoch_loop.json;
-//!                  with --trace PATH or --small, runs that file or the
-//!                  lab's small FB trace instead and writes no BENCH file)
-//!   scale          Fig 9-style scalability sweep: rounds/sec and scheduler
-//!                  phase times at 150→1k nodes × 10k→100k flows, three
-//!                  replays a point (writes BENCH_scalability.json)
+//!   scale          Fig 9-style scalability sweep: rounds/sec, engine-loop
+//!                  and scheduler phase times at 150→1k nodes × 10k→100k
+//!                  flows, three replays a point plus an untimed
+//!                  instrumented one (writes BENCH_scalability.json; with
+//!                  --trace PATH, replays that file as the only point and
+//!                  writes no BENCH file)
 //!   trace          instrumented Saath + Aalo runs: mechanism breakdown tables
 //!                  and deterministic JSONL round traces in results/
 //!   gen-trace      write a full-size FB-like trace in coflow-benchmark format
@@ -39,6 +39,7 @@
 //!   --seed N       generator seed (default 1)
 //!   --panel P      fig14 panel: s | e | delta | a | d | all (default all)
 //!   --trace PATH   use a real coflow-benchmark file for the FB workload
+//!                  (scale: the only point)
 //!   --out PATH     gen-trace output path (default fb_trace.txt)
 //!   --scale N      emulation time scale for fig15/fig16 (default 50)
 //!   --nodes N      emulation node cap for fig15/fig16 (default 40);
@@ -46,20 +47,20 @@
 //!   --multiplex    emulate only: readiness-driven multiplexed host
 //!                  sweep (O(hosts) threads, not one per node)
 //!   --small        use small traces (smoke test, seconds instead of minutes)
-//!   --json         epoch/scale only: print the BENCH JSON document instead
-//!                  of the table
-//!   --log PATH     epoch/scale only: record a hash-chained event log of an
-//!                  extra untimed replay (records asserted identical to the
-//!                  timed run) to PATH
+//!   --json         scale / emulate --multiplex: print the BENCH JSON
+//!                  document instead of the table
+//!   --log PATH     scale only: record a hash-chained event log of an
+//!                  extra untimed replay of the first point (records
+//!                  asserted identical to the timed run) to PATH
 //!   --snapshot-every N
 //!                  with --log: serialize a full engine snapshot into the
 //!                  log every N rounds (0, the default, disables snapshots)
 //!   --resume-from PATH
-//!                  epoch/scale only: resume the untimed replay from the
+//!                  scale only: resume the untimed replay from the
 //!                  last snapshot in a previously recorded log; the
 //!                  continuation chains to the same digest as a full run
 //!   --metrics-out PATH
-//!                  epoch/scale/emulate: dump the final Prometheus
+//!                  scale/emulate: dump the final Prometheus
 //!                  exposition page to PATH
 //!   --metrics-addr ADDR
 //!                  emulate only: bind the live /metrics endpoint to ADDR
@@ -71,8 +72,8 @@
 //!
 //! A flag not listed above ends the run (exit 2) naming it, as does a
 //! numeric option whose value does not parse, an option given no
-//! value and `--nodes 0`. CSV artifacts land in
-//! `results/`.
+//! value, `--nodes 0`, `--scale 0` and a `--resume-from` file that is
+//! not an event log with a snapshot. CSV artifacts land in `results/`.
 
 use saath_bench::{figs, Lab};
 
@@ -124,7 +125,7 @@ fn arg_parsed<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args.first().cloned().unwrap_or_else(|| {
-        eprintln!("usage: repro <fig2|fig3|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|fig17|table2|dynamics|epoch|scale|trace|emulate|gen-trace|verify|diff|bench-diff|all> [--seed N] [--panel P] [--trace PATH] [--out PATH] [--scale N] [--nodes N] [--multiplex] [--small] [--json] [--log PATH] [--snapshot-every N] [--resume-from PATH] [--metrics-out PATH] [--metrics-addr ADDR] [--tolerance-pct N]");
+        eprintln!("usage: repro <fig2|fig3|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|fig17|table2|dynamics|scale|trace|emulate|gen-trace|verify|diff|bench-diff|all> [--seed N] [--panel P] [--trace PATH] [--out PATH] [--scale N] [--nodes N] [--multiplex] [--small] [--json] [--log PATH] [--snapshot-every N] [--resume-from PATH] [--metrics-out PATH] [--metrics-addr ADDR] [--tolerance-pct N]");
         std::process::exit(2);
     });
     // A flag nothing reads would otherwise be ignored, and a stale
@@ -140,18 +141,28 @@ fn main() {
     let panel = arg_value(&args, "--panel").unwrap_or_else(|| "all".into());
     let scale: u64 = arg_parsed(&args, "--scale").unwrap_or(50);
     let nodes: usize = arg_parsed(&args, "--nodes").unwrap_or(40);
-    if nodes == 0 {
-        eprintln!("repro: --nodes takes a positive number, got `0`");
-        std::process::exit(2);
+    // The emulations fold the cluster onto `--nodes` agents and run
+    // `--scale` simulated seconds per wall second: neither can be 0.
+    for (flag, zero) in [("--scale", scale == 0), ("--nodes", nodes == 0)] {
+        if zero {
+            eprintln!("repro: {flag} takes a positive number, got `0`");
+            std::process::exit(2);
+        }
     }
     let multiplex = args.iter().any(|a| a == "--multiplex");
     let small = args.iter().any(|a| a == "--small");
     let json = args.iter().any(|a| a == "--json");
-    let log_opts = figs::LogOptions {
-        log: arg_value(&args, "--log").map(std::path::PathBuf::from),
-        snapshot_every: arg_parsed(&args, "--snapshot-every").unwrap_or(0),
-        resume_from: arg_value(&args, "--resume-from").map(std::path::PathBuf::from),
-    };
+    let log_opts = figs::LogOptions::load(
+        arg_value(&args, "--log").map(std::path::PathBuf::from),
+        arg_parsed(&args, "--snapshot-every").unwrap_or(0),
+        arg_value(&args, "--resume-from")
+            .as_deref()
+            .map(std::path::Path::new),
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        std::process::exit(2)
+    });
     let metrics_out = arg_value(&args, "--metrics-out").map(std::path::PathBuf::from);
 
     // Log-file subcommands need no Lab (no trace generation): handle
@@ -258,17 +269,11 @@ fn main() {
             "fig17" => Some(figs::fig17(lab)),
             "table2" => Some(figs::table2(lab)),
             "dynamics" => Some(figs::dynamics(lab)),
-            "epoch" => Some(figs::epoch(
-                lab,
-                json,
-                small || trace_path.is_some(),
-                &log_opts,
-                metrics_out.as_deref(),
-            )),
             "scale" => Some(figs::scale(
                 lab,
                 json,
                 small,
+                trace_path.is_some(),
                 &log_opts,
                 metrics_out.as_deref(),
             )),

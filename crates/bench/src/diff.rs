@@ -1,11 +1,19 @@
-//! `repro bench-diff` — the performance-regression gate.
+//! `repro bench-diff` — the performance-regression gate — and the one
+//! JSON value type every `BENCH_*.json` document is built from.
 //!
-//! Compares two `BENCH_*.json` documents (the flat `epoch` baseline or
-//! the nested `scale` sweep) field by field and flags regressions
-//! beyond a tolerance. The workspace's vendored serde is an API stub
-//! that cannot deserialize, so this module carries its own minimal
-//! JSON parser — a few dozen lines for the machine-written documents
-//! the harness itself emits.
+//! The harness builds each document as a [`Json`] value and prints it
+//! through [`Json`]'s `Display`; the gate reads it back with
+//! [`parse_json`], so the writer and the parser meet in one type. The
+//! workspace's vendored serde is an API stub that can neither serialize
+//! nor deserialize, hence this small module.
+//!
+//! ## Layout
+//!
+//! Two-space indent, one member or element per line; numbers print
+//! through `f64`'s `Display` (shortest round-trip form, so an integer
+//! has no fraction — round a timing before it goes in); strings escape
+//! `"`, `\` and every control character. A CI gate can therefore grep a
+//! sweep point's field as `^      "key": `.
 //!
 //! ## Matching
 //!
@@ -25,17 +33,17 @@
 //! higher-better. Everything else (counts, seeds, flags) is reported
 //! as informational drift but never fails the gate.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-/// A parsed JSON value (numbers as f64 — the documents are
-/// machine-written with modest precision).
+/// A JSON value (numbers as f64 — the documents are machine-written
+/// with modest precision).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number
+    /// Any number; a non-finite one prints as `null`
     Num(f64),
     /// A string (escapes decoded)
     Str(String),
@@ -46,11 +54,97 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object with `members` in the order given.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// Writes `self` with its nested lines indented past `indent`.
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
+        let (open, close, items): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Null => return f.write_str("null"),
+            Json::Bool(b) => return write!(f, "{b}"),
+            Json::Num(n) if n.is_finite() => return write!(f, "{n}"),
+            Json::Num(_) => return f.write_str("null"),
+            Json::Str(s) => return write_escaped(f, s),
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(members) => (
+                '{',
+                '}',
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            ),
+        };
+        f.write_char(open)?;
+        for (i, (key, value)) in items.iter().enumerate() {
+            f.write_str(if i == 0 { "\n" } else { ",\n" })?;
+            write!(f, "{:1$}", "", indent + 2)?;
+            if let Some(key) = key {
+                write_escaped(f, key)?;
+                f.write_str(": ")?;
+            }
+            value.write(f, indent + 2)?;
+        }
+        if !items.is_empty() {
+            write!(f, "\n{:1$}", "", indent)?;
+        }
+        f.write_char(close)
+    }
+}
+
+/// The document as every `BENCH_*.json` is written (see the module's
+/// "Layout"); [`parse_json`] reads it back to an equal value.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+/// `s` as a JSON string literal: `"`, `\` and control characters
+/// escaped, everything else (multi-byte UTF-8 included) as is.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\t' => f.write_str("\\t")?,
+            '\r' => f.write_str("\\r")?,
+            c if c < ' ' => write!(f, "\\u{:04x}", u32::from(c))?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+macro_rules! json_from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+
+json_from_number!(f64, u64, usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.into())
     }
 }
 
@@ -141,11 +235,11 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String
             *pos += 1;
             let mut s = String::new();
             loop {
-                // Copy the run up to the next quote or escape whole: both
-                // are ASCII, so the run ends on a char boundary and
-                // multi-byte UTF-8 arrives intact.
+                // Copy the run up to the next quote, escape or control
+                // character whole: all are ASCII, so the run ends on a
+                // char boundary and multi-byte UTF-8 arrives intact.
                 let run = *pos;
-                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\' | 0..=0x1f) {
                     *pos += 1;
                 }
                 s.push_str(&text[run..*pos]);
@@ -154,6 +248,9 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String
                     Some(b'"') => {
                         *pos += 1;
                         return Ok(Json::Str(s));
+                    }
+                    Some(&c) if c < 0x20 => {
+                        return Err(format!("unescaped control character at byte {pos}"))
                     }
                     _ => {
                         // A backslash.
@@ -165,8 +262,22 @@ fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String
                             Some(b'n') => s.push('\n'),
                             Some(b't') => s.push('\t'),
                             Some(b'r') => s.push('\r'),
-                            // The harness never writes \b \f \uXXXX;
-                            // reject rather than mis-decode.
+                            Some(b'b') => s.push('\u{8}'),
+                            Some(b'f') => s.push('\u{c}'),
+                            Some(b'u') => {
+                                // Four hex digits naming one char; the
+                                // writer never splits a char into a
+                                // surrogate pair, so one is refused.
+                                let hex = text
+                                    .get(*pos + 1..*pos + 5)
+                                    .filter(|h| h.bytes().all(|d| d.is_ascii_hexdigit()));
+                                let c = hex
+                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                    .and_then(char::from_u32)
+                                    .ok_or_else(|| format!("invalid \\u escape at byte {pos}"))?;
+                                s.push(c);
+                                *pos += 4;
+                            }
                             other => return Err(format!("unsupported escape {other:?}")),
                         }
                         *pos += 1;
@@ -474,6 +585,8 @@ mod tests {
 
     #[test]
     fn parser_rejects_garbage() {
+        assert!(parse_json("\"a\u{1}b\"").is_err());
+        assert!(parse_json("\"\\ud834\\udd1e\"").is_err());
         assert!(parse_json("{").is_err());
         assert!(parse_json("[1, 2,]").is_err());
         assert!(parse_json("{\"a\": 1} trailing").is_err());
@@ -576,15 +689,41 @@ mod tests {
     }
 
     #[test]
-    fn flat_epoch_documents_compare_directly() {
-        let old = r#"{ "experiment": "epoch_loop", "total_incremental_ms": 120.0,
+    fn flat_documents_compare_directly() {
+        let old = r#"{ "experiment": "flat", "total_ms": 120.0,
                        "loop_speedup": 4.2, "rounds": 12500 }"#;
-        let new = r#"{ "experiment": "epoch_loop", "total_incremental_ms": 118.0,
+        let new = r#"{ "experiment": "flat", "total_ms": 118.0,
                        "loop_speedup": 1.1, "rounds": 12500 }"#;
         let report = compare(&parse_json(old).unwrap(), &parse_json(new).unwrap(), 5.0);
         // wall time fine, but the speedup collapsed — gate fails.
         assert!(report.regressed());
         let bad = report.fields.iter().find(|f| f.regressed).unwrap();
         assert_eq!(bad.path, "loop_speedup");
+    }
+
+    /// The layout the CI gates grep: a sweep point's members sit on
+    /// lines of their own, six spaces in; integers print bare.
+    #[test]
+    fn writer_puts_one_member_on_a_line() {
+        let doc = Json::obj([
+            ("seed", Json::from(1u64)),
+            ("empty", Json::Arr(vec![])),
+            (
+                "points",
+                Json::Arr(vec![Json::obj([
+                    ("nodes", Json::from(150usize)),
+                    ("wall_ms", Json::from(70.7)),
+                    ("ok", Json::from(true)),
+                    ("period", Json::Num(f64::NAN)),
+                ])]),
+            ),
+            ("tag", Json::from("a\"b\\c\u{1}")),
+        ]);
+        assert_eq!(
+            doc.to_string(),
+            "{\n  \"seed\": 1,\n  \"empty\": [],\n  \"points\": [\n    {\n      \
+             \"nodes\": 150,\n      \"wall_ms\": 70.7,\n      \"ok\": true,\n      \
+             \"period\": null\n    }\n  ],\n  \"tag\": \"a\\\"b\\\\c\\u0001\"\n}"
+        );
     }
 }

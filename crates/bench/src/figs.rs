@@ -1,6 +1,7 @@
 //! One function per table/figure of the paper. Each returns the
 //! rendered text (what `repro` prints) and writes CSV artifacts.
 
+use crate::diff::Json;
 use crate::lab::{Lab, Workload};
 use saath_core::SaathConfig;
 use saath_metrics::record::join_runs;
@@ -762,50 +763,62 @@ fn flow_count(t: &saath_workload::Trace) -> usize {
     t.coflows.iter().map(|c| c.flows.len()).sum::<usize>()
 }
 
-/// An FB-like trace grown until it carries ≥ 10k flows, with arrivals
-/// compressed into 100 s so many CoFlows are concurrently active —
-/// the regime where the reference loop's O(active state) per-epoch cost
-/// shows and where the telemetry mechanisms (queue transitions,
-/// deadline rescues, stale pops) all fire.
-fn grown_fb_trace(seed: u64) -> saath_workload::Trace {
-    use saath_workload::gen;
-    let mut gcfg = gen::fb_like(seed);
-    gcfg.span = saath_simcore::Duration::from_secs(100);
-    let mut trace = gen::generate(&gcfg);
-    while flow_count(&trace) < 10_000 {
-        gcfg.num_coflows += 100;
-        trace = gen::generate(&gcfg);
-    }
-    trace
-}
-
-/// Event-log options for `repro epoch` / `repro scale` (`--log PATH`,
+/// Event-log options for `repro scale` (`--log PATH`,
 /// `--snapshot-every N`, `--resume-from PATH`). When active, the
-/// baseline gains one extra *untimed* replay that records the
-/// hash-chained event log (and resumes from a prior log's last
+/// sweep's first point gains one extra *untimed* replay that records
+/// the hash-chained event log (and resumes from a prior log's
 /// snapshot), so the timed runs never carry logging overhead.
 pub struct LogOptions {
     /// Write the replay's event log to this path.
     pub log: Option<std::path::PathBuf>,
     /// Snapshot cadence in rounds (0 disables snapshots).
     pub snapshot_every: u64,
-    /// Resume from the last snapshot of this previously recorded log.
-    pub resume_from: Option<std::path::PathBuf>,
+    /// The snapshot to resume from, taken from a previously recorded
+    /// log by [`LogOptions::load`].
+    pub resume: Option<saath_eventlog::SnapshotRef>,
 }
 
 impl LogOptions {
-    /// No logging, no snapshots, no resume — epoch/scale behave exactly
-    /// as before the event log existed.
-    pub fn none() -> Self {
-        LogOptions {
-            log: None,
-            snapshot_every: 0,
-            resume_from: None,
-        }
+    /// The options as given on the command line. The log to resume
+    /// from is read here, so a file that is not an event log, or holds
+    /// no snapshot, is refused with a message naming it before anything
+    /// is replayed. The resume point is the log's last snapshot that
+    /// still has rounds after it (a cadence hitting the final round
+    /// exactly would otherwise make the continuation trivially empty),
+    /// else its very last one.
+    pub fn load(
+        log: Option<std::path::PathBuf>,
+        snapshot_every: u64,
+        resume_from: Option<&std::path::Path>,
+    ) -> Result<LogOptions, String> {
+        let resume = match resume_from {
+            None => None,
+            Some(path) => {
+                let bytes = std::fs::read(path)
+                    .map_err(|e| format!("--resume-from: cannot read {}: {e}", path.display()))?;
+                let idx = saath_eventlog::index_log(&bytes).map_err(|e| {
+                    format!("--resume-from: {} is not an event log: {e}", path.display())
+                })?;
+                let total = idx.rounds.last().map(|r| r.round + 1);
+                let snap = idx.snapshots.iter().rev().find(|s| Some(s.round) < total);
+                let snap = snap.or(idx.last_snapshot()).cloned().ok_or_else(|| {
+                    format!(
+                        "--resume-from: {} holds no snapshot (record it with --snapshot-every N)",
+                        path.display()
+                    )
+                })?;
+                Some(snap)
+            }
+        };
+        Ok(LogOptions {
+            log,
+            snapshot_every,
+            resume,
+        })
     }
 
     fn active(&self) -> bool {
-        self.log.is_some() || self.resume_from.is_some()
+        self.log.is_some() || self.resume.is_some()
     }
 }
 
@@ -823,36 +836,12 @@ fn logged_replay(
     expect: &[CoflowRecord],
 ) -> String {
     use saath_core::CoflowScheduler as _;
-    use saath_eventlog::{index_log, verify, ChainDigest, EventLogWriter, LogHeader};
+    use saath_eventlog::{verify, ChainDigest, EventLogWriter, LogHeader};
     use saath_simulator::{simulate_resumable, ReplayHooks};
     use saath_telemetry::Counter;
 
-    // Resume point, if requested: the prior log's last snapshot that
-    // still has rounds after it (a cadence hitting the final round
-    // exactly would otherwise make the continuation trivially empty),
-    // falling back to the very last one.
-    let snap = opts.resume_from.as_ref().map(|path| {
-        let bytes = std::fs::read(path)
-            .unwrap_or_else(|e| panic!("--resume-from: cannot read {}: {e}", path.display()));
-        let idx = index_log(&bytes).unwrap_or_else(|e| {
-            panic!("--resume-from: {} is not an event log: {e}", path.display())
-        });
-        let total = idx.rounds.last().map(|r| r.round + 1);
-        idx.snapshots
-            .iter()
-            .rev()
-            .find(|s| Some(s.round) < total)
-            .or_else(|| idx.last_snapshot())
-            .cloned()
-            .unwrap_or_else(|| {
-                panic!(
-                    "--resume-from: {} holds no snapshot (record it with --snapshot-every N)",
-                    path.display()
-                )
-            })
-    });
+    let snap = opts.resume.as_ref();
     let (start_round, start_digest) = snap
-        .as_ref()
         .map(|s| (s.round, s.digest))
         .unwrap_or((0, ChainDigest::ZERO));
 
@@ -877,7 +866,7 @@ fn logged_replay(
             tele: Some(&mut tele),
             sink: Some(&mut w),
             snapshot_every: opts.snapshot_every,
-            resume_from: snap.as_ref().map(|s| s.blob.as_slice()),
+            resume_from: snap.map(|s| s.blob.as_slice()),
         },
     )
     .unwrap_or_else(|e| panic!("logged replay failed: {e}"));
@@ -950,15 +939,12 @@ pub fn diff_cmd(a: &std::path::Path, b: &std::path::Path) -> Result<(String, boo
 
 /// Renders a simulator run's instrumentation as a Prometheus text page
 /// (the same exposition format the runtime's live `/metrics` endpoint
-/// serves): the deterministic round count first, then the per-phase
+/// serves): the deterministic round counts first, then the per-phase
 /// wall-time summary under the section banner. `spans` is the merged
 /// scheduler + engine profiler — its `sched_total` samples are the
-/// rounds that ran `compute`; `rounds` the replay's round count.
-fn sim_metrics_page(
-    spans: &saath_telemetry::SpanProfiler,
-    rounds: u64,
-    jumped: Option<u64>,
-) -> String {
+/// rounds that ran `compute`; `rounds` the replay's round count and
+/// `jumped` the rounds whose boundary the engine never stopped at.
+fn sim_metrics_page(spans: &saath_telemetry::SpanProfiler, rounds: u64, jumped: u64) -> String {
     use saath_telemetry::prom::PromText;
     let mut p = PromText::new();
     p.section("deterministic");
@@ -975,14 +961,11 @@ fn sim_metrics_page(
             rounds.saturating_sub(spans.hist(Phase::SchedTotal).count),
         )],
     );
-    // Known only where an instrumented replay counted it.
-    if let Some(jumped) = jumped {
-        p.counter(
-            "saath_sim_rounds_jumped_total",
-            "Rounds among the elided ones whose boundary the engine never stopped at",
-            &[("", jumped)],
-        );
-    }
+    p.counter(
+        "saath_sim_rounds_jumped_total",
+        "Rounds among the elided ones whose boundary the engine never stopped at",
+        &[("", jumped)],
+    );
     p.section("wall-clock (nondeterministic values, stable layout)");
     p.phase_summary(
         "saath_epoch_phase_ns",
@@ -1262,9 +1245,8 @@ pub fn emulate_scale_cmd(
             .map(|w| (w[1] - w[0]).as_secs_f64() * 1e3)
             .collect();
         periods.sort_by(f64::total_cmp);
-        let period = periods
-            .get(periods.len() / 2)
-            .map_or("null".to_string(), |p| format!("{p:.2}"));
+        let period = periods.get(periods.len() / 2).copied();
+        let period_cell = period.map_or("null".to_string(), |p| format!("{p:.2}"));
         // Per-flow entries the coordinator ingested per epoch: what its
         // drain costs, and what should track the live flows, not the
         // trace's history.
@@ -1273,7 +1255,7 @@ pub fn emulate_scale_cmd(
         let idle_us = idle_drain_us(transport, hosts);
         eprintln!(
             "[emulate-scale] {nodes} nodes on {hosts} {name} links ({per_host}/host): \
-             {completed} coflows in {wall_ms:.0} ms, epoch period {period} ms, \
+             {completed} coflows in {wall_ms:.0} ms, epoch period {period_cell} ms, \
              {stats_entries:.1} stats entries/epoch, idle drain {idle_us:.1} us"
         );
         t.row(&[
@@ -1284,269 +1266,60 @@ pub fn emulate_scale_cmd(
             trace.coflows.len().to_string(),
             completed.to_string(),
             report.coordinator.epochs.to_string(),
-            period.clone(),
+            period_cell,
             format!("{stats_entries:.1}"),
             format!("{idle_us:.1}"),
             format!("{wall_ms:.1}"),
         ]);
-        docs.push(format!(
-            "    {{\n      \"nodes\": {nodes},\n      \"transport\": \"{name}\",\n      \
-             \"links\": {hosts},\n      \
-             \"agents_per_host\": {per_host},\n      \"coflows\": {},\n      \
-             \"completed\": {completed},\n      \"epochs\": {},\n      \
-             \"epoch_period_p50_ms\": {period},\n      \
-             \"stats_entries_per_epoch\": {stats_entries:.1},\n      \
-             \"idle_drain_us\": {idle_us:.1},\n      \
-             \"wall_ms\": {wall_ms:.1}\n    }}",
-            trace.coflows.len(),
-            report.coordinator.epochs,
-        ));
+        docs.push(Json::obj([
+            ("nodes", nodes.into()),
+            ("transport", name.into()),
+            ("links", hosts.into()),
+            ("agents_per_host", per_host.into()),
+            ("coflows", trace.coflows.len().into()),
+            ("completed", completed.into()),
+            ("epochs", report.coordinator.epochs.into()),
+            (
+                "epoch_period_p50_ms",
+                period.map_or(Json::Null, |p| rounded(p, 2)),
+            ),
+            ("stats_entries_per_epoch", rounded(stats_entries, 1)),
+            ("idle_drain_us", rounded(idle_us, 1)),
+            ("wall_ms", rounded(wall_ms, 1)),
+        ]));
     }
-    let json_doc = format!(
-        "{{\n  \"experiment\": \"emulate_scale\",\n  \"seed\": {},\n  \
-         \"scale\": {scale},\n  \"delta_ms\": {:.1},\n  \
-         \"max_hosts\": {MAX_HOSTS},\n  \"points\": [\n{}\n  ]\n}}\n",
-        lab.seed(),
+    let doc = Json::obj([
+        ("experiment", "emulate_scale".into()),
+        ("seed", lab.seed().into()),
+        ("scale", scale.into()),
         // δ in wall time: what `epoch_period_p50_ms` is to be read against.
-        EmulationConfig::default().delta.as_secs_f64() * 1e3 / scale as f64,
-        docs.join(",\n"),
-    );
+        (
+            "delta_ms",
+            rounded(
+                EmulationConfig::default().delta.as_secs_f64() * 1e3 / scale as f64,
+                1,
+            ),
+        ),
+        ("max_hosts", MAX_HOSTS.into()),
+        ("points", Json::Arr(docs)),
+    ]);
     if !small {
-        if let Err(e) = std::fs::write("BENCH_emulate_scale.json", &json_doc) {
-            eprintln!("warning: could not write BENCH_emulate_scale.json: {e}");
-        }
+        write_bench("BENCH_emulate_scale.json", &doc);
     }
     if json {
-        return json_doc;
+        return doc.to_string();
     }
     t.render()
 }
 
-/// **Epoch loop** — not a paper figure: the wall-clock baseline of the
-/// incremental simulation engine against the recompute-everything
-/// reference loop it replaced, on an FB-like workload grown to ≥ 10k
-/// flows. Also asserts the two loops emit byte-identical
-/// [`CoflowRecord`]s, so the speedup is never bought with drift.
-/// Each loop is replayed three times and every timing is the median
-/// with its min and max; the counts (`rounds`, `rounds_computed`,
-/// `rounds_jumped`) repeat exactly, which is what CI holds the
-/// committed file to. Writes `BENCH_epoch_loop.json`, stamped with the
-/// machine, toolchain and tree, in the working directory; with `json`,
-/// returns the JSON document instead of the rendered table.
-///
-/// With `lab_fb` the lab's own FB workload runs instead of the grown
-/// one and no BENCH file is written: the small trace under `repro epoch
-/// --small`, a coflow-benchmark file under `--trace PATH`. (The
-/// published Facebook trace is not redistributable here; `repro
-/// gen-trace` writes a full-size stand-in in the same format.)
-pub fn epoch(
-    lab: &Lab,
-    json: bool,
-    lab_fb: bool,
-    log: &LogOptions,
-    metrics_out: Option<&std::path::Path>,
-) -> String {
-    use saath_simulator::{
-        simulate, simulate_reference, simulate_resumable, ReplayHooks, SimConfig,
-    };
-    use saath_workload::DynamicsSpec;
-    use std::time::Instant;
-
-    // The lab's FB trace skips the BENCH file, so a smoke run or a
-    // file's numbers never overwrite the recorded baseline.
-    let (trace, source, bench_file) = if lab_fb {
-        (lab.trace(Workload::Fb).clone(), "lab-fb", None)
-    } else {
-        (
-            grown_fb_trace(lab.seed()),
-            "generator-grown-fb",
-            Some("BENCH_epoch_loop.json"),
-        )
-    };
-    let flows = flow_count(&trace);
-
-    // Both loops call the *same* scheduler on the *same* views at the
-    // same times, so scheduler compute time is a shared constant
-    // (Amdahl). Report the end-to-end wall clock AND the loop overhead
-    // (total − in-scheduler time from `SchedTimings`): the latter is
-    // what the incremental restructure actually changed.
-    let cfg = SimConfig::default();
-    let dynamics = DynamicsSpec::none();
-    // Each loop is replayed `REPEATS` times; every timing is reported
-    // as the median with its min and max, so one disturbed replay moves
-    // a bound and not the reading.
-    const REPEATS: usize = 3;
-    let time_runs = |reference: bool| {
-        let (mut totals, mut loops) = (Vec::new(), Vec::new());
-        let mut last = None;
-        for _ in 0..REPEATS {
-            let mut sched = saath_core::Saath::with_defaults();
-            let t = Instant::now();
-            let out = if reference {
-                simulate_reference(&trace, &mut sched, &cfg, &dynamics)
-            } else {
-                simulate(&trace, &mut sched, &cfg, &dynamics)
-            }
-            .expect("epoch-loop simulation failed");
-            let total = t.elapsed().as_secs_f64() * 1e3;
-            let compute = sched.timings.spans.hist(Phase::SchedTotal).sum as f64 / 1e6;
-            totals.push(total);
-            loops.push(total - compute);
-            last = Some(out);
-        }
-        (
-            Spread::of(&totals),
-            Spread::of(&loops),
-            last.expect("at least one repeat"),
-        )
-    };
-    let (inc_total, inc_loop, inc) = time_runs(false);
-    let (ref_total, ref_loop, re) = time_runs(true);
-
-    let identical = inc.records == re.records && inc.end == re.end;
-    assert!(
-        identical,
-        "incremental loop diverged from the reference loop"
-    );
-    let total_speedup = ref_total.median / inc_total.median;
-    let loop_speedup = ref_loop.median / inc_loop.median;
-
-    // A separate *untimed* instrumented run collects the engine
-    // counters (heap traffic, stale-pop ratio, dirty-set sizes). It is
-    // deliberately excluded from the timing loop above so the baseline
-    // numbers never include instrumentation.
-    let mut tele = saath_telemetry::Telemetry::new();
-    let mut spans = {
-        let mut sched = saath_core::Saath::with_defaults();
-        simulate_resumable(
-            &trace,
-            &mut sched,
-            &cfg,
-            &dynamics,
-            ReplayHooks {
-                tele: Some(&mut tele),
-                ..ReplayHooks::none()
-            },
-        )
-        .expect("instrumented epoch-loop run failed");
-        sched.timings.spans
-    };
-    // One profile across both layers: scheduler phases (sched_*) from
-    // `SchedTimings`, engine sections (engine_*) from the telemetry run.
-    spans.merge(&tele.spans);
-    // Rounds that ran `compute`; the rest reused the schedule in hand,
-    // and most of those were never stopped at.
-    let rounds_computed = spans.hist(Phase::SchedTotal).count;
-    let rounds_jumped = tele.counter(saath_telemetry::Counter::RoundsJumped);
-    let stale_ratio = tele.stale_pop_ratio();
-    let mean_dirty = tele.dirty_set.mean();
-
-    // `--log` / `--resume-from`: one more untimed replay, recording the
-    // hash-chained event log and pinning its records to the timed run.
-    // Reported on stderr so `--json` stdout stays a clean document.
-    if log.active() {
-        eprintln!(
-            "{}",
-            logged_replay(&trace, &cfg, &dynamics, log, &inc.records)
-        );
-    }
-
-    // The vendored serde stub cannot serialize, so the baseline is
-    // formatted by hand — scalars plus the env stamp. `<key>` is the
-    // reading bench-diff lines up against older documents (a median
-    // now, where it was the best run); `<key>_min` / `<key>_max` bound it.
-    let json_doc = format!(
-        "{{\n  \"experiment\": \"epoch_loop\",\n  \"seed\": {seed},\n  \
-         \"trace_source\": \"{source}\",\n  \
-         \"num_nodes\": {nodes},\n  \"num_coflows\": {coflows},\n  \
-         \"num_flows\": {flows},\n  \"delta_ms\": 8,\n  \
-         \"rounds\": {rounds},\n  \"rounds_computed\": {rounds_computed},\n  \
-         \"rounds_jumped\": {rounds_jumped},\n  \
-         \"repeats\": {REPEATS},\n  \"env\": {env},\n  \
-         {ref_total},\n  \
-         {inc_total},\n  \
-         \"total_speedup\": {total_speedup:.2},\n  \
-         {ref_loop},\n  \
-         {inc_loop},\n  \
-         \"loop_speedup\": {loop_speedup:.2},\n  \
-         \"records_identical\": true,\n  \
-         \"heap_pushes\": {pushes},\n  \
-         \"heap_compactions\": {compactions},\n  \
-         \"stale_pop_ratio\": {stale_ratio:.4},\n  \
-         \"mean_dirty_set\": {mean_dirty:.1},\n  \
-         \"max_heap_len\": {max_heap}\n}}\n",
-        seed = lab.seed(),
-        nodes = trace.num_nodes,
-        coflows = trace.coflows.len(),
-        rounds = inc.rounds,
-        env = env_stamp_json(),
-        ref_total = ref_total.json_fields("total_reference_ms"),
-        inc_total = inc_total.json_fields("total_incremental_ms"),
-        ref_loop = ref_loop.json_fields("loop_reference_ms"),
-        inc_loop = inc_loop.json_fields("loop_incremental_ms"),
-        pushes = tele.counter(saath_telemetry::Counter::HeapPush),
-        compactions = tele.counter(saath_telemetry::Counter::HeapCompactions),
-        max_heap = tele.heap_len.max,
-    );
-    if let Some(bench_file) = bench_file {
-        if let Err(e) = std::fs::write(bench_file, &json_doc) {
-            eprintln!("warning: could not write {bench_file}: {e}");
-        }
-    }
-    if let Some(path) = metrics_out {
-        write_metrics_out(
-            path,
-            &sim_metrics_page(&spans, inc.rounds, Some(rounds_jumped)),
-        );
-    }
-    if json {
-        return json_doc;
-    }
-
-    let mut t = Table::new(
-        "Epoch loop — incremental engine vs reference loop",
-        &["metric", "reference", "incremental", "speedup"],
-    );
-    t.row(&[
-        "trace".into(),
-        format!("{} coflows", trace.coflows.len()),
-        format!("{flows} flows"),
-        format!(
-            "{} rounds ({rounds_computed} computed, {rounds_jumped} not visited)",
-            inc.rounds
-        ),
-    ]);
-    let cell = |s: Spread| format!("{:.1} [{:.1}, {:.1}]", s.median, s.min, s.max);
-    t.row(&[
-        format!("end-to-end (ms, median [min, max] of {REPEATS})"),
-        cell(ref_total),
-        cell(inc_total),
-        fmt_x(total_speedup),
-    ]);
-    t.row(&[
-        format!("epoch loop only (ms, median [min, max] of {REPEATS})"),
-        cell(ref_loop),
-        cell(inc_loop),
-        fmt_x(loop_speedup),
-    ]);
-    t.row(&[
-        "records identical".into(),
-        "yes".into(),
-        "yes".into(),
-        "—".into(),
-    ]);
-    t.row(&[
-        "stale pops / mean dirty set".into(),
-        fmt_pct(stale_ratio),
-        format!("{mean_dirty:.1}"),
-        "—".into(),
-    ]);
-    let mut out = t.render();
-    out.push_str(
-        &saath_metrics::phase_table("epoch loop (untimed instrumented run)", &spans).render(),
-    );
-    out
-}
+/// The full scalability sweep's points, `(nodes, flows at least)`.
+/// The first is also the workload of `repro trace` and `gen-trace`.
+const SWEEP: [(usize, usize); 4] = [
+    (150, 10_000),
+    (300, 25_000),
+    (600, 50_000),
+    (1_000, 100_000),
+];
 
 /// An FB-like trace at an explicit cluster size, grown until it carries
 /// at least `target_flows` flows (arrivals compressed into 100 s so the
@@ -1571,15 +1344,21 @@ fn grown_trace_at(seed: u64, nodes: usize, target_flows: usize) -> saath_workloa
     trace
 }
 
-/// **gen-trace** — writes the grown FB-like workload (the `epoch`
-/// baseline's trace: ≥ 10k flows on 150 nodes) to `out` in the
-/// published `coflow-benchmark` text format. The real Facebook trace is
-/// not redistributable with this repository; this produces a full-size
-/// stand-in in the identical format, so `repro epoch --trace <out>`
+/// The trace of the sweep's first point: ≥ 10k flows on 150 nodes.
+fn first_point_trace(seed: u64) -> saath_workload::Trace {
+    let (nodes, flows) = SWEEP[0];
+    grown_trace_at(seed, nodes, flows)
+}
+
+/// **gen-trace** — writes the first scalability-sweep point's workload
+/// (≥ 10k flows on 150 nodes) to `out` in the published
+/// `coflow-benchmark` text format. The real Facebook trace is not
+/// redistributable with this repository; this produces a full-size
+/// stand-in in the identical format, so `repro scale --trace <out>`
 /// exercises the exact file-streaming ingestion path the published
 /// trace would.
 pub fn gen_trace(seed: u64, out: &std::path::Path) -> String {
-    let trace = grown_fb_trace(seed);
+    let trace = first_point_trace(seed);
     let text = saath_workload::io::write_coflow_benchmark(&trace);
     if let Err(e) = std::fs::write(out, &text) {
         return format!("error: could not write {}: {e}", out.display());
@@ -1607,9 +1386,17 @@ impl ScaleRun {
     fn phase_ms(&self, phase: Phase) -> f64 {
         self.spans.hist(phase).sum as f64 / 1e6
     }
+
+    /// Wall time outside the scheduler — the engine loop's — so that
+    /// wall = sched + engine holds for every replay.
+    fn engine_ms(&self) -> f64 {
+        self.wall_ms - self.phase_ms(Phase::SchedTotal)
+    }
 }
 
 /// Median, minimum and maximum of a reading over a point's repeats.
+/// Every reading the sweep reports is the median, so one disturbed
+/// replay moves a row's min or max and not the row.
 #[derive(Clone, Copy)]
 struct Spread {
     median: f64,
@@ -1617,15 +1404,11 @@ struct Spread {
     max: f64,
 }
 
-/// The repeats of one sweep point. Every reading the sweep reports is
-/// the median over them, so one disturbed replay moves a
-/// row's min or max and not the row.
-struct ScaleRuns(Vec<ScaleRun>);
-
 impl Spread {
-    fn of(readings: &[f64]) -> Spread {
+    fn over(runs: &[ScaleRun], reading: impl Fn(&ScaleRun) -> f64) -> Spread {
         use saath_metrics::stats::percentile;
-        let at = |p: f64| percentile(readings, p).expect("at least one reading");
+        let readings: Vec<f64> = runs.iter().map(reading).collect();
+        let at = |p: f64| percentile(&readings, p).expect("at least one repeat");
         Spread {
             median: at(50.0),
             min: at(0.0),
@@ -1633,40 +1416,36 @@ impl Spread {
         }
     }
 
-    /// `"<key>": median, "<key>_min": …, "<key>_max": …` — `<key>` is
-    /// the reading bench-diff lines up against older documents.
-    fn json_fields(self, key: &str) -> String {
-        format!(
-            "\"{key}\": {:.1}, \"{key}_min\": {:.1}, \"{key}_max\": {:.1}",
-            self.median, self.min, self.max
-        )
+    /// `<key>`, `<key>_min` and `<key>_max`, rounded to 0.1 — `<key>`
+    /// is the reading bench-diff lines up against older documents.
+    fn members(self, key: &str) -> [(String, Json); 3] {
+        [
+            (key.to_string(), rounded(self.median, 1)),
+            (format!("{key}_min"), rounded(self.min, 1)),
+            (format!("{key}_max"), rounded(self.max, 1)),
+        ]
     }
 }
 
-impl ScaleRuns {
-    fn spread(&self, reading: impl Fn(&ScaleRun) -> f64) -> Spread {
-        let v: Vec<f64> = self.0.iter().map(reading).collect();
-        Spread::of(&v)
-    }
+/// `x` rounded to `places` decimals: a BENCH reading carries no more
+/// digits than its noise.
+fn rounded(x: f64, places: i32) -> Json {
+    let scale = 10f64.powi(places);
+    Json::Num((x * scale).round() / scale)
+}
 
-    fn wall_ms(&self) -> f64 {
-        self.spread(|r| r.wall_ms).median
-    }
-
-    fn phase_ms(&self, phase: Phase) -> f64 {
-        self.spread(|r| r.phase_ms(phase)).median
-    }
-
-    fn rounds_per_sec(&self) -> f64 {
-        self.0[0].rounds as f64 / (self.wall_ms() / 1e3).max(1e-9)
+/// Writes a BENCH document to `file` in the working directory.
+fn write_bench(file: &str, doc: &Json) {
+    if let Err(e) = std::fs::write(file, format!("{doc}\n")) {
+        eprintln!("warning: could not write {file}: {e}");
     }
 }
 
-/// Machine, toolchain and tree the numbers were taken on, as one JSON
-/// object — the fields of `benchmark/BASELINE.md`'s stamp; `unknown`
-/// where one cannot be read. The commit is `git describe --always
-/// --dirty`, so a sweep run on an uncommitted tree says so.
-fn env_stamp_json() -> String {
+/// Machine, toolchain and tree the numbers were taken on — the fields
+/// of `benchmark/BASELINE.md`'s stamp; `unknown` where one cannot be
+/// read. The commit is `git describe --always --dirty`, so a sweep run
+/// on an uncommitted tree says so.
+fn env_stamp() -> Json {
     let file = |path: &str| std::fs::read_to_string(path).ok();
     let tool = |program: &str, args: &[&str]| {
         let out = std::process::Command::new(program)
@@ -1693,49 +1472,58 @@ fn env_stamp_json() -> String {
         ("rustc", tool("rustc", &["-V"])),
         ("commit", tool("git", &["describe", "--always", "--dirty"])),
     ];
-    let fields: Vec<String> = fields
-        .into_iter()
-        .map(|(key, value)| {
-            let value = value.unwrap_or_else(|| "unknown".into());
-            format!("\"{key}\": \"{}\"", value.replace(['"', '\\'], ""))
-        })
-        .collect();
-    format!("{{{}}}", fields.join(", "))
+    Json::obj(
+        fields.map(|(key, value)| (key, Json::Str(value.unwrap_or_else(|| "unknown".into())))),
+    )
 }
 
 /// **Scalability sweep** (Fig 9's scale axis, §5.4) — not a CCT figure:
 /// rounds/sec of the full replay loop as cluster size and flow count
 /// grow from 150 nodes × 10k flows to 1k nodes × 100k flows, with the
-/// scheduler's per-phase times (contention, ordering, all-or-none, work
-/// conservation). A full sweep replays every point three times and
-/// reports the median of every timing (with its min and max in the
-/// JSON); records and round counts must repeat exactly. `small` smoke
-/// runs replay once and pin the records to the O(state)-per-step
-/// reference simulation loop. Writes `BENCH_scalability.json` (skipped
-/// for `small`); with `json`, returns the JSON document instead of the
-/// rendered table.
+/// wall time split into the engine loop and the scheduler's phases
+/// (contention, ordering, all-or-none, work conservation), so that
+/// wall = sched + engine for every replay. A full sweep replays every
+/// point three times and reports the median of every timing (with its
+/// min and max in the JSON); records and round counts must repeat
+/// exactly. One more
+/// *untimed* replay per point, instrumented, counts what the engine did
+/// (rounds not visited, heap traffic, stale pops, dirty-set sizes) and
+/// must produce the same records. The first point is also replayed
+/// through the O(state)-per-step reference loop and must produce the
+/// same records; `small` smoke runs replay each of their two points once
+/// and pin every one to the reference loop. Writes
+/// `BENCH_scalability.json` (skipped for `small`); with `json`, returns
+/// the JSON document instead of the rendered table.
+///
+/// With `file` the lab's FB trace — read from `--trace PATH` — is the
+/// only point and no BENCH file is written. (The published Facebook
+/// trace is not redistributable here; `repro gen-trace` writes a
+/// full-size stand-in in the same format.)
 pub fn scale(
     lab: &Lab,
     json: bool,
     small: bool,
+    file: bool,
     log: &LogOptions,
     metrics_out: Option<&std::path::Path>,
 ) -> String {
-    use saath_simulator::{simulate, SimConfig};
+    use saath_simulator::{
+        simulate, simulate_reference, simulate_resumable, ReplayHooks, SimConfig,
+    };
+    use saath_telemetry::Counter;
     use saath_workload::DynamicsSpec;
     use std::time::Instant;
 
-    let points: &[(usize, usize)] = if small {
-        &[(40, 1_000), (80, 2_500)]
-    } else {
-        &[
-            (150, 10_000),
-            (300, 25_000),
-            (600, 50_000),
-            (1_000, 100_000),
-        ]
+    let sizes: &[(usize, usize)] = match (file, small) {
+        (true, _) => &[],
+        (false, true) => &[(40, 1_000), (80, 2_500)],
+        (false, false) => &SWEEP,
     };
-    let repeats = if small { 1 } else { 3 };
+    let traces = file
+        .then(|| lab.trace(Workload::Fb).clone())
+        .into_iter()
+        .chain(sizes.iter().map(|&(n, f)| grown_trace_at(lab.seed(), n, f)));
+    let repeats: usize = if small { 1 } else { 3 };
     let cfg = SimConfig::default();
     let dynamics = DynamicsSpec::none();
     let phases = [
@@ -1760,36 +1548,56 @@ pub fn scale(
     };
 
     let mut t = Table::new(
-        "Scalability sweep — rounds/sec and scheduler phase times (median of the repeats; \
-         ordering includes k_c)",
+        "Scalability sweep — rounds/sec, and wall time split into the engine loop and the \
+         scheduler's phases (median of the repeats; ordering includes k_c)",
         &[
-            "nodes", "flows", "rounds", "computed", "rounds/s", "wall ms", "sched ms", "k_c ms",
-            "order ms", "A/N ms", "WC ms",
+            "nodes", "flows", "rounds", "computed", "jumped", "rounds/s", "wall ms", "eng ms",
+            "sched ms", "k_c ms", "order ms", "A/N ms", "WC ms",
         ],
     );
     let mut point_docs = Vec::new();
     // Per-phase latency distribution, pooled across every sweep point
     // (each point feeds its per-round samples).
     let mut pooled_spans = saath_telemetry::SpanProfiler::new();
-    let mut pooled_rounds = 0u64;
-    for (pi, &(nodes, target_flows)) in points.iter().enumerate() {
-        let trace = grown_trace_at(lab.seed(), nodes, target_flows);
-        let flows = flow_count(&trace);
-        let runs = ScaleRuns((0..repeats).map(|_| replay(&trace)).collect());
-        let first = &runs.0[0];
-        for run in &runs.0[1..] {
+    let (mut pooled_rounds, mut pooled_jumped) = (0u64, 0u64);
+    for (pi, trace) in traces.enumerate() {
+        let (nodes, flows) = (trace.num_nodes, flow_count(&trace));
+        let runs: Vec<ScaleRun> = (0..repeats).map(|_| replay(&trace)).collect();
+        let first = &runs[0];
+        for run in &runs[1..] {
             assert_eq!(
                 (run.rounds, &run.records),
                 (first.rounds, &first.records),
                 "a repeat changed the schedule at {nodes} nodes"
             );
         }
+        // The untimed instrumented replay: engine counters and spans,
+        // kept out of the timed runs above.
+        let mut tele = saath_telemetry::Telemetry::new();
+        let instrumented = simulate_resumable(
+            &trace,
+            &mut saath_core::Saath::with_defaults(),
+            &cfg,
+            &dynamics,
+            ReplayHooks {
+                tele: Some(&mut tele),
+                ..ReplayHooks::none()
+            },
+        )
+        .expect("instrumented scale-sweep run failed");
+        assert_eq!(
+            instrumented.records, first.records,
+            "the instrumented replay diverged from the timed one at {nodes} nodes"
+        );
+        let jumped = tele.counter(Counter::RoundsJumped);
         // One repeat's samples stand for the point in the pooled
         // latency table; pooling all of them would only triple counts.
         pooled_spans.merge(&first.spans);
+        pooled_spans.merge(&tele.spans);
         let rounds = first.rounds;
         let computed = first.spans.hist(Phase::SchedTotal).count;
         pooled_rounds += rounds;
+        pooled_jumped += jumped;
         if pi == 0 && log.active() {
             // `--log` / `--resume-from` record the sweep's first point
             // (the one a prior invocation with the same seed also ran),
@@ -1799,70 +1607,95 @@ pub fn scale(
                 logged_replay(&trace, &cfg, &dynamics, log, &first.records)
             );
         }
-        if small {
-            // Smoke runs additionally pin the records to the original
-            // O(state)-per-step reference loop: an independent
-            // implementation that must produce the exact same records.
-            let mut sched = saath_core::Saath::with_defaults();
-            let refr = saath_simulator::simulate_reference(&trace, &mut sched, &cfg, &dynamics)
-                .expect("scale-sweep reference run failed");
+        if pi == 0 || small {
+            // The original O(state)-per-step reference loop, an
+            // independent implementation, must produce the exact same
+            // records. Untimed: it is the executable spec, not a path
+            // anything runs in production.
+            let refr = simulate_reference(
+                &trace,
+                &mut saath_core::Saath::with_defaults(),
+                &cfg,
+                &dynamics,
+            )
+            .expect("scale-sweep reference run failed");
             assert_eq!(
                 refr.records, first.records,
                 "scheduling records diverged from the reference loop at {nodes} nodes"
             );
         }
+        let wall = Spread::over(&runs, |run| run.wall_ms);
+        let rounds_per_sec = rounds as f64 / (wall.median / 1e3).max(1e-9);
+        let engine = Spread::over(&runs, ScaleRun::engine_ms);
+        let phase_spreads =
+            phases.map(|(key, phase)| (key, Spread::over(&runs, |run| run.phase_ms(phase))));
         let mut row = vec![
             nodes.to_string(),
             flows.to_string(),
             rounds.to_string(),
             computed.to_string(),
-            format!("{:.1}", runs.rounds_per_sec()),
-            format!("{:.1}", runs.wall_ms()),
+            jumped.to_string(),
+            format!("{rounds_per_sec:.1}"),
+            format!("{:.1}", wall.median),
+            format!("{:.1}", engine.median),
         ];
         row.extend(
-            phases
+            phase_spreads
                 .iter()
-                .map(|&(_, phase)| format!("{:.1}", runs.phase_ms(phase))),
+                .map(|(_, s)| format!("{:.1}", s.median)),
         );
         t.row(&row);
-        // `<key>` is the reading bench-diff lines up against older
-        // documents (a median); `<key>_min` / `<key>_max` its spread.
-        let mut doc = format!(
-            "    {{\n      \"nodes\": {nodes},\n      \"coflows\": {},\n      \
-             \"flows\": {flows},\n      \"rounds\": {rounds},\n      \
-             \"rounds_computed\": {computed},\n      \
-             \"records_identical\": true,\n      \
-             \"rounds_per_sec\": {:.1}",
-            trace.coflows.len(),
-            runs.rounds_per_sec(),
-        );
-        let wall = std::iter::once(("wall_ms", runs.spread(|run| run.wall_ms)));
-        let phase_spreads =
-            phases.map(|(key, phase)| (key, runs.spread(|run| run.phase_ms(phase))));
-        for (key, s) in wall.chain(phase_spreads) {
-            doc.push_str(&format!(",\n      {}", s.json_fields(key)));
-        }
-        point_docs.push(doc + "\n    }");
+        let counts = [
+            ("nodes", nodes.into()),
+            ("coflows", trace.coflows.len().into()),
+            ("flows", flows.into()),
+            ("rounds", rounds.into()),
+            ("rounds_computed", computed.into()),
+            ("rounds_jumped", jumped.into()),
+            ("records_identical", true.into()),
+            ("rounds_per_sec", rounded(rounds_per_sec, 1)),
+        ];
+        let timings = [("wall_ms", wall), ("engine_ms", engine)]
+            .into_iter()
+            .chain(phase_spreads);
+        let engine_counters = [
+            ("heap_pushes", tele.counter(Counter::HeapPush).into()),
+            (
+                "heap_compactions",
+                tele.counter(Counter::HeapCompactions).into(),
+            ),
+            ("stale_pop_ratio", rounded(tele.stale_pop_ratio(), 4)),
+            ("mean_dirty_set", rounded(tele.dirty_set.mean(), 1)),
+            ("max_heap_len", tele.heap_len.max.into()),
+        ];
+        point_docs.push(Json::obj(
+            counts
+                .map(|(key, v)| (key.to_string(), v))
+                .into_iter()
+                .chain(timings.flat_map(|(key, s)| s.members(key)))
+                .chain(engine_counters.map(|(key, v)| (key.to_string(), v))),
+        ));
     }
 
-    let json_doc = format!(
-        "{{\n  \"experiment\": \"scalability_sweep\",\n  \"seed\": {},\n  \
-         \"delta_ms\": 8,\n  \"repeats\": {repeats},\n  \
-         \"env\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
-        lab.seed(),
-        env_stamp_json(),
-        point_docs.join(",\n"),
-    );
-    if !small {
-        if let Err(e) = std::fs::write("BENCH_scalability.json", &json_doc) {
-            eprintln!("warning: could not write BENCH_scalability.json: {e}");
-        }
+    let doc = Json::obj([
+        ("experiment", "scalability_sweep".into()),
+        ("seed", lab.seed().into()),
+        ("delta_ms", (cfg.delta.as_nanos() as f64 / 1e6).into()),
+        ("repeats", repeats.into()),
+        ("env", env_stamp()),
+        ("points", Json::Arr(point_docs)),
+    ]);
+    if !small && !file {
+        write_bench("BENCH_scalability.json", &doc);
     }
     if let Some(path) = metrics_out {
-        write_metrics_out(path, &sim_metrics_page(&pooled_spans, pooled_rounds, None));
+        write_metrics_out(
+            path,
+            &sim_metrics_page(&pooled_spans, pooled_rounds, pooled_jumped),
+        );
     }
     if json {
-        return json_doc;
+        return doc.to_string();
     }
     let mut rendered = t.render();
     rendered.push_str(
@@ -1877,8 +1710,9 @@ pub fn scale(
 /// and prints the per-policy mechanism breakdown that maps the run back
 /// to the paper's design levers (D1 LCoF ordering, D2 all-or-none,
 /// D3 queue transitions, D4 work conservation, D5 starvation
-/// deadlines). `small` uses the lab's FB trace instead of the grown
-/// ≥ 10k-flow workload (CI smoke test).
+/// deadlines). `small` uses the lab's FB trace instead of the
+/// scalability sweep's first point, ≥ 10k flows on 150 nodes (CI smoke
+/// test).
 pub fn trace_diag(lab: &Lab, small: bool) -> String {
     use saath_metrics::avg_p90_ms;
     use saath_simulator::{simulate_resumable, ReplayHooks, SimConfig};
@@ -1887,7 +1721,7 @@ pub fn trace_diag(lab: &Lab, small: bool) -> String {
     let trace = if small {
         lab.trace(Workload::Fb).clone()
     } else {
-        grown_fb_trace(lab.seed())
+        first_point_trace(lab.seed())
     };
     let cfg = SimConfig::default();
     let dynamics = DynamicsSpec::none();

@@ -1,10 +1,12 @@
 //! `repro bench-diff` reads whatever file it is handed, so its JSON
 //! parser is a hostile-input decoder: on any string it must return,
-//! never panic. And every `BENCH_*.json` the repository commits must
-//! parse and flatten to numbers the gate can compare.
+//! never panic. Every `BENCH_*.json` the repository commits must parse
+//! and flatten to numbers the gate can compare. And the writer the
+//! harness prints those documents with must be read back by the parser
+//! to the value it printed.
 
 use proptest::prelude::*;
-use saath_bench::diff::{flatten, parse_json};
+use saath_bench::diff::{flatten, parse_json, Json};
 
 /// The committed `BENCH_*.json` documents at the workspace root, as
 /// `(file name, text)`.
@@ -38,17 +40,76 @@ fn parse_and_flatten(text: &str) {
 #[test]
 fn every_committed_bench_file_parses_and_flattens() {
     let docs = committed_bench_docs();
-    for want in [
-        "BENCH_emulate_scale.json",
-        "BENCH_epoch_loop.json",
-        "BENCH_scalability.json",
-    ] {
+    for want in ["BENCH_emulate_scale.json", "BENCH_scalability.json"] {
         assert!(docs.iter().any(|(name, _)| name == want), "no {want}");
     }
     for (name, text) in &docs {
         let doc = parse_json(text).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(!flatten(&doc).is_empty(), "{name} has no numeric field");
+        let reprinted = parse_json(&doc.to_string()).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(reprinted, doc, "{name} does not survive a re-print");
     }
+}
+
+/// Arbitrary [`Json`] trees at most `depth` arrays/objects deep, with
+/// finite numbers of every magnitude and strings full of what a writer
+/// must escape.
+struct AnyJson {
+    depth: u32,
+}
+
+impl Strategy for AnyJson {
+    type Value = Json;
+
+    fn sample(&self, rng: &mut TestRng) -> Json {
+        let child = AnyJson {
+            depth: self.depth.saturating_sub(1),
+        };
+        match rng.below(if self.depth == 0 { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(any::<bool>().sample(rng)),
+            2 => Json::Num(finite_f64(rng)),
+            3 => Json::Str(string(rng)),
+            4 => Json::Arr((0..rng.below(5)).map(|_| child.sample(rng)).collect()),
+            _ => Json::Obj(
+                (0..rng.below(5))
+                    .map(|_| (string(rng), child.sample(rng)))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// An integer of any size, a timing rounded to 0.1, or any finite bit
+/// pattern (subnormals and ±0 included).
+fn finite_f64(rng: &mut TestRng) -> f64 {
+    match rng.below(3) {
+        0 => (rng.next_u64() as i64 >> rng.below(64)) as f64,
+        1 => ((rng.unit_f64() - 0.5) * 2e7).round() / 10.0,
+        _ => loop {
+            let x = f64::from_bits(rng.next_u64());
+            if x.is_finite() {
+                break x;
+            }
+        },
+    }
+}
+
+/// Quotes, backslashes, every control character, multi-byte UTF-8
+/// and, half the time, any char at all.
+fn string(rng: &mut TestRng) -> String {
+    const PICKS: &[char] = &['"', '\\', '/', 'u', 'a', ' ', '\u{7f}', 'δ', 'µ', '€', '𝄞'];
+    (0..rng.below(12))
+        .map(|_| match rng.below(4) {
+            0 => char::from_u32(rng.below(0x20) as u32).unwrap(),
+            1 => PICKS[rng.below(PICKS.len() as u64) as usize],
+            _ => loop {
+                if let Some(c) = char::from_u32(rng.below(0x11_0000) as u32) {
+                    break c;
+                }
+            },
+        })
+        .collect()
 }
 
 /// JSON's structural characters, escapes, digits, whitespace and
@@ -60,6 +121,12 @@ const ALPHABET: &[char] = &[
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn printed_documents_parse_back_to_themselves(doc in AnyJson { depth: 4 }) {
+        let text = doc.to_string();
+        prop_assert_eq!(parse_json(&text), Ok(doc), "{}", text);
+    }
 
     #[test]
     fn parser_returns_on_arbitrary_strings(

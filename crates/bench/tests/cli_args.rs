@@ -1,8 +1,9 @@
 //! `repro` refuses a numeric option it cannot parse: `--seed 1O` used
-//! to run seed 1 and exit 0, so `repro epoch --seed 1O` would have
+//! to run seed 1 and exit 0, so `repro scale --seed 1O` would have
 //! overwritten a committed baseline under the wrong label. It refuses a
 //! flag it does not know, and an option given no value, for the same
-//! reason. A `bench-diff` document it cannot parse ends the run with a
+//! reason. A `bench-diff` document it cannot parse, or a
+//! `--resume-from` file it cannot resume from, ends the run with a
 //! message, never a signal.
 
 use std::process::Command;
@@ -49,7 +50,7 @@ fn an_unknown_flag_is_refused_by_name() {
 fn an_option_without_its_value_is_refused_by_name() {
     for (args, flag) in [
         (&["fig17", "--seed"][..], "--seed"),
-        (&["epoch", "--small", "--log", "--json"][..], "--log"),
+        (&["scale", "--small", "--log", "--json"][..], "--log"),
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -62,18 +63,69 @@ fn an_option_without_its_value_is_refused_by_name() {
     }
 }
 
-/// `--nodes 0` is refused with a message: the emulations fold the
-/// cluster onto `--nodes` agents, and a fold onto none divided by zero.
+/// `--nodes 0` and `--scale 0` are refused with a message: the
+/// emulations fold the cluster onto `--nodes` agents, and a fold onto
+/// none divided by zero; an emulation clock at scale 0 never moves.
 #[test]
 fn zero_nodes_is_refused_by_name() {
-    let out = repro(&["emulate", "--small", "--nodes", "0"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--nodes takes a positive number, got `0`"),
-        "{stderr}"
-    );
-    assert!(out.stdout.is_empty(), "the experiment ran anyway");
+    for (args, flag) in [
+        (&["emulate", "--small", "--nodes", "0"][..], "--nodes"),
+        (&["emulate", "--small", "--scale", "0"][..], "--scale"),
+        (&["fig15", "--scale", "0"][..], "--scale"),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} takes a positive number, got `0`")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "the experiment ran anyway");
+    }
+}
+
+/// A `--resume-from` file that is not an event log, or a log with no
+/// snapshot in it, is refused up front with exit 2 and its name, not
+/// by a panic after the timed replays.
+#[test]
+fn an_unusable_resume_log_is_refused_by_name() {
+    use saath_eventlog::{ChainDigest, EventLogWriter, LogHeader};
+
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let text = dir.join("not_a_log.txt");
+    std::fs::write(&text, "1 2\n").unwrap();
+    // A log as `--log` writes it without `--snapshot-every`: a header
+    // and rounds, no snapshot (here no rounds either).
+    let header = LogHeader {
+        num_nodes: 40,
+        port_rate: 125_000_000,
+        delta_ns: 8_000_000,
+        scheduler: "saath".into(),
+        trace_digest: ChainDigest::ZERO,
+        start_round: 0,
+        start_digest: ChainDigest::ZERO,
+    };
+    let bytes = EventLogWriter::new(Vec::new(), &header)
+        .unwrap()
+        .into_inner()
+        .unwrap();
+    let no_snapshot = dir.join("no_snapshot.saev");
+    std::fs::write(&no_snapshot, bytes).unwrap();
+
+    for (path, why) in [
+        (&text, "is not an event log"),
+        (&no_snapshot, "holds no snapshot"),
+    ] {
+        let path = path.to_str().unwrap();
+        let out = repro(&["scale", "--small", "--resume-from", path]);
+        assert_eq!(out.status.code(), Some(2), "{path}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("--resume-from: {path} {why}")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "the experiment ran anyway");
+    }
 }
 
 /// A hostile document is refused with exit 2 and a message, not a

@@ -95,12 +95,6 @@ impl CoflowView {
         self.flows.iter().filter(|f| !f.finished)
     }
 
-    /// Whether every flow has finished (the driver normally drops such
-    /// CoFlows from the view).
-    pub fn is_done(&self) -> bool {
-        self.flows.iter().all(|f| f.finished)
-    }
-
     /// Width = number of flows (Eq. 1 divides thresholds by it).
     pub fn width(&self) -> usize {
         self.flows.len()
@@ -314,7 +308,6 @@ mod tests {
         assert_eq!(c.total_sent(), Bytes(1100));
         assert_eq!(c.max_flow_sent(), Bytes(700));
         assert_eq!(c.unfinished().count(), 2);
-        assert!(!c.is_done());
         assert!(c.all_ready());
     }
 

@@ -404,8 +404,6 @@ pub struct EventLogWriter<W: Write> {
     w: W,
     digest: ChainDigest,
     next_round: u64,
-    rounds: u64,
-    snapshots: u64,
     bytes: u64,
 }
 
@@ -422,8 +420,6 @@ impl<W: Write> EventLogWriter<W> {
             w,
             digest: header.start_digest,
             next_round: header.start_round,
-            rounds: 0,
-            snapshots: 0,
             bytes: pre.len() as u64,
         })
     }
@@ -431,16 +427,6 @@ impl<W: Write> EventLogWriter<W> {
     /// The chain digest after the last appended round.
     pub fn digest(&self) -> ChainDigest {
         self.digest
-    }
-
-    /// Round records appended so far.
-    pub fn rounds_appended(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Snapshots appended so far.
-    pub fn snapshots_written(&self) -> u64 {
-        self.snapshots
     }
 
     /// Total bytes written (header included).
@@ -472,7 +458,6 @@ impl<W: Write> RoundSink for EventLogWriter<W> {
         wire::put_u64(&mut frame, self.digest.0[1]);
         self.w.write_all(&frame)?;
         self.next_round += 1;
-        self.rounds += 1;
         self.bytes += frame.len() as u64;
         Ok(frame.len() as u64)
     }
@@ -484,7 +469,6 @@ impl<W: Write> RoundSink for EventLogWriter<W> {
         wire::put_u64(&mut frame, round);
         frame.extend_from_slice(blob);
         self.w.write_all(&frame)?;
-        self.snapshots += 1;
         self.bytes += frame.len() as u64;
         Ok(frame.len() as u64)
     }

@@ -29,12 +29,6 @@ impl Table {
         self
     }
 
-    /// Convenience: appends a row of displayable values.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -76,33 +70,6 @@ impl Table {
         out.push('\n');
         for row in &self.rows {
             out.push_str(&fmt_row(row));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders as CSV (RFC-4180-ish: quotes fields containing commas,
-    /// quotes, or newlines).
-    pub fn to_csv(&self) -> String {
-        fn field(s: &str) -> String {
-            if s.contains([',', '"', '\n']) {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|h| field(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| field(c)).collect::<Vec<_>>().join(","));
             out.push('\n');
         }
         out
@@ -157,14 +124,6 @@ mod tests {
         );
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[1].len(), lines[0].chars().count());
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let mut t = Table::new("", &["a", "b"]);
-        t.row(&["x,y".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "a,b\n\"x,y\",\"say \"\"hi\"\"\"\n");
     }
 
     #[test]

@@ -44,11 +44,6 @@ impl EmuClock {
     pub fn to_wall(&self, sim: Duration) -> std::time::Duration {
         std::time::Duration::from_nanos(sim.as_nanos() / self.scale)
     }
-
-    /// Sleeps the calling thread for `sim` of simulated time.
-    pub fn sleep_sim(&self, sim: Duration) {
-        std::thread::sleep(self.to_wall(sim));
-    }
 }
 
 #[cfg(test)]

@@ -80,14 +80,6 @@ impl Time {
         }
     }
 
-    /// The previous multiple of `grid` at or before this instant.
-    pub fn round_down_to(self, grid: Duration) -> Time {
-        if grid.0 == 0 {
-            return self;
-        }
-        Time(self.0 - self.0 % grid.0)
-    }
-
     /// Whether this is the [`Time::NEVER`] sentinel.
     pub const fn is_never(self) -> bool {
         self.0 == u64::MAX
@@ -306,10 +298,6 @@ mod tests {
         assert_eq!(
             Time::from_millis(17).round_up_to(delta),
             Time::from_millis(24)
-        );
-        assert_eq!(
-            Time::from_millis(17).round_down_to(delta),
-            Time::from_millis(16)
         );
         // Zero grid disables quantization.
         assert_eq!(Time(123).round_up_to(Duration::ZERO), Time(123));

@@ -70,11 +70,6 @@ impl Bytes {
         self.0
     }
 
-    /// This volume in megabytes as a float — reporting only.
-    pub fn as_mb_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating subtraction (draining a flow never goes negative).
     pub fn saturating_sub(self, rhs: Bytes) -> Bytes {
         Bytes(self.0.saturating_sub(rhs.0))

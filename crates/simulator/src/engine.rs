@@ -17,8 +17,8 @@
 //! * [`simulate_reference`] — the original O(state)-per-step loop, kept
 //!   verbatim as the executable specification. The equivalence test
 //!   below and `tests/engine_equivalence.rs` assert the two produce
-//!   byte-identical [`CoflowRecord`]s; the `repro` binary's
-//!   `epoch-loop` experiment measures the speedup between them.
+//!   byte-identical [`CoflowRecord`]s, and `repro scale` replays the
+//!   first point of its sweep through both and asserts the same.
 //!
 //! Why byte-identical equivalence is non-trivial: rates and volumes use
 //! exact integer arithmetic (`transfer_time` rounds up, `bytes_in`
@@ -1268,8 +1268,9 @@ fn emit_rounds(
 /// completion, zeroes every rate before applying a schedule, and
 /// re-syncs every view each round.
 ///
-/// Use it to cross-check the incremental loop (the records must be
-/// byte-identical) and as the baseline in the `epoch-loop` benchmark.
+/// Use it to cross-check the incremental loop: the records must be
+/// byte-identical (`repro scale` checks its first sweep point, and
+/// every point under `--small`).
 pub fn simulate_reference(
     trace: &Trace,
     sched: &mut dyn CoflowScheduler,

@@ -79,15 +79,6 @@ impl CoflowSpec {
         self.flows.iter().map(|f| f.size).sum()
     }
 
-    /// The largest single flow.
-    pub fn max_flow_size(&self) -> Bytes {
-        self.flows
-            .iter()
-            .map(|f| f.size)
-            .max()
-            .unwrap_or(Bytes::ZERO)
-    }
-
     /// The distinct fabric ports this CoFlow touches, given the cluster
     /// size. Contention (`k_c`) and all-or-none both operate on this set.
     pub fn ports(&self, num_nodes: usize) -> BTreeSet<PortId> {
@@ -309,7 +300,6 @@ mod tests {
         let c = &t.coflows[0];
         assert_eq!(c.width(), 2);
         assert_eq!(c.total_size(), Bytes::mb(20));
-        assert_eq!(c.max_flow_size(), Bytes::mb(10));
         assert!(c.has_equal_flows());
         // Ports: uplinks of 0 and 1, downlink of 2 (= 4 + 2 = index 6).
         let ports: Vec<usize> = c.ports(4).iter().map(|p| p.index()).collect();
