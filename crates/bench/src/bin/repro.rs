@@ -96,6 +96,20 @@ const FLAGS: &[&str] = &[
     "--tolerance-pct",
 ];
 
+/// Prints `text` and a newline on stdout. A reader that has gone away
+/// (`repro bench-diff A B | head -1`) ends the output, not the run: the
+/// rest is dropped and the exit status stays the one the run computes.
+fn emit(text: &str) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = writeln!(out, "{text}").and_then(|()| out.flush()) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("repro: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// The value after `key`, `None` when the flag is absent. A flag that
 /// comes last, or right before another flag, ends the run (exit 2)
 /// naming it, instead of being dropped or taking that flag as its value.
@@ -173,7 +187,7 @@ fn main() {
             std::process::exit(2);
         });
         match figs::verify_log(std::path::Path::new(&path)) {
-            Ok(summary) => println!("{summary}"),
+            Ok(summary) => emit(&summary),
             Err(e) => {
                 eprintln!("verification FAILED: {e}");
                 std::process::exit(1);
@@ -191,7 +205,7 @@ fn main() {
         };
         match figs::diff_cmd(std::path::Path::new(&a), std::path::Path::new(&b)) {
             Ok((report, diverged)) => {
-                println!("{report}");
+                emit(&report);
                 if diverged {
                     std::process::exit(1);
                 }
@@ -218,7 +232,7 @@ fn main() {
             tolerance,
         ) {
             Ok((report, regressed)) => {
-                println!("{report}");
+                emit(&report);
                 if regressed {
                     std::process::exit(1);
                 }
@@ -295,7 +309,7 @@ fn main() {
 
     if what == "gen-trace" {
         let out = arg_value(&args, "--out").unwrap_or_else(|| "fb_trace.txt".into());
-        println!("{}", figs::gen_trace(seed, std::path::Path::new(&out)));
+        emit(&figs::gen_trace(seed, std::path::Path::new(&out)));
         return;
     }
 
@@ -304,11 +318,11 @@ fn main() {
             "fig2", "fig3", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15_16",
             "fig17", "table2", "dynamics",
         ] {
-            println!("{}", run(&mut lab, id).unwrap());
+            emit(&run(&mut lab, id).unwrap());
         }
     } else {
         match run(&mut lab, &what) {
-            Some(text) => println!("{text}"),
+            Some(text) => emit(&text),
             None => {
                 eprintln!("unknown experiment `{what}`");
                 std::process::exit(2);

@@ -785,7 +785,9 @@ impl LogOptions {
     /// is replayed. The resume point is the log's last snapshot that
     /// still has rounds after it (a cadence hitting the final round
     /// exactly would otherwise make the continuation trivially empty),
-    /// else its very last one.
+    /// else its very last one. The log to write is created here too (after
+    /// the one to resume from is read), so a path that cannot be written
+    /// is refused before the replays as well.
     pub fn load(
         log: Option<std::path::PathBuf>,
         snapshot_every: u64,
@@ -810,6 +812,10 @@ impl LogOptions {
                 Some(snap)
             }
         };
+        if let Some(path) = &log {
+            std::fs::File::create(path)
+                .map_err(|e| format!("--log: cannot create {}: {e}", path.display()))?;
+        }
         Ok(LogOptions {
             log,
             snapshot_every,
@@ -824,10 +830,15 @@ impl LogOptions {
 
 /// The extra untimed replay behind `--log` / `--resume-from`: replays
 /// `trace` under a fresh default Saath with the event-log sink attached,
-/// chain-verifies the recorded bytes, asserts the records byte-match
+/// chain-verifies the recorded log, asserts the records byte-match
 /// `expect` (the timed benchmark run), and reports the log telemetry
 /// counters. Panics on any mismatch — a benchmark whose log diverges
 /// from its own timed run is a bug, not a degraded result.
+///
+/// With `--log PATH` the log streams through a buffered writer into
+/// the file and is verified from there, so memory stays flat however
+/// many snapshots it holds; a resume with no `--log` keeps its
+/// continuation in memory.
 fn logged_replay(
     trace: &saath_workload::Trace,
     cfg: &saath_simulator::SimConfig,
@@ -836,66 +847,79 @@ fn logged_replay(
     expect: &[CoflowRecord],
 ) -> String {
     use saath_core::CoflowScheduler as _;
-    use saath_eventlog::{verify, ChainDigest, EventLogWriter, LogHeader};
+    use saath_eventlog::{verify, verify_path, ChainDigest, EventLogWriter, LogHeader};
     use saath_simulator::{simulate_resumable, ReplayHooks};
-    use saath_telemetry::Counter;
+    use saath_telemetry::{Counter, Telemetry};
 
     let snap = opts.resume.as_ref();
     let (start_round, start_digest) = snap
         .map(|s| (s.round, s.digest))
         .unwrap_or((0, ChainDigest::ZERO));
-
-    let mut sched = saath_core::Saath::with_defaults();
     let header = LogHeader {
         num_nodes: trace.num_nodes as u64,
         port_rate: trace.port_rate.as_u64(),
         delta_ns: cfg.delta.as_nanos(),
-        scheduler: sched.name().into(),
+        scheduler: saath_core::Saath::with_defaults().name().into(),
         trace_digest: ChainDigest::ZERO,
         start_round,
         start_digest,
     };
-    let mut w = EventLogWriter::new(Vec::new(), &header).expect("event-log header write failed");
-    let mut tele = saath_telemetry::Telemetry::new();
-    let out = simulate_resumable(
-        trace,
-        &mut sched,
-        cfg,
-        dynamics,
-        ReplayHooks {
-            tele: Some(&mut tele),
-            sink: Some(&mut w),
-            snapshot_every: opts.snapshot_every,
-            resume_from: snap.map(|s| s.blob.as_slice()),
-        },
-    )
-    .unwrap_or_else(|e| panic!("logged replay failed: {e}"));
-    assert_eq!(
-        out.records, expect,
-        "logged/resumed replay diverged from the timed benchmark run"
-    );
-
-    let bytes = w.into_inner().expect("event-log flush failed");
-    let summary = verify(&bytes[..]).expect("freshly recorded log failed chain verification");
+    let mut tele = Telemetry::new();
+    // Replays into `w`, checks the records, flushes, and returns the
+    // log's length.
+    let mut record = |w: &mut dyn std::io::Write| -> u64 {
+        let mut w = EventLogWriter::new(w, &header).expect("event-log header write failed");
+        let out = simulate_resumable(
+            trace,
+            &mut saath_core::Saath::with_defaults(),
+            cfg,
+            dynamics,
+            ReplayHooks {
+                tele: Some(&mut tele),
+                sink: Some(&mut w),
+                snapshot_every: opts.snapshot_every,
+                resume_from: snap.map(|s| s.blob.as_slice()),
+            },
+        )
+        .unwrap_or_else(|e| panic!("logged replay failed: {e}"));
+        assert_eq!(
+            out.records, expect,
+            "logged/resumed replay diverged from the timed benchmark run"
+        );
+        let len = w.bytes_written();
+        w.into_inner().expect("event-log flush failed");
+        len
+    };
+    let (summary, len) = match &opts.log {
+        Some(path) => {
+            // `LogOptions::load` created it already.
+            let file = std::fs::File::create(path).expect("event log no longer writable");
+            let len = record(&mut std::io::BufWriter::new(file));
+            let summary = verify_path(path).unwrap_or_else(|e| {
+                panic!("event log {} failed verification: {e}", path.display())
+            });
+            (summary, len)
+        }
+        None => {
+            let mut bytes = Vec::new();
+            let len = record(&mut bytes);
+            let summary =
+                verify(&bytes[..]).expect("freshly recorded log failed chain verification");
+            (summary, len)
+        }
+    };
     tele.incr(Counter::LogChainVerifies);
     let mut line = format!(
-        "event log: rounds {}..{} ({} new), {} snapshot(s), {} B, chain {}, \
+        "event log: rounds {}..{} ({} new), {} snapshot(s), {len} B, chain {}, \
          records identical to the timed run",
         summary.start_round,
         summary.start_round + summary.rounds,
         summary.rounds,
         summary.snapshots,
-        bytes.len(),
         summary.digest.to_hex(),
     );
     if let Some(path) = &opts.log {
-        match std::fs::write(path, &bytes) {
-            Ok(()) => line.push_str(&format!("\nevent log written to {}", path.display())),
-            Err(e) => line.push_str(&format!(
-                "\nwarning: could not write event log {}: {e}",
-                path.display()
-            )),
-        }
+        line.push_str(&format!("\nevent log written to {}", path.display()));
     }
     line.push_str(&format!(
         "\nlog counters: log_rounds_appended={} log_bytes_written={} \
@@ -1487,7 +1511,8 @@ fn env_stamp() -> Json {
 /// min and max in the JSON); records and round counts must repeat
 /// exactly. One more
 /// *untimed* replay per point, instrumented, counts what the engine did
-/// (rounds not visited, heap traffic, stale pops, dirty-set sizes) and
+/// (rounds not visited, class joins, classes and flows per step,
+/// dirty-set sizes) and
 /// must produce the same records. The first point is also replayed
 /// through the O(state)-per-step reference loop and must produce the
 /// same records; `small` smoke runs replay each of their two points once
@@ -1659,14 +1684,11 @@ pub fn scale(
             .into_iter()
             .chain(phase_spreads);
         let engine_counters = [
-            ("heap_pushes", tele.counter(Counter::HeapPush).into()),
-            (
-                "heap_compactions",
-                tele.counter(Counter::HeapCompactions).into(),
-            ),
-            ("stale_pop_ratio", rounded(tele.stale_pop_ratio(), 4)),
+            ("class_joins", tele.counter(Counter::ClassJoins).into()),
+            ("mean_step_classes", rounded(tele.step_classes.mean(), 2)),
+            ("mean_step_flows", rounded(tele.step_flows.mean(), 2)),
             ("mean_dirty_set", rounded(tele.dirty_set.mean(), 1)),
-            ("max_heap_len", tele.heap_len.max.into()),
+            ("max_pending", tele.pending.max.into()),
         ];
         point_docs.push(Json::obj(
             counts

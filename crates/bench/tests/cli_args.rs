@@ -4,7 +4,7 @@
 //! flag it does not know, and an option given no value, for the same
 //! reason. A `bench-diff` document it cannot parse, or a
 //! `--resume-from` file it cannot resume from, ends the run with a
-//! message, never a signal.
+//! message, never a signal, and a closed stdout ends only the output.
 
 use std::process::Command;
 
@@ -139,4 +139,27 @@ fn bench_diff_refuses_a_too_deep_document() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("nesting deeper than 64"), "{stderr}");
+}
+
+/// A reader that has gone away (`repro bench-diff A B | true`) ends the
+/// output, not the run: no "failed printing to stdout" panic (exit
+/// 101), and the exit status is the run's own. The child's stdout is a
+/// pipe whose read end is closed before it starts, so its first write
+/// fails whatever the timing.
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scalability.json");
+    for args in [&["bench-diff", bench, bench][..], &["fig17"][..]] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .current_dir(env!("CARGO_TARGET_TMPDIR"))
+            .stdout(writer)
+            .output()
+            .expect("repro did not start");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

@@ -3,14 +3,10 @@
 //! 1. The JSONL round trace of a small seeded FB-like workload is
 //!    byte-stable across runs and matches a checked-in golden head.
 //! 2. Both Saath and Aalo report nonzero mechanism counts on that
-//!    workload (queue transitions, stale pops, dirty sets, …).
-//! 3. Heap hygiene: under heavy rate churn (stragglers + failures) the
-//!    completion heap compacts and its peak length stays bounded by the
-//!    live flow population — while records stay byte-identical to the
-//!    recompute-everything reference loop.
+//!    workload (queue transitions, class joins, dirty sets, …).
 
 use saath_core::{Aalo, CoflowScheduler, Saath};
-use saath_simulator::{simulate_reference, simulate_resumable, ReplayHooks, SimConfig, SimOutput};
+use saath_simulator::{simulate_resumable, ReplayHooks, SimConfig, SimOutput};
 use saath_telemetry::{Counter, Phase, Telemetry};
 use saath_workload::{gen, DynamicsSpec, Trace};
 
@@ -95,7 +91,7 @@ fn both_policies_report_nonzero_mechanism_counts() {
     let visited = tele.spans.hist(Phase::EngineRound).count;
     assert_eq!(visited + jumped, out.rounds);
     assert!(jumped * 2 > out.rounds, "only {jumped} rounds passed over");
-    assert!(tele.counter(Counter::HeapPopStale) > 0);
+    assert!(tele.counter(Counter::ClassJoins) > 0);
     assert!(tele.dirty_set.count > 0 && tele.dirty_set.max > 0);
     assert!(saath.mech.queue_transitions > 0);
     assert!(saath.mech.gang_admissions > 0);
@@ -122,70 +118,11 @@ fn both_policies_report_nonzero_mechanism_counts() {
     assert_eq!(tele.counter(Counter::RoundsJumped), 0);
     assert_eq!(tele.spans.hist(Phase::EngineRound).count, out.rounds);
     assert_eq!(aalo.timings.rounds(), out.rounds);
-    assert!(tele.counter(Counter::HeapPopStale) > 0);
+    assert!(tele.counter(Counter::ClassJoins) > 0);
     assert!(tele.dirty_set.count > 0);
     assert!(aalo.mech.queue_transitions > 0);
     assert!(aalo.mech.lcof_comparisons > 0);
     // Aalo has no gang admission or deadline machinery.
     assert_eq!(aalo.mech.gang_admissions, 0);
     assert_eq!(aalo.mech.deadline_expiries, 0);
-}
-
-#[test]
-fn heap_compaction_bounds_stale_entries_under_churn() {
-    // Heavy rate churn: stragglers re-rate every flow on a node twice
-    // (onset + recovery) and failures restart flows — each change
-    // pushes a fresh heap entry, stranding the old one.
-    let trace = mini_fb(7);
-    let spec = DynamicsSpec::random(
-        7,
-        trace.num_nodes,
-        trace.arrival_span(),
-        0.30,
-        saath_simcore::Duration::from_secs(10),
-        1,
-        10,
-        0.20,
-        saath_simcore::Duration::from_secs(1),
-    );
-    let (out, tele) = instrumented(&trace, &mut Saath::with_defaults(), &spec);
-
-    // Compaction must never change what the simulation computes.
-    let reference = simulate_reference(
-        &trace,
-        &mut Saath::with_defaults(),
-        &SimConfig::default(),
-        &spec,
-    )
-    .unwrap();
-    assert_eq!(out.records, reference.records);
-    assert_eq!(out.end, reference.end);
-
-    assert!(
-        tele.counter(Counter::HeapCompactions) > 0,
-        "churn never triggered a compaction"
-    );
-    // The compaction trigger (len > 64 && len > 4×flowing, checked
-    // every round) bounds the heap by the live flow population, not by
-    // the cumulative push count.
-    let max_flowing = tele
-        .jsonl()
-        .lines()
-        .filter_map(|l| {
-            let v = l.split("\"flowing\":").nth(1)?;
-            v.split(',').next()?.parse::<u64>().ok()
-        })
-        .max()
-        .unwrap_or(0);
-    assert!(max_flowing > 0);
-    let bound = 64 + 6 * max_flowing;
-    assert!(
-        tele.heap_len.max <= bound,
-        "heap peaked at {} > bound {bound} (max flowing {max_flowing})",
-        tele.heap_len.max
-    );
-    assert!(
-        tele.heap_len.max < tele.counter(Counter::HeapPush),
-        "heap peak should sit well below cumulative pushes under churn"
-    );
 }

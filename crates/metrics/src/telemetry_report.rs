@@ -1,8 +1,9 @@
 //! End-of-run telemetry rendering: turns a [`Telemetry`] handle (and a
 //! policy's [`MechCounters`]) into the harness's standard [`Table`]s,
 //! plus the one-line per-policy mechanism breakdown `repro trace`
-//! prints (e.g. "saath: 412 queue transitions, 9 deadline rescues,
-//! 3.1% stale heap pops") and the event-log summary line.
+//! prints (e.g. "saath: 412 queue transitions, 9 deadline rescues, …,
+//! 7.7 flows in 1.4 rate classes per step") and the event-log summary
+//! line.
 
 use crate::table::Table;
 use saath_telemetry::{Counter, LogHist, MechCounters, SpanProfiler, Telemetry};
@@ -35,11 +36,12 @@ pub fn engine_table(policy: &str, tele: &Telemetry) -> Table {
     for (name, v) in tele.counter_rows() {
         scalar(name, v.to_string());
     }
-    scalar("stale_pop_ratio", format!("{:.3}", tele.stale_pop_ratio()));
     for (name, h) in [
         ("dirty_set_size", &tele.dirty_set),
-        ("heap_len", &tele.heap_len),
+        ("pending_flows", &tele.pending),
         ("active_coflows", &tele.active_coflows),
+        ("step_classes", &tele.step_classes),
+        ("step_flows", &tele.step_flows),
     ] {
         if h.count > 0 {
             t.row(&loghist_cells(name, h));
@@ -97,29 +99,28 @@ pub fn mech_table(policy: &str, mech: &MechCounters) -> Table {
 pub fn mech_breakdown_line(policy: &str, mech: &MechCounters, tele: &Telemetry) -> String {
     format!(
         "{policy}: {} queue transitions, {} deadline rescues, {} gang rejections, \
-         {} wc backfills, {:.1}% stale heap pops, mean dirty set {:.1}",
+         {} wc backfills, mean dirty set {:.1}, {:.1} flows in {:.1} rate classes per step",
         mech.queue_transitions,
         mech.deadline_expiries,
         mech.gang_rejections,
         mech.wc_backfills,
-        tele.stale_pop_ratio() * 100.0,
         tele.dirty_set.mean(),
+        tele.step_flows.mean(),
+        tele.step_classes.mean(),
     )
 }
 
 /// The one-line event-log summary `repro trace` prints under the
-/// mechanism breakdown: the four event-log counters plus the stale-pop
-/// ratio, so log overhead and heap health are visible without the full
-/// engine table.
+/// mechanism breakdown: the four event-log counters, so log overhead is
+/// visible without the full engine table.
 pub fn eventlog_line(policy: &str, tele: &Telemetry) -> String {
     format!(
         "{policy}: eventlog {} rounds appended, {} bytes written, {} snapshots, \
-         {} chain verifies, {:.1}% stale heap pops",
+         {} chain verifies",
         tele.counter(Counter::LogRoundsAppended),
         tele.counter(Counter::LogBytesWritten),
         tele.counter(Counter::LogSnapshots),
         tele.counter(Counter::LogChainVerifies),
-        tele.stale_pop_ratio() * 100.0,
     )
 }
 
@@ -131,9 +132,9 @@ mod tests {
     #[test]
     fn tables_render_without_samples() {
         let txt = engine_table("saath", &Telemetry::new()).render();
-        assert!(txt.contains("stale_pop_ratio"));
+        assert!(txt.contains("class_joins"));
         // Histograms with no samples are omitted.
-        assert!(!txt.contains("heap_len"));
+        assert!(!txt.contains("pending_flows"));
         assert!(!txt.contains("span:"));
 
         let m = mech_table("saath", &MechCounters::default());
@@ -148,32 +149,26 @@ mod tests {
         for v in [3u64, 5, 40] {
             tele.dirty_set.observe(v);
         }
-        tele.heap_len.observe(7);
+        tele.pending.observe(7);
         for v in [1_000u64, 2_000, 4_000] {
             tele.spans.observe(Phase::EngineRound, v);
         }
         assert_eq!(
             engine_table("saath", &tele).render(),
             "== engine telemetry — saath ==\n\
-             counter               count  min   p50   mean    max   p99\n\
-             -----------------------------------------------------------\n\
-             heap_pushes           0      -     -     -       -     -\n\
-             heap_pops_current     0      -     -     -       -     -\n\
-             heap_pops_stale       0      -     -     -       -     -\n\
-             heap_pops_superseded  0      -     -     -       -     -\n\
-             heap_pops_dead        0      -     -     -       -     -\n\
-             heap_compactions      0      -     -     -       -     -\n\
-             sched_rounds          0      -     -     -       -     -\n\
-             rounds_elided         0      -     -     -       -     -\n\
-             rounds_jumped         0      -     -     -       -     -\n\
-             log_rounds_appended   0      -     -     -       -     -\n\
-             log_bytes_written     0      -     -     -       -     -\n\
-             log_snapshots         0      -     -     -       -     -\n\
-             log_chain_verifies    0      -     -     -       -     -\n\
-             stale_pop_ratio       0.000  -     -     -       -     -\n\
-             dirty_set_size        3      3     5     16.0    40    40\n\
-             heap_len              1      7     7     7.0     7     7\n\
-             span:engine_round     3      1000  2047  2333.3  4000  4000\n"
+             counter              count  min   p50   mean    max   p99\n\
+             ----------------------------------------------------------\n\
+             class_joins          0      -     -     -       -     -\n\
+             sched_rounds         0      -     -     -       -     -\n\
+             rounds_elided        0      -     -     -       -     -\n\
+             rounds_jumped        0      -     -     -       -     -\n\
+             log_rounds_appended  0      -     -     -       -     -\n\
+             log_bytes_written    0      -     -     -       -     -\n\
+             log_snapshots        0      -     -     -       -     -\n\
+             log_chain_verifies   0      -     -     -       -     -\n\
+             dirty_set_size       3      3     5     16.0    40    40\n\
+             pending_flows        1      7     7     7.0     7     7\n\
+             span:engine_round    3      1000  2047  2333.3  4000  4000\n"
         );
     }
 
@@ -201,8 +196,10 @@ mod tests {
     #[test]
     fn breakdown_line_mentions_the_mechanisms() {
         let mut tele = Telemetry::new();
-        tele.incr(Counter::HeapPopStale);
-        tele.incr(Counter::HeapPopCurrent);
+        for (classes, flows) in [(1u64, 4u64), (2, 11)] {
+            tele.step_classes.observe(classes);
+            tele.step_flows.observe(flows);
+        }
         let mech = MechCounters {
             queue_transitions: 412,
             deadline_expiries: 9,
@@ -210,7 +207,7 @@ mod tests {
         };
         let line = mech_breakdown_line("saath", &mech, &tele);
         assert!(line.starts_with("saath: 412 queue transitions, 9 deadline rescues"));
-        assert!(line.contains("50.0% stale heap pops"));
+        assert!(line.ends_with("7.5 flows in 1.5 rate classes per step"));
     }
 
     #[test]

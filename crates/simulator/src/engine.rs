@@ -4,16 +4,17 @@
 //! Two implementations of the same semantics live here:
 //!
 //! * [`simulate`] — the production epoch loop. Advancing simulated time
-//!   is O(changes), not O(state): the next flow completion comes from a
-//!   lazily-invalidated min-heap of predicted completion times instead
-//!   of a scan over every active flow; schedules are applied as a diff
-//!   against the previous round (only flows whose rate actually changed
-//!   are touched); views are re-synced only for CoFlows whose flows
-//!   progressed since the last round (a dirty set); a round whose
-//!   output cannot differ from the previous one's is counted, logged
-//!   and traced but not computed (see "When a round is not computed"
-//!   below); and a run of δ boundaries at which nothing can happen is
-//!   crossed in one step ("When a boundary is not visited").
+//!   costs O(rate classes + finishing flows), not O(state): the flows
+//!   holding one rate are credited together through one accumulator,
+//!   and the next completion is a minimum over those classes (see "Rate
+//!   classes" below); schedules are applied as a diff against the
+//!   previous round (only flows whose rate actually changed are
+//!   touched); a view sync writes only what moved ("What a view sync
+//!   writes"); a round whose output cannot differ from the previous
+//!   one's is counted, logged and traced but not computed ("When a
+//!   round is not computed"); and a run of δ boundaries at which nothing
+//!   can happen is crossed in one step ("When a boundary is not
+//!   visited").
 //! * [`simulate_reference`] — the original O(state)-per-step loop, kept
 //!   verbatim as the executable specification. The equivalence test
 //!   below and `tests/engine_equivalence.rs` assert the two produce
@@ -24,27 +25,77 @@
 //! exact integer arithmetic (`transfer_time` rounds up, `bytes_in`
 //! rounds down), so a flow's predicted completion drifts monotonically
 //! *later* as an interval is subdivided — `Σ floor(r·dtᵢ) ≤
-//! floor(r·Σdtᵢ)`. The incremental loop therefore never introduces or
-//! removes time steps relative to the reference: heap entries are
-//! pushed only on rate changes, and a stale entry surfacing at the top
-//! is re-pushed at the flow's *current* prediction, so the popped
-//! minimum equals the reference's fresh scan exactly. A jump over quiet
-//! boundaries keeps all of this: it credits the per-step floors the
-//! single steps would (so `sent`, and with it the prediction, is
-//! theirs), and since predictions only drift later, every flowing flow
-//! still has a heap entry at or before its current prediction — the
-//! heap is simply peeked once per jump instead of once per δ.
+//! floor(r·Σdtᵢ)`. The incremental loop therefore credits exactly the
+//! reference loop's per-step floors and never introduces or removes a
+//! time step: the next completion it steps to is the reference scan's
+//! minimum, read off the classes instead of scanned.
 //!
-//! A prediction is derived, not stored. Every unfinished flow with a
-//! rate has been credited up to `now` (the advance pass moves them all
-//! together), so its prediction is a pure function of `now`, `size −
-//! sent` and `rate` — [`prediction`], the reference loop's own scan
-//! term — and it is computed only where it is read: the heap peek, the
-//! compaction pass, the push at a rate change or straggler rescale, the
-//! rebuild after a resume, and the snapshot encoder (which writes the
-//! same value the stored field held, so blobs are unchanged). The
-//! advance pass, which touches every flowing flow on every step, only
-//! credits bytes; it predicts nothing.
+//! ## Rate classes
+//!
+//! All-or-none admission gives every flow of an admitted CoFlow one
+//! rate, so a step that credits dozens of flows credits only a handful
+//! of distinct rates. The unfinished flows holding rate `r` form a
+//! *class*, and the class keeps one accumulator `acc`: the bytes
+//! `bytes_over(r, first, passed, δ)` credited to each member, summed
+//! over the steps since the class opened. A flow joins with its stored
+//! `sent` as its anchor `sent₀` at `acc₀`, and from then on
+//!
+//! ```text
+//! sent = sent₀ + (acc − acc₀)        threshold = acc₀ + size − sent₀
+//! ```
+//!
+//! It finishes at the step where `acc` reaches its threshold, which is
+//! fixed for as long as it holds the rate. This is exact, not an
+//! approximation:
+//! every flow at rate `r` was credited the same `floor(r·dt)` per step
+//! by the per-flow loop, so the sum is the same integer, and `(sent +
+//! credit).min(size) == size` exactly when `acc` reaches the threshold.
+//! Records, rounds, event logs and snapshot blobs are byte-identical to
+//! the per-flow loop's.
+//!
+//! Each class keeps its members in a binary min-heap on `(threshold,
+//! flow)`, and a map each member's index in that heap, so a step reads one
+//! member per class: crediting is O(classes), each flow that finishes
+//! costs one O(log) pop, a flow whose rate changes one O(log) removal
+//! and one push, and the next completion is the minimum over classes of
+//! their first member's [`prediction`] — a member's remainder is
+//! `threshold − acc`, so this is the reference scan's minimum. The
+//! stored `sent` is written back (equivalently: the anchor moves to the
+//! current `acc`, which leaves the threshold where it was) only where it
+//! is read: at a computed round's view sync, when the flow's rate
+//! changes (it leaves its class and joins another), at a dynamics event
+//! and before a snapshot; a flow that finishes gets `sent = size`.
+//!
+//! **The oracle.** Debug builds keep the per-flow loop beside the
+//! classes: a shadow copy of `sent` credited flow by flow at every
+//! step, `(sent + bytes_over).min(size)`, and every step asserts that
+//! each member's class-derived `sent` equals its shadow, that a flow
+//! finishes exactly when its shadow reaches its size, and that the
+//! class minimum equals the minimum of `prediction` over the flowing
+//! flows. CI runs them optimized, on the engine suites and the small
+//! scalability sweep.
+//!
+//! ## What a view sync writes
+//!
+//! A computed round re-syncs only the CoFlows in the dirty set, and
+//! within them only what moved. Byte progress moves the `sent` of the
+//! class members (every flow that sent since the last sync is a member
+//! now or has finished since) and the `finished` flag of the flows that
+//! finished; both are written flow by flow. Every flow of a CoFlow is
+//! walked only when the CoFlow carries a structural mark — a release, a
+//! readiness wake, a failure, a straggler start or end, a resume — or
+//! when a finish may drop a straggler flag that rested on the finished
+//! flow. Every flow the schedule sets sending has its CoFlow marked
+//! dirty at the apply, in the schedule's order, which is the order the
+//! per-flow loop's first step marked them in; the dirty list, and with
+//! it the scheduler's `changed` hint and the snapshot blob, is the
+//! per-flow loop's. Debug builds check every active view against
+//! ground truth after each sync.
+//!
+//! `flowing` — the flows the last computed round set sending, in the
+//! schedule's order — is compacted (flows finished or zeroed since
+//! dropped) only where it is read: before the next apply, a snapshot or
+//! a straggler rescale. No step walks it.
 //!
 //! ## When a round is not computed
 //!
@@ -78,12 +129,12 @@
 //! leave with no flow finished and no event drained (`t < ceil(x/r) ⇒
 //! floor(r·t) < x`, and splitting an interval only loses bytes, so no
 //! flow reaches its size before the earliest prediction). With `s` of
-//! them the loop steps straight to `b_s`: the advance pass credits
-//! `bytes_in(r, b_1 − now) + (s − 1)·bytes_in(r, δ)` — the single
-//! steps' floors, one by one — and marks dirty once; each prediction
-//! follows from the final `sent` when next read. The round at `b_s` is
-//! then an ordinary iteration. An ordinary step is the `s ≤ 1` case of
-//! the same code.
+//! them the loop steps straight to `b_s`: each class's accumulator
+//! takes `bytes_in(r, b_1 − now) + (s − 1)·bytes_in(r, δ)` — the single
+//! steps' floors, one by one — and each prediction follows from the
+//! final accumulator when next read. The round at `b_s` is then an
+//! ordinary iteration. An ordinary step is the `s ≤ 1` case of the same
+//! code.
 //!
 //! **A round passed over is still a round.** It counts towards
 //! [`SimOutput::rounds`] and [`SimConfig::max_rounds`] (a jump stops
@@ -95,15 +146,12 @@
 //! each single step's round would have read. A jump never carries the
 //! round count past a multiple of [`ReplayHooks::snapshot_every`]: it
 //! lands there and the snapshot is taken at the top of the loop as
-//! ever (a cadence of 1 therefore single-steps, by arithmetic). The
-//! one thing an observer can tell: the engine's own heap bookkeeping
-//! (`Heap*` counters fall; a passed-over round's `heap` column reads
-//! the heap as of the jump). A scheduler that sets no horizon has
-//! `limit == Time::ZERO` and never jumps; [`simulate_reference`] never
-//! does.
+//! ever (a cadence of 1 therefore single-steps, by arithmetic). No
+//! record, log frame, snapshot or JSONL line tells a jump from the
+//! single steps; only `RoundsJumped` and the span counts do. A scheduler
+//! that sets no horizon has `limit == Time::ZERO` and never jumps;
+//! [`simulate_reference`] never does.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use saath_core::view::{ClusterView, CoflowScheduler, CoflowView, FlowView, Schedule};
@@ -111,7 +159,9 @@ use saath_eventlog::{RateEntry, RoundRecord, RoundSink};
 use saath_fabric::PortBank;
 use saath_metrics::CoflowRecord;
 use saath_simcore::units::{bytes_in, transfer_time};
-use saath_simcore::{Bytes, CoflowId, Duration, EventQueue, FlowId, NodeId, Rate, Time};
+use saath_simcore::{
+    Bytes, CoflowId, Duration, EventQueue, FastHashMap, FlowId, NodeId, Rate, Time,
+};
 use saath_telemetry::{Counter, Phase, RoundSnapshot, Telemetry};
 use saath_workload::{DynamicsEvent, DynamicsSpec, Trace};
 
@@ -234,7 +284,8 @@ pub(crate) struct SimFlow {
 /// When `f` completes under its current rate, predicted at `now`, the
 /// instant its `sent` was last credited to: `Time::NEVER` while it is
 /// paused or finished, or when the prediction saturates. Exactly the
-/// term the reference loop's scan takes the minimum of.
+/// term the reference loop's scan takes the minimum of. Read where
+/// `sent` is current: the snapshot codec and the debug oracle.
 #[inline]
 pub(crate) fn prediction(f: &SimFlow, now: Time) -> Time {
     if f.finished_at.is_some() || f.rate.is_zero() {
@@ -399,12 +450,231 @@ fn mark_dirty(dirty: &mut [bool], dirty_list: &mut Vec<usize>, ci: usize) {
     }
 }
 
+/// Marks `ci` dirty for a change beyond byte progress: its next view
+/// sync walks every one of its flows (module docs, "What a view sync
+/// writes").
+#[inline]
+fn mark_walk(dirty: &mut [bool], dirty_list: &mut Vec<usize>, walk: &mut [bool], ci: usize) {
+    mark_dirty(dirty, dirty_list, ci);
+    walk[ci] = true;
+}
+
+/// Keeps the entries of `flowing` that still send: unfinished, with a
+/// nonzero rate. Order is kept.
+fn compact(flowing: &mut Vec<usize>, flows: &[SimFlow]) {
+    flowing.retain(|&fi| flows[fi].finished_at.is_none() && !flows[fi].rate.is_zero());
+}
+
+/// Members a closed class's buffer may keep room for (1 KB). Most
+/// classes are an admitted CoFlow's flows, a handful to a few dozen.
+const SPARE_CAPACITY: usize = 64;
+
+/// The unfinished flows holding one rate (module docs, "Rate classes").
+struct RateClass {
+    rate: Rate,
+    /// Bytes credited to each member over the steps since the class
+    /// opened.
+    acc: u64,
+    /// `(threshold, flow)` of every member, as a binary min-heap: the
+    /// first one finishes first.
+    heap: Vec<(u64, u32)>,
+}
+
+/// Every unfinished flow with a nonzero rate, grouped by rate. A class
+/// closes when its last member leaves, so every class is nonempty.
+#[derive(Default)]
+struct RateClasses {
+    classes: Vec<RateClass>,
+    /// Closed classes, with their buffers if no larger than
+    /// [`SPARE_CAPACITY`]: classes open and close round after round, and
+    /// reusing small buffers spares the allocator that churn without
+    /// keeping a large one.
+    spare: Vec<RateClass>,
+    /// Rate → index into `classes`.
+    by_rate: FastHashMap<u64, usize>,
+    /// Member → its index in its class's heap. Kept for the members
+    /// only: a per-flow array would cost every flow, sending or not.
+    slot: FastHashMap<u32, u32>,
+}
+
+impl RateClasses {
+    /// Members over all classes: the flows whose completion is pending.
+    fn members(&self) -> usize {
+        self.slot.len()
+    }
+
+    /// Adds `f` — unfinished, with a nonzero rate and its `sent`
+    /// current — to the class of its rate, opening the class if need be.
+    fn join(&mut self, fi: usize, f: &SimFlow) {
+        debug_assert!(f.finished_at.is_none() && !f.rate.is_zero());
+        let open = self.classes.len();
+        let c = *self.by_rate.entry(f.rate.as_u64()).or_insert(open);
+        if c == open {
+            let mut class = self.spare.pop().unwrap_or(RateClass {
+                rate: f.rate,
+                acc: 0,
+                heap: Vec::new(),
+            });
+            (class.rate, class.acc) = (f.rate, 0);
+            self.classes.push(class);
+        }
+        let class = &mut self.classes[c];
+        let threshold = class
+            .acc
+            .checked_add((f.size - f.sent).0)
+            .expect("rate class threshold overflows u64");
+        class.heap.push((threshold, fi as u32));
+        let last = class.heap.len() - 1;
+        sift_up(&mut class.heap, &mut self.slot, last);
+    }
+
+    /// Takes `f` out of its rate's class, with its `sent` written back.
+    fn leave(&mut self, fi: usize, f: &mut SimFlow) {
+        let c = self.by_rate[&f.rate.as_u64()];
+        let class = &mut self.classes[c];
+        let i = self.slot[&(fi as u32)] as usize;
+        debug_assert_eq!(
+            class.heap[i].1 as usize, fi,
+            "flow {fi} is not in its rate class"
+        );
+        let (threshold, _) = remove_at(&mut class.heap, &mut self.slot, i);
+        f.sent = f.size - Bytes(threshold - class.acc);
+        if class.heap.is_empty() {
+            self.close(c);
+        }
+    }
+
+    fn close(&mut self, c: usize) {
+        let mut class = self.classes.swap_remove(c);
+        self.by_rate.remove(&class.rate.as_u64());
+        if let Some(moved) = self.classes.get(c) {
+            self.by_rate.insert(moved.rate.as_u64(), c);
+        }
+        if class.heap.capacity() > SPARE_CAPACITY {
+            class.heap = Vec::new();
+        }
+        self.spare.push(class);
+    }
+
+    /// Writes every member's `sent` back, handing each member to
+    /// `visit` after.
+    fn write_back(&self, flows: &mut [SimFlow], mut visit: impl FnMut(usize, &SimFlow)) {
+        for class in &self.classes {
+            for &(threshold, fi) in &class.heap {
+                let f = &mut flows[fi as usize];
+                f.sent = f.size - Bytes(threshold - class.acc);
+                visit(fi as usize, f);
+            }
+        }
+    }
+
+    /// The earliest completion under current rates, predicted at `now`
+    /// (the instant every class was last credited to): each class's
+    /// first member's [`prediction`].
+    fn next_completion(&self, now: Time) -> Time {
+        self.classes.iter().fold(Time::NEVER, |t, class| {
+            let (threshold, _) = class.heap[0];
+            t.min(now.saturating_add(transfer_time(Bytes(threshold - class.acc), class.rate)))
+        })
+    }
+
+    /// Credits every class one step of `first` and `more` steps of
+    /// `delta`, and hands each flow that reaches its threshold to
+    /// `finish`, out of its class.
+    fn advance(
+        &mut self,
+        first: Duration,
+        more: u64,
+        delta: Duration,
+        mut finish: impl FnMut(usize),
+    ) {
+        // Backwards, so a class closed here swaps in one already done.
+        for c in (0..self.classes.len()).rev() {
+            let class = &mut self.classes[c];
+            class.acc = class
+                .acc
+                .checked_add(bytes_over(class.rate, first, more, delta).0)
+                .expect("rate class accumulator overflows u64");
+            while class
+                .heap
+                .first()
+                .is_some_and(|&(threshold, _)| threshold <= class.acc)
+            {
+                let (_, fi) = remove_at(&mut class.heap, &mut self.slot, 0);
+                finish(fi as usize);
+            }
+            if class.heap.is_empty() {
+                self.close(c);
+            }
+        }
+    }
+
+    /// Flow `fi`'s `sent` as its class has it (debug oracle).
+    #[cfg(debug_assertions)]
+    fn sent_of(&self, fi: usize, f: &SimFlow) -> Bytes {
+        let class = &self.classes[self.by_rate[&f.rate.as_u64()]];
+        let (threshold, member) = class.heap[self.slot[&(fi as u32)] as usize];
+        assert_eq!(member as usize, fi, "flow {fi} is not in its rate class");
+        f.size - Bytes(threshold - class.acc)
+    }
+}
+
+/// Moves `heap[i]` up to its place, keeping `slot` on every entry it
+/// moves.
+fn sift_up(heap: &mut [(u64, u32)], slot: &mut FastHashMap<u32, u32>, mut i: usize) {
+    while i > 0 {
+        let parent = (i - 1) / 2;
+        if heap[parent] <= heap[i] {
+            break;
+        }
+        heap.swap(parent, i);
+        slot.insert(heap[i].1, i as u32);
+        i = parent;
+    }
+    slot.insert(heap[i].1, i as u32);
+}
+
+/// Moves `heap[i]` down to its place, keeping `slot` on every entry it
+/// moves.
+fn sift_down(heap: &mut [(u64, u32)], slot: &mut FastHashMap<u32, u32>, mut i: usize) {
+    loop {
+        let left = 2 * i + 1;
+        if left >= heap.len() {
+            break;
+        }
+        let child = if left + 1 < heap.len() && heap[left + 1] < heap[left] {
+            left + 1
+        } else {
+            left
+        };
+        if heap[i] <= heap[child] {
+            break;
+        }
+        heap.swap(i, child);
+        slot.insert(heap[i].1, i as u32);
+        i = child;
+    }
+    slot.insert(heap[i].1, i as u32);
+}
+
+/// Removes and returns `heap[i]`, keeping the heap order and `slot`.
+fn remove_at(heap: &mut Vec<(u64, u32)>, slot: &mut FastHashMap<u32, u32>, i: usize) -> (u64, u32) {
+    let out = heap.swap_remove(i);
+    slot.remove(&out.1);
+    if i < heap.len() {
+        sift_down(heap, slot, i);
+        sift_up(heap, slot, i);
+    }
+    out
+}
+
 /// What a replay carries besides the trace and the scheduler: an
 /// optional instrumentation handle, an optional event-log sink, a
 /// snapshot cadence, and an optional snapshot blob to resume from.
 ///
-/// With `tele` the engine counts heap pushes and pop outcomes,
-/// dirty-set sizes, scheduling rounds and per-section wall time, and —
+/// With `tele` the engine counts rate-class joins, the classes and
+/// flows each step credits, dirty-set sizes, scheduling rounds and
+/// per-section wall time, and —
 /// if the handle was built with [`Telemetry::with_jsonl`] — appends one
 /// deterministic JSONL round snapshot per scheduling round. Without it
 /// the instrumentation vanishes; records are byte-identical either way,
@@ -504,20 +774,21 @@ pub fn simulate_resumable(
     let mut straggled = vec![false; num_nodes];
 
     // ---- Incremental machinery ----
-    // Flows holding a nonzero rate (superset: zeroed entries are
-    // compacted away at the next advancement pass). Order follows the
-    // schedule's rate list, so iteration stays deterministic.
+    // The flows the last computed round set sending, in the schedule's
+    // rate-list order (so iteration stays deterministic). Flows that
+    // finish or lose their rate since stay until `compact` drops them
+    // where the list is read (module docs).
     let mut flowing: Vec<usize> = Vec::new();
-    // Min-heap of (predicted completion, flow). Entries are pushed only
-    // when a flow's rate changes; predictions drift monotonically later
-    // between rate changes (integer floor/ceil), so every flowing flow
-    // always has an entry at or before its current prediction. Stale
-    // entries are re-pushed at the current prediction when they surface.
-    let mut completions: BinaryHeap<Reverse<(Time, u32)>> = BinaryHeap::new();
+    // Every unfinished flow with a nonzero rate, credited per rate.
+    let mut classes = RateClasses::default();
     // CoFlows whose view lags ground truth (flows progressed, readiness
-    // or restart flags changed) — the only ones re-synced per round.
+    // or restart flags changed) — the only ones re-synced per round —
+    // and, among them, those whose sync walks every flow.
     let mut dirty = vec![false; n_coflows];
     let mut dirty_list: Vec<usize> = Vec::new();
+    let mut walk = vec![false; n_coflows];
+    // Flows finished since the last view sync.
+    let mut finished: Vec<usize> = Vec::new();
     // Wakes the sync for CoFlows whose flows become ready mid-run
     // (`available_after` delays, failure restarts). At δ > 0 readiness
     // is not a `t_next` candidate — exactly as in the reference loop, a
@@ -535,8 +806,9 @@ pub fn simulate_resumable(
     // covers *any* view-content change — footprints, `sent` bytes,
     // readiness, restarts — because schedulers also cache queue
     // assignments and ordering keys. The dirty set marks arrival, byte
-    // progress, finish, readiness, straggler start/end, and failure
-    // resets, satisfying that contract.
+    // progress (at the apply: every CoFlow the schedule sets sending),
+    // readiness, straggler start/end, and failure resets, satisfying
+    // that contract.
     let mut changed_ids: Vec<CoflowId> = Vec::new();
     // Whether anything but byte progress moved since the last computed
     // round (module docs); together with `schedule.valid_until` it
@@ -565,17 +837,17 @@ pub fn simulate_resumable(
         flowing = st.flowing;
         dirty = st.dirty;
         dirty_list = st.dirty_list;
-        // The completion heap is not serialized: rebuild it with exactly
-        // one current entry per flowing flow. A binary heap's pop order
-        // depends only on its key multiset, and the lazy-deletion loop
-        // makes stale/dead entries unobservable, so this matches the
-        // uninterrupted run's popped minima exactly (the same argument
-        // as the compaction pass below).
+        // The classes are not serialized: `apply` checked that
+        // `flowing` holds exactly the unfinished flows with a rate, each
+        // once, so they join afresh at their stored `sent`. The views of
+        // the dirty CoFlows lag by what the uninterrupted run's next
+        // sync would have written; walking them writes all of it.
         for &fi in &flowing {
-            let pred = prediction(&flows[fi], now);
-            if !pred.is_never() {
-                completions.push(Reverse((pred, fi as u32)));
-            }
+            classes.join(fi, &flows[fi]);
+            tele_incr!(tele, Counter::ClassJoins);
+        }
+        for &ci in &dirty_list {
+            walk[ci] = true;
         }
         // Records of CoFlows that finished before the snapshot: rebuilt
         // from the restored tables. Push order differs from the original
@@ -608,6 +880,9 @@ pub fn simulate_resumable(
         structural = true;
         last_snapshot = rounds;
     }
+    // The debug oracle (module docs): `sent` credited flow by flow.
+    #[cfg(debug_assertions)]
+    let mut shadow: Vec<Bytes> = flows.iter().map(|f| f.sent).collect();
 
     loop {
         // ---- 0. Snapshot at the cadence ----
@@ -621,6 +896,8 @@ pub fn simulate_resumable(
         {
             last_snapshot = rounds;
             if let Some(sink) = hooks.sink.as_deref_mut() {
+                compact(&mut flowing, &flows);
+                classes.write_back(&mut flows, |_, _| {});
                 let blob = snapshot::encode(
                     &snapshot::SnapshotView {
                         now,
@@ -674,12 +951,12 @@ pub fn simulate_resumable(
             }
             views.push(make_view(trace, ci, first_flow, t, cfg.clairvoyant));
             view_owner.push(ci);
-            mark_dirty(&mut dirty, &mut dirty_list, ci);
+            mark_walk(&mut dirty, &mut dirty_list, &mut walk, ci);
             structural = true;
         }
         while let Some((_, ci)) = ready_events.pop_due(now) {
             if coflows[ci].view_slot != usize::MAX {
-                mark_dirty(&mut dirty, &mut dirty_list, ci);
+                mark_walk(&mut dirty, &mut dirty_list, &mut walk, ci);
                 structural = true;
             }
         }
@@ -691,50 +968,56 @@ pub fn simulate_resumable(
                     straggled[node.index()] = true;
                     // Scale down in-flight rates on that node so the
                     // port is never oversubscribed mid-interval. Every
-                    // nonzero-rate flow is in `flowing`.
+                    // nonzero-rate flow is in `flowing`; each one on the
+                    // node moves to the class of its new rate.
+                    compact(&mut flowing, &flows);
                     for &fi in &flowing {
                         let f = &mut flows[fi];
-                        if f.finished_at.is_none()
-                            && f.rate != Rate::ZERO
-                            && (f.src == node || f.dst == node)
-                        {
+                        if f.src == node || f.dst == node {
+                            classes.leave(fi, f);
                             f.rate = f.rate.mul_ratio(num, den);
-                            let pred = prediction(f, now);
-                            if !pred.is_never() {
-                                completions.push(Reverse((pred, fi as u32)));
-                                tele_incr!(tele, Counter::HeapPush);
+                            if !f.rate.is_zero() {
+                                classes.join(fi, f);
+                                tele_incr!(tele, Counter::ClassJoins);
                             }
                         }
                     }
                     // Straggler flags can flip for any active CoFlow.
                     for &ci in &view_owner {
-                        mark_dirty(&mut dirty, &mut dirty_list, ci);
+                        mark_walk(&mut dirty, &mut dirty_list, &mut walk, ci);
                     }
                 }
                 DynAction::StraggleEnd { node } => {
                     bank.set_node_capacity(node, nominal);
                     straggled[node.index()] = false;
                     for &ci in &view_owner {
-                        mark_dirty(&mut dirty, &mut dirty_list, ci);
+                        mark_walk(&mut dirty, &mut dirty_list, &mut walk, ci);
                     }
                 }
                 DynAction::Fail {
                     node,
                     restart_delay,
                 } => {
-                    for f in flows.iter_mut() {
+                    for (fi, f) in flows.iter_mut().enumerate() {
                         if f.finished_at.is_none()
                             && (f.src == node || f.dst == node)
                             && coflows[f.coflow].released.is_some()
                         {
+                            if !f.rate.is_zero() {
+                                classes.leave(fi, f);
+                            }
                             f.sent = Bytes::ZERO;
                             f.rate = Rate::ZERO;
+                            #[cfg(debug_assertions)]
+                            {
+                                shadow[fi] = Bytes::ZERO;
+                            }
                             f.ready_at = f.ready_at.max(now.saturating_add(restart_delay));
                             let slot = coflows[f.coflow].view_slot;
                             if slot != usize::MAX {
                                 coflows[f.coflow].restarted = true;
                                 views[slot].restarted = true;
-                                mark_dirty(&mut dirty, &mut dirty_list, f.coflow);
+                                mark_walk(&mut dirty, &mut dirty_list, &mut walk, f.coflow);
                                 if f.ready_at > now && !f.ready_at.is_never() {
                                     ready_events.push(f.ready_at, f.coflow);
                                 }
@@ -763,19 +1046,46 @@ pub fn simulate_resumable(
             // Compute, unless the schedule in hand is provably what
             // `compute` would return (module docs): nothing structural
             // moved since it was computed and its horizon is ahead.
-            if structural || now >= schedule.valid_until {
+            let computed = structural || now >= schedule.valid_until;
+            if computed {
                 structural = false;
-                // Sync views with ground truth — only where it moved.
+                // Sync views with ground truth — only what moved
+                // (module docs). Byte progress first: every flow that
+                // sent since the last sync is a member now, or finished.
                 let t_viewsync = t_round.map(|_| Instant::now());
+                classes.write_back(&mut flows, |fi, f| {
+                    let c = &coflows[f.coflow];
+                    views[c.view_slot].flows[fi - c.first_flow].sent = f.sent;
+                });
+                for fi in finished.drain(..) {
+                    let ci = flows[fi].coflow;
+                    let c = &coflows[ci];
+                    if c.view_slot == usize::MAX {
+                        continue; // completed since
+                    }
+                    let view = &mut views[c.view_slot];
+                    let fv = &mut view.flows[fi - c.first_flow];
+                    fv.sent = flows[fi].sent;
+                    fv.finished = true;
+                    // A straggler flag may have rested on this flow.
+                    if view.restarted && !c.restarted {
+                        debug_assert!(dirty[ci], "finished flow's coflow {ci} not dirty");
+                        walk[ci] = true;
+                    }
+                }
                 let any_straggler = straggled.iter().any(|&b| b);
                 changed_ids.clear();
                 for ci in dirty_list.drain(..) {
                     dirty[ci] = false;
+                    let walk_all = std::mem::take(&mut walk[ci]);
                     let slot = coflows[ci].view_slot;
                     if slot == usize::MAX {
                         continue; // completed since it was marked
                     }
                     changed_ids.push(views[slot].id);
+                    if !walk_all {
+                        continue;
+                    }
                     let view = &mut views[slot];
                     let base = coflows[ci].first_flow;
                     let mut touches_straggler = false;
@@ -795,6 +1105,8 @@ pub fn simulate_resumable(
                     // the coordinator); straggler flags follow the slowdown.
                     view.restarted = coflows[ci].restarted || touches_straggler;
                 }
+                #[cfg(debug_assertions)]
+                check_views(&views, &view_owner, &flows, &coflows, &straggled, now);
                 if let (Some(t0), Some(t)) = (t_viewsync, tele.as_deref_mut()) {
                     t.spans
                         .observe(Phase::EngineViewSync, t0.elapsed().as_nanos() as u64);
@@ -823,14 +1135,17 @@ pub fn simulate_resumable(
                     resumed_cold = false;
                 }
                 // Apply as a diff: zero only flows that lost their rate,
-                // set only flows whose rate actually changed.
+                // move only flows whose rate actually changed.
                 round_stamp += 1;
                 for &(fid, _) in &schedule.rates {
                     sched_stamp[fid.index()] = round_stamp;
                 }
+                compact(&mut flowing, &flows);
                 for &fi in &flowing {
                     if sched_stamp[fi] != round_stamp {
-                        flows[fi].rate = Rate::ZERO;
+                        let f = &mut flows[fi];
+                        classes.leave(fi, f);
+                        f.rate = Rate::ZERO;
                     }
                 }
                 flowing.clear();
@@ -840,20 +1155,25 @@ pub fn simulate_resumable(
                     debug_assert!(f.finished_at.is_none(), "rate for finished flow {fid}");
                     debug_assert!(f.ready_at <= now, "rate for unready flow {fid}");
                     if f.rate != rate {
+                        if !f.rate.is_zero() {
+                            classes.leave(fi, f);
+                        }
                         f.rate = rate;
-                        let pred = prediction(f, now);
-                        if !pred.is_never() {
-                            completions.push(Reverse((pred, fi as u32)));
-                            tele_incr!(tele, Counter::HeapPush);
+                        if !rate.is_zero() {
+                            classes.join(fi, f);
+                            tele_incr!(tele, Counter::ClassJoins);
                         }
                     }
-                    // Unchanged rate ⇒ the heap already holds an entry at
-                    // or before the prediction; nothing to do.
                     flowing.push(fi);
-                    // A zero-rate entry leaves `flowing` at the next
-                    // advance pass, which is a structural change: say so
-                    // now, so no jump is planned across it.
-                    structural |= rate.is_zero();
+                    if rate.is_zero() {
+                        // A zero-rate entry leaves `flowing` at the next
+                        // compaction, which is a structural change: say
+                        // so now, so no jump is planned across it.
+                        structural = true;
+                    } else {
+                        // It will send: its view lags from the next step.
+                        mark_dirty(&mut dirty, &mut dirty_list, f.coflow);
+                    }
                 }
                 #[cfg(debug_assertions)]
                 check_feasibility(&flows, &bank, num_nodes);
@@ -868,9 +1188,16 @@ pub fn simulate_resumable(
                     step: cfg.delta,
                     k: 1,
                     active: views.len(),
-                    flowing: flowing.len(),
+                    // A computed round reads the schedule it just
+                    // applied, zero-rate entries and all; a reused one
+                    // the flows still sending.
+                    flowing: if computed {
+                        flowing.len()
+                    } else {
+                        classes.members()
+                    },
                     dirty: dirty_n,
-                    heap_len: completions.len(),
+                    pending: classes.members(),
                     schedule: &schedule,
                     flows: &flows,
                     bank: &bank,
@@ -896,51 +1223,21 @@ pub fn simulate_resumable(
         let mut t_complete = Time::NEVER;
         let mut next_boundary = Time::NEVER;
         if !views.is_empty() {
-            // Heap hygiene: under heavy rate churn (stragglers, δ≈0)
-            // dead and stale entries can pile up faster than lazy
-            // deletion drains them. When the heap dwarfs the flowing
-            // set, rebuild it with exactly one current entry per
-            // candidate flow. Every unfinished nonzero-rate flow is in
-            // `flowing`, keys `(pred, flow)` are unique, and a binary
-            // heap's observable pop order depends only on its key
-            // multiset — so the popped minima (and hence the records)
-            // are unchanged, which the equivalence suite asserts.
-            if completions.len() > 64 && completions.len() > 4 * flowing.len() {
-                completions.clear();
-                for &fi in &flowing {
-                    let pred = prediction(&flows[fi], now);
-                    if !pred.is_never() {
-                        completions.push(Reverse((pred, fi as u32)));
-                    }
-                }
-                tele_incr!(tele, Counter::HeapCompactions);
+            // Earliest completion under current rates: one prediction
+            // per class.
+            t_complete = classes.next_completion(now);
+            #[cfg(debug_assertions)]
+            {
+                let scan = flowing
+                    .iter()
+                    .filter(|&&fi| flows[fi].finished_at.is_none() && !flows[fi].rate.is_zero())
+                    .map(|&fi| {
+                        let f = &flows[fi];
+                        now.saturating_add(transfer_time(f.size - shadow[fi], f.rate))
+                    })
+                    .fold(Time::NEVER, Time::min);
+                assert_eq!(t_complete, scan, "class minimum is not the flows' at {now}");
             }
-            // Earliest completion under current rates, from the heap.
-            t_complete = loop {
-                let Some(&Reverse((t, fi))) = completions.peek() else {
-                    break Time::NEVER;
-                };
-                let pred = prediction(&flows[fi as usize], now);
-                if pred.is_never() {
-                    completions.pop(); // flow no longer completing
-                    tele_incr!(tele, Counter::HeapPopDead);
-                } else if t == pred {
-                    tele_incr!(tele, Counter::HeapPopCurrent);
-                    break t; // entry is current: true minimum
-                } else if t < pred {
-                    // Stale (prediction drifted later): re-key at the
-                    // current prediction and keep looking.
-                    completions.pop();
-                    completions.push(Reverse((pred, fi)));
-                    tele_incr!(tele, Counter::HeapPopStale);
-                    tele_incr!(tele, Counter::HeapPush);
-                } else {
-                    // Superseded: a rate change already pushed a fresher
-                    // entry at or before the current prediction.
-                    completions.pop();
-                    tele_incr!(tele, Counter::HeapPopSuperseded);
-                }
-            };
             t_next = t_next.min(t_complete);
             if cfg.delta == Duration::ZERO {
                 // Event-driven mode: recompute whenever anything fires;
@@ -1019,43 +1316,59 @@ pub fn simulate_resumable(
             }
         }
 
-        // ---- 4. Advance the flowing flows to t_next ----
+        // ---- 4. Advance the classes to t_next ----
         // One step of `first`, then `passed` more of δ each: what the
-        // single steps credit, floor by floor. No prediction is touched
-        // (module docs): each follows from the new `sent` where read,
-        // and every flow that keeps sending keeps a heap entry at or
-        // before it. That holds at saturation too. Before this step
-        // `t₀ + ceil(rem₀·10⁹/r)`; after it `t₁ + ceil(rem₁·10⁹/r)`,
-        // which is no smaller: `rem₀ − rem₁ ≤ r·(t₁ − t₀)/10⁹`, so the
-        // ceiling falls by at most `t₁ − t₀`. A prediction is NEVER
-        // exactly when that sum reaches `u64::MAX`, so a flow at NEVER
-        // stays at NEVER until its rate changes, and the rate change
-        // pushes. No entry is owed here.
+        // single steps credit, floor by floor, once per class. A flow
+        // whose class reaches its threshold finishes at `t_next`.
         let t_advance = tele.is_some().then(Instant::now);
+        if let Some(t) = tele.as_deref_mut() {
+            t.step_classes.observe(classes.classes.len() as u64);
+            t.step_flows.observe(classes.members() as u64);
+        }
+        #[cfg(debug_assertions)]
+        for &fi in &flowing {
+            let f = &flows[fi];
+            if f.finished_at.is_none() && !f.rate.is_zero() {
+                shadow[fi] =
+                    (shadow[fi] + bytes_over(f.rate, first, passed, cfg.delta)).min(f.size);
+            }
+        }
         let mut completed = 0usize;
-        let was_flowing = flowing.len();
-        flowing.retain(|&fi| {
+        let was_finished = finished.len();
+        classes.advance(first, passed, cfg.delta, |fi| {
             let f = &mut flows[fi];
-            if f.finished_at.is_some() || f.rate.is_zero() {
-                return false; // zeroed mid-interval (failure)
+            f.sent = f.size;
+            f.finished_at = Some(t_next);
+            let c = &mut coflows[f.coflow];
+            c.unfinished -= 1;
+            if c.unfinished == 0 {
+                completed += 1;
             }
-            f.sent = (f.sent + bytes_over(f.rate, first, passed, cfg.delta)).min(f.size);
-            let ci = f.coflow;
-            mark_dirty(&mut dirty, &mut dirty_list, ci);
-            if f.sent == f.size {
-                f.finished_at = Some(t_next);
-                coflows[ci].unfinished -= 1;
-                if coflows[ci].unfinished == 0 {
-                    completed += 1;
-                }
-                false
-            } else {
-                true
-            }
+            finished.push(fi);
         });
-        // A flow that finished, or that a failure zeroed, left the set:
-        // the retained schedule no longer describes what is sending.
-        structural |= flowing.len() != was_flowing;
+        // A flow that finished left the set: the retained schedule no
+        // longer describes what is sending.
+        structural |= finished.len() != was_finished;
+        #[cfg(debug_assertions)]
+        for &fi in &flowing {
+            let f = &flows[fi];
+            if f.rate.is_zero() || f.finished_at.is_some_and(|t| t < t_next) {
+                continue;
+            }
+            assert!(
+                dirty[f.coflow],
+                "coflow {} sends but is not dirty",
+                f.coflow
+            );
+            match f.finished_at {
+                Some(_) => assert_eq!(shadow[fi], f.size, "flow {fi} finished early"),
+                None => assert_eq!(
+                    classes.sent_of(fi, f),
+                    shadow[fi],
+                    "flow {fi} credited wrong"
+                ),
+            }
+        }
 
         // ---- 5. Retire completed CoFlows ----
         // Replays the reference loop's slot scan (its swap-remove order
@@ -1117,8 +1430,9 @@ pub fn simulate_resumable(
         }
 
         // ---- 6. The rounds passed over ----
-        // Emitted after the advance pass: the dirty set and `flowing`
-        // now read what each single step's round would have read.
+        // Emitted after the advance pass, which finished nothing and
+        // left the dirty set and the flows sending as each single
+        // step's round would have read them.
         if passed > 0 {
             debug_assert!(!structural, "a flow left the set inside a jump");
             if let Some(t) = tele.as_deref_mut() {
@@ -1132,9 +1446,9 @@ pub fn simulate_resumable(
                     step: cfg.delta,
                     k: passed,
                     active: views.len(),
-                    flowing: flowing.len(),
+                    flowing: classes.members(),
                     dirty: dirty_list.len(),
-                    heap_len: completions.len(),
+                    pending: classes.members(),
                     schedule: &schedule,
                     flows: &flows,
                     bank: &bank,
@@ -1184,7 +1498,8 @@ struct Rounds<'a> {
     active: usize,
     flowing: usize,
     dirty: usize,
-    heap_len: usize,
+    /// Flows whose completion is pending: the class members.
+    pending: usize,
     schedule: &'a Schedule,
     flows: &'a [SimFlow],
     bank: &'a PortBank,
@@ -1240,7 +1555,7 @@ fn emit_rounds(
     if let Some(t) = tele {
         t.add(Counter::SchedRounds, r.k);
         t.dirty_set.observe_n(r.dirty as u64, r.k);
-        t.heap_len.observe_n(r.heap_len as u64, r.k);
+        t.pending.observe_n(r.pending as u64, r.k);
         t.active_coflows.observe_n(r.active as u64, r.k);
         if t.wants_jsonl() {
             let mut line = RoundSnapshot {
@@ -1249,7 +1564,7 @@ fn emit_rounds(
                 active_coflows: r.active,
                 flowing: r.flowing,
                 dirty: r.dirty,
-                heap_len: r.heap_len,
+                pending: r.pending,
                 saturated_ports: r.bank.saturated_ports(),
                 utilization_permille: r.bank.utilization_permille(),
                 queue_occupancy: r.sched.queue_occupancy().unwrap_or(&[]),
@@ -1570,6 +1885,41 @@ fn check_feasibility(flows: &[SimFlow], bank: &PortBank, num_nodes: usize) {
     for (p, &u) in used.iter().enumerate() {
         let cap = bank.capacity(saath_simcore::PortId(p as u32)).as_u64();
         assert!(u <= cap, "port {p} oversubscribed: {u} > {cap}");
+    }
+}
+
+/// Debug-only invariant: after a sync every active view holds ground
+/// truth, as the reference loop's full sync writes it — the partial
+/// sync left out nothing that moved.
+#[cfg(debug_assertions)]
+fn check_views(
+    views: &[CoflowView],
+    view_owner: &[usize],
+    flows: &[SimFlow],
+    coflows: &[SimCoflow],
+    straggled: &[bool],
+    now: Time,
+) {
+    for (view, &ci) in views.iter().zip(view_owner) {
+        let base = coflows[ci].first_flow;
+        let mut touches_straggler = false;
+        for (k, fv) in view.flows.iter().enumerate() {
+            let f = &flows[base + k];
+            assert_eq!(fv.sent, f.sent, "coflow {ci} flow {k}: stale sent");
+            assert_eq!(fv.finished, f.finished_at.is_some(), "coflow {ci} flow {k}");
+            assert_eq!(
+                fv.ready,
+                f.ready_at <= now,
+                "coflow {ci} flow {k}: stale ready"
+            );
+            touches_straggler |=
+                f.finished_at.is_none() && (straggled[f.src.index()] || straggled[f.dst.index()]);
+        }
+        assert_eq!(
+            view.restarted,
+            coflows[ci].restarted || touches_straggler,
+            "coflow {ci}: stale restarted flag"
+        );
     }
 }
 

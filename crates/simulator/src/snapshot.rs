@@ -23,12 +23,12 @@
 //!   deterministic iteration); the dirty list; and the scheduler's
 //!   historical state via [`CoflowScheduler::save_state`].
 //! * **Rebuilt on resume** — static tables re-derived from the trace
-//!   (sizes, endpoints, dependency edges); the completion heap (one
-//!   current entry per flowing flow — pop order depends only on the key
-//!   multiset, so lazy deletion makes the difference unobservable);
-//!   records of already-finished CoFlows; and every scheduler cache that
-//!   is a pure function of the view, which the first post-resume round
-//!   forces cold via `changed: None`.
+//!   (sizes, endpoints, dependency edges); the rate classes (every
+//!   flowing flow joins afresh at its `sent`, which the engine writes
+//!   back before encoding — a class's state is its members' `sent`, so
+//!   nothing else is lost); records of already-finished CoFlows; and
+//!   every scheduler cache that is a pure function of the view, which
+//!   the first post-resume round forces cold via `changed: None`.
 //! * **Reset** — schedule-diff stamps (only within-round equality
 //!   matters) and per-round scratch.
 //!
@@ -392,14 +392,41 @@ pub(crate) fn apply(
     for s in straggled.iter_mut() {
         *s = r.u8()? != 0;
     }
+    // The engine rebuilds its rate classes from `flowing`, so it must
+    // list each unfinished flow with a rate exactly once, and nothing
+    // else.
     let n_flowing = r.u64()? as usize;
+    if n_flowing > flows.len() {
+        return Err(format!("{n_flowing} flowing flows exceed the flow count"));
+    }
     let mut flowing = Vec::with_capacity(n_flowing);
+    let mut listed = vec![false; flows.len()];
     for _ in 0..n_flowing {
         let fi = r.u64()? as usize;
         if fi >= flows.len() {
             return Err(format!("flowing flow {fi} out of range"));
         }
+        let f = &flows[fi];
+        if std::mem::replace(&mut listed[fi], true)
+            || f.finished_at.is_some()
+            || f.rate.is_zero()
+            || f.sent > f.size
+        {
+            return Err(format!(
+                "flowing flow {fi} is listed twice, finished, paused or oversent"
+            ));
+        }
         flowing.push(fi);
+    }
+    let sending = flows
+        .iter()
+        .filter(|f| f.finished_at.is_none() && !f.rate.is_zero())
+        .count();
+    if sending != flowing.len() {
+        return Err(format!(
+            "{sending} flows hold a rate but {} are listed as flowing",
+            flowing.len()
+        ));
     }
     let n_dirty = r.u64()? as usize;
     let mut dirty = vec![false; coflows.len()];
@@ -442,4 +469,107 @@ pub(crate) fn apply(
         dirty,
         dirty_list,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use saath_core::Saath;
+    use saath_eventlog::{index_log, ChainDigest, EventLogWriter, LogHeader};
+    use saath_workload::DynamicsSpec;
+
+    /// Edits a decoded snapshot's `flowing` list, given the flows.
+    type Edit = dyn Fn(&mut Vec<usize>, &[SimFlow]);
+
+    /// A snapshot taken mid-run, decoded, its `flowing` list edited by
+    /// `edit`, and encoded again.
+    fn edited_blob(edit: &Edit) -> (Trace, Vec<u8>) {
+        let trace = saath_workload::gen::generate(&saath_workload::gen::small(5, 8, 12));
+        let cfg = SimConfig::default();
+        let header = LogHeader {
+            num_nodes: trace.num_nodes as u64,
+            port_rate: trace.port_rate.as_u64(),
+            delta_ns: cfg.delta.as_nanos(),
+            scheduler: "saath".into(),
+            trace_digest: ChainDigest::ZERO,
+            start_round: 0,
+            start_digest: ChainDigest::ZERO,
+        };
+        let mut w = EventLogWriter::new(Vec::new(), &header).unwrap();
+        crate::simulate_resumable(
+            &trace,
+            &mut Saath::with_defaults(),
+            &cfg,
+            &DynamicsSpec::none(),
+            crate::ReplayHooks {
+                sink: Some(&mut w),
+                snapshot_every: 20,
+                ..crate::ReplayHooks::none()
+            },
+        )
+        .unwrap();
+        let log = w.into_inner().unwrap();
+        let mut sched = Saath::with_defaults();
+        let blob = index_log(&log)
+            .unwrap()
+            .snapshots
+            .iter()
+            .map(|s| s.blob.clone())
+            .find(|b| {
+                !apply(b, &trace, &cfg, &mut sched)
+                    .unwrap()
+                    .flowing
+                    .is_empty()
+            })
+            .expect("no snapshot with a flow sending");
+        let mut st = apply(&blob, &trace, &cfg, &mut sched).unwrap();
+        edit(&mut st.flowing, &st.flows);
+        let blob = encode(
+            &SnapshotView {
+                now: st.now,
+                rounds: st.rounds,
+                flows: &st.flows,
+                coflows: &st.coflows,
+                arrivals: &st.arrivals,
+                dyn_events: &st.dyn_events,
+                ready_events: &st.ready_events,
+                views: &st.views,
+                view_owner: &st.view_owner,
+                bank: &st.bank,
+                straggled: &st.straggled,
+                flowing: &st.flowing,
+                dirty_list: &st.dirty_list,
+            },
+            &trace,
+            &cfg,
+            &sched,
+        );
+        (trace, blob)
+    }
+
+    /// The rate classes are rebuilt from `flowing`, so a blob whose list
+    /// is not exactly the flows that send is refused.
+    #[test]
+    fn apply_refuses_a_flowing_list_that_is_not_the_sending_flows() {
+        let cfg = SimConfig::default();
+        let (trace, blob) = edited_blob(&|_, _| {});
+        assert!(apply(&blob, &trace, &cfg, &mut Saath::with_defaults()).is_ok());
+        let edits: [(&str, &Edit); 3] = [
+            ("listed twice", &|flowing, _| flowing.push(flowing[0])),
+            ("a sender left out", &|flowing, _| {
+                flowing.pop();
+            }),
+            ("a paused flow listed", &|flowing, flows| {
+                let paused = (0..flows.len())
+                    .find(|&fi| flows[fi].rate.is_zero())
+                    .expect("every flow sends");
+                flowing.push(paused);
+            }),
+        ];
+        for (what, edit) in edits {
+            let (trace, blob) = edited_blob(edit);
+            let err = apply(&blob, &trace, &cfg, &mut Saath::with_defaults());
+            assert!(err.is_err(), "{what}: applied");
+        }
+    }
 }

@@ -28,27 +28,17 @@ use std::fmt::Write as _;
 
 /// Monotonic event counters, one slot per variant.
 ///
-/// Engine counters (`Heap*`, `SchedRounds`) are incremented by the
-/// simulator's epoch loop, `Log*` by the event-log hooks. The runtime
-/// counts on its own plane (`saath_runtime::MetricsHub`).
+/// Engine counters (`ClassJoins`, `SchedRounds`, `Rounds*`) are
+/// incremented by the simulator's epoch loop, `Log*` by the event-log
+/// hooks. The runtime counts on its own plane
+/// (`saath_runtime::MetricsHub`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Completion-heap entries pushed (rate changes + re-keyed stale
-    /// entries).
-    HeapPush,
-    /// Heap pops whose key matched the flow's current prediction — the
-    /// pop that actually advances time.
-    HeapPopCurrent,
-    /// Heap pops that surfaced *earlier* than the flow's current
-    /// prediction (the entry went stale while buried) and were re-keyed.
-    HeapPopStale,
-    /// Heap pops superseded by a later-pushed, earlier-keyed entry.
-    HeapPopSuperseded,
-    /// Heap pops for flows already finished, rate-zero, or unbounded.
-    HeapPopDead,
-    /// Completion-heap rebuilds triggered by the stale-fraction bound.
-    HeapCompactions,
+    /// Flows that joined a rate class: given a nonzero rate by a
+    /// computed round or a straggler rescale, or restored by a resume.
+    /// A flow whose rate a round leaves as it was does not rejoin.
+    ClassJoins,
     /// Scheduling rounds: δ boundaries crossed with work pending,
     /// whether the round was computed or reused the previous schedule.
     SchedRounds,
@@ -72,13 +62,8 @@ pub enum Counter {
 }
 
 /// All counters, in display order.
-pub const COUNTERS: [Counter; 13] = [
-    Counter::HeapPush,
-    Counter::HeapPopCurrent,
-    Counter::HeapPopStale,
-    Counter::HeapPopSuperseded,
-    Counter::HeapPopDead,
-    Counter::HeapCompactions,
+pub const COUNTERS: [Counter; 8] = [
+    Counter::ClassJoins,
     Counter::SchedRounds,
     Counter::RoundsElided,
     Counter::RoundsJumped,
@@ -92,12 +77,7 @@ impl Counter {
     /// Stable snake_case name, used in tables and the epoch JSON.
     pub fn name(self) -> &'static str {
         match self {
-            Counter::HeapPush => "heap_pushes",
-            Counter::HeapPopCurrent => "heap_pops_current",
-            Counter::HeapPopStale => "heap_pops_stale",
-            Counter::HeapPopSuperseded => "heap_pops_superseded",
-            Counter::HeapPopDead => "heap_pops_dead",
-            Counter::HeapCompactions => "heap_compactions",
+            Counter::ClassJoins => "class_joins",
             Counter::SchedRounds => "sched_rounds",
             Counter::RoundsElided => "rounds_elided",
             Counter::RoundsJumped => "rounds_jumped",
@@ -111,7 +91,7 @@ impl Counter {
 
 /// The workspace's one sample accumulator: a log-linear histogram
 /// over `u64` samples. Every wall-time span and every set size (dirty
-/// sets, heap lengths, active CoFlows) records into one of these and
+/// sets, pending flows, active CoFlows) records into one of these and
 /// can answer min/mean/p50/p90/p99/max after (or during) a run from a
 /// fixed 4 KB, however long the run (allocated on the first sample, so
 /// a histogram nobody records into costs 56 bytes).
@@ -477,8 +457,10 @@ pub struct RoundSnapshot<'a> {
     /// Flows whose state changed since the previous boundary (the
     /// dirty set the incremental view-sync walked).
     pub dirty: usize,
-    /// Completion-heap length after the round's pushes.
-    pub heap_len: usize,
+    /// Flows whose completion is pending after the round's apply: the
+    /// unfinished flows holding a nonzero rate. Serialized as `heap`,
+    /// the count of live completion-heap entries it replaced.
+    pub pending: usize,
     /// Ports fully allocated this round (remaining = 0, capacity > 0).
     pub saturated_ports: usize,
     /// Fabric utilization in permille (allocated / capacity × 1000).
@@ -495,8 +477,13 @@ pub struct Telemetry {
     counters: [u64; COUNTERS.len()],
     /// Dirty-set size per scheduling round.
     pub dirty_set: LogHist,
-    /// Completion-heap length per scheduling round.
-    pub heap_len: LogHist,
+    /// Flows whose completion is pending, per scheduling round.
+    pub pending: LogHist,
+    /// Rate classes credited per engine step.
+    pub step_classes: LogHist,
+    /// Flows those classes held, per engine step: what a per-flow
+    /// advance would have credited one by one.
+    pub step_flows: LogHist,
     /// Active CoFlows per scheduling round.
     pub active_coflows: LogHist,
     /// Per-phase wall-time spans (summary only, never in the JSONL
@@ -561,7 +548,7 @@ impl Telemetry {
             s.active_coflows,
             s.flowing,
             s.dirty,
-            s.heap_len,
+            s.pending,
             s.saturated_ports,
             s.utilization_permille,
         );
@@ -578,20 +565,6 @@ impl Telemetry {
     /// [`Telemetry::with_jsonl`]).
     pub fn jsonl(&self) -> &str {
         &self.jsonl
-    }
-
-    /// Fraction of heap pops that surfaced stale, in `[0, 1]`.
-    pub fn stale_pop_ratio(&self) -> f64 {
-        let stale = self.counter(Counter::HeapPopStale);
-        let pops = stale
-            + self.counter(Counter::HeapPopCurrent)
-            + self.counter(Counter::HeapPopSuperseded)
-            + self.counter(Counter::HeapPopDead);
-        if pops == 0 {
-            0.0
-        } else {
-            stale as f64 / pops as f64
-        }
     }
 
     /// `(name, value)` rows for every counter, in display order.
@@ -743,15 +716,10 @@ mod tests {
     #[test]
     fn counters_roundtrip() {
         let mut t = Telemetry::new();
-        t.incr(Counter::HeapPush);
-        t.add(Counter::HeapPopStale, 3);
-        assert_eq!(t.counter(Counter::HeapPush), 1);
-        assert_eq!(t.counter(Counter::HeapPopStale), 3);
-    }
-
-    #[test]
-    fn stale_ratio_guards_zero_pops() {
-        assert_eq!(Telemetry::new().stale_pop_ratio(), 0.0);
+        t.incr(Counter::ClassJoins);
+        t.add(Counter::LogBytesWritten, 3);
+        assert_eq!(t.counter(Counter::ClassJoins), 1);
+        assert_eq!(t.counter(Counter::LogBytesWritten), 3);
     }
 
     #[test]
@@ -763,7 +731,7 @@ mod tests {
             active_coflows: 2,
             flowing: 5,
             dirty: 3,
-            heap_len: 7,
+            pending: 7,
             saturated_ports: 1,
             utilization_permille: 421,
             queue_occupancy: &[1, 1, 0],
