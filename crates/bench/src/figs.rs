@@ -775,7 +775,18 @@ pub struct LogOptions {
     pub snapshot_every: u64,
     /// The snapshot to resume from, taken from a previously recorded
     /// log by [`LogOptions::load`].
-    pub resume: Option<saath_eventlog::SnapshotRef>,
+    pub resume: Option<ResumePoint>,
+}
+
+/// A snapshot copied out of the log it was found in: the one blob a
+/// resume uses, not the log around it.
+pub struct ResumePoint {
+    /// Rounds completed at the snapshot.
+    pub round: u64,
+    /// Chain digest entering `round`.
+    pub digest: saath_eventlog::ChainDigest,
+    /// The engine blob.
+    pub blob: Vec<u8>,
 }
 
 impl LogOptions {
@@ -803,13 +814,17 @@ impl LogOptions {
                 })?;
                 let total = idx.rounds.last().map(|r| r.round + 1);
                 let snap = idx.snapshots.iter().rev().find(|s| Some(s.round) < total);
-                let snap = snap.or(idx.last_snapshot()).cloned().ok_or_else(|| {
+                let snap = snap.or(idx.last_snapshot()).ok_or_else(|| {
                     format!(
                         "--resume-from: {} holds no snapshot (record it with --snapshot-every N)",
                         path.display()
                     )
                 })?;
-                Some(snap)
+                Some(ResumePoint {
+                    round: snap.round,
+                    digest: snap.digest,
+                    blob: snap.blob.to_vec(),
+                })
             }
         };
         if let Some(path) = &log {

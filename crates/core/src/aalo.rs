@@ -456,9 +456,8 @@ mod tests {
     /// full-re-sort oracle on every round.
     #[test]
     fn hinted_book_matches_cold_scheduler_under_churn() {
-        use rand::{Rng, SeedableRng};
         for strict in [false, true] {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(0xaa10 + strict as u64);
+            let mut rng = saath_simcore::DetRng::derive(0xaa10 + strict as u64, "aalo/churn");
             let queues = crate::config::QueueConfig::default;
             let (mut hinted, mut cold) = if strict {
                 (
@@ -476,14 +475,14 @@ mod tests {
             for round in 0..200 {
                 let mut changed: Vec<CoflowId> = Vec::new();
                 // Arrivals.
-                while coflows.len() < 3 || rng.gen_bool(0.3) {
-                    let width = rng.gen_range(1..6usize);
+                while coflows.len() < 3 || rng.chance(0.3) {
+                    let width = rng.range_inclusive(1, 5) as usize;
                     let flows: Vec<FlowView> = (0..width)
                         .map(|_| {
                             let f = fv(
                                 next_flow,
-                                rng.gen_range(0..num_nodes as u32),
-                                rng.gen_range(0..num_nodes as u32),
+                                rng.below(num_nodes as u64) as u32,
+                                rng.below(num_nodes as u64) as u32,
                                 0,
                             );
                             next_flow += 1;
@@ -503,19 +502,18 @@ mod tests {
                 // finishes, and readiness flips (both re-book the flow
                 // list). Every mutation lands in the hint.
                 for c in coflows.iter_mut() {
-                    if rng.gen_bool(0.5) {
-                        let fi = rng.gen_range(0..c.flows.len());
-                        c.flows[fi].sent =
-                            Bytes(c.flows[fi].sent.as_u64() + rng.gen_range(0..8_000_000u64));
+                    if rng.chance(0.5) {
+                        let fi = rng.below(c.flows.len() as u64) as usize;
+                        c.flows[fi].sent = Bytes(c.flows[fi].sent.as_u64() + rng.below(8_000_000));
                         changed.push(c.id);
                     }
-                    if rng.gen_bool(0.25) {
-                        let fi = rng.gen_range(0..c.flows.len());
+                    if rng.chance(0.25) {
+                        let fi = rng.below(c.flows.len() as u64) as usize;
                         c.flows[fi].finished = true;
                         changed.push(c.id);
                     }
-                    if rng.gen_bool(0.15) {
-                        let fi = rng.gen_range(0..c.flows.len());
+                    if rng.chance(0.15) {
+                        let fi = rng.below(c.flows.len() as u64) as usize;
                         c.flows[fi].ready = !c.flows[fi].ready;
                         changed.push(c.id);
                     }
@@ -524,7 +522,7 @@ mod tests {
                 // one is yanked mid-transfer (failure/abort path).
                 coflows.retain(|c| {
                     let drained = c.flows.iter().all(|f| f.finished);
-                    !(drained && rng.gen_bool(0.8) || rng.gen_bool(0.05))
+                    !(drained && rng.chance(0.8) || rng.chance(0.05))
                 });
                 now = now.saturating_add(saath_simcore::Duration::from_millis(8));
                 let out_hinted = {

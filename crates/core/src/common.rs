@@ -740,17 +740,21 @@ mod tests {
 
     #[test]
     fn tracker_matches_oracle_under_random_churn() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5aa7);
+        let mut rng = saath_simcore::DetRng::derive(0x5aa7, "contention/churn");
         let num_nodes = 12u32;
         let mut slots = Slots::new(num_nodes as usize);
         let mut next_id = 0u32;
         for _ in 0..200 {
             // Arrivals.
-            while slots.held.iter().flatten().count() < 3 || rng.gen_bool(0.3) {
-                let width = rng.gen_range(1..6usize);
+            while slots.held.iter().flatten().count() < 3 || rng.chance(0.3) {
+                let width = rng.range_inclusive(1, 5) as usize;
                 let flows: Vec<(u32, u32)> = (0..width)
-                    .map(|_| (rng.gen_range(0..num_nodes), rng.gen_range(0..num_nodes)))
+                    .map(|_| {
+                        (
+                            rng.below(u64::from(num_nodes)) as u32,
+                            rng.below(u64::from(num_nodes)) as u32,
+                        )
+                    })
                     .collect();
                 slots.arrive(cf(next_id, &flows));
                 next_id += 1;
@@ -759,23 +763,23 @@ mod tests {
                 let Some(c) = &slots.held[slot] else {
                     continue;
                 };
-                let fi = rng.gen_range(0..c.flows.len());
+                let fi = rng.below(c.flows.len() as u64) as usize;
                 let finished = c.flows[fi].finished;
                 // Finishes (footprints shrink), the occasional
                 // un-finish (a restarted coordinator's forgotten
                 // observations) and the occasional unhinted re-set.
-                if !finished && rng.gen_bool(0.4) {
+                if !finished && rng.chance(0.4) {
                     slots.finish(slot, fi);
-                } else if finished && rng.gen_bool(0.1) {
+                } else if finished && rng.chance(0.1) {
                     slots.unfinish(slot, fi);
-                } else if rng.gen_bool(0.1) {
+                } else if rng.chance(0.1) {
                     assert_eq!(slots.set(slot), 0);
                 }
                 // Departures: drained CoFlows usually leave;
                 // occasionally one is yanked mid-transfer.
                 let c = slots.held[slot].as_ref().unwrap();
                 let drained = c.flows.iter().all(|f| f.finished);
-                if drained && rng.gen_bool(0.8) || rng.gen_bool(0.05) {
+                if drained && rng.chance(0.8) || rng.chance(0.05) {
                     slots.depart(slot);
                 }
             }

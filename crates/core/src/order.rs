@@ -247,8 +247,7 @@ mod tests {
     /// reused by later arrivals, as the scheduler's slab does.
     #[test]
     fn matches_full_sort_under_random_churn() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x0b00c);
+        let mut rng = saath_simcore::DetRng::derive(0x0b00c, "order/churn");
         let mut book = OrderBook::new();
         // (slot, id, class, sub)
         let mut live: Vec<(u32, CoflowId, OrderClass, OrderSub)> = Vec::new();
@@ -256,27 +255,27 @@ mod tests {
         let mut next_id = 0u32;
         for _ in 0..300 {
             // Arrivals.
-            while live.is_empty() || rng.gen_bool(0.4) {
+            while live.is_empty() || rng.chance(0.4) {
                 let slot = free.pop().unwrap_or(next_id);
                 let row = (
                     slot,
                     CoflowId(next_id),
-                    (rng.gen_range(0..4usize), rng.gen_bool(0.8)),
-                    (rng.gen_range(0..5u32), Time(rng.gen_range(0..10))),
+                    (rng.below(4) as usize, rng.chance(0.8)),
+                    (rng.below(5) as u32, Time(rng.below(10))),
                 );
                 live.push(row);
                 next_id += 1;
             }
             // Rekeys.
             for row in live.iter_mut() {
-                if rng.gen_bool(0.3) {
-                    row.2 = (rng.gen_range(0..4usize), rng.gen_bool(0.8));
-                    row.3 = (rng.gen_range(0..5u32), row.3 .1);
+                if rng.chance(0.3) {
+                    row.2 = (rng.below(4) as usize, rng.chance(0.8));
+                    row.3 = (rng.below(5) as u32, row.3 .1);
                 }
             }
             // Departures (of this round's arrivals too, never booked).
-            if live.len() > 2 && rng.gen_bool(0.3) {
-                let gone = live.swap_remove(rng.gen_range(0..live.len()));
+            if live.len() > 2 && rng.chance(0.3) {
+                let gone = live.swap_remove(rng.below(live.len() as u64) as usize);
                 book.remove(gone.0);
                 free.push(gone.0);
             }

@@ -119,6 +119,7 @@ use crate::view::{ClusterView, CoflowScheduler, CoflowView, Schedule};
 use saath_fabric::{
     footprint_gang_allocate, footprint_gang_rate, greedy_fill_into, FlowEndpoints, PortBank,
 };
+use saath_simcore::codec::{CodecError, Put as _, Reader};
 use saath_simcore::units::transfer_time;
 use saath_simcore::{Bytes, CoflowId, FastHashMap, PortId, Rate, Time};
 use saath_telemetry::{MechCounters, Phase};
@@ -1007,11 +1008,11 @@ impl CoflowScheduler for Saath {
     /// telemetry totals stay continuous across a resume; they never
     /// feed scheduling decisions.
     fn save_state(&self, out: &mut Vec<u8>) {
-        out.push(1u8); // format version
-        out.extend_from_slice(&self.starvation_kicks.to_le_bytes());
-        out.extend_from_slice(&(MechCounters::LEN as u64).to_le_bytes());
+        out.put_u8(1); // format version
+        out.put_u64_le(self.starvation_kicks);
+        out.put_u64_le(MechCounters::LEN as u64);
         for (_, v) in self.mech.rows() {
-            out.extend_from_slice(&v.to_le_bytes());
+            out.put_u64_le(v);
         }
         // Slot order is an accident of arrivals and departures: sort by
         // id so the blob (and thus the snapshot digest) is deterministic.
@@ -1019,42 +1020,76 @@ impl CoflowScheduler for Saath {
         let mut entries: Vec<(CoflowId, CoflowState)> =
             live.filter_map(|e| e.state.map(|st| (e.id, st))).collect();
         entries.sort_by_key(|(id, _)| *id);
-        out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+        out.put_u64_le(entries.len() as u64);
         for (id, st) in entries {
-            out.extend_from_slice(&id.0.to_le_bytes());
-            out.extend_from_slice(&(st.queue as u64).to_le_bytes());
-            out.extend_from_slice(&st.deadline.as_nanos().to_le_bytes());
-            out.push(st.expiry_counted as u8);
+            out.put_u32_le(id.0);
+            out.put_u64_le(st.queue as u64);
+            out.put_u64_le(st.deadline.as_nanos());
+            out.put_u8(st.expiry_counted as u8);
         }
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut rd = bytes;
-        let mut get = |n: usize| -> Result<Vec<u8>, String> {
-            if rd.len() < n {
-                return Err("saath state blob truncated".into());
-            }
-            let (head, tail) = rd.split_at(n);
-            rd = tail;
-            Ok(head.to_vec())
-        };
-        let version = get(1)?[0];
+        self.read_state(&mut Reader::new(bytes))
+            .map_err(|e| format!("saath state blob: {e}"))
+    }
+}
+
+impl Saath {
+    /// [`CoflowScheduler::restore_state`]'s reader. A row's queue must
+    /// be one this configuration has; of two rows for one id the later
+    /// wins.
+    fn read_state(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        let version = r.u8("version")?;
         if version != 1 {
-            return Err(format!("unknown saath state version {version}"));
+            return Err(r.invalid("version", format!("unknown saath state version {version}")));
         }
-        let u64_of = |b: Vec<u8>| u64::from_le_bytes(b.as_slice().try_into().unwrap());
-        self.starvation_kicks = u64_of(get(8)?);
-        let n_mech = u64_of(get(8)?);
+        // Counts past 2^63 are no run's: refused, so that counting on
+        // from a restored value cannot overflow.
+        let count = |r: &mut Reader<'_>, field| {
+            let v = r.u64_le(field)?;
+            if v > i64::MAX as u64 {
+                return Err(r.invalid(field, format!("count {v} is past 2^63")));
+            }
+            Ok(v)
+        };
+        let starvation_kicks = count(r, "starvation_kicks")?;
+        let n_mech = r.u64_le("mech counter count")?;
         if n_mech != MechCounters::LEN as u64 {
-            return Err(format!(
-                "saath state has {n_mech} mech counters, this build has {}",
-                MechCounters::LEN
+            return Err(r.invalid(
+                "mech counter count",
+                format!(
+                    "saath state has {n_mech} mech counters, this build has {}",
+                    MechCounters::LEN
+                ),
             ));
         }
-        for slot in self.mech.values_mut() {
-            *slot = u64_of(get(8)?);
+        let mut mech = [0u64; MechCounters::LEN];
+        for v in &mut mech {
+            *v = count(r, "mech counter")?;
         }
-        let n_state = u64_of(get(8)?) as usize;
+        // Each row is 21 bytes: u32 id, u64 queue, u64 deadline, u8.
+        let n_state = r.count_le("state rows", 21)?;
+        let mut rows = Vec::with_capacity(n_state);
+        for _ in 0..n_state {
+            let id = CoflowId(r.u32_le("row id")?);
+            let queue = r.u64_le("row queue")?;
+            if queue >= self.cfg.queues.num_queues as u64 {
+                return Err(r.invalid(
+                    "row queue",
+                    format!("queue {queue} of {} queues", self.cfg.queues.num_queues),
+                ));
+            }
+            let deadline = Time(r.u64_le("row deadline")?);
+            let expiry_counted = r.bool("row expiry flag")?;
+            rows.push((id, queue as usize, deadline, expiry_counted));
+        }
+        r.finish("saath state blob")?;
+
+        self.starvation_kicks = starvation_kicks;
+        for (slot, v) in self.mech.values_mut().into_iter().zip(mech) {
+            *slot = v;
+        }
         // Every slot is handed out afresh, so whatever is indexed by
         // slot goes with the slab, and the next round is taken as
         // unhinted (as after a port-space change) whatever the driver
@@ -1065,12 +1100,7 @@ impl CoflowScheduler for Saath {
         self.tracker = ContentionTracker::new();
         self.book.clear();
         self.num_nodes = 0;
-        for _ in 0..n_state {
-            let id = CoflowId(u32::from_le_bytes(get(4)?.as_slice().try_into().unwrap()));
-            let queue = u64_of(get(8)?) as usize;
-            let deadline = Time(u64_of(get(8)?));
-            let expiry_counted = get(1)?[0] != 0;
-            // Of two rows for one id the later wins.
+        for (id, queue, deadline, expiry_counted) in rows {
             let slot = match self.slot_of.get(&id) {
                 Some(&slot) => slot,
                 None => self.insert_entry(id),
@@ -1080,9 +1110,6 @@ impl CoflowScheduler for Saath {
                 deadline,
                 expiry_counted,
             });
-        }
-        if !rd.is_empty() {
-            return Err(format!("{} trailing bytes in saath state blob", rd.len()));
         }
         Ok(())
     }
@@ -1487,7 +1514,7 @@ mod tests {
     /// observations look like: a flow *un*-finishing, alone or paired
     /// with a finish in the same CoFlow (same unfinished count).
     struct Churn {
-        rng: rand::rngs::SmallRng,
+        rng: saath_simcore::DetRng,
         num_nodes: usize,
         coflows: Vec<CoflowView>,
         next_cf: u32,
@@ -1496,8 +1523,7 @@ mod tests {
     }
 
     /// A random flow of `c` that is (`finished`) or is not finished.
-    fn pick(rng: &mut rand::rngs::SmallRng, c: &CoflowView, finished: bool) -> Option<usize> {
-        use rand::Rng;
+    fn pick(rng: &mut saath_simcore::DetRng, c: &CoflowView, finished: bool) -> Option<usize> {
         let of_kind = || {
             c.flows
                 .iter()
@@ -1505,14 +1531,18 @@ mod tests {
                 .filter(|(_, f)| f.finished == finished)
         };
         let n = of_kind().count();
-        (n > 0).then(|| of_kind().nth(rng.gen_range(0..n)).expect("counted above").0)
+        (n > 0).then(|| {
+            of_kind()
+                .nth(rng.below(n as u64) as usize)
+                .expect("counted above")
+                .0
+        })
     }
 
     impl Churn {
         fn new(seed: u64) -> Churn {
-            use rand::SeedableRng;
             Churn {
-                rng: rand::rngs::SmallRng::seed_from_u64(seed),
+                rng: saath_simcore::DetRng::derive(seed, "saath/churn"),
                 num_nodes: 12,
                 coflows: Vec::new(),
                 next_cf: 0,
@@ -1522,14 +1552,13 @@ mod tests {
         }
 
         fn arrive(&mut self, changed: &mut Vec<CoflowId>) {
-            use rand::Rng;
-            let width = self.rng.gen_range(1..6usize);
+            let width = self.rng.range_inclusive(1, 5) as usize;
             let flows: Vec<FlowView> = (0..width)
                 .map(|_| {
                     let f = fv(
                         self.next_flow,
-                        self.rng.gen_range(0..self.num_nodes as u32),
-                        self.rng.gen_range(0..self.num_nodes as u32),
+                        self.rng.below(self.num_nodes as u64) as u32,
+                        self.rng.below(self.num_nodes as u64) as u32,
                         0,
                     );
                     self.next_flow += 1;
@@ -1549,9 +1578,8 @@ mod tests {
         /// One round of mutations; returns the hint (a superset of
         /// what changed, departed ids included, duplicates and all).
         fn step(&mut self) -> Vec<CoflowId> {
-            use rand::Rng;
             let mut changed: Vec<CoflowId> = Vec::new();
-            while self.coflows.len() < 3 || self.rng.gen_bool(0.3) {
+            while self.coflows.len() < 3 || self.rng.chance(0.3) {
                 self.arrive(&mut changed);
             }
             // Every mutation lands in the hint. The draws are
@@ -1560,36 +1588,35 @@ mod tests {
             let rng = &mut self.rng;
             for c in self.coflows.iter_mut() {
                 let mut touched = false;
-                if rng.gen_bool(0.5) {
-                    let fi = rng.gen_range(0..c.flows.len());
-                    c.flows[fi].sent =
-                        Bytes(c.flows[fi].sent.as_u64() + rng.gen_range(0..4_000_000u64));
+                if rng.chance(0.5) {
+                    let fi = rng.below(c.flows.len() as u64) as usize;
+                    c.flows[fi].sent = Bytes(c.flows[fi].sent.as_u64() + rng.below(4_000_000));
                     touched = true;
                 }
-                if rng.gen_bool(0.25) {
-                    let fi = rng.gen_range(0..c.flows.len());
+                if rng.chance(0.25) {
+                    let fi = rng.below(c.flows.len() as u64) as usize;
                     c.flows[fi].finished = true;
                     touched = true;
                 }
-                if rng.gen_bool(0.1) {
+                if rng.chance(0.1) {
                     if let Some(fi) = pick(rng, c, true) {
                         c.flows[fi].finished = false;
                         touched = true;
                     }
                 }
-                if rng.gen_bool(0.1) {
+                if rng.chance(0.1) {
                     if let (Some(done), Some(open)) = (pick(rng, c, true), pick(rng, c, false)) {
                         c.flows[done].finished = false;
                         c.flows[open].finished = true;
                         touched = true;
                     }
                 }
-                if rng.gen_bool(0.15) {
-                    let fi = rng.gen_range(0..c.flows.len());
+                if rng.chance(0.15) {
+                    let fi = rng.below(c.flows.len() as u64) as usize;
                     c.flows[fi].ready = !c.flows[fi].ready;
                     touched = true;
                 }
-                if rng.gen_bool(0.05) {
+                if rng.chance(0.05) {
                     c.restarted = !c.restarted;
                     touched = true;
                 }
@@ -1605,21 +1632,21 @@ mod tests {
             let rng = &mut self.rng;
             self.coflows.retain(|c| {
                 let drained = c.flows.iter().all(|f| f.finished);
-                let leaves = drained && rng.gen_bool(0.8) || rng.gen_bool(0.05);
+                let leaves = drained && rng.chance(0.8) || rng.chance(0.05);
                 if leaves {
                     changed.push(c.id);
                 }
                 !leaves
             });
             for _ in self.coflows.len()..before {
-                if self.rng.gen_bool(0.5) {
+                if self.rng.chance(0.5) {
                     self.arrive(&mut changed);
                 }
             }
             // Mostly small steps; occasional hour jumps expire D5
             // deadlines for CoFlows *outside* the hint (allowed: the
             // expiry class is re-derived fresh every round).
-            self.now = if self.rng.gen_bool(0.1) {
+            self.now = if self.rng.chance(0.1) {
                 self.now
                     .saturating_add(saath_simcore::Duration::from_secs(3600))
             } else {
@@ -1956,6 +1983,58 @@ mod tests {
         let (len, cap, _) = list(&s, 2);
         assert_eq!((s.slab.len(), len, cap), (1, 7, 7));
     }
+
+    /// The state blob of a small run, byte for byte: a version byte,
+    /// then little-endian `starvation_kicks`, the counted mech counters
+    /// and the counted `(id, queue, deadline, expiry)` rows by id.
+    #[test]
+    fn state_blob_is_pinned() {
+        let coflows = vec![
+            cv(5, 0, vec![fv(50, 0, 2, 0), fv(51, 1, 2, 0)]),
+            cv(2, 1, vec![fv(20, 0, 3, 40_000_000)]),
+        ];
+        let mut s = Saath::with_defaults();
+        let _ = run(&mut s, &coflows, 4, Time::ZERO);
+        let _ = run(&mut s, &coflows, 4, Time::from_millis(8));
+        let mut blob = Vec::new();
+        s.save_state(&mut blob);
+        assert_eq!(blob, GOLDEN_STATE);
+        let mut restored = Saath::with_defaults();
+        assert_eq!(restored.restore_state(&blob), Ok(()));
+        let mut again = Vec::new();
+        restored.save_state(&mut again);
+        assert_eq!(again, blob);
+    }
+
+    #[rustfmt::skip]
+    const GOLDEN_STATE: &[u8] = &[
+        1,
+        0, 0, 0, 0, 0, 0, 0, 0,
+        14, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0,
+        4, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0,
+        8, 0, 0, 0, 0, 0, 0, 0,
+        4, 0, 0, 0, 0, 0, 0, 0,
+        5, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0, 0, 0, 0, 0,
+        2, 0, 0, 0,
+        1, 0, 0, 0, 0, 0, 0, 0,
+        0, 168, 212, 85, 0, 0, 0, 0,
+        0,
+        5, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0,
+        0, 104, 137, 9, 0, 0, 0, 0,
+        0,
+    ];
 
     /// A state blob that is cut short, has bytes left over, or lists
     /// another build's counters (the parent commit wrote 15, this

@@ -13,9 +13,8 @@
 //! * **Round records.** Each scheduling round appends one canonical
 //!   binary record (round ordinal, simulated time, active-CoFlow count,
 //!   and the schedule as `(flow, src, dst, rate)` tuples sorted by flow
-//!   id). Everything is a fixed-width little-endian integer; the
-//!   workspace's vendored `serde` is an API stub, so framing is
-//!   hand-rolled.
+//!   id). Everything is a fixed-width little-endian integer, written
+//!   and read through `saath_simcore::codec` (DESIGN.md, "Byte codec").
 //! * **Chained digests.** Record *i* carries
 //!   `hash_i = H(hash_{i-1} ‖ canonical_round_bytes)` where `H` is the
 //!   workspace [`FastHasher`] widened to 128 bits (two independently
@@ -43,105 +42,8 @@
 use std::hash::Hasher as _;
 use std::io::{Read, Write};
 
+use saath_simcore::codec::{CodecError, Put as _, Reader};
 use saath_simcore::fasthash::FastHasher;
-
-/// Fixed-width little-endian encode/decode helpers shared by the log
-/// framing and the simulator's snapshot blobs.
-pub mod wire {
-    /// Appends one byte.
-    pub fn put_u8(out: &mut Vec<u8>, v: u8) {
-        out.push(v);
-    }
-
-    /// Appends a `u32`, little-endian.
-    pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`, little-endian.
-    pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a length-prefixed byte slice (`u64` length + bytes).
-    pub fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
-        put_u64(out, v.len() as u64);
-        out.extend_from_slice(v);
-    }
-
-    /// A bounds-checked cursor over a byte slice.
-    pub struct Reader<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        /// A cursor at the start of `buf`.
-        pub fn new(buf: &'a [u8]) -> Reader<'a> {
-            Reader { buf, pos: 0 }
-        }
-
-        /// Current offset from the start of the buffer.
-        pub fn pos(&self) -> usize {
-            self.pos
-        }
-
-        /// Bytes not yet consumed.
-        pub fn remaining(&self) -> usize {
-            self.buf.len() - self.pos
-        }
-
-        /// Whether every byte has been consumed.
-        pub fn is_empty(&self) -> bool {
-            self.remaining() == 0
-        }
-
-        /// Takes the next `n` raw bytes.
-        pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-            if self.remaining() < n {
-                return Err(format!(
-                    "truncated: need {n} bytes at offset {}, have {}",
-                    self.pos,
-                    self.remaining()
-                ));
-            }
-            let s = &self.buf[self.pos..self.pos + n];
-            self.pos += n;
-            Ok(s)
-        }
-
-        /// Reads one byte.
-        pub fn u8(&mut self) -> Result<u8, String> {
-            Ok(self.take(1)?[0])
-        }
-
-        /// Reads a little-endian `u32`.
-        pub fn u32(&mut self) -> Result<u32, String> {
-            let b = self.take(4)?;
-            Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        }
-
-        /// Reads a little-endian `u64`.
-        pub fn u64(&mut self) -> Result<u64, String> {
-            let b = self.take(8)?;
-            let mut a = [0u8; 8];
-            a.copy_from_slice(b);
-            Ok(u64::from_le_bytes(a))
-        }
-
-        /// Reads a length-prefixed byte slice.
-        pub fn bytes(&mut self) -> Result<&'a [u8], String> {
-            let n = self.u64()?;
-            if n > self.remaining() as u64 {
-                return Err(format!(
-                    "truncated: length prefix {n} exceeds {} remaining bytes",
-                    self.remaining()
-                ));
-            }
-            self.take(n as usize)
-        }
-    }
-}
 
 /// File magic ("Saath EVent log").
 const MAGIC: [u8; 4] = *b"SAEV";
@@ -233,6 +135,12 @@ impl std::fmt::Display for LogError {
 
 impl std::error::Error for LogError {}
 
+impl From<CodecError> for LogError {
+    fn from(e: CodecError) -> LogError {
+        LogError::Malformed(e.to_string())
+    }
+}
+
 impl From<std::io::Error> for LogError {
     fn from(e: std::io::Error) -> LogError {
         LogError::Io(e.to_string())
@@ -278,52 +186,43 @@ impl RoundRecord {
         let mut entries = self.entries.clone();
         entries.sort_by_key(|e| e.flow);
         let mut out = Vec::with_capacity(24 + entries.len() * 24);
-        wire::put_u64(&mut out, self.round);
-        wire::put_u64(&mut out, self.now_ns);
-        wire::put_u32(&mut out, self.active);
-        wire::put_u32(&mut out, entries.len() as u32);
+        out.put_u64_le(self.round);
+        out.put_u64_le(self.now_ns);
+        out.put_u32_le(self.active);
+        out.put_u32_le(entries.len() as u32);
         for e in &entries {
-            wire::put_u32(&mut out, e.flow);
-            wire::put_u32(&mut out, e.src);
-            wire::put_u32(&mut out, e.dst);
-            wire::put_u64(&mut out, e.rate);
+            out.put_u32_le(e.flow);
+            out.put_u32_le(e.src);
+            out.put_u32_le(e.dst);
+            out.put_u64_le(e.rate);
         }
         out
     }
 
     /// Decodes canonical bytes back into a record.
     pub fn decode(buf: &[u8]) -> Result<RoundRecord, LogError> {
-        let mut r = wire::Reader::new(buf);
-        let rec = (|| -> Result<RoundRecord, String> {
-            let round = r.u64()?;
-            let now_ns = r.u64()?;
-            let active = r.u32()?;
-            let n = r.u32()? as usize;
-            // Each entry is 20 bytes (u32 flow/src/dst + u64 rate).
-            if n > r.remaining() / 20 {
-                return Err(format!("entry count {n} exceeds payload size"));
-            }
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push(RateEntry {
-                    flow: r.u32()?,
-                    src: r.u32()?,
-                    dst: r.u32()?,
-                    rate: r.u64()?,
-                });
-            }
-            if !r.is_empty() {
-                return Err(format!("{} trailing bytes after entries", r.remaining()));
-            }
-            Ok(RoundRecord {
-                round,
-                now_ns,
-                active,
-                entries,
-            })
-        })()
-        .map_err(LogError::Malformed)?;
-        Ok(rec)
+        let mut r = Reader::new(buf);
+        let round = r.u64_le("round")?;
+        let now_ns = r.u64_le("now_ns")?;
+        let active = r.u32_le("active")?;
+        // Each entry is 20 bytes (u32 flow/src/dst + u64 rate).
+        let n = r.count_u32_le("entry count", 20)?;
+        let mut entries = Vec::with_capacity(n);
+        for _ in 0..n {
+            entries.push(RateEntry {
+                flow: r.u32_le("entry flow")?,
+                src: r.u32_le("entry src")?,
+                dst: r.u32_le("entry dst")?,
+                rate: r.u64_le("entry rate")?,
+            });
+        }
+        r.finish("round record")?;
+        Ok(RoundRecord {
+            round,
+            now_ns,
+            active,
+            entries,
+        })
     }
 }
 
@@ -354,33 +253,39 @@ pub struct LogHeader {
 impl LogHeader {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        wire::put_u64(&mut out, self.num_nodes);
-        wire::put_u64(&mut out, self.port_rate);
-        wire::put_u64(&mut out, self.delta_ns);
-        wire::put_bytes(&mut out, self.scheduler.as_bytes());
-        wire::put_u64(&mut out, self.trace_digest.0[0]);
-        wire::put_u64(&mut out, self.trace_digest.0[1]);
-        wire::put_u64(&mut out, self.start_round);
-        wire::put_u64(&mut out, self.start_digest.0[0]);
-        wire::put_u64(&mut out, self.start_digest.0[1]);
+        out.put_u64_le(self.num_nodes);
+        out.put_u64_le(self.port_rate);
+        out.put_u64_le(self.delta_ns);
+        out.put_bytes_le(self.scheduler.as_bytes());
+        out.put_u64_le(self.trace_digest.0[0]);
+        out.put_u64_le(self.trace_digest.0[1]);
+        out.put_u64_le(self.start_round);
+        out.put_u64_le(self.start_digest.0[0]);
+        out.put_u64_le(self.start_digest.0[1]);
         out
     }
 
     fn decode(buf: &[u8]) -> Result<LogHeader, LogError> {
-        let mut r = wire::Reader::new(buf);
-        (|| -> Result<LogHeader, String> {
-            Ok(LogHeader {
-                num_nodes: r.u64()?,
-                port_rate: r.u64()?,
-                delta_ns: r.u64()?,
-                scheduler: String::from_utf8(r.bytes()?.to_vec())
-                    .map_err(|e| format!("scheduler name is not UTF-8: {e}"))?,
-                trace_digest: ChainDigest([r.u64()?, r.u64()?]),
-                start_round: r.u64()?,
-                start_digest: ChainDigest([r.u64()?, r.u64()?]),
-            })
-        })()
-        .map_err(LogError::Malformed)
+        let mut r = Reader::new(buf);
+        let digest = |r: &mut Reader<'_>, field| -> Result<ChainDigest, CodecError> {
+            Ok(ChainDigest([r.u64_le(field)?, r.u64_le(field)?]))
+        };
+        let num_nodes = r.u64_le("num_nodes")?;
+        let port_rate = r.u64_le("port_rate")?;
+        let delta_ns = r.u64_le("delta_ns")?;
+        let at = r.pos();
+        let scheduler = String::from_utf8(r.bytes_le("scheduler")?.to_vec()).map_err(|e| {
+            LogError::Malformed(format!("scheduler at offset {at}: not UTF-8: {e}"))
+        })?;
+        Ok(LogHeader {
+            num_nodes,
+            port_rate,
+            delta_ns,
+            scheduler,
+            trace_digest: digest(&mut r, "trace_digest")?,
+            start_round: r.u64_le("start_round")?,
+            start_digest: digest(&mut r, "start_digest")?,
+        })
     }
 }
 
@@ -413,8 +318,8 @@ impl<W: Write> EventLogWriter<W> {
     pub fn new(mut w: W, header: &LogHeader) -> Result<EventLogWriter<W>, LogError> {
         let mut pre = Vec::new();
         pre.extend_from_slice(&MAGIC);
-        wire::put_u32(&mut pre, VERSION);
-        wire::put_bytes(&mut pre, &header.encode());
+        pre.put_u32_le(VERSION);
+        pre.put_bytes_le(&header.encode());
         w.write_all(&pre)?;
         Ok(EventLogWriter {
             w,
@@ -452,10 +357,10 @@ impl<W: Write> RoundSink for EventLogWriter<W> {
         let payload = rec.canonical_bytes();
         self.digest = self.digest.advance(&payload);
         let mut frame = Vec::with_capacity(payload.len() + 25);
-        wire::put_u8(&mut frame, KIND_ROUND);
-        wire::put_bytes(&mut frame, &payload);
-        wire::put_u64(&mut frame, self.digest.0[0]);
-        wire::put_u64(&mut frame, self.digest.0[1]);
+        frame.put_u8(KIND_ROUND);
+        frame.put_bytes_le(&payload);
+        frame.put_u64_le(self.digest.0[0]);
+        frame.put_u64_le(self.digest.0[1]);
         self.w.write_all(&frame)?;
         self.next_round += 1;
         self.bytes += frame.len() as u64;
@@ -464,9 +369,9 @@ impl<W: Write> RoundSink for EventLogWriter<W> {
 
     fn append_snapshot(&mut self, round: u64, blob: &[u8]) -> Result<u64, LogError> {
         let mut frame = Vec::with_capacity(blob.len() + 17);
-        wire::put_u8(&mut frame, KIND_SNAPSHOT);
-        wire::put_u64(&mut frame, (blob.len() + 8) as u64);
-        wire::put_u64(&mut frame, round);
+        frame.put_u8(KIND_SNAPSHOT);
+        frame.put_u64_le((blob.len() + 8) as u64);
+        frame.put_u64_le(round);
         frame.extend_from_slice(blob);
         self.w.write_all(&frame)?;
         self.bytes += frame.len() as u64;
@@ -579,10 +484,8 @@ pub fn verify<R: Read>(mut r: R) -> Result<VerifySummary, LogError> {
                     )));
                 }
                 digest = digest.advance(&payload);
-                let stored = ChainDigest([
-                    u64::from_le_bytes(stored[..8].try_into().unwrap()),
-                    u64::from_le_bytes(stored[8..].try_into().unwrap()),
-                ]);
+                let mut d = Reader::new(&stored);
+                let stored = ChainDigest([d.u64_le("stored digest")?, d.u64_le("stored digest")?]);
                 if digest != stored {
                     return Err(corrupt(format!(
                         "chain digest mismatch (computed {}, stored {})",
@@ -631,14 +534,48 @@ pub struct RoundIndexEntry {
     pub len: usize,
 }
 
-/// The latest snapshot in a log, with everything a resume needs.
-#[derive(Clone, Debug)]
-pub struct SnapshotRef {
+/// A snapshot's engine blob, located in the log an index was built
+/// over: its offset and length there, not a copy. [`Blob::as_slice`]
+/// (or deref) reads it in place; a caller that outlives the log
+/// copies the one it uses.
+#[derive(Clone, Copy)]
+pub struct Blob<'a> {
+    log: &'a [u8],
+    /// Offset of the blob within the log.
+    pub offset: usize,
+    /// Blob length in bytes.
+    pub len: usize,
+}
+
+impl<'a> Blob<'a> {
+    /// The blob's bytes, borrowed from the log.
+    pub fn as_slice(&self) -> &'a [u8] {
+        &self.log[self.offset..self.offset + self.len]
+    }
+}
+
+impl std::ops::Deref for Blob<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl std::fmt::Debug for Blob<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Blob({} bytes at offset {})", self.len, self.offset)
+    }
+}
+
+/// A snapshot in a log, with everything a resume needs.
+#[derive(Clone, Copy, Debug)]
+pub struct SnapshotRef<'a> {
     /// Rounds completed when the snapshot was taken (= the resumed
     /// log's `start_round`).
     pub round: u64,
     /// The engine blob.
-    pub blob: Vec<u8>,
+    pub blob: Blob<'a>,
     /// Chain digest entering `round` (= the resumed log's
     /// `start_digest`).
     pub digest: ChainDigest,
@@ -649,42 +586,38 @@ pub struct SnapshotRef {
 /// refuses a log whose end ordinal `start_round + rounds.len()` would
 /// not fit a `u64`.
 #[derive(Clone, Debug)]
-pub struct LogIndex {
+pub struct LogIndex<'a> {
     /// The log's header.
     pub header: LogHeader,
     /// Every round record, in order.
     pub rounds: Vec<RoundIndexEntry>,
     /// Every snapshot, in order.
-    pub snapshots: Vec<SnapshotRef>,
+    pub snapshots: Vec<SnapshotRef<'a>>,
 }
 
 /// Indexes a log held in memory: offsets and stored digests for every
-/// round, plus decoded snapshot refs. Does not re-derive the chain —
-/// run [`verify`] first when integrity is in question.
-pub fn index_log(bytes: &[u8]) -> Result<LogIndex, LogError> {
-    let mut r = wire::Reader::new(bytes);
-    let magic = r.take(4).map_err(LogError::Malformed)?;
-    if magic != MAGIC {
+/// round, and where every snapshot blob lies. Does not re-derive the
+/// chain — run [`verify`] first when integrity is in question.
+pub fn index_log(bytes: &[u8]) -> Result<LogIndex<'_>, LogError> {
+    let mut r = Reader::new(bytes);
+    if r.take("magic", 4)? != MAGIC {
         return Err(LogError::Malformed("bad magic".into()));
     }
-    let version = r.u32().map_err(LogError::Malformed)?;
+    let version = r.u32_le("version")?;
     if version != VERSION {
         return Err(LogError::Malformed(format!("unknown version {version}")));
     }
-    let header = LogHeader::decode(r.bytes().map_err(LogError::Malformed)?)?;
+    let header = LogHeader::decode(r.bytes_le("header")?)?;
     let mut rounds = Vec::new();
     let mut snapshots = Vec::new();
     let mut digest = header.start_digest;
     while !r.is_empty() {
-        let kind = r.u8().map_err(LogError::Malformed)?;
+        let kind = r.u8("frame kind")?;
         let payload_off = r.pos() + 8;
-        let payload = r.bytes().map_err(LogError::Malformed)?;
+        let payload = r.bytes_le("frame payload")?;
         match kind {
             KIND_ROUND => {
-                let stored = ChainDigest([
-                    r.u64().map_err(LogError::Malformed)?,
-                    r.u64().map_err(LogError::Malformed)?,
-                ]);
+                let stored = ChainDigest([r.u64_le("stored digest")?, r.u64_le("stored digest")?]);
                 // Cannot wrap: the previous round's end was checked.
                 let round = header.start_round + rounds.len() as u64;
                 if round == u64::MAX {
@@ -701,11 +634,14 @@ pub fn index_log(bytes: &[u8]) -> Result<LogIndex, LogError> {
                 digest = stored;
             }
             KIND_SNAPSHOT => {
-                let mut pr = wire::Reader::new(payload);
-                let round = pr.u64().map_err(LogError::Malformed)?;
+                let round = Reader::new(payload).u64_le("snapshot round")?;
                 snapshots.push(SnapshotRef {
                     round,
-                    blob: payload[8..].to_vec(),
+                    blob: Blob {
+                        log: bytes,
+                        offset: payload_off + 8,
+                        len: payload.len() - 8,
+                    },
                     digest,
                 });
             }
@@ -719,19 +655,25 @@ pub fn index_log(bytes: &[u8]) -> Result<LogIndex, LogError> {
     })
 }
 
-impl LogIndex {
+impl<'a> LogIndex<'a> {
     /// Decodes the round record at `entry` from the same buffer this
-    /// index was built over.
+    /// index was built over (any other buffer too short for it is
+    /// refused).
     pub fn read_round(
         &self,
         bytes: &[u8],
         entry: &RoundIndexEntry,
     ) -> Result<RoundRecord, LogError> {
-        RoundRecord::decode(&bytes[entry.offset..entry.offset + entry.len])
+        let payload = entry
+            .offset
+            .checked_add(entry.len)
+            .and_then(|end| bytes.get(entry.offset..end))
+            .ok_or_else(|| LogError::Malformed("round entry lies past the log".into()))?;
+        RoundRecord::decode(payload)
     }
 
     /// The last snapshot in the log, if any.
-    pub fn last_snapshot(&self) -> Option<&SnapshotRef> {
+    pub fn last_snapshot(&self) -> Option<&SnapshotRef<'a>> {
         self.snapshots.last()
     }
 }
@@ -893,7 +835,7 @@ pub fn diff_logs(a_bytes: &[u8], b_bytes: &[u8]) -> Result<DiffOutcome, LogError
         )));
     }
     let lo = a.header.start_round.max(b.header.start_round);
-    let end = |log: &LogIndex| {
+    let end = |log: &LogIndex<'_>| {
         log.header
             .start_round
             .checked_add(log.rounds.len() as u64)
@@ -1040,7 +982,7 @@ mod tests {
         let snap = &idx.snapshots[0];
         assert_eq!(snap.round, 4);
         assert_eq!(snap.digest, idx.rounds[3].digest);
-        assert_eq!(snap.blob, vec![7u8; 32]);
+        assert_eq!(snap.blob.as_slice(), [7u8; 32]);
     }
 
     #[test]
@@ -1139,10 +1081,10 @@ mod tests {
         let payload = at(u64::MAX).canonical_bytes();
         let digest = w.digest().advance(&payload);
         let mut bytes = w.into_inner().unwrap();
-        wire::put_u8(&mut bytes, KIND_ROUND);
-        wire::put_bytes(&mut bytes, &payload);
-        wire::put_u64(&mut bytes, digest.0[0]);
-        wire::put_u64(&mut bytes, digest.0[1]);
+        bytes.put_u8(KIND_ROUND);
+        bytes.put_bytes_le(&payload);
+        bytes.put_u64_le(digest.0[0]);
+        bytes.put_u64_le(digest.0[1]);
         match verify(&bytes[..]) {
             Err(LogError::Corrupt { round, .. }) => assert_eq!(round, u64::MAX),
             other => panic!("unexpected {other:?}"),
@@ -1151,57 +1093,6 @@ mod tests {
         assert!(matches!(err, LogError::Malformed(_)), "{err}");
         let err = diff_logs(&bytes, &bytes).unwrap_err();
         assert!(matches!(err, LogError::Malformed(_)), "{err}");
-    }
-
-    /// Runs every reader over `bytes`, alone and against `clean`; each
-    /// must return (any `Result`), never panic.
-    fn read_all_ways(bytes: &[u8], clean: &[u8]) {
-        let _ = verify(bytes);
-        if let Ok(idx) = index_log(bytes) {
-            for entry in &idx.rounds {
-                let _ = idx.read_round(bytes, entry);
-            }
-        }
-        let _ = diff_logs(bytes, bytes);
-        let _ = diff_logs(bytes, clean);
-        let _ = diff_logs(clean, bytes);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Arbitrary bytes, bare and behind a valid magic and version,
-        /// so that the header and frame decoders see them too.
-        #[test]
-        fn readers_return_on_arbitrary_bytes(
-            bytes in proptest::collection::vec(any::<u8>(), 0..512),
-        ) {
-            let (clean, _) = write_log(5);
-            read_all_ways(&bytes, &clean);
-            let mut framed = MAGIC.to_vec();
-            framed.extend_from_slice(&VERSION.to_le_bytes());
-            framed.extend_from_slice(&bytes);
-            read_all_ways(&framed, &clean);
-        }
-
-        /// Bit-flipped and truncated copies of a log whose frames
-        /// include snapshots.
-        #[test]
-        fn readers_return_on_damaged_logs(
-            n_rounds in 4u64..12,
-            flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
-            cut in any::<usize>(),
-        ) {
-            let (clean, _) = write_log(n_rounds);
-            prop_assert!(index_log(&clean).unwrap().last_snapshot().is_some());
-            let mut flipped = clean.clone();
-            for &(at, bit) in &flips {
-                let at = at % flipped.len();
-                flipped[at] ^= 1 << bit;
-            }
-            read_all_ways(&flipped, &clean);
-            read_all_ways(&clean[..cut % (clean.len() + 1)], &clean);
-        }
     }
 
     proptest! {

@@ -660,7 +660,7 @@ mod tests {
         fn send_shared(
             &mut self,
             m: &Message,
-            frame: &mut Option<bytes::Bytes>,
+            frame: &mut Option<Vec<u8>>,
         ) -> Result<(), crate::transport::TransportError> {
             self.tape.lock().unwrap().push((false, m.clone()));
             self.inner.send_shared(m, frame)

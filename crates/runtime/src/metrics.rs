@@ -290,6 +290,15 @@ fn serve_loop(listener: TcpListener, hub: Arc<MetricsHub>, stop: Arc<AtomicBool>
     }
 }
 
+/// Whether a request's first line is `GET /metrics`. Any bytes at all
+/// get an answer, never a panic.
+fn asks_for_metrics(req: &[u8]) -> bool {
+    let line = req.split(|&b| b == b'\r').next().unwrap_or(&[]);
+    let line = String::from_utf8_lossy(line);
+    let mut parts = line.split_whitespace();
+    parts.next() == Some("GET") && parts.next() == Some("/metrics")
+}
+
 fn handle_conn(mut stream: TcpStream, hub: &MetricsHub) -> std::io::Result<()> {
     // A real scraper sends its GET immediately and reads the reply
     // promptly. Tight per-syscall timeouts *plus* an overall header
@@ -316,11 +325,7 @@ fn handle_conn(mut stream: TcpStream, hub: &MetricsHub) -> std::io::Result<()> {
             Err(_) => break,
         }
     }
-    let line = req.split(|&b| b == b'\r').next().unwrap_or(&[]);
-    let line = String::from_utf8_lossy(line);
-    let mut parts = line.split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let (status, body) = if method == "GET" && path == "/metrics" {
+    let (status, body) = if asks_for_metrics(&req) {
         ("200 OK", hub.render())
     } else {
         ("404 Not Found", "not found\n".to_string())
@@ -338,6 +343,43 @@ fn handle_conn(mut stream: TcpStream, hub: &MetricsHub) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    proptest::proptest! {
+        /// The request reader answers any bytes: the page for a first
+        /// line of `GET /metrics` (whatever follows it), 404 for
+        /// anything else, and never a panic.
+        #[test]
+        fn request_reader_never_panics(
+            raw in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300),
+            pick in 0usize..4,
+        ) {
+            let prefix: &[u8] = [&b""[..], b"GET ", b"GET /metrics", b"GET /metrics HTTP/1.1\r\n"][pick];
+            let req = [prefix, &raw].concat();
+            let wants = asks_for_metrics(&req);
+            if pick == 3 {
+                proptest::prop_assert!(wants);
+            }
+            let _ = asks_for_metrics(&raw);
+        }
+    }
+
+    #[test]
+    fn request_lines_route_as_before() {
+        assert!(asks_for_metrics(
+            b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"
+        ));
+        assert!(asks_for_metrics(b"GET /metrics"));
+        for other in [
+            &b""[..],
+            b"GET",
+            b"GET /nope",
+            b"POST /metrics",
+            b"\r\nGET /metrics",
+            b"\xff\xfe",
+        ] {
+            assert!(!asks_for_metrics(other), "{other:?}");
+        }
+    }
 
     #[test]
     fn hub_renders_deterministic_layout() {

@@ -1,6 +1,7 @@
 //! The coordinator ↔ agent wire protocol.
 //!
-//! Hand-rolled binary framing over `bytes`: every frame is
+//! Binary framing through `saath_simcore::codec` (DESIGN.md, "Byte
+//! codec"): every frame is
 //!
 //! ```text
 //! ┌─────────────┬─────────┬──────────┬───────────┐
@@ -13,7 +14,7 @@
 //! coordination on one periodic stats report and one schedule push, and
 //! that economy is why its local agents cost ~1.7 MB of memory (§7.3).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use saath_simcore::codec::{CodecError, Fault, Put as _, Reader};
 
 /// Protocol version byte; bumped on any incompatible change.
 pub const VERSION: u8 = 1;
@@ -112,6 +113,14 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+/// The wire reads only fixed-width integers and bounded counts, so
+/// every codec failure is a frame cut short.
+impl From<CodecError> for ProtoError {
+    fn from(_: CodecError) -> ProtoError {
+        ProtoError::Truncated
+    }
+}
+
 #[cfg(test)]
 thread_local! {
     /// Frames encoded on this thread — lets tests hold a fan-out to
@@ -146,17 +155,17 @@ impl Message {
     /// [`MAX_FRAME`] — the receiver's `decode_stream` would reject such
     /// a frame mid-stream anyway, so the failure belongs on the sender,
     /// where the message (and its flow count) is still in context.
-    pub fn encode(&self) -> Result<Bytes, ProtoError> {
-        let mut frame = BytesMut::new();
+    pub fn encode(&self) -> Result<Vec<u8>, ProtoError> {
+        let mut frame = Vec::new();
         self.encode_into(&mut frame)?;
-        Ok(frame.freeze())
+        Ok(frame)
     }
 
     /// Appends the length-prefixed frame to `out` — the one encoder:
     /// [`Message::encoded_len`] is exact, so the prefix is written
     /// first and the body straight behind it, with no intermediate
     /// buffer. On `Err` nothing has been appended.
-    pub fn encode_into(&self, out: &mut BytesMut) -> Result<(), ProtoError> {
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), ProtoError> {
         let body_len = self.encoded_len();
         if body_len > MAX_FRAME {
             return Err(ProtoError::Oversized(body_len));
@@ -164,13 +173,13 @@ impl Message {
         #[cfg(test)]
         ENCODES.with(|n| n.set(n.get() + 1));
         out.reserve(4 + body_len);
-        out.put_u32(body_len as u32);
+        out.put_u32_be(body_len as u32);
         let start = out.len();
         out.put_u8(VERSION);
         match self {
             Message::Hello { node } => {
                 out.put_u8(T_HELLO);
-                out.put_u32(*node);
+                out.put_u32_be(*node);
             }
             Message::Stats {
                 node,
@@ -178,22 +187,22 @@ impl Message {
                 flows,
             } => {
                 out.put_u8(T_STATS);
-                out.put_u32(*node);
-                out.put_u64(*now_ns);
-                out.put_u32(flows.len() as u32);
+                out.put_u32_be(*node);
+                out.put_u64_be(*now_ns);
+                out.put_u32_be(flows.len() as u32);
                 for f in flows {
-                    out.put_u32(f.flow);
-                    out.put_u64(f.sent);
+                    out.put_u32_be(f.flow);
+                    out.put_u64_be(f.sent);
                     out.put_u8(u8::from(f.finished) | (u8::from(f.ready) << 1));
                 }
             }
             Message::Schedule { epoch, rates } => {
                 out.put_u8(T_SCHEDULE);
-                out.put_u64(*epoch);
-                out.put_u32(rates.len() as u32);
+                out.put_u64_be(*epoch);
+                out.put_u32_be(rates.len() as u32);
                 for r in rates {
-                    out.put_u32(r.flow);
-                    out.put_u64(r.rate);
+                    out.put_u32_be(r.flow);
+                    out.put_u64_be(r.rate);
                 }
             }
             Message::Shutdown => {
@@ -205,43 +214,25 @@ impl Message {
     }
 
     /// Decodes one frame *body* (everything after the length prefix).
-    pub fn decode_body(mut body: Bytes) -> Result<Message, ProtoError> {
-        if body.remaining() < 2 {
-            return Err(ProtoError::Truncated);
-        }
-        let version = body.get_u8();
+    pub fn decode_body(body: &[u8]) -> Result<Message, ProtoError> {
+        let mut r = Reader::new(body);
+        let version = r.u8("version")?;
         if version != VERSION {
             return Err(ProtoError::BadVersion(version));
         }
-        let ty = body.get_u8();
-        let need = |b: &Bytes, n: usize| {
-            if b.remaining() < n {
-                Err(ProtoError::Truncated)
-            } else {
-                Ok(())
-            }
-        };
-        match ty {
-            T_HELLO => {
-                need(&body, 4)?;
-                Ok(Message::Hello {
-                    node: body.get_u32(),
-                })
-            }
+        match r.u8("type")? {
+            T_HELLO => Ok(Message::Hello {
+                node: r.u32_be("node")?,
+            }),
             T_STATS => {
-                need(&body, 16)?;
-                let node = body.get_u32();
-                let now_ns = body.get_u64();
-                let n = body.get_u32() as usize;
-                if n > MAX_FRAME / 13 {
-                    return Err(ProtoError::Oversized(n));
-                }
-                need(&body, n * 13)?;
+                let node = r.u32_be("node")?;
+                let now_ns = r.u64_be("now_ns")?;
+                let n = counted(&mut r, "flow stats", 13)?;
                 let mut flows = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let flow = body.get_u32();
-                    let sent = body.get_u64();
-                    let bits = body.get_u8();
+                    let flow = r.u32_be("flow")?;
+                    let sent = r.u64_be("sent")?;
+                    let bits = r.u8("flags")?;
                     flows.push(FlowStat {
                         flow,
                         sent,
@@ -256,17 +247,12 @@ impl Message {
                 })
             }
             T_SCHEDULE => {
-                need(&body, 12)?;
-                let epoch = body.get_u64();
-                let n = body.get_u32() as usize;
-                if n > MAX_FRAME / 12 {
-                    return Err(ProtoError::Oversized(n));
-                }
-                need(&body, n * 12)?;
+                let epoch = r.u64_be("epoch")?;
+                let n = counted(&mut r, "rates", 12)?;
                 let mut rates = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let flow = body.get_u32();
-                    let rate = body.get_u64();
+                    let flow = r.u32_be("flow")?;
+                    let rate = r.u64_be("rate")?;
                     rates.push(RateAssignment { flow, rate });
                 }
                 Ok(Message::Schedule { epoch, rates })
@@ -277,22 +263,35 @@ impl Message {
     }
 
     /// Splits one complete frame off the front of `buf`, if present.
-    /// Returns `Ok(None)` when more bytes are needed.
-    pub fn decode_stream(buf: &mut BytesMut) -> Result<Option<Message>, ProtoError> {
-        if buf.len() < 4 {
+    /// Returns `Ok(None)` when more bytes are needed. A frame that does
+    /// not decode is consumed with its error.
+    pub fn decode_stream(buf: &mut Vec<u8>) -> Result<Option<Message>, ProtoError> {
+        let Ok(len) = Reader::new(buf).u32_be("length") else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+        };
+        let len = len as usize;
         if len > MAX_FRAME {
             return Err(ProtoError::Oversized(len));
         }
-        if buf.len() < 4 + len {
+        let Some(body) = buf.get(4..4 + len) else {
             return Ok(None);
-        }
-        buf.advance(4);
-        let body = buf.split_to(len).freeze();
-        Message::decode_body(body).map(Some)
+        };
+        let m = Message::decode_body(body);
+        buf.drain(..4 + len);
+        m.map(Some)
     }
+}
+
+/// A big-endian `u32` element count: over [`MAX_FRAME`]'s worth of
+/// `elem`-byte elements it is [`ProtoError::Oversized`], past the bytes
+/// left [`ProtoError::Truncated`].
+fn counted(r: &mut Reader<'_>, field: &'static str, elem: usize) -> Result<usize, ProtoError> {
+    r.count_u32_be(field, elem).map_err(|e| match e.fault {
+        Fault::Count { count, .. } if count as usize > MAX_FRAME / elem => {
+            ProtoError::Oversized(count as usize)
+        }
+        _ => ProtoError::Truncated,
+    })
 }
 
 #[cfg(test)]
@@ -306,7 +305,7 @@ mod tests {
             4 + m.encoded_len(),
             "encoded_len must match the actual frame"
         );
-        let mut buf = BytesMut::from(&frame[..]);
+        let mut buf = frame.clone();
         let got = Message::decode_stream(&mut buf).unwrap().unwrap();
         assert_eq!(got, m);
         assert!(buf.is_empty(), "leftover bytes after decode");
@@ -394,12 +393,12 @@ mod tests {
     fn streaming_decode_handles_partial_and_multiple_frames() {
         let a = Message::Hello { node: 1 }.encode().unwrap();
         let b = Message::Shutdown.encode().unwrap();
-        let mut stream = BytesMut::new();
+        let mut stream = Vec::new();
         stream.extend_from_slice(&a);
         stream.extend_from_slice(&b);
 
         // Feed byte by byte: no frame until complete.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let mut decoded = Vec::new();
         for byte in stream.iter() {
             buf.extend_from_slice(&[*byte]);
@@ -412,8 +411,8 @@ mod tests {
 
     #[test]
     fn rejects_bad_version_and_type() {
-        let mut frame = BytesMut::new();
-        frame.put_u32(2);
+        let mut frame = Vec::new();
+        frame.put_u32_be(2);
         frame.put_u8(99); // bad version
         frame.put_u8(T_HELLO);
         let mut buf = frame.clone();
@@ -422,8 +421,8 @@ mod tests {
             Err(ProtoError::BadVersion(99))
         );
 
-        let mut frame = BytesMut::new();
-        frame.put_u32(2);
+        let mut frame = Vec::new();
+        frame.put_u32_be(2);
         frame.put_u8(VERSION);
         frame.put_u8(200); // bad type
         let mut buf = frame;
@@ -440,35 +439,32 @@ mod tests {
     #[test]
     fn retired_tags_decode_to_bad_type() {
         // ShardSchedule: shard, epoch, one (flow, rate).
-        let mut slice = BytesMut::new();
-        slice.put_u32(2);
-        slice.put_u64(11);
-        slice.put_u32(1);
-        slice.put_u32(4);
-        slice.put_u64(2_000);
+        let mut slice = Vec::new();
+        slice.put_u32_be(2);
+        slice.put_u64_be(11);
+        slice.put_u32_be(1);
+        slice.put_u32_be(4);
+        slice.put_u64_be(2_000);
         // Reconcile: epoch, now_ns, rebuild.
-        let mut barrier = BytesMut::new();
-        barrier.put_u64(9);
-        barrier.put_u64(77_000);
+        let mut barrier = Vec::new();
+        barrier.put_u64_be(9);
+        barrier.put_u64_be(77_000);
         barrier.put_u8(1);
         // ContentionSummary: shard, round, four empty counted lists.
-        let mut summary = BytesMut::new();
-        summary.put_u32(3);
-        summary.put_u64(17);
+        let mut summary = Vec::new();
+        summary.put_u32_be(3);
+        summary.put_u64_be(17);
         for _ in 0..4 {
-            summary.put_u32(0);
+            summary.put_u32_be(0);
         }
         for (tag, payload) in [(5, slice), (6, barrier), (7, summary)] {
-            let mut body = BytesMut::new();
+            let mut body = Vec::new();
             body.put_u8(VERSION);
             body.put_u8(tag);
             body.extend_from_slice(&payload);
-            assert_eq!(
-                Message::decode_body(body.clone().freeze()),
-                Err(ProtoError::BadType(tag))
-            );
-            let mut stream = BytesMut::new();
-            stream.put_u32(body.len() as u32);
+            assert_eq!(Message::decode_body(&body), Err(ProtoError::BadType(tag)));
+            let mut stream = Vec::new();
+            stream.put_u32_be(body.len() as u32);
             stream.extend_from_slice(&body);
             assert_eq!(
                 Message::decode_stream(&mut stream),
@@ -480,16 +476,16 @@ mod tests {
     #[test]
     fn rejects_truncated_and_oversized() {
         // Truncated payload: claims a hello but has no node.
-        let mut frame = BytesMut::new();
-        frame.put_u32(2);
+        let mut frame = Vec::new();
+        frame.put_u32_be(2);
         frame.put_u8(VERSION);
         frame.put_u8(T_HELLO);
         let mut buf = frame;
         assert_eq!(Message::decode_stream(&mut buf), Err(ProtoError::Truncated));
 
         // Oversized length prefix.
-        let mut frame = BytesMut::new();
-        frame.put_u32((MAX_FRAME + 1) as u32);
+        let mut frame = Vec::new();
+        frame.put_u32_be((MAX_FRAME + 1) as u32);
         let mut buf = frame;
         assert!(matches!(
             Message::decode_stream(&mut buf),
@@ -497,13 +493,13 @@ mod tests {
         ));
 
         // Stats with an absurd element count.
-        let mut frame = BytesMut::new();
-        frame.put_u32(18);
+        let mut frame = Vec::new();
+        frame.put_u32_be(18);
         frame.put_u8(VERSION);
         frame.put_u8(T_STATS);
-        frame.put_u32(0);
-        frame.put_u64(0);
-        frame.put_u32(u32::MAX);
+        frame.put_u32_be(0);
+        frame.put_u64_be(0);
+        frame.put_u32_be(u32::MAX);
         let mut buf = frame;
         assert!(matches!(
             Message::decode_stream(&mut buf),
@@ -511,9 +507,52 @@ mod tests {
         ));
     }
 
+    /// One frame of each variant, byte for byte: the length prefix and
+    /// every integer big-endian, the stats flags packed into one byte.
+    #[test]
+    fn golden_frames_are_pinned() {
+        let cases: [(Message, &[u8]); 4] = [
+            (Message::Hello { node: 7 }, &[0, 0, 0, 6, 1, 1, 0, 0, 0, 7]),
+            (
+                Message::Stats {
+                    node: 3,
+                    now_ns: 123_456_789,
+                    flows: vec![FlowStat {
+                        flow: 9,
+                        sent: 10,
+                        finished: true,
+                        ready: true,
+                    }],
+                },
+                &[
+                    0, 0, 0, 31, 1, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0x07, 0x5b, 0xcd, 0x15, 0, 0, 0, 1,
+                    0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 10, 3,
+                ],
+            ),
+            (
+                Message::Schedule {
+                    epoch: 42,
+                    rates: vec![RateAssignment {
+                        flow: 1,
+                        rate: 125_000_000,
+                    }],
+                },
+                &[
+                    0, 0, 0, 26, 1, 3, 0, 0, 0, 0, 0, 0, 0, 42, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0,
+                    0x07, 0x73, 0x59, 0x40,
+                ],
+            ),
+            (Message::Shutdown, &[0, 0, 0, 2, 1, 4]),
+        ];
+        for (m, golden) in cases {
+            assert_eq!(&m.encode().unwrap()[..], golden, "{m:?}");
+            assert_eq!(Message::decode_body(golden[4..].into()), Ok(m));
+        }
+    }
+
     #[test]
     fn empty_buffer_wants_more() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         assert_eq!(Message::decode_stream(&mut buf), Ok(None));
         buf.extend_from_slice(&[0, 0]);
         assert_eq!(Message::decode_stream(&mut buf), Ok(None));

@@ -1,17 +1,17 @@
 //! Message transports: in-process channels and framed TCP.
 //!
 //! The coordinator and agents speak [`Message`]s over a [`Transport`].
-//! Tests and the default emulation use [`InProcTransport`] (crossbeam
-//! channels — zero-copy, no sockets); the `testbed_emulation` example
-//! can run the identical binaries over [`TcpTransport`], which frames
-//! messages with the `proto` length prefix on a real socket, the way
-//! the paper's agents talk to the Azure coordinator VM.
+//! Tests and the default emulation use [`InProcTransport`] (bounded
+//! `std::sync::mpsc` channels — zero-copy, no sockets); the
+//! `testbed_emulation` example can run the identical binaries over
+//! [`TcpTransport`], which frames messages with the `proto` length
+//! prefix on a real socket, the way the paper's agents talk to the
+//! Azure coordinator VM.
 
 use crate::proto::{Message, ProtoError};
-use bytes::{Buf as _, Bytes, BytesMut};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::{Duration as WallDuration, Instant};
 
 /// A transport failure.
@@ -89,7 +89,7 @@ pub trait Transport: Send {
     fn send_shared(
         &mut self,
         m: &Message,
-        _frame: &mut Option<Bytes>,
+        _frame: &mut Option<Vec<u8>>,
     ) -> Result<(), TransportError> {
         self.send(m)
     }
@@ -141,15 +141,15 @@ pub trait Transport: Send {
 
 /// One end of an in-process transport.
 pub struct InProcTransport {
-    tx: Sender<Message>,
+    tx: SyncSender<Message>,
     rx: Receiver<Message>,
     stats: TransportStats,
 }
 
 /// Creates a connected pair of in-process endpoints.
 pub fn inproc_pair(capacity: usize) -> (InProcTransport, InProcTransport) {
-    let (atx, brx) = bounded(capacity);
-    let (btx, arx) = bounded(capacity);
+    let (atx, brx) = sync_channel(capacity);
+    let (btx, arx) = sync_channel(capacity);
     (
         InProcTransport {
             tx: atx,
@@ -216,11 +216,11 @@ impl Transport for InProcTransport {
 /// A framed TCP endpoint.
 pub struct TcpTransport {
     stream: TcpStream,
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Outbound bytes queued by nonblocking sends, flushed by
     /// [`Transport::try_flush`] as the socket accepts them. A frame is
     /// queued whole, so partial writes never interleave frames.
-    out: BytesMut,
+    out: Vec<u8>,
     nonblocking: bool,
     stats: TransportStats,
 }
@@ -232,8 +232,8 @@ impl TcpTransport {
         stream.set_nodelay(true)?;
         Ok(TcpTransport {
             stream,
-            buf: BytesMut::with_capacity(8192),
-            out: BytesMut::new(),
+            buf: Vec::with_capacity(8192),
+            out: Vec::new(),
             nonblocking: false,
             stats: TransportStats::default(),
         })
@@ -271,7 +271,7 @@ impl TcpTransport {
             self.out.extend_from_slice(frame);
         } else {
             if !self.out.is_empty() {
-                let queued = self.out.split_to(self.out.len());
+                let queued = std::mem::take(&mut self.out);
                 self.stream
                     .write_all(&queued)
                     .map_err(Self::map_write_err)?;
@@ -335,7 +335,7 @@ impl Transport for TcpTransport {
     fn send_shared(
         &mut self,
         m: &Message,
-        frame: &mut Option<Bytes>,
+        frame: &mut Option<Vec<u8>>,
     ) -> Result<(), TransportError> {
         let frame = match frame {
             Some(f) => f,
@@ -397,7 +397,7 @@ impl Transport for TcpTransport {
             self.stream
                 .set_nonblocking(false)
                 .map_err(TransportError::Io)?;
-            let queued = self.out.split_to(self.out.len());
+            let queued = std::mem::take(&mut self.out);
             self.stream
                 .write_all(&queued)
                 .map_err(Self::map_write_err)?;
@@ -413,7 +413,9 @@ impl Transport for TcpTransport {
         while !self.out.is_empty() {
             match self.stream.write(&self.out) {
                 Ok(0) => return Err(TransportError::Disconnected),
-                Ok(n) => self.out.advance(n),
+                Ok(n) => {
+                    self.out.drain(..n);
+                }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if is_disconnect(e.kind()) => return Err(TransportError::Disconnected),

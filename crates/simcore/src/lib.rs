@@ -18,12 +18,15 @@
 //! * **No wall-clock dependence.** Nothing here reads the system clock;
 //!   simulated time only advances when the caller advances it.
 //!
-//! The crate is intentionally dependency-light (only `rand` for seeded
-//! generators and `serde` for serializable records) in the spirit of the
-//! smoltcp design notes: simplicity and robustness over cleverness.
+//! The crate is intentionally dependency-light (only `serde`'s derives
+//! for serializable records; the seeded generator is its own) in the
+//! spirit of the smoltcp design notes: simplicity and robustness over
+//! cleverness.
 //!
 //! ## Layout
 //!
+//! * [`codec`] — the bounds-checked byte cursor and append helpers every
+//!   binary format reads and writes through.
 //! * [`time`] — [`Time`] / [`Duration`] newtypes and grid quantization
 //!   (the coordinator's δ interval lives on this grid).
 //! * [`units`] — [`Bytes`] and [`Rate`] plus exact transfer arithmetic.
@@ -38,6 +41,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod codec;
 pub mod event;
 pub mod fasthash;
 pub mod ids;

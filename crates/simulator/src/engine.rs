@@ -308,6 +308,7 @@ pub(crate) struct SimCoflow {
     pub(crate) view_slot: usize, // usize::MAX when inactive
 }
 
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum DynAction {
     StraggleStart {
         node: NodeId,
@@ -696,7 +697,10 @@ pub struct ReplayHooks<'a> {
     /// written at different cadences chain to identical digests.
     pub snapshot_every: u64,
     /// A snapshot blob (from [`crate::snapshot`] via the log) to resume
-    /// from instead of starting at time zero.
+    /// from instead of starting at time zero, under the trace, config,
+    /// dynamics and policy it was taken under: a blob that does not
+    /// describe a state of that run is refused with
+    /// [`SimError::Snapshot`].
     pub resume_from: Option<&'a [u8]>,
 }
 
@@ -822,7 +826,8 @@ pub fn simulate_resumable(
     let mut resumed_cold = false;
     let mut last_snapshot: u64 = 0;
     if let Some(blob) = hooks.resume_from {
-        let st = snapshot::apply(blob, trace, cfg, sched).map_err(SimError::Snapshot)?;
+        let st =
+            snapshot::apply(blob, trace, cfg, &dyn_events, sched).map_err(SimError::Snapshot)?;
         now = st.now;
         rounds = st.rounds;
         flows = st.flows;
@@ -839,15 +844,17 @@ pub fn simulate_resumable(
         dirty_list = st.dirty_list;
         // The classes are not serialized: `apply` checked that
         // `flowing` holds exactly the unfinished flows with a rate, each
-        // once, so they join afresh at their stored `sent`. The views of
-        // the dirty CoFlows lag by what the uninterrupted run's next
-        // sync would have written; walking them writes all of it.
+        // once, so they join afresh at their stored `sent`. The views
+        // are not trusted either: every live one is walked at the next
+        // sync, which writes it from the restored flows — what the
+        // uninterrupted run's views hold after that sync (the dirty
+        // ones lag until it; the rest already agree).
         for &fi in &flowing {
             classes.join(fi, &flows[fi]);
             tele_incr!(tele, Counter::ClassJoins);
         }
-        for &ci in &dirty_list {
-            walk[ci] = true;
+        for &ci in &view_owner {
+            mark_walk(&mut dirty, &mut dirty_list, &mut walk, ci);
         }
         // Records of CoFlows that finished before the snapshot: rebuilt
         // from the restored tables. Push order differs from the original

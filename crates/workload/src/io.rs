@@ -96,6 +96,13 @@ where
     if num_nodes == 0 {
         return Err(err(hline + 1, "zero ports"));
     }
+    // Ports are numbered `0..2·num_nodes` in a `u32`.
+    if num_nodes > (u32::MAX / 2) as usize {
+        return Err(err(
+            hline + 1,
+            format!("{num_nodes} ports exceed the port id space"),
+        ));
+    }
 
     // First pass: raw records, tracking whether any machine index is 0
     // (then the file is 0-based) — the published FB file is 1-based.
@@ -123,6 +130,9 @@ where
             .ok_or_else(|| err(ln, "missing arrival time"))?
             .parse()
             .map_err(|_| err(ln, "bad arrival time"))?;
+        if arrival_ms.checked_mul(1_000_000).is_none() {
+            return Err(err(ln, "arrival time overflows the nanosecond clock"));
+        }
         let m: usize = tok
             .next()
             .ok_or_else(|| err(ln, "missing mapper count"))?
@@ -131,7 +141,8 @@ where
         if m == 0 {
             return Err(err(ln, "zero mappers"));
         }
-        let mut mappers = Vec::with_capacity(m);
+        // Counts size nothing past the tokens the line holds.
+        let mut mappers = Vec::with_capacity(m.min(line.len()));
         for _ in 0..m {
             let v: u64 = tok
                 .next()
@@ -149,7 +160,7 @@ where
         if r == 0 {
             return Err(err(ln, "zero reducers"));
         }
-        let mut reducers = Vec::with_capacity(r);
+        let mut reducers = Vec::with_capacity(r.min(line.len()));
         for _ in 0..r {
             let entry = tok
                 .next()
@@ -161,8 +172,14 @@ where
                 .parse()
                 .map_err(|_| err(ln, "bad reducer machine"))?;
             let mb: f64 = mb.parse().map_err(|_| err(ln, "bad reducer size"))?;
+            if !mb.is_finite() {
+                return Err(err(ln, "non-finite reducer size"));
+            }
             if mb <= 0.0 {
                 return Err(err(ln, "non-positive reducer size"));
+            }
+            if mb * 1e6 >= u64::MAX as f64 {
+                return Err(err(ln, "reducer size overflows a byte count"));
             }
             saw_zero |= machine == 0;
             reducers.push((machine, mb));
@@ -392,6 +409,77 @@ mod tests {
         assert_eq!(t.coflows[0].id, CoflowId(0));
         assert_eq!(t.coflows[1].id, CoflowId(1));
         assert!(t.validate().is_ok());
+    }
+
+    /// A mapper count far past the tokens on the line is refused; it
+    /// used to size the mapper list, and the allocation overflowed.
+    #[test]
+    fn a_huge_count_is_refused_without_sizing_anything() {
+        let e = parse_coflow_benchmark("4 1\n1 0 18446744073709551615 1\n", Rate::gbps(1));
+        assert!(e.unwrap_err().message.contains("truncated mapper list"));
+        let e = parse_coflow_benchmark("4 1\n1 0 1 1 18446744073709551615 1:2\n", Rate::gbps(1));
+        assert!(e.unwrap_err().message.contains("truncated reducer list"));
+    }
+
+    /// An arrival whose nanoseconds do not fit a `u64` is refused, not
+    /// wrapped to a small instant.
+    #[test]
+    fn an_arrival_past_the_clock_is_refused() {
+        let e = parse_coflow_benchmark("4 1\n0 18446744073710 1 1 1 2:2\n", Rate::gbps(1));
+        assert!(e.unwrap_err().message.contains("overflows"));
+        let last = "4 1\n0 18446744073709 1 1 1 2:2\n";
+        assert!(parse_coflow_benchmark(last, Rate::gbps(1)).is_ok());
+    }
+
+    /// `inf` and `nan` parse as floats but are no size.
+    #[test]
+    fn non_finite_sizes_are_refused() {
+        for size in ["inf", "-inf", "nan", "1e300"] {
+            let text = format!("4 1\n0 0 1 1 1 2:{size}\n");
+            assert!(
+                parse_coflow_benchmark(&text, Rate::gbps(1)).is_err(),
+                "{size} accepted"
+            );
+        }
+    }
+
+    /// Tokens the format reads, and the values at its edges.
+    const TOKENS: [&str; 16] = [
+        "0",
+        "1",
+        "2",
+        "3",
+        "4",
+        "18446744073709551615",
+        "18446744073710",
+        "1:2",
+        "2:0.5",
+        "3:1e300",
+        "2:inf",
+        "2:nan",
+        "4:-1",
+        "0:7",
+        "x",
+        "9:",
+    ];
+
+    proptest::proptest! {
+        /// Arbitrary text, and lines of plausible tokens, parse to `Ok`
+        /// or `Err`: never a panic.
+        #[test]
+        fn arbitrary_lines_never_panic(
+            raw in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+            lines in proptest::collection::vec(proptest::collection::vec(0usize..TOKENS.len(), 0..12), 0..5),
+        ) {
+            let _ = parse_coflow_benchmark(&String::from_utf8_lossy(&raw), Rate::gbps(1));
+            let text: Vec<String> = lines
+                .iter()
+                .map(|l| l.iter().map(|&t| TOKENS[t]).collect::<Vec<_>>().join(" "))
+                .collect();
+            if let Ok(trace) = parse_coflow_benchmark(&text.join("\n"), Rate::gbps(1)) {
+                proptest::prop_assert!(trace.validate().is_ok());
+            }
+        }
     }
 
     #[test]

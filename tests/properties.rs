@@ -317,7 +317,7 @@ proptest! {
     /// error.
     #[test]
     fn protocol_decode_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let mut buf = bytes::BytesMut::from(&bytes[..]);
+        let mut buf = bytes.clone();
         // Drain until no progress; must terminate and never panic.
         for _ in 0..64 {
             match saath::runtime::proto::Message::decode_stream(&mut buf) {
@@ -344,7 +344,7 @@ proptest! {
                 .map(|(flow, sent, finished, ready)| FlowStat { flow, sent, finished, ready })
                 .collect(),
         };
-        let mut buf = bytes::BytesMut::from(&m.encode().unwrap()[..]);
+        let mut buf = m.encode().unwrap();
         let got = Message::decode_stream(&mut buf).unwrap().unwrap();
         prop_assert_eq!(got, m);
         prop_assert!(buf.is_empty());

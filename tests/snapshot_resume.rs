@@ -300,7 +300,7 @@ fn resume_rejects_mismatched_runs() {
     // 50-byte header (version, three shape counts, clairvoyance, δ,
     // `now`, round count) and holds `sent`, `rate`, `ready_at` (8 B
     // each) and `finished_at` (9 B) before the prediction.
-    let mut blob = snap.blob.clone();
+    let mut blob = snap.blob.to_vec();
     blob[50 + 33] ^= 1;
     let err = simulate_resumable(
         &trace,
