@@ -534,23 +534,17 @@ pub struct RoundIndexEntry {
     pub len: usize,
 }
 
-/// A snapshot's engine blob, located in the log an index was built
-/// over: its offset and length there, not a copy. [`Blob::as_slice`]
-/// (or deref) reads it in place; a caller that outlives the log
-/// copies the one it uses.
-#[derive(Clone, Copy)]
-pub struct Blob<'a> {
-    log: &'a [u8],
-    /// Offset of the blob within the log.
-    pub offset: usize,
-    /// Blob length in bytes.
-    pub len: usize,
-}
+/// A snapshot's engine blob, borrowed from the log an index was built
+/// over rather than copied; a caller that outlives the log copies the
+/// one it uses. A slice with the `as_slice` of the `Vec` this field
+/// once was, which `[u8]` lacks on stable Rust.
+#[derive(Clone, Copy, Debug)]
+pub struct Blob<'a>(pub &'a [u8]);
 
 impl<'a> Blob<'a> {
     /// The blob's bytes, borrowed from the log.
     pub fn as_slice(&self) -> &'a [u8] {
-        &self.log[self.offset..self.offset + self.len]
+        self.0
     }
 }
 
@@ -558,13 +552,7 @@ impl std::ops::Deref for Blob<'_> {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl std::fmt::Debug for Blob<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Blob({} bytes at offset {})", self.len, self.offset)
+        self.0
     }
 }
 
@@ -637,11 +625,7 @@ pub fn index_log(bytes: &[u8]) -> Result<LogIndex<'_>, LogError> {
                 let round = Reader::new(payload).u64_le("snapshot round")?;
                 snapshots.push(SnapshotRef {
                     round,
-                    blob: Blob {
-                        log: bytes,
-                        offset: payload_off + 8,
-                        len: payload.len() - 8,
-                    },
+                    blob: Blob(&payload[8..]),
                     digest,
                 });
             }
@@ -1093,6 +1077,57 @@ mod tests {
         assert!(matches!(err, LogError::Malformed(_)), "{err}");
         let err = diff_logs(&bytes, &bytes).unwrap_err();
         assert!(matches!(err, LogError::Malformed(_)), "{err}");
+    }
+
+    /// Runs every reader over `bytes`, alone and against `clean`; each
+    /// must return (any `Result`), never panic.
+    fn read_all_ways(bytes: &[u8], clean: &[u8]) {
+        let _ = verify(bytes);
+        if let Ok(idx) = index_log(bytes) {
+            for entry in &idx.rounds {
+                let _ = idx.read_round(bytes, entry);
+            }
+        }
+        let _ = diff_logs(bytes, bytes);
+        let _ = diff_logs(bytes, clean);
+        let _ = diff_logs(clean, bytes);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, bare and behind a valid magic and version,
+        /// so that the header and frame decoders see them too.
+        #[test]
+        fn readers_return_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..512),
+        ) {
+            let (clean, _) = write_log(5);
+            read_all_ways(&bytes, &clean);
+            let mut framed = MAGIC.to_vec();
+            framed.extend_from_slice(&VERSION.to_le_bytes());
+            framed.extend_from_slice(&bytes);
+            read_all_ways(&framed, &clean);
+        }
+
+        /// Bit-flipped and truncated copies of a log whose frames
+        /// include snapshots.
+        #[test]
+        fn readers_return_on_damaged_logs(
+            n_rounds in 4u64..12,
+            flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
+            cut in any::<usize>(),
+        ) {
+            let (clean, _) = write_log(n_rounds);
+            prop_assert!(index_log(&clean).unwrap().last_snapshot().is_some());
+            let mut flipped = clean.clone();
+            for &(at, bit) in &flips {
+                let at = at % flipped.len();
+                flipped[at] ^= 1 << bit;
+            }
+            read_all_ways(&flipped, &clean);
+            read_all_ways(&clean[..cut % (clean.len() + 1)], &clean);
+        }
     }
 
     proptest! {

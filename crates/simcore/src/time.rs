@@ -24,6 +24,11 @@ impl Time {
     pub const ZERO: Time = Time(0);
     /// A sentinel "never happens" instant, ordered after every real one.
     pub const NEVER: Time = Time(u64::MAX);
+    /// The latest instant a trace may schedule and a snapshot may hold,
+    /// about 146 years in. The epoch loop adds δ, readiness delays and
+    /// restart delays to instants without checking; below this bound
+    /// none of those sums can wrap.
+    pub const LATEST: Time = Time(1 << 62);
 
     /// Builds an instant from whole milliseconds (trace files use ms).
     pub const fn from_millis(ms: u64) -> Time {

@@ -235,11 +235,6 @@ pub(crate) fn encode(
     out
 }
 
-/// The latest instant a blob may hold (about 146 years of simulated
-/// time). No run gets near it, and the loop adds δ, readiness delays
-/// and restart delays to the instants it restores without checking.
-const LATEST: Time = Time(1 << 62);
-
 /// Restores the epoch-loop state `blob` describes, or says why it
 /// describes none: the blob must decode ([`decode`]) and the state
 /// must be one the loop can reach ([`validate`]). `fresh_dyn` is the
@@ -260,12 +255,13 @@ pub(crate) fn apply(
     Ok(st)
 }
 
-/// An instant, refused past [`LATEST`] unless it is the `NEVER`
-/// sentinel.
+/// An instant, refused past [`Time::LATEST`] unless it is the `NEVER`
+/// sentinel. `Trace::validate` holds arrivals to the same bound, so a
+/// run the engine accepts writes only snapshots it can resume.
 fn instant(r: &mut Reader<'_>, field: &'static str) -> Result<Time, CodecError> {
     let t = Time(r.u64_le(field)?);
-    if t > LATEST && !t.is_never() {
-        return Err(r.invalid(field, format!("instant {t} is past {LATEST}")));
+    if t > Time::LATEST && !t.is_never() {
+        return Err(r.invalid(field, format!("instant {t} is past {}", Time::LATEST)));
     }
     Ok(t)
 }
@@ -406,7 +402,8 @@ fn decode<'b>(
         let n = r.count_le("dynamics", 21)?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
-            let at = instant(r, "dynamics at")?;
+            // Not bounded: `validate` holds each entry to the spec's.
+            let at = Time(r.u64_le("dynamics at")?);
             let seq = r.u64_le("dynamics seq")?;
             let action = match r.u8("dynamics tag")? {
                 1 => DynAction::StraggleStart {
@@ -706,11 +703,12 @@ mod tests {
     /// Edits a decoded snapshot's `flowing` list, given the flows.
     type Edit = dyn Fn(&mut Vec<usize>, &[SimFlow]);
 
-    /// A snapshot taken mid-run, decoded, its `flowing` list edited by
-    /// `edit`, and encoded again.
-    fn edited_blob(edit: &Edit) -> (Trace, Vec<u8>) {
-        let trace = saath_workload::gen::generate(&saath_workload::gen::small(5, 8, 12));
-        let cfg = SimConfig::default();
+    /// Every snapshot a Saath run of `trace` writes, one each 20 rounds,
+    /// and how the run ended.
+    fn snapshots(
+        trace: &Trace,
+        cfg: &SimConfig,
+    ) -> (Result<crate::SimOutput, crate::SimError>, Vec<Vec<u8>>) {
         let header = LogHeader {
             num_nodes: trace.num_nodes as u64,
             port_rate: trace.port_rate.as_u64(),
@@ -721,25 +719,37 @@ mod tests {
             start_digest: ChainDigest::ZERO,
         };
         let mut w = EventLogWriter::new(Vec::new(), &header).unwrap();
-        crate::simulate_resumable(
-            &trace,
+        let out = crate::simulate_resumable(
+            trace,
             &mut Saath::with_defaults(),
-            &cfg,
+            cfg,
             &DynamicsSpec::none(),
             crate::ReplayHooks {
                 sink: Some(&mut w),
                 snapshot_every: 20,
                 ..crate::ReplayHooks::none()
             },
-        )
-        .unwrap();
+        );
         let log = w.into_inner().unwrap();
-        let mut sched = Saath::with_defaults();
-        let blob = index_log(&log)
+        let blobs = index_log(&log)
             .unwrap()
             .snapshots
             .iter()
             .map(|s| s.blob.to_vec())
+            .collect();
+        (out, blobs)
+    }
+
+    /// A snapshot taken mid-run, decoded, its `flowing` list edited by
+    /// `edit`, and encoded again.
+    fn edited_blob(edit: &Edit) -> (Trace, Vec<u8>) {
+        let trace = saath_workload::gen::generate(&saath_workload::gen::small(5, 8, 12));
+        let cfg = SimConfig::default();
+        let (out, blobs) = snapshots(&trace, &cfg);
+        out.unwrap();
+        let mut sched = Saath::with_defaults();
+        let blob = blobs
+            .into_iter()
             .find(|b| {
                 !apply(b, &trace, &cfg, &EventQueue::new(), &mut sched)
                     .unwrap()
@@ -808,6 +818,31 @@ mod tests {
                 &mut Saath::with_defaults(),
             );
             assert!(err.is_err(), "{what}: applied");
+        }
+    }
+
+    /// A trace whose last CoFlow arrives at the latest instant a trace
+    /// may hold: every snapshot taken while that arrival is pending
+    /// resumes.
+    #[test]
+    fn a_snapshot_holding_the_latest_arrival_applies() {
+        let mut trace = saath_workload::gen::generate(&saath_workload::gen::small(5, 8, 12));
+        trace.coflows.last_mut().unwrap().arrival = Time::LATEST;
+        let cfg = SimConfig {
+            max_rounds: 200,
+            ..SimConfig::default()
+        };
+        let (_, blobs) = snapshots(&trace, &cfg);
+        assert!(!blobs.is_empty(), "no snapshot taken");
+        for (i, blob) in blobs.iter().enumerate() {
+            let st = apply(
+                blob,
+                &trace,
+                &cfg,
+                &EventQueue::new(),
+                &mut Saath::with_defaults(),
+            );
+            assert!(st.is_ok(), "snapshot {i}: {:?}", st.err());
         }
     }
 }

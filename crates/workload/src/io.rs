@@ -130,8 +130,9 @@ where
             .ok_or_else(|| err(ln, "missing arrival time"))?
             .parse()
             .map_err(|_| err(ln, "bad arrival time"))?;
-        if arrival_ms.checked_mul(1_000_000).is_none() {
-            return Err(err(ln, "arrival time overflows the nanosecond clock"));
+        let in_clock = |ns| Time(ns) <= Time::LATEST;
+        if !arrival_ms.checked_mul(1_000_000).is_some_and(in_clock) {
+            return Err(err(ln, "arrival time is past the clock's latest instant"));
         }
         let m: usize = tok
             .next()
@@ -422,13 +423,17 @@ mod tests {
     }
 
     /// An arrival whose nanoseconds do not fit a `u64` is refused, not
-    /// wrapped to a small instant.
+    /// wrapped to a small instant; so is one past [`Time::LATEST`],
+    /// which the engine could not snapshot.
     #[test]
     fn an_arrival_past_the_clock_is_refused() {
-        let e = parse_coflow_benchmark("4 1\n0 18446744073710 1 1 1 2:2\n", Rate::gbps(1));
-        assert!(e.unwrap_err().message.contains("overflows"));
-        let last = "4 1\n0 18446744073709 1 1 1 2:2\n";
-        assert!(parse_coflow_benchmark(last, Rate::gbps(1)).is_ok());
+        for ms in ["18446744073710", "18446744073709", "4611686018428"] {
+            let e = parse_coflow_benchmark(&format!("4 1\n0 {ms} 1 1 1 2:2\n"), Rate::gbps(1));
+            assert!(e.unwrap_err().message.contains("past the clock"), "{ms}");
+        }
+        let last = "4 1\n0 4611686018427 1 1 1 2:2\n";
+        let t = parse_coflow_benchmark(last, Rate::gbps(1)).unwrap();
+        assert_eq!(t.validate(), Ok(()));
     }
 
     /// `inf` and `nan` parse as floats but are no size.

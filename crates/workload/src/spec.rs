@@ -130,6 +130,8 @@ pub enum TraceError {
     DuplicateId(CoflowId),
     /// Arrivals are not sorted.
     UnsortedArrivals,
+    /// A CoFlow arrives past [`Time::LATEST`].
+    ArrivalPastClock(CoflowId),
     /// A DAG dependency references an unknown CoFlow id.
     UnknownDep {
         /// The CoFlow declaring the dependency.
@@ -152,6 +154,9 @@ impl std::fmt::Display for TraceError {
             TraceError::ZeroSizeFlow(c) => write!(f, "{c}: zero-size flow"),
             TraceError::DuplicateId(c) => write!(f, "duplicate CoFlow id {c}"),
             TraceError::UnsortedArrivals => write!(f, "arrivals not sorted"),
+            TraceError::ArrivalPastClock(c) => {
+                write!(f, "{c}: arrives past the latest instant {}", Time::LATEST)
+            }
             TraceError::UnknownDep { coflow, dep } => {
                 write!(f, "{coflow}: unknown dependency {dep}")
             }
@@ -179,6 +184,9 @@ impl Trace {
                 return Err(TraceError::UnsortedArrivals);
             }
             last_arrival = c.arrival;
+            if c.arrival > Time::LATEST {
+                return Err(TraceError::ArrivalPastClock(c.id));
+            }
             for fl in &c.flows {
                 for node in [fl.src, fl.dst] {
                     if node.index() >= self.num_nodes {
@@ -335,6 +343,17 @@ mod tests {
         let mut t = tiny_trace();
         t.coflows[0].arrival = Time::from_secs(10);
         assert_eq!(t.validate(), Err(TraceError::UnsortedArrivals));
+
+        let mut t = tiny_trace();
+        for c in &mut t.coflows {
+            c.arrival = Time::LATEST;
+        }
+        assert_eq!(t.validate(), Ok(()));
+        t.coflows[1].arrival = Time(Time::LATEST.0 + 1);
+        assert_eq!(
+            t.validate(),
+            Err(TraceError::ArrivalPastClock(t.coflows[1].id))
+        );
 
         let mut t = tiny_trace();
         t.coflows[0].flows.clear();

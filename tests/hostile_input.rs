@@ -373,24 +373,46 @@ fn churn_log() -> Vec<u8> {
     log
 }
 
-struct Logs;
+/// Holds the undamaged sample, which the differ compares every input
+/// with both ways.
+struct Logs {
+    clean: Vec<u8>,
+}
 
-impl Decoder for Logs {
-    fn samples(&self) -> Vec<Vec<u8>> {
+impl Logs {
+    fn new() -> Logs {
         // The first ~70 rounds and their first snapshot: a few KB.
         let log = churn_log();
         let idx = index_log(&log).unwrap();
         let end = idx.rounds[70].offset - 9;
-        vec![log[..end].to_vec()]
+        Logs {
+            clean: log[..end].to_vec(),
+        }
+    }
+}
+
+impl Decoder for Logs {
+    fn samples(&self) -> Vec<Vec<u8>> {
+        vec![self.clean.clone()]
     }
 
+    /// Runs every reader whatever the others return: a resume indexes
+    /// a log without verifying it first, and the differ reads damaged
+    /// records that the chain check would have refused. The result is
+    /// `verify`'s.
     fn run(&self, bytes: &[u8]) -> Result<(), String> {
-        let summary = verify(bytes).map_err(|e| e.to_string())?;
-        let idx = index_log(bytes).map_err(|e| e.to_string())?;
-        for e in &idx.rounds {
-            idx.read_round(bytes, e).map_err(|e| e.to_string())?;
+        let summary = verify(bytes);
+        let indexed = index_log(bytes);
+        if let Ok(idx) = &indexed {
+            for e in &idx.rounds {
+                let _ = idx.read_round(bytes, e);
+            }
         }
-        diff_logs(bytes, bytes).map_err(|e| e.to_string())?;
+        let _ = diff_logs(bytes, bytes);
+        let _ = diff_logs(bytes, &self.clean);
+        let _ = diff_logs(&self.clean, bytes);
+        let summary = summary.map_err(|e| e.to_string())?;
+        let idx = indexed.map_err(|e| e.to_string())?;
         let blobs: usize = idx.snapshots.iter().map(|s| s.blob.len()).sum();
         (summary.rounds == idx.rounds.len() as u64 && blobs <= bytes.len())
             .then_some(())
@@ -419,7 +441,7 @@ impl Decoder for Logs {
 
 #[test]
 fn event_logs_survive_hostile_bytes() {
-    attack("event log", &Logs);
+    attack("event log", &Logs::new());
 }
 
 // ---- Engine snapshots, through `simulate_resumable` ----
@@ -479,30 +501,67 @@ impl Decoder for Snapshots {
     }
 
     /// Resumed from snapshot `i`, the run writes snapshot `i + 1`
-    /// byte for byte, but for Saath's mechanism counters: telemetry,
-    /// which the cold round after a resume counts on from.
+    /// byte for byte, but for Saath's mechanism counters. The first
+    /// round after a resume is cold (`changed: None`), and the counters
+    /// count it on top of the uninterrupted run's (CHANGES.md, FOUND:
+    /// "a resumed run's snapshots are not byte-identical"): one more
+    /// contention rebuild, one fewer avoided, and more of the work a
+    /// cold round redoes. Once that is mended, the rebuild check fails
+    /// here; compare the counters exactly then.
     fn identity(&self, i: usize, sample: &[u8]) -> Result<(), String> {
         let (round, digest, _) = &self.snaps[i];
         let (_, log) = logged(&SimConfig::default(), 40, Some((*round, *digest, sample)));
         let idx = index_log(&log).map_err(|e| e.to_string())?;
         let next = idx.snapshots.first().ok_or("no snapshot written")?;
-        let (got, want) = (next.blob.as_slice(), &self.snaps[i + 1].2[..]);
-        // The scheduler's blob follows its name; its counters are the
-        // 112 bytes behind its version byte, `starvation_kicks` and
-        // the counter count.
-        let name = [&5u64.to_le_bytes()[..], b"saath"].concat();
-        let at = want
-            .windows(name.len())
-            .rposition(|w| w == name)
-            .ok_or("no name")?;
-        let counters = at + name.len() + 8 + 17..at + name.len() + 8 + 17 + 112;
-        let masked = |b: &[u8]| [&b[..counters.start], &b[counters.end.min(b.len())..]].concat();
-        (next.round == self.snaps[i + 1].0
-            && got.len() == want.len()
-            && masked(got) == masked(want))
-        .then_some(())
-        .ok_or("the next snapshot differs".into())
+        if next.round != self.snaps[i + 1].0 {
+            return Err("the next snapshot is at another round".into());
+        }
+        let (got_engine, mut got) = split_saath(next.blob.as_slice())?;
+        let (want_engine, mut want) = split_saath(&self.snaps[i + 1].2)?;
+        if got_engine != want_engine {
+            return Err("the next snapshot's engine state differs".into());
+        }
+        let (g, w) = (&got.mech, &want.mech);
+        let cold_round = g.contention_rebuilds == w.contention_rebuilds + 1
+            && g.contention_rebuilds_avoided + 1 == w.contention_rebuilds_avoided;
+        let others_ahead = g
+            .rows()
+            .iter()
+            .zip(w.rows())
+            .filter(|(_, (name, _))| !name.starts_with("contention_rebuilds"))
+            .all(|(&(_, g), (_, w))| g >= w);
+        if !(cold_round && others_ahead) {
+            return Err(format!(
+                "the mechanism counters differ by more than one cold round: {:?} vs {:?}",
+                g.rows(),
+                w.rows()
+            ));
+        }
+        got.mech = Default::default();
+        want.mech = Default::default();
+        let saved = |s: &Saath| {
+            let mut blob = Vec::new();
+            s.save_state(&mut blob);
+            blob
+        };
+        (saved(&got) == saved(&want))
+            .then_some(())
+            .ok_or("the next snapshot's scheduler state differs".into())
     }
+}
+
+/// Splits an engine snapshot into the engine's bytes and the Saath
+/// state its last field holds, restored. The snapshot ends with the
+/// scheduler's name and its state blob, each behind a `u64` length.
+fn split_saath(blob: &[u8]) -> Result<(&[u8], Saath), String> {
+    let name = [&5u64.to_le_bytes()[..], b"saath"].concat();
+    let at = blob
+        .windows(name.len())
+        .rposition(|w| w == name)
+        .ok_or("no saath state in the snapshot")?;
+    let mut s = Saath::with_defaults();
+    s.restore_state(&blob[at + name.len() + 8..])?;
+    Ok((&blob[..at], s))
 }
 
 #[test]
