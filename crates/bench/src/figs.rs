@@ -775,28 +775,19 @@ pub struct LogOptions {
     pub snapshot_every: u64,
     /// The snapshot to resume from, taken from a previously recorded
     /// log by [`LogOptions::load`].
-    pub resume: Option<ResumePoint>,
-}
-
-/// A snapshot copied out of the log it was found in: the one blob a
-/// resume uses, not the log around it.
-pub struct ResumePoint {
-    /// Rounds completed at the snapshot.
-    pub round: u64,
-    /// Chain digest entering `round`.
-    pub digest: saath_eventlog::ChainDigest,
-    /// The engine blob.
-    pub blob: Vec<u8>,
+    pub resume: Option<saath_eventlog::ResumePoint>,
 }
 
 impl LogOptions {
     /// The options as given on the command line. The log to resume
-    /// from is read here, so a file that is not an event log, or holds
-    /// no snapshot, is refused with a message naming it before anything
-    /// is replayed. The resume point is the log's last snapshot that
-    /// still has rounds after it (a cadence hitting the final round
-    /// exactly would otherwise make the continuation trivially empty),
-    /// else its very last one. The log to write is created here too (after
+    /// from is read here, in one streaming pass that keeps at most two
+    /// snapshot blobs ([`saath_eventlog::resume_point`]), so a file
+    /// that is not an event log, or holds no snapshot, is refused with
+    /// a message naming it before anything is replayed. The resume
+    /// point is the log's last snapshot that still has rounds after it
+    /// (a cadence hitting the final round exactly would otherwise make
+    /// the continuation trivially empty), else its very last one. The
+    /// log to write is created here too (after
     /// the one to resume from is read), so a path that cannot be written
     /// is refused before the replays as well.
     pub fn load(
@@ -807,24 +798,26 @@ impl LogOptions {
         let resume = match resume_from {
             None => None,
             Some(path) => {
-                let bytes = std::fs::read(path)
-                    .map_err(|e| format!("--resume-from: cannot read {}: {e}", path.display()))?;
-                let idx = saath_eventlog::index_log(&bytes).map_err(|e| {
-                    format!("--resume-from: {} is not an event log: {e}", path.display())
-                })?;
-                let total = idx.rounds.last().map(|r| r.round + 1);
-                let snap = idx.snapshots.iter().rev().find(|s| Some(s.round) < total);
-                let snap = snap.or(idx.last_snapshot()).ok_or_else(|| {
+                let cannot_read = |e: &dyn std::fmt::Display| {
+                    format!("--resume-from: cannot read {}: {e}", path.display())
+                };
+                let file = std::fs::File::open(path).map_err(|e| cannot_read(&e))?;
+                let snap = match saath_eventlog::resume_point(std::io::BufReader::new(file)) {
+                    Ok(snap) => snap,
+                    Err(saath_eventlog::LogError::Io(e)) => return Err(cannot_read(&e)),
+                    Err(e) => {
+                        return Err(format!(
+                            "--resume-from: {} is not an event log: {e}",
+                            path.display()
+                        ))
+                    }
+                };
+                Some(snap.ok_or_else(|| {
                     format!(
                         "--resume-from: {} holds no snapshot (record it with --snapshot-every N)",
                         path.display()
                     )
-                })?;
-                Some(ResumePoint {
-                    round: snap.round,
-                    digest: snap.digest,
-                    blob: snap.blob.to_vec(),
-                })
+                })?)
             }
         };
         if let Some(path) = &log {

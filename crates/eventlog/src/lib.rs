@@ -414,14 +414,11 @@ fn read_len_prefixed<R: Read>(r: &mut R, len: u64, buf: &mut Vec<u8>) -> Result<
     Ok(buf.len() as u64 == len)
 }
 
-/// Streams through a log once, re-deriving the digest chain and
-/// checking it against every stored digest. Holds one frame at a time —
-/// O(1) memory in the number of rounds. Any unverifiable frame after
-/// `k` good rounds fails with [`LogError::Corrupt`] at round
-/// `start_round + k`.
-pub fn verify<R: Read>(mut r: R) -> Result<VerifySummary, LogError> {
+/// Reads the magic, the version and the header off the front of a
+/// log; `buf` is scratch.
+fn read_header<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> Result<LogHeader, LogError> {
     let mut pre = [0u8; 8];
-    if read_exact_or_eof(&mut r, &mut pre)? != 8 {
+    if read_exact_or_eof(r, &mut pre)? != 8 {
         return Err(LogError::Malformed("shorter than the magic".into()));
     }
     if pre[..4] != MAGIC {
@@ -432,18 +429,49 @@ pub fn verify<R: Read>(mut r: R) -> Result<VerifySummary, LogError> {
         return Err(LogError::Malformed(format!("unknown version {version}")));
     }
     let mut len8 = [0u8; 8];
-    if read_exact_or_eof(&mut r, &mut len8)? != 8 {
+    if read_exact_or_eof(r, &mut len8)? != 8 {
         return Err(LogError::Malformed("truncated header length".into()));
     }
     let hlen = u64::from_le_bytes(len8);
     if hlen > MAX_FRAME {
         return Err(LogError::Malformed(format!("header length {hlen} absurd")));
     }
-    let mut payload: Vec<u8> = Vec::new();
-    if !read_len_prefixed(&mut r, hlen, &mut payload)? {
+    if !read_len_prefixed(r, hlen, buf)? {
         return Err(LogError::Malformed("truncated header".into()));
     }
-    let header = LogHeader::decode(&payload)?;
+    LogHeader::decode(buf)
+}
+
+/// Reads one frame's kind and length-prefixed payload into `payload`;
+/// `None` at a clean end of the log. A round frame's stored digest,
+/// which follows the payload, is left for the caller.
+fn read_frame<R: Read>(r: &mut R, payload: &mut Vec<u8>) -> Result<Option<u8>, LogError> {
+    let mut kind = [0u8; 1];
+    if read_exact_or_eof(r, &mut kind)? == 0 {
+        return Ok(None);
+    }
+    let mut len8 = [0u8; 8];
+    if read_exact_or_eof(r, &mut len8)? != 8 {
+        return Err(LogError::Malformed("truncated frame length".into()));
+    }
+    let plen = u64::from_le_bytes(len8);
+    if plen > MAX_FRAME {
+        return Err(LogError::Malformed(format!("frame length {plen} absurd")));
+    }
+    if !read_len_prefixed(r, plen, payload)? {
+        return Err(LogError::Malformed("truncated frame payload".into()));
+    }
+    Ok(Some(kind[0]))
+}
+
+/// Streams through a log once, re-deriving the digest chain and
+/// checking it against every stored digest. Holds one frame at a time —
+/// O(1) memory in the number of rounds. Any unverifiable frame after
+/// `k` good rounds fails with [`LogError::Corrupt`] at round
+/// `start_round + k`.
+pub fn verify<R: Read>(mut r: R) -> Result<VerifySummary, LogError> {
+    let mut payload: Vec<u8> = Vec::new();
+    let header = read_header(&mut r, &mut payload)?;
 
     let mut digest = header.start_digest;
     let mut rounds = 0u64;
@@ -455,21 +483,13 @@ pub fn verify<R: Read>(mut r: R) -> Result<VerifySummary, LogError> {
             round: next_round,
             reason,
         };
-        let mut kind = [0u8; 1];
-        if read_exact_or_eof(&mut r, &mut kind)? == 0 {
-            break; // clean end of log
-        }
-        if read_exact_or_eof(&mut r, &mut len8)? != 8 {
-            return Err(corrupt("truncated frame length".into()));
-        }
-        let plen = u64::from_le_bytes(len8);
-        if plen > MAX_FRAME {
-            return Err(corrupt(format!("frame length {plen} absurd")));
-        }
-        if !read_len_prefixed(&mut r, plen, &mut payload)? {
-            return Err(corrupt("truncated frame payload".into()));
-        }
-        match kind[0] {
+        let kind = match read_frame(&mut r, &mut payload) {
+            Ok(Some(kind)) => kind,
+            Ok(None) => break, // clean end of log
+            Err(LogError::Malformed(reason)) => return Err(corrupt(reason)),
+            Err(e) => return Err(e),
+        };
+        match kind {
             KIND_ROUND => {
                 let mut stored = [0u8; 16];
                 if read_exact_or_eof(&mut r, &mut stored)? != 16 {
@@ -519,6 +539,77 @@ pub fn verify<R: Read>(mut r: R) -> Result<VerifySummary, LogError> {
 pub fn verify_path(path: &std::path::Path) -> Result<VerifySummary, LogError> {
     let f = std::fs::File::open(path)?;
     verify(std::io::BufReader::new(f))
+}
+
+/// A snapshot copied out of a log: the one blob a resume uses, not the
+/// log around it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ResumePoint {
+    /// Rounds completed at the snapshot (= the resumed log's
+    /// `start_round`).
+    pub round: u64,
+    /// Chain digest entering `round`, as stored in the log (= the
+    /// resumed log's `start_digest`).
+    pub digest: ChainDigest,
+    /// The engine blob.
+    pub blob: Vec<u8>,
+}
+
+/// Streams through a log once and copies out the snapshot a resume
+/// starts from: the last snapshot with a round record after it — a
+/// cadence that hits the final round exactly leaves one with nothing
+/// to continue — else the last snapshot; `None` when the log holds
+/// none. In a log the engine wrote, the snapshot at round `s` lies
+/// just before round `s`'s record, so this is also the last snapshot
+/// whose round is below the log's end ordinal.
+///
+/// Holds one frame and at most two snapshot blobs at a time, however
+/// long the log. Like [`index_log`], it refuses bad framing anywhere
+/// in the log but does not re-derive the chain — [`verify`] does.
+pub fn resume_point<R: Read>(mut r: R) -> Result<Option<ResumePoint>, LogError> {
+    let mut payload: Vec<u8> = Vec::new();
+    let header = read_header(&mut r, &mut payload)?;
+    let mut digest = header.start_digest;
+    let mut next_round = header.start_round;
+    // The last snapshot with a round after it, and a later one with
+    // none yet.
+    let (mut followed, mut trailing): (Option<ResumePoint>, Option<ResumePoint>) = (None, None);
+    while let Some(kind) = read_frame(&mut r, &mut payload)? {
+        match kind {
+            KIND_ROUND => {
+                let mut stored = [0u8; 16];
+                if read_exact_or_eof(&mut r, &mut stored)? != 16 {
+                    return Err(LogError::Malformed("truncated stored digest".into()));
+                }
+                if next_round == u64::MAX {
+                    return Err(LogError::Malformed(
+                        "the log's end ordinal overflows u64".into(),
+                    ));
+                }
+                next_round += 1;
+                let mut d = Reader::new(&stored);
+                digest = ChainDigest([d.u64_le("stored digest")?, d.u64_le("stored digest")?]);
+                if trailing.is_some() {
+                    followed = trailing.take();
+                }
+            }
+            KIND_SNAPSHOT => {
+                let round = Reader::new(&payload).u64_le("snapshot round")?;
+                // The snapshot it displaces has no round after it and is
+                // not the last: its buffer takes the new blob.
+                let mut blob = trailing.take().map(|t| t.blob).unwrap_or_default();
+                blob.clear();
+                blob.extend_from_slice(&payload[8..]);
+                trailing = Some(ResumePoint {
+                    round,
+                    digest,
+                    blob,
+                });
+            }
+            k => return Err(LogError::Malformed(format!("unknown frame kind {k}"))),
+        }
+    }
+    Ok(followed.or(trailing))
 }
 
 /// One round's position in a parsed log.
@@ -933,6 +1024,32 @@ mod tests {
             }
         }
         (w.into_inner().unwrap(), ranges)
+    }
+
+    /// The resume pass keeps the last snapshot with rounds after it,
+    /// else the last one, else none — and copies out what an index of
+    /// the same log holds for it.
+    #[test]
+    fn resume_point_picks_the_last_snapshot_with_rounds_after_it() {
+        let pick = |n: u64| {
+            let (log, _) = write_log(n);
+            let p = resume_point(&log[..]).unwrap()?;
+            let idx = index_log(&log).unwrap();
+            let s = idx.snapshots.iter().find(|s| s.round == p.round).unwrap();
+            assert_eq!((s.digest, s.blob.as_slice()), (p.digest, &p.blob[..]));
+            Some(p.round)
+        };
+        // Snapshots at rounds 4 and 8, each with rounds after it.
+        assert_eq!(pick(10), Some(8));
+        // The snapshot at round 8 closes the log: nothing to continue.
+        assert_eq!(pick(8), Some(4));
+        // The only snapshot closes the log, and is all there is.
+        assert_eq!(pick(4), Some(4));
+        assert_eq!(pick(3), None);
+        assert_eq!(
+            resume_point(&b"SAEX"[..]),
+            Err(LogError::Malformed("shorter than the magic".into()))
+        );
     }
 
     #[test]

@@ -31,6 +31,7 @@
 
 use crate::clock::EmuClock;
 use crate::metrics::MetricsHub;
+use crate::poll::ExactTimers;
 use crate::proto::{FlowStat, Message, RateAssignment, COORDINATOR};
 use crate::transport::{Transport, TransportStats};
 use saath_core::view::{ClusterView, CoflowScheduler, CoflowView, FlowView, Schedule};
@@ -64,8 +65,16 @@ impl CoflowRegistry {
     /// # Panics
     /// Panics on traces with DAG dependencies — the emulation registers
     /// CoFlows at arrival like the paper's testbed replay; DAG release
-    /// is a simulator feature.
+    /// is a simulator feature — and on arrivals out of order, which
+    /// `Trace::validate` refuses too.
     pub fn from_trace(trace: &Trace) -> CoflowRegistry {
+        assert!(
+            trace
+                .coflows
+                .windows(2)
+                .all(|w| w[0].arrival <= w[1].arrival),
+            "CoFlow arrivals must be sorted"
+        );
         let mut entries = Vec::with_capacity(trace.coflows.len());
         let mut next_flow = 0u32;
         for c in &trace.coflows {
@@ -127,12 +136,26 @@ pub struct CoordinatorConfig {
 /// The observation core of the coordinator: latest per-flow
 /// observations, CoFlow completion bookkeeping, and view construction —
 /// everything a δ round derives from the agents' reports.
+///
+/// It walks only what is live: registry entries are in arrival order,
+/// so the arrived ones are a prefix (`arrived` long), and the arrived,
+/// unfinished CoFlows are a list kept in registry order next to their
+/// views. A sweep appends the new arrivals and compacts the finished
+/// ones out; [`ObsState::refresh_views`] rewrites the kept views in
+/// place. [`ObsState::build_views`] builds the same views from scratch
+/// and is their oracle.
 struct ObsState {
     obs: Vec<FlowObs>,
     done: Vec<Option<Time>>,
     records: Vec<CoflowRecord>,
     /// Per-flow entries ingested so far.
     ingested: u64,
+    /// Registry entries before this index have arrived.
+    arrived: usize,
+    /// The arrived, unfinished CoFlows' registry indices, in registry
+    /// order; `views[i]` is the view of `live[i]`.
+    live: Vec<usize>,
+    views: Vec<CoflowView>,
 }
 
 /// Latest per-flow stats (dense).
@@ -161,6 +184,9 @@ impl ObsState {
             done: vec![None; registry.entries.len()],
             records: Vec::with_capacity(registry.entries.len()),
             ingested: 0,
+            arrived: 0,
+            live: Vec::new(),
+            views: Vec::new(),
         }
     }
 
@@ -199,49 +225,108 @@ impl ObsState {
         self.obs.fill(FlowObs::UNSEEN);
     }
 
-    /// Completion bookkeeping: records every CoFlow whose flows have all
+    /// Completion bookkeeping: admits the CoFlows that have arrived by
+    /// `now`, and records and drops every live one whose flows have all
     /// finished. Returns true once every registered CoFlow is done.
     fn sweep(&mut self, registry: &CoflowRegistry, now: Time) -> bool {
-        for (ci, e) in registry.entries.iter().enumerate() {
-            if self.done[ci].is_some() || e.arrival > now {
-                continue;
+        while let Some(e) = registry.entries.get(self.arrived) {
+            if e.arrival > now {
+                break;
             }
-            if e.flows
-                .iter()
-                .all(|(fid, ..)| self.obs[*fid as usize].finished)
-            {
-                let finish = e
+            self.live.push(self.arrived);
+            self.views.push(CoflowView {
+                id: e.id,
+                arrival: e.arrival,
+                flows: e
                     .flows
                     .iter()
-                    .map(|(fid, ..)| self.obs[*fid as usize].finished_at)
-                    .max()
-                    .unwrap_or(now);
-                self.done[ci] = Some(finish);
-                self.records.push(CoflowRecord {
-                    id: e.id,
-                    job: e.job,
-                    arrival: e.arrival,
-                    released: e.arrival,
-                    finish,
-                    width: e.flows.len(),
-                    total_bytes: e.flows.iter().map(|(_, _, _, s, _)| *s).sum(),
-                    flow_fcts: e
-                        .flows
-                        .iter()
-                        .map(|(fid, ..)| {
-                            self.obs[*fid as usize]
-                                .finished_at
-                                .saturating_since(e.arrival)
-                        })
-                        .collect(),
-                    flow_sizes: e.flows.iter().map(|(_, _, _, s, _)| *s).collect(),
-                });
-            }
+                    .map(|&(fid, src, dst, ..)| FlowView {
+                        id: FlowId(fid),
+                        src,
+                        dst,
+                        sent: Bytes::ZERO,
+                        ready: false,
+                        finished: false,
+                        oracle_size: None,
+                    })
+                    .collect(),
+                restarted: false,
+            });
+            self.arrived += 1;
         }
+        // Compacts in place, keeping the order: `kept` entries stay.
+        let mut kept = 0;
+        for i in 0..self.live.len() {
+            let ci = self.live[i];
+            if self.record_if_finished(ci, &registry.entries[ci], now) {
+                continue;
+            }
+            self.live.swap(kept, i);
+            self.views.swap(kept, i);
+            kept += 1;
+        }
+        self.live.truncate(kept);
+        self.views.truncate(kept);
         self.records.len() == registry.entries.len()
     }
 
-    /// Builds the view of active CoFlows at `now` into `views`.
+    /// Records CoFlow `ci` if all its flows have finished; whether it
+    /// did.
+    fn record_if_finished(&mut self, ci: usize, e: &RegEntry, now: Time) -> bool {
+        if !e
+            .flows
+            .iter()
+            .all(|(fid, ..)| self.obs[*fid as usize].finished)
+        {
+            return false;
+        }
+        let finish = e
+            .flows
+            .iter()
+            .map(|(fid, ..)| self.obs[*fid as usize].finished_at)
+            .max()
+            .unwrap_or(now);
+        self.done[ci] = Some(finish);
+        self.records.push(CoflowRecord {
+            id: e.id,
+            job: e.job,
+            arrival: e.arrival,
+            released: e.arrival,
+            finish,
+            width: e.flows.len(),
+            total_bytes: e.flows.iter().map(|(_, _, _, s, _)| *s).sum(),
+            flow_fcts: e
+                .flows
+                .iter()
+                .map(|(fid, ..)| {
+                    self.obs[*fid as usize]
+                        .finished_at
+                        .saturating_since(e.arrival)
+                })
+                .collect(),
+            flow_sizes: e.flows.iter().map(|(_, _, _, s, _)| *s).collect(),
+        });
+        true
+    }
+
+    /// Rewrites the live CoFlows' views for `now` from the observation
+    /// table: the same views [`ObsState::build_views`] builds, kept
+    /// from the last sweep.
+    fn refresh_views(&mut self, registry: &CoflowRegistry, now: Time, clairvoyant: bool) {
+        for (&ci, v) in self.live.iter().zip(&mut self.views) {
+            let e = &registry.entries[ci];
+            for (f, &(fid, _, _, size, ready_off)) in v.flows.iter_mut().zip(&e.flows) {
+                let o = &self.obs[fid as usize];
+                f.sent = Bytes(o.sent);
+                f.ready = o.ready.unwrap_or(e.arrival + ready_off <= now);
+                f.finished = o.finished;
+                f.oracle_size = clairvoyant.then_some(size);
+            }
+        }
+    }
+
+    /// Builds the view of active CoFlows at `now` into `views`, from
+    /// scratch: the oracle of the kept views.
     fn build_views(
         &self,
         registry: &CoflowRegistry,
@@ -496,11 +581,12 @@ fn finish(
 /// Runs the coordinator until every registered CoFlow completes (or the
 /// watchdog fires, or no agent link is left alive). `make_sched` builds
 /// the policy — and rebuilds it on failover. `hub` is the live metrics
-/// plane: per-phase latency spans
-/// (obs-recv / schedule / broadcast), the active/completed gauges, and
-/// the aggregated agent-link transport counters — opt-in at runtime
-/// via [`EmulationConfig::metrics_addr`], so `None` costs one branch
-/// per use site.
+/// plane: per-phase latency spans (obs-recv / views / schedule /
+/// broadcast / pace), the active/completed gauges, and the aggregated
+/// agent-link transport counters — opt-in at runtime via
+/// [`EmulationConfig::metrics_addr`], so `None` costs one branch per
+/// use site. The calling thread's timer slack is 1 ns for the run
+/// ([`ExactTimers`]) and what it was before once the run returns.
 ///
 /// [`EmulationConfig::metrics_addr`]: crate::harness::EmulationConfig
 pub fn run_coordinator(
@@ -511,10 +597,14 @@ pub fn run_coordinator(
     cfg: &CoordinatorConfig,
     hub: Option<&MetricsHub>,
 ) -> CoordinatorReport {
+    // The δ wait ends at δ, not up to the default 50 µs of timer slack
+    // later; the calling thread gets its slack back when the run ends.
+    let _exact = ExactTimers::hold();
     let mut sched = make_sched();
     let mut restarted = false;
     let mut state = ObsState::new(registry);
-    let mut views: Vec<CoflowView> = Vec::new();
+    // Debug builds rebuild every epoch's views here, from scratch.
+    let mut oracle: Vec<CoflowView> = Vec::new();
     let mut epochs: u64 = 0;
     let mut bank = PortBank::uniform(registry.num_nodes, registry.port_rate);
     let mut out = Schedule::default();
@@ -548,7 +638,7 @@ pub fn run_coordinator(
             let _span = hub.map(|h| h.span(Phase::CoordViews));
             let all_done = state.sweep(registry, now);
             if !all_done {
-                state.build_views(registry, now, cfg.clairvoyant, &mut views);
+                state.refresh_views(registry, now, cfg.clairvoyant);
             }
             all_done
         };
@@ -558,14 +648,22 @@ pub fn run_coordinator(
         if health.all_dead() {
             break true;
         }
+        debug_assert!(
+            {
+                state.build_views(registry, now, cfg.clairvoyant, &mut oracle);
+                oracle == state.views
+            },
+            "the kept views differ from a rebuild at {now:?}"
+        );
 
+        let views = &state.views;
         if !views.is_empty() {
             bank.reset_round();
             out.clear();
             let view = ClusterView {
                 now,
                 num_nodes: registry.num_nodes,
-                coflows: &views,
+                coflows: views,
                 changed: None,
             };
             {
@@ -577,7 +675,12 @@ pub fn run_coordinator(
         }
         publish_epoch(hub, agents, views.len() as u64, state.records.len());
 
+        let slept = std::time::Instant::now();
         std::thread::sleep(delta_wall);
+        if let Some(h) = hub {
+            let late = slept.elapsed().saturating_sub(delta_wall);
+            h.observe_phase(Phase::CoordPace, late.as_nanos() as u64);
+        }
     };
 
     shutdown_links(agents);
@@ -692,6 +795,96 @@ mod tests {
         state.build_views(&reg, Time::from_millis(500), true, &mut views);
         assert_eq!(ready(&views), [true, false]);
         assert_eq!(views[0].flows[0].oracle_size, Some(Bytes::mb(1)));
+    }
+
+    /// The views kept across sweeps are the ones a rebuild gives, through
+    /// arrivals, readiness turning, finishes, a lost table and a
+    /// clairvoyant pass.
+    #[test]
+    fn kept_views_equal_a_rebuild_at_every_step() {
+        let reg = registry();
+        let mut state = ObsState::new(&reg);
+        let mut rebuilt = Vec::new();
+        let mut step = |state: &mut ObsState, ms: u64, clairvoyant: bool| {
+            let now = Time::from_millis(ms);
+            let all_done = state.sweep(&reg, now);
+            state.refresh_views(&reg, now, clairvoyant);
+            state.build_views(&reg, now, clairvoyant, &mut rebuilt);
+            assert_eq!(state.views, rebuilt, "at {ms} ms");
+            assert_eq!(state.live.len(), state.views.len());
+            all_done
+        };
+        step(&mut state, 50, false);
+        assert!(state.views.is_empty(), "nothing has arrived yet");
+        step(&mut state, 399, false);
+        step(&mut state, 400, true);
+        state.ingest(
+            &[stat(0, 1_000_000, true), stat(1, 500, false)],
+            Time::from_millis(450),
+        );
+        step(&mut state, 500, false);
+        step(&mut state, 1000, false);
+        assert_eq!(state.views.len(), 2, "CoFlow 1 has arrived");
+        state.forget_observations();
+        step(&mut state, 1100, false);
+        state.ingest(
+            &[stat(0, 1_000_000, true), stat(1, 2_000_000, true)],
+            Time::from_millis(1150),
+        );
+        step(&mut state, 1200, false);
+        assert_eq!(state.live, [1], "CoFlow 0 is compacted out");
+        state.ingest(&[stat(2, 1_000_000, true)], Time::from_millis(1300));
+        assert!(step(&mut state, 1400, false));
+        assert!(state.views.is_empty());
+    }
+
+    /// The run holds the calling thread's timer slack at 1 ns — the
+    /// policy is built on that thread, inside the run — and gives the
+    /// thread its own slack back when it returns.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_calling_thread_gets_its_timer_slack_back() {
+        use crate::poll::timer_slack_ns;
+        // A thread of its own: the test harness's threads are shared.
+        std::thread::spawn(|| {
+            let before = timer_slack_ns().expect("PR_GET_TIMERSLACK");
+            let reg = registry();
+            let (coord_side, mut agent) = inproc_pair(64);
+            let flows = vec![
+                stat(0, 1_000_000, true),
+                stat(1, 2_000_000, true),
+                stat(2, 1_000_000, true),
+            ];
+            agent
+                .send(&Message::Stats {
+                    node: 0,
+                    now_ns: 0,
+                    flows,
+                })
+                .unwrap();
+            let inside = std::cell::Cell::new(None);
+            let report = run_coordinator(
+                &reg,
+                &|| {
+                    inside.set(timer_slack_ns());
+                    Box::new(saath_core::Saath::with_defaults())
+                },
+                &mut [Box::new(coord_side)],
+                &EmuClock::start(100),
+                &CoordinatorConfig {
+                    delta: Duration::from_millis(400),
+                    clairvoyant: false,
+                    restart_at: None,
+                    wall_deadline: std::time::Duration::from_secs(10),
+                },
+                None,
+            );
+            assert!(!report.timed_out);
+            assert_eq!(inside.get(), Some(1), "slack inside the run");
+            assert_eq!(timer_slack_ns(), Some(before), "slack after the run");
+        })
+        .join()
+        .unwrap();
     }
 
     /// Regression: flow ids in a `Stats` frame come off the wire. One

@@ -428,6 +428,31 @@ mod tests {
         assert!(final_page.contains("saath_epoch_phase_ns_count{phase=\"agent_apply\"}"));
     }
 
+    /// The epoch is attributed to its end: every δ sleep of an
+    /// in-process run leaves one `coord_pace` sample, how late it woke.
+    #[test]
+    fn inproc_emulation_renders_the_pace_phase() {
+        let cfg = EmulationConfig {
+            metrics_addr: Some("127.0.0.1:0".into()),
+            ..Default::default()
+        };
+        assert!(matches!(cfg.transport, TransportKind::InProc));
+        let report = emulate(&small_trace(4), &|| Box::new(Saath::with_defaults()), &cfg);
+        assert!(!report.coordinator.timed_out);
+        let page = report.metrics.expect("metrics_addr set");
+        let paces = page
+            .lines()
+            .find_map(|l| l.strip_prefix("saath_epoch_phase_ns_count{phase=\"coord_pace\"} "))
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no coord_pace count on the page:\n{page}"));
+        // Every pushed epoch is followed by a sleep.
+        assert!(
+            paces > 0 && paces >= report.coordinator.epochs,
+            "{paces} pace samples for {} epochs",
+            report.coordinator.epochs
+        );
+    }
+
     /// A CoFlow with one flow that is through — reported finished, and
     /// never reported again — well before `late_ms`, when the data of
     /// its other flow turns up: whoever takes over in between learns of

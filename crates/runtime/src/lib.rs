@@ -41,9 +41,10 @@
 
 #![warn(missing_docs)]
 // `deny`, not `forbid`: the `poll` module carries a scoped
-// `#[allow(unsafe_code)]` for its single libc-level `poll(2)`
-// declaration — the readiness primitive behind the multiplexed agent
-// host. Everything else in the crate remains unsafe-free.
+// `#[allow(unsafe_code)]` for its libc-level declarations — `poll(2)`,
+// the readiness primitive behind the multiplexed agent host, and
+// `prctl(2)`, which holds the coordinator's timer slack at 1 ns.
+// Everything else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 
 pub mod agent;

@@ -1,12 +1,15 @@
-//! Readiness polling for the TCP receive path and the agent host.
+//! Readiness polling for the TCP receive path and the agent host, and
+//! exact timer wake-ups for the coordinator's δ wait.
 //!
 //! The workspace vendors no `libc` crate and pulls in no async
-//! runtime, so this module declares the one C function they need —
-//! `poll(2)` — itself, at the stdlib-FFI level. It is the
-//! *only* unsafe code in the crate (the crate root is
-//! `#![deny(unsafe_code)]`; this module carries a scoped allow), and
-//! the surface is a single safe wrapper: [`wait_fd`] blocks until one
-//! file descriptor is readable/writable or a timeout elapses.
+//! runtime, so this module declares the two C functions they need —
+//! `poll(2)` and, on Linux, `prctl(2)` — itself, at the stdlib-FFI
+//! level. The crate root is `#![deny(unsafe_code)]`; this module's
+//! `sys` shim carries a scoped allow and holds every unsafe line of
+//! the crate. The surface is two safe wrappers: [`wait_fd`] blocks
+//! until one file descriptor is readable/writable or a timeout
+//! elapses, and [`ExactTimers`] holds the calling thread's timer slack
+//! at 1 ns until it is dropped.
 //!
 //! On non-Unix targets [`wait_fd`] degrades to a plain sleep that
 //! reports the descriptor as ready, which turns the event loop into a
@@ -16,6 +19,68 @@
 //! keeps the socket read timeout as its bound.
 
 use std::time::Duration;
+
+/// Holds the calling thread's timer slack at 1 ns, and gives the
+/// thread its previous slack back on drop.
+///
+/// Linux lets a sleeping thread's timer fire up to its *timer slack*
+/// late — 50 µs by default — so that wake-ups can be batched. The
+/// coordinator sleeps δ once per epoch and every microsecond past δ is
+/// time its schedule is late (DESIGN.md, "Epoch pacing"); with this
+/// guard held, a sleep ends at δ plus the scheduler's wake-up latency.
+/// The slack is per thread, so the guard is neither `Send` nor `Sync`:
+/// it is restored on the thread that set it.
+///
+/// Off Linux, and where `prctl(2)` refuses, the guard does nothing and
+/// sleeps keep the default slack.
+pub struct ExactTimers {
+    /// The slack to restore, when it was read and the new one set.
+    restore: Option<u64>,
+    _thread: std::marker::PhantomData<*const ()>,
+}
+
+impl ExactTimers {
+    /// Sets the calling thread's timer slack to 1 ns.
+    pub fn hold() -> ExactTimers {
+        let restore = timer_slack_ns().filter(|_| set_timer_slack(1));
+        ExactTimers {
+            restore,
+            _thread: std::marker::PhantomData,
+        }
+    }
+}
+
+impl Drop for ExactTimers {
+    fn drop(&mut self) {
+        if let Some(ns) = self.restore {
+            set_timer_slack(ns);
+        }
+    }
+}
+
+/// The calling thread's timer slack in nanoseconds; `None` off Linux
+/// or when it cannot be read.
+#[cfg(target_os = "linux")]
+pub fn timer_slack_ns() -> Option<u64> {
+    sys::timer_slack()
+}
+
+/// The calling thread's timer slack in nanoseconds; `None` off Linux
+/// or when it cannot be read.
+#[cfg(not(target_os = "linux"))]
+pub fn timer_slack_ns() -> Option<u64> {
+    None
+}
+
+#[cfg(target_os = "linux")]
+fn set_timer_slack(ns: u64) -> bool {
+    sys::set_timer_slack(ns)
+}
+
+#[cfg(not(target_os = "linux"))]
+fn set_timer_slack(_ns: u64) -> bool {
+    false
+}
 
 /// What [`wait_fd`] observed on the descriptor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -106,6 +171,54 @@ mod sys {
             left = deadline.saturating_duration_since(Instant::now());
         }
     }
+
+    #[cfg(target_os = "linux")]
+    const PR_SET_TIMERSLACK: core::ffi::c_int = 29;
+    #[cfg(target_os = "linux")]
+    const PR_GET_TIMERSLACK: core::ffi::c_int = 30;
+
+    #[cfg(target_os = "linux")]
+    extern "C" {
+        fn prctl(option: core::ffi::c_int, ...) -> core::ffi::c_int;
+    }
+
+    /// `prctl(PR_GET_TIMERSLACK)`: the slack comes back as the return
+    /// value; a negative one is an error.
+    #[cfg(target_os = "linux")]
+    pub fn timer_slack() -> Option<u64> {
+        // SAFETY: PR_GET_TIMERSLACK reads the calling thread's own
+        // slack and takes no pointer; the unused arguments are zero.
+        let rc = unsafe {
+            prctl(
+                PR_GET_TIMERSLACK,
+                0 as core::ffi::c_ulong,
+                0 as core::ffi::c_ulong,
+                0 as core::ffi::c_ulong,
+                0 as core::ffi::c_ulong,
+            )
+        };
+        u64::try_from(rc).ok()
+    }
+
+    /// `prctl(PR_SET_TIMERSLACK, ns)`; whether it took. `ns` is 1 or a
+    /// slack [`timer_slack`] read as a C `int`, so it fits the
+    /// `unsigned long` argument.
+    #[cfg(target_os = "linux")]
+    pub fn set_timer_slack(ns: u64) -> bool {
+        // SAFETY: PR_SET_TIMERSLACK sets the calling thread's own slack
+        // from an integer and takes no pointer; the unused arguments
+        // are zero.
+        let rc = unsafe {
+            prctl(
+                PR_SET_TIMERSLACK,
+                ns as core::ffi::c_ulong,
+                0 as core::ffi::c_ulong,
+                0 as core::ffi::c_ulong,
+                0 as core::ffi::c_ulong,
+            )
+        };
+        rc == 0
+    }
 }
 
 /// Waits until `fd` is readable — and, with `want_write`, writable —
@@ -177,6 +290,23 @@ mod tests {
         // An idle socket with room in its send buffer is writable too.
         let r = wait_fd(client.as_raw_fd(), true, Duration::from_secs(5)).unwrap();
         assert!(r.writable, "send buffer has room, POLLOUT expected: {r:?}");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn exact_timers_hold_one_nanosecond_and_give_the_slack_back() {
+        // A thread of its own: the test harness's threads are shared.
+        std::thread::spawn(|| {
+            let before = timer_slack_ns().expect("PR_GET_TIMERSLACK");
+            assert_ne!(before, 1, "the default slack is not 1 ns");
+            {
+                let _exact = ExactTimers::hold();
+                assert_eq!(timer_slack_ns(), Some(1));
+            }
+            assert_eq!(timer_slack_ns(), Some(before));
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -273,12 +273,15 @@ pub enum Phase {
     CoordSchedule,
     /// Coordinator: pushing the schedule to every agent (broadcast).
     CoordBroadcast,
+    /// Coordinator: how far the δ sleep that ends an epoch ran past δ
+    /// (pace) — the wake-up's lateness, not the sleep.
+    CoordPace,
     /// Agent: applying a schedule push (apply).
     AgentApply,
 }
 
 /// All span kinds, in display order.
-pub const PHASES: [Phase; 14] = [
+pub const PHASES: [Phase; 15] = [
     Phase::SchedTotal,
     Phase::SchedOrder,
     Phase::SchedContention,
@@ -292,6 +295,7 @@ pub const PHASES: [Phase; 14] = [
     Phase::CoordViews,
     Phase::CoordSchedule,
     Phase::CoordBroadcast,
+    Phase::CoordPace,
     Phase::AgentApply,
 ];
 
@@ -312,6 +316,7 @@ impl Phase {
             Phase::CoordViews => "coord_views",
             Phase::CoordSchedule => "coord_schedule",
             Phase::CoordBroadcast => "coord_broadcast",
+            Phase::CoordPace => "coord_pace",
             Phase::AgentApply => "agent_apply",
         }
     }

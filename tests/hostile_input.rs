@@ -16,7 +16,7 @@
 
 use saath::core::view::{ClusterView, CoflowScheduler, CoflowView, FlowView, Schedule};
 use saath::eventlog::{
-    diff_logs, index_log, verify, ChainDigest, EventLogWriter, LogHeader, RoundSink,
+    diff_logs, index_log, resume_point, verify, ChainDigest, EventLogWriter, LogHeader, RoundSink,
 };
 use saath::fabric::PortBank;
 use saath::prelude::*;
@@ -396,13 +396,15 @@ impl Decoder for Logs {
         vec![self.clean.clone()]
     }
 
-    /// Runs every reader whatever the others return: a resume indexes
-    /// a log without verifying it first, and the differ reads damaged
-    /// records that the chain check would have refused. The result is
-    /// `verify`'s.
+    /// Runs every reader whatever the others return: a resume picks its
+    /// snapshot without verifying the log first, and the differ reads
+    /// damaged records that the chain check would have refused. The
+    /// resume pass must accept exactly the logs the index accepts and
+    /// pick one of the index's snapshots. The result is `verify`'s.
     fn run(&self, bytes: &[u8]) -> Result<(), String> {
         let summary = verify(bytes);
         let indexed = index_log(bytes);
+        let picked = resume_point(bytes);
         if let Ok(idx) = &indexed {
             for e in &idx.rounds {
                 let _ = idx.read_round(bytes, e);
@@ -411,6 +413,21 @@ impl Decoder for Logs {
         let _ = diff_logs(bytes, bytes);
         let _ = diff_logs(bytes, &self.clean);
         let _ = diff_logs(&self.clean, bytes);
+        match (&indexed, &picked) {
+            (Ok(idx), Ok(pick)) => {
+                let found = match pick {
+                    None => idx.snapshots.is_empty(),
+                    Some(p) => idx.snapshots.iter().any(|s| {
+                        (s.round, s.digest, s.blob.as_slice()) == (p.round, p.digest, &p.blob[..])
+                    }),
+                };
+                if !found {
+                    return Err("the resume pass picked no snapshot of the index".into());
+                }
+            }
+            (Err(_), Err(_)) => {}
+            _ => return Err("the resume pass and the index disagree on the framing".into()),
+        }
         let summary = summary.map_err(|e| e.to_string())?;
         let idx = indexed.map_err(|e| e.to_string())?;
         let blobs: usize = idx.snapshots.iter().map(|s| s.blob.len()).sum();
